@@ -12,10 +12,12 @@ Subcommands:
 * ``gen`` — write a generated instance (kinds: defined, twisted,
   adversarial).
 * ``bench`` — run the generator + pipeline over a degree/seed grid on a
-  worker pool and emit CSV timing rows.
+  worker pool and emit CSV timing rows; a row's ``ms`` covers parsing and
+  the decision, not instance generation.
 
 Exit codes: 0 success / DefinedOverK; 1 NotDefinedOverK; 2 bad input;
-3 internal invariant violation.
+3 internal invariant violation; 141 standard output closed early by its
+reader (``compute ... | head``), reported without a traceback.
 """
 
 import argparse
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_NOT_DEFINED = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's status for a closed pipe
 
 CSV_HEADER = ["degree", "n", "seed", "verdict", "params_tried", "ms"]
 
@@ -140,14 +143,17 @@ def _cmd_gen(args, out=sys.stdout):
 
 
 def _bench_one(task):
-    """One bench cell: generate, parse, run, time.  Runs in a worker."""
+    """One bench cell: generate, then time parse and decision.  Runs in a
+    worker.  Generation is not timed: for twisted instances it reruns the
+    decision pipeline."""
     kind, degree, minpoly_coeffs, seed = task
     minpoly = UniPoly(QQ, [QQ.from_str(s) for s in minpoly_coeffs])
     n = minpoly.degree
-    t0 = time.perf_counter()
+    t0 = None
     try:
-        doc = gen_instance(kind, degree, minpoly=minpoly, seed=seed)
-        field, psi = parse_instance(json.dumps(doc))
+        text = json.dumps(gen_instance(kind, degree, minpoly=minpoly, seed=seed))
+        t0 = time.perf_counter()
+        field, psi = parse_instance(text)
         result = standard_parametrization(psi)
         verdict = result.verdict
         tried = result.parameters_tried
@@ -156,7 +162,7 @@ def _bench_one(task):
         verdict = "error"
         tried = 0
         err = f"{type(exc).__name__}: {exc}"
-    ms = int(round((time.perf_counter() - t0) * 1000))
+    ms = 0 if t0 is None else int(round((time.perf_counter() - t0) * 1000))
     return {
         "degree": degree,
         "n": n,
@@ -270,13 +276,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (InstanceError, NonProperParametrization) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # The reader closed the pipe (`compute ... | head`).  Point stdout at
+        # devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

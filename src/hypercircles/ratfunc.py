@@ -208,27 +208,71 @@ class RatFunc:
 def moebius_compose_pair(num, den, mob, degree=None):
     """Raw substitution t -> (a t + b)/(c t + d) into the pair (num, den).
 
-    Clears the Moebius denominator to degree max(deg num, deg den) (or the
-    given `degree`); no gcd cancellation is performed.
+    Returns the pair sum_j p_j (a t + b)^j (c t + d)^(k - j) for p = num and
+    p = den, with k = max(deg num, deg den) or the given `degree`; no gcd
+    cancellation is performed.
+
+    Homogeneous Horner scheme (cf. the Taylor shift of von zur Gathen and
+    Gerhard, ISSAC 1997): from the top coefficient down,
+    acc <- acc * (a t + b) + p_j (c t + d)^(k - j), with one table of the
+    powers of c t + d shared by both parts.  Every product is by a linear
+    polynomial, so the pair costs O(k^2) field operations.
     """
     field = num.field
     big = degree if degree is not None else max(num.degree, den.degree)
-    lin_num = UniPoly(field, [mob.b, mob.a])
-    lin_den = UniPoly(field, [mob.d, mob.c])
-    pows_n = [UniPoly.one(field)]
-    pows_d = [UniPoly.one(field)]
+    one = field.one
+    times_ab = _linear_multiplier(mob.b, mob.a, one)
+    times_cd = _linear_multiplier(mob.d, mob.c, one)
+    pows = [[one]]  # pows[i]: ascending coefficients of (c t + d)^i
     for _ in range(big):
-        pows_n.append(pows_n[-1] * lin_num)
-        pows_d.append(pows_d[-1] * lin_den)
+        pows.append(times_cd(pows[-1]))
 
     def subst(p):
-        out = UniPoly.zero(field)
-        for j, c in enumerate(p.coeffs):
-            if c:
-                out = out + pows_n[j] * pows_d[big - j] * c
-        return out
+        cs = p.coeffs
+        if not cs:
+            return p
+        top = len(cs) - 1
+        acc = [cs[top] * v if v else v for v in pows[big - top]]
+        for j in range(top - 1, -1, -1):
+            acc = times_ab(acc)
+            cj = cs[j]
+            if cj:
+                pw = pows[big - j]
+                if len(acc) < len(pw):
+                    acc.extend([field.zero] * (len(pw) - len(acc)))
+                for i, v in enumerate(pw):
+                    if v:
+                        acc[i] = acc[i] + cj * v
+        return UniPoly._raw(field, acc)
 
     return subst(num), subst(den)
+
+
+def _linear_multiplier(lo, hi, one):
+    """The map from ascending coefficient lists q to those of q * (hi t + lo).
+
+    Products by a zero or unit coefficient are skipped; a zero `hi` keeps
+    the length of q.
+    """
+
+    def scaled(x):
+        if not x:
+            return lambda q: [x] * len(q)
+        if x == one:
+            return list
+        return lambda q: [v * x for v in q]
+
+    low, high = scaled(lo), scaled(hi)
+    if not hi:
+        return low
+    if not lo:
+        return lambda q: [lo] + high(q)
+
+    def times(q):
+        lq, hq = low(q), high(q)
+        return [lq[0]] + [x + y for x, y in zip(lq[1:], hq)] + [hq[-1]]
+
+    return times
 
 
 class MoebiusTransform:

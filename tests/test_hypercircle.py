@@ -28,10 +28,10 @@ from hypercircles.hypercircle import (
     SINGULAR,
     parameter_schedule,
     probably_proper,
-    verify_identity_by_evaluation,
 )
 
 from conftest import quartic_phi_expected
+from oracles import verify_identity_by_evaluation
 
 
 def test_parameter_budget():
