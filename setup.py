@@ -1,9 +1,11 @@
 """Build script: compiles the optional arithmetic kernels (rational scalars
-and integer coordinate tensors).
+and integer coordinate tensors) from the committed C sources.
 
-The package works without the extensions (pure-Python kernels are selected
-at import time), so any build failure here downgrades to a warning instead
-of aborting the install.
+The package works without the extensions (each module falls back to its
+pure-Python kernel at import time), so a build failure here downgrades to a
+warning instead of aborting the install.  Build in place with
+
+    python3 setup.py build_ext --inplace
 """
 
 import sys
@@ -30,37 +32,20 @@ class OptionalBuildExt(build_ext):
     @staticmethod
     def _warn(exc):
         print(
-            f"WARNING: building the compiled rational kernel failed ({exc}); "
+            f"WARNING: building a compiled kernel failed ({exc}); "
             "falling back to the pure-Python implementation.",
             file=sys.stderr,
         )
 
 
-def _extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print(
-            "WARNING: Cython not available; installing with the pure-Python "
-            "rational kernel only.",
-            file=sys.stderr,
+setup(
+    ext_modules=[
+        Extension(
+            f"hypercircles.{name}",
+            [f"src/hypercircles/{name}.c"],
+            extra_compile_args=["-O3"],
         )
-        return []
-    return cythonize(
-        [
-            Extension(
-                "hypercircles._ratcore",
-                ["src/hypercircles/_ratcore.pyx"],
-                extra_compile_args=["-O3"],
-            ),
-            Extension(
-                "hypercircles._tensorcore",
-                ["src/hypercircles/_tensorcore.pyx"],
-                extra_compile_args=["-O3"],
-            ),
-        ],
-        language_level=3,
-    )
-
-
-setup(ext_modules=_extensions(), cmdclass={"build_ext": OptionalBuildExt})
+        for name in ("_ratcore", "_tensorcore")
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -174,6 +174,8 @@ def _bench_one(task):
 
 
 def _cmd_bench(args, out=sys.stdout):
+    if args.jobs < 0:
+        raise InstanceError(f"--jobs must be 0 (CPU count) or positive, got {args.jobs}")
     if args.degrees.strip():
         try:
             degrees = [int(s) for s in args.degrees.split(",")]

@@ -18,38 +18,26 @@ the coefficient field, so unit * prod(factor^mult) reproduces the input.
 
 import itertools
 import random
-from math import gcd as _int_gcd, isqrt
+from math import isqrt
 
 from .errors import InstanceError, InternalInvariantError
-from .intpoly import zz_primitive, zz_trim
-from .polynomials import UniPoly, is_squarefree, interpolate, poly_gcd, poly_resultant
+from .intpoly import is_prime, zz_add, zz_mul, zz_primitive, zz_sub, zz_trim
+from .polynomials import (
+    UniPoly,
+    _qq_int_coeffs,
+    interpolate,
+    is_squarefree,
+    poly_gcd,
+    poly_resultant,
+)
 from .rationals import RationalField
 
 # ----------------------------------------------------------------------------
 # arithmetic mod a small prime (dense ascending int lists, values in [0, p))
 
 
-def gf_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def gf_from_zz(f, p):
-    return gf_trim([a % p for a in f])
-
-
-def gf_neg(f, p):
-    return [(-a) % p for a in f]
-
-
-def gf_add(f, g, p):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, b in enumerate(g):
-        out[i] = (out[i] + b) % p
-    return gf_trim(out)
+    return zz_trim([a % p for a in f])
 
 
 def gf_sub(f, g, p):
@@ -58,7 +46,7 @@ def gf_sub(f, g, p):
         out.extend([0] * (len(g) - len(out)))
     for i, b in enumerate(g):
         out[i] = (out[i] - b) % p
-    return gf_trim(out)
+    return zz_trim(out)
 
 
 def gf_mul(f, g, p):
@@ -69,14 +57,14 @@ def gf_mul(f, g, p):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
-    return gf_trim([c % p for c in out])
+    return zz_trim([c % p for c in out])
 
 
 def gf_mul_scalar(f, c, p):
     c %= p
     if c == 0:
         return []
-    return gf_trim([(a * c) % p for a in f])
+    return zz_trim([(a * c) % p for a in f])
 
 
 def gf_monic(f, p):
@@ -102,7 +90,7 @@ def gf_divmod(f, g, p):
             for j in range(dg):
                 rem[i + j] = (rem[i + j] - c * g[j]) % p
         rem[i + dg] = 0
-    return gf_trim(q), gf_trim(rem)
+    return zz_trim(q), zz_trim(rem)
 
 
 def gf_rem(f, g, p):
@@ -137,7 +125,7 @@ def gf_gcdex(f, g, p):
 
 
 def gf_diff(f, p):
-    return gf_trim([(i * f[i]) % p for i in range(1, len(f))])
+    return zz_trim([(i * f[i]) % p for i in range(1, len(f))])
 
 
 def gf_pow_mod(f, e, mod, p):
@@ -149,13 +137,6 @@ def gf_pow_mod(f, e, mod, p):
         e >>= 1
         if e:
             base = gf_rem(gf_mul(base, base, p), mod, p)
-    return out
-
-
-def gf_eval(f, x, p):
-    out = 0
-    for a in reversed(f):
-        out = (out * x + a) % p
     return out
 
 
@@ -210,7 +191,7 @@ def gf_edf(f, d, p, rng):
             out.append(g)
             continue
         while True:
-            r = gf_trim([rng.randrange(p) for _ in range(len(g) - 1)])
+            r = zz_trim([rng.randrange(p) for _ in range(len(g) - 1)])
             if not r:
                 continue
             s = gf_pow_mod(r, e, g, p)
@@ -248,35 +229,6 @@ def _trunc(f, m):
     return zz_trim(out)
 
 
-def _zz_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return zz_trim(out)
-
-
-def _zz_sub(f, g):
-    out = list(f)
-    if len(out) < len(g):
-        out.extend([0] * (len(g) - len(out)))
-    for i, b in enumerate(g):
-        out[i] -= b
-    return zz_trim(out)
-
-
-def _zz_add(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, b in enumerate(g):
-        out[i] += b
-    return zz_trim(out)
-
-
 def _divmod_mod(f, g, m):
     """divmod of f by g with arithmetic mod m; g's lc must be invertible."""
     df, dg = len(f) - 1, len(g) - 1
@@ -299,14 +251,14 @@ def hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g*h (mod m), s*g + t*h = 1 (mod m)
     to the same relations mod m**2, with h monic throughout."""
     mm = m * m
-    e = _trunc(_zz_sub(f, _zz_mul(g, h)), mm)
-    q, r = _divmod_mod(_zz_mul(s, e), h, mm)
-    gg = _trunc(_zz_add(_zz_add(g, _zz_mul(t, e)), _zz_mul(q, g)), mm)
-    hh = _trunc(_zz_add(h, r), mm)
-    u = _trunc(_zz_sub(_zz_add(_zz_mul(s, gg), _zz_mul(t, hh)), [1]), mm)
-    b, c = _divmod_mod(_zz_mul(s, u), hh, mm)
-    ss = _trunc(_zz_sub(s, c), mm)
-    tt = _trunc(_zz_sub(_zz_sub(t, _zz_mul(t, u)), _zz_mul(b, gg)), mm)
+    e = _trunc(zz_sub(f, zz_mul(g, h)), mm)
+    q, r = _divmod_mod(zz_mul(s, e), h, mm)
+    gg = _trunc(zz_add(zz_add(g, zz_mul(t, e)), zz_mul(q, g)), mm)
+    hh = _trunc(zz_add(h, r), mm)
+    u = _trunc(zz_sub(zz_add(zz_mul(s, gg), zz_mul(t, hh)), [1]), mm)
+    b, c = _divmod_mod(zz_mul(s, u), hh, mm)
+    ss = _trunc(zz_sub(s, c), mm)
+    tt = _trunc(zz_sub(zz_sub(t, zz_mul(t, u)), zz_mul(b, gg)), mm)
     return gg, hh, ss, tt
 
 
@@ -345,16 +297,6 @@ def hensel_lift(p, f, factors, l):
 
 
 def _next_prime(p):
-    def is_prime(n):
-        if n % 2 == 0:
-            return n == 2
-        i = 3
-        while i * i <= n:
-            if n % i == 0:
-                return False
-            i += 2
-        return True
-
     p += 1
     while not is_prime(p):
         p += 1
@@ -402,11 +344,11 @@ def zz_factor_squarefree(f):
             for combo in itertools.combinations(live, s):
                 g = [rest[-1]]
                 for i in combo:
-                    g = _trunc(_zz_mul(g, lifted[i]), pl)
+                    g = _trunc(zz_mul(g, lifted[i]), pl)
                 h = [rest[-1]]
                 for i in live:
                     if i not in combo:
-                        h = _trunc(_zz_mul(h, lifted[i]), pl)
+                        h = _trunc(zz_mul(h, lifted[i]), pl)
                 g_norm = sum(abs(a) for a in g)
                 h_norm = sum(abs(a) for a in h)
                 if g_norm * h_norm <= bound:
@@ -474,7 +416,7 @@ def factor_rational(f):
     mon = f.monic()
     out = []
     for part, mult in squarefree_decomposition(mon):
-        ints = _int_coeff_list(part)
+        ints = _qq_int_coeffs(part)
         _, prim = zz_primitive(ints)
         for fac in zz_factor_squarefree(prim):
             lc = fac[-1]
@@ -483,15 +425,6 @@ def factor_rational(f):
             )
     out.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
     return unit, out
-
-
-def _int_coeff_list(f):
-    den = 1
-    for c in f.coeffs:
-        q = c.denominator
-        if q != 1:
-            den = den * q // _int_gcd(den, q)
-    return [c.numerator * (den // c.denominator) for c in f.coeffs]
 
 
 def is_irreducible_rational(f):

@@ -4,7 +4,8 @@ Polynomials are plain lists of ints in ascending order (index i holds the
 x^i coefficient) with no trailing zeros; the empty list is the zero
 polynomial.  These routines back the fast rational gcd path and the
 factorization machinery, where staying in plain ints avoids per-operation
-rational normalization.
+rational normalization.  `is_prime` is the one primality test behind every
+prime the modular code picks.
 """
 
 from math import gcd as _int_gcd
@@ -14,14 +15,6 @@ def zz_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
-
-
-def zz_degree(f):
-    return len(f) - 1
-
-
-def zz_neg(f):
-    return [-a for a in f]
 
 
 def zz_add(f, g):
@@ -53,12 +46,6 @@ def zz_mul(f, g):
     return zz_trim(out)
 
 
-def zz_mul_scalar(f, c):
-    if c == 0:
-        return []
-    return [c * a for a in f]
-
-
 def zz_content(f):
     c = 0
     for a in f:
@@ -78,13 +65,6 @@ def zz_primitive(f):
     if c == 1:
         return 1, list(f)
     return c, [a // c for a in f]
-
-
-def zz_eval(f, x):
-    out = 0
-    for a in reversed(f):
-        out = out * x + a
-    return out
 
 
 def zz_prem(f, g):
@@ -134,3 +114,29 @@ def zz_gcd(f, g):
     if c != 1:
         f = [c * a for a in f]
     return f
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact for n < 3.18e23."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -25,7 +25,8 @@ needed leading coefficient into a zero divisor — all detected cheaply.
 
 from math import gcd as _int_gcd, isqrt
 
-from .polynomials import UniPoly, poly_resultant
+from .intpoly import is_prime
+from .polynomials import poly_resultant
 from .rationals import Rational
 
 
@@ -33,33 +34,10 @@ class BadPrime(Exception):
     """The chosen prime degenerates the reduction."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n):
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _primes(start=(1 << 61) + 3):
     k = start | 1
     while True:
-        if _is_prime(k):
+        if is_prime(k):
             yield k
         k += 2
 
@@ -307,11 +285,6 @@ def _red_elem(lvl, e):
     return t
 
 
-def _derivative(q):
-    f = q.field
-    return UniPoly(f, [c * f.coerce(i) for i, c in enumerate(q.coeffs)][1:])
-
-
 def _tower_disc(field):
     """Product over the tower of the defining polynomials' discriminant
     norms, as a positive integer; primes dividing it are never used."""
@@ -322,7 +295,7 @@ def _tower_disc(field):
         while getattr(f, "_level1", None) is not None:
             mt = f._theta_minpoly()
             if mt.degree > 1:
-                r = poly_resultant(mt, _derivative(mt))
+                r = poly_resultant(mt, mt.derivative())
                 while not isinstance(r, Rational):
                     r = r.norm()
                 d *= abs(r.numerator) * r.denominator

@@ -26,7 +26,7 @@ from math import gcd as _int_gcd
 
 from .errors import InternalInvariantError
 from .polynomials import UniPoly, _exact_div_poly, _exact_elem_div, format_poly
-from .rationals import BACKEND, Rational
+from .rationals import Rational
 
 
 def _tadd(a, b):
@@ -89,22 +89,20 @@ def _texact(a, n):
     return tuple(out)
 
 
-_conv_reduce = None
-if BACKEND == "compiled":
-    try:
-        from . import _tensorcore as _tc
-    except ImportError:  # pragma: no cover - depends on the build environment
-        pass
-    else:
-        _tadd = _tc.tadd
-        _tsub = _tc.tsub
-        _tneg = _tc.tneg
-        _tscale = _tc.tscale
-        _tdiv = _tc.tdiv
-        _tbool = _tc.tbool
-        _tcontent = _tc.tcontent
-        _texact = _tc.texact
-        _conv_reduce = _tc.conv_reduce
+try:
+    from . import _tensorcore as _tc
+except ImportError:  # pragma: no cover - depends on the build environment
+    _conv_reduce = None
+else:
+    _tadd = _tc.tadd
+    _tsub = _tc.tsub
+    _tneg = _tc.tneg
+    _tscale = _tc.tscale
+    _tdiv = _tc.tdiv
+    _tbool = _tc.tbool
+    _tcontent = _tc.tcontent
+    _texact = _tc.texact
+    _conv_reduce = _tc.conv_reduce
 
 
 class NumberField:

@@ -430,25 +430,6 @@ def poly_gcd(f, g):
             hh = _exact_elem_div(gg**delta, hh ** (delta - 1))
 
 
-def poly_xgcd(f, g):
-    """(h, s, t) with h = poly_gcd(f, g) monic and s*f + t*g = h."""
-    field = f.field
-    if f.field != g.field:
-        raise TypeError("xgcd of polynomials over different fields")
-    a, b = f, g
-    sa, sb = UniPoly.one(field), UniPoly.zero(field)
-    ta, tb = UniPoly.zero(field), UniPoly.one(field)
-    while not b.is_zero:
-        q, r = divmod(a, b)
-        a, b = b, r
-        sa, sb = sb, sa - q * sb
-        ta, tb = tb, ta - q * tb
-    if a.is_zero:
-        return a, sa, ta
-    inv = field.one / a.lc
-    return a * inv, sa * inv, ta * inv
-
-
 def poly_resultant(f, g):
     """Resultant of f and g via the Euclidean recursion."""
     field = f.field

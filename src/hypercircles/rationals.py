@@ -1,84 +1,62 @@
 """Rational scalars and the field object QQ.
 
-The scalar implementation is chosen at import time: the compiled kernel
-(`_ratcore`) when the extension built, otherwise the pure-Python mirror
-(`_ratpure`).  Setting HYPERCIRCLES_BACKEND=pure (or =compiled) before
-import forces the choice — the benchmark uses this to time both kernels on
-identical workloads.  `RationalField` is parameterized by the scalar class,
-so both backends can also coexist in one process.
+`Rational` is the compiled kernel (`_ratcore`) when the extension is built,
+otherwise its pure-Python mirror (`_ratpure`); `BACKEND` names the one in
+use.  See the README's "Kernels" section for the build.
 """
 
-import os
+try:
+    from ._ratcore import Rational
 
-from . import _ratpure
+    BACKEND = "compiled"
+except ImportError:  # pragma: no cover - depends on the build environment
+    from ._ratpure import Rational
 
-_forced = os.environ.get("HYPERCIRCLES_BACKEND", "").strip().lower()
-if _forced not in ("", "pure", "compiled"):
-    raise ImportError(
-        f"HYPERCIRCLES_BACKEND must be 'pure' or 'compiled', not {_forced!r}"
-    )
-
-if _forced == "pure":
-    _impl = _ratpure
     BACKEND = "pure"
-else:
-    try:
-        from . import _ratcore as _impl
-
-        BACKEND = "compiled"
-    except ImportError:  # pragma: no cover - depends on the build environment
-        if _forced == "compiled":
-            raise
-        _impl = _ratpure
-        BACKEND = "pure"
-
-Rational = _impl.Rational
-PureRational = _ratpure.Rational
 
 
 class RationalField:
-    """The field of rational numbers over a concrete scalar class."""
+    """The field of rational numbers."""
 
     degree = 1
 
-    def __init__(self, scalar=Rational):
-        self.scalar = scalar
-        self.zero = scalar(0)
-        self.one = scalar(1)
+    def __init__(self):
+        self.zero = Rational(0)
+        self.one = Rational(1)
 
     def __call__(self, p, q=1):
-        return self.scalar(p, q)
+        return Rational(p, q)
 
     def coerce(self, x):
-        """Return x as a scalar of this field, or raise TypeError."""
-        if isinstance(x, self.scalar):
+        """Return x as a Rational, or raise TypeError."""
+        if isinstance(x, Rational):
             return x
         if isinstance(x, int):
-            return self.scalar(x)
-        # Foreign rational-like value (e.g. the other backend's scalar,
-        # fractions.Fraction): rebuild from its integer pair.
+            return Rational(x)
+        # Foreign rational-like value (fractions.Fraction, the other
+        # kernel's scalar): rebuild from its integer pair.
         num = getattr(x, "numerator", None)
         den = getattr(x, "denominator", None)
         if isinstance(num, int) and isinstance(den, int):
-            return self.scalar(num, den)
+            return Rational(num, den)
         raise TypeError(f"cannot coerce {x!r} into {self!r}")
 
     def from_str(self, text):
-        """Parse 'p' or 'p/q' (ints in base 10) into a scalar."""
+        """Parse 'p' or 'p/q' (ints in base 10) into a Rational."""
         s = text.strip()
         if "/" in s:
             a, _, b = s.partition("/")
-            return self.scalar(int(a), int(b))
-        return self.scalar(int(s))
+            return Rational(int(a), int(b))
+        return Rational(int(s))
 
     def __eq__(self, other):
-        return isinstance(other, RationalField) and other.scalar is self.scalar
+        return isinstance(other, RationalField)
 
     def __hash__(self):
-        return hash((RationalField, self.scalar))
+        return hash(RationalField)
 
     def __repr__(self):
-        return "QQ" if self.scalar is Rational else f"QQ[{self.scalar.__module__}]"
+        return "QQ"
 
 
 QQ = RationalField()

@@ -1,4 +1,4 @@
-"""Reference implementations the library's identity proof is tested against.
+"""Reference implementations the library is tested against.
 
 They are slower than the library code on purpose: each computes the same
 answer by a different, more direct route.
@@ -72,3 +72,11 @@ def verify_identity_by_evaluation(psi, psi_sigma, u):
         successes += 1
         if successes >= needed:
             return True
+
+
+def euclid_gcd(f, g):
+    """Monic gcd by the textbook Euclidean algorithm over the coefficient
+    field; `poly_gcd` over Q takes an integer primitive-PRS path instead."""
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.monic()

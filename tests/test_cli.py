@@ -26,6 +26,12 @@ def test_bench_csv_header_and_rows(tmp_path):
     assert row["verdict"] == "DefinedOverK"
 
 
+def test_bench_rejects_negative_jobs(capsys):
+    argv = ["bench", "--degrees", "3", "--seeds", "1", "--jobs", "-1"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_compute_into_closed_pipe_has_no_traceback(tmp_path):
     inst = tmp_path / "circle.json"
     inst.write_text(json.dumps(CIRCLE_DOC), encoding="utf-8")

@@ -12,6 +12,7 @@ from hypercircles import (
     factor_rational,
     is_irreducible_rational,
 )
+from hypercircles.factoring import _next_prime
 
 x = UniPoly.gen(QQ)
 
@@ -151,3 +152,21 @@ def test_factor_over_nf_product_identity():
             prod = prod * g
     assert prod == f
     assert sorted(g.degree for g, _ in fac) == [1, 2]
+
+
+def test_next_prime_walks_the_primes():
+    # the Zassenhaus prime search: every prime below 5000, in order
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 71):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    want = [i for i in range(3, 5000) if sieve[i]]
+    got = []
+    p = 2
+    while True:
+        p = _next_prime(p)
+        if p >= 5000:
+            break
+        got.append(p)
+    assert got == want

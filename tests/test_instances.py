@@ -138,7 +138,7 @@ def test_malformed_documents_are_rejected(mutate, message):
 
 
 def test_invalid_json_is_reported_with_position():
-    with pytest.raises(InstanceError, match="invalid JSON"):
+    with pytest.raises(InstanceError, match="invalid JSON at line 1, column 2"):
         parse_instance("{not json")
     with pytest.raises(InstanceError, match="JSON object"):
         parse_instance("[1, 2]")

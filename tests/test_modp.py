@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercircles import NumberField, QQ, Rational, UniPoly, poly_gcd
-from hypercircles.modp import _is_prime, _primes, _rat_rec, _tower_disc, fold_common_root
+from hypercircles.intpoly import is_prime
+from hypercircles.modp import _primes, _rat_rec, _tower_disc, fold_common_root
 
 
 def make_K():
@@ -67,8 +68,8 @@ def test_is_prime_matches_trial_division():
             d += 1
         return True
 
-    for n in list(range(2, 500)) + [10**6 + 3, 2**31 - 1, 2**31 + 1]:
-        assert _is_prime(n) == trial(n), n
+    for n in list(range(0, 500)) + [10**6 + 3, 2**31 - 1, 2**31 + 1]:
+        assert is_prime(n) == trial(n), n
 
 
 @given(

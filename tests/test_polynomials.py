@@ -9,8 +9,9 @@ from hypercircles.polynomials import (
     is_squarefree,
     poly_gcd,
     poly_resultant,
-    poly_xgcd,
 )
+
+from oracles import euclid_gcd
 
 rats = st.builds(
     Rational,
@@ -68,12 +69,8 @@ def test_gcd_of_coprime_is_one():
 
 
 @given(qq_polys, qq_polys)
-def test_xgcd_bezout(f, g):
-    if f.is_zero or g.is_zero:
-        return
-    d, s, t = poly_xgcd(f, g)
-    assert s * f + t * g == d
-    assert poly_gcd(f, g) == (d.monic() if not d.is_zero else d)
+def test_gcd_matches_field_euclid(f, g):
+    assert poly_gcd(f, g) == euclid_gcd(f, g)
 
 
 def test_resultant_golden():

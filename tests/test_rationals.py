@@ -126,12 +126,21 @@ def test_int_mixing():
         assert x / 3 == impl.Rational(1, 2)
 
 
+def test_coerce_fraction_and_int():
+    assert QQ.coerce(Fraction(5, 3)) == Rational(5, 3)
+    assert QQ.coerce(Fraction(-4, 2)) == Rational(-2)
+    assert QQ.coerce(7) == Rational(7)
+    x = Rational(2, 9)
+    assert QQ.coerce(x) is x
+    with pytest.raises(TypeError):
+        QQ.coerce(1.5)
+
+
 def test_coerce_between_backends():
     if _ratcore is None:
         pytest.skip("compiled kernel not built")
     pure = _ratpure.Rational(5, 3)
     assert QQ.coerce(pure) == Rational(5, 3)
-    assert QQ.coerce(Fraction(5, 3)) == Rational(5, 3)
 
 
 @given(rat_parts)

@@ -86,3 +86,24 @@ def test_component_count_mismatch(circle):
     single = Parametrization([psi[0]])
     with pytest.raises(InstanceError):
         check_on_witness(system, single)
+
+
+def test_curve_over_q_contains_the_line():
+    # psi already over Q: the witness locus contains (t, 0)
+    gauss = NumberField(QQ, x**2 + 1, "i")
+    t = UniPoly.gen(gauss)
+    psi = Parametrization([RatFunc(UniPoly(gauss, [1, 2, 3]), UniPoly(gauss, [5, 0, 1]))])
+    line = Parametrization([RatFunc(t), RatFunc(UniPoly.zero(gauss))])
+    assert check_on_witness(weil_substitution(psi), line)
+
+
+def test_cubic_field_phi_lies_on_witness():
+    # one component over Q(a), a^3 = 2: ((1 + a) t - a^2 - 2a) / (t - a)
+    field = NumberField(QQ, x**3 - 2, "a")
+    a = field.gen
+    num = UniPoly(field, [-a * a - field.coerce(2) * a, field.one + a])
+    den = UniPoly(field, [-a, field.one])
+    psi = Parametrization([RatFunc(num, den)])
+    res = standard_parametrization(psi)
+    assert res.defined
+    assert check_on_witness(weil_substitution(psi), res.phi)
