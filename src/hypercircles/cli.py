@@ -64,14 +64,22 @@ def _read_minpoly_file(path):
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
         ) from None
     if isinstance(doc, dict):
-        doc = doc.get("minpoly", doc.get("field", {}).get("minpoly"))
+        fdoc = doc.get("field")
+        if "minpoly" not in doc and isinstance(fdoc, dict):
+            doc = fdoc
+        doc = doc.get("minpoly")
     if not isinstance(doc, list):
         raise InstanceError(
             f"{path}: expected a coefficient list or an object with 'minpoly'"
         )
+    for s in doc:
+        if not isinstance(s, str):
+            raise InstanceError(
+                f"{path}: expected each coefficient as a rational string, got {s!r}"
+            )
     try:
         coeffs = [QQ.from_str(s) for s in doc]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(f"{path}: {exc}") from None
     return UniPoly(QQ, coeffs)
 

@@ -21,7 +21,7 @@ import random
 from math import isqrt
 
 from .errors import InstanceError, InternalInvariantError
-from .intpoly import is_prime, zz_add, zz_mul, zz_primitive, zz_sub, zz_trim
+from .intpoly import primes, zz_add, zz_mul, zz_primitive, zz_sub, zz_trim
 from .polynomials import (
     UniPoly,
     _qq_int_coeffs,
@@ -296,13 +296,6 @@ def hensel_lift(p, f, factors, l):
 # Zassenhaus over the integers
 
 
-def _next_prime(p):
-    p += 1
-    while not is_prime(p):
-        p += 1
-    return p
-
-
 def zz_factor_squarefree(f):
     """Irreducible integer factors of a primitive squarefree f, lc(f) > 0."""
     n = len(f) - 1
@@ -314,9 +307,7 @@ def zz_factor_squarefree(f):
     a_max = max(abs(a) for a in f)
     # Landau-Mignotte: any factor's coefficients are bounded by this.
     bound = (isqrt(n + 1) + 1) * (1 << n) * a_max * abs(lc)
-    p = 2
-    while True:
-        p = _next_prime(p)
+    for p in primes(3):
         if lc % p == 0:
             continue
         fp = gf_from_zz(f, p)

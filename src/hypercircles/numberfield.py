@@ -13,7 +13,7 @@ integer coordinate tensor (nested tuples of ints, one nesting level per
 tower level) plus a single shared positive denominator, reduced once per
 operation.  This keeps the inner loops on plain machine/big integers — one
 content gcd per arithmetic operation instead of a rational reduction per
-coefficient — which is what makes remainder sequences over these fields
+coefficient — which is what keeps exact arithmetic over these fields
 affordable.  The public `coords` property still exposes exact coordinates
 over the power basis of `gen` itself.
 
@@ -25,7 +25,7 @@ of the other (in which case the lower element is lifted).
 from math import gcd as _int_gcd
 
 from .errors import InternalInvariantError
-from .polynomials import UniPoly, _exact_div_poly, _exact_elem_div, format_poly
+from .polynomials import UniPoly, format_poly
 from .rationals import Rational
 
 
@@ -103,6 +103,46 @@ else:
     _tcontent = _tc.tcontent
     _texact = _tc.texact
     _conv_reduce = _tc.conv_reduce
+
+
+def _exact_rat_div(c, n):
+    """c / n for an integral rational c divisible by the integer n."""
+    if c.denominator != 1:
+        raise InternalInvariantError(
+            "inexact division in a remainder sequence row"
+        )
+    q, rem = divmod(c.numerator, n)
+    if rem:
+        raise InternalInvariantError(
+            "inexact division in a remainder sequence row"
+        )
+    return Rational(q)
+
+
+def _exact_elem_div(a, b):
+    """a / b for base-field elements whose quotient is known to stay
+    integral (a predicted factor of `NFElement.inverse`'s sequence)."""
+    num = getattr(b, "numerator", None)
+    if num is not None:
+        if b.denominator != 1:
+            raise InternalInvariantError(
+                "inexact division in a remainder sequence row"
+            )
+        return _exact_rat_div(a, num)
+    return a.exact_div_by_inv(b.inverse())
+
+
+def _exact_div_poly(p, v):
+    """p / v for a divisor dividing every coefficient in the ring."""
+    num = getattr(v, "numerator", None)
+    if num is not None:
+        if v.denominator != 1:
+            raise InternalInvariantError(
+                "inexact division in a remainder sequence row"
+            )
+        return UniPoly._raw(p.field, [_exact_rat_div(c, num) for c in p.coeffs])
+    vinv = v.inverse()
+    return UniPoly._raw(p.field, [c.exact_div_by_inv(vinv) for c in p.coeffs])
 
 
 class NumberField:
@@ -398,10 +438,6 @@ class NFElement:
             out.append(f._sub_from_frac(t, self.den))
             p *= f._scale
         return tuple(out)
-
-    @property
-    def content(self):
-        return _tcontent(self.ic)
 
     def exact_div_by_inv(self, vinv):
         """Quotient by the element whose inverse is `vinv`, for quotients

@@ -8,17 +8,14 @@ trimmed tuple, so the zero polynomial has an empty coefficient tuple and
 
 The gcd dispatches on the coefficient field: over the rationals it clears
 denominators and runs a primitive remainder sequence on integer lists; over a
-number field it runs the subresultant pseudo-remainder sequence — no
-coefficient inversions except of the small predicted factors, whose divisions
-are exact in the coefficient ring, so every row stays integral and of
-polynomially bounded size until the single monic step at the end.
+number field, a tower included, it is the modular gcd of `modp.nf_gcd`,
+which works at word-size primes and proves its answer by exact division.
 """
 
 from math import gcd as _int_gcd
 
-from .errors import InternalInvariantError
 from .intpoly import zz_gcd
-from .rationals import Rational, RationalField
+from .rationals import RationalField
 
 
 def field_extends(big, small):
@@ -301,94 +298,6 @@ def _qq_int_coeffs(f):
     return [c.numerator * (den // c.denominator) for c in f.coeffs]
 
 
-def _size_parts(c):
-    """(integer content, denominator) of a rational or field coefficient."""
-    num = getattr(c, "numerator", None)
-    if num is not None:
-        return (num if num >= 0 else -num, c.denominator)
-    return (c.content, c.den)
-
-
-def _joint_scale(*polys):
-    """Rescale polynomials by one shared rational so every coefficient is
-    integral and no common integer factor is left across all of them.
-
-    Every polynomial is scaled by the *same* factor, so any linear relation
-    between them is preserved up to that factor.  Afterwards each coefficient
-    has denominator one, which makes the ring operations of a remainder
-    sequence run entirely on integers.
-    """
-    lcm = 1
-    for p in polys:
-        for c in p.coeffs:
-            d = _size_parts(c)[1]
-            lcm = lcm * d // _int_gcd(lcm, d)
-    g = 0
-    for p in polys:
-        for c in p.coeffs:
-            ct, d = _size_parts(c)
-            g = _int_gcd(g, ct * (lcm // d))
-    if g == 0 or lcm == g:
-        return polys
-    factor = Rational(lcm, g)
-    return tuple(
-        UniPoly._raw(p.field, [c * factor for c in p.coeffs]) for p in polys
-    )
-
-
-def _exact_rat_div(c, n):
-    """c / n for an integral rational c divisible by the integer n."""
-    if c.denominator != 1:
-        raise InternalInvariantError(
-            "inexact division in a remainder sequence row"
-        )
-    q, rem = divmod(c.numerator, n)
-    if rem:
-        raise InternalInvariantError(
-            "inexact division in a remainder sequence row"
-        )
-    return Rational(q)
-
-
-def _exact_elem_div(a, b):
-    """a / b for field elements whose quotient is known to stay integral."""
-    num = getattr(b, "numerator", None)
-    if num is not None:
-        if b.denominator != 1:
-            raise InternalInvariantError(
-                "inexact division in a remainder sequence row"
-            )
-        return _exact_rat_div(a, num)
-    return a.exact_div_by_inv(b.inverse())
-
-
-def _exact_div_poly(p, v):
-    """p / v for a divisor dividing every coefficient in the ring."""
-    num = getattr(v, "numerator", None)
-    if num is not None:
-        if v.denominator != 1:
-            raise InternalInvariantError(
-                "inexact division in a remainder sequence row"
-            )
-        return UniPoly._raw(p.field, [_exact_rat_div(c, num) for c in p.coeffs])
-    vinv = v.inverse()
-    return UniPoly._raw(p.field, [c.exact_div_by_inv(vinv) for c in p.coeffs])
-
-
-def _pseudo_rem(a, b):
-    """Remainder of lc(b)^(deg a - deg b + 1) * a by b, inversion-free."""
-    lc = b.lc
-    r = a
-    dv = b.degree
-    n = a.degree - dv + 1
-    while not r.is_zero and r.degree >= dv:
-        n -= 1
-        r = r * lc - b.shift_up(r.degree - dv) * r.lc
-    if n > 0:
-        r = r * lc**n
-    return r
-
-
 def poly_gcd(f, g):
     """Monic gcd of two polynomials over the same field."""
     if f.field != g.field:
@@ -402,32 +311,9 @@ def poly_gcd(f, g):
         lc = ints[-1]
         field = f.field
         return UniPoly._raw(field, [field(c, lc) for c in ints])
-    # subresultant pseudo-remainder sequence: each pseudo-remainder is
-    # divided by a predicted factor that is exact in the coefficient ring,
-    # which keeps intermediate coefficients polynomially bounded and the
-    # final monic step cheap.  Rows are kept integral throughout, so the
-    # predicted divisions run as exact integer-tensor divisions rather than
-    # through field inverses with denominators.
-    field = f.field
-    (a,) = _joint_scale(f)
-    (b,) = _joint_scale(g)
-    if a.degree < b.degree:
-        a, b = b, a
-    gg = field.one
-    hh = field.one
-    while True:
-        delta = a.degree - b.degree
-        r = _pseudo_rem(a, b)
-        if r.is_zero:
-            (prim,) = _joint_scale(b)
-            return prim.monic()
-        v = gg * hh**delta
-        a, b = b, (r if v == field.one else _exact_div_poly(r, v))
-        gg = a.lc
-        if delta == 1:
-            hh = gg
-        elif delta:
-            hh = _exact_elem_div(gg**delta, hh ** (delta - 1))
+    from .modp import nf_gcd  # modp builds on this module
+
+    return nf_gcd((f, g), f.field)
 
 
 def poly_resultant(f, g):

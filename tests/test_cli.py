@@ -1,10 +1,13 @@
-"""The command-line interface: the bench CSV and a reader that stops early."""
+"""The command-line interface: the bench CSV, a reader that stops early and
+malformed minimal-polynomial files."""
 
 import csv
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from hypercircles import cli
 
@@ -50,3 +53,17 @@ def test_compute_into_closed_pipe_has_no_traceback(tmp_path):
         os.close(write_end)
     assert proc.stderr.decode() == ""
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [([1, 0, 1], "rational string"), ({"field": []}, "'minpoly'")],
+    ids=["numbers", "field-list"],
+)
+def test_gen_rejects_malformed_minpoly_file(tmp_path, capsys, doc, message):
+    path = tmp_path / "minpoly.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["gen", "--kind", "defined", "--degree", "3", "--minpoly-file", str(path)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -12,7 +12,7 @@ from hypercircles import (
     factor_rational,
     is_irreducible_rational,
 )
-from hypercircles.factoring import _next_prime
+from hypercircles.intpoly import primes
 
 x = UniPoly.gen(QQ)
 
@@ -155,7 +155,8 @@ def test_factor_over_nf_product_identity():
 
 
 def test_next_prime_walks_the_primes():
-    # the Zassenhaus prime search: every prime below 5000, in order
+    # the Zassenhaus prime search walks primes(3): every prime below 5000,
+    # in order
     sieve = [True] * 5000
     sieve[0] = sieve[1] = False
     for i in range(2, 71):
@@ -163,10 +164,9 @@ def test_next_prime_walks_the_primes():
             sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
     want = [i for i in range(3, 5000) if sieve[i]]
     got = []
-    p = 2
-    while True:
-        p = _next_prime(p)
+    for p in primes(3):
         if p >= 5000:
             break
         got.append(p)
     assert got == want
+    assert next(primes()) == 2 and next(primes(4)) == 5

@@ -1,14 +1,29 @@
-"""Word-size-prime folding of common roots, checked against the exact gcd."""
+"""The modular number-field gcd and its common-root summary, checked
+against the textbook Euclidean gcd over the field."""
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercircles import NumberField, QQ, Rational, UniPoly, poly_gcd
-from hypercircles.intpoly import is_prime
-from hypercircles.modp import _primes, _rat_rec, _tower_disc, fold_common_root
+from hypercircles import (
+    NumberField,
+    Parametrization,
+    QQ,
+    RatFunc,
+    Rational,
+    UniPoly,
+    classify_parameter,
+    poly_gcd,
+)
+from hypercircles.hypercircle import SINGULAR
+from hypercircles.intpoly import is_prime, primes
+from hypercircles.modp import _rat_rec, _tower_disc, fold_common_root, nf_gcd
+from hypercircles.numberfield import ConjugacyClass
+
+from oracles import euclid_gcd
 
 
 def make_K():
@@ -38,15 +53,19 @@ def rand_poly(rng, f, deg):
 def exact_fold(polys):
     g = polys[0]
     for p in polys[1:]:
-        g = poly_gcd(g, p)
+        g = euclid_gcd(g, p)
         if g.degree == 0:
             break
-    return g
+    return g.monic()
+
+
+def rand_monic(rng, f, deg, bound=9):
+    return UniPoly(f, [rand_elem(rng, f, bound) for _ in range(deg)] + [f.one])
 
 
 def test_prime_generator_is_prime():
     first = []
-    for p in _primes():
+    for p in primes(1 << 61):
         first.append(p)
         if len(first) == 5:
             break
@@ -162,3 +181,92 @@ def test_fold_constant_poly_means_empty():
     one = UniPoly(field, [field.one])
     t = UniPoly(field, [field.zero, field.one])
     assert fold_common_root([one, t], field) == ("empty", None)
+
+
+def test_fold_lone_input_is_made_monic():
+    # one nonzero polynomial, as when every other component vanishes at t:
+    # -g[0] is its root only once the image is monic
+    field = make_K()
+    a = field.gen
+    q = UniPoly(field, [-(a**2 + 3), 2])
+    assert fold_common_root([q], field) == ("root", (a**2 + 3) / 2)
+    x = UniPoly.gen(field)
+    assert fold_common_root([2 * x**2 + a], field) == ("degree", 2)
+
+
+@pytest.mark.parametrize("label", ["K", "L"])
+@pytest.mark.parametrize("planted", [0, 2, 3])
+def test_gcd_matches_euclid(label, planted):
+    field = make_K() if label == "K" else make_L()
+    rng = random.Random(31 + planted)
+    for trial in range(3):
+        h = rand_monic(rng, field, planted)
+        polys = [h * rand_poly(rng, field, rng.randint(1, 3)) for _ in range(2)]
+        g = poly_gcd(*polys)
+        assert g == euclid_gcd(*polys)
+        assert g.degree >= planted and (g % h).is_zero
+        polys.append(h * rand_poly(rng, field, 2))
+        assert nf_gcd(polys, field) == exact_fold(polys)
+
+
+@pytest.mark.parametrize("label", ["K", "L"])
+def test_gcd_lifts_big_coefficients(label):
+    # a planted factor whose coordinates need several primes of CRT
+    field = make_K() if label == "K" else make_L()
+    rng = random.Random(41)
+    for deg in (2, 3):
+        h = rand_monic(rng, field, deg, bound=10**12)
+        f = h * rand_poly(rng, field, 2)
+        g = h * rand_poly(rng, field, 1)
+        assert poly_gcd(f, g) == h
+        assert poly_gcd(f, g) == euclid_gcd(f, g)
+
+
+def test_gcd_with_a_constant_input_is_one():
+    field = make_L()
+    rng = random.Random(43)
+    f = rand_poly(rng, field, 3)
+    c = UniPoly(field, [rand_elem(rng, field)])
+    assert poly_gcd(f, c) == UniPoly.one(field)
+    assert nf_gcd([f, c, f], field) == UniPoly.one(field)
+
+
+def test_gcd_skips_a_prime_that_kills_a_leading_coefficient():
+    # At the first word prime p the leading coefficient p vanishes; the
+    # reduced inputs would then be coprime although the gcd is x - 1/p.
+    field = make_K()
+    a = field.gen
+    x = UniPoly.gen(field)
+    p = next(primes(1 << 61))
+    f = (p * x - 1) * (x - a)
+    g = (p * x - 1) * (x + 2)
+    assert poly_gcd(f, g) == x - Rational(1, p)
+
+
+def test_gcd_discards_an_unlucky_prime():
+    # x - p and x share a root mod p, so at the prime p the image has
+    # degree 2: once as the first image, which the next prime's degree-1
+    # image replaces, and once after a lucky image, where it is skipped
+    field = make_L()
+    b = field.gen
+    x = UniPoly.gen(field)
+    p0, p1 = itertools.islice(primes(1 << 61), 2)
+    assert poly_gcd((x - b) * (x - p0), (x - b) * x) == x - b
+    big = b + 10**40  # its coordinates need five primes of CRT
+    assert poly_gcd((x - big) * (x - p1), (x - big) * x) == x - big
+
+
+def test_classify_parameter_singular_on_a_degree_two_fibre():
+    # psi = (a t^2, t^4) is not proper: t = 1 and t = -1 share a point, so
+    # the identity class's fibre gcd at t = 1 is s^2 - 1
+    field = make_K()
+    a = field.gen
+    t = UniPoly.gen(field)
+    psi = Parametrization([RatFunc(a * t**2), RatFunc(t**4)])
+    ident = ConjugacyClass(UniPoly(field, [-a, field.one]), "b")
+    psi_id = psi.conjugate(ident)
+    rel = ident.relative_field
+    s = UniPoly.gen(rel)
+    polys = [rel.coerce(a) - rel.coerce(a) * s**2, rel.one - s**4]
+    assert fold_common_root(polys, rel) == ("degree", 2)
+    assert classify_parameter(psi, psi_id, 1).kind == SINGULAR

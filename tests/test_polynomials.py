@@ -127,6 +127,7 @@ def test_gcd_over_number_field_planted_factor():
     g = h * (x + a**3)
     d = poly_gcd(f, g)
     assert d == h.monic()
+    assert d == euclid_gcd(f, g)
     assert (f % d).is_zero and (g % d).is_zero
 
 
@@ -134,6 +135,7 @@ def test_gcd_over_number_field_coprime():
     field = _quartic_field()
     a = field.gen
     x = UniPoly.gen(field)
+    assert poly_gcd(x**2 + a, x + 1) == euclid_gcd(x**2 + a, x + 1)
     assert poly_gcd(x**2 + a, x + 1).degree == 0
 
 
