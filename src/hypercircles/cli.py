@@ -33,7 +33,7 @@ from .errors import (
     InternalInvariantError,
     NonProperParametrization,
 )
-from .generators import canonical_minpoly, gen_instance
+from .generators import _check_minpoly, canonical_minpoly, gen_instance
 from .hypercircle import standard_parametrization
 from .instances import instance_doc, load_instance, parse_instance
 from .minfield import minimum_field
@@ -194,8 +194,7 @@ def _cmd_bench(args, out=sys.stdout):
     else:
         degrees = []
     if args.minpoly_file is not None:
-        minpoly = _read_minpoly_file(args.minpoly_file)
-        minpoly = minpoly.monic()
+        minpoly = _check_minpoly(_read_minpoly_file(args.minpoly_file))
     else:
         minpoly = canonical_minpoly(args.ext_degree)
     coeff_strs = [str(c) for c in minpoly.coeffs]

@@ -22,14 +22,8 @@ from math import isqrt
 
 from .errors import InstanceError, InternalInvariantError
 from .intpoly import primes, zz_add, zz_mul, zz_primitive, zz_sub, zz_trim
-from .polynomials import (
-    UniPoly,
-    _qq_int_coeffs,
-    interpolate,
-    is_squarefree,
-    poly_gcd,
-    poly_resultant,
-)
+from .numberfield import from_power_sums, newton_sums
+from .polynomials import UniPoly, _qq_int_coeffs, is_squarefree, poly_gcd
 from .rationals import RationalField
 
 # ----------------------------------------------------------------------------
@@ -450,21 +444,19 @@ def factor_over_nf(f, field):
 
 
 def _norm_poly(h, field):
-    """Norm of h in Q(alpha)[x] down to Q[x], by evaluation/interpolation."""
-    qq = field.base
-    n = field.degree
-    minpoly = field.minpoly
-    deg = n * h.degree
-    xs = []
-    ys = []
-    x0 = 0
-    while len(xs) < deg + 1:
-        val = h(field.coerce(x0))
-        u = UniPoly._raw(qq, list(val.coords))
-        ys.append(poly_resultant(minpoly, u))
-        xs.append(qq.coerce(x0))
-        x0 = -x0 + (1 if x0 <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-    return interpolate(xs, ys, qq)
+    """Norm of a monic h in Q(alpha)[x] down to Q[x].
+
+    N(h) is the product of the n conjugates h^sigma (alpha -> alpha_j), so
+    its roots are those of all the conjugates together.  The k-th power sum
+    s_k(h) of h's roots is a polynomial with rational coefficients in h's
+    coefficients (Newton's identities), so s_k(h^sigma) = sigma(s_k(h)) and
+    the k-th power sum of N(h)'s roots is Tr(s_k(h)).  Power sums fix only
+    the monic polynomial with those roots, and N(h) is monic exactly when h
+    is (its leading coefficient is N(lc h)): hence h must be monic.
+    """
+    count = field.degree * h.degree + 1
+    sums = [s.trace() for s in newton_sums(h, count)]
+    return from_power_sums(sums, field.base)
 
 
 def _trager_squarefree(h, field):

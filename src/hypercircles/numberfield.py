@@ -159,8 +159,6 @@ class NumberField:
         self.degree = minpoly.degree
         n = self.degree
         self._level1 = not isinstance(base, NumberField)
-        # external reduction row for gen^n (used by charpoly's column builder)
-        self._xn_row = tuple(-c for c in minpoly.coeffs[:-1])
         # the generator rescaling that makes reduction integral
         scale = 1
         for c in minpoly.coeffs[:-1]:
@@ -206,7 +204,7 @@ class NumberField:
         one[0] = 1 if self._level1 else base.one.ic
         self.one = NFElement._raw(self, tuple(one), 1)
         if n == 1:
-            self.gen = self.element([self._xn_row[0]])
+            self.gen = self.element([-minpoly.coeffs[0]])
         else:
             g = [self._subzero] * n
             g[1] = 1 if self._level1 else base.one.ic
@@ -315,17 +313,6 @@ class NumberField:
         if self._power_traces is None:
             self._power_traces = newton_sums(self.minpoly, self.degree)
         return self._power_traces
-
-    def _mul_by_gen(self, v):
-        """External-coordinate multiply-by-gen (charpoly's column builder)."""
-        zero = self.base.zero
-        shifted = [zero] + list(v[:-1])
-        top = v[-1]
-        if top:
-            for i, ri in enumerate(self._xn_row):
-                if ri:
-                    shifted[i] = shifted[i] + top * ri
-        return shifted
 
     def _tmul(self, a, b):
         """Product of two integral coordinate tensors, reduced to length n."""
@@ -631,37 +618,16 @@ class NFElement:
         return out
 
     def charpoly(self):
-        """Characteristic polynomial over the base field (monic, degree n)."""
-        f = self.field
-        base = f.base
-        n = f.degree
-        cols = [list(self.coords)]
-        for _ in range(n - 1):
-            cols.append(f._mul_by_gen(cols[-1]))
-        # A[i][j] = cols[j][i]
-        a = [[cols[j][i] for j in range(n)] for i in range(n)]
-        coeffs = [base.zero] * n + [base.one]
-        m = [[base.one if i == j else base.zero for j in range(n)] for i in range(n)]
-        first = True
-        for k in range(1, n + 1):
-            if not first:
-                ck = coeffs[n - k + 1]
-                t = [[m[i][j] + (ck if i == j else base.zero) for j in range(n)] for i in range(n)]
-                m = [
-                    [
-                        _dot(a[i], [t[r][j] for r in range(n)], base)
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            else:
-                m = a
-                first = False
-            tr = base.zero
-            for i in range(n):
-                tr = tr + m[i][i]
-            coeffs[n - k] = -tr / k
-        return UniPoly._raw(base, coeffs)
+        """Characteristic polynomial over the base field (monic, degree n):
+        its roots are the conjugates of the element, so their power sums
+        are the traces of its powers."""
+        base = self.field.base
+        sums = [base.coerce(self.field.degree), self.trace()]
+        power = self
+        for _ in range(self.field.degree - 1):
+            power = power * self
+            sums.append(power.trace())
+        return from_power_sums(sums, base)
 
     def norm(self):
         cp = self.charpoly()
@@ -684,24 +650,16 @@ class NFElement:
         return f"<{self} in {self.field!r}>"
 
 
-def _dot(row, col, base):
-    out = base.zero
-    for x, y in zip(row, col):
-        if x and y:
-            out = out + x * y
-    return out
+def newton_sums(f, count):
+    """Power sums of the roots of f: s_k = sum(root^k) for k = 0..count-1.
 
-
-def newton_sums(minpoly, count):
-    """Power sums of the roots: s_k = sum(root^k) for k = 0..count-1.
-
-    Newton's identities over the coefficient field; `minpoly` need not be
+    Newton's identities over the coefficient field, for any monic f (a
+    non-monic one is made monic first); f need not be irreducible or
     squarefree (sums then count roots with multiplicity).
     """
-    base = minpoly.field
-    m = minpoly.degree
-    mon = minpoly.monic()
-    c = mon.coeffs
+    base = f.field
+    m = f.degree
+    c = f.monic().coeffs
     out = [base.coerce(m)]
     for l in range(1, count):
         acc = base.zero
@@ -712,6 +670,25 @@ def newton_sums(minpoly, count):
             acc = acc + base.coerce(l) * c[m - l]
         out.append(-acc)
     return out
+
+
+def from_power_sums(sums, field):
+    """The monic polynomial of degree N = len(sums) - 1 whose roots have the
+    power sums s_0 .. s_N (the inverse of `newton_sums`).
+
+    Newton's identities solved for the coefficients c_i, one at a time:
+    k c_(N-k) = -(s_k + sum_(i<k) c_(N-i) s_(k-i)).  Dividing by k <= N is
+    where characteristic zero is used.
+    """
+    n = len(sums) - 1
+    c = [field.zero] * n + [field.one]
+    for k in range(1, n + 1):
+        acc = field.coerce(sums[k])
+        for i in range(1, k):
+            if c[n - i]:
+                acc = acc + c[n - i] * sums[k - i]
+        c[n - k] = acc * Rational(-1, k)
+    return UniPoly._raw(field, c)
 
 
 class ConjugacyClass:

@@ -338,28 +338,5 @@ def poly_resultant(f, g):
     return -out if neg else out
 
 
-def interpolate(xs, ys, field):
-    """Lagrange interpolation: the unique poly of degree < len(xs) through
-    the points (xs[i], ys[i])."""
-    n = len(xs)
-    if n != len(ys):
-        raise ValueError("mismatched interpolation data")
-    xs = [field.coerce(x) for x in xs]
-    ys = [field.coerce(y) for y in ys]
-    out = UniPoly.zero(field)
-    for i in range(n):
-        if not ys[i]:
-            continue
-        num = UniPoly.one(field)
-        den = field.one
-        for j in range(n):
-            if j == i:
-                continue
-            num = num * UniPoly._raw(field, [-xs[j], field.one])
-            den = den * (xs[i] - xs[j])
-        out = out + num * (ys[i] / den)
-    return out
-
-
 def is_squarefree(f):
     return poly_gcd(f, f.derivative()).degree == 0

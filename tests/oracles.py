@@ -6,7 +6,7 @@ answer by a different, more direct route.
 
 from hypercircles.errors import InternalInvariantError
 from hypercircles.hypercircle import parameter_schedule
-from hypercircles.polynomials import UniPoly
+from hypercircles.polynomials import UniPoly, poly_resultant
 from hypercircles.ratfunc import POLE
 
 
@@ -80,3 +80,71 @@ def euclid_gcd(f, g):
     while not g.is_zero:
         f, g = g, f % g
     return f.monic()
+
+
+def interpolate(xs, ys, field):
+    """Lagrange interpolation: the unique poly of degree < len(xs) through
+    the points (xs[i], ys[i])."""
+    n = len(xs)
+    if n != len(ys):
+        raise ValueError("mismatched interpolation data")
+    xs = [field.coerce(x) for x in xs]
+    ys = [field.coerce(y) for y in ys]
+    out = UniPoly.zero(field)
+    for i in range(n):
+        if not ys[i]:
+            continue
+        num = UniPoly.one(field)
+        den = field.one
+        for j in range(n):
+            if j == i:
+                continue
+            num = num * UniPoly._raw(field, [-xs[j], field.one])
+            den = den * (xs[i] - xs[j])
+        out = out + num * (ys[i] / den)
+    return out
+
+
+def norm_by_interpolation(h, field):
+    """Norm of h in Q(alpha)[x] down to Q[x] as Res_y(M(y), h(y, x)): one
+    resultant at each of n deg(h) + 1 integers, then Lagrange
+    interpolation."""
+    qq = field.base
+    xs = []
+    ys = []
+    x0 = 0
+    while len(xs) < field.degree * h.degree + 1:
+        val = h(field.coerce(x0))
+        ys.append(poly_resultant(field.minpoly, UniPoly._raw(qq, list(val.coords))))
+        xs.append(qq.coerce(x0))
+        x0 = -x0 + (1 if x0 <= 0 else 0)  # 0, 1, -1, 2, -2, ...
+    return interpolate(xs, ys, qq)
+
+
+def charpoly_by_faddeev_leverrier(x):
+    """Characteristic polynomial over the base field of the matrix of
+    multiplication by x (columns: the coordinates of x gen^j), by the
+    Faddeev-LeVerrier recursion M_k = A (M_(k-1) + c_(n-k+1) I),
+    c_(n-k) = -tr(M_k) / k."""
+    f = x.field
+    base = f.base
+    n = f.degree
+    cols = []
+    col = x
+    for _ in range(n):
+        cols.append(col.coords)
+        col = col * f.gen
+    a = [[cols[j][i] for j in range(n)] for i in range(n)]
+    coeffs = [base.zero] * n + [base.one]
+    m = a
+    for k in range(1, n + 1):
+        if k > 1:
+            ck = coeffs[n - k + 1]
+            t = [[m[i][j] + (ck if i == j else base.zero) for j in range(n)] for i in range(n)]
+            m = [
+                [sum((a[i][r] * t[r][j] for r in range(n)), base.zero) for j in range(n)]
+                for i in range(n)
+            ]
+        tr = sum((m[i][i] for i in range(n)), base.zero)
+        coeffs[n - k] = -tr / k
+    return UniPoly._raw(base, coeffs)

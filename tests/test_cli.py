@@ -1,5 +1,5 @@
 """The command-line interface: the bench CSV, a reader that stops early and
-malformed minimal-polynomial files."""
+malformed or unusable minimal-polynomial files."""
 
 import csv
 import json
@@ -67,3 +67,18 @@ def test_gen_rejects_malformed_minpoly_file(tmp_path, capsys, doc, message):
     assert cli.main(argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [(["1"], "at least 2"), ([], "at least 2"), (["-1", "0", "1"], "reducible")],
+    ids=["constant", "empty", "reducible"],
+)
+def test_bench_rejects_unusable_minpoly(tmp_path, capsys, coeffs, message):
+    path = tmp_path / "minpoly.json"
+    path.write_text(json.dumps(coeffs), encoding="utf-8")
+    argv = ["bench", "--degrees", "3", "--seeds", "1", "--jobs", "1", "--minpoly-file", str(path)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""

@@ -1,15 +1,10 @@
-"""Univariate polynomial arithmetic, gcd, resultants, interpolation."""
+"""Univariate polynomial arithmetic, gcd and resultants."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercircles import NumberField, QQ, Rational, UniPoly
-from hypercircles.polynomials import (
-    interpolate,
-    is_squarefree,
-    poly_gcd,
-    poly_resultant,
-)
+from hypercircles.polynomials import is_squarefree, poly_gcd, poly_resultant
 
 from oracles import euclid_gcd
 
@@ -88,24 +83,6 @@ def test_resultant_detects_common_factor(f, g):
     r = poly_resultant(f, g)
     common = poly_gcd(f, g).degree > 0
     assert (not r) == common
-
-
-def test_interpolate_golden():
-    # through (0,1), (1,2), (2,5): 1 + x^2
-    pts = [QQ.zero, QQ.one, QQ(2)]
-    vals = [QQ.one, QQ(2), QQ(5)]
-    p = interpolate(pts, vals, QQ)
-    x = UniPoly.gen(QQ)
-    assert p == x**2 + 1
-
-
-@given(st.lists(rats, min_size=1, max_size=5, unique=True), st.data())
-def test_interpolate_hits_samples(xs, data):
-    ys = [data.draw(rats) for _ in xs]
-    p = interpolate(xs, ys, QQ)
-    assert p.is_zero or p.degree < len(xs)
-    for x, y in zip(xs, ys):
-        assert p(x) == y
 
 
 def test_is_squarefree():
