@@ -193,6 +193,11 @@ def _cmd_bench(args, out=sys.stdout):
             ) from None
     else:
         degrees = []
+    for d in degrees:
+        if d < 2:
+            raise InstanceError(f"--degrees: degree must be at least 2, got {d}")
+    if args.seeds < 0:
+        raise InstanceError(f"--seeds must be 0 or positive, got {args.seeds}")
     if args.minpoly_file is not None:
         minpoly = _check_minpoly(_read_minpoly_file(args.minpoly_file))
     else:
@@ -285,7 +290,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        status = args.func(args, sys.stdout)
         sys.stdout.flush()
         return status
     except (InstanceError, NonProperParametrization) as exc:

@@ -13,16 +13,17 @@ bounds the true one from above, so that division is a proof (argument in
 `fold_common_root` is its summary for the degree-at-most-one question that
 classifies a sampled parameter.
 
-Elements reduce in the rescaled-generator basis, where the defining
-polynomials and the reduction rows are integral, so a prime is inadmissible
-only when it divides a coefficient denominator, a discriminant, or turns a
-needed leading coefficient into a zero divisor — all detected cheaply.
+Elements reduce in the rescaled-generator basis, where the reduction rows
+are integral, so a prime is inadmissible only when it divides a coefficient
+denominator, the tower discriminant (a product of norms, `_tower_disc`), or
+turns a needed leading coefficient into a zero divisor — all detected
+cheaply.
 """
 
 from math import gcd as _int_gcd, isqrt
 
 from .intpoly import primes
-from .polynomials import UniPoly, poly_resultant
+from .polynomials import UniPoly
 from .rationals import Rational
 
 
@@ -275,15 +276,24 @@ def _red_elem(lvl, e):
 
 def _tower_disc(field):
     """Product over the tower of the defining polynomials' discriminant
-    norms, as a positive integer; primes dividing it are never used."""
+    norms, as a positive integer; primes dividing it are never used.
+
+    At each level the rescaled generator theta = scale * gen has the
+    integral defining polynomial m_theta(x) = scale^n m(x / scale), and
+    for a monic f the resultant Res(f, g) is the product of g over the
+    roots of f, so Res(m_theta, m_theta') = N(m_theta'(theta))
+    = N(scale^(n-1) m'(gen)), a norm to the base field; further norms take
+    it down to the rationals.
+    """
     d = getattr(field, "_modp_disc", None)
     if d is None:
         d = 1
         f = field
         while getattr(f, "_level1", None) is not None:
-            mt = f._theta_minpoly()
-            if mt.degree > 1:
-                r = poly_resultant(mt, mt.derivative())
+            n = f.degree
+            if n > 1:
+                dm = f.element(f.minpoly.derivative().coeffs)
+                r = (dm * f._scale ** (n - 1)).norm()
                 while not isinstance(r, Rational):
                     r = r.norm()
                 d *= abs(r.numerator) * r.denominator

@@ -17,6 +17,11 @@ coefficient — which is what keeps exact arithmetic over these fields
 affordable.  The public `coords` property still exposes exact coordinates
 over the power basis of `gen` itself.
 
+Norms, characteristic polynomials and inverses share one path: the traces
+of an element's powers give its characteristic polynomial by Newton's
+identities (`from_power_sums`), whose constant term is the norm up to sign
+and whose coefficients give the inverse by Cayley-Hamilton.
+
 Field identity is object identity: two elements interoperate only when their
 fields are literally the same object or one field appears in the base chain
 of the other (in which case the lower element is lifted).
@@ -74,21 +79,6 @@ def _tcontent(a, g=0):
     return g
 
 
-def _texact(a, n):
-    out = []
-    for x in a:
-        if type(x) is int:
-            q, rem = divmod(x, n)
-            if rem:
-                raise InternalInvariantError(
-                    "inexact division in a remainder sequence row"
-                )
-            out.append(q)
-        else:
-            out.append(_texact(x, n))
-    return tuple(out)
-
-
 try:
     from . import _tensorcore as _tc
 except ImportError:  # pragma: no cover - depends on the build environment
@@ -101,48 +91,7 @@ else:
     _tdiv = _tc.tdiv
     _tbool = _tc.tbool
     _tcontent = _tc.tcontent
-    _texact = _tc.texact
     _conv_reduce = _tc.conv_reduce
-
-
-def _exact_rat_div(c, n):
-    """c / n for an integral rational c divisible by the integer n."""
-    if c.denominator != 1:
-        raise InternalInvariantError(
-            "inexact division in a remainder sequence row"
-        )
-    q, rem = divmod(c.numerator, n)
-    if rem:
-        raise InternalInvariantError(
-            "inexact division in a remainder sequence row"
-        )
-    return Rational(q)
-
-
-def _exact_elem_div(a, b):
-    """a / b for base-field elements whose quotient is known to stay
-    integral (a predicted factor of `NFElement.inverse`'s sequence)."""
-    num = getattr(b, "numerator", None)
-    if num is not None:
-        if b.denominator != 1:
-            raise InternalInvariantError(
-                "inexact division in a remainder sequence row"
-            )
-        return _exact_rat_div(a, num)
-    return a.exact_div_by_inv(b.inverse())
-
-
-def _exact_div_poly(p, v):
-    """p / v for a divisor dividing every coefficient in the ring."""
-    num = getattr(v, "numerator", None)
-    if num is not None:
-        if v.denominator != 1:
-            raise InternalInvariantError(
-                "inexact division in a remainder sequence row"
-            )
-        return UniPoly._raw(p.field, [_exact_rat_div(c, num) for c in p.coeffs])
-    vinv = v.inverse()
-    return UniPoly._raw(p.field, [c.exact_div_by_inv(vinv) for c in p.coeffs])
 
 
 class NumberField:
@@ -186,7 +135,6 @@ class NumberField:
                 xn.append(ci.ic)
         xn = tuple(xn)
         self._txn = xn
-        self._mtheta = None
         rows = [xn]
         for _ in range(n - 2):
             prev = rows[-1]
@@ -226,24 +174,6 @@ class NumberField:
         if self._level1:
             return Rational(t, q)
         return NFElement._make(self.base, t, q)
-
-    def _sub_elem(self, t):
-        """A base-field element from one integral internal coordinate."""
-        if self._level1:
-            return Rational(t)
-        return NFElement._raw(self.base, t, 1)
-
-    def _theta_minpoly(self):
-        """Defining polynomial of the rescaled generator; its coefficients
-        are integral base elements, so remainder sequences against it can
-        run on integers from the first row on."""
-        mt = self._mtheta
-        if mt is None:
-            cs = [self._sub_elem(-t if type(t) is int else _tneg(t)) for t in self._txn]
-            cs.append(self.base.one)
-            mt = UniPoly._raw(self.base, cs)
-            self._mtheta = mt
-        return mt
 
     def _from_theta(self, elems):
         """Element from coordinates over the rescaled-generator basis."""
@@ -426,17 +356,6 @@ class NFElement:
             p *= f._scale
         return tuple(out)
 
-    def exact_div_by_inv(self, vinv):
-        """Quotient by the element whose inverse is `vinv`, for quotients
-        known to stay integral (remainder-sequence rows whose divisions are
-        exact in the ring).  Raises if the division is not exact."""
-        f = self.field
-        t = f._tmul(self.ic, vinv.ic)
-        n = self.den * vinv.den
-        if n != 1:
-            t = _texact(t, n)
-        return NFElement._raw(f, t, 1)
-
     def __add__(self, other):
         if isinstance(other, NFElement) and other.field is self.field:
             if self.den == other.den:
@@ -557,56 +476,33 @@ class NFElement:
     __hash__ = None
 
     def inverse(self):
+        """The inverse by Cayley-Hamilton on the characteristic polynomial.
+
+        With chi(X) = X^n + c_(n-1) X^(n-1) + ... + c_0 the characteristic
+        polynomial of multiplication by x over the base field, chi(x) = 0
+        gives x (x^(n-1) + c_(n-1) x^(n-2) + ... + c_1) = -c_0, so
+        x^-1 = -(x^(n-1) + ... + c_1) / c_0.  The constant term is
+        c_0 = (-1)^n N(x), the determinant of multiplication by x up to
+        sign; it vanishes exactly when that map has a kernel, that is when
+        x is a zero divisor (possible only if the defining polynomial is
+        reducible), and is nonzero for every unit.  Every step is exact
+        base-field arithmetic, so the result is the inverse itself, with no
+        rounding and no check needed.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        f = self.field
-        base = f.base
-        one = base.one
-        # Half-extended subresultant sequence on (defining polynomial,
-        # coordinate polynomial) over the rescaled-generator basis, where
-        # both start integral.  The cofactor s rides through the same row
-        # operations and exact divisions as the remainder r (both are minors
-        # of the same matrix, so the predicted divisions stay exact), and
-        # the loop ends at a constant c with s * self = c up to the defining
-        # polynomial.  A single base-field division finishes the job.
-        r0 = f._theta_minpoly()
-        s0 = UniPoly(base, [])
-        r1 = UniPoly(base, [f._sub_elem(t) for t in self.ic])
-        s1 = UniPoly(base, [one])
-        gg = one
-        hh = one
-        while r1.degree > 0:
-            delta = r0.degree - r1.degree
-            lc = r1.lc
-            dv = r1.degree
-            n = delta + 1
-            r, s = r0, s0
-            while not r.is_zero and r.degree >= dv:
-                n -= 1
-                c = r.lc
-                k = r.degree - dv
-                r = r * lc - r1.shift_up(k) * c
-                s = s * lc - s1.shift_up(k) * c
-            if n > 0:
-                mfac = lc if n == 1 else lc**n
-                r = r * mfac
-                s = s * mfac
-            if r.is_zero:
-                raise InternalInvariantError(
-                    "non-invertible element: defining polynomial is not irreducible"
-                )
-            v = gg * hh**delta
-            if v != one:
-                r = _exact_div_poly(r, v)
-                s = _exact_div_poly(s, v)
-            r0, s0, r1, s1 = r1, s1, r, s
-            gg = r0.lc
-            if delta == 1:
-                hh = gg
-            elif delta:
-                hh = _exact_elem_div(gg**delta, hh ** (delta - 1))
-        factor = (one / r1.coeffs[0]) * Rational(self.den)
-        return f._from_theta([x * factor for x in s1.coeffs])
+        powers, cp = self._powers_and_charpoly()
+        c = cp.coeffs
+        if not c[0]:
+            raise InternalInvariantError(
+                "non-invertible element: defining polynomial is not irreducible"
+            )
+        n = self.field.degree
+        acc = powers[n - 1]
+        for i in range(1, n):
+            if c[i]:
+                acc = acc + powers[i - 1] * c[i]
+        return acc * -(self.field.base.one / c[0])
 
     def trace(self):
         """Trace down one level, to the base field."""
@@ -617,17 +513,20 @@ class NFElement:
                 out = out + c * s
         return out
 
+    def _powers_and_charpoly(self):
+        """The powers x^0 .. x^n and the characteristic polynomial over the
+        base field (monic, degree n): its roots are the conjugates of x, so
+        their power sums are the traces of the powers of x."""
+        f = self.field
+        powers = [f.one, self]
+        for _ in range(f.degree - 1):
+            powers.append(powers[-1] * self)
+        sums = [f.base.coerce(f.degree)] + [p.trace() for p in powers[1:]]
+        return powers, from_power_sums(sums, f.base)
+
     def charpoly(self):
-        """Characteristic polynomial over the base field (monic, degree n):
-        its roots are the conjugates of the element, so their power sums
-        are the traces of its powers."""
-        base = self.field.base
-        sums = [base.coerce(self.field.degree), self.trace()]
-        power = self
-        for _ in range(self.field.degree - 1):
-            power = power * self
-            sums.append(power.trace())
-        return from_power_sums(sums, base)
+        """Characteristic polynomial over the base field (monic, degree n)."""
+        return self._powers_and_charpoly()[1]
 
     def norm(self):
         cp = self.charpoly()

@@ -6,6 +6,7 @@ answer by a different, more direct route.
 
 from hypercircles.errors import InternalInvariantError
 from hypercircles.hypercircle import parameter_schedule
+from hypercircles.numberfield import NFElement, NumberField
 from hypercircles.polynomials import UniPoly, poly_resultant
 from hypercircles.ratfunc import POLE
 
@@ -148,3 +149,23 @@ def charpoly_by_faddeev_leverrier(x):
         tr = sum((m[i][i] for i in range(n)), base.zero)
         coeffs[n - k] = -tr / k
     return UniPoly._raw(base, coeffs)
+
+
+def tower_disc_by_resultant(field):
+    """`modp._tower_disc` by Euclid: at each level of degree n > 1, the
+    resultant of the rescaled generator's defining polynomial
+    m_theta(x) = scale^n m(x / scale) and its derivative, normed down to Q;
+    the product of their absolute values."""
+    d = 1
+    f = field
+    while isinstance(f, NumberField):
+        n = f.degree
+        if n > 1:
+            s = f._scale
+            mt = UniPoly(f.base, [c * s ** (n - i) for i, c in enumerate(f.minpoly.coeffs)])
+            r = poly_resultant(mt, mt.derivative())
+            while isinstance(r, NFElement):
+                r = r.norm()
+            d *= abs(r.numerator) * r.denominator
+        f = f.base
+    return d

@@ -1,5 +1,6 @@
-"""The command-line interface: the bench CSV, a reader that stops early and
-malformed or unusable minimal-polynomial files."""
+"""The command-line interface: the bench CSV and its input checks, a reader
+that stops early, malformed or unusable minimal-polynomial files, and the
+exit codes of `definable`, `minfield` and `compute --verify-witness`."""
 
 import csv
 import json
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from hypercircles import cli
+from hypercircles.generators import gen_instance
 
 from conftest import CIRCLE_DOC
 
@@ -82,3 +84,54 @@ def test_bench_rejects_unusable_minpoly(tmp_path, capsys, coeffs, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--degrees", "0,3", "--seeds", "1"], "degree must be at least 2"),
+        (["--degrees", "3", "--seeds", "-1"], "--seeds"),
+    ],
+    ids=["degree-zero", "negative-seeds"],
+)
+def test_bench_rejects_bad_grid(tmp_path, capsys, grid, message):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", *grid, "--jobs", "1", "-o", str(out)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def instance_files(tmp_path_factory):
+    """A defined n=2 and a twisted n=3 instance of degree 3, as files."""
+    folder = tmp_path_factory.mktemp("instances")
+    paths = {}
+    for kind, n in (("defined", 2), ("twisted", 3)):
+        path = folder / f"{kind}.json"
+        doc = gen_instance(kind, 3, ext_degree=n, seed=0)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths[kind] = str(path)
+    return paths
+
+
+def test_definable_exit_codes(instance_files, capsys):
+    assert cli.main(["definable", instance_files["defined"]]) == cli.EXIT_OK
+    assert "verdict: DefinedOverK" in capsys.readouterr().out
+    assert cli.main(["definable", instance_files["twisted"]]) == cli.EXIT_NOT_DEFINED
+    assert "verdict: NotDefinedOverK" in capsys.readouterr().out
+
+
+def test_minfield_of_twisted_instance(instance_files, capsys):
+    assert cli.main(["minfield", instance_files["twisted"]]) == cli.EXIT_OK
+    assert "minimum field degree: 3" in capsys.readouterr().out
+
+
+def test_compute_verify_witness_exit_codes(instance_files, capsys):
+    argv = ["compute", "--verify-witness", instance_files["defined"]]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "witness check: passed" in capsys.readouterr().out
+    argv = ["compute", "--verify-witness", instance_files["twisted"]]
+    assert cli.main(argv) == cli.EXIT_NOT_DEFINED
+    assert "witness check" not in capsys.readouterr().out

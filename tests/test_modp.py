@@ -18,12 +18,13 @@ from hypercircles import (
     classify_parameter,
     poly_gcd,
 )
-from hypercircles.hypercircle import SINGULAR
+from hypercircles.generators import cyclotomic_minpoly
+from hypercircles.hypercircle import SINGULAR, conjugacy_classes
 from hypercircles.intpoly import is_prime, primes
 from hypercircles.modp import _rat_rec, _tower_disc, fold_common_root, nf_gcd
 from hypercircles.numberfield import ConjugacyClass
 
-from oracles import euclid_gcd
+from oracles import euclid_gcd, tower_disc_by_resultant
 
 
 def make_K():
@@ -128,6 +129,25 @@ def test_tower_discriminant_positive():
     assert _tower_disc(L) > 0
     # memoised on the field
     assert _tower_disc(L) is _tower_disc(L)
+
+
+def disc_fields():
+    """Fields whose tower discriminant is checked against the resultant."""
+    qi = NumberField(QQ, UniPoly(QQ, [1, 0, 1]), "a")
+    # x^3 - x/2 + 1/3: the generator is rescaled by 6
+    cubic = NumberField(QQ, UniPoly(QQ, [Rational(1, 3), Rational(-1, 2), 0, 1]), "a")
+    quintic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 1]), "a")
+    (size4,) = [c for c in conjugacy_classes(quintic)[1] if c.size == 4]
+    phi7 = NumberField(QQ, cyclotomic_minpoly(7), "a")
+    phi7_classes = [c.relative_field for c in conjugacy_classes(phi7)[1]]
+    return [qi, make_K(), cubic, make_L(), size4.relative_field] + phi7_classes
+
+
+def test_tower_discriminant_is_the_resultant():
+    fields = disc_fields()
+    assert fields[2]._scale == 6
+    for field in fields:
+        assert _tower_disc(field) == tower_disc_by_resultant(field)
 
 
 @pytest.mark.parametrize("label", ["K", "L"])
