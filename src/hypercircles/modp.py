@@ -7,11 +7,18 @@ into a finite ring, and runs Euclid there with every leading coefficient
 inverted, so each image is monic.  An image of degree 0 proves coprimality
 at once; otherwise the least-degree images are combined by Chinese
 remaindering, the coordinates recovered as rationals, and the monic
-candidate returned once it divides every input exactly.  The image degree
+candidate returned once it divides every input exactly.  When the first
+least-degree image is x - s_p and does not reconstruct on its own, s_p is
+lifted p-adically by Newton's iteration instead of taking more primes, and
+the lifted candidate faces the same exact division.  The image degree
 bounds the true one from above, so that division is a proof (argument in
 `nf_gcd`).  Every `UniPoly` gcd over a `NumberField` runs here, and
 `fold_common_root` is its summary for the degree-at-most-one question that
 classifies a sampled parameter.
+
+A product at a tower level over another level is one integer product of
+packed (Kronecker) coordinates; the first level, and levels of degree 1,
+multiply coordinate by coordinate.
 
 Elements reduce in the rescaled-generator basis, where the reduction rows
 are integral, so a prime is inadmissible only when it divides a coefficient
@@ -105,29 +112,42 @@ class _ElemOps:
 
 
 class ModLevel:
-    """One tower level reduced mod p: GF(p)[theta]/(defining polynomial).
+    """One tower level reduced mod q: (Z/q)[theta]/(defining polynomial).
 
     A ring, not necessarily a field — zero divisors surface as BadPrime
-    wherever an inverse is required.
+    wherever an inverse is required.  q is a word prime for the Euclid
+    images and a power of one for the p-adic lift.
     """
 
-    __slots__ = ("p", "sub", "deg", "rows", "mpoly", "zero", "one", "subzero", "ops")
+    __slots__ = (
+        "p", "sub", "deg", "rows", "mpoly", "zero", "one", "ops", "width",
+        "block", "krows",
+    )
 
 
-def _build_level(field, p):
+def _build_level(field, q, width=None):
+    """The tower of `field` reduced mod q.  `width` is the byte width of
+    one packed slot, shared by the whole chain and fixed by its top level:
+    a slot of a packed product holds a sum of fewer than 2 N terms below
+    q^2, N the absolute degree (bound in `_kreduce`)."""
+    if width is None:
+        bits = 2 * q.bit_length() + (2 * field.absolute_degree).bit_length()
+        width = (bits + 7) // 8
     lvl = ModLevel()
-    lvl.p = p
-    lvl.sub = None if field._level1 else _build_level(field.base, p)
+    lvl.p = q
+    lvl.sub = None if field._level1 else _build_level(field.base, q, width)
     lvl.deg = field.degree
-    lvl.rows = tuple(_red_tensor(r, p) for r in field._ired)
+    lvl.rows = tuple(_red_tensor(r, q) for r in field._ired)
     mp = []
     for x in field._txn:
-        mp.append((-x) % p if type(x) is int else _neg_tensor(x, p))
+        mp.append((-x) % q if type(x) is int else _neg_tensor(x, q))
     lvl.mpoly = mp + [1 if lvl.sub is None else lvl.sub.one]
-    lvl.zero = _red_tensor(field._tzero, p)
-    lvl.one = _red_tensor(field.one.ic, p)
-    lvl.subzero = 0 if lvl.sub is None else lvl.sub.zero
-    lvl.ops = _IntOps(p) if lvl.sub is None else _ElemOps(lvl.sub)
+    lvl.zero = _red_tensor(field._tzero, q)
+    lvl.one = _red_tensor(field.one.ic, q)
+    lvl.ops = _IntOps(q) if lvl.sub is None else _ElemOps(lvl.sub)
+    lvl.width = width
+    lvl.block = width if lvl.sub is None else (2 * lvl.sub.deg - 1) * lvl.sub.block
+    lvl.krows = () if lvl.sub is None else tuple(_kpack(lvl, r) for r in lvl.rows)
     return lvl
 
 
@@ -169,21 +189,72 @@ def _mmul(lvl, a, b):
                     if ri:
                         out[i] = (out[i] + c * ri) % p
         return tuple(out[:n])
+    return _kreduce(lvl, _kpack(lvl, a) * _kpack(lvl, b))
+
+
+# Packed (Kronecker) products over a tower level, after Harvey (J. Symb.
+# Comp. 44, 2009).  An element becomes one integer of `width`-byte slots:
+# coordinate i fills block i, and a block has one slot per coefficient of
+# an unreduced product one level down (`block` bytes in all), so a single
+# integer product holds the whole unreduced convolution with no carry
+# between slots.
+
+
+def _kbytes(lvl, a):
+    """A reduced element in lvl's packed layout, as little-endian bytes."""
+    if lvl.sub is None:
+        w = lvl.width
+        return b"".join([x.to_bytes(w, "little") for x in a])
+    sub, blk = lvl.sub, lvl.block
+    return b"".join([_kbytes(sub, c).ljust(blk, b"\0") for c in a])
+
+
+def _kpack(lvl, a):
+    return int.from_bytes(_kbytes(lvl, a), "little")
+
+
+def _kreduce(lvl, x):
+    """The reduced element of lvl from x, an unreduced product packed in
+    lvl's layout: its 2n - 1 blocks.  The high blocks are reduced one level
+    down and folded into the low n with the packed rows (theta^n ..
+    theta^(2n-2), already reduced, so the fold does not cascade), then each
+    low block is reduced one level down.
+
+    Slot bound: with N_l the absolute degree of level l, a slot of the
+    product of two packed elements at level l sums at most N_l terms below
+    q^2, one per pair of first-level coordinates whose exponents add up to
+    the slot's, and the fold there adds at most
+    (n - 1) N_(l-1) = N_l - N_(l-1) more (each row times a reduced block).
+    The folds of all the levels below add to a telescoping sum, so every
+    slot that reaches the first level stays below 2 N_l q^2, which the
+    width of `_build_level` holds.
+    """
+    n = lvl.deg
     sub = lvl.sub
-    out = [lvl.subzero] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if _tensor_nonzero(ai):
-            for j, bj in enumerate(b):
-                if _tensor_nonzero(bj):
-                    out[i + j] = _madd(sub, out[i + j], _mmul(sub, ai, bj))
-    for k in range(2 * n - 2, n - 1, -1):
-        c = out[k]
-        if _tensor_nonzero(c):
-            row = lvl.rows[k - n]
-            for i, ri in enumerate(row):
-                if _tensor_nonzero(ri):
-                    out[i] = _madd(sub, out[i], _mmul(sub, c, ri))
-    return tuple(out[:n])
+    if sub is None:
+        q, w = lvl.p, lvl.width
+        buf = x.to_bytes((2 * n - 1) * w, "little")
+        c = [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
+        for k in range(n, 2 * n - 1):
+            ck = c[k] % q
+            if ck:
+                for i, ri in enumerate(lvl.rows[k - n]):
+                    if ri:
+                        c[i] += ck * ri
+        return tuple(v % q for v in c[:n])
+    blk = lvl.block
+    buf = x.to_bytes((2 * n - 1) * blk, "little")
+    if n > 1:
+        acc = int.from_bytes(buf[: n * blk], "little")
+        for k, row in enumerate(lvl.krows, n):
+            c = _kreduce(sub, int.from_bytes(buf[k * blk : (k + 1) * blk], "little"))
+            if _tensor_nonzero(c):
+                acc += _kpack(sub, c) * row
+        buf = acc.to_bytes(n * blk, "little")
+    return tuple(
+        _kreduce(sub, int.from_bytes(buf[i : i + blk], "little"))
+        for i in range(0, n * blk, blk)
+    )
 
 
 def _p_trim(ops, a):
@@ -334,7 +405,7 @@ def _rat_rec(a, m):
 
 
 def _lift_tensor(field, t, m):
-    """Field element from a CRT-accumulated coordinate tensor, or None."""
+    """Field element from a coordinate tensor mod m, or None."""
     entries = []
     for x in t:
         if type(x) is int:
@@ -350,6 +421,10 @@ def _lift_tensor(field, t, m):
     return field._from_theta(entries)
 
 
+def _reduced(lvl, f):
+    return [_red_elem(lvl, c) for c in f.coeffs]
+
+
 def _gcd_image(lvl, polys):
     """Monic gcd of the family at lvl's prime, by Euclid over the reduced
     ring with every leading coefficient inverted, an input's own included
@@ -357,11 +432,76 @@ def _gcd_image(lvl, polys):
     ops = _ElemOps(lvl)
     g = None
     for q in polys:
-        b = _p_monic(ops, [_red_elem(lvl, c) for c in q.coeffs])
+        b = _p_monic(ops, _reduced(lvl, q))
         g = b if g is None else _p_gcd(ops, g, b)
         if len(g) == 1:
             break
     return g
+
+
+def _candidate(field, polys, tensors, m):
+    """The monic polynomial whose lower coefficients are recovered from
+    their coordinate tensors mod m, if it divides every input exactly."""
+    coeffs = []
+    for t in tensors:
+        c = _lift_tensor(field, t, m)
+        if c is None:
+            return None
+        coeffs.append(c)
+    h = UniPoly._raw(field, coeffs + [field.one])
+    return h if all((q % h).is_zero for q in polys) else None
+
+
+def _derivative(lvl, cs):
+    q = lvl.p
+    return [_scale_tensor(cs[i], i, q) for i in range(1, len(cs))]
+
+
+def _horner(lvl, cs, s):
+    """The polynomial with reduced coefficients cs (constant first) at s."""
+    acc = cs[-1]
+    for c in cs[-2::-1]:
+        acc = _madd(lvl, _mmul(lvl, acc, s), c)
+    return acc
+
+
+def _lift_root(field, levels, polys, lvl, s):
+    """x - s0 from the root s of a degree-1 image at lvl's prime p, by
+    Newton's iteration mod p^(2^k) (Loos, SIAM J. Comput. 12, 1983; von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 15) on an input f with
+    f'(s) a unit mod p.  None when no input has one, or when another input
+    stops vanishing at the lifted root, which proves p unlucky.
+
+    Each step refines w, the inverse of f'(s), by w <- w (2 - f'(s) w) to
+    the current precision q, with no inversion mod a prime power, then
+    sets s <- s - f(s) w mod q^2; each precision is tried as a candidate
+    that must divide every input exactly.
+    """
+    for f in polys:
+        try:
+            w = _minv(lvl, _horner(lvl, _derivative(lvl, _reduced(lvl, f)), s))
+        except BadPrime:
+            continue
+        break
+    else:
+        return None
+    lq = lvl
+    while True:
+        if lq is not lvl:
+            dw = _mmul(lq, _horner(lq, _derivative(lq, cs), s), w)
+            w = _mmul(lq, w, _msub(lq, _madd(lq, lq.one, lq.one), dw))
+        q = lq.p * lq.p
+        lq = levels.get(q)
+        if lq is None:
+            lq = levels[q] = _build_level(field, q)
+        cs = _reduced(lq, f)
+        s = _msub(lq, s, _mmul(lq, _horner(lq, cs, s), w))
+        h = _candidate(field, polys, (_neg_tensor(s, q),), q)
+        if h is not None:
+            return h
+        for g in polys:
+            if g is not f and _tensor_nonzero(_horner(lq, _reduced(lq, g), s)):
+                return None
 
 
 def nf_gcd(polys, field):
@@ -378,12 +518,29 @@ def nf_gcd(polys, field):
     divisor of every reduced input.  So deg G <= deg g_p at every admissible
     prime: an image of degree 0 proves G = 1, and a monic candidate h of
     the least image degree that divides every input exactly divides G and
-    has deg h >= deg G, so h = G.
+    has deg h >= deg G, so h = G.  A candidate x - s0 from the p-adic lift
+    below has degree 1, the degree of an image, so the same argument makes
+    it G once it divides every input.
 
     Why the loop ends.  Only finitely many primes are inadmissible, and only
     finitely many are unlucky (image degree above deg G); at every other
     prime the image is G mod p, so the Chinese remainder of those images
     grows until rational reconstruction returns G itself.
+
+    The lift.  When the first image of least degree is x - s_p and does not
+    reconstruct on its own, s_p is lifted p-adically from an input f with
+    f'(s_p) a unit mod p, so that s_p is a simple root of f in every F_P
+    and lifts to exactly one root s* of f over the p-adic completions.  If
+    p is lucky, G = x - s0 with s0 = s_p mod p, so s* = s0: the lifted
+    roots converge to s0, whose coordinates are p-integral because p
+    divides no tower discriminant, and reconstruct once p^(2^k) exceeds
+    twice the square of their heights.  If p is unlucky, G = 1, so some
+    input g has g(s*) != 0 (a common root over the completions would be a
+    common factor over the field); g(s*) has finite valuation (when f and g
+    are coprime, at most the p-valuation of their resultant), and g stops
+    vanishing at the lifted root once 2^k exceeds it.  The CRT loop then goes on at the next prime; it
+    stays the only route for degree 2 and above and for roots that no input
+    has simple mod p.
     """
     if any(q.degree == 0 for q in polys):
         return UniPoly.one(field)
@@ -407,20 +564,16 @@ def nf_gcd(polys, field):
             return UniPoly.one(field)
         if least is not None and deg > least:
             continue  # unlucky: the image has a spurious common factor
-        if least is None or deg < least:
+        first = least is None or deg < least
+        if first:
             least, acc, mod = deg, tuple(g[:-1]), p
         else:
             acc, mod = _crt_tensor(acc, mod, tuple(g[:-1]), p)
-        coeffs = []
-        for t in acc:
-            c = _lift_tensor(field, t, mod)
-            if c is None:
-                break
-            coeffs.append(c)
-        else:
-            h = UniPoly._raw(field, coeffs + [field.one])
-            if all((q % h).is_zero for q in polys):
-                return h
+        h = _candidate(field, polys, acc, mod)
+        if h is None and first and deg == 1:
+            h = _lift_root(field, levels, polys, lvl, _neg_tensor(g[0], p))
+        if h is not None:
+            return h
 
 
 def fold_common_root(polys, field):

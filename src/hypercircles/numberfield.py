@@ -27,7 +27,8 @@ fields are literally the same object or one field appears in the base chain
 of the other (in which case the lower element is lifted).
 """
 
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import mul
 
 from .errors import InternalInvariantError
 from .polynomials import UniPoly, format_poly
@@ -158,6 +159,7 @@ class NumberField:
             g[1] = 1 if self._level1 else base.one.ic
             self.gen = NFElement._raw(self, tuple(g), scale)
         self._power_traces = None
+        self._theta_traces = None
 
     @property
     def absolute_degree(self):
@@ -243,6 +245,16 @@ class NumberField:
         if self._power_traces is None:
             self._power_traces = newton_sums(self.minpoly, self.degree)
         return self._power_traces
+
+    def theta_traces(self):
+        """Traces of theta^0 .. theta^(degree-1) at the first level, as
+        integers over one shared positive denominator: (ints, den)."""
+        if self._theta_traces is None:
+            ts = [s * self._scale**i for i, s in enumerate(self.power_traces())]
+            den = _int_lcm(*(t.denominator for t in ts))
+            ints = tuple(t.numerator * (den // t.denominator) for t in ts)
+            self._theta_traces = (ints, den)
+        return self._theta_traces
 
     def _tmul(self, a, b):
         """Product of two integral coordinate tensors, reduced to length n."""
@@ -505,7 +517,11 @@ class NFElement:
         return acc * -(self.field.base.one / c[0])
 
     def trace(self):
-        """Trace down one level, to the base field."""
+        """Trace down one level, to the base field.  At the first level it
+        is one integer dot product of the coordinates with `theta_traces`."""
+        if self.field._level1:
+            ints, den = self.field.theta_traces()
+            return Rational(sum(map(mul, self.ic, ints)), self.den * den)
         sums = self.field.power_traces()
         out = self.field.base.zero
         for c, s in zip(self.coords, sums):

@@ -6,6 +6,7 @@ answer by a different, more direct route.
 
 from hypercircles.errors import InternalInvariantError
 from hypercircles.hypercircle import parameter_schedule
+from hypercircles.modp import _madd
 from hypercircles.numberfield import NFElement, NumberField
 from hypercircles.polynomials import UniPoly, poly_resultant
 from hypercircles.ratfunc import POLE
@@ -169,3 +170,30 @@ def tower_disc_by_resultant(field):
             d *= abs(r.numerator) * r.denominator
         f = f.base
     return d
+
+
+def mmul_by_nested_convolution(lvl, a, b):
+    """`modp._mmul` by schoolbook convolution at every level: each product
+    of two sub-level coordinates is itself a nested convolution, and the
+    high coordinates are folded in with the unpacked reduction rows."""
+    q = lvl.p
+    n = lvl.deg
+    sub = lvl.sub
+    if sub is None:
+        out = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % q
+        for k in range(2 * n - 2, n - 1, -1):
+            for i, ri in enumerate(lvl.rows[k - n]):
+                out[i] = (out[i] + out[k] * ri) % q
+        return tuple(out[:n])
+    out = [sub.zero] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = _madd(sub, out[i + j], mmul_by_nested_convolution(sub, ai, bj))
+    for k in range(2 * n - 2, n - 1, -1):
+        for i, ri in enumerate(lvl.rows[k - n]):
+            prod = mmul_by_nested_convolution(sub, out[k], ri)
+            out[i] = _madd(sub, out[i], prod)
+    return tuple(out[:n])

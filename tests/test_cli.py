@@ -71,6 +71,20 @@ def test_gen_rejects_malformed_minpoly_file(tmp_path, capsys, doc, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_gen_adversarial_rejects_a_field_that_is_not_normal(tmp_path, capsys):
+    # x^3 - 2 has one real root and two complex ones: Q(2^(1/3)) is not normal
+    path = tmp_path / "minpoly.json"
+    path.write_text(json.dumps(["-2", "0", "0", "1"]), encoding="utf-8")
+    argv = ["gen", "--kind", "adversarial", "--degree", "4", "--minpoly-file", str(path)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: the adversarial construction requires a normal extension"
+    )
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "coeffs, message",
     [(["1"], "at least 2"), ([], "at least 2"), (["-1", "0", "1"], "reducible")],

@@ -21,10 +21,17 @@ from hypercircles import (
 from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.hypercircle import SINGULAR, conjugacy_classes
 from hypercircles.intpoly import is_prime, primes
-from hypercircles.modp import _rat_rec, _tower_disc, fold_common_root, nf_gcd
+from hypercircles.modp import (
+    _build_level,
+    _mmul,
+    _rat_rec,
+    _tower_disc,
+    fold_common_root,
+    nf_gcd,
+)
 from hypercircles.numberfield import ConjugacyClass
 
-from oracles import euclid_gcd, tower_disc_by_resultant
+from oracles import euclid_gcd, mmul_by_nested_convolution, tower_disc_by_resultant
 
 
 def make_K():
@@ -34,6 +41,19 @@ def make_K():
 def make_L():
     K = make_K()
     return NumberField(K, UniPoly(K, [K.gen + K.one, K.zero, K.one]), "b")
+
+
+def make_M():
+    """A depth-3 tower: L(c) with c^2 = b."""
+    L = make_L()
+    return NumberField(L, UniPoly(L, [-L.gen, L.zero, L.one]), "c")
+
+
+def make_field(label):
+    return {"K": make_K, "L": make_L, "M": make_M}[label]()
+
+
+FIRST_PRIME = next(primes(1 << 61))
 
 
 def rand_elem(rng, f, bound=9):
@@ -183,10 +203,11 @@ def test_fold_finds_planted_root(label):
             assert kind == "degree"
 
 
-@pytest.mark.parametrize("label", ["K", "L"])
+@pytest.mark.parametrize("label", ["K", "L", "M"])
 def test_fold_handles_big_coordinates(label):
-    # roots whose coordinates need several primes' worth of CRT lifting
-    field = make_K() if label == "K" else make_L()
+    # roots whose coordinates need several primes' worth of CRT lifting, or
+    # a p-adic lift of the first image's root
+    field = make_field(label)
     rng = random.Random(11)
     for trial in range(3):
         s = rand_elem(rng, field, bound=10**12)
@@ -264,9 +285,11 @@ def test_gcd_skips_a_prime_that_kills_a_leading_coefficient():
 
 
 def test_gcd_discards_an_unlucky_prime():
-    # x - p and x share a root mod p, so at the prime p the image has
-    # degree 2: once as the first image, which the next prime's degree-1
-    # image replaces, and once after a lucky image, where it is skipped
+    # x - p and x share a root mod p, so at the prime p the image has a
+    # spurious factor: as the first image, which the next prime's lower
+    # degree replaces, and after a lucky image, where it is skipped.  A
+    # degree-1 lucky first image is lifted p-adically and never meets p1,
+    # so the planted quadratic keeps the CRT loop on that path.
     field = make_L()
     b = field.gen
     x = UniPoly.gen(field)
@@ -274,6 +297,90 @@ def test_gcd_discards_an_unlucky_prime():
     assert poly_gcd((x - b) * (x - p0), (x - b) * x) == x - b
     big = b + 10**40  # its coordinates need five primes of CRT
     assert poly_gcd((x - big) * (x - p1), (x - big) * x) == x - big
+    h = x**2 + big * x - 3 * big
+    assert poly_gcd(h * (x - p1), h * x) == h
+
+
+def test_lift_detects_an_unlucky_first_prime():
+    # mod p0 both inputs are x, so the first image is x - 0; the gcd is 1,
+    # and the lifted root of either input stops being a root of the other
+    # (with x first the lifted root 0 reconstructs, and only the trial
+    # division rejects x)
+    field = make_L()
+    x = UniPoly.gen(field)
+    p0 = FIRST_PRIME
+    one = UniPoly.one(field)
+    assert nf_gcd([x - p0, x], field) == one
+    assert nf_gcd([x, x - p0], field) == one
+    assert nf_gcd([x - 1, x - 1 - p0, x - 1], field) == one
+
+
+def test_lift_skips_an_input_with_a_double_root_mod_p():
+    # s and s + p0 meet mod p0, so the first input has a double root there
+    # (its derivative vanishes) and the lift must run on the second
+    field = make_L()
+    b = field.gen
+    x = UniPoly.gen(field)
+    p0 = FIRST_PRIME
+    s = b * 10**40 + Rational(1, 3)
+    f = (x - s) * (x - s - p0) * (x + b)
+    g = (x - s) * (x - 2)
+    assert nf_gcd([f, g], field) == x - s
+    assert nf_gcd([g, f], field) == x - s
+
+
+def parity_fields():
+    """Towers whose packed products are checked against nested convolution."""
+    quintic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 1]), "a")
+    (size4,) = [c.relative_field for c in conjugacy_classes(quintic)[1] if c.size == 4]
+    sextic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 0, 1]), "a")
+    classes = conjugacy_classes(sextic)[1]
+    size2 = next(c.relative_field for c in classes if c.size == 2)
+    size1 = next(c.relative_field for c in classes if c.size == 1)
+    over1 = NumberField(size1, UniPoly(size1, [size1.gen, size1.zero, size1.one]), "c")
+    return {
+        "x5-2 size 4": size4,
+        "L": make_L(),
+        "x6-2 size 2": size2,
+        "x6-2 size 1": size1,
+        "depth 3": make_M(),
+        "depth 3 over degree 1": over1,
+    }
+
+
+def rand_reduced(rng, lvl, top):
+    """A reduced element of lvl with first-level coordinates below top."""
+    if lvl.sub is None:
+        return tuple(rng.randrange(top) for _ in range(lvl.deg))
+    return tuple(rand_reduced(rng, lvl.sub, top) for _ in range(lvl.deg))
+
+
+def filled(lvl, v):
+    """The element of lvl with every first-level coordinate v."""
+    if lvl.sub is None:
+        return (v,) * lvl.deg
+    return (filled(lvl.sub, v),) * lvl.deg
+
+
+@pytest.mark.parametrize("power", [1, 2, 4])
+def test_packed_product_matches_nested_convolution(power):
+    q = FIRST_PRIME**power
+    rng = random.Random(power)
+    for name, field in parity_fields().items():
+        lvl = _build_level(field, q)
+
+        def rand(top=q):
+            return rand_reduced(rng, lvl, top)
+
+        top = filled(lvl, q - 1)  # every slot at its largest
+        pairs = [(rand(), rand()) for _ in range(8)]
+        pairs += [(rand(3), rand()), (top, top), (top, rand())]
+        for a in (rand(), top):
+            pairs += [(a, lvl.zero), (lvl.zero, a), (a, lvl.one), (lvl.one, a)]
+        for a, b in pairs:
+            want = mmul_by_nested_convolution(lvl, a, b)
+            assert _mmul(lvl, a, b) == want, name
+        assert _mmul(lvl, lvl.one, lvl.one) == lvl.one
 
 
 def test_classify_parameter_singular_on_a_degree_two_fibre():
