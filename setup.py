@@ -1,8 +1,8 @@
-"""Build script: compiles the optional arithmetic kernels (rational scalars
-and integer coordinate tensors) from the committed C sources.
+"""Build script: compiles the optional integer-tensor kernel `_tensorcore`
+(the coordinate arithmetic of `numberfield`) from its committed C source.
 
-The package works without the extensions (each module falls back to its
-pure-Python kernel at import time), so a build failure here downgrades to a
+The package works without the extension (`numberfield` falls back to its
+pure-Python loops at import time), so a build failure here downgrades to a
 warning instead of aborting the install.  Build in place with
 
     python3 setup.py build_ext --inplace
@@ -32,7 +32,7 @@ class OptionalBuildExt(build_ext):
     @staticmethod
     def _warn(exc):
         print(
-            f"WARNING: building a compiled kernel failed ({exc}); "
+            f"WARNING: building the compiled kernel failed ({exc}); "
             "falling back to the pure-Python implementation.",
             file=sys.stderr,
         )
@@ -41,11 +41,10 @@ class OptionalBuildExt(build_ext):
 setup(
     ext_modules=[
         Extension(
-            f"hypercircles.{name}",
-            [f"src/hypercircles/{name}.c"],
+            "hypercircles._tensorcore",
+            ["src/hypercircles/_tensorcore.c"],
             extra_compile_args=["-O3"],
         )
-        for name in ("_ratcore", "_tensorcore")
     ],
     cmdclass={"build_ext": OptionalBuildExt},
 )

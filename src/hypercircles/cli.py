@@ -5,7 +5,8 @@ Subcommands:
 * ``compute <file> [--verify-witness]`` — decide K-definability and print the
   standard parametrization phi (instance format) plus the per-class Moebius
   transforms; with ``--verify-witness`` additionally check phi against the
-  implicit witness-variety system.
+  implicit witness-variety system (an instance beyond the oracle's limits,
+  n > 3 or degree > 6, exits 2 before anything is printed).
 * ``definable <file>`` — verdict plus a human-readable certificate.
 * ``minfield <file>`` — minimum field of definition: basis, primitive
   element, and its minimal polynomial.
@@ -92,14 +93,16 @@ def _print_result_header(result, out):
 
 def _cmd_compute(args, out=sys.stdout):
     field, psi = load_instance(args.file)
+    # the witness system is built first: an instance beyond the oracle's
+    # limits is an input error, reported before anything is printed
+    system = weil_substitution(psi) if args.verify_witness else None
     result = standard_parametrization(psi)
     _print_result_header(result, out)
     if not result.defined:
         return EXIT_NOT_DEFINED
     print("phi:", file=out)
     print(json.dumps(instance_doc(field, result.phi), indent=2), file=out)
-    if args.verify_witness:
-        system = weil_substitution(psi)
+    if system is not None:
         if not check_on_witness(system, result.phi):
             raise InternalInvariantError(
                 "computed parametrization fails the witness-variety check"

@@ -224,21 +224,10 @@ def _trunc(f, m):
 
 
 def _divmod_mod(f, g, m):
-    """divmod of f by g with arithmetic mod m; g's lc must be invertible."""
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return [], _trunc(f, m)
-    inv = pow(g[-1] % m, -1, m)
-    rem = [a % m for a in f]
-    q = [0] * (df - dg + 1)
-    for i in range(df - dg, -1, -1):
-        c = (rem[i + dg] * inv) % m
-        if c:
-            q[i] = c
-            for j in range(dg):
-                rem[i + j] = (rem[i + j] - c * g[j]) % m
-        rem[i + dg] = 0
-    return _trunc(q, m), _trunc(rem, m)
+    """divmod of f by g with arithmetic mod m, both parts in the symmetric
+    range; g's lc must be invertible mod m."""
+    q, r = gf_divmod(f, g, m)
+    return _trunc(q, m), _trunc(r, m)
 
 
 def hensel_step(m, f, g, h, s, t):

@@ -232,21 +232,19 @@ def verify_identity(psi, psi_sigma, u):
     return True
 
 
-def _conjugate_poly(p, cls, root=None):
+def _conjugate_poly(p, cls):
     rel = cls.relative_field
-    return p.map_coeffs(lambda c: nf_conjugate(c, cls, root), rel)
+    return p.map_coeffs(lambda c: nf_conjugate(c, cls), rel)
 
 
-def trace_term(m_alpha, cls, u, root=None):
+def trace_term(m_alpha, cls, u):
     """The class's contribution to the accumulated sum, traced down to
     K(alpha): x-coefficient rational functions of the trace of
     m(alpha_i, x)/m(alpha_i, alpha_i) * u(t)."""
     rel = cls.relative_field
     base = rel.base
-    if root is None:
-        root = rel.gen
-    m_i = _conjugate_poly(m_alpha, cls, root)
-    dv = m_i(root)
+    m_i = _conjugate_poly(m_alpha, cls)
+    dv = m_i(rel.gen)
     scaled = m_i * (rel.one / dv)  # P(x) over rel
     a, b, c, d = u.a, u.b, u.c, u.d
     out = []

@@ -30,6 +30,7 @@ cheaply.
 from math import gcd as _int_gcd, isqrt
 
 from .intpoly import primes
+from .numberfield import _tbool
 from .polynomials import UniPoly
 from .rationals import Rational
 
@@ -50,10 +51,6 @@ def _scale_tensor(t, c, p):
     return tuple(
         (x * c) % p if type(x) is int else _scale_tensor(x, c, p) for x in t
     )
-
-
-def _tensor_nonzero(t):
-    return any(x if type(x) is int else _tensor_nonzero(x) for x in t)
 
 
 class _IntOps:
@@ -108,7 +105,7 @@ class _ElemOps:
         return _minv(self.lvl, x)
 
     def is0(self, x):
-        return not _tensor_nonzero(x)
+        return not _tbool(x)
 
 
 class ModLevel:
@@ -248,7 +245,7 @@ def _kreduce(lvl, x):
         acc = int.from_bytes(buf[: n * blk], "little")
         for k, row in enumerate(lvl.krows, n):
             c = _kreduce(sub, int.from_bytes(buf[k * blk : (k + 1) * blk], "little"))
-            if _tensor_nonzero(c):
+            if _tbool(c):
                 acc += _kpack(sub, c) * row
         buf = acc.to_bytes(n * blk, "little")
     return tuple(
@@ -324,7 +321,7 @@ def _p_half_xgcd(ops, m, a):
 
 
 def _minv(lvl, a):
-    if not _tensor_nonzero(a):
+    if not _tbool(a):
         raise BadPrime("zero divisor met")
     ops = lvl.ops
     c, s = _p_half_xgcd(ops, lvl.mpoly, list(a))
@@ -500,7 +497,7 @@ def _lift_root(field, levels, polys, lvl, s):
         if h is not None:
             return h
         for g in polys:
-            if g is not f and _tensor_nonzero(_horner(lq, _reduced(lq, g), s)):
+            if g is not f and _tbool(_horner(lq, _reduced(lq, g), s)):
                 return None
 
 

@@ -628,16 +628,13 @@ class ConjugacyClass:
         return f"ConjugacyClass({self.factor.render()}, size={self.size})"
 
 
-def nf_conjugate(x, cls, root=None):
-    """Apply the conjugation alpha -> root to an element of K(alpha).
-
-    The result lives in the class's relative field.  `root` defaults to the
-    designated root; passing another root of the class factor evaluates the
-    corresponding conjugation instead.
+def nf_conjugate(x, cls):
+    """Apply the conjugation alpha -> root to an element of K(alpha), where
+    root is the class's designated root; the result lives in the class's
+    relative field.
     """
     rel = cls.relative_field
-    if root is None:
-        root = rel.gen
+    root = rel.gen
     acc = rel.zero
     for c in reversed(x.coords):
         acc = acc * root + rel.coerce(c)

@@ -464,8 +464,9 @@ class Parametrization:
     def compose_moebius(self, mob):
         return Parametrization([c.compose_moebius(mob) for c in self.components])
 
-    def conjugate(self, cls, root=None):
-        """Apply alpha -> root coefficient-wise; lands over the relative field.
+    def conjugate(self, cls):
+        """Apply alpha -> the class's root coefficient-wise; lands over the
+        relative field.
 
         Conjugation is a field homomorphism, so it preserves coprimality and
         monic denominators; the components are rebuilt without renormalizing.
@@ -473,8 +474,8 @@ class Parametrization:
         rel = cls.relative_field
         out = []
         for c in self.components:
-            num = c.num.map_coeffs(lambda x: nf_conjugate(x, cls, root), rel)
-            den = c.den.map_coeffs(lambda x: nf_conjugate(x, cls, root), rel)
+            num = c.num.map_coeffs(lambda x: nf_conjugate(x, cls), rel)
+            den = c.den.map_coeffs(lambda x: nf_conjugate(x, cls), rel)
             out.append(RatFunc._normalized(num, den))
         return Parametrization(out)
 

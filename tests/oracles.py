@@ -172,6 +172,23 @@ def tower_disc_by_resultant(field):
     return d
 
 
+def tmul_by_convolution_and_division(field, a, b):
+    """`NumberField._tmul` at the first level by the full integer convolution,
+    then division by the integral relation theta^n = sum txn_i theta^i from
+    the top coefficient down (the relation itself, not the precomputed
+    reduction rows)."""
+    n = field.degree
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    for k in range(2 * n - 2, n - 1, -1):
+        c, out[k] = out[k], 0
+        for i, r in enumerate(field._txn):
+            out[k - n + i] += c * r
+    return tuple(out[:n])
+
+
 def mmul_by_nested_convolution(lvl, a, b):
     """`modp._mmul` by schoolbook convolution at every level: each product
     of two sub-level coordinates is itself a nested convolution, and the

@@ -1,6 +1,7 @@
 """The command-line interface: the bench CSV and its input checks, a reader
 that stops early, malformed or unusable minimal-polynomial files, and the
-exit codes of `definable`, `minfield` and `compute --verify-witness`."""
+exit codes of `definable`, `minfield` and `compute --verify-witness` (within
+the witness oracle's limits and beyond them)."""
 
 import csv
 import json
@@ -149,3 +150,15 @@ def test_compute_verify_witness_exit_codes(instance_files, capsys):
     argv = ["compute", "--verify-witness", instance_files["twisted"]]
     assert cli.main(argv) == cli.EXIT_NOT_DEFINED
     assert "witness check" not in capsys.readouterr().out
+
+
+def test_compute_verify_witness_beyond_oracle_limits(tmp_path, capsys):
+    # n = 5 is past the witness oracle's limits: an input error, reported
+    # before the decision prints anything
+    path = tmp_path / "quintic.json"
+    doc = gen_instance("defined", 3, ext_degree=5, seed=0)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["compute", "--verify-witness", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "witness oracle budget exceeded" in captured.err

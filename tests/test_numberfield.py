@@ -11,6 +11,8 @@ from hypercircles.errors import InternalInvariantError
 from hypercircles.hypercircle import conjugacy_classes
 from hypercircles.numberfield import ConjugacyClass, nf_conjugate
 
+from oracles import tmul_by_convolution_and_division
+
 small_rats = st.builds(
     Rational,
     st.integers(min_value=-9, max_value=9),
@@ -277,6 +279,26 @@ def test_tensor_kernel_parity(data):
     g = nf._tcontent(a)
     if g:
         assert nf._tdiv(nf._tscale(a, 6), 6) == a
+
+
+FIRST_LEVEL_FIELDS = {
+    "pure-quintic": [-2, 0, 0, 0, 0, 1],  # Q(2^(1/5))
+    "scaled-cubic": [Rational(1, 3), Rational(-1, 2), 0, 1],  # theta = 6 gen
+    "phi7": [1, 1, 1, 1, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_LEVEL_FIELDS))
+@given(st.data())
+@settings(max_examples=60)
+def test_first_level_product_matches_convolution(name, data):
+    # the compiled build multiplies with `_tensorcore.conv_reduce`, the pure
+    # build with the inline loop of `_tmul`; both must match the reference
+    field = NumberField(QQ, UniPoly(QQ, FIRST_LEVEL_FIELDS[name]), "a")
+    coords = st.lists(leaf_ints, min_size=field.degree, max_size=field.degree)
+    a = tuple(data.draw(coords))
+    b = tuple(data.draw(coords))
+    assert field._tmul(a, b) == tmul_by_convolution_and_division(field, a, b)
 
 
 def test_tensor_multiply_big_coordinates():
