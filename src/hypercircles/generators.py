@@ -269,7 +269,11 @@ def gen_instance(kind, degree, minpoly=None, ext_degree=None, seed=0):
         else:
             minpoly = canonical_minpoly(ext_degree)
     minpoly = _check_minpoly(minpoly)
-    rng = random.Random(f"hypercircles:{kind}:{degree}:{minpoly.coeffs}:{seed}")
+    # The stream is keyed by text that spells each coefficient "Rational(p, q)"
+    # (the repr of the package's former rational class), so that a given
+    # (kind, degree, minpoly, seed) keeps naming the same instance.
+    coeffs = ", ".join(f"Rational({c.numerator}, {c.denominator})" for c in minpoly.coeffs)
+    rng = random.Random(f"hypercircles:{kind}:{degree}:({coeffs}):{seed}")
     if kind == "adversarial":
         field, psi = _gen_adversarial(rng, minpoly, degree)
     else:

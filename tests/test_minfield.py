@@ -1,6 +1,8 @@
 """Fixed fields of the conjugations that preserve the curve, and the
 quadratic tower model used to rerun the decision over the smaller field."""
 
+import json
+
 import pytest
 
 from hypercircles import (
@@ -11,11 +13,14 @@ from hypercircles import (
     Rational,
     UniPoly,
     conjugacy_classes,
+    gen_instance,
     minimum_field,
+    parse_instance,
     quadratic_relative_model,
     standard_parametrization,
 )
 from hypercircles.errors import InstanceError
+from hypercircles.numberfield import nf_conjugate
 
 x = UniPoly.gen(QQ)
 
@@ -30,6 +35,46 @@ def negative_instance():
         ]
     )
     return field, psi
+
+
+def sextic_subfield_instance(sub_degree, degree):
+    """A twisted curve over Q(b), b^sub_degree = 2, rewritten over Q(a),
+    a^6 = 2, by b -> a^(6/sub_degree); its minimum field is Q(b)."""
+    doc = gen_instance(
+        "twisted", degree, minpoly=UniPoly(QQ, [-2] + [0] * (sub_degree - 1) + [1])
+    )
+    _, psi_b = parse_instance(json.dumps(doc))
+    field = NumberField(QQ, x**6 - 2, "a")
+    b = field.gen ** (6 // sub_degree)
+
+    def embed(e):
+        acc = field.zero
+        for c in reversed(e.coords):
+            acc = acc * b + c
+        return acc
+
+    return field, Parametrization([c.map_coeffs(embed, field) for c in psi_b])
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [
+        (negative_instance, 2),
+        (lambda: sextic_subfield_instance(2, 4), 2),
+        (lambda: sextic_subfield_instance(3, 4), 3),
+    ],
+    ids=["x4-2", "x6-2-over-sqrt2", "x6-2-over-cbrt2"],
+)
+def test_minimum_field_is_fixed_exactly_by_the_fixing_classes(make, degree):
+    field, psi = make()
+    res = standard_parametrization(psi)
+    assert not res.defined
+    fixed = minimum_field(field, [r.cls for r in res.reports if r.fixes])
+    assert fixed.degree == degree
+    for rep in res.reports:
+        rel = rep.cls.relative_field
+        kept = [nf_conjugate(b, rep.cls) == rel.coerce(b) for b in fixed.basis]
+        assert all(kept) if rep.fixes else not all(kept)
 
 
 def test_minimum_field_of_negative_instance():

@@ -1,5 +1,9 @@
-"""Rational scalar semantics, checked against fractions.Fraction."""
+"""The rational scalar semantics the package relies on.  `Rational` is
+fractions.Fraction, so the comparisons with Fraction below hold by identity;
+they pin the contract (reduced form, ordering, hashing, str, int mixing) and
+the narrower string and coercion formats of QQ."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -95,8 +99,9 @@ def test_str_round_trip(ab):
 def test_from_str_forms():
     assert QQ.from_str("  -3/6 ") == Rational(-1, 2)
     assert QQ.from_str("14") == Rational(14)
-    with pytest.raises(ValueError):
-        QQ.from_str("1.5")
+    for text in ("1.5", "1e3", "0.5", "1/2.0"):
+        with pytest.raises(ValueError):
+            QQ.from_str(text)
     with pytest.raises(ZeroDivisionError):
         QQ.from_str("1/0")
 
@@ -112,11 +117,13 @@ def test_int_mixing():
 
 
 def test_coerce_fraction_and_int():
+    assert Rational is Fraction
     assert QQ.coerce(Fraction(5, 3)) == Rational(5, 3)
     assert QQ.coerce(Fraction(-4, 2)) == Rational(-2)
     assert QQ.coerce(7) == Rational(7)
     x = Rational(2, 9)
     assert QQ.coerce(x) is x
-    with pytest.raises(TypeError):
-        QQ.coerce(1.5)
+    for bad in (1.5, Decimal("1.5"), "1/2"):
+        with pytest.raises(TypeError):
+            QQ.coerce(bad)
 
