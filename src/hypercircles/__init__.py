@@ -37,7 +37,7 @@ from .instances import (
 )
 from .minfield import FixedField, minimum_field, quadratic_relative_model
 from .numberfield import ConjugacyClass, NFElement, NumberField
-from .polynomials import UniPoly, poly_gcd, poly_resultant
+from .polynomials import UniPoly, poly_gcd
 from .ratfunc import (
     MoebiusTransform,
     Parametrization,
@@ -81,7 +81,6 @@ __all__ = [
     "NumberField",
     "UniPoly",
     "poly_gcd",
-    "poly_resultant",
     "MoebiusTransform",
     "Parametrization",
     "RatFunc",

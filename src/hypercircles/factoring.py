@@ -18,12 +18,12 @@ the coefficient field, so unit * prod(factor^mult) reproduces the input.
 
 import itertools
 import random
-from math import isqrt
+from math import gcd as _int_gcd, isqrt
 
 from .errors import InstanceError, InternalInvariantError
 from .intpoly import primes, zz_add, zz_mul, zz_primitive, zz_sub, zz_trim
 from .numberfield import from_power_sums, newton_sums
-from .polynomials import UniPoly, _qq_int_coeffs, is_squarefree, poly_gcd
+from .polynomials import UniPoly, is_squarefree, poly_gcd
 from .rationals import RationalField
 
 # ----------------------------------------------------------------------------
@@ -375,6 +375,16 @@ def squarefree_decomposition(f):
 
 # ----------------------------------------------------------------------------
 # public entry points
+
+
+def _qq_int_coeffs(f):
+    """Integer coefficient list proportional to f (denominators cleared)."""
+    den = 1
+    for c in f.coeffs:
+        q = c.denominator
+        if q != 1:
+            den = den * q // _int_gcd(den, q)
+    return [c.numerator * (den // c.denominator) for c in f.coeffs]
 
 
 def factor_rational(f):

@@ -41,6 +41,9 @@ SINGULAR = "singular"
 
 _CLASS_NAMES = "bcdefghjklm"
 
+# good samples with s == t that `probably_proper` asks of the identity class
+_PROPER_SAMPLES = 4
+
 
 def parameter_budget(d, n):
     """Candidate parameters needed per class before declaring non-properness."""
@@ -159,13 +162,10 @@ def classify_parameter(psi, psi_sigma, t, limit=None):
     return ParameterVerdict(GOOD, t, s0)
 
 
-def compute_u_for_class(psi, cls, budget=None):
+def compute_u_for_class(psi, cls):
     """Find the Moebius transform carrying psi^sigma back onto psi, or a
     certificate that the class moves the curve.  Returns a ClassReport."""
-    n = psi.field.degree
-    d = psi.degree
-    if budget is None:
-        budget = parameter_budget(d, n)
+    budget = parameter_budget(psi.degree, psi.field.degree)
     psi_sigma = psi.conjugate(cls)
     limit = psi_sigma.value_at_infinity()
     report = ClassReport(cls=cls, fixes=False)
@@ -292,6 +292,8 @@ def conjugacy_classes(field):
     if not rem.is_zero:
         raise InternalInvariantError("alpha is not a root of its own minpoly")
     names = _class_names(field)
+    # factor_over_nf refuses relative extensions, and the rerun over L(alpha)/L
+    # of a quadratic relative model has a linear m(alpha, x)
     if m_alpha.degree == 1:
         classes = [ConjugacyClass(m_alpha.monic(), names[0])]
     else:
@@ -344,9 +346,9 @@ def standard_parametrization(psi, field=None):
     return HypercircleResult(True, phi, field, tuple(reports))
 
 
-def probably_proper(psi, samples=4, budget=None):
+def probably_proper(psi):
     """Cheap properness screen: the identity conjugation must classify
-    `samples` schedule parameters as good with s == t."""
+    _PROPER_SAMPLES schedule parameters as good with s == t."""
     field = psi.field
     ident = ConjugacyClass(
         UniPoly(field, [-field.gen, field.one]), _class_names(field)[0]
@@ -354,8 +356,7 @@ def probably_proper(psi, samples=4, budget=None):
     psi_id = psi.conjugate(ident)
     limit = psi_id.value_at_infinity()
     rel = ident.relative_field
-    if budget is None:
-        budget = parameter_budget(psi.degree, field.degree)
+    budget = parameter_budget(psi.degree, field.degree)
     seen = 0
     tried = 0
     for t in parameter_schedule():
@@ -367,7 +368,7 @@ def probably_proper(psi, samples=4, budget=None):
             if v.s != rel.coerce(t):
                 return False
             seen += 1
-            if seen >= samples:
+            if seen >= _PROPER_SAMPLES:
                 return True
         elif v.kind == NOT_ATTAINED:
             # the identity always attains psi(t); non-attainment means the

@@ -2,11 +2,12 @@
 
 Polynomials are plain lists of ints in ascending order (index i holds the
 x^i coefficient) with no trailing zeros; the empty list is the zero
-polynomial.  These routines back the fast rational gcd path and the
-factorization machinery, where staying in plain ints avoids per-operation
-rational normalization.  `primes`, on top of `is_prime`, is the one source
-of every prime the modular code picks: the small ones of the Zassenhaus
-search and the word-size ones of the number-field gcd.
+polynomial.  These routines back the Zassenhaus factorization, where
+staying in plain ints avoids per-operation rational normalization; no gcd
+of polynomials lives here (that is `modp.nf_gcd`, over every field).
+`primes`, on top of `is_prime`, is the one source of every prime the
+modular code picks: the small ones of the Zassenhaus search and the
+word-size ones of the gcd.
 """
 
 from math import gcd as _int_gcd
@@ -66,55 +67,6 @@ def zz_primitive(f):
     if c == 1:
         return 1, list(f)
     return c, [a // c for a in f]
-
-
-def zz_prem(f, g):
-    """Pseudo-remainder of f by g: lc(g)^(deg f - deg g + 1) * f mod g."""
-    df = len(f) - 1
-    dg = len(g) - 1
-    if dg < 0:
-        raise ZeroDivisionError("pseudo-division by zero polynomial")
-    r = list(f)
-    if df < dg:
-        return r
-    lg = g[-1]
-    n = df - dg + 1
-    while len(r) - 1 >= dg:
-        n -= 1
-        lr = r[-1]
-        r = [lg * a for a in r[:-1]]
-        shift = len(r) - dg
-        for i in range(dg):
-            r[shift + i] -= lr * g[i]
-        zz_trim(r)
-    if n > 0:
-        c = lg**n
-        r = [c * a for a in r]
-    return r
-
-
-def zz_gcd(f, g):
-    """Primitive-PRS gcd over the integers, result primitive with lc > 0."""
-    f = zz_trim(list(f))
-    g = zz_trim(list(g))
-    if not f:
-        _, out = zz_primitive(g)
-        return out
-    if not g:
-        _, out = zz_primitive(f)
-        return out
-    cf, f = zz_primitive(f)
-    cg, g = zz_primitive(g)
-    c = _int_gcd(cf, cg)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = zz_prem(f, g)
-        _, r = zz_primitive(r)
-        f, g = g, r
-    if c != 1:
-        f = [c * a for a in f]
-    return f
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -14,10 +14,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InstanceError, InternalInvariantError
-from .factoring import factor_rational
 from .linalg import kernel_basis, rref
 from .numberfield import NumberField
-from .polynomials import UniPoly
+from .polynomials import UniPoly, poly_gcd
 from .rationals import RationalField
 
 
@@ -77,13 +76,11 @@ def invariance_system(cls):
 
 
 def _minimal_polynomial(x):
-    """Minimal polynomial over Q of an element of a simple extension of Q."""
+    """Minimal polynomial over Q of an element of a simple extension of Q:
+    the characteristic polynomial is mu^(n / deg mu), so mu is its
+    squarefree part."""
     cp = x.charpoly()
-    _, factors = factor_rational(cp)
-    for fac, _ in factors:
-        if not fac(x):
-            return fac
-    raise InternalInvariantError("no charpoly factor annihilates the element")
+    return cp // poly_gcd(cp, cp.derivative())
 
 
 def minimum_field(field, fixing_classes):

@@ -12,9 +12,10 @@ least-degree image is x - s_p and does not reconstruct on its own, s_p is
 lifted p-adically by Newton's iteration instead of taking more primes, and
 the lifted candidate faces the same exact division.  The image degree
 bounds the true one from above, so that division is a proof (argument in
-`nf_gcd`).  Every `UniPoly` gcd over a `NumberField` runs here, and
-`fold_common_root` is its summary for the degree-at-most-one question that
-classifies a sampled parameter.
+`nf_gcd`).  Every `UniPoly` gcd runs here.  The rationals are the
+degree-1 field Q[z]/(z), where the argument is that of Brown's modular gcd
+over Z (J. ACM 18, 1971).  `fold_common_root` is its summary for the
+degree-at-most-one question that classifies a sampled parameter.
 
 A product at a tower level over another level is one integer product of
 packed (Kronecker) coordinates; the first level, and levels of degree 1,
@@ -30,13 +31,18 @@ cheaply.
 from math import gcd as _int_gcd, isqrt
 
 from .intpoly import primes
-from .numberfield import _tbool
+from .numberfield import NumberField, _tbool
 from .polynomials import UniPoly
-from .rationals import Rational
+from .rationals import QQ, Rational, RationalField
 
 
 class BadPrime(Exception):
     """The chosen prime degenerates the reduction."""
+
+
+# The rationals as the degree-1 field Q[z]/(z): a family over Q runs through
+# `nf_gcd` over it unchanged.
+_QZ = NumberField(QQ, UniPoly.gen(QQ), "z")
 
 
 def _red_tensor(t, p):
@@ -502,7 +508,8 @@ def _lift_root(field, levels, polys, lvl, s):
 
 
 def nf_gcd(polys, field):
-    """Monic gcd of a family of nonzero polynomials over a number-field tower.
+    """Monic gcd of a family of nonzero polynomials over the rationals or a
+    number-field tower.
 
     Why the answer is proven.  Call a prime p admissible when it divides no
     coefficient denominator and no tower discriminant and the Euclid run
@@ -538,9 +545,16 @@ def nf_gcd(polys, field):
     vanishing at the lifted root once 2^k exceeds it.  The CRT loop then goes on at the next prime; it
     stays the only route for degree 2 and above and for roots that no input
     has simple mod p.
+
+    Over the rationals the family runs over Q[z]/(z), where the reduced
+    ring is F_p and the tower discriminant is 1, and the monic result is
+    mapped back.
     """
     if any(q.degree == 0 for q in polys):
         return UniPoly.one(field)
+    if isinstance(field, RationalField):
+        g = nf_gcd([q.map_into(_QZ) for q in polys], _QZ)
+        return g.map_coeffs(lambda c: c.retract(), field)
     disc = _tower_disc(field)
     levels = field.__dict__.setdefault("_modp_levels", {})
     least = None

@@ -6,16 +6,11 @@ Coefficients are stored ascending — index i holds the x^i coefficient — in a
 trimmed tuple, so the zero polynomial has an empty coefficient tuple and
 ``degree == -1``.
 
-The gcd dispatches on the coefficient field: over the rationals it clears
-denominators and runs a primitive remainder sequence on integer lists; over a
-number field, a tower included, it is the modular gcd of `modp.nf_gcd`,
-which works at word-size primes and proves its answer by exact division.
+There is one gcd engine for every field: `poly_gcd` is the modular gcd of
+`modp.nf_gcd`, which works at word-size primes and proves its answer by
+exact division; over the rationals it runs over the degree-1 field
+Q[z]/(z).
 """
-
-from math import gcd as _int_gcd
-
-from .intpoly import zz_gcd
-from .rationals import RationalField
 
 
 def field_extends(big, small):
@@ -288,16 +283,6 @@ def format_poly(coeffs, var="x"):
     return out
 
 
-def _qq_int_coeffs(f):
-    """Integer coefficient list proportional to f (denominators cleared)."""
-    den = 1
-    for c in f.coeffs:
-        q = c.denominator
-        if q != 1:
-            den = den * q // _int_gcd(den, q)
-    return [c.numerator * (den // c.denominator) for c in f.coeffs]
-
-
 def poly_gcd(f, g):
     """Monic gcd of two polynomials over the same field."""
     if f.field != g.field:
@@ -306,36 +291,9 @@ def poly_gcd(f, g):
         return g.monic()
     if g.is_zero:
         return f.monic()
-    if isinstance(f.field, RationalField):
-        ints = zz_gcd(_qq_int_coeffs(f), _qq_int_coeffs(g))
-        lc = ints[-1]
-        field = f.field
-        return UniPoly._raw(field, [field(c, lc) for c in ints])
     from .modp import nf_gcd  # modp builds on this module
 
     return nf_gcd((f, g), f.field)
-
-
-def poly_resultant(f, g):
-    """Resultant of f and g via the Euclidean recursion."""
-    field = f.field
-    if f.field != g.field:
-        raise TypeError("resultant of polynomials over different fields")
-    if f.is_zero or g.is_zero:
-        return field.zero
-    acc = field.one
-    neg = False
-    a, b = f, g
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero:
-            return field.zero
-        acc = acc * b.lc ** (a.degree - r.degree)
-        if (a.degree & 1) and (b.degree & 1):
-            neg = not neg
-        a, b = b, r
-    out = acc * b.lc ** a.degree
-    return -out if neg else out
 
 
 def is_squarefree(f):

@@ -8,7 +8,7 @@ from hypercircles.errors import InternalInvariantError
 from hypercircles.hypercircle import parameter_schedule
 from hypercircles.modp import _madd
 from hypercircles.numberfield import NFElement, NumberField
-from hypercircles.polynomials import UniPoly, poly_resultant
+from hypercircles.polynomials import UniPoly
 from hypercircles.ratfunc import POLE
 
 
@@ -78,10 +78,32 @@ def verify_identity_by_evaluation(psi, psi_sigma, u):
 
 def euclid_gcd(f, g):
     """Monic gcd by the textbook Euclidean algorithm over the coefficient
-    field; `poly_gcd` over Q takes an integer primitive-PRS path instead."""
+    field; `poly_gcd` is the modular gcd of `modp.nf_gcd` over every field."""
     while not g.is_zero:
         f, g = g, f % g
     return f.monic()
+
+
+def poly_resultant(f, g):
+    """Resultant of f and g via the Euclidean recursion."""
+    field = f.field
+    if f.field != g.field:
+        raise TypeError("resultant of polynomials over different fields")
+    if f.is_zero or g.is_zero:
+        return field.zero
+    acc = field.one
+    neg = False
+    a, b = f, g
+    while b.degree > 0:
+        r = a % b
+        if r.is_zero:
+            return field.zero
+        acc = acc * b.lc ** (a.degree - r.degree)
+        if (a.degree & 1) and (b.degree & 1):
+            neg = not neg
+        a, b = b, r
+    out = acc * b.lc ** a.degree
+    return -out if neg else out
 
 
 def interpolate(xs, ys, field):

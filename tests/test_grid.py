@@ -9,6 +9,7 @@ A unit Moebius reparametrization over Q(alpha) describes the same curve, so
 on a smaller grid it must leave the verdict, the classes that fix the curve
 and (for defined instances) the defining property of phi unchanged."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from hypercircles import (
     check_on_witness,
     gen_instance,
+    instance_doc,
     minimum_field,
     parse_instance,
     standard_parametrization,
@@ -73,3 +75,48 @@ def test_unit_moebius_reparametrization_keeps_the_decision(kind, n, d):
     assert [r.fixes for r in res2.reports] == [r.fixes for r in res.reports]
     if kind == "defined":
         assert _sums_to_t(field, res2.phi)
+
+
+PINNED = [
+    ("defined", 2, 3),
+    ("defined", 2, 5),
+    ("twisted", 2, 3),
+    ("defined", 3, 3),
+    ("twisted", 3, 4),
+    ("defined", 5, 4),
+    ("twisted", 5, 4),
+    ("defined", 6, 4),
+    ("twisted", 6, 4),
+]
+PINNED_SHA256 = "402df588f9a6d81e07811359407832f91316ab79be89be91fb7e2bfe11f98329"
+
+
+def _rendered_outputs(kind, n, d):
+    """The decision's outputs as text: the verdict, each class description
+    and per-parameter verdict, the phi document of a defined instance, and
+    the minimum field (degree, basis, primitive element, its minpoly) of a
+    refused one."""
+    field, _, res = _decide(kind, n, d)
+    lines = [res.verdict]
+    for rep in res.reports:
+        lines.append(rep.describe())
+        lines.extend(str(v) for v in rep.verdicts)
+    if res.defined:
+        lines.append(json.dumps(instance_doc(field, res.phi), sort_keys=True))
+    else:
+        fixed = minimum_field(field, [rep.cls for rep in res.reports if rep.fixes])
+        lines.append(str(fixed.degree))
+        lines.extend(str(b) for b in fixed.basis)
+        lines.append(str(fixed.primitive))
+        lines.append(fixed.primitive_minpoly.render("x"))
+    return "\n".join(lines)
+
+
+def test_pipeline_outputs_are_pinned():
+    """The rendered outputs of nine seed-0 instances hash to a fixed value.
+
+    A change that should leave every output as it is (a refactor, a
+    speed-up) must keep this hash.  A change that alters outputs on purpose
+    refreshes PINNED_SHA256 and justifies the refresh in CHANGES.md."""
+    text = "\n\n".join(_rendered_outputs(*spec) for spec in PINNED)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256

@@ -50,7 +50,7 @@ def make_M():
 
 
 def make_field(label):
-    return {"K": make_K, "L": make_L, "M": make_M}[label]()
+    return {"Q": lambda: QQ, "K": make_K, "L": make_L, "M": make_M}[label]()
 
 
 FIRST_PRIME = next(primes(1 << 61))
@@ -235,10 +235,10 @@ def test_fold_lone_input_is_made_monic():
     assert fold_common_root([2 * x**2 + a], field) == ("degree", 2)
 
 
-@pytest.mark.parametrize("label", ["K", "L"])
+@pytest.mark.parametrize("label", ["Q", "K", "L"])
 @pytest.mark.parametrize("planted", [0, 2, 3])
 def test_gcd_matches_euclid(label, planted):
-    field = make_K() if label == "K" else make_L()
+    field = make_field(label)
     rng = random.Random(31 + planted)
     for trial in range(3):
         h = rand_monic(rng, field, planted)
@@ -250,16 +250,18 @@ def test_gcd_matches_euclid(label, planted):
         assert nf_gcd(polys, field) == exact_fold(polys)
 
 
-@pytest.mark.parametrize("label", ["K", "L"])
+@pytest.mark.parametrize("label", ["Q", "K", "L"])
 def test_gcd_lifts_big_coefficients(label):
-    # a planted factor whose coordinates need several primes of CRT
-    field = make_K() if label == "K" else make_L()
+    # a planted factor whose coordinates need several primes of CRT; over Q
+    # also a planted root of height about 10^12, which the p-adic lift finds
+    field = make_field(label)
     rng = random.Random(41)
-    for deg in (2, 3):
+    degs = (1, 2, 3) if field is QQ else (2, 3)
+    for deg in degs:
         h = rand_monic(rng, field, deg, bound=10**12)
         f = h * rand_poly(rng, field, 2)
         g = h * rand_poly(rng, field, 1)
-        assert poly_gcd(f, g) == h
+        assert nf_gcd([f, g], field) == h
         assert poly_gcd(f, g) == euclid_gcd(f, g)
 
 

@@ -1,12 +1,13 @@
-"""Univariate polynomial arithmetic, gcd and resultants."""
+"""Univariate polynomial arithmetic and gcd, and the Euclidean resultant
+that `oracles` uses as a reference."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercircles import NumberField, QQ, Rational, UniPoly
-from hypercircles.polynomials import is_squarefree, poly_gcd, poly_resultant
+from hypercircles.polynomials import is_squarefree, poly_gcd
 
-from oracles import euclid_gcd
+from oracles import euclid_gcd, poly_resultant
 
 rats = st.builds(
     Rational,
