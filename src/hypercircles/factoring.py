@@ -3,14 +3,26 @@
 Two entry points:
 
 * `factor_rational(f)` — complete factorization over the rationals:
-  squarefree decomposition (Yun), then for each squarefree part a classical
-  Zassenhaus run — reduction mod a good small prime, Cantor–Zassenhaus
-  splitting, quadratic Hensel lifting in a binary tree, and subset
-  recombination certified by the Landau–Mignotte bound.
+  squarefree decomposition (Yun), then for each squarefree part a Zassenhaus
+  run (`zz_factor_squarefree`), after Musser (J. ACM 22, 1975) and Abbott,
+  Shoup and Zimmermann (ISSAC 2000):
+  - the prime is chosen among a few admissible ones by the factor count of
+    their distinct-degree factorizations, and only the chosen one is split
+    into irreducibles (Cantor–Zassenhaus);
+  - the subset-degree sums at the primes tried are intersected, which can
+    prove f irreducible and prunes the subsets recombination visits;
+  - the factors are lifted by quadratic Hensel steps in a binary tree, along
+    a ladder of moduli that ends exactly at p^l;
+  - a subset must pass two coefficient tests (its x^(d-1) coefficient
+    against Mignotte's bound, its constant term against lc * f(0)) before
+    any product is built, and a built factor is certified by the
+    Landau–Mignotte bound.
 
 * `factor_over_nf(f, K)` — factorization over a simple number field Q(alpha)
   by Trager's method: shift by integer multiples of alpha until the norm is
-  squarefree, factor the norm over Q, and pull factors back with gcds.
+  squarefree (one squarefree image mod a small prime proves it; the exact
+  test decides only when none of the first few primes gives one), factor
+  the norm over Z, and pull factors back with gcds.
 
 Both return `(unit, [(monic_factor, multiplicity), ...])` with the unit in
 the coefficient field, so unit * prod(factor^mult) reproduces the input.
@@ -198,21 +210,19 @@ def gf_edf(f, d, p, rng):
     return out
 
 
-def gf_factor_squarefree(f, p, rng):
-    """Monic irreducible factors of a monic squarefree f mod p."""
-    out = []
-    for part, d in gf_ddf(f, p):
-        out.extend(gf_edf(part, d, p, rng))
-    out.sort()
-    return out
-
-
 # ----------------------------------------------------------------------------
 # Hensel lifting (quadratic, binary tree)
 
 
+def _sym(a, m):
+    """a mod m in the symmetric range (-m/2, m/2]."""
+    a %= m
+    return a - m if a > m // 2 else a
+
+
 def _trunc(f, m):
-    """Reduce coefficients into the symmetric range (-m/2, m/2]."""
+    """Reduce coefficients into the symmetric range (-m/2, m/2] (the loop
+    of `_sym`, inlined: Hensel lifting spends its time here)."""
     half = m // 2
     out = []
     for a in f:
@@ -230,10 +240,10 @@ def _divmod_mod(f, g, m):
     return _trunc(q, m), _trunc(r, m)
 
 
-def hensel_step(m, f, g, h, s, t):
+def hensel_step(mm, f, g, h, s, t):
     """One quadratic Hensel step: from f = g*h (mod m), s*g + t*h = 1 (mod m)
-    to the same relations mod m**2, with h monic throughout."""
-    mm = m * m
+    to the same relations mod mm, for any mm dividing m**2 (m itself is not
+    needed), with h monic throughout."""
     e = _trunc(zz_sub(f, zz_mul(g, h)), mm)
     q, r = _divmod_mod(zz_mul(s, e), h, mm)
     gg = _trunc(zz_add(zz_add(g, zz_mul(t, e)), zz_mul(q, g)), mm)
@@ -245,20 +255,29 @@ def hensel_step(m, f, g, h, s, t):
     return gg, hh, ss, tt
 
 
+def _ladder(p, l):
+    """The moduli p**e of a lift to p**l, for e running up the ladder
+    1, ..., ceil(l/4), ceil(l/2), l: each at most the square of the one
+    before, and the last exactly p**l."""
+    exps = [l]
+    while exps[-1] > 1:
+        exps.append((exps[-1] + 1) // 2)
+    return [p**e for e in reversed(exps)]
+
+
 def hensel_lift(p, f, factors, l):
     """Lift monic factors of f mod p to factors mod p**l (binary tree).
 
     `f` has integer coefficients, lc(f) invertible mod p, and f mod p equals
-    lc * prod(factors) with each factor monic mod p.
+    lc * prod(factors) with each factor monic mod p.  Each split is lifted
+    along `_ladder(p, l)`, so no step works mod more than p**l.
     """
     r = len(factors)
     lc = f[-1]
     if r == 1:
         inv = pow(lc % p**l, -1, p**l)
         return [_trunc([a * inv for a in f], p**l)]
-    m = p
     k = r // 2
-    d = (l - 1).bit_length()
     g = [lc % p]
     for fac in factors[:k]:
         g = gf_mul(g, fac, p)
@@ -269,18 +288,143 @@ def hensel_lift(p, f, factors, l):
     if len(one) != 1:
         raise InternalInvariantError("hensel seed factors are not coprime")
     g, h, s, t = _trunc(g, p), _trunc(h, p), _trunc(s, p), _trunc(t, p)
-    for _ in range(d):
-        g, h, s, t = hensel_step(m, f, g, h, s, t)
-        m = m * m
+    for mm in _ladder(p, l)[1:]:
+        g, h, s, t = hensel_step(mm, f, g, h, s, t)
     return hensel_lift(p, g, factors[:k], l) + hensel_lift(p, h, factors[k:], l)
 
 
 # ----------------------------------------------------------------------------
 # Zassenhaus over the integers
 
+# admissible primes whose distinct-degree factorization is compared, and the
+# factor count at which the first of them is taken without looking further
+_PRIME_TRIES = 3
+_FEW_FACTORS = 6
+
+
+def _admissible_primes(f, limit=None):
+    """(p, f mod p made monic) for the primes p >= 3 at which f stays
+    squarefree of its degree, among the first `limit` primes not dividing
+    lc(f) (all of them when `limit` is None).
+
+    Such a p is admissible for Zassenhaus.  A squarefree image also proves
+    f squarefree: a square g**2 dividing f would reduce to one of positive
+    degree dividing f mod p, since lc(g) divides lc(f).
+    """
+    lc = f[-1]
+    seen = 0
+    for p in primes(3):
+        if lc % p == 0:
+            continue
+        if seen == limit:
+            return
+        seen += 1
+        fp = gf_from_zz(f, p)
+        if gf_is_squarefree(fp, p):
+            yield p, gf_monic(fp, p)
+
+
+def _subset_degrees(degrees):
+    """Bit mask of the subset sums of `degrees` (bit d set when some subset
+    of them sums to d)."""
+    mask = 1
+    for d in degrees:
+        mask |= mask << d
+    return mask
+
+
+def _choose_prime(f):
+    """(p, f's distinct-degree factorization mod p, allowed degree mask).
+
+    Tries up to _PRIME_TRIES admissible primes, stopping early at one with
+    at most _FEW_FACTORS modular factors, and keeps the first with the
+    fewest.  The mask intersects the subset-degree sums over every prime
+    tried: a factor of f over Z reduces to a product of modular factors at
+    each prime, so its degree is a subset sum at each.
+    """
+    n = len(f) - 1
+    allowed = (1 << (n + 1)) - 1
+    best = None
+    for tried, (p, fp) in enumerate(_admissible_primes(f), 1):
+        ddf = gf_ddf(fp, p)
+        degrees = [d for part, d in ddf for _ in range((len(part) - 1) // d)]
+        allowed &= _subset_degrees(degrees)
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), p, ddf)
+        if (
+            tried == _PRIME_TRIES
+            or len(degrees) <= _FEW_FACTORS
+            or allowed == 1 | (1 << n)
+        ):
+            break
+    return best[1], best[2], allowed
+
+
+def _norm2_ceil(f):
+    """The least integer at or above the Euclidean norm of f."""
+    sq = sum(a * a for a in f)
+    root = isqrt(sq)
+    return root if root * root == sq else root + 1
+
+
+def _coefficients_may_divide(top, const, d, lc, rest0, norm2, lc_f):
+    """False when the candidate lc * prod(subset), of degree d, is the
+    multiple (lc / lc(G)) * G of no factor G of the polynomial being split.
+
+    `top` and `const` are the candidate's x^(d-1) and constant coefficients
+    as symmetric residues mod p**l, `rest0` is the constant term of the
+    polynomial being split, which divides f, and `norm2` and `lc_f` are an
+    integer at or above ||f||_2 and lc(f).  `zz_factor_squarefree` gives
+    the soundness argument.
+    """
+    if abs(top) > abs(lc) * (norm2 + (d - 1) * lc_f):
+        return False
+    return rest0 == 0 or (const != 0 and lc * rest0 % const == 0)
+
 
 def zz_factor_squarefree(f):
-    """Irreducible integer factors of a primitive squarefree f, lc(f) > 0."""
+    """Irreducible integer factors of a primitive squarefree f, lc(f) > 0.
+
+    Zassenhaus's method:
+
+    * Prime choice.  Up to _PRIME_TRIES admissible primes p (p does not
+      divide lc(f) and f mod p is squarefree) are compared by their
+      distinct-degree factorization alone; the first with the fewest
+      factors is split into irreducibles (`gf_edf`), and a first prime with
+      at most _FEW_FACTORS factors ends the comparison.
+    * Degree sets.  A factor of f reduces to a product of modular factors
+      at every prime, so its degree is a subset-degree sum at each prime
+      tried.  The intersection of those sets is `allowed`; {0, n} proves f
+      irreducible.  A subset is skipped unless both its degree and the
+      cofactor's lie in `allowed`.
+    * Lifting.  The factors are lifted to monic factors mod p**l by
+      `hensel_lift` along its ladder of moduli, where p**l > 2 * B and B
+      is the Landau-Mignotte bound (isqrt(n+1)+1) * 2**n * max|a_i| * lc.
+    * Recombination.  While f is split, `rest` is the part still to split
+      and rest = lc * prod(live factors) (mod p**l) with lc = lc(rest).  If
+      a subset S of degree d belongs to a primitive factor G of rest over
+      Z, the candidate lc * prod(S) is congruent to (lc / lc(G)) * G, an
+      integer polynomial whose coefficients the two tests below know:
+      - the x^(d-1) test: the lifted factors are monic, so the candidate's
+        x^(d-1) coefficient is lc times the sum of the factors' x^(d_i-1)
+        coefficients.  G divides f, so Mignotte's bound (Knuth, TAOCP
+        vol. 2, 4.6.2) gives |G_(d-1)| <= ||f||_2 + (d-1) * lc(f), and the
+        true value is at most cap = |lc| * (||f||_2 + (d-1) * lc(f)) in
+        size (with ||f||_2 rounded up);
+      - the constant test, when rest(0) != 0: the candidate's constant
+        term c = (lc / lc(G)) * G(0) is nonzero and divides lc * rest(0),
+        since G(0) divides rest(0) and lc(G) divides lc.
+      With a = max|a_i|: |lc| <= lc(f) <= a, ||f||_2 <= sqrt(n+1) * a and
+      d <= n - 1 give cap <= lc(f) * a * (isqrt(n+1) + 1 + n) <= B, and
+      |c| <= lc(f) * |f(0)| <= B.  As B < p**l / 2, the symmetric residues
+      of a true factor's coefficients are their values, so a subset that
+      fails either test belongs to no factor.  The tests and the degree
+      sets only skip subsets that cannot be factors, so the factors found
+      are the same.
+    * Certificate.  A subset that passes gets both products built, and is
+      accepted when ||g||_1 * ||h||_1 <= B, which proves g * h = lc * rest
+      over Z.
+    """
     n = len(f) - 1
     if n <= 0:
         return []
@@ -290,52 +434,63 @@ def zz_factor_squarefree(f):
     a_max = max(abs(a) for a in f)
     # Landau-Mignotte: any factor's coefficients are bounded by this.
     bound = (isqrt(n + 1) + 1) * (1 << n) * a_max * abs(lc)
-    for p in primes(3):
-        if lc % p == 0:
-            continue
-        fp = gf_from_zz(f, p)
-        if len(fp) - 1 == n and gf_is_squarefree(fp, p):
-            break
+    p, ddf, allowed = _choose_prime(f)
+    if allowed == 1 | (1 << n):
+        return [list(f)]
     l = 1
     pl = p
     while pl <= 2 * bound:
         pl *= p
         l += 1
     rng = random.Random(_stable_seed(f, p))
-    modular = gf_factor_squarefree(gf_monic(fp, p), p, rng)
+    modular = sorted(fac for part, d in ddf for fac in gf_edf(part, d, p, rng))
     if len(modular) == 1:
         return [list(f)]
     lifted = hensel_lift(p, list(f), modular, l)
+    degrees = [len(g) - 1 for g in lifted]
+    tops = [g[-2] for g in lifted]
+    consts = [g[0] for g in lifted]
+    norm2 = _norm2_ceil(f)
     # Subset recombination over the lifted factors.
     out = []
     rest = list(f)
     live = list(range(len(lifted)))
     s = 1
     while 2 * s <= len(live):
-        found = True
-        while found:
-            found = False
-            for combo in itertools.combinations(live, s):
-                g = [rest[-1]]
+        lcr = rest[-1]
+        rest_deg = len(rest) - 1
+        for combo in itertools.combinations(live, s):
+            d = sum(degrees[i] for i in combo)
+            if not (allowed >> d) & (allowed >> (rest_deg - d)) & 1:
+                continue
+            top = _sym(lcr * sum(tops[i] for i in combo), pl)
+            const = lcr
+            if rest[0]:
                 for i in combo:
-                    g = _trunc(zz_mul(g, lifted[i]), pl)
-                h = [rest[-1]]
-                for i in live:
-                    if i not in combo:
-                        h = _trunc(zz_mul(h, lifted[i]), pl)
-                g_norm = sum(abs(a) for a in g)
-                h_norm = sum(abs(a) for a in h)
-                if g_norm * h_norm <= bound:
-                    _, g = zz_primitive(g)
-                    _, h = zz_primitive(h)
-                    out.append(g)
-                    rest = h
-                    live = [i for i in live if i not in combo]
-                    found = s * 2 <= len(live)
-                    break
-            if not found:
+                    const = const * consts[i] % pl
+                const = _sym(const, pl)
+            if not _coefficients_may_divide(
+                top, const, d, lcr, rest[0], norm2, lc
+            ):
+                continue
+            g = [lcr]
+            for i in combo:
+                g = _trunc(zz_mul(g, lifted[i]), pl)
+            h = [lcr]
+            for i in live:
+                if i not in combo:
+                    h = _trunc(zz_mul(h, lifted[i]), pl)
+            g_norm = sum(abs(a) for a in g)
+            h_norm = sum(abs(a) for a in h)
+            if g_norm * h_norm <= bound:
+                _, g = zz_primitive(g)
+                _, h = zz_primitive(h)
+                out.append(g)
+                rest = h
+                live = [i for i in live if i not in combo]
                 break
-        s += 1
+        else:
+            s += 1
     if len(rest) > 1:
         out.append(rest)
     return out
@@ -387,6 +542,12 @@ def _qq_int_coeffs(f):
     return [c.numerator * (den // c.denominator) for c in f.coeffs]
 
 
+def _monic_over_qq(f, qq):
+    """The integer polynomial f made monic over the rationals `qq`."""
+    lc = f[-1]
+    return UniPoly._raw(qq, [qq(c, lc) for c in f])
+
+
 def factor_rational(f):
     """Factor f over the rationals: (unit, [(monic irreducible, mult), ...])."""
     field = f.field
@@ -403,10 +564,7 @@ def factor_rational(f):
         ints = _qq_int_coeffs(part)
         _, prim = zz_primitive(ints)
         for fac in zz_factor_squarefree(prim):
-            lc = fac[-1]
-            out.append(
-                (UniPoly._raw(field, [field(c, lc) for c in fac]), mult)
-            )
+            out.append((_monic_over_qq(fac, field), mult))
     out.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
     return unit, out
 
@@ -458,10 +616,21 @@ def _norm_poly(h, field):
     return from_power_sums(sums, field.base)
 
 
-def _trager_squarefree(h, field):
-    """Irreducible factors of a monic squarefree h over Q(alpha)."""
-    if h.degree == 1:
-        return [h]
+# primes, not dividing the norm's lc, among which one squarefree image of a
+# Trager norm is looked for before the exact test
+_SQUAREFREE_TRIES = 5
+
+
+def _squarefree_norm(h, field):
+    """(k, N): the first shift k in 0, 1, -1, 2, -2, ... at which the norm N
+    of h(x - k*alpha) is squarefree, with N as a primitive integer
+    coefficient list.
+
+    A squarefree image mod one of the first _SQUAREFREE_TRIES primes not
+    dividing lc(N) proves N squarefree; only when none of them gives one
+    does the exact `is_squarefree` decide, so the shift chosen is the
+    first squarefree one either way.
+    """
     alpha = field.gen
     shifts = itertools.chain([0], (s for k in itertools.count(1) for s in (k, -k)))
     for k in shifts:
@@ -472,27 +641,35 @@ def _trager_squarefree(h, field):
             move = UniPoly._raw(field, [-ka, field.one])  # x - k*alpha
             shifted = h.compose(move)
         norm = _norm_poly(shifted, field)
-        if not is_squarefree(norm):
-            continue
-        _, nfactors = factor_rational(norm)
-        if len(nfactors) == 1:
-            return [h]
-        out = []
-        back = None
-        if k != 0:
-            ka = field.coerce(k) * alpha
-            back = UniPoly._raw(field, [ka, field.one])  # x + k*alpha
-        total = 0
-        for nf, _ in nfactors:
-            cand = nf.map_into(field)
-            if back is not None:
-                cand = cand.compose(back)
-            g = poly_gcd(h, cand)
-            if g.degree > 0:
-                out.append(g)
-                total += g.degree
-        if total != h.degree:
-            raise InternalInvariantError("norm factorization did not cover h")
-        out.sort(key=lambda q: (q.degree, str(q)))
-        return out
+        _, prim = zz_primitive(_qq_int_coeffs(norm))
+        if any(_admissible_primes(prim, _SQUAREFREE_TRIES)) or is_squarefree(norm):
+            return k, prim
     raise InternalInvariantError("unreachable: ran out of Trager shifts")
+
+
+def _trager_squarefree(h, field):
+    """Irreducible factors of a monic squarefree h over Q(alpha)."""
+    if h.degree == 1:
+        return [h]
+    k, norm = _squarefree_norm(h, field)
+    nfactors = zz_factor_squarefree(norm)
+    if len(nfactors) == 1:
+        return [h]
+    out = []
+    back = None
+    if k != 0:
+        ka = field.coerce(k) * field.gen
+        back = UniPoly._raw(field, [ka, field.one])  # x + k*alpha
+    total = 0
+    for fac in nfactors:
+        cand = _monic_over_qq(fac, field.base).map_into(field)
+        if back is not None:
+            cand = cand.compose(back)
+        g = poly_gcd(h, cand)
+        if g.degree > 0:
+            out.append(g)
+            total += g.degree
+    if total != h.degree:
+        raise InternalInvariantError("norm factorization did not cover h")
+    out.sort(key=lambda q: (q.degree, str(q)))
+    return out

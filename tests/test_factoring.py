@@ -1,5 +1,8 @@
 """Univariate factorization over the rationals and over simple extensions."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,9 @@ from hypercircles import (
     factor_rational,
     is_irreducible_rational,
 )
-from hypercircles.intpoly import primes
+from hypercircles import factoring
+from hypercircles.generators import cyclotomic_minpoly
+from hypercircles.intpoly import primes, zz_mul, zz_primitive
 
 x = UniPoly.gen(QQ)
 
@@ -25,6 +30,18 @@ IRREDUCIBLE_POOL = [
     x**3 - 2,
     x**3 + 2 * x + 2,
     x**4 + 1,
+]
+
+
+# non-monic irreducibles with large constant terms: as factors of a product
+# they exercise the lc scaling of both coefficient tests of the recombination
+NONMONIC_POOL = [
+    3 * x**2 - 2,
+    5 * x**3 + x + 7,
+    7 * x**4 - 12,
+    6 * x**3 - 35,
+    2 * x**5 - 3 * x + 30,
+    9 * x**2 + 4 * x - 77,
 ]
 
 
@@ -101,6 +118,138 @@ def test_random_products_reconstruct(picks, scale):
     assert reassemble(unit, fac) == prod
     for f, _ in fac:
         assert f.lc == QQ.one
+
+
+@given(
+    st.lists(
+        st.sampled_from(range(len(NONMONIC_POOL))),
+        min_size=2,
+        max_size=4,
+        unique=True,
+    ),
+    st.sampled_from(range(len(IRREDUCIBLE_POOL))),
+)
+@settings(max_examples=20, deadline=None)
+def test_nonmonic_products_reconstruct(picks, monic_idx):
+    want = [NONMONIC_POOL[i] for i in picks] + [IRREDUCIBLE_POOL[monic_idx]]
+    prod = UniPoly(QQ, [Rational(1)])
+    for f in want:
+        prod = prod * f
+    unit, fac = factor_rational(prod)
+    assert sorted(str(f) for f, _ in fac) == sorted(str(f.monic()) for f in want)
+    assert all(m == 1 for _, m in fac)
+    assert reassemble(unit, fac) == prod
+
+
+def _int_coeffs(f):
+    """The primitive integer coefficient list of a rational polynomial."""
+    return zz_primitive(factoring._qq_int_coeffs(f))[1]
+
+
+def test_coefficient_tests_accept_true_factors():
+    # every divisor G of f, as the candidate (lc(f) / lc(G)) * G that its
+    # subset of lifted factors would give, passes both coefficient tests.
+    # x^30 - 1 has divisors whose x^(d-1) coefficient exceeds ||f||_2, such
+    # as Phi2 * Phi3 * Phi5 * Phi30 with 4 there (||f||_2 is sqrt 2).
+    cases = [_int_coeffs(norm) for _, norm in _pinned_norms(with_phi13=False)]
+    prod = [1]
+    for f in NONMONIC_POOL:
+        prod = zz_mul(prod, _int_coeffs(f))
+    cases.append(prod)
+    cases.append([-1] + [0] * 29 + [1])
+    for f in cases:
+        lc_f = f[-1]
+        norm2 = factoring._norm2_ceil(f)
+        irreducible = factoring.zz_factor_squarefree(f)
+        for size in range(1, len(irreducible)):
+            for subset in itertools.combinations(irreducible, size):
+                g = [1]
+                for fac in subset:
+                    g = zz_mul(g, fac)
+                scale = lc_f // g[-1]
+                top, const = scale * g[-2], scale * g[0]
+                assert factoring._coefficients_may_divide(
+                    top, const, len(g) - 1, lc_f, f[0], norm2, lc_f
+                )
+    # a candidate above Mignotte's cap, or whose constant misses f(0), fails
+    f = _int_coeffs(NONMONIC_POOL[0] * NONMONIC_POOL[1])
+    norm2 = factoring._norm2_ceil(f)
+    cap = f[-1] * (norm2 + f[-1])
+    assert not factoring._coefficients_may_divide(cap + 1, 1, 2, f[-1], f[0], norm2, f[-1])
+    assert not factoring._coefficients_may_divide(0, 0, 2, f[-1], f[0], norm2, f[-1])
+    assert not factoring._coefficients_may_divide(0, 11, 2, f[-1], f[0], norm2, f[-1])
+
+
+def test_hensel_ladder_stops_at_the_target():
+    assert factoring._ladder(5, 37) == [5**e for e in (1, 2, 3, 5, 10, 19, 37)]
+    assert factoring._ladder(7, 1) == [7]
+    # the lifted factors of 3x^2 - 2 mod 23 (roots 4 and -4) multiply back
+    # to f / lc(f) mod 23**5
+    f = [-2, 0, 3]
+    lifted = factoring.hensel_lift(23, f, [[19, 1], [4, 1]], 5)
+    pl = 23**5
+    inv = pow(3, -1, pl)
+    assert [c % pl for c in zz_mul(*lifted)] == [c * inv % pl for c in f]
+
+
+def _m_alpha(field):
+    """m(alpha, x) = M(x) / (x - alpha), the polynomial Trager factors."""
+    mk = field.minpoly.map_into(field)
+    q, r = divmod(mk, UniPoly(field, [-field.gen, field.one]))
+    assert r.is_zero
+    return q.monic()
+
+
+# field, Trager shift and sha256 of `_render_factorization` of the norm's
+# factor_rational output
+PINNED_NORMS = [
+    (
+        x**6 - 2,
+        3,
+        "0d63d61606e06a621eee15668aa97bf6e960ab6dce57e52e2ebc5e1b193b3906",
+    ),
+    (
+        cyclotomic_minpoly(5),
+        -1,
+        "9d34d2b616a1fc9a2ea0197f07b0a6a32ab6500982b7f1e28160871e6ebf7bab",
+    ),
+    (
+        cyclotomic_minpoly(7),
+        -1,
+        "62393b4c72eefac141a5e72a2a33e7de8c75de84d19f0f9bae8a96a338a3e9d1",
+    ),
+    (
+        cyclotomic_minpoly(13),
+        -1,
+        "bc9170b61341dd645eb51f78dd9cd5c812240807b14a822cb84b3f32fc5d0dc5",
+    ),
+]
+
+
+def _pinned_norms(with_phi13=True):
+    """(shift, norm over QQ) for the Trager norm of each pinned field."""
+    out = []
+    for minpoly, _, _ in PINNED_NORMS[: None if with_phi13 else -1]:
+        field = NumberField(QQ, minpoly, "a")
+        k, norm = factoring._squarefree_norm(_m_alpha(field), field)
+        out.append((k, UniPoly(QQ, norm)))
+    return out
+
+
+def _render_factorization(unit, fac):
+    lines = [str(unit)]
+    for f, m in fac:
+        lines.append("%d %s" % (m, " ".join(str(c) for c in f.coeffs)))
+    return "\n".join(lines)
+
+
+def test_trager_norm_factorizations_are_pinned():
+    """factor_rational on the Trager norms of x^6 - 2, Phi5, Phi7 and Phi13
+    hashes to the values the plain first-prime Zassenhaus search gave."""
+    for (k, norm), (minpoly, shift, digest) in zip(_pinned_norms(), PINNED_NORMS):
+        assert k == shift, minpoly
+        text = _render_factorization(*factor_rational(norm))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, minpoly
 
 
 def test_factor_over_nf_golden():
