@@ -12,9 +12,6 @@ Subcommands:
   element, and its minimal polynomial.
 * ``gen`` — write a generated instance (kinds: defined, twisted,
   adversarial).
-* ``bench`` — run the generator + pipeline over a degree/seed grid on a
-  worker pool and emit CSV timing rows; a row's ``ms`` covers parsing and
-  the decision, not instance generation.
 
 Exit codes: 0 success / DefinedOverK; 1 NotDefinedOverK; 2 bad input;
 3 internal invariant violation; 141 standard output closed early by its
@@ -22,21 +19,18 @@ reader (``compute ... | head``), reported without a traceback.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
     InstanceError,
     InternalInvariantError,
     NonProperParametrization,
 )
-from .generators import _check_minpoly, canonical_minpoly, gen_instance
+from .generators import gen_instance
 from .hypercircle import standard_parametrization
-from .instances import instance_doc, load_instance, parse_instance
+from .instances import instance_doc, load_instance, read_text
 from .minfield import minimum_field
 from .polynomials import UniPoly
 from .rationals import QQ
@@ -48,18 +42,13 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's status for a closed pipe
 
-CSV_HEADER = ["degree", "n", "seed", "verdict", "params_tried", "ms"]
-
 
 def _read_minpoly_file(path):
     """A minimal polynomial from a JSON file: either a bare ascending
     coefficient list of rational strings, or an object carrying one under
     "minpoly" (a full instance file works too)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc}") from None
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InstanceError(
             f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
@@ -148,93 +137,11 @@ def _cmd_gen(args, out=sys.stdout):
     if args.output is None:
         out.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return EXIT_OK
-
-
-def _bench_one(task):
-    """One bench cell: generate, then time parse and decision.  Runs in a
-    worker.  Generation is not timed: for twisted instances it reruns the
-    decision pipeline."""
-    kind, degree, minpoly_coeffs, seed = task
-    minpoly = UniPoly(QQ, [QQ.from_str(s) for s in minpoly_coeffs])
-    n = minpoly.degree
-    t0 = None
-    try:
-        text = json.dumps(gen_instance(kind, degree, minpoly=minpoly, seed=seed))
-        t0 = time.perf_counter()
-        field, psi = parse_instance(text)
-        result = standard_parametrization(psi)
-        verdict = result.verdict
-        tried = result.parameters_tried
-        err = None
-    except Exception as exc:  # noqa: BLE001 - failed rows must not kill the run
-        verdict = "error"
-        tried = 0
-        err = f"{type(exc).__name__}: {exc}"
-    ms = 0 if t0 is None else int(round((time.perf_counter() - t0) * 1000))
-    return {
-        "degree": degree,
-        "n": n,
-        "seed": seed,
-        "verdict": verdict,
-        "params_tried": tried,
-        "ms": ms,
-    }, err
-
-
-def _cmd_bench(args, out=sys.stdout):
-    if args.jobs < 0:
-        raise InstanceError(f"--jobs must be 0 (CPU count) or positive, got {args.jobs}")
-    if args.degrees.strip():
         try:
-            degrees = [int(s) for s in args.degrees.split(",")]
-        except ValueError:
-            raise InstanceError(
-                f"--degrees must be a comma-separated integer list, got {args.degrees!r}"
-            ) from None
-    else:
-        degrees = []
-    for d in degrees:
-        if d < 2:
-            raise InstanceError(f"--degrees: degree must be at least 2, got {d}")
-    if args.seeds < 0:
-        raise InstanceError(f"--seeds must be 0 or positive, got {args.seeds}")
-    if args.minpoly_file is not None:
-        minpoly = _check_minpoly(_read_minpoly_file(args.minpoly_file))
-    else:
-        minpoly = canonical_minpoly(args.ext_degree)
-    coeff_strs = [str(c) for c in minpoly.coeffs]
-    tasks = [
-        (args.kind, d, coeff_strs, seed)
-        for d in degrees
-        for seed in range(args.seeds)
-    ]
-    rows = []
-    if tasks:
-        jobs = args.jobs or os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for row, err in pool.map(_bench_one, tasks):
-                rows.append(row)
-                if err is not None:
-                    print(
-                        f"instance d={row['degree']} seed={row['seed']} failed: {err}",
-                        file=sys.stderr,
-                    )
-    close = False
-    if args.output is None:
-        fh = out
-    else:
-        fh = open(args.output, "w", encoding="utf-8", newline="")
-        close = True
-    try:
-        writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InstanceError(f"cannot write {args.output}: {exc}") from None
     return EXIT_OK
 
 
@@ -275,16 +182,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="run the benchmark grid, emit CSV")
-    p.add_argument("--degrees", default="", help="comma-separated degree list")
-    p.add_argument("--minpoly-file", help="JSON file holding the minimal polynomial")
-    p.add_argument("--ext-degree", type=int, default=2, help="stock minimal polynomial degree (default 2)")
-    p.add_argument("--seeds", type=int, default=3, help="seeds 0..k-1 per degree (default 3)")
-    p.add_argument("--kind", default="defined", choices=("defined", "twisted"))
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (default: CPU count)")
-    p.add_argument("-o", "--output", help="output CSV file (default: stdout)")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

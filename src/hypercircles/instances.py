@@ -138,10 +138,15 @@ def serialize_instance(field, psi):
     return json.dumps(instance_doc(field, psi), indent=2) + "\n"
 
 
-def load_instance(path):
+def read_text(path):
+    """The text of a UTF-8 file; a file that cannot be opened, read or decoded
+    is an InstanceError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from None
-    return parse_instance(text)
+
+
+def load_instance(path):
+    return parse_instance(read_text(path))

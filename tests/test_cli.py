@@ -1,9 +1,8 @@
-"""The command-line interface: the bench CSV and its input checks, a reader
-that stops early, malformed or unusable minimal-polynomial files, and the
-exit codes of `definable`, `minfield` and `compute --verify-witness` (within
-the witness oracle's limits and beyond them)."""
+"""The command-line interface: a reader that stops early, unreadable,
+malformed or unusable input files, output that cannot be written, and the
+exit codes of `gen`, `definable`, `minfield` and `compute --verify-witness`
+(within the witness oracle's limits and beyond them)."""
 
-import csv
 import json
 import os
 import subprocess
@@ -17,25 +16,6 @@ from hypercircles.generators import gen_instance
 from conftest import CIRCLE_DOC
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def test_bench_csv_header_and_rows(tmp_path):
-    out = tmp_path / "bench.csv"
-    argv = ["bench", "--degrees", "3", "--seeds", "1", "--jobs", "1", "-o", str(out)]
-    assert cli.main(argv) == cli.EXIT_OK
-    with open(out, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == cli.CSV_HEADER
-    assert len(rows) == 2
-    row = dict(zip(rows[0], rows[1]))
-    assert (row["degree"], row["n"], row["seed"]) == ("3", "2", "0")
-    assert row["verdict"] == "DefinedOverK"
-
-
-def test_bench_rejects_negative_jobs(capsys):
-    argv = ["bench", "--degrees", "3", "--seeds", "1", "--jobs", "-1"]
-    assert cli.main(argv) == cli.EXIT_INPUT
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_compute_into_closed_pipe_has_no_traceback(tmp_path):
@@ -60,16 +40,58 @@ def test_compute_into_closed_pipe_has_no_traceback(tmp_path):
 
 @pytest.mark.parametrize(
     "doc, message",
-    [([1, 0, 1], "rational string"), ({"field": []}, "'minpoly'")],
-    ids=["numbers", "field-list"],
+    [
+        ([1, 0, 1], "rational string"),
+        ({"field": []}, "'minpoly'"),
+        (["1"], "at least 2"),
+        ([], "at least 2"),
+        (["-1", "0", "1"], "reducible"),
+    ],
+    ids=["numbers", "field-list", "constant", "empty", "reducible"],
 )
 def test_gen_rejects_malformed_minpoly_file(tmp_path, capsys, doc, message):
     path = tmp_path / "minpoly.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["gen", "--kind", "defined", "--degree", "3", "--minpoly-file", str(path)]
     assert cli.main(argv) == cli.EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["definable"],
+        ["gen", "--kind", "defined", "--degree", "3", "--minpoly-file"],
+    ],
+    ids=["instance", "minpoly-file"],
+)
+def test_non_utf8_input_file_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.main([*argv, str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {path}")
+    assert captured.out == ""
+
+
+def test_gen_rejects_degree_below_two(capsys):
+    argv = ["gen", "--kind", "defined", "--degree", "1", "--ext-degree", "2"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: degree must be at least 2")
+    assert captured.out == ""
+
+
+def test_gen_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    argv = ["gen", "--kind", "defined", "--degree", "3", "--ext-degree", "2", "-o", str(target)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}")
+    assert captured.out == ""
+    assert not target.exists()
 
 
 def test_gen_adversarial_rejects_a_field_that_is_not_normal(tmp_path, capsys):
@@ -84,38 +106,6 @@ def test_gen_adversarial_rejects_a_field_that_is_not_normal(tmp_path, capsys):
     )
     assert "Traceback" not in captured.err
     assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "coeffs, message",
-    [(["1"], "at least 2"), ([], "at least 2"), (["-1", "0", "1"], "reducible")],
-    ids=["constant", "empty", "reducible"],
-)
-def test_bench_rejects_unusable_minpoly(tmp_path, capsys, coeffs, message):
-    path = tmp_path / "minpoly.json"
-    path.write_text(json.dumps(coeffs), encoding="utf-8")
-    argv = ["bench", "--degrees", "3", "--seeds", "1", "--jobs", "1", "--minpoly-file", str(path)]
-    assert cli.main(argv) == cli.EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and message in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "grid, message",
-    [
-        (["--degrees", "0,3", "--seeds", "1"], "degree must be at least 2"),
-        (["--degrees", "3", "--seeds", "-1"], "--seeds"),
-    ],
-    ids=["degree-zero", "negative-seeds"],
-)
-def test_bench_rejects_bad_grid(tmp_path, capsys, grid, message):
-    out = tmp_path / "bench.csv"
-    argv = ["bench", *grid, "--jobs", "1", "-o", str(out)]
-    assert cli.main(argv) == cli.EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and message in captured.err
-    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
