@@ -17,18 +17,19 @@ symbolically, and accumulate the trace of m(alpha_i, x)/m(alpha_i, alpha_i)
 """
 
 from dataclasses import dataclass, field as dc_field
+from math import gcd
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_over_nf
 from .modp import fold_common_root
-from .numberfield import ConjugacyClass, NumberField, nf_conjugate
+from .numberfield import ConjugacyClass, NumberField, integral_ops, nf_conjugate
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
     POLE,
     MoebiusTransform,
     Parametrization,
     RatFunc,
-    moebius_compose_pair,
+    moebius_composer,
     moebius_from_three_points,
 )
 
@@ -213,21 +214,46 @@ def verify_identity(psi, psi_sigma, u):
     reduced fractions are equal iff their parts are proportional, and with
     D monic the factor is lam = lc(cd): the check is deg cn == deg N,
     deg cd == deg D, cn == lam * N and cd == lam * D coefficient by
-    coefficient, O(d) field operations after the O(d^2) composition.
+    coefficient.
 
     A True answer needs none of these premises: proportional pairs define
     the same function, so it is a proof on any input.
+
+    The same coefficients are compared on integers, and nothing is
+    normalized.  u and each part of psi^sigma and of psi become integral
+    vectors over one denominator each (`integral_ops`): L for u, E_num and
+    E_den for the parts of psi^sigma, E_N and E_D for those of psi, whose
+    vectors are X_j and Y_j.  The Horner scheme of `moebius_compose_pair`
+    (`moebius_composer`, with one table of the powers of C t + D for every
+    component) gives CN = E_num L^k cn and CD = E_den L^k cd, so the checks
+    read CN_j E_den E_N == lc(CD) X_j E_num and CD_j E_D == lc(CD) Y_j.
+    The composition costs O(d^2) products of integral vectors, each by a
+    fixed multiplier (a coefficient of u, or of psi^sigma times a row of the
+    table), and the comparison O(d) products by lc(CD).
     """
-    rel = psi_sigma.field
-    co = rel.coerce
+    ops = integral_ops(psi_sigma.field)
+    nonzero, scale = ops.nonzero, ops.scale
+    compose, _ = moebius_composer(ops, u, psi_sigma.degree)
     for comp, comp_s in zip(psi, psi_sigma):
-        cn, cd = moebius_compose_pair(comp_s.num, comp_s.den, u)
-        if cn.degree != comp.num.degree or cd.degree != comp.den.degree:
-            return False
-        lam = cd.lc
-        for part, image in ((comp.num, cn), (comp.den, cd)):
-            for x, y in zip(part.coeffs, image.coeffs):
-                if co(x) * lam != y:
+        k = comp_s.degree
+        images = []
+        for part, image in ((comp.num, comp_s.num), (comp.den, comp_s.den)):
+            acc, e = compose(image, k) if image.coeffs else ([], 1)
+            size = len(acc)
+            while size and not nonzero(acc[size - 1]):
+                size -= 1
+            if size != len(part.coeffs):
+                return False
+            images.append((part, acc, e))
+        e_den = images[1][2]
+        lam = ops.fixed(images[1][1][len(comp.den.coeffs) - 1])
+        for part, acc, e in images:
+            xs, e_part = ops.lift(part.coeffs)
+            left, right = e_den * e_part, e
+            g = gcd(left, right)
+            left, right = left // g, right // g
+            for x, y in zip(xs, acc):
+                if scale(y, left) != scale(lam(x), right):
                     return False
     return True
 

@@ -22,13 +22,20 @@ of an element's powers give its characteristic polynomial by Newton's
 identities (`from_power_sums`), whose constant term is the norm up to sign
 and whose coefficients give the inverse by Cayley-Hamilton.
 
+Loops that only add and multiply (the Moebius composition of the identity
+proof) run on `integral_ops` instead: integer vectors over one denominator,
+normalized once at the end, with a product by a fixed element as an
+integer matrix from absolute degree 4 on.
+
 Field identity is object identity: two elements interoperate only when their
 fields are literally the same object or one field appears in the base chain
 of the other (in which case the lower element is lifted).
 """
 
+from functools import partial
+from itertools import chain
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import InternalInvariantError
 from .polynomials import UniPoly, format_poly
@@ -109,6 +116,7 @@ class NumberField:
         self.degree = minpoly.degree
         n = self.degree
         self._level1 = not isinstance(base, NumberField)
+        self.absolute_degree = n * getattr(base, "absolute_degree", 1)
         # the generator rescaling that makes reduction integral
         scale = 1
         for c in minpoly.coeffs[:-1]:
@@ -160,11 +168,7 @@ class NumberField:
             self.gen = NFElement._raw(self, tuple(g), scale)
         self._power_traces = None
         self._theta_traces = None
-
-    @property
-    def absolute_degree(self):
-        base_deg = getattr(self.base, "absolute_degree", 1)
-        return self.degree * base_deg
+        self._ops = None
 
     def _sub_to_frac(self, c):
         """A base element as (integral tensor-or-int, positive denominator)."""
@@ -297,6 +301,56 @@ class NumberField:
                     if _tbool(ri):
                         out[i] = _tadd(out[i], sub(c, ri))
         return tuple(out[:n])
+
+    def _flatten(self, t):
+        """The integers of a coordinate tensor in nesting order: coordinate
+        i of this level holds positions i*m .. i*m + m - 1, m the base's
+        absolute degree."""
+        if self._level1:
+            return t
+        return tuple(chain.from_iterable(map(self.base._flatten, t)))
+
+    def _unflatten(self, v):
+        """The coordinate tensor of a flat integer sequence (`_flatten`
+        inverted)."""
+        if self._level1:
+            return tuple(v)
+        sub = self.base._unflatten
+        m = self.base.absolute_degree
+        return tuple(sub(v[i : i + m]) for i in range(0, len(v), m))
+
+    def _columns(self, t):
+        """The regular representation of the element with tensor t: the
+        flat products t * theta^i * b_j, b_j the base's basis in flat order,
+        at flat index i*m + j.  theta * x shifts x up one coordinate and
+        adds its top coordinate times the reduction row."""
+        xn = self._txn
+        powers = [t]
+        if self._level1:
+            for _ in range(self.degree - 1):
+                c = powers[-1]
+                top = c[-1]
+                nxt = (0,) + c[:-1]
+                if top:
+                    nxt = tuple([x + top * r for x, r in zip(nxt, xn)])
+                powers.append(nxt)
+            return powers
+        sub = self.base._tmul
+        for _ in range(self.degree - 1):
+            c = powers[-1]
+            top = c[-1]
+            nxt = (self._subzero,) + c[:-1]
+            if _tbool(top):
+                nxt = tuple(
+                    _tadd(x, sub(top, r)) if _tbool(r) else x for x, r in zip(nxt, xn)
+                )
+            powers.append(nxt)
+        cols = []
+        for p in powers:
+            blocks = [self.base._columns(s) for s in p]
+            for j in range(len(blocks[0])):
+                cols.append(tuple(chain.from_iterable(blk[j] for blk in blocks)))
+        return cols
 
     def __eq__(self, other):
         """Structural equality, so that re-parsed fields compare equal."""
@@ -604,6 +658,137 @@ def from_power_sums(sums, field):
                 acc = acc + c[n - i] * sums[k - i]
         c[n - k] = acc * Rational(-1, k)
     return UniPoly._raw(field, c)
+
+
+# From this absolute degree on, a product by a fixed element is one integer
+# matrix-vector product on flattened coordinates (the regular
+# representation; Cohen, A Course in Computational Algebraic Number Theory,
+# GTM 138).  Below it the product stays `_tmul`: over Q(i) a 2 x 2 matrix
+# beat the pure-Python `_tmul` but lost to the compiled one.
+_MATRIX_DEGREE = 4
+
+
+def integral_ops(field):
+    """The integer arithmetic of `field` (QQ or a NumberField) for loops that
+    normalize once, at the end.
+
+    A field element x is carried as an integral vector v over a positive
+    denominator q, x = v / q: an int over Q, over a number field the flat
+    tuple of the integers of the coordinate tensor of `NFElement`.  Sums
+    and products of vectors are exact and never reduced.
+
+    - `lift(elems)`: (vectors, q) over one shared positive denominator q;
+      elements of the field's base are taken as they are, anything else is
+      coerced;
+    - `zero`, `one`: vectors;
+    - `add(v, w)`, `scale(v, k)` by an int, `nonzero(v)`;
+    - `fixed(v)`: the map w -> the vector of v * w.  It is a scaling when v
+      is an integer; from absolute degree _MATRIX_DEGREE on it is one
+      integer matrix-vector product, and below that `_tmul`;
+    - `make(v, q)`: the field element v / q, normalized.
+    """
+    if not isinstance(field, NumberField):
+        return _RationalOps
+    if field._ops is None:
+        field._ops = _FieldOps(field)
+    return field._ops
+
+
+def _same(x):
+    return x
+
+
+class _RationalOps:
+    """`integral_ops` over Q: vectors are ints."""
+
+    zero = 0
+    one = 1
+    add = staticmethod(add)
+    scale = staticmethod(mul)
+    nonzero = staticmethod(bool)
+
+    @staticmethod
+    def lift(elems):
+        q = _int_lcm(*(e.denominator for e in elems))
+        return [e.numerator * (q // e.denominator) for e in elems], q
+
+    @staticmethod
+    def fixed(v):
+        if v == 1:
+            return _same
+        return lambda w: v * w
+
+    @staticmethod
+    def make(v, q):
+        return Rational(v, q)
+
+
+class _FieldOps:
+    """`integral_ops` over a NumberField.
+
+    A level of degree 1 over another number field only nests its base's
+    tensor once more, so the vectors here flatten the tensors of the
+    "core": the first level below of degree > 1, or the first level.
+    """
+
+    def __init__(self, field):
+        core, depth = field, 0
+        while core.degree == 1 and not core._level1:
+            core, depth = core.base, depth + 1
+        self.field, self._core, self._depth = field, core, depth
+        self._pad = (field._subzero,) * (field.degree - 1)
+        # `_tmul` on vectors needs a first-level core, whose tensors are flat
+        self.matrix = field.absolute_degree >= _MATRIX_DEGREE or not core._level1
+        self.zero = core._flatten(core._tzero)
+        self.one = core._flatten(core.one.ic)
+
+    @staticmethod
+    def add(v, w):
+        return tuple(map(add, v, w))
+
+    @staticmethod
+    def scale(v, k):
+        return tuple([x * k for x in v])
+
+    nonzero = staticmethod(any)
+
+    def _frac(self, e):
+        f = self.field
+        if isinstance(e, NFElement) and e.field is f.base:
+            t, q = (e.ic,) + self._pad, e.den
+        else:
+            e = f.coerce(e)
+            t, q = e.ic, e.den
+        for _ in range(self._depth):
+            t = t[0]
+        return self._core._flatten(t), q
+
+    def lift(self, elems):
+        pairs = [self._frac(e) for e in elems]
+        q = _int_lcm(*(d for _, d in pairs))
+        scale = self.scale
+        return [v if d == q else scale(v, q // d) for v, d in pairs], q
+
+    def fixed(self, v):
+        if not any(v[1:]):  # an integer multiple of one
+            k = v[0]
+            if k == 1:
+                return _same
+            scale = self.scale
+            return lambda w: scale(w, k)
+        core = self._core
+        if not self.matrix:  # a first-level core: vectors are its tensors
+            return partial(core._tmul, v)
+        rows = tuple(zip(*core._columns(core._unflatten(v))))
+        return lambda w: tuple([sum(map(mul, row, w)) for row in rows])
+
+    def make(self, v, q):
+        if not any(v):
+            return self.field.zero
+        t = self._core._unflatten(v)
+        for _ in range(self._depth):
+            t = (t,)
+        return NFElement._make(self.field, t, q)
 
 
 class ConjugacyClass:

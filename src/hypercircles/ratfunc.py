@@ -9,7 +9,7 @@ line.
 
 from .errors import InternalInvariantError
 from .linalg import kernel_basis
-from .numberfield import nf_conjugate
+from .numberfield import integral_ops, nf_conjugate
 from .polynomials import UniPoly, poly_gcd
 
 
@@ -213,64 +213,106 @@ def moebius_compose_pair(num, den, mob, degree=None):
     cancellation is performed.
 
     Homogeneous Horner scheme (cf. the Taylor shift of von zur Gathen and
-    Gerhard, ISSAC 1997): from the top coefficient down,
-    acc <- acc * (a t + b) + p_j (c t + d)^(k - j), with one table of the
-    powers of c t + d shared by both parts.  Every product is by a linear
-    polynomial, so the pair costs O(k^2) field operations.
+    Gerhard, ISSAC 1997), run on integers (`integral_ops`): u is projective,
+    so a, b, c, d become integral A, B, C, D over their common denominator
+    L, and each input polynomial is integral over one denominator E.  From
+    the top coefficient down, acc <- acc * (A t + B) + P_j (C t + D)^(k - j),
+    with one table of the powers of C t + D shared by both parts; the result
+    is acc / (E L^k).  Every product is by a linear polynomial, so the pair
+    costs O(k^2) products of integral vectors, each by a fixed multiplier
+    (A, B, C, D, or a P_j times a row of the table), and one normalization
+    per output coefficient.
     """
     field = num.field
     big = degree if degree is not None else max(num.degree, den.degree)
-    one = field.one
-    times_ab = _linear_multiplier(mob.b, mob.a, one)
-    times_cd = _linear_multiplier(mob.d, mob.c, one)
-    pows = [[one]]  # pows[i]: ascending coefficients of (c t + d)^i
-    for _ in range(big):
-        pows.append(times_cd(pows[-1]))
-
-    def subst(p):
-        cs = p.coeffs
-        if not cs:
-            return p
-        top = len(cs) - 1
-        acc = [cs[top] * v if v else v for v in pows[big - top]]
-        for j in range(top - 1, -1, -1):
-            acc = times_ab(acc)
-            cj = cs[j]
-            if cj:
-                pw = pows[big - j]
-                if len(acc) < len(pw):
-                    acc.extend([field.zero] * (len(pw) - len(acc)))
-                for i, v in enumerate(pw):
-                    if v:
-                        acc[i] = acc[i] + cj * v
-        return UniPoly._raw(field, acc)
-
-    return subst(num), subst(den)
+    ops = integral_ops(field)
+    compose, lcd = moebius_composer(ops, mob, big)
+    out = []
+    for p in (num, den):
+        if p.coeffs:
+            acc, e = compose(p, big)
+            q = e * lcd**big
+            p = UniPoly._raw(field, [ops.make(v, q) for v in acc])
+        out.append(p)
+    return out[0], out[1]
 
 
-def _linear_multiplier(lo, hi, one):
-    """The map from ascending coefficient lists q to those of q * (hi t + lo).
+def moebius_composer(ops, mob, big):
+    """The Horner scheme of `moebius_compose_pair` for polynomials over the
+    field of `ops` (`integral_ops`), with the table built for degree `big`.
 
-    Products by a zero or unit coefficient are skipped; a zero `hi` keeps
-    the length of q.
+    Returns (compose, L).  compose(p, k), for p nonzero and
+    deg p <= k <= big, gives (acc, E): E is p's common denominator and acc
+    the vectors of E L^k sum_j p_j (a t + b)^j (c t + d)^(k - j), ascending
+    and not trimmed.
     """
+    (a, b, c, d), lcd = ops.lift((mob.a, mob.b, mob.c, mob.d))
+    times_ab = _linear_multiplier(ops, b, a)
+    pows = _power_table(ops, d, c, big)
 
-    def scaled(x):
-        if not x:
-            return lambda q: [x] * len(q)
-        if x == one:
-            return list
-        return lambda q: [v * x for v in q]
+    def compose(p, k):
+        cs, e = ops.lift(p.coeffs)
+        return _horner(ops, cs, times_ab, pows, k), e
 
-    low, high = scaled(lo), scaled(hi)
-    if not hi:
-        return low
-    if not lo:
-        return lambda q: [lo] + high(q)
+    return compose, lcd
+
+
+def _power_table(ops, d, c, big):
+    """Row i holds (len, [(j, v_j)]): the length of (C t + D)^i and its
+    nonzero coefficient vectors."""
+    times_cd = _linear_multiplier(ops, d, c)
+    nonzero = ops.nonzero
+    row = [ops.one]
+    table = []
+    for i in range(big + 1):
+        if i:
+            row = times_cd(row)
+        table.append((len(row), [(j, v) for j, v in enumerate(row) if nonzero(v)]))
+    return table
+
+
+def _horner(ops, cs, times_ab, pows, k):
+    """The vectors of sum_j P_j (A t + B)^j (C t + D)^(k - j), ascending, for
+    the integral vectors cs = (P_0 .. P_top), top = len(cs) - 1 <= k.  Each
+    P_j multiplies a whole row of the table, so it is a fixed multiplier."""
+    add, fixed, nonzero, zero = ops.add, ops.fixed, ops.nonzero, ops.zero
+    top = len(cs) - 1
+    size, row = pows[k - top]
+    acc = [zero] * size
+    times = fixed(cs[top])
+    for i, v in row:
+        acc[i] = times(v)
+    for j in range(top - 1, -1, -1):
+        acc = times_ab(acc)
+        if nonzero(cs[j]):
+            size, row = pows[k - j]
+            if len(acc) < size:
+                acc.extend([zero] * (size - len(acc)))
+            times = fixed(cs[j])
+            for i, v in row:
+                acc[i] = add(acc[i], times(v))
+    return acc
+
+
+def _linear_multiplier(ops, lo, hi):
+    """The map from ascending lists of vectors q to those of q * (hi t + lo),
+    for the vectors lo and hi.
+
+    A zero `hi` keeps the length of q, a zero `lo` only shifts; products by
+    an integer coefficient are scalings (`integral_ops`'s `fixed`).
+    """
+    low, high = ops.fixed(lo), ops.fixed(hi)
+    if not ops.nonzero(hi):
+        return lambda q: [low(v) for v in q]
+    if not ops.nonzero(lo):
+        zero = ops.zero
+        return lambda q: [zero] + [high(v) for v in q]
+    add = ops.add
 
     def times(q):
-        lq, hq = low(q), high(q)
-        return [lq[0]] + [x + y for x, y in zip(lq[1:], hq)] + [hq[-1]]
+        lq = [low(v) for v in q]
+        hq = [high(v) for v in q]
+        return [lq[0]] + list(map(add, lq[1:], hq)) + [hq[-1]]
 
     return times
 

@@ -35,6 +35,64 @@ def cubic_compose_pair(num, den, mob, degree=None):
     return subst(num), subst(den)
 
 
+def horner_compose_pair(num, den, mob, degree=None):
+    """The homogeneous Horner scheme of `moebius_compose_pair` on field
+    elements: acc <- acc * (a t + b) + p_j (c t + d)^(k - j), every sum and
+    product a normalized element, O(k^2) field operations."""
+    field = num.field
+    big = degree if degree is not None else max(num.degree, den.degree)
+    one = field.one
+    times_ab = _linear_multiplier(mob.b, mob.a, one)
+    times_cd = _linear_multiplier(mob.d, mob.c, one)
+    pows = [[one]]  # pows[i]: ascending coefficients of (c t + d)^i
+    for _ in range(big):
+        pows.append(times_cd(pows[-1]))
+
+    def subst(p):
+        cs = p.coeffs
+        if not cs:
+            return p
+        top = len(cs) - 1
+        acc = [cs[top] * v if v else v for v in pows[big - top]]
+        for j in range(top - 1, -1, -1):
+            acc = times_ab(acc)
+            cj = cs[j]
+            if cj:
+                pw = pows[big - j]
+                if len(acc) < len(pw):
+                    acc.extend([field.zero] * (len(pw) - len(acc)))
+                for i, v in enumerate(pw):
+                    if v:
+                        acc[i] = acc[i] + cj * v
+        return UniPoly._raw(field, acc)
+
+    return subst(num), subst(den)
+
+
+def _linear_multiplier(lo, hi, one):
+    """q -> q * (hi t + lo) on ascending coefficient lists, skipping
+    products by a zero or unit coefficient."""
+
+    def scaled(x):
+        if not x:
+            return lambda q: [x] * len(q)
+        if x == one:
+            return list
+        return lambda q: [v * x for v in q]
+
+    low, high = scaled(lo), scaled(hi)
+    if not hi:
+        return low
+    if not lo:
+        return lambda q: [lo] + high(q)
+
+    def times(q):
+        lq, hq = low(q), high(q)
+        return [lq[0]] + [x + y for x, y in zip(lq[1:], hq)] + [hq[-1]]
+
+    return times
+
+
 def verify_identity_by_cross_multiplication(psi, psi_sigma, u):
     """psi == psi_sigma o u by cn * pd == cd * pn for every component."""
     rel = psi_sigma.field

@@ -1,9 +1,13 @@
 """The exact identity proof psi == psi^sigma o u: the quadratic Moebius
-composition against the term-by-term reference, and `verify_identity`
-against cross-multiplication and evaluation on generated instances."""
+composition on integers against the per-element Horner scheme and the
+term-by-term reference, its regular-representation products against
+`_tmul`, and `verify_identity` against cross-multiplication and evaluation
+on generated instances."""
 
+import functools
 import json
 import random
+from operator import mul
 
 import pytest
 
@@ -23,10 +27,12 @@ from hypercircles import (
 from hypercircles import hypercircle
 from hypercircles.generators import canonical_minpoly
 from hypercircles.hypercircle import compute_u_for_class
+from hypercircles.numberfield import NFElement, integral_ops
 from hypercircles.ratfunc import MoebiusTransform, moebius_compose_pair
 
 from oracles import (
     cubic_compose_pair,
+    horner_compose_pair,
     verify_identity_by_cross_multiplication,
     verify_identity_by_evaluation,
 )
@@ -38,29 +44,42 @@ CHECKS = (
 )
 
 
-def _relative_field(n):
-    """The relative field of the largest conjugacy class of Q(alpha),
-    alpha a root of the stock degree-n polynomial."""
+@functools.cache
+def _class_field(n, size):
+    """The relative field of a conjugacy class of the given size of
+    Q(alpha), alpha a root of the stock degree-n polynomial."""
     field = NumberField(QQ, canonical_minpoly(n), "a")
     _, classes = conjugacy_classes(field)
-    return max(classes, key=lambda c: c.size).relative_field
+    return next(c for c in classes if c.size == size).relative_field
+
+
+# every tower shape the identity proof meets: Q; first-level fields of
+# degree 2 and 3; a degree-1 level over Q(i) (absolute degree 2); degree-1
+# and degree-2 levels over x^6 - 2 (6 and 12); the degree-4 level over
+# x^5 - 2 (20), where fixed products are integer matrices
+FIELDS = {
+    "Q": lambda: QQ,
+    "Q(i)": lambda: NumberField(QQ, canonical_minpoly(2), "i"),
+    "Q(cbrt2)": lambda: NumberField(QQ, canonical_minpoly(3), "a"),
+    "Q(i) class 1": lambda: _class_field(2, 1),
+    "x^6-2 class 1": lambda: _class_field(6, 1),
+    "x^6-2 class 2": lambda: _class_field(6, 2),
+    "x^5-2 class": lambda: _class_field(5, 4),
+}
 
 
 def _random_element(rng, field):
-    """A sparse random element: two terms per tower level."""
+    """An element with every coordinate nonzero and a denominator at every
+    tower level: each rational leaf is odd over 2, 4 or 8."""
     if not isinstance(field, NumberField):
-        return Rational(rng.randint(-5, 5), rng.randint(1, 3))
-    acc = field.zero
-    for j in rng.sample(range(field.degree), min(2, field.degree)):
-        acc = acc + field.gen**j * _random_element(rng, field.base)
-    return acc
+        return Rational(2 * rng.randint(-6, 5) + 1, rng.choice((2, 4, 8)))
+    return field.element(
+        [_random_element(rng, field.base) for _ in range(field.degree)]
+    )
 
 
 def _random_poly(rng, field, degree):
-    cs = [_random_element(rng, field) for _ in range(degree + 1)]
-    while not cs[-1]:
-        cs[-1] = _random_element(rng, field)
-    return UniPoly(field, cs)
+    return UniPoly(field, [_random_element(rng, field) for _ in range(degree + 1)])
 
 
 def _maps(rng, field):
@@ -79,18 +98,13 @@ def _maps(rng, field):
     ]
 
 
-@pytest.mark.parametrize(
-    "make_field",
-    [
-        lambda: NumberField(QQ, canonical_minpoly(2), "i"),
-        lambda: NumberField(QQ, canonical_minpoly(3), "a"),
-        lambda: _relative_field(5),
-    ],
-    ids=["Q(i)", "Q(cbrt2)", "x^5-2 class"],
-)
-def test_compose_pair_matches_cubic_reference(make_field):
-    field = make_field()
-    rng = random.Random(f"compose:{field.absolute_degree}")
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_compose_pair_matches_cubic_reference(name):
+    """The integer Horner scheme returns exactly the pair of the
+    term-by-term reference and of the per-element Horner scheme, with the
+    coefficients of u over non-unit denominators at every level."""
+    field = FIELDS[name]()
+    rng = random.Random(f"compose:{name}")
     shapes = [(3, 3), (2, 4), (4, 1), (0, 3), (-1, 2)]
     for dn, dd in shapes:
         num = (
@@ -100,8 +114,39 @@ def test_compose_pair_matches_cubic_reference(make_field):
         for mob in _maps(rng, field):
             for pad in (None, max(dn, dd) + 2):
                 got = moebius_compose_pair(num, den, mob, pad)
-                want = cubic_compose_pair(num, den, mob, pad)
-                assert got == want, (dn, dd, mob, pad)
+                assert got == cubic_compose_pair(num, den, mob, pad), (dn, dd, mob)
+                assert got == horner_compose_pair(num, den, mob, pad), (dn, dd, mob)
+
+
+def _phi7():
+    return NumberField(QQ, UniPoly(QQ, [1] * 7), "z")
+
+
+@pytest.mark.parametrize("name", [n for n in FIELDS if n != "Q"] + ["phi7"])
+def test_regular_representation_matches_tmul(name):
+    """The matrix of multiplication by t (`_columns`) times the flat
+    coordinates of s is the flat `_tmul(t, s)`, with whichever kernel is
+    loaded; so is `integral_ops(field).fixed`, on its own vectors."""
+    field = _phi7() if name == "phi7" else FIELDS[name]()
+    ops = integral_ops(field)
+    rng = random.Random(f"regular:{name}")
+    for bits in (8, 40, 200):
+        for _ in range(4):
+            x, y = _random_element(rng, field), _random_element(rng, field)
+            t = field._unflatten(
+                [c * rng.getrandbits(bits) for c in field._flatten(x.ic)]
+            )
+            s = y.ic
+            cols = field._columns(t)
+            flat_s = field._flatten(s)
+            got = tuple(
+                sum(map(mul, row, flat_s)) for row in zip(*cols)
+            )
+            assert got == field._flatten(field._tmul(t, s))
+            (v, w, prod), _ = ops.lift(
+                [NFElement._raw(field, u, 1) for u in (t, s, field._tmul(t, s))]
+            )
+            assert ops.fixed(v)(w) == prod
 
 
 def _decided_classes(n, degree, seed):
@@ -114,10 +159,10 @@ def _decided_classes(n, degree, seed):
         yield psi, psi.conjugate(cls), report.u
 
 
-def _bumped(u, k):
-    """u with its k-th coefficient (a, b, c, d order) increased by one."""
+def _bumped(u, k, step=1):
+    """u with `step` added to its k-th coefficient (a, b, c, d order)."""
     coeffs = [u.a, u.b, u.c, u.d]
-    coeffs[k] = coeffs[k] + 1
+    coeffs[k] = coeffs[k] + step
     return MoebiusTransform._raw(*coeffs)
 
 
@@ -128,6 +173,64 @@ def test_verify_identity_agrees_with_references(n, degree):
         for k in range(4):
             bad = _bumped(u, k)
             assert [check(psi, sigma, bad) for check in CHECKS] == [False] * 3
+
+
+def _count_makes(monkeypatch):
+    """Count the normalizations `NFElement._make` performs from now on."""
+    calls = []
+    make = NFElement._make
+
+    def counted(cls, field, tensor, den):
+        calls.append(field)
+        return make(field, tensor, den)
+
+    monkeypatch.setattr(NFElement, "_make", classmethod(counted))
+    return calls
+
+
+def test_composition_normalizes_once_per_output_coefficient(monkeypatch):
+    rng = random.Random("makes")
+    for field, degree in ((_class_field(2, 1), 16), (_class_field(5, 4), 6)):
+        num = _random_poly(rng, field, degree)
+        den = _random_poly(rng, field, degree - 1)
+        mob = MoebiusTransform._raw(*(_random_element(rng, field) for _ in range(4)))
+        calls = _count_makes(monkeypatch)
+        cn, cd = moebius_compose_pair(num, den, mob)
+        monkeypatch.undo()
+        assert len(calls) <= len(cn.coeffs) + len(cd.coeffs)
+        assert (cn, cd) == horner_compose_pair(num, den, mob)
+
+
+def test_verify_identity_never_normalizes(monkeypatch):
+    """A plane2-sized proof (x^2 + 1, degree 16) runs on integers only."""
+    psi, sigma, u = next(_decided_classes(2, 16, seed=3))
+    calls = _count_makes(monkeypatch)
+    assert verify_identity(psi, sigma, u)
+    assert calls == []
+
+
+def test_verify_identity_mutations_on_the_matrix_path():
+    """A defined n = 5, d = 8 instance: the class field has absolute degree
+    20, so u's coefficients multiply as integer matrices.  Each +-1 change
+    of a coefficient of u, and each change of one rational coordinate of
+    one coefficient of psi^sigma, makes the proof fail."""
+    psi, sigma, u = next(_decided_classes(5, 8, seed=1))
+    rel = sigma.field
+    assert integral_ops(rel).matrix and rel.absolute_degree == 20
+    assert verify_identity(psi, sigma, u)
+    for k in range(4):
+        for step in (1, -1):
+            assert not verify_identity(psi, sigma, _bumped(u, k, step))
+    base = rel.base
+    comp = sigma[0]
+    j = len(comp.num.coeffs) // 2
+    for i, l in ((0, 0), (1, 2), (2, 4), (3, 1), (3, 3)):
+        bump = rel.gen**i * rel.coerce(base.gen**l)
+        cs = list(comp.num.coeffs)
+        cs[j] = cs[j] + bump
+        changed = RatFunc._normalized(UniPoly(rel, cs), comp.den)
+        moved = Parametrization([changed] + list(sigma)[1:])
+        assert not verify_identity(psi, moved, u), (i, l)
 
 
 def test_verify_identity_rejects_partial_agreement():
