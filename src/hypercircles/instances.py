@@ -104,19 +104,10 @@ def parse_instance(text):
     return field, Parametrization(components)
 
 
-def _rat_str(r):
-    return str(r)
-
-
 def _poly_doc(poly, n):
     if poly.is_zero:
         return [["0"] * n]
-    out = []
-    for c in poly.coeffs:
-        coords = list(c.coords)
-        coords += [QQ.zero] * (n - len(coords))
-        out.append([_rat_str(x) for x in coords])
-    return out
+    return [[str(x) for x in c.coords] for c in poly.coeffs]
 
 
 def instance_doc(field, psi):
@@ -125,7 +116,7 @@ def instance_doc(field, psi):
     return {
         "field": {
             "generator": field.name,
-            "minpoly": [_rat_str(c) for c in field.minpoly.coeffs],
+            "minpoly": [str(c) for c in field.minpoly.coeffs],
         },
         "parametrization": [
             {"num": _poly_doc(comp.num, n), "den": _poly_doc(comp.den, n)}

@@ -17,9 +17,11 @@ degree-1 field Q[z]/(z), where the argument is that of Brown's modular gcd
 over Z (J. ACM 18, 1971).  `fold_common_root` is its summary for the
 degree-at-most-one question that classifies a sampled parameter.
 
-A product at a tower level over another level is one integer product of
-packed (Kronecker) coordinates; the first level, and levels of degree 1,
-multiply coordinate by coordinate.
+A reduced element is one flat tuple of ints mod q in the layout of
+`NFElement.ic`, so sums are one comprehension at every level.  A product
+at a tower level over another level is one integer product of packed
+(Kronecker) coordinates; the first level multiplies coordinate by
+coordinate, and a level of degree 1 as the level below it.
 
 Elements reduce in the rescaled-generator basis, where the reduction rows
 are integral, so a prime is inadmissible only when it divides a coefficient
@@ -28,10 +30,11 @@ turns a needed leading coefficient into a zero divisor — all detected
 cheaply.
 """
 
-from math import gcd as _int_gcd, isqrt
+from itertools import chain
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .intpoly import primes
-from .numberfield import NumberField, _tbool
+from .numberfield import NFElement, NumberField, _blocks, _tbool
 from .polynomials import UniPoly
 from .rationals import QQ, Rational, RationalField
 
@@ -45,18 +48,16 @@ class BadPrime(Exception):
 _QZ = NumberField(QQ, UniPoly.gen(QQ), "z")
 
 
-def _red_tensor(t, p):
-    return tuple(x % p if type(x) is int else _red_tensor(x, p) for x in t)
+def _red(t, p):
+    return tuple([x % p for x in t])
 
 
-def _neg_tensor(t, p):
-    return tuple((-x) % p if type(x) is int else _neg_tensor(x, p) for x in t)
+def _neg(t, p):
+    return tuple([(-x) % p for x in t])
 
 
-def _scale_tensor(t, c, p):
-    return tuple(
-        (x * c) % p if type(x) is int else _scale_tensor(x, c, p) for x in t
-    )
+def _scale(t, c, p):
+    return tuple([(x * c) % p for x in t])
 
 
 class _IntOps:
@@ -124,7 +125,7 @@ class ModLevel:
 
     __slots__ = (
         "p", "sub", "deg", "rows", "mpoly", "zero", "one", "ops", "width",
-        "block", "krows",
+        "block", "krows", "absolute_degree",
     )
 
 
@@ -138,61 +139,57 @@ def _build_level(field, q, width=None):
         width = (bits + 7) // 8
     lvl = ModLevel()
     lvl.p = q
-    lvl.sub = None if field._level1 else _build_level(field.base, q, width)
+    lvl.sub = sub = None if field._level1 else _build_level(field.base, q, width)
     lvl.deg = field.degree
-    lvl.rows = tuple(_red_tensor(r, q) for r in field._ired)
-    mp = []
-    for x in field._txn:
-        mp.append((-x) % q if type(x) is int else _neg_tensor(x, q))
-    lvl.mpoly = mp + [1 if lvl.sub is None else lvl.sub.one]
-    lvl.zero = _red_tensor(field._tzero, q)
-    lvl.one = _red_tensor(field.one.ic, q)
-    lvl.ops = _IntOps(q) if lvl.sub is None else _ElemOps(lvl.sub)
+    lvl.absolute_degree = field.absolute_degree
+    if sub is None:
+        lvl.rows = tuple(_red(r, q) for r in field._ired)
+        lvl.mpoly = [(-x) % q for x in field._txn] + [1]
+    else:
+        lvl.rows = tuple([_red(b, q) for b in r] for r in field._ired)
+        lvl.mpoly = [_neg(b, q) for b in field._txn] + [sub.one]
+    lvl.zero = field.zero.ic
+    lvl.one = field.one.ic
+    lvl.ops = _IntOps(q) if sub is None else _ElemOps(sub)
     lvl.width = width
-    lvl.block = width if lvl.sub is None else (2 * lvl.sub.deg - 1) * lvl.sub.block
-    lvl.krows = () if lvl.sub is None else tuple(_kpack(lvl, r) for r in lvl.rows)
+    lvl.block = width if sub is None else (2 * sub.deg - 1) * sub.block
+    lvl.krows = () if sub is None else tuple(
+        _kpack(lvl, tuple(chain.from_iterable(r))) for r in lvl.rows
+    )
     return lvl
 
 
 def _madd(lvl, a, b):
-    if lvl.sub is None:
-        p = lvl.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-    s = lvl.sub
-    return tuple(_madd(s, x, y) for x, y in zip(a, b))
+    p = lvl.p
+    return tuple([(x + y) % p for x, y in zip(a, b)])
 
 
 def _msub(lvl, a, b):
-    if lvl.sub is None:
-        p = lvl.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-    s = lvl.sub
-    return tuple(_msub(s, x, y) for x, y in zip(a, b))
+    p = lvl.p
+    return tuple([(x - y) % p for x, y in zip(a, b)])
 
 
 def _mmul(lvl, a, b):
     p = lvl.p
     n = lvl.deg
     if n == 1:
-        if lvl.sub is None:
-            return ((a[0] * b[0]) % p,)
-        return (_mmul(lvl.sub, a[0], b[0]),)
-    if lvl.sub is None:
-        out = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = (out[i + j] + ai * bj) % p
-        for k in range(2 * n - 2, n - 1, -1):
-            c = out[k]
-            if c:
-                row = lvl.rows[k - n]
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] = (out[i] + c * ri) % p
-        return tuple(out[:n])
-    return _kreduce(lvl, _kpack(lvl, a) * _kpack(lvl, b))
+        return ((a[0] * b[0]) % p,) if lvl.sub is None else _mmul(lvl.sub, a, b)
+    if lvl.sub is not None:
+        return _kreduce(lvl, _kpack(lvl, a) * _kpack(lvl, b))
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % p
+    for k in range(2 * n - 2, n - 1, -1):
+        c = out[k]
+        if c:
+            row = lvl.rows[k - n]
+            for i, ri in enumerate(row):
+                if ri:
+                    out[i] = (out[i] + c * ri) % p
+    return tuple(out[:n])
 
 
 # Packed (Kronecker) products over a tower level, after Harvey (J. Symb.
@@ -209,7 +206,8 @@ def _kbytes(lvl, a):
         w = lvl.width
         return b"".join([x.to_bytes(w, "little") for x in a])
     sub, blk = lvl.sub, lvl.block
-    return b"".join([_kbytes(sub, c).ljust(blk, b"\0") for c in a])
+    cs = _blocks(a, sub.absolute_degree)
+    return b"".join([_kbytes(sub, c).ljust(blk, b"\0") for c in cs])
 
 
 def _kpack(lvl, a):
@@ -254,10 +252,10 @@ def _kreduce(lvl, x):
             if _tbool(c):
                 acc += _kpack(sub, c) * row
         buf = acc.to_bytes(n * blk, "little")
-    return tuple(
+    return tuple(chain.from_iterable(
         _kreduce(sub, int.from_bytes(buf[i : i + blk], "little"))
         for i in range(0, n * blk, blk)
-    )
+    ))
 
 
 def _p_trim(ops, a):
@@ -329,12 +327,14 @@ def _p_half_xgcd(ops, m, a):
 def _minv(lvl, a):
     if not _tbool(a):
         raise BadPrime("zero divisor met")
-    ops = lvl.ops
-    c, s = _p_half_xgcd(ops, lvl.mpoly, list(a))
+    ops, sub = lvl.ops, lvl.sub
+    # a polynomial over the level below: ints, or blocks of its vectors
+    cs = list(a) if sub is None else _blocks(a, sub.absolute_degree)
+    c, s = _p_half_xgcd(ops, lvl.mpoly, cs)
     ic = ops.inv(c)
     out = [ops.mul(x, ic) for x in s]
     out.extend([ops.zero] * (lvl.deg - len(out)))
-    return tuple(out)
+    return tuple(out) if sub is None else tuple(chain.from_iterable(out))
 
 
 def _red_elem(lvl, e):
@@ -342,10 +342,9 @@ def _red_elem(lvl, e):
     den = e.den % p
     if den == 0:
         raise BadPrime("denominator vanishes")
-    t = _red_tensor(e.ic, p)
-    if den != 1:
-        t = _scale_tensor(t, pow(den, -1, p), p)
-    return t
+    if den == 1:
+        return _red(e.ic, p)
+    return _scale(e.ic, pow(den, -1, p), p)
 
 
 def _tower_disc(field):
@@ -376,15 +375,9 @@ def _tower_disc(field):
     return d
 
 
-def _crt_tensor(acc, m, t, p):
+def _crt(acc, m, t, p):
     minv = pow(m % p, -1, p)
-
-    def walk(x, y):
-        if type(x) is int:
-            return x + m * (((y - x) * minv) % p)
-        return tuple(walk(u, v) for u, v in zip(x, y))
-
-    return walk(acc, t), m * p
+    return tuple([x + m * (((y - x) * minv) % p) for x, y in zip(acc, t)]), m * p
 
 
 def _rat_rec(a, m):
@@ -407,23 +400,6 @@ def _rat_rec(a, m):
     return Rational(num, den)
 
 
-def _lift_tensor(field, t, m):
-    """Field element from a coordinate tensor mod m, or None."""
-    entries = []
-    for x in t:
-        if type(x) is int:
-            r = _rat_rec(x, m)
-            if r is None:
-                return None
-            entries.append(r)
-        else:
-            sub = _lift_tensor(field.base, x, m)
-            if sub is None:
-                return None
-            entries.append(sub)
-    return field._from_theta(entries)
-
-
 def _reduced(lvl, f):
     return [_red_elem(lvl, c) for c in f.coeffs]
 
@@ -442,22 +418,28 @@ def _gcd_image(lvl, polys):
     return g
 
 
-def _candidate(field, polys, tensors, m):
+def _candidate(field, polys, v, m):
     """The monic polynomial whose lower coefficients are recovered from
-    their coordinate tensors mod m, if it divides every input exactly."""
-    coeffs = []
-    for t in tensors:
-        c = _lift_tensor(field, t, m)
-        if c is None:
+    their coordinate vectors mod m, concatenated in v, if it divides every
+    input exactly."""
+    rs = []
+    for x in v:
+        r = _rat_rec(x, m)
+        if r is None:
             return None
-        coeffs.append(c)
+        rs.append(r)
+    coeffs = []
+    for c in _blocks(rs, field.absolute_degree):
+        den = _int_lcm(*(r.denominator for r in c))
+        vec = tuple([r.numerator * (den // r.denominator) for r in c])
+        coeffs.append(NFElement._make(field, vec, den))
     h = UniPoly._raw(field, coeffs + [field.one])
     return h if all((q % h).is_zero for q in polys) else None
 
 
 def _derivative(lvl, cs):
     q = lvl.p
-    return [_scale_tensor(cs[i], i, q) for i in range(1, len(cs))]
+    return [_scale(cs[i], i, q) for i in range(1, len(cs))]
 
 
 def _horner(lvl, cs, s):
@@ -499,7 +481,7 @@ def _lift_root(field, levels, polys, lvl, s):
             lq = levels[q] = _build_level(field, q)
         cs = _reduced(lq, f)
         s = _msub(lq, s, _mmul(lq, _horner(lq, cs, s), w))
-        h = _candidate(field, polys, (_neg_tensor(s, q),), q)
+        h = _candidate(field, polys, _neg(s, q), q)
         if h is not None:
             return h
         for g in polys:
@@ -576,13 +558,14 @@ def nf_gcd(polys, field):
         if least is not None and deg > least:
             continue  # unlucky: the image has a spurious common factor
         first = least is None or deg < least
+        v = tuple(chain.from_iterable(g[:-1]))  # the lower coefficients
         if first:
-            least, acc, mod = deg, tuple(g[:-1]), p
+            least, acc, mod = deg, v, p
         else:
-            acc, mod = _crt_tensor(acc, mod, tuple(g[:-1]), p)
+            acc, mod = _crt(acc, mod, v, p)
         h = _candidate(field, polys, acc, mod)
         if h is None and first and deg == 1:
-            h = _lift_root(field, levels, polys, lvl, _neg_tensor(g[0], p))
+            h = _lift_root(field, levels, polys, lvl, _neg(g[0], p))
         if h is not None:
             return h
 

@@ -8,10 +8,13 @@ construction).
 
 Element representation: arithmetic runs in the basis of a rescaled
 generator theta = D * gen, where D clears every denominator of the defining
-polynomial, so the reduction rows are integral.  An element is stored as an
-integer coordinate tensor (nested tuples of ints, one nesting level per
-tower level) plus a single shared positive denominator, reduced once per
-operation.  This keeps the inner loops on plain machine/big integers — one
+polynomial, so the reduction rows are integral.  An element is stored as
+one flat tuple of `absolute_degree` ints (`ic`) plus a single shared
+positive denominator, reduced once per operation.  Its coordinate i over
+the base is the block of positions i*m .. i*m + m - 1, m the base's
+absolute degree, and holds that base element's own tuple; so a degree-1
+level has its base's tuples, and code that needs a polynomial over the
+base (`_tmul`, `_columns`, `coords`) slices the blocks.  This keeps the inner loops on plain machine/big integers — one
 content gcd per arithmetic operation instead of a rational reduction per
 coefficient — which is what keeps exact arithmetic over these fields
 affordable.  The public `coords` property still exposes exact coordinates
@@ -23,8 +26,8 @@ identities (`from_power_sums`), whose constant term is the norm up to sign
 and whose coefficients give the inverse by Cayley-Hamilton.
 
 Loops that only add and multiply (the Moebius composition of the identity
-proof) run on `integral_ops` instead: integer vectors over one denominator,
-normalized once at the end, with a product by a fixed element as an
+proof) run on `integral_ops` instead: the same integer tuples over one
+denominator, normalized once at the end, with a product by a fixed element as an
 integer matrix from absolute degree 4 on.
 
 Field identity is object identity: two elements interoperate only when their
@@ -43,48 +46,30 @@ from .rationals import Rational
 
 
 def _tadd(a, b):
-    return tuple(
-        x + y if type(x) is int else _tadd(x, y) for x, y in zip(a, b)
-    )
+    return tuple(map(add, a, b))
 
 
 def _tsub(a, b):
-    return tuple(
-        x - y if type(x) is int else _tsub(x, y) for x, y in zip(a, b)
-    )
+    return tuple([x - y for x, y in zip(a, b)])
 
 
 def _tneg(a):
-    return tuple(-x if type(x) is int else _tneg(x) for x in a)
+    return tuple([-x for x in a])
 
 
 def _tscale(a, k):
-    return tuple(x * k if type(x) is int else _tscale(x, k) for x in a)
+    return tuple([x * k for x in a])
 
 
 def _tdiv(a, k):
-    return tuple(x // k if type(x) is int else _tdiv(x, k) for x in a)
+    return tuple([x // k for x in a])
 
 
-def _tbool(a):
-    for x in a:
-        if type(x) is int:
-            if x:
-                return True
-        elif _tbool(x):
-            return True
-    return False
+_tbool = any
 
 
 def _tcontent(a, g=0):
-    for x in a:
-        if type(x) is int:
-            g = _int_gcd(g, x)
-        else:
-            g = _tcontent(x, g)
-        if g == 1:
-            return 1
-    return g
+    return _int_gcd(g, *a)
 
 
 try:
@@ -102,6 +87,11 @@ else:
     _conv_reduce = _tc.conv_reduce
 
 
+def _blocks(v, m):
+    """The consecutive slices of length m of a flat vector."""
+    return [v[i : i + m] for i in range(0, len(v), m)]
+
+
 class NumberField:
     def __init__(self, base, minpoly, name):
         if minpoly.field != base and minpoly.field is not base:
@@ -113,93 +103,51 @@ class NumberField:
         self.base = base
         self.minpoly = minpoly
         self.name = name
-        self.degree = minpoly.degree
-        n = self.degree
+        self.degree = n = minpoly.degree
         self._level1 = not isinstance(base, NumberField)
-        self.absolute_degree = n * getattr(base, "absolute_degree", 1)
+        m = 1 if self._level1 else base.absolute_degree
+        self.absolute_degree = n * m
         # the generator rescaling that makes reduction integral
         scale = 1
         for c in minpoly.coeffs[:-1]:
             d = c.denominator if self._level1 else c.den
             scale = scale * d // _int_gcd(scale, d)
         self._scale = scale
-        if self._level1:
-            self._subzero = 0
-            self._tzero = (0,) * n
-        else:
-            self._subzero = base._tzero
-            self._tzero = (base._tzero,) * n
-        # integral reduction rows for theta^n .. theta^(2n-2), where
-        # theta = scale * gen satisfies x^n + sum scale^(n-i) m_i x^i = 0
+        # theta = scale * gen satisfies theta^n = sum txn_i theta^i with the
+        # integral txn_i = -scale^(n-i) m_i: ints at the first level, base
+        # vectors above; the reduction rows are theta^n .. theta^(2n-2)
         xn = []
         for i, c in enumerate(minpoly.coeffs[:-1]):
-            ci = -c * (Rational(scale) ** (n - i))
-            if self._level1:
-                if ci.denominator != 1:
-                    raise InternalInvariantError("scaled coefficient not integral")
-                xn.append(ci.numerator)
-            else:
-                if ci.den != 1:
-                    raise InternalInvariantError("scaled coefficient not integral")
-                xn.append(ci.ic)
-        xn = tuple(xn)
+            t, q = self._sub_to_frac(-c * Rational(scale) ** (n - i))
+            if q != 1:
+                raise InternalInvariantError("scaled coefficient not integral")
+            xn.append(t)
         self._txn = xn
         rows = [xn]
         for _ in range(n - 2):
-            prev = rows[-1]
-            top = prev[-1]
-            nxt = [self._subzero] + list(prev[:-1])
-            if top if type(top) is int else _tbool(top):
-                for i, ri in enumerate(xn):
-                    if ri if type(ri) is int else _tbool(ri):
-                        prod = top * ri if self._level1 else base._tmul(top, ri)
-                        nxt[i] = nxt[i] + prod if type(prod) is int else _tadd(nxt[i], prod)
-            rows.append(tuple(nxt))
-        self._ired = rows if n > 1 else []
-        self.zero = NFElement._raw(self, self._tzero, 1)
-        one = [self._subzero] * n
-        one[0] = 1 if self._level1 else base.one.ic
-        self.one = NFElement._raw(self, tuple(one), 1)
+            rows.append(self._shift(rows[-1]))
+        self._ired = rows[: n - 1]
+        if n == 1 and not self._level1:
+            self._tmul = base._tmul  # the vectors are the base's
+        vec = [0] * self.absolute_degree
+        self.zero = NFElement._raw(self, tuple(vec), 1)
+        vec[0] = 1
+        self.one = NFElement._raw(self, tuple(vec), 1)
         if n == 1:
             self.gen = self.element([-minpoly.coeffs[0]])
         else:
-            g = [self._subzero] * n
-            g[1] = 1 if self._level1 else base.one.ic
-            self.gen = NFElement._raw(self, tuple(g), scale)
+            vec[0], vec[m] = 0, 1
+            self.gen = NFElement._raw(self, tuple(vec), scale)
         self._power_traces = None
         self._theta_traces = None
         self._ops = None
 
     def _sub_to_frac(self, c):
-        """A base element as (integral tensor-or-int, positive denominator)."""
+        """A base element as (integral numerator, positive denominator): an
+        int at the first level, the base's vector above."""
         if self._level1:
             return c.numerator, c.denominator
         return c.ic, c.den
-
-    def _sub_from_frac(self, t, q):
-        if self._level1:
-            return Rational(t, q)
-        return NFElement._make(self.base, t, q)
-
-    def _from_theta(self, elems):
-        """Element from coordinates over the rescaled-generator basis."""
-        parts = []
-        den = 1
-        for e in elems:
-            num = getattr(e, "numerator", None)
-            if num is not None:
-                t, q = num, e.denominator
-            else:
-                t, q = e.ic, e.den
-            parts.append((t, q))
-            den = den * q // _int_gcd(den, q)
-        while len(parts) < self.degree:
-            parts.append((self._subzero, 1))
-        tensor = tuple(
-            (t * (den // q)) if type(t) is int else _tscale(t, den // q)
-            for t, q in parts
-        )
-        return NFElement._make(self, tensor, den)
 
     def element(self, coords):
         """Build an element from base-field coordinates (padded with zeros)."""
@@ -217,14 +165,17 @@ class NumberField:
             parts.append((t, q))
             den = den * q // _int_gcd(den, q)
             p *= self._scale
-        tensor = tuple(
-            (t * (den // q)) if type(t) is int else _tscale(t, den // q)
-            for t, q in parts
-        )
-        return NFElement._make(self, tensor, den)
+        if self._level1:
+            vec = [t * (den // q) for t, q in parts]
+        else:
+            vec = chain.from_iterable([_tscale(t, den // q) for t, q in parts])
+        return NFElement._make(self, tuple(vec), den)
 
     def _from_base_elem(self, c):
-        return self.element([c])
+        t, q = self._sub_to_frac(c)
+        if self._level1:
+            t = (t,)
+        return NFElement._raw(self, t + (0,) * (self.absolute_degree - len(t)), q)
 
     def coerce(self, x):
         if isinstance(x, NFElement):
@@ -261,12 +212,8 @@ class NumberField:
         return self._theta_traces
 
     def _tmul(self, a, b):
-        """Product of two integral coordinate tensors, reduced to length n."""
+        """Product of two integral coordinate vectors, reduced."""
         n = self.degree
-        if n == 1:
-            if self._level1:
-                return (a[0] * b[0],)
-            return (self.base._tmul(a[0], b[0]),)
         if self._level1:
             if _conv_reduce is not None:
                 return _conv_reduce(a, b, self._ired)
@@ -285,9 +232,12 @@ class NumberField:
                         if ri:
                             out[i] += c * ri
             return tuple(out[:n])
+        # a polynomial over the base: one block of its vector per coordinate
+        m = self.base.absolute_degree
         sub = self.base._tmul
-        out = [self._subzero] * (2 * n - 1)
-        for i, ai in enumerate(a):
+        b = _blocks(b, m)
+        out = [(0,) * m] * (2 * n - 1)
+        for i, ai in enumerate(_blocks(a, m)):
             if _tbool(ai):
                 for j, bj in enumerate(b):
                     if _tbool(bj):
@@ -296,58 +246,38 @@ class NumberField:
         for k in range(2 * n - 2, n - 1, -1):
             c = out[k]
             if _tbool(c):
-                row = red[k - n]
-                for i, ri in enumerate(row):
+                for i, ri in enumerate(red[k - n]):
                     if _tbool(ri):
                         out[i] = _tadd(out[i], sub(c, ri))
-        return tuple(out[:n])
+        return tuple(chain.from_iterable(out[:n]))
 
-    def _flatten(self, t):
-        """The integers of a coordinate tensor in nesting order: coordinate
-        i of this level holds positions i*m .. i*m + m - 1, m the base's
-        absolute degree."""
+    def _shift(self, c):
+        """theta * x for x given by its n coordinates over the base (ints at
+        the first level, base vectors above): the coordinates move up one
+        place and the top one times the reduction row is added."""
+        top = c[-1]
         if self._level1:
-            return t
-        return tuple(chain.from_iterable(map(self.base._flatten, t)))
-
-    def _unflatten(self, v):
-        """The coordinate tensor of a flat integer sequence (`_flatten`
-        inverted)."""
-        if self._level1:
-            return tuple(v)
-        sub = self.base._unflatten
-        m = self.base.absolute_degree
-        return tuple(sub(v[i : i + m]) for i in range(0, len(v), m))
+            out = [0, *c[:-1]]
+            return [x + top * r for x, r in zip(out, self._txn)] if top else out
+        out = [(0,) * self.base.absolute_degree, *c[:-1]]
+        if not _tbool(top):
+            return out
+        sub = self.base._tmul
+        return [_tadd(x, sub(top, r)) if _tbool(r) else x for x, r in zip(out, self._txn)]
 
     def _columns(self, t):
-        """The regular representation of the element with tensor t: the
-        flat products t * theta^i * b_j, b_j the base's basis in flat order,
-        at flat index i*m + j.  theta * x shifts x up one coordinate and
-        adds its top coordinate times the reduction row."""
-        xn = self._txn
-        powers = [t]
-        if self._level1:
-            for _ in range(self.degree - 1):
-                c = powers[-1]
-                top = c[-1]
-                nxt = (0,) + c[:-1]
-                if top:
-                    nxt = tuple([x + top * r for x, r in zip(nxt, xn)])
-                powers.append(nxt)
-            return powers
-        sub = self.base._tmul
+        """The regular representation of the element with vector t: the
+        vectors of t * theta^i * b_j, b_j the base's basis, at index
+        i*m + j, m the base's absolute degree."""
+        base = self.base
+        powers = [t if self._level1 else _blocks(t, base.absolute_degree)]
         for _ in range(self.degree - 1):
-            c = powers[-1]
-            top = c[-1]
-            nxt = (self._subzero,) + c[:-1]
-            if _tbool(top):
-                nxt = tuple(
-                    _tadd(x, sub(top, r)) if _tbool(r) else x for x, r in zip(nxt, xn)
-                )
-            powers.append(nxt)
+            powers.append(self._shift(powers[-1]))
+        if self._level1:
+            return powers
         cols = []
         for p in powers:
-            blocks = [self.base._columns(s) for s in p]
+            blocks = [base._columns(s) for s in p]
             for j in range(len(blocks[0])):
                 cols.append(tuple(chain.from_iterable(blk[j] for blk in blocks)))
         return cols
@@ -386,41 +316,40 @@ class NFElement:
         self.den = e.den
 
     @classmethod
-    def _raw(cls, field, tensor, den):
+    def _raw(cls, field, vec, den):
         obj = cls.__new__(cls)
         obj.field = field
-        obj.ic = tensor
+        obj.ic = vec
         obj.den = den
         return obj
 
     @classmethod
-    def _make(cls, field, tensor, den):
-        """Normalized constructor: strips the tensor/denominator gcd."""
+    def _make(cls, field, vec, den):
+        """Normalized constructor: strips the vector/denominator gcd."""
         if den != 1:
-            g = _tcontent(tensor, den)
+            g = _tcontent(vec, den)
             if g > 1:
-                tensor = _tdiv(tensor, g)
+                vec = _tdiv(vec, g)
                 den //= g
-        elif not _tbool(tensor):
+        elif not _tbool(vec):
             return field.zero
         obj = cls.__new__(cls)
         obj.field = field
-        obj.ic = tensor
+        obj.ic = vec
         obj.den = den
         return obj
 
     @property
     def coords(self):
         """Exact coordinates over the power basis of the field generator."""
-        f = self.field
-        out = []
-        p = 1
-        for t in self.ic:
-            if p != 1:
-                t = t * p if type(t) is int else _tscale(t, p)
-            out.append(f._sub_from_frac(t, self.den))
-            p *= f._scale
-        return tuple(out)
+        f, den = self.field, self.den
+        if f._level1:
+            return tuple([Rational(x * f._scale**i, den) for i, x in enumerate(self.ic)])
+        base = f.base
+        return tuple([
+            NFElement._make(base, _tscale(t, f._scale**i), den)
+            for i, t in enumerate(_blocks(self.ic, base.absolute_degree))
+        ])
 
     def __add__(self, other):
         if isinstance(other, NFElement) and other.field is self.field:
@@ -605,12 +534,15 @@ class NFElement:
 
     def retract(self):
         """The element as a base-field value; raises if it has higher parts."""
-        for t in self.ic[1:]:
-            if t if type(t) is int else _tbool(t):
-                raise InternalInvariantError(
-                    f"{self} is not a base-field element; cannot retract"
-                )
-        return self.field._sub_from_frac(self.ic[0], self.den)
+        f = self.field
+        m = len(self.ic) // f.degree
+        if _tbool(self.ic[m:]):
+            raise InternalInvariantError(
+                f"{self} is not a base-field element; cannot retract"
+            )
+        if f._level1:
+            return Rational(self.ic[0], self.den)
+        return NFElement._make(f.base, self.ic[:m], self.den)
 
     def __str__(self):
         return format_poly(self.coords, self.field.name)
@@ -661,10 +593,10 @@ def from_power_sums(sums, field):
 
 
 # From this absolute degree on, a product by a fixed element is one integer
-# matrix-vector product on flattened coordinates (the regular
-# representation; Cohen, A Course in Computational Algebraic Number Theory,
-# GTM 138).  Below it the product stays `_tmul`: over Q(i) a 2 x 2 matrix
-# beat the pure-Python `_tmul` but lost to the compiled one.
+# matrix-vector product on coordinate vectors (the regular representation;
+# Cohen, A Course in Computational Algebraic Number Theory, GTM 138).  Below
+# it the product stays `_tmul`: over Q(i) a 2 x 2 matrix beat the
+# pure-Python `_tmul` but lost to the compiled one.
 _MATRIX_DEGREE = 4
 
 
@@ -673,13 +605,12 @@ def integral_ops(field):
     normalize once, at the end.
 
     A field element x is carried as an integral vector v over a positive
-    denominator q, x = v / q: an int over Q, over a number field the flat
-    tuple of the integers of the coordinate tensor of `NFElement`.  Sums
-    and products of vectors are exact and never reduced.
+    denominator q, x = v / q: an int over Q, over a number field the
+    coordinate vector `ic` of `NFElement`.  Sums and products of vectors are
+    exact and never reduced.
 
     - `lift(elems)`: (vectors, q) over one shared positive denominator q;
-      elements of the field's base are taken as they are, anything else is
-      coerced;
+      anything that is not a field element is coerced;
     - `zero`, `one`: vectors;
     - `add(v, w)`, `scale(v, k)` by an int, `nonzero(v)`;
     - `fixed(v)`: the map w -> the vector of v * w.  It is a scaling when v
@@ -724,71 +655,39 @@ class _RationalOps:
 
 
 class _FieldOps:
-    """`integral_ops` over a NumberField.
+    """`integral_ops` over a NumberField: vectors are the coordinate vectors
+    of its elements, so `_tmul` and `NFElement._make` take them as they
+    are."""
 
-    A level of degree 1 over another number field only nests its base's
-    tensor once more, so the vectors here flatten the tensors of the
-    "core": the first level below of degree > 1, or the first level.
-    """
+    add = staticmethod(_tadd)
+    scale = staticmethod(_tscale)
+    nonzero = staticmethod(_tbool)
 
     def __init__(self, field):
-        core, depth = field, 0
-        while core.degree == 1 and not core._level1:
-            core, depth = core.base, depth + 1
-        self.field, self._core, self._depth = field, core, depth
-        self._pad = (field._subzero,) * (field.degree - 1)
-        # `_tmul` on vectors needs a first-level core, whose tensors are flat
-        self.matrix = field.absolute_degree >= _MATRIX_DEGREE or not core._level1
-        self.zero = core._flatten(core._tzero)
-        self.one = core._flatten(core.one.ic)
-
-    @staticmethod
-    def add(v, w):
-        return tuple(map(add, v, w))
-
-    @staticmethod
-    def scale(v, k):
-        return tuple([x * k for x in v])
-
-    nonzero = staticmethod(any)
-
-    def _frac(self, e):
-        f = self.field
-        if isinstance(e, NFElement) and e.field is f.base:
-            t, q = (e.ic,) + self._pad, e.den
-        else:
-            e = f.coerce(e)
-            t, q = e.ic, e.den
-        for _ in range(self._depth):
-            t = t[0]
-        return self._core._flatten(t), q
+        self.field = field
+        self.matrix = field.absolute_degree >= _MATRIX_DEGREE
+        self.zero = field.zero.ic
+        self.one = field.one.ic
 
     def lift(self, elems):
-        pairs = [self._frac(e) for e in elems]
+        pairs = [(e.ic, e.den) for e in map(self.field.coerce, elems)]
         q = _int_lcm(*(d for _, d in pairs))
-        scale = self.scale
-        return [v if d == q else scale(v, q // d) for v, d in pairs], q
+        return [v if d == q else _tscale(v, q // d) for v, d in pairs], q
 
     def fixed(self, v):
-        if not any(v[1:]):  # an integer multiple of one
+        if not _tbool(v[1:]):  # an integer multiple of one
             k = v[0]
             if k == 1:
                 return _same
-            scale = self.scale
-            return lambda w: scale(w, k)
-        core = self._core
-        if not self.matrix:  # a first-level core: vectors are its tensors
-            return partial(core._tmul, v)
-        rows = tuple(zip(*core._columns(core._unflatten(v))))
+            return lambda w: _tscale(w, k)
+        field = self.field
+        if not self.matrix:
+            return partial(field._tmul, v)
+        rows = tuple(zip(*field._columns(v)))
         return lambda w: tuple([sum(map(mul, row, w)) for row in rows])
 
     def make(self, v, q):
-        if not any(v):
-            return self.field.zero
-        t = self._core._unflatten(v)
-        for _ in range(self._depth):
-            t = (t,)
-        return NFElement._make(self.field, t, q)
+        return NFElement._make(self.field, v, q)
 
 
 class ConjugacyClass:

@@ -9,7 +9,7 @@ benchmark workload, pure kernels, 2-core x86-64 VM), self time in the former
 hand-written class was 0.9 % (plane2), 0.9 % (tower5) and 1.3 %
 (sextic_mixed) of decision time, and the big-integer work is CPython's
 either way.  The one compiled kernel is `_tensorcore`, for the integer
-coordinate tensors of `numberfield` (README, "Kernels").
+coordinate vectors of `numberfield` (README, "Kernels").
 """
 
 from fractions import Fraction as Rational

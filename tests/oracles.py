@@ -270,9 +270,10 @@ def tmul_by_convolution_and_division(field, a, b):
 
 
 def mmul_by_nested_convolution(lvl, a, b):
-    """`modp._mmul` by schoolbook convolution at every level: each product
-    of two sub-level coordinates is itself a nested convolution, and the
-    high coordinates are folded in with the unpacked reduction rows."""
+    """`modp._mmul` by schoolbook convolution at every level: a coordinate
+    over the sub-level is a block of the sub-level's absolute degree, each
+    product of two such blocks is itself a convolution, and the high
+    coordinates are folded in with the unpacked reduction rows."""
     q = lvl.p
     n = lvl.deg
     sub = lvl.sub
@@ -285,6 +286,9 @@ def mmul_by_nested_convolution(lvl, a, b):
             for i, ri in enumerate(lvl.rows[k - n]):
                 out[i] = (out[i] + out[k] * ri) % q
         return tuple(out[:n])
+    m = sub.absolute_degree
+    a = [a[i : i + m] for i in range(0, len(a), m)]
+    b = [b[i : i + m] for i in range(0, len(b), m)]
     out = [sub.zero] * (2 * n - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
@@ -293,4 +297,4 @@ def mmul_by_nested_convolution(lvl, a, b):
         for i, ri in enumerate(lvl.rows[k - n]):
             prod = mmul_by_nested_convolution(sub, out[k], ri)
             out[i] = _madd(sub, out[i], prod)
-    return tuple(out[:n])
+    return tuple(x for c in out[:n] for x in c)

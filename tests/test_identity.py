@@ -124,25 +124,20 @@ def _phi7():
 
 @pytest.mark.parametrize("name", [n for n in FIELDS if n != "Q"] + ["phi7"])
 def test_regular_representation_matches_tmul(name):
-    """The matrix of multiplication by t (`_columns`) times the flat
-    coordinates of s is the flat `_tmul(t, s)`, with whichever kernel is
-    loaded; so is `integral_ops(field).fixed`, on its own vectors."""
+    """The matrix of multiplication by t (`_columns`) times the coordinate
+    vector of s is `_tmul(t, s)`, with whichever kernel is loaded; so is
+    `integral_ops(field).fixed`, on its own vectors."""
     field = _phi7() if name == "phi7" else FIELDS[name]()
     ops = integral_ops(field)
     rng = random.Random(f"regular:{name}")
     for bits in (8, 40, 200):
         for _ in range(4):
             x, y = _random_element(rng, field), _random_element(rng, field)
-            t = field._unflatten(
-                [c * rng.getrandbits(bits) for c in field._flatten(x.ic)]
-            )
+            t = tuple(c * rng.getrandbits(bits) for c in x.ic)
             s = y.ic
             cols = field._columns(t)
-            flat_s = field._flatten(s)
-            got = tuple(
-                sum(map(mul, row, flat_s)) for row in zip(*cols)
-            )
-            assert got == field._flatten(field._tmul(t, s))
+            got = tuple(sum(map(mul, row, s)) for row in zip(*cols))
+            assert got == field._tmul(t, s)
             (v, w, prod), _ = ops.lift(
                 [NFElement._raw(field, u, 1) for u in (t, s, field._tmul(t, s))]
             )

@@ -352,16 +352,12 @@ def parity_fields():
 
 def rand_reduced(rng, lvl, top):
     """A reduced element of lvl with first-level coordinates below top."""
-    if lvl.sub is None:
-        return tuple(rng.randrange(top) for _ in range(lvl.deg))
-    return tuple(rand_reduced(rng, lvl.sub, top) for _ in range(lvl.deg))
+    return tuple(rng.randrange(top) for _ in range(lvl.absolute_degree))
 
 
 def filled(lvl, v):
     """The element of lvl with every first-level coordinate v."""
-    if lvl.sub is None:
-        return (v,) * lvl.deg
-    return (filled(lvl.sub, v),) * lvl.deg
+    return (v,) * lvl.absolute_degree
 
 
 @pytest.mark.parametrize("power", [1, 2, 4])

@@ -1,6 +1,7 @@
 """Number-field towers: arithmetic axioms, trace/norm/charpoly, conjugation."""
 
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -223,36 +224,15 @@ def test_mixed_level_arithmetic():
     assert (x * K.gen).field is L
 
 
-# --- coordinate-tensor kernels: active backend vs. reference recursion ---
+# --- coordinate-vector kernels: active backend vs. plain comprehensions ---
 
 from hypercircles import numberfield as nf  # noqa: E402
-
-
-def _ref_map(f, *ts):
-    if type(ts[0][0]) is int:
-        return tuple(f(*xs) for xs in zip(*ts))
-    return tuple(_ref_map(f, *xs) for xs in zip(*ts))
-
-
-def _ref_leaves(t):
-    for x in t:
-        if type(x) is int:
-            yield x
-        else:
-            yield from _ref_leaves(x)
-
 
 leaf_ints = st.one_of(
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=-(10**40), max_value=10**40),
 )
-flat_tensors = st.lists(leaf_ints, min_size=1, max_size=5).map(tuple)
-nested_tensors = st.one_of(
-    flat_tensors,
-    st.lists(flat_tensors.filter(lambda t: len(t) == 3), min_size=2, max_size=4).map(
-        tuple
-    ),
-)
+vectors = st.lists(leaf_ints, min_size=1, max_size=5).map(tuple)
 
 
 @given(st.data())
@@ -260,22 +240,17 @@ nested_tensors = st.one_of(
 def test_tensor_kernel_parity(data):
     import math
 
-    a = data.draw(nested_tensors)
-    b = data.draw(nested_tensors.filter(lambda t: type(t[0]) is type(a[0])))
-    if type(a[0]) is not int:
-        # align nested shapes
-        k = min(len(a), len(b))
-        a, b = a[:k], b[:k]
-    else:
-        k = min(len(a), len(b))
-        a, b = a[:k], b[:k]
+    a = data.draw(vectors)
+    b = data.draw(vectors)
+    k = min(len(a), len(b))
+    a, b = a[:k], b[:k]
     scale = data.draw(st.integers(min_value=-7, max_value=7))
-    assert nf._tadd(a, b) == _ref_map(lambda x, y: x + y, a, b)
-    assert nf._tsub(a, b) == _ref_map(lambda x, y: x - y, a, b)
-    assert nf._tneg(a) == _ref_map(lambda x: -x, a)
-    assert nf._tscale(a, scale) == _ref_map(lambda x: x * scale, a)
-    assert nf._tbool(a) == any(x != 0 for x in _ref_leaves(a))
-    assert nf._tcontent(a) == math.gcd(*_ref_leaves(a), 0)
+    assert nf._tadd(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert nf._tsub(a, b) == tuple(x - y for x, y in zip(a, b))
+    assert nf._tneg(a) == tuple(-x for x in a)
+    assert nf._tscale(a, scale) == tuple(x * scale for x in a)
+    assert nf._tbool(a) == any(x != 0 for x in a)
+    assert nf._tcontent(a) == math.gcd(*a, 0)
     g = nf._tcontent(a)
     if g:
         assert nf._tdiv(nf._tscale(a, 6), 6) == a
@@ -299,6 +274,44 @@ def test_first_level_product_matches_convolution(name, data):
     a = tuple(data.draw(coords))
     b = tuple(data.draw(coords))
     assert field._tmul(a, b) == tmul_by_convolution_and_division(field, a, b)
+
+
+def _sextic_class_field():
+    """The relative field of a size-2 conjugacy class of x^6 - 2."""
+    K = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 0, 1]), "a")
+    return next(c.relative_field for c in conjugacy_classes(K)[1] if c.size == 2)
+
+
+TOWERS = {
+    "tower": tower,
+    "x^5-2 size 4": quintic_class_field,
+    "x^6-2 size 2": _sextic_class_field,
+    "degree 1": degree_one_field,
+}
+
+
+def _dyadic_element(rng, field):
+    """An element with every rational leaf odd over 2, 4 or 8, so that it
+    has a non-unit denominator at every tower level."""
+    if not isinstance(field, NumberField):
+        return Rational(2 * rng.randint(-6, 5) + 1, rng.choice((2, 4, 8)))
+    return field.element([_dyadic_element(rng, field.base) for _ in range(field.degree)])
+
+
+@pytest.mark.parametrize("name", list(TOWERS))
+def test_tower_product_matches_polynomial_product(name):
+    """Above the first level a product is that of the two coordinate lists
+    as polynomials over the base, reduced mod the defining polynomial."""
+    field = TOWERS[name]()
+    base = field.base
+    rng = random.Random(f"tower:{name}")
+    for _ in range(6):
+        x, y = _dyadic_element(rng, field), _dyadic_element(rng, field)
+        assert len(x.ic) == field.absolute_degree
+        prod = UniPoly(base, list(x.coords)) * UniPoly(base, list(y.coords))
+        want = list((prod % field.minpoly).coeffs)
+        want += [base.zero] * (field.degree - len(want))
+        assert list((x * y).coords) == want
 
 
 def test_tensor_multiply_big_coordinates():
