@@ -8,8 +8,9 @@ Subcommands:
   implicit witness-variety system (an instance beyond the oracle's limits,
   n > 3 or degree > 6, exits 2 before anything is printed).
 * ``definable <file>`` — verdict plus a human-readable certificate.
-* ``minfield <file>`` — minimum field of definition: basis, primitive
-  element, and its minimal polynomial.
+* ``minfield <file>`` — minimum field of definition L: basis, primitive
+  element, and its minimal polynomial; when L is smaller than K(alpha), the
+  decision reruns over the tower L(alpha)/L and must give DefinedOverK.
 * ``gen`` — write a generated instance (kinds: defined, twisted,
   adversarial).
 
@@ -31,8 +32,9 @@ from .errors import (
 from .generators import gen_instance
 from .hypercircle import standard_parametrization
 from .instances import instance_doc, load_instance, read_text
-from .minfield import minimum_field
+from .minfield import minimum_field, relative_model
 from .polynomials import UniPoly
+from .ratfunc import Parametrization
 from .rationals import QQ
 from .weil import check_on_witness, weil_substitution
 
@@ -119,6 +121,16 @@ def _cmd_minfield(args, out=sys.stdout):
     print(f"basis: {basis}", file=out)
     print(f"primitive element: {fixed.primitive}", file=out)
     print(f"primitive minpoly: {fixed.primitive_minpoly.render('x')}", file=out)
+    if fixed.relative_degree >= 2:
+        tower, rewrite = relative_model(field, fixed)
+        rerun = standard_parametrization(
+            Parametrization([c.map_coeffs(rewrite, tower) for c in psi])
+        )
+        if not rerun.defined:
+            raise InternalInvariantError(
+                f"rerun over L(alpha)/L gave {rerun.verdict}, not DefinedOverK"
+            )
+        print(f"rerun over L(alpha)/L: {rerun.verdict}", file=out)
     return EXIT_OK
 
 

@@ -18,11 +18,12 @@ Two entry points:
     any product is built, and a built factor is certified by the
     Landau–Mignotte bound.
 
-* `factor_over_nf(f, K)` — factorization over a simple number field Q(alpha)
-  by Trager's method: shift by integer multiples of alpha until the norm is
-  squarefree (one squarefree image mod a small prime proves it; the exact
-  test decides only when none of the first few primes gives one), factor
-  the norm over Z, and pull factors back with gcds.
+* `factor_over_nf(f, K)` — factorization over a number field K = L(alpha),
+  L = Q or a tower, by Trager's method: shift by integer multiples of alpha
+  until the norm down to L is squarefree (over Q one squarefree image mod a
+  small prime proves it, and the exact test decides only when none of the
+  first few primes gives one), factor the norm one level down (over Z, or
+  by the same method over L), and pull factors back with gcds.
 
 Both return `(unit, [(monic_factor, multiplicity), ...])` with the unit in
 the coefficient field, so unit * prod(factor^mult) reproduces the input.
@@ -32,7 +33,7 @@ import itertools
 import random
 from math import gcd as _int_gcd, isqrt
 
-from .errors import InstanceError, InternalInvariantError
+from .errors import InternalInvariantError
 from .intpoly import primes, zz_add, zz_mul, zz_primitive, zz_sub, zz_trim
 from .numberfield import from_power_sums, newton_sums
 from .polynomials import UniPoly, is_squarefree, poly_gcd
@@ -542,6 +543,11 @@ def _qq_int_coeffs(f):
     return [c.numerator * (den // c.denominator) for c in f.coeffs]
 
 
+def _primitive_ints(f):
+    """The primitive integer coefficient list of a rational polynomial."""
+    return zz_primitive(_qq_int_coeffs(f))[1]
+
+
 def _monic_over_qq(f, qq):
     """The integer polynomial f made monic over the rationals `qq`."""
     lc = f[-1]
@@ -561,9 +567,7 @@ def factor_rational(f):
     mon = f.monic()
     out = []
     for part, mult in squarefree_decomposition(mon):
-        ints = _qq_int_coeffs(part)
-        _, prim = zz_primitive(ints)
-        for fac in zz_factor_squarefree(prim):
+        for fac in zz_factor_squarefree(_primitive_ints(part)):
             out.append((_monic_over_qq(fac, field), mult))
     out.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
     return unit, out
@@ -577,16 +581,15 @@ def is_irreducible_rational(f):
 
 
 def factor_over_nf(f, field):
-    """Factor f over a simple extension Q(alpha) by Trager's method.
+    """Factor f over a number field K = L(alpha), L = Q or any tower below,
+    by Trager's method: the norm of f one level down is factored over L
+    (recursively, down to Zassenhaus over Z), and each factor of the norm
+    is pulled back to K by a gcd with f.
 
-    Returns (unit, [(monic irreducible over Q(alpha), mult), ...]).
+    Returns (unit, [(monic irreducible over K, mult), ...]).
     """
     if f.field is not field:
         f = f.map_into(field)
-    if not isinstance(field.base, RationalField):
-        raise InstanceError(
-            "factorization over relative extensions is not supported"
-        )
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     unit = f.lc
@@ -601,11 +604,11 @@ def factor_over_nf(f, field):
 
 
 def _norm_poly(h, field):
-    """Norm of a monic h in Q(alpha)[x] down to Q[x].
+    """Norm of a monic h in K[x], K = L(alpha), down to L[x].
 
-    N(h) is the product of the n conjugates h^sigma (alpha -> alpha_j), so
-    its roots are those of all the conjugates together.  The k-th power sum
-    s_k(h) of h's roots is a polynomial with rational coefficients in h's
+    N(h) is the product of the conjugates h^sigma (alpha -> alpha_j) over L,
+    so its roots are those of all the conjugates together.  The k-th power
+    sum s_k(h) of h's roots is a polynomial with coefficients in L in h's
     coefficients (Newton's identities), so s_k(h^sigma) = sigma(s_k(h)) and
     the k-th power sum of N(h)'s roots is Tr(s_k(h)).  Power sums fix only
     the monic polynomial with those roots, and N(h) is monic exactly when h
@@ -617,21 +620,22 @@ def _norm_poly(h, field):
 
 
 # primes, not dividing the norm's lc, among which one squarefree image of a
-# Trager norm is looked for before the exact test
+# Trager norm over Q is looked for before the exact test
 _SQUAREFREE_TRIES = 5
 
 
 def _squarefree_norm(h, field):
     """(k, N): the first shift k in 0, 1, -1, 2, -2, ... at which the norm N
-    of h(x - k*alpha) is squarefree, with N as a primitive integer
-    coefficient list.
+    of h(x - k*alpha) down to the base field is squarefree, N monic over
+    the base.
 
-    A squarefree image mod one of the first _SQUAREFREE_TRIES primes not
-    dividing lc(N) proves N squarefree; only when none of them gives one
-    does the exact `is_squarefree` decide, so the shift chosen is the
-    first squarefree one either way.
+    Over Q a squarefree image mod one of the first _SQUAREFREE_TRIES primes
+    not dividing lc(N) proves N squarefree; only when none of them gives
+    one, or over a tower base, does the exact `is_squarefree` decide, so
+    the shift chosen is the first squarefree one either way.
     """
     alpha = field.gen
+    over_q = isinstance(field.base, RationalField)
     shifts = itertools.chain([0], (s for k in itertools.count(1) for s in (k, -k)))
     for k in shifts:
         if k == 0:
@@ -641,18 +645,29 @@ def _squarefree_norm(h, field):
             move = UniPoly._raw(field, [-ka, field.one])  # x - k*alpha
             shifted = h.compose(move)
         norm = _norm_poly(shifted, field)
-        _, prim = zz_primitive(_qq_int_coeffs(norm))
-        if any(_admissible_primes(prim, _SQUAREFREE_TRIES)) or is_squarefree(norm):
-            return k, prim
+        screened = over_q and any(
+            _admissible_primes(_primitive_ints(norm), _SQUAREFREE_TRIES)
+        )
+        if screened or is_squarefree(norm):
+            return k, norm
     raise InternalInvariantError("unreachable: ran out of Trager shifts")
 
 
 def _trager_squarefree(h, field):
-    """Irreducible factors of a monic squarefree h over Q(alpha)."""
+    """Irreducible factors of a monic squarefree h over K = L(alpha): the
+    squarefree norm is factored over L (Zassenhaus over Z when L = Q, this
+    function one level down otherwise) and pulled back by gcds."""
     if h.degree == 1:
         return [h]
+    base = field.base
     k, norm = _squarefree_norm(h, field)
-    nfactors = zz_factor_squarefree(norm)
+    if isinstance(base, RationalField):
+        nfactors = [
+            _monic_over_qq(fac, base)
+            for fac in zz_factor_squarefree(_primitive_ints(norm))
+        ]
+    else:
+        nfactors = _trager_squarefree(norm, base)
     if len(nfactors) == 1:
         return [h]
     out = []
@@ -662,7 +677,7 @@ def _trager_squarefree(h, field):
         back = UniPoly._raw(field, [ka, field.one])  # x + k*alpha
     total = 0
     for fac in nfactors:
-        cand = _monic_over_qq(fac, field.base).map_into(field)
+        cand = fac.map_into(field)
         if back is not None:
             cand = cand.compose(back)
         g = poly_gcd(h, cand)

@@ -318,21 +318,14 @@ def conjugacy_classes(field):
     if not rem.is_zero:
         raise InternalInvariantError("alpha is not a root of its own minpoly")
     names = _class_names(field)
-    # factor_over_nf refuses relative extensions, and the rerun over L(alpha)/L
-    # of a quadratic relative model has a linear m(alpha, x)
-    if m_alpha.degree == 1:
-        classes = [ConjugacyClass(m_alpha.monic(), names[0])]
-    else:
-        _, factors = factor_over_nf(m_alpha, field)
-        for fac, mult in factors:
-            if mult != 1:
-                raise InstanceError(
-                    "defining polynomial is not separable over the field"
-                )
-        classes = [
-            ConjugacyClass(fac, names[i % len(names)])
-            for i, (fac, _) in enumerate(factors)
-        ]
+    _, factors = factor_over_nf(m_alpha, field)
+    for fac, mult in factors:
+        if mult != 1:
+            raise InstanceError("defining polynomial is not separable over the field")
+    classes = [
+        ConjugacyClass(fac, names[i % len(names)])
+        for i, (fac, _) in enumerate(factors)
+    ]
     return m_alpha, classes
 
 

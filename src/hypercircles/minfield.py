@@ -6,12 +6,14 @@ the ground field Q this module computes L explicitly: a Q-basis, a primitive
 element, and its minimal polynomial, by intersecting the kernels of the
 linearized invariance conditions sigma(x) = x.
 
-For the quadratic relative case [K(alpha) : L] = 2 there is also an explicit
-tower model L(alpha), used to rerun the definability decision relative to L.
+Whenever [K(alpha) : L] >= 2 there is also an explicit tower model L(alpha)
+(`relative_model`).  Rerunning the definability decision over L(alpha)/L
+gives DefinedOverK, which certifies that the curve is defined over L.
 """
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InstanceError, InternalInvariantError
 from .linalg import kernel_basis, rref
@@ -138,58 +140,43 @@ def _primitive_candidates(basis, field):
                 yield acc
 
 
-def quadratic_relative_model(field, fixed):
-    """Tower model for [K(alpha) : L] = 2: returns (E, rewrite).
+def relative_model(field, fixed):
+    """Tower model L(alpha) of K(alpha) over its subfield L: (E, rewrite).
 
-    E is L(alpha) with L = Q(primitive); `rewrite` maps elements of K(alpha)
-    to E.  Only the quadratic relative case is supported.
+    E is L(alpha) with L = Q(primitive), defined by alpha's minimal
+    polynomial over L, of degree r = [K(alpha) : L]; `rewrite` maps elements
+    of K(alpha) to E.  The products primitive^j * alpha^i (j < deg L, i < r)
+    are a Q-basis of K(alpha), since 1, alpha, .., alpha^(r-1) is an L-basis;
+    coordinates in it are tower coordinates, and those of alpha^r give the
+    relative minimal polynomial.  There is no tower when r = 1, L = K(alpha).
     """
-    if fixed.relative_degree != 2:
-        raise InstanceError(
-            "explicit tower models are only provided for quadratic descent"
-        )
+    r = fixed.relative_degree
+    if r == 1:
+        raise InstanceError("the minimum field is the whole field: no relative model")
     qq = field.base
     n = field.degree
     m = fixed.degree
     lfield = NumberField(qq, fixed.primitive_minpoly, "g")
-    # Q-basis of K(alpha): primitive^j * alpha^i, i in {0,1}, j in 0..m-1.
-    cols = []
-    for i in range(2):
-        for j in range(m):
-            e = fixed.primitive**j * field.gen**i
-            cols.append(list(e.coords))
-    # invert the basis matrix: solve B y = coords for many right-hand sides
-    aug = []
-    for r in range(n):
-        row = [cols[c][r] for c in range(n)]
-        row.extend(
-            [qq.one if r == k else qq.zero for k in range(n)]
-        )
-        aug.append(row)
+    prim, gen = fixed.primitive, field.gen
+    cols = [(prim**j * gen**i).coords for i in range(r) for j in range(m)]
+    # invert the basis matrix B: row reduce [B | 1]
+    aug = [list(row) + [qq.zero] * n for row in zip(*cols)]
+    for i in range(n):
+        aug[i][n + i] = qq.one
     rows, pivots = rref(aug, qq)
     if pivots != list(range(n)):
         raise InternalInvariantError("primitive-power basis is singular")
     binv = [row[n:] for row in rows]
 
     def to_tower_coords(x):
-        coords = x.coords
-        y = []
-        for r in range(n):
-            acc = qq.zero
-            for c in range(n):
-                if binv[r][c] and coords[c]:
-                    acc = acc + binv[r][c] * coords[c]
-            y.append(acc)
-        lo = lfield.element(y[:m])
-        hi = lfield.element(y[m:])
-        return lo, hi
+        y = [sum(map(mul, brow, x.coords)) for brow in binv]
+        return [lfield.element(y[i * m : (i + 1) * m]) for i in range(r)]
 
-    a2lo, a2hi = to_tower_coords(field.gen * field.gen)
-    relpoly = UniPoly(lfield, [-a2lo, -a2hi, lfield.one])
+    top = to_tower_coords(field.gen**r)
+    relpoly = UniPoly(lfield, [-c for c in top] + [lfield.one])
     tower = NumberField(lfield, relpoly, field.name)
 
     def rewrite(x):
-        lo, hi = to_tower_coords(field.coerce(x))
-        return tower.element([lo, hi])
+        return tower.element(to_tower_coords(field.coerce(x)))
 
     return tower, rewrite

@@ -20,8 +20,10 @@ degree-at-most-one question that classifies a sampled parameter.
 A reduced element is one flat tuple of ints mod q in the layout of
 `NFElement.ic`, so sums are one comprehension at every level.  A product
 at a tower level over another level is one integer product of packed
-(Kronecker) coordinates; the first level multiplies coordinate by
-coordinate, and a level of degree 1 as the level below it.
+(Kronecker) coordinates; the first level runs the integer product of
+`NumberField._tmul` (`numberfield._conv_reduce`) and reduces each
+coordinate mod q once, and a level of degree 1 multiplies as the level
+below it.
 
 Elements reduce in the rescaled-generator basis, where the reduction rows
 are integral, so a prime is inadmissible only when it divides a coefficient
@@ -34,7 +36,7 @@ from itertools import chain
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 
 from .intpoly import primes
-from .numberfield import NFElement, NumberField, _blocks, _tbool
+from .numberfield import NFElement, NumberField, _blocks, _conv_reduce, _tbool
 from .polynomials import UniPoly
 from .rationals import QQ, Rational, RationalField
 
@@ -170,26 +172,12 @@ def _msub(lvl, a, b):
 
 
 def _mmul(lvl, a, b):
-    p = lvl.p
-    n = lvl.deg
-    if n == 1:
-        return ((a[0] * b[0]) % p,) if lvl.sub is None else _mmul(lvl.sub, a, b)
-    if lvl.sub is not None:
-        return _kreduce(lvl, _kpack(lvl, a) * _kpack(lvl, b))
-    out = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    for k in range(2 * n - 2, n - 1, -1):
-        c = out[k]
-        if c:
-            row = lvl.rows[k - n]
-            for i, ri in enumerate(row):
-                if ri:
-                    out[i] = (out[i] + c * ri) % p
-    return tuple(out[:n])
+    if lvl.sub is None:
+        p = lvl.p
+        return tuple([x % p for x in _conv_reduce(a, b, lvl.rows)])
+    if lvl.deg == 1:
+        return _mmul(lvl.sub, a, b)
+    return _kreduce(lvl, _kpack(lvl, a) * _kpack(lvl, b))
 
 
 # Packed (Kronecker) products over a tower level, after Harvey (J. Symb.

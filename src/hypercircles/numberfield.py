@@ -72,10 +72,29 @@ def _tcontent(a, g=0):
     return _int_gcd(g, *a)
 
 
+def _conv_reduce(a, b, rows):
+    """First-level product: the integer convolution of two length-n
+    coordinate tuples, then the reduction rows for theta^n .. theta^(2n-2)."""
+    n = len(a)
+    out = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    for k in range(2 * n - 2, n - 1, -1):
+        c = out[k]
+        if c:
+            for i, ri in enumerate(rows[k - n]):
+                if ri:
+                    out[i] += c * ri
+    return tuple(out[:n])
+
+
 try:
     from . import _tensorcore as _tc
 except ImportError:  # pragma: no cover - depends on the build environment
-    _conv_reduce = None
+    pass
 else:
     _tadd = _tc.tadd
     _tsub = _tc.tsub
@@ -213,25 +232,9 @@ class NumberField:
 
     def _tmul(self, a, b):
         """Product of two integral coordinate vectors, reduced."""
-        n = self.degree
         if self._level1:
-            if _conv_reduce is not None:
-                return _conv_reduce(a, b, self._ired)
-            out = [0] * (2 * n - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[i + j] += ai * bj
-            red = self._ired
-            for k in range(2 * n - 2, n - 1, -1):
-                c = out[k]
-                if c:
-                    row = red[k - n]
-                    for i, ri in enumerate(row):
-                        if ri:
-                            out[i] += c * ri
-            return tuple(out[:n])
+            return _conv_reduce(a, b, self._ired)
+        n = self.degree
         # a polynomial over the base: one block of its vector per coordinate
         m = self.base.absolute_degree
         sub = self.base._tmul

@@ -1,7 +1,8 @@
 """The command-line interface: a reader that stops early, unreadable,
 malformed or unusable input files, output that cannot be written, and the
-exit codes of `gen`, `definable`, `minfield` and `compute --verify-witness`
-(within the witness oracle's limits and beyond them)."""
+exit codes of `gen`, `definable`, `minfield` (with its rerun over the
+minimum field) and `compute --verify-witness` (within the witness oracle's
+limits and beyond them)."""
 
 import json
 import os
@@ -12,8 +13,10 @@ import pytest
 
 from hypercircles import cli
 from hypercircles.generators import gen_instance
+from hypercircles.instances import serialize_instance
 
 from conftest import CIRCLE_DOC
+from test_minfield import sextic_subfield_instance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -131,6 +134,19 @@ def test_definable_exit_codes(instance_files, capsys):
 def test_minfield_of_twisted_instance(instance_files, capsys):
     assert cli.main(["minfield", instance_files["twisted"]]) == cli.EXIT_OK
     assert "minimum field degree: 3" in capsys.readouterr().out
+
+
+def test_minfield_reruns_over_a_relative_cubic(tmp_path, capsys):
+    # a curve over Q(sqrt 2) written over Q(2^(1/6)): L = Q(sqrt 2) has
+    # relative degree 3, and the rerun over L(alpha)/L certifies it
+    path = tmp_path / "sextic_over_sqrt2.json"
+    text = serialize_instance(*sextic_subfield_instance(2, 4))
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["minfield", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "minimum field degree: 2" in out
+    assert "primitive minpoly: x^2 - 2" in out
+    assert "rerun over L(alpha)/L: DefinedOverK" in out
 
 
 def test_compute_verify_witness_exit_codes(instance_files, capsys):

@@ -1,4 +1,4 @@
-"""Univariate factorization over the rationals and over simple extensions."""
+"""Univariate factorization over the rationals and over number-field towers."""
 
 import hashlib
 import itertools
@@ -18,6 +18,8 @@ from hypercircles import (
 from hypercircles import factoring
 from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.intpoly import primes, zz_mul, zz_primitive
+
+from test_numberfield import tower
 
 x = UniPoly.gen(QQ)
 
@@ -231,8 +233,7 @@ def _pinned_norms(with_phi13=True):
     out = []
     for minpoly, _, _ in PINNED_NORMS[: None if with_phi13 else -1]:
         field = NumberField(QQ, minpoly, "a")
-        k, norm = factoring._squarefree_norm(_m_alpha(field), field)
-        out.append((k, UniPoly(QQ, norm)))
+        out.append(factoring._squarefree_norm(_m_alpha(field), field))
     return out
 
 
@@ -263,6 +264,21 @@ def test_factor_over_nf_golden():
     for want in (y - a, y + a, y**2 + a * a):
         assert want in got
     assert all(m == 1 for _, m in fac)
+
+
+def test_factor_over_nf_over_a_tower():
+    # Q(a)(b) with a^2 = 2, b^2 = -a: the norm of x^4 - 2 one level down is
+    # factored over Q(a) by the same method, and pulled back by gcds
+    field = tower()
+    a = field.coerce(field.base.gen)
+    b = field.gen
+    y = UniPoly.gen(field)
+    unit, fac = factor_over_nf(x**4 - 2, field)
+    assert unit == field.one
+    assert [f for f, _ in fac] == [y + b, y - b, y**2 - a]
+    assert all(m == 1 for _, m in fac)
+    unit, fac = factor_over_nf(x**2 + 1, field)
+    assert [f for f, _ in fac] == [y**2 + 1]
 
 
 def test_factor_over_nf_gaussian():

@@ -1,5 +1,5 @@
-"""Fixed fields of the conjugations that preserve the curve, and the
-quadratic tower model used to rerun the decision over the smaller field."""
+"""Fixed fields of the conjugations that preserve the curve, and the tower
+model L(alpha) used to rerun the decision over the smaller field L."""
 
 import json
 
@@ -16,7 +16,7 @@ from hypercircles import (
     gen_instance,
     minimum_field,
     parse_instance,
-    quadratic_relative_model,
+    relative_model,
     standard_parametrization,
 )
 from hypercircles.errors import InstanceError
@@ -128,47 +128,61 @@ def test_minimum_field_empty_class_list():
     assert fixed.is_whole_field
 
 
-def test_quadratic_model_rewrites_faithfully():
-    field, psi = negative_instance()
+SUBFIELD_NEGATIVES = pytest.mark.parametrize(
+    "make, relative_degree",
+    [
+        (negative_instance, 2),
+        (lambda: sextic_subfield_instance(2, 4), 3),
+        (lambda: sextic_subfield_instance(3, 4), 2),
+    ],
+    ids=["x4-2", "x6-2-over-sqrt2", "x6-2-over-cbrt2"],
+)
+
+
+def _model(make):
+    field, psi = make()
     res = standard_parametrization(psi)
-    fixing = [r.cls for r in res.reports if r.fixes]
-    fixed = minimum_field(field, fixing)
-    tower, rewrite = quadratic_relative_model(field, fixed)
-    assert tower.degree == 2
-    assert tower.base.degree == 2
+    fixed = minimum_field(field, [r.cls for r in res.reports if r.fixes])
+    return field, psi, fixed, relative_model(field, fixed)
+
+
+@SUBFIELD_NEGATIVES
+def test_relative_model_rewrites_faithfully(make, relative_degree):
+    field, _, fixed, (tower, rewrite) = _model(make)
+    assert tower.degree == relative_degree == fixed.relative_degree
+    assert tower.base.degree == fixed.degree
     # the rewrite is a field homomorphism matching on generators
     a = field.gen
-    xa = rewrite(a)
-    assert xa * xa == rewrite(a * a)
-    e1 = field.element([Rational(1), Rational(2), Rational(3), Rational(4)])
-    e2 = field.element([Rational(-1), Rational(1, 2), Rational(0), Rational(5)])
+    assert rewrite(a) == tower.gen
+    assert not tower.minpoly(tower.gen)
+    assert rewrite(a) ** field.degree == rewrite(a**field.degree)
+    e1 = field.element([Rational(k + 1) for k in range(field.degree)])
+    e2 = field.element([Rational(k, 2) - 1 for k in range(field.degree)])
     assert rewrite(e1 + e2) == rewrite(e1) + rewrite(e2)
     assert rewrite(e1 * e2) == rewrite(e1) * rewrite(e2)
     assert rewrite(field.one) == tower.one
+    for b in fixed.basis:
+        rewrite(b).retract()  # raises unless b lies in L
 
 
-def test_rerun_over_tower_is_defined():
+@SUBFIELD_NEGATIVES
+def test_rerun_over_tower_is_defined(make, relative_degree):
     # relative to its minimum field the curve becomes definable
-    field, psi = negative_instance()
-    res = standard_parametrization(psi)
-    fixing = [r.cls for r in res.reports if r.fixes]
-    fixed = minimum_field(field, fixing)
-    tower, rewrite = quadratic_relative_model(field, fixed)
-    psi_tower = Parametrization(
-        [
-            RatFunc(
-                c.num.map_coeffs(rewrite, tower), c.den.map_coeffs(rewrite, tower)
-            )
-            for c in psi
-        ]
-    )
-    res2 = standard_parametrization(psi_tower)
-    assert res2.defined
+    _, psi, _, (tower, rewrite) = _model(make)
+    psi_tower = Parametrization([c.map_coeffs(rewrite, tower) for c in psi])
+    res = standard_parametrization(psi_tower)
+    assert res.defined
+    assert len(res.phi) == relative_degree
+    t = RatFunc.gen(tower)
+    acc = RatFunc.constant(tower, tower.zero)
+    for k, comp in enumerate(res.phi):
+        acc = acc + comp * tower.gen**k
+    assert acc == t
 
 
-def test_quadratic_model_requires_degree_two():
+def test_relative_model_requires_a_proper_subfield():
     field = NumberField(QQ, x**4 - 2, "a")
-    _, classes = conjugacy_classes(field)
-    fixed = minimum_field(field, classes)  # whole field: relative degree 1
+    fixed = minimum_field(field, [])  # the whole field: relative degree 1
+    assert fixed.relative_degree == 1
     with pytest.raises(InstanceError):
-        quadratic_relative_model(field, fixed)
+        relative_model(field, fixed)
