@@ -9,8 +9,8 @@ Subcommands:
   n > 3 or degree > 6, exits 2 before anything is printed).
 * ``definable <file>`` — verdict plus a human-readable certificate.
 * ``minfield <file>`` — minimum field of definition L: basis, primitive
-  element, and its minimal polynomial; when L is smaller than K(alpha), the
-  decision reruns over the tower L(alpha)/L and must give DefinedOverK.
+  element, and its minimal polynomial; when Q < L < K(alpha), the decision
+  reruns over the tower L(alpha)/L and must give DefinedOverK.
 * ``gen`` — write a generated instance (kinds: defined, twisted,
   adversarial).
 
@@ -121,7 +121,7 @@ def _cmd_minfield(args, out=sys.stdout):
     print(f"basis: {basis}", file=out)
     print(f"primitive element: {fixed.primitive}", file=out)
     print(f"primitive minpoly: {fixed.primitive_minpoly.render('x')}", file=out)
-    if fixed.relative_degree >= 2:
+    if not (fixed.is_rational or fixed.is_whole_field):
         tower, rewrite = relative_model(field, fixed)
         rerun = standard_parametrization(
             Parametrization([c.map_coeffs(rewrite, tower) for c in psi])

@@ -24,7 +24,7 @@ from .errors import InstanceError, NonProperParametrization
 from .factoring import factor_over_nf, is_irreducible_rational
 from .hypercircle import probably_proper, standard_parametrization
 from .instances import instance_doc
-from .linalg import solve
+from .linalg import kernel_basis, solve
 from .numberfield import NumberField
 from .polynomials import UniPoly, poly_gcd
 from .rationals import QQ
@@ -155,7 +155,7 @@ def _gen_twisted(rng, field, degree):
         if twisted.degree != degree:
             continue
         try:
-            result = standard_parametrization(twisted, field)
+            result = standard_parametrization(twisted)
         except NonProperParametrization:
             continue
         if not result.defined:
@@ -182,8 +182,8 @@ def adversarial_relations(degree, minpoly):
     Returns (field, shifted_denominator_values, particular, homogeneous)
     where `particular` is the coefficient vector (a_0..a_{d-1}) with all
     free unknowns set to zero and `homogeneous` maps each free column k to
-    the solution difference produced by setting a_k = 1. Pivot relations
-    read a_j = particular[j] + sum_k homogeneous[k][j] * a_k.
+    the kernel vector with a_k = 1 and the other free unknowns zero. Pivot
+    relations read a_j = particular[j] + sum_k homogeneous[k][j] * a_k.
     """
     minpoly = _check_minpoly(minpoly)
     n = minpoly.degree
@@ -213,11 +213,9 @@ def adversarial_relations(degree, minpoly):
     particular = solve(matrix, rhs, field)
     if particular is None:
         raise InstanceError("adversarial interpolation system is inconsistent")
-    free_cols = [k for k in range(d) if k >= n - 1]
-    homogeneous = {}
-    for k in free_cols:
-        sol = solve(matrix, rhs, field, free_values={k: field.one})
-        homogeneous[k] = [s - p for s, p in zip(sol, particular)]
+    # the Vandermonde rows at 1..n-1 pivot on a_0..a_(n-2), so a_(n-1)..a_(d-1)
+    # are the free unknowns, in kernel_basis order
+    homogeneous = dict(zip(range(n - 1, d), kernel_basis(matrix, d, field)))
     return field, g_values, particular, homogeneous
 
 

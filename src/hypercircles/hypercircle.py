@@ -11,9 +11,13 @@ that witnesses definability.
 The per-class work follows the Lagrange-interpolation shape: factor
 m(alpha, x) = M(x)/(x - alpha) over K(alpha); for each conjugacy class find a
 Moebius transform u with psi = psi^sigma o u by sampling parameters, classify
-each sample, fit u through three good samples, verify the identity
-symbolically, and accumulate the trace of m(alpha_i, x)/m(alpha_i, alpha_i)
-* u(t) down to K(alpha).  The x-coefficients of the accumulated sum are phi.
+each sample, fit u through three good samples, and verify the identity
+symbolically.  phi is then the sum of m(alpha_i, x)/m(alpha_i, alpha_i)
+* u_i(t) over every class, the identity class (alpha_0 = alpha, u_0 = t)
+included, traced down to K(alpha): each class contributes numerators over
+its own g (the characteristic polynomial of u's pole, or 1), they are summed
+over D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and
+each x-coefficient A_i / D is normalized once to give phi_i.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -264,38 +268,36 @@ def _conjugate_poly(p, cls):
 
 
 def trace_term(m_alpha, cls, u):
-    """The class's contribution to the accumulated sum, traced down to
-    K(alpha): x-coefficient rational functions of the trace of
-    m(alpha_i, x)/m(alpha_i, alpha_i) * u(t)."""
+    """The class's term of phi's sum, traced down to K(alpha).
+
+    Over the class's relative field the term is
+    m(alpha_i, x)/m(alpha_i, alpha_i) * u(t) with u = (a t + b)/(c t + d).
+    Its trace is sum_k N_k(t) x^k / g(t), where g is the characteristic
+    polynomial of the pole -d/c over K(alpha) when c != 0 (the product of
+    the t + d/c over the class) and 1 when u is affine.  Returns
+    (numerators, g): numerators[k] is N_k, a polynomial in t over K(alpha).
+    Nothing is normalized here.
+    """
     rel = cls.relative_field
     base = rel.base
     m_i = _conjugate_poly(m_alpha, cls)
-    dv = m_i(rel.gen)
-    scaled = m_i * (rel.one / dv)  # P(x) over rel
+    scaled = m_i * (rel.one / m_i(rel.gen))  # P(x) over rel
     a, b, c, d = u.a, u.b, u.c, u.d
-    out = []
-    if not c:
-        # affine parameter change: coefficients stay polynomial in t
-        lin = UniPoly(rel, [b / d, a / d])
-        for pk in scaled.coeffs:
-            prod = lin * pk
-            traced = UniPoly(base, [co.trace() for co in prod.coeffs])
-            out.append(RatFunc(traced))
-        return out
-    btil = d / c
-    g = (-btil).charpoly()  # monic over K(alpha), degree = class size
-    g_rel = g.map_into(rel)
-    lin = UniPoly(rel, [btil, rel.one])  # t + d/c
-    g1, r = divmod(g_rel, lin)
-    if not r.is_zero:
-        raise InternalInvariantError("charpoly of the pole is not divisible")
-    n_base = UniPoly(rel, [b / c, a / c])  # (a/c) t + b/c
-    bpoly = n_base * g1
+    if c:
+        btil = d / c
+        g = (-btil).charpoly()  # monic over K(alpha), degree = class size
+        g1, r = divmod(g.map_into(rel), UniPoly(rel, [btil, rel.one]))
+        if not r.is_zero:
+            raise InternalInvariantError("charpoly of the pole is not divisible")
+        mult = UniPoly(rel, [b / c, a / c]) * g1  # ((a/c) t + b/c) g / (t + d/c)
+    else:
+        g = UniPoly.one(base)
+        mult = UniPoly(rel, [b / d, a / d])
+    numerators = []
     for pk in scaled.coeffs:
-        prod = bpoly * pk
-        traced = UniPoly(base, [co.trace() for co in prod.coeffs])
-        out.append(RatFunc(traced, g))
-    return out
+        prod = mult * pk
+        numerators.append(UniPoly(base, [co.trace() for co in prod.coeffs]))
+    return numerators, g
 
 
 def _class_names(field):
@@ -329,49 +331,54 @@ def conjugacy_classes(field):
     return m_alpha, classes
 
 
-def standard_parametrization(psi, field=None):
+def _identity_class(field):
+    """The identity conjugation alpha -> alpha as a class of size 1."""
+    return ConjugacyClass(
+        UniPoly(field, [-field.gen, field.one]), _class_names(field)[0]
+    )
+
+
+def standard_parametrization(psi):
     """Decide K-definability of psi's curve; compute phi when defined.
 
-    Returns a HypercircleResult.  phi (when present) satisfies
-    sum(phi_i * alpha^i) == t and parametrizes the hypercircle associated
-    with the witnessing parameter change.
+    Returns a HypercircleResult.  phi (when present) parametrizes the
+    hypercircle associated with the witnessing parameter change, and
+    sum(phi_i * alpha^i) == t is checked on it: a failure raises
+    InternalInvariantError.
     """
-    if field is None:
-        field = psi.field
-    if psi.field is not field:
-        psi = psi.map_into(field)
+    field = psi.field
     if psi.degree < 1:
         raise InstanceError("constant parametrizations have no hypercircle")
     m_alpha, classes = conjugacy_classes(field)
-    n = field.degree
-    reports = []
-    all_fix = True
-    for cls in classes:
-        rep = compute_u_for_class(psi, cls)
-        reports.append(rep)
-        if not rep.fixes:
-            all_fix = False
-    if not all_fix:
-        return HypercircleResult(False, None, field, tuple(reports))
-    # seed: m(alpha, x)/M'(alpha) * t
-    mprime = field.minpoly.map_into(field).derivative()(field.gen)
-    inv = field.one / mprime
-    tpoly = UniPoly(field, [field.zero, field.one])
-    acc = [RatFunc(tpoly * (ck * inv)) for ck in m_alpha.coeffs]
-    for rep in reports:
-        terms = trace_term(m_alpha, rep.cls, rep.u)
-        acc = [a + w for a, w in zip(acc, terms)]
-    phi = Parametrization(acc)
-    return HypercircleResult(True, phi, field, tuple(reports))
+    reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
+    if not all(rep.fixes for rep in reports):
+        return HypercircleResult(False, None, field, reports)
+    ident = _identity_class(field)
+    pairs = [(ident, MoebiusTransform.identity(ident.relative_field))]
+    pairs += [(rep.cls, rep.u) for rep in reports]
+    terms = [trace_term(m_alpha, cls, u) for cls, u in pairs]
+    den = UniPoly.one(field)
+    for _, g in terms:
+        den = den * g
+    nums = [UniPoly.zero(field)] * field.degree
+    for parts, g in terms:
+        cofactor = den // g
+        nums = [acc + p * cofactor for acc, p in zip(nums, parts)]
+    # sum phi_i alpha^i = t, checked on the numerators over D: no gcd
+    total = UniPoly.zero(field)
+    for num in reversed(nums):
+        total = total * field.gen + num
+    if total != UniPoly.gen(field) * den:
+        raise InternalInvariantError("sum of phi_i * alpha^i is not t")
+    phi = Parametrization([RatFunc(num, den) for num in nums])
+    return HypercircleResult(True, phi, field, reports)
 
 
 def probably_proper(psi):
     """Cheap properness screen: the identity conjugation must classify
     _PROPER_SAMPLES schedule parameters as good with s == t."""
     field = psi.field
-    ident = ConjugacyClass(
-        UniPoly(field, [-field.gen, field.one]), _class_names(field)[0]
-    )
+    ident = _identity_class(field)
     psi_id = psi.conjugate(ident)
     limit = psi_id.value_at_infinity()
     rel = ident.relative_field

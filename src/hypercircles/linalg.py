@@ -48,27 +48,17 @@ def kernel_basis(matrix, ncols, field):
     return basis
 
 
-def solve(matrix, rhs, field, free_values=None):
+def solve(matrix, rhs, field):
     """One solution of A x = rhs, or None if the system is inconsistent.
 
-    Free columns receive values from `free_values` (a {column: value} map;
-    missing columns default to zero).
+    Free columns are set to zero.
     """
     aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
     rows, pivots = rref(aug, field)
     if ncols in pivots:
         return None
-    free = [c for c in range(ncols) if c not in pivots]
     x = [field.zero] * ncols
-    if free_values:
-        for c in free:
-            if c in free_values:
-                x[c] = field.coerce(free_values[c])
     for r, pc in enumerate(pivots):
-        acc = rows[r][ncols]
-        for c in free:
-            if rows[r][c] and x[c]:
-                acc = acc - rows[r][c] * x[c]
-        x[pc] = acc
+        x[pc] = rows[r][ncols]
     return x

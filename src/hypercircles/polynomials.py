@@ -229,12 +229,6 @@ class UniPoly:
             acc = acc * g + c
         return acc
 
-    def shift_up(self, k):
-        """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self
-        return UniPoly._raw(self.field, [self.field.zero] * k + list(self.coeffs))
-
     def map_coeffs(self, fn, new_field):
         return UniPoly._raw(new_field, [fn(c) for c in self.coeffs])
 

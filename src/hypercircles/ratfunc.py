@@ -83,10 +83,6 @@ class RatFunc:
         return max(self.num.degree, self.den.degree)
 
     @property
-    def is_polynomial(self):
-        return self.den.degree == 0
-
-    @property
     def is_zero(self):
         return self.num.is_zero
 
@@ -188,9 +184,6 @@ class RatFunc:
         num = self.num.map_coeffs(fn, new_field)
         den = self.den.map_coeffs(fn, new_field)
         return RatFunc(num, den)
-
-    def map_into(self, new_field):
-        return self.map_coeffs(new_field.coerce, new_field)
 
     def render(self, var="t"):
         ns = self.num.render(var)
@@ -465,14 +458,6 @@ class Parametrization:
                 raise TypeError("components over different fields")
         self.components = comps
 
-    @classmethod
-    def from_pairs(cls, field, pairs):
-        """pairs: iterable of (num_coeffs, den_coeffs) ascending."""
-        comps = []
-        for num, den in pairs:
-            comps.append(RatFunc(UniPoly(field, num), UniPoly(field, den)))
-        return cls(comps)
-
     @property
     def field(self):
         return self.components[0].field
@@ -520,9 +505,6 @@ class Parametrization:
             den = c.den.map_coeffs(lambda x: nf_conjugate(x, cls), rel)
             out.append(RatFunc._normalized(num, den))
         return Parametrization(out)
-
-    def map_into(self, new_field):
-        return Parametrization([c.map_into(new_field) for c in self.components])
 
     def render(self, var="t"):
         return "(" + ", ".join(c.render(var) for c in self.components) + ")"

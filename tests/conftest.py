@@ -13,7 +13,14 @@ import json
 
 import pytest
 
-from hypercircles import NumberField, Parametrization, QQ, UniPoly, parse_instance
+from hypercircles import (
+    NumberField,
+    Parametrization,
+    QQ,
+    RatFunc,
+    UniPoly,
+    parse_instance,
+)
 
 QUARTIC_DOC = {
     "field": {"generator": "a", "minpoly": ["-2", "0", "0", "0", "1"]},
@@ -81,7 +88,8 @@ def quartic_phi_expected(field):
         [zero, zero, zero, a, a**2],
         [zero, zero, zero, zero, a],
     ]
-    return Parametrization.from_pairs(field, [(num, den) for num in nums])
+    den = UniPoly(field, den)
+    return Parametrization([RatFunc(UniPoly(field, num), den) for num in nums])
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,18 @@ from hypercircles.hypercircle import parameter_schedule
 from hypercircles.modp import _madd
 from hypercircles.numberfield import NFElement, NumberField
 from hypercircles.polynomials import UniPoly
-from hypercircles.ratfunc import POLE
+from hypercircles.ratfunc import POLE, RatFunc
+
+
+def sums_to_t(field, phi):
+    """sum phi_i alpha^i == t, the property that defines phi, by adding
+    normalized rational functions one component at a time."""
+    total = RatFunc.constant(field, field.zero)
+    power = field.one
+    for comp in phi:
+        total = total + comp * power
+        power = power * field.gen
+    return total == RatFunc.gen(field)
 
 
 def cubic_compose_pair(num, den, mob, degree=None):

@@ -2,7 +2,7 @@
 malformed or unusable input files, output that cannot be written, and the
 exit codes of `gen`, `definable`, `minfield` (with its rerun over the
 minimum field) and `compute --verify-witness` (within the witness oracle's
-limits and beyond them)."""
+limits and beyond them), and exit code 3 for a phi that fails its check."""
 
 import json
 import os
@@ -11,9 +11,11 @@ import sys
 
 import pytest
 
-from hypercircles import cli
+from hypercircles import cli, hypercircle
+from hypercircles.errors import InternalInvariantError
 from hypercircles.generators import gen_instance
-from hypercircles.instances import serialize_instance
+from hypercircles.hypercircle import standard_parametrization, trace_term
+from hypercircles.instances import load_instance, serialize_instance
 
 from conftest import CIRCLE_DOC
 from test_minfield import sextic_subfield_instance
@@ -136,6 +138,24 @@ def test_minfield_of_twisted_instance(instance_files, capsys):
     assert "minimum field degree: 3" in capsys.readouterr().out
 
 
+def test_minfield_of_defined_instance_does_not_rerun(
+    instance_files, capsys, monkeypatch
+):
+    # L = Q: the decision and its checked phi already prove it
+    calls = []
+
+    def counted(psi):
+        calls.append(psi)
+        return standard_parametrization(psi)
+
+    monkeypatch.setattr(cli, "standard_parametrization", counted)
+    assert cli.main(["minfield", instance_files["defined"]]) == cli.EXIT_OK
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "minimum field degree: 1" in out
+    assert "rerun" not in out
+
+
 def test_minfield_reruns_over_a_relative_cubic(tmp_path, capsys):
     # a curve over Q(sqrt 2) written over Q(2^(1/6)): L = Q(sqrt 2) has
     # relative degree 3, and the rerun over L(alpha)/L certifies it
@@ -147,6 +167,24 @@ def test_minfield_reruns_over_a_relative_cubic(tmp_path, capsys):
     assert "minimum field degree: 2" in out
     assert "primitive minpoly: x^2 - 2" in out
     assert "rerun over L(alpha)/L: DefinedOverK" in out
+
+
+def test_corrupted_trace_term_is_an_internal_error(
+    instance_files, capsys, monkeypatch
+):
+    # one bumped numerator coefficient breaks sum phi_i alpha^i = t
+    def corrupted(m_alpha, cls, u):
+        numerators, g = trace_term(m_alpha, cls, u)
+        return [numerators[0] + 1] + numerators[1:], g
+
+    monkeypatch.setattr(hypercircle, "trace_term", corrupted)
+    _, psi = load_instance(instance_files["defined"])
+    with pytest.raises(InternalInvariantError):
+        standard_parametrization(psi)
+    assert cli.main(["compute", instance_files["defined"]]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
 
 
 def test_compute_verify_witness_exit_codes(instance_files, capsys):

@@ -5,7 +5,8 @@ import json
 
 from hypercircles import QQ, parse_instance, standard_parametrization
 from hypercircles.generators import adversarial_relations, cyclotomic_minpoly, gen_instance
-from hypercircles.ratfunc import RatFunc
+
+from oracles import sums_to_t
 
 
 def test_adversarial_relations_phi5_golden():
@@ -30,7 +31,7 @@ def test_adversarial_relations_phi5_golden():
 def test_adversarial_phi5_instance_verdict():
     doc = gen_instance("adversarial", 4, minpoly=cyclotomic_minpoly(5), seed=0)
     field, psi = parse_instance(json.dumps(doc))
-    res = standard_parametrization(psi, field)
+    res = standard_parametrization(psi)
     assert res.verdict == "NotDefinedOverK"
     assert res.parameters_tried == 4
 
@@ -39,14 +40,9 @@ def test_phi_sums_to_t_over_phi5():
     # the defining property of phi: sum_i phi_i alpha^i = t
     doc = gen_instance("defined", 4, minpoly=cyclotomic_minpoly(5), seed=0)
     field, psi = parse_instance(json.dumps(doc))
-    res = standard_parametrization(psi, field)
+    res = standard_parametrization(psi)
     assert res.defined
-    total = RatFunc.constant(field, field.zero)
-    power = field.one
-    for comp in res.phi:
-        total = total + comp * power
-        power = power * field.gen
-    assert total == RatFunc.gen(field)
+    assert sums_to_t(field, res.phi)
 
 
 def test_gen_instance_is_deterministic_and_seed_sensitive():

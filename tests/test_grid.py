@@ -23,7 +23,9 @@ from hypercircles import (
     standard_parametrization,
     weil_substitution,
 )
-from hypercircles.ratfunc import MoebiusTransform, RatFunc
+from hypercircles.ratfunc import MoebiusTransform
+
+from oracles import sums_to_t
 
 GRID = [(2, d) for d in range(3, 7)] + [(3, d) for d in range(3, 5)]
 MOEBIUS_GRID = [(2, 3), (2, 4), (3, 3)]
@@ -32,24 +34,14 @@ MOEBIUS_GRID = [(2, 3), (2, 4), (3, 3)]
 def _decide(kind, n, d):
     doc = gen_instance(kind, d, ext_degree=n, seed=0)
     field, psi = parse_instance(json.dumps(doc))
-    return field, psi, standard_parametrization(psi, field)
-
-
-def _sums_to_t(field, phi):
-    """sum phi_i alpha^i == t, the property that defines phi."""
-    total = RatFunc.constant(field, field.zero)
-    power = field.one
-    for comp in phi:
-        total = total + comp * power
-        power = power * field.gen
-    return total == RatFunc.gen(field)
+    return field, psi, standard_parametrization(psi)
 
 
 @pytest.mark.parametrize("n, d", GRID, ids=[f"n{n}-d{d}" for n, d in GRID])
 def test_defined_instance_gives_phi_on_the_witness(n, d):
     field, psi, res = _decide("defined", n, d)
     assert res.verdict == "DefinedOverK"
-    assert _sums_to_t(field, res.phi)
+    assert sums_to_t(field, res.phi)
     assert check_on_witness(weil_substitution(psi), res.phi)
 
 
@@ -70,11 +62,11 @@ def test_unit_moebius_reparametrization_keeps_the_decision(kind, n, d):
     a = field.gen
     u = MoebiusTransform(field, a, 1, 1, a + 2)  # (a t + 1)/(t + a + 2)
     assert u.is_unit
-    res2 = standard_parametrization(psi.compose_moebius(u), field)
+    res2 = standard_parametrization(psi.compose_moebius(u))
     assert res2.verdict == res.verdict
     assert [r.fixes for r in res2.reports] == [r.fixes for r in res.reports]
     if kind == "defined":
-        assert _sums_to_t(field, res2.phi)
+        assert sums_to_t(field, res2.phi)
 
 
 PINNED = [

@@ -1,7 +1,9 @@
 """The definability pipeline: parameter classification, Moebius recovery,
 trace assembly, and the final standard parametrization."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -16,11 +18,14 @@ from hypercircles import (
     classify_parameter,
     compute_u_for_class,
     conjugacy_classes,
+    gen_instance,
     parameter_budget,
+    parse_instance,
     standard_parametrization,
     verify_identity,
 )
 from hypercircles.errors import NonProperParametrization
+from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.hypercircle import (
     BAD_DENOMINATOR,
     GOOD,
@@ -31,7 +36,7 @@ from hypercircles.hypercircle import (
 )
 
 from conftest import quartic_phi_expected
-from oracles import verify_identity_by_evaluation
+from oracles import sums_to_t, verify_identity_by_evaluation
 
 
 def test_parameter_budget():
@@ -152,11 +157,7 @@ def test_standard_parametrization_quartic(quartic):
     assert res.defined
     assert res.phi == quartic_phi_expected(field)
     # defining identity of the standard parametrization
-    t = RatFunc.gen(field)
-    acc = RatFunc.constant(field, field.zero)
-    for k, comp in enumerate(res.phi):
-        acc = acc + comp * (field.gen**k)
-    assert acc == t
+    assert sums_to_t(field, res.phi)
     assert res.parameters_tried <= parameter_budget(psi.degree, field.degree)
 
 
@@ -212,3 +213,29 @@ def test_good_samples_match_u(circle):
         v = classify_parameter(psi, sigma, t)
         if v.kind == GOOD:
             assert v.s == u(rel.coerce(t))
+
+
+PINNED_PHI = [
+    # classes of size 1, every pole finite
+    ("phi7-d6", 6, dict(minpoly=cyclotomic_minpoly(7)),
+     "664ee29213a8ef0258e17e5a557bed30f25cb94b17a26d7b74a31b145a22f186"),
+    # one class of size 4 (relative degree 20)
+    ("x5-2-d6", 6, dict(ext_degree=5),
+     "a0aa0039ac206507d7b5072673b35cf067c1ca2483725ac0756eebc9d4a8d996"),
+    # n = 2 at high curve degree: the affine identity term and one class
+    ("x2+1-d14", 14, dict(ext_degree=2),
+     "9875d8a0492ef172a85a68c5b87752a46bd5700fd063fbed7f6cd5d23c9df390"),
+]
+
+
+@pytest.mark.parametrize(
+    "degree, field_args, digest",
+    [spec[1:] for spec in PINNED_PHI],
+    ids=[spec[0] for spec in PINNED_PHI],
+)
+def test_phi_is_pinned(degree, field_args, digest):
+    doc = gen_instance("defined", degree, seed=0, **field_args)
+    field, psi = parse_instance(json.dumps(doc))
+    res = standard_parametrization(psi)
+    assert sums_to_t(field, res.phi)
+    assert hashlib.sha256(res.phi.render().encode()).hexdigest() == digest

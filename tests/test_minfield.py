@@ -22,6 +22,8 @@ from hypercircles import (
 from hypercircles.errors import InstanceError
 from hypercircles.numberfield import nf_conjugate
 
+from oracles import sums_to_t
+
 x = UniPoly.gen(QQ)
 
 
@@ -173,11 +175,7 @@ def test_rerun_over_tower_is_defined(make, relative_degree):
     res = standard_parametrization(psi_tower)
     assert res.defined
     assert len(res.phi) == relative_degree
-    t = RatFunc.gen(tower)
-    acc = RatFunc.constant(tower, tower.zero)
-    for k, comp in enumerate(res.phi):
-        acc = acc + comp * tower.gen**k
-    assert acc == t
+    assert sums_to_t(tower, res.phi)
 
 
 def test_relative_model_requires_a_proper_subfield():

@@ -117,11 +117,10 @@ def test_gcd_over_number_field_coprime():
     assert poly_gcd(x**2 + a, x + 1).degree == 0
 
 
-def test_eval_and_shift():
+def test_eval():
     x = UniPoly.gen(QQ)
     p = 3 * x**2 + x - 5
     assert p(QQ(2)) == Rational(9)
-    assert p.shift_up(2) == 3 * x**4 + x**3 - 5 * x**2
 
 
 def test_render():

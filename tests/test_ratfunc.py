@@ -43,7 +43,6 @@ moebius = st.builds(
 def test_normalization():
     f = RatFunc(x**2 - 1, x - 1)
     assert f.num == x + 1 and f.den == UniPoly.one(QQ)
-    assert f.is_polynomial
     g = RatFunc(2 * x, 4 * x**2 + 2)
     assert g.den.lc == QQ.one  # monic denominator
     assert g == RatFunc(x, 2 * x**2 + 1)
@@ -144,9 +143,7 @@ def test_three_point_fit_recovers(m, ts):
 
 
 def test_parametrization_basics():
-    psi = Parametrization.from_pairs(
-        QQ, [([1, 0, 1], [0, 2]), ([-1, 0, 1], [0, 2])]
-    )
+    psi = Parametrization([RatFunc(x**2 + 1, 2 * x), RatFunc(x**2 - 1, 2 * x)])
     assert len(psi) == 2
     assert psi.degree == 2
     assert psi.field is QQ
@@ -158,7 +155,7 @@ def test_parametrization_basics():
 
 
 def test_parametrization_equality_and_render():
-    p1 = Parametrization.from_pairs(QQ, [([0, 1], [1, 1])])
-    p2 = Parametrization.from_pairs(QQ, [([0, 2], [2, 2])])
+    p1 = Parametrization([RatFunc(x, x + 1)])
+    p2 = Parametrization([RatFunc(2 * x, 2 * x + 2)])
     assert p1 == p2
     assert "t" in p1.render()
