@@ -22,6 +22,7 @@ from .generators import (
 )
 from .hypercircle import (
     HypercircleResult,
+    check_certificate,
     classify_parameter,
     compute_u_for_class,
     conjugacy_classes,
@@ -45,7 +46,6 @@ from .ratfunc import (
     moebius_from_three_points,
 )
 from .rationals import QQ, Rational, RationalField
-from .weil import WeilSystem, check_on_witness, weil_substitution
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,7 @@ __all__ = [
     "gen_instance",
     "normal_minpoly",
     "HypercircleResult",
+    "check_certificate",
     "classify_parameter",
     "compute_u_for_class",
     "conjugacy_classes",
@@ -88,8 +89,5 @@ __all__ = [
     "QQ",
     "Rational",
     "RationalField",
-    "WeilSystem",
-    "check_on_witness",
-    "weil_substitution",
     "__version__",
 ]

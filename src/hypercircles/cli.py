@@ -2,11 +2,11 @@
 
 Subcommands:
 
-* ``compute <file> [--verify-witness]`` — decide K-definability and print the
+* ``compute <file> [--check]`` — decide K-definability and print the
   standard parametrization phi (instance format) plus the per-class Moebius
-  transforms; with ``--verify-witness`` additionally check phi against the
-  implicit witness-variety system (an instance beyond the oracle's limits,
-  n > 3 or degree > 6, exits 2 before anything is printed).
+  transforms; with ``--check`` the verdict is also re-proved from its
+  certificate (`check_certificate`, at every size) before anything is
+  printed, and ``certificate check: passed`` ends the output.
 * ``definable <file>`` — verdict plus a human-readable certificate.
 * ``minfield <file>`` — minimum field of definition L: basis, primitive
   element, and its minimal polynomial; when Q < L < K(alpha), the decision
@@ -15,14 +15,20 @@ Subcommands:
   adversarial).
 
 Exit codes: 0 success / DefinedOverK; 1 NotDefinedOverK; 2 bad input;
-3 internal invariant violation; 141 standard output closed early by its
-reader (``compute ... | head``), reported without a traceback.
+3 internal invariant violation, or any other exception (its traceback goes to
+standard error); 141 standard output closed early by its reader
+(``compute ... | head``), reported without a traceback.
+
+Outputs are exact, so integers of any length are printed; Python's limit on
+integer-string conversion still applies to the input files.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import traceback
 
 from .errors import (
     InstanceError,
@@ -30,13 +36,12 @@ from .errors import (
     NonProperParametrization,
 )
 from .generators import gen_instance
-from .hypercircle import standard_parametrization
+from .hypercircle import check_certificate, standard_parametrization
 from .instances import instance_doc, load_instance, read_text
 from .minfield import minimum_field, relative_model
 from .polynomials import UniPoly
 from .ratfunc import Parametrization
 from .rationals import QQ
-from .weil import check_on_witness, weil_substitution
 
 EXIT_OK = 0
 EXIT_NOT_DEFINED = 1
@@ -76,6 +81,22 @@ def _read_minpoly_file(path):
     return UniPoly(QQ, coeffs)
 
 
+@contextlib.contextmanager
+def _exact_output():
+    """Lift Python's limit on integer-string conversion (3.10.7 and up) for
+    the duration of the output, so exact results of any length print."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
 def _print_result_header(result, out):
     print(f"verdict: {result.verdict}", file=out)
     for rep in result.reports:
@@ -84,28 +105,24 @@ def _print_result_header(result, out):
 
 def _cmd_compute(args, out=sys.stdout):
     field, psi = load_instance(args.file)
-    # the witness system is built first: an instance beyond the oracle's
-    # limits is an input error, reported before anything is printed
-    system = weil_substitution(psi) if args.verify_witness else None
     result = standard_parametrization(psi)
-    _print_result_header(result, out)
-    if not result.defined:
-        return EXIT_NOT_DEFINED
-    print("phi:", file=out)
-    print(json.dumps(instance_doc(field, result.phi), indent=2), file=out)
-    if system is not None:
-        if not check_on_witness(system, result.phi):
-            raise InternalInvariantError(
-                "computed parametrization fails the witness-variety check"
-            )
-        print("witness check: passed", file=out)
-    return EXIT_OK
+    if args.check:
+        check_certificate(psi, result)
+    with _exact_output():
+        _print_result_header(result, out)
+        if result.defined:
+            print("phi:", file=out)
+            print(json.dumps(instance_doc(field, result.phi), indent=2), file=out)
+    if args.check:
+        print("certificate check: passed", file=out)
+    return EXIT_OK if result.defined else EXIT_NOT_DEFINED
 
 
 def _cmd_definable(args, out=sys.stdout):
     _, psi = load_instance(args.file)
     result = standard_parametrization(psi)
-    _print_result_header(result, out)
+    with _exact_output():
+        _print_result_header(result, out)
     print(f"parameters tried (max per class): {result.parameters_tried}", file=out)
     return EXIT_OK if result.defined else EXIT_NOT_DEFINED
 
@@ -113,14 +130,15 @@ def _cmd_definable(args, out=sys.stdout):
 def _cmd_minfield(args, out=sys.stdout):
     field, psi = load_instance(args.file)
     result = standard_parametrization(psi)
-    _print_result_header(result, out)
     fixing = [rep.cls for rep in result.reports if rep.fixes]
     fixed = minimum_field(field, fixing)
-    basis = ", ".join(str(b) for b in fixed.basis)
-    print(f"minimum field degree: {fixed.degree}", file=out)
-    print(f"basis: {basis}", file=out)
-    print(f"primitive element: {fixed.primitive}", file=out)
-    print(f"primitive minpoly: {fixed.primitive_minpoly.render('x')}", file=out)
+    with _exact_output():
+        _print_result_header(result, out)
+        basis = ", ".join(str(b) for b in fixed.basis)
+        print(f"minimum field degree: {fixed.degree}", file=out)
+        print(f"basis: {basis}", file=out)
+        print(f"primitive element: {fixed.primitive}", file=out)
+        print(f"primitive minpoly: {fixed.primitive_minpoly.render('x')}", file=out)
     if not (fixed.is_rational or fixed.is_whole_field):
         tower, rewrite = relative_model(field, fixed)
         rerun = standard_parametrization(
@@ -171,9 +189,9 @@ def build_parser():
     p = sub.add_parser("compute", help="compute the standard parametrization")
     p.add_argument("file", help="instance file (JSON)")
     p.add_argument(
-        "--verify-witness",
+        "--check",
         action="store_true",
-        help="additionally verify phi against the witness-variety system",
+        help="re-prove the verdict from its certificate",
     )
     p.set_defaults(func=_cmd_compute)
 
@@ -216,6 +234,9 @@ def main(argv=None):
         # devnull so the interpreter's final flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except Exception:  # noqa: BLE001 - a bug, never the NotDefinedOverK code
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

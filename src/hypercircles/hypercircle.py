@@ -18,6 +18,11 @@ included, traced down to K(alpha): each class contributes numerators over
 its own g (the characteristic polynomial of u's pole, or 1), they are summed
 over D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and
 each x-coefficient A_i / D is normalized once to give phi_i.
+
+`check_certificate` re-proves a result from the result alone, with no
+parameter search: the classes cover every conjugate, each class's u passes
+the identity (or its certificate that the class moves the curve holds), and
+phi interpolates every u.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -79,6 +84,10 @@ class ParameterVerdict:
 
 @dataclass
 class ClassReport:
+    """One class's outcome.  `u` is the fitted Moebius transform: it carries
+    psi^sigma back onto psi when `fixes`, failed the identity check when
+    `identity_failed`, and is None after a not-attained pair."""
+
     cls: ConjugacyClass
     fixes: bool
     u: MoebiusTransform | None = None
@@ -197,12 +206,11 @@ def compute_u_for_class(psi, cls):
             f"budget ({budget}) was exhausted without three usable samples"
         )
     rel = cls.relative_field
-    u = moebius_from_three_points(rel, good)
-    if not verify_identity(psi, psi_sigma, u):
+    report.u = moebius_from_three_points(rel, good)
+    if not verify_identity(psi, psi_sigma, report.u):
         report.identity_failed = True
         return report
     report.fixes = True
-    report.u = u
     return report
 
 
@@ -309,16 +317,21 @@ def _class_names(field):
     return [c for c in _CLASS_NAMES if c not in used]
 
 
-def conjugacy_classes(field):
-    """Factor m(alpha, x) = M(x)/(x - alpha) over K(alpha) into classes."""
-    n = field.degree
-    if n < 2:
-        raise InstanceError("the coefficient field must have degree >= 2")
-    mk = field.minpoly.map_into(field)
+def _m_alpha(field):
+    """m(alpha, x) = M(x)/(x - alpha) over K(alpha): its roots are the
+    conjugates of alpha other than alpha."""
     x_minus_alpha = UniPoly(field, [-field.gen, field.one])
-    m_alpha, rem = divmod(mk, x_minus_alpha)
+    m_alpha, rem = divmod(field.minpoly.map_into(field), x_minus_alpha)
     if not rem.is_zero:
         raise InternalInvariantError("alpha is not a root of its own minpoly")
+    return m_alpha
+
+
+def conjugacy_classes(field):
+    """Factor m(alpha, x) = M(x)/(x - alpha) over K(alpha) into classes."""
+    if field.degree < 2:
+        raise InstanceError("the coefficient field must have degree >= 2")
+    m_alpha = _m_alpha(field)
     names = _class_names(field)
     _, factors = factor_over_nf(m_alpha, field)
     for fac, mult in factors:
@@ -365,13 +378,121 @@ def standard_parametrization(psi):
         cofactor = den // g
         nums = [acc + p * cofactor for acc, p in zip(nums, parts)]
     # sum phi_i alpha^i = t, checked on the numerators over D: no gcd
-    total = UniPoly.zero(field)
-    for num in reversed(nums):
-        total = total * field.gen + num
-    if total != UniPoly.gen(field) * den:
+    if not _interpolates(nums, den, field.gen, MoebiusTransform.identity(field)):
         raise InternalInvariantError("sum of phi_i * alpha^i is not t")
     phi = Parametrization([RatFunc(num, den) for num in nums])
     return HypercircleResult(True, phi, field, reports)
+
+
+def _interpolates(nums, den, root, u):
+    """sum_k nums_k root^k (c t + d) == den (a t + b).
+
+    nums and den are polynomials in t over K(alpha), root is a conjugate of
+    alpha in a field over K(alpha) (alpha itself for the identity) and
+    u = (a t + b)/(c t + d): the check says that phi = nums/den takes the
+    value u(t) at that conjugate.
+    """
+    field = root.field
+    if den.field is not field:
+        nums = [num.map_into(field) for num in nums]
+        den = den.map_into(field)
+    total = UniPoly.zero(field)
+    for num in reversed(nums):
+        total = total * root + num
+    return total * UniPoly(field, [u.d, u.c]) == den * UniPoly(field, [u.b, u.a])
+
+
+def _moves_the_curve(psi, psi_sigma, rep):
+    """The certificate of a class that moves the curve, re-proved.
+
+    A not-attained pair: if sigma fixed the curve, psi^sigma = psi o v for a
+    unit Moebius v, and for every t other than v(infinity) the finite
+    s = v^-1(t) gives psi^sigma(s) = psi(t).  So at most one t, v(infinity),
+    is not attained, and two distinct not-attained t prove that sigma moves
+    the curve.  Both must re-classify as NOT_ATTAINED (`fold_common_root`
+    proves the empty common root set).
+
+    A failed identity: a good sample t has exactly one s with
+    psi^sigma(s) = psi(t), and psi(t) is not psi^sigma's value at infinity.
+    Any v with psi = psi^sigma o v therefore has v(t) = s, and three such
+    samples with distinct s determine v: it is the fitted u.  So the samples
+    must re-classify to the same s, u must pass through them, and the
+    identity must fail for u.
+    """
+    if rep.not_attained is not None:
+        t1, t2 = rep.not_attained
+        return t1 != t2 and all(
+            classify_parameter(psi, psi_sigma, t).kind == NOT_ATTAINED
+            for t in (t1, t2)
+        )
+    good = []
+    for v in rep.verdicts:
+        if v.kind == GOOD and all(v.s != s for _, s in good):
+            good.append((v.t, v.s))
+    return (
+        rep.identity_failed
+        and rep.u is not None
+        and len(good) == 3
+        and all(
+            classify_parameter(psi, psi_sigma, t) == ParameterVerdict(GOOD, t, s)
+            and rep.u(rep.cls.relative_field.coerce(t)) == s
+            for t, s in good
+        )
+        and not verify_identity(psi, psi_sigma, rep.u)
+    )
+
+
+def check_certificate(psi, result):
+    """Re-prove result's verdict on psi from the result alone.
+
+    No parameter is searched for; each step re-checks what the result
+    reports, and a failed step raises InternalInvariantError:
+
+    * the reported class factors multiply to m(alpha, x), so the classes
+      cover every conjugate of alpha;
+    * each class that fixes the curve passes `verify_identity` with its u,
+      and each class that moves it has a certificate that holds
+      (`_moves_the_curve`); the verdict is DefinedOverK iff every class
+      fixes the curve;
+    * when defined, phi interpolates every u: over D, the product of the
+      distinct denominators of phi, `_interpolates` holds at alpha with the
+      identity (the sum phi_i alpha^i = t) and at each class's root with
+      its u.
+    """
+    field = psi.field
+    cover = UniPoly.one(field)
+    for rep in result.reports:
+        cover = cover * rep.cls.factor
+    if cover != _m_alpha(field):
+        raise InternalInvariantError("the classes do not cover every conjugate")
+    if result.defined != all(rep.fixes for rep in result.reports):
+        raise InternalInvariantError(
+            f"the verdict {result.verdict} contradicts the classes"
+        )
+    for rep in result.reports:
+        psi_sigma = psi.conjugate(rep.cls)
+        if rep.fixes:
+            ok = verify_identity(psi, psi_sigma, rep.u)
+        else:
+            ok = _moves_the_curve(psi, psi_sigma, rep)
+        if not ok:
+            raise InternalInvariantError(
+                f"class {rep.cls.factor.render()}: its certificate does not hold"
+            )
+    if not result.defined:
+        return
+    den = UniPoly.one(field)
+    seen = []
+    for comp in result.phi:
+        if comp.den not in seen:
+            seen.append(comp.den)
+            den = den * comp.den
+    nums = [comp.num * (den // comp.den) for comp in result.phi]
+    pairs = [(field.gen, MoebiusTransform.identity(field))]
+    pairs += [(rep.cls.root, rep.u) for rep in result.reports]
+    for root, u in pairs:
+        if not _interpolates(nums, den, root, u):
+            raise InternalInvariantError(f"phi does not interpolate u = {u}")
 
 
 def probably_proper(psi):

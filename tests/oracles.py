@@ -4,11 +4,14 @@ They are slower than the library code on purpose: each computes the same
 answer by a different, more direct route.
 """
 
-from hypercircles.errors import InternalInvariantError
-from hypercircles.hypercircle import parameter_schedule
+from dataclasses import dataclass
+
+from hypercircles.errors import InstanceError, InternalInvariantError
+from hypercircles.hypercircle import conjugacy_classes, parameter_schedule
 from hypercircles.modp import _madd
-from hypercircles.numberfield import NFElement, NumberField
-from hypercircles.polynomials import UniPoly
+from hypercircles.numberfield import NFElement, NumberField, nf_conjugate
+from hypercircles.polynomials import UniPoly, poly_gcd
+from hypercircles.rationals import RationalField
 from hypercircles.ratfunc import POLE, RatFunc
 
 
@@ -309,3 +312,353 @@ def mmul_by_nested_convolution(lvl, a, b):
             prod = mmul_by_nested_convolution(sub, out[k], ri)
             out[i] = _madd(sub, out[i], prod)
     return tuple(x for c in out[:n] for x in c)
+
+
+# Independent witness-variety oracle for hypercircle parametrizations.
+#
+# `weil_substitution` performs the restriction-of-scalars substitution
+# t = t_0 + alpha t_1 + ... + alpha^(n-1) t_(n-1) on a parametrization over
+# K(alpha) and splits the result into alpha-coordinates: rational polynomials
+# F_ij and a common denominator D with
+#
+#     psi_i(t_0 + alpha t_1 + ...) = sum_j (F_ij / D) alpha^j.
+#
+# The denominator is rationalized by multiplying with all conjugates of the
+# substituted denominator (norm form), so D is the norm and lands in
+# Q[t_0..t_(n-1)] exactly.
+#
+# `check_on_witness` then decides whether a candidate parametrization phi of
+# the witness curve satisfies every F_ij(phi(t)) = 0 while keeping D nonzero.
+# The zero test is exact multipoint evaluation: a rational function whose
+# cleared numerator has degree at most B vanishes identically iff it vanishes
+# at B+1 points away from the poles, so agreement on that many samples is a
+# proof, not a heuristic.
+#
+# This oracle is deliberately restricted to small instances (n <= 3, degree
+# <= 6); it exists to cross-check the main pipeline, not to scale.
+
+_PoleType = type(POLE)
+
+
+class MPoly:
+    """Sparse multivariate polynomial: {exponent tuple: nonzero coefficient}."""
+
+    __slots__ = ("field", "nvars", "terms")
+
+    def __init__(self, field, nvars, terms=None):
+        self.field = field
+        self.nvars = nvars
+        self.terms = {}
+        if terms:
+            for e, c in terms.items():
+                c = field.coerce(c)
+                if c:
+                    self.terms[e] = c
+
+    @classmethod
+    def _raw(cls, field, nvars, terms):
+        p = cls.__new__(cls)
+        p.field = field
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    @classmethod
+    def zero(cls, field, nvars):
+        return cls._raw(field, nvars, {})
+
+    @classmethod
+    def constant(cls, field, nvars, c):
+        c = field.coerce(c)
+        if not c:
+            return cls.zero(field, nvars)
+        return cls._raw(field, nvars, {(0,) * nvars: c})
+
+    @classmethod
+    def variable(cls, field, nvars, j):
+        e = [0] * nvars
+        e[j] = 1
+        return cls._raw(field, nvars, {tuple(e): field.one})
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def total_degree(self):
+        return max((sum(e) for e in self.terms), default=-1)
+
+    def __eq__(self, other):
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        return self.field == other.field and self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            if e in out:
+                s = out[e] + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = c
+        return MPoly._raw(self.field, self.nvars, out)
+
+    def __sub__(self, other):
+        if not isinstance(other, MPoly):
+            return NotImplemented
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            if e in out:
+                s = out[e] - c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = -c
+        return MPoly._raw(self.field, self.nvars, out)
+
+    def __neg__(self):
+        return MPoly._raw(
+            self.field, self.nvars, {e: -c for e, c in self.terms.items()}
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, MPoly):
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    c = c1 * c2
+                    if e in out:
+                        s = out[e] + c
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
+                    elif c:
+                        out[e] = c
+            return MPoly._raw(self.field, self.nvars, out)
+        try:
+            c = self.field.coerce(other)
+        except TypeError:
+            return NotImplemented
+        if not c:
+            return MPoly.zero(self.field, self.nvars)
+        return MPoly._raw(
+            self.field, self.nvars, {e: v * c for e, v in self.terms.items()}
+        )
+
+    __rmul__ = __mul__
+
+    def map_coeffs(self, fn, new_field):
+        out = {}
+        for e, c in self.terms.items():
+            v = fn(c)
+            if v:
+                out[e] = v
+        return MPoly._raw(new_field, self.nvars, out)
+
+    def eval(self, values, cache=None):
+        """Evaluate at a point; `cache` memoizes variable powers per point."""
+        if cache is None:
+            cache = {}
+        field = values[0].field if hasattr(values[0], "field") else self.field
+        zero_like = values[0] - values[0]
+        out = zero_like
+        for e, c in self.terms.items():
+            term = c
+            for j, k in enumerate(e):
+                if k:
+                    key = (j, k)
+                    pw = cache.get(key)
+                    if pw is None:
+                        pw = values[j] ** k
+                        cache[key] = pw
+                    term = pw * term
+            out = out + term
+        return out
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for e in sorted(self.terms, reverse=True):
+            c = self.terms[e]
+            mono = "*".join(
+                f"t{j}^{k}" if k > 1 else f"t{j}"
+                for j, k in enumerate(e)
+                if k
+            )
+            cs = str(c)
+            if any(ch in cs[1:] for ch in "+-"):
+                cs = f"({cs})"
+            bits.append(f"{cs}*{mono}" if mono else cs)
+        return " + ".join(bits)
+
+
+@dataclass
+class WeilSystem:
+    field: object  # the coefficient field K(alpha)
+    coordinate_polys: list  # [component][j] -> MPoly over QQ (the F_ij)
+    denominator: MPoly  # over QQ
+
+    @property
+    def nvars(self):
+        return self.field.degree
+
+
+def _substitute_linear_form(poly, target_field, nvars, root):
+    """poly(sum_j root^j t_j) as an MPoly over target_field.
+
+    `poly` is univariate over a field whose elements coerce into
+    `target_field` after conjugation by the caller (coefficients are passed
+    through `target_field.coerce`)."""
+    lin = MPoly.zero(target_field, nvars)
+    p = target_field.one
+    for j in range(nvars):
+        lin = lin + MPoly.variable(target_field, nvars, j) * p
+        p = p * root
+    acc = MPoly.zero(target_field, nvars)
+    for c in reversed(poly.coeffs):
+        acc = acc * lin + MPoly.constant(target_field, nvars, c)
+    return acc
+
+
+def weil_substitution(psi, minpoly=None):
+    """Build the witness system (coordinate polynomials and denominator).
+
+    `minpoly`, when given, is cross-checked against the defining polynomial
+    of psi's coefficient field. Limits: the coefficient field is a simple
+    extension of Q with degree n <= 3 and the parametrization degree is at
+    most 6.
+    """
+    field = psi.field
+    if not isinstance(field.base, RationalField):
+        raise InstanceError("the witness oracle requires a simple extension of Q")
+    if minpoly is not None:
+        given = minpoly.map_into(field.base) if minpoly.field != field.base else minpoly
+        if given.monic() != field.minpoly:
+            raise InstanceError(
+                "minimal polynomial does not match the parametrization's field"
+            )
+    n = field.degree
+    d = psi.degree
+    if n > 3 or d > 6:
+        raise InstanceError(
+            f"witness oracle budget exceeded (degree {d}, extension {n}; "
+            "limits are 6 and 3)"
+        )
+    qq = field.base
+    # common denominator over K(alpha)[t]
+    common = psi[0].den
+    for comp in psi.components[1:]:
+        g = poly_gcd(common, comp.den)
+        common = common * (comp.den // g)
+    nums = []
+    for comp in psi:
+        nums.append(comp.num * (common // comp.den))
+    # identity substitution
+    delta = _substitute_linear_form(common, field, n, field.gen)
+    subbed_nums = [
+        _substitute_linear_form(num, field, n, field.gen) for num in nums
+    ]
+    # norm factor: product over non-identity classes of the conjugate
+    # denominators (size-2 classes via the closed-form relative norm)
+    if n == 1:
+        classes = []
+    else:
+        _, classes = conjugacy_classes(field)
+    norm_factor = MPoly.constant(field, n, field.one)
+    for cls in classes:
+        rel = cls.relative_field
+        conj_den = common.map_coeffs(lambda c: nf_conjugate(c, cls), rel)
+        d_conj = _substitute_linear_form(conj_den, rel, n, rel.gen)
+        if cls.size == 1:
+            part = d_conj.map_coeffs(lambda c: c.retract(), field)
+        elif cls.size == 2:
+            u = d_conj.map_coeffs(lambda c: c.coords[0], field)
+            v = d_conj.map_coeffs(lambda c: c.coords[1], field)
+            p = cls.factor.coeff(1)
+            q = cls.factor.coeff(0)
+            part = u * u - (u * v) * p + (v * v) * q
+        else:
+            raise InternalInvariantError(
+                "class size exceeds 2 inside the witness oracle"
+            )
+        norm_factor = norm_factor * part
+    denom = delta * norm_factor
+
+    def to_rational(c):
+        if any(c.coords[1:]):
+            raise InternalInvariantError(
+                "witness denominator failed to land in Q"
+            )
+        return c.coords[0]
+
+    denom_q = denom.map_coeffs(to_rational, qq)
+    coordinate_polys = []
+    for num in subbed_nums:
+        lifted = num * norm_factor
+        rows = []
+        for j in range(n):
+            rows.append(lifted.map_coeffs(lambda c: c.coords[j], qq))
+        coordinate_polys.append(rows)
+    return WeilSystem(field=field, coordinate_polys=coordinate_polys, denominator=denom_q)
+
+
+def check_on_witness(system, phi):
+    """True iff phi lands on the witness curve: every coordinate polynomial
+    with alpha-exponent >= 1, evaluated on phi(t), is the zero rational
+    function, while D(phi(t)) is not identically zero.
+
+    Decided by exact evaluation at more points than the degree of the
+    cleared numerators, skipping parameter values where phi has a pole.
+    """
+    field = system.field
+    n = system.nvars
+    if len(phi) != n:
+        raise InstanceError("phi must have one component per alpha-power")
+    p_deg = max(comp.degree for comp in phi)
+    f_deg = max(
+        (f.total_degree() for row in system.coordinate_polys for f in row),
+        default=0,
+    )
+    f_deg = max(f_deg, system.denominator.total_degree())
+    bound = f_deg * p_deg
+    needed = bound + 1
+    samples = 0
+    denominator_hit = False
+    t = 0
+    tried = 0
+    while samples < needed:
+        tried += 1
+        if tried > 4 * needed + 20:
+            raise InternalInvariantError(
+                "witness check could not find enough pole-free samples"
+            )
+        te = field.coerce(t)
+        t = -t + (1 if t <= 0 else 0)  # 0, 1, -1, 2, -2, ...
+        values = phi(te)
+        if any(isinstance(v, _PoleType) for v in values):
+            continue
+        samples += 1
+        cache = {}
+        for row in system.coordinate_polys:
+            # a point is on the witness iff the alpha-coordinates with
+            # exponent >= 1 vanish (the 0-th is the rational value itself)
+            for f in row[1:]:
+                if f.eval(values, cache):
+                    return False
+        if not denominator_hit and system.denominator.eval(values, cache):
+            denominator_hit = True
+    return denominator_hit

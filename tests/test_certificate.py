@@ -1,0 +1,131 @@
+"""`check_certificate` re-proves a decision from the result alone: it passes
+on defined instances and on both kinds of certificate that a class moves the
+curve.  It fails on a changed u, a failed fit whose identity holds, a pair
+with one attained t, a changed phi (a bumped coefficient, or a shift that
+only a conjugate of alpha sees) and a dropped class."""
+
+from dataclasses import replace
+
+import pytest
+
+from hypercircles import (
+    NumberField,
+    Parametrization,
+    QQ,
+    RatFunc,
+    UniPoly,
+    check_certificate,
+    standard_parametrization,
+)
+from hypercircles.errors import InternalInvariantError
+from hypercircles.hypercircle import NOT_ATTAINED, classify_parameter
+
+x = UniPoly.gen(QQ)
+
+
+def _moved_by_a_failed_fit():
+    """(t, t + i (t^3 - t)) over Q(i): psi(0), psi(1) and psi(-1) are
+    rational, so the conjugate attains them at s = t and the fit gives
+    u = t, but psi is not over Q and the identity fails."""
+    field = NumberField(QQ, x**2 + 1, "i")
+    i = field.gen
+    return Parametrization(
+        [RatFunc(UniPoly(field, [0, 1])), RatFunc(UniPoly(field, [0, 1 - i, 0, i]))]
+    )
+
+
+def _moved_by_a_not_attained_pair():
+    """(t, a^2 t^2) over Q(a), a^4 = 2: the class of size 2 sends a^2 to
+    -a^2 and attains psi(t) only at t = 0."""
+    field = NumberField(QQ, x**4 - 2, "a")
+    a2 = field.gen * field.gen
+    return Parametrization(
+        [
+            RatFunc(UniPoly(field, [field.zero, field.one])),
+            RatFunc(UniPoly(field, [field.zero, field.zero, a2])),
+        ]
+    )
+
+
+def _bumped(u):
+    return type(u)(u.field, u.a, u.b + 1, u.c, u.d)
+
+
+def test_certificates_of_both_kinds_pass():
+    psi = _moved_by_a_failed_fit()
+    res = standard_parametrization(psi)
+    cert = res.certificate
+    assert cert.identity_failed and cert.u is not None
+    check_certificate(psi, res)
+
+    psi = _moved_by_a_not_attained_pair()
+    res = standard_parametrization(psi)
+    assert res.certificate.not_attained is not None
+    check_certificate(psi, res)
+
+
+def test_defined_instances_pass(circle, quartic):
+    for _, psi in (circle, quartic):
+        res = standard_parametrization(psi)
+        assert res.defined
+        check_certificate(psi, res)
+
+
+def _with_report(res, k, **changes):
+    reports = list(res.reports)
+    reports[k] = replace(reports[k], **changes)
+    return replace(res, reports=tuple(reports))
+
+
+@pytest.mark.parametrize("which", ["fixing", "failed-fit"])
+def test_a_changed_u_fails(which, quartic):
+    if which == "fixing":
+        psi = quartic[1]
+    else:
+        psi = _moved_by_a_failed_fit()
+    res = standard_parametrization(psi)
+    k = 0 if which == "failed-fit" else len(res.reports) - 1
+    bad = _with_report(res, k, u=_bumped(res.reports[k].u))
+    with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+        check_certificate(psi, bad)
+
+
+def test_a_failed_fit_whose_identity_holds_fails(circle):
+    _, psi = circle
+    res = standard_parametrization(psi)
+    moved = _with_report(res, 0, fixes=False, identity_failed=True)
+    with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+        check_certificate(psi, replace(moved, defined=False, phi=None))
+
+
+def test_a_pair_with_one_attained_t_fails():
+    psi = _moved_by_a_not_attained_pair()
+    res = standard_parametrization(psi)
+    k = next(j for j, rep in enumerate(res.reports) if not rep.fixes)
+    rep = res.reports[k]
+    assert classify_parameter(psi, psi.conjugate(rep.cls), 0).kind != NOT_ATTAINED
+    bad = _with_report(res, k, not_attained=(0, rep.not_attained[1]))
+    with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+        check_certificate(psi, bad)
+
+
+@pytest.mark.parametrize("alpha_blind", [False, True], ids=["bumped", "alpha-blind"])
+def test_a_changed_phi_fails(circle, alpha_blind):
+    # phi_0 + 1 breaks the sum at alpha; (phi_0 + i, phi_1 - 1) keeps it at
+    # alpha = i and breaks it at the conjugate -i
+    field, psi = circle
+    res = standard_parametrization(psi)
+    shift = (field.gen, -field.one) if alpha_blind else (field.one, field.zero)
+    phi = Parametrization(
+        [comp + RatFunc.constant(field, c) for comp, c in zip(res.phi, shift)]
+    )
+    with pytest.raises(InternalInvariantError, match="does not interpolate"):
+        check_certificate(psi, replace(res, phi=phi))
+
+
+def test_a_dropped_class_fails(quartic):
+    _, psi = quartic
+    res = standard_parametrization(psi)
+    assert len(res.reports) == 2
+    with pytest.raises(InternalInvariantError, match="do not cover"):
+        check_certificate(psi, replace(res, reports=res.reports[1:]))

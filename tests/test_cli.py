@@ -1,11 +1,14 @@
 """The command-line interface: a reader that stops early, unreadable,
 malformed or unusable input files, output that cannot be written, and the
 exit codes of `gen`, `definable`, `minfield` (with its rerun over the
-minimum field) and `compute --verify-witness` (within the witness oracle's
-limits and beyond them), and exit code 3 for a phi that fails its check."""
+minimum field) and `compute --check` (at n = 5, and on a twisted instance);
+exact outputs too long for Python's integer-string limit, printed in full;
+exit code 3 for a phi that fails its check and for any unexpected exception;
+and a package import that leaves the test oracles out."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -187,22 +190,101 @@ def test_corrupted_trace_term_is_an_internal_error(
     assert captured.err.startswith("internal error:")
 
 
-def test_compute_verify_witness_exit_codes(instance_files, capsys):
-    argv = ["compute", "--verify-witness", instance_files["defined"]]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert "witness check: passed" in capsys.readouterr().out
-    argv = ["compute", "--verify-witness", instance_files["twisted"]]
-    assert cli.main(argv) == cli.EXIT_NOT_DEFINED
-    assert "witness check" not in capsys.readouterr().out
-
-
-def test_compute_verify_witness_beyond_oracle_limits(tmp_path, capsys):
-    # n = 5 is past the witness oracle's limits: an input error, reported
-    # before the decision prints anything
+def test_compute_check_passes_at_n5(tmp_path, capsys):
     path = tmp_path / "quintic.json"
     doc = gen_instance("defined", 3, ext_degree=5, seed=0)
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert cli.main(["compute", "--verify-witness", str(path)]) == cli.EXIT_INPUT
+    assert cli.main(["compute", "--check", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: DefinedOverK")
+    assert out.endswith("certificate check: passed\n")
+
+
+def test_compute_check_of_twisted_instance(instance_files, capsys):
+    argv = ["compute", "--check", instance_files["twisted"]]
+    assert cli.main(argv) == cli.EXIT_NOT_DEFINED
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: NotDefinedOverK")
+    assert out.endswith("certificate check: passed\n")
+
+
+def _big_coefficient_doc(digits):
+    """psi = ((t + N a)/(t + 1), (t + 1)/(t + N a)) over Q(a), a^2 = -1, with
+    N = 10^digits written out (no int-to-string conversion)."""
+    n = "1" + "0" * digits
+    return {
+        "field": {"generator": "a", "minpoly": ["1", "0", "1"]},
+        "parametrization": [
+            {"num": [["0", n], ["1", "0"]], "den": [["1", "0"], ["1", "0"]]},
+            {"num": [["1", "0"], ["1", "0"]], "den": [["0", n], ["1", "0"]]},
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def big_coefficient_instance(tmp_path_factory):
+    """The instance at N = 10^4250, whose inputs are within Python's
+    4300-digit limit on integer-string conversion while phi's are not, and
+    its decision (made once: it takes seconds)."""
+    path = tmp_path_factory.mktemp("big") / "big.json"
+    path.write_text(json.dumps(_big_coefficient_doc(4250)), encoding="utf-8")
+    _, psi = load_instance(str(path))
+    return str(path), standard_parametrization(psi)
+
+
+@pytest.mark.parametrize("command", ["compute", "definable", "minfield"])
+def test_outputs_beyond_the_digit_limit_print_in_full(
+    big_coefficient_instance, capsys, monkeypatch, command
+):
+    path, result = big_coefficient_instance
+    monkeypatch.setattr(cli, "standard_parametrization", lambda psi: result)
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert cli.main([command, path]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("verdict: DefinedOverK")
+    assert max(len(run) for run in re.findall(r"\d+", captured.out)) > 8000
+    if command == "compute":
+        assert "1" + "0" * 8500 in captured.out  # N^2, exactly
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+
+
+def test_input_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on integer-string conversion")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_big_coefficient_doc(4400)), encoding="utf-8")
+    assert cli.main(["compute", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: parametrization[0].num[0][1]")
+    assert captured.out == ""
+
+
+def test_unexpected_exception_exits_3_with_its_traceback(
+    instance_files, capsys, monkeypatch
+):
+    def broken(psi):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "standard_parametrization", broken)
+    assert cli.main(["definable", instance_files["defined"]]) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "witness oracle budget exceeded" in captured.err
+    assert captured.err.startswith("Traceback")
+    assert "RuntimeError: unexpected" in captured.err
+
+
+def test_package_import_leaves_the_oracles_out():
+    code = "import sys, hypercircles; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    loaded = proc.stdout.split()
+    assert "hypercircles.hypercircle" in loaded
+    assert "hypercircles.weil" not in loaded and "oracles" not in loaded

@@ -1,4 +1,5 @@
-"""The restriction-of-scalars witness oracle used to cross-check results."""
+"""The restriction-of-scalars witness oracle used to cross-check results
+(`oracles.weil_substitution` and `oracles.check_on_witness`)."""
 
 import json
 
@@ -10,13 +11,13 @@ from hypercircles import (
     QQ,
     RatFunc,
     UniPoly,
-    check_on_witness,
     gen_instance,
     parse_instance,
     standard_parametrization,
-    weil_substitution,
 )
 from hypercircles.errors import InstanceError
+
+from oracles import check_on_witness, weil_substitution
 
 x = UniPoly.gen(QQ)
 
