@@ -34,182 +34,25 @@ import random
 from math import gcd as _int_gcd, isqrt
 
 from .errors import InternalInvariantError
-from .intpoly import primes, zz_add, zz_mul, zz_primitive, zz_sub, zz_trim
+from .intpoly import (
+    gf_ddf,
+    gf_divmod,
+    gf_edf,
+    gf_from_zz,
+    gf_gcdex,
+    gf_is_squarefree,
+    gf_monic,
+    gf_mul,
+    primes,
+    zz_add,
+    zz_mul,
+    zz_primitive,
+    zz_sub,
+    zz_trim,
+)
 from .numberfield import from_power_sums, newton_sums
 from .polynomials import UniPoly, is_squarefree, poly_gcd
 from .rationals import RationalField
-
-# ----------------------------------------------------------------------------
-# arithmetic mod a small prime (dense ascending int lists, values in [0, p))
-
-
-def gf_from_zz(f, p):
-    return zz_trim([a % p for a in f])
-
-
-def gf_sub(f, g, p):
-    out = list(f)
-    if len(out) < len(g):
-        out.extend([0] * (len(g) - len(out)))
-    for i, b in enumerate(g):
-        out[i] = (out[i] - b) % p
-    return zz_trim(out)
-
-
-def gf_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return zz_trim([c % p for c in out])
-
-
-def gf_mul_scalar(f, c, p):
-    c %= p
-    if c == 0:
-        return []
-    return zz_trim([(a * c) % p for a in f])
-
-
-def gf_monic(f, p):
-    if not f or f[-1] == 1:
-        return list(f)
-    inv = pow(f[-1], -1, p)
-    return [(a * inv) % p for a in f]
-
-
-def gf_divmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("gf division by zero")
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return [], list(f)
-    inv = pow(g[-1], -1, p)
-    rem = list(f)
-    q = [0] * (df - dg + 1)
-    for i in range(df - dg, -1, -1):
-        c = (rem[i + dg] * inv) % p
-        if c:
-            q[i] = c
-            for j in range(dg):
-                rem[i + j] = (rem[i + j] - c * g[j]) % p
-        rem[i + dg] = 0
-    return zz_trim(q), zz_trim(rem)
-
-
-def gf_rem(f, g, p):
-    return gf_divmod(f, g, p)[1]
-
-
-def gf_gcd(f, g, p):
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, gf_rem(a, b, p)
-    return gf_monic(a, p)
-
-
-def gf_gcdex(f, g, p):
-    """(s, t, h) with s*f + t*g = h = monic gcd(f, g) mod p."""
-    a, b = list(f), list(g)
-    sa, sb = [1], []
-    ta, tb = [], [1]
-    while b:
-        q, r = gf_divmod(a, b, p)
-        a, b = b, r
-        sa, sb = sb, gf_sub(sa, gf_mul(q, sb, p), p)
-        ta, tb = tb, gf_sub(ta, gf_mul(q, tb, p), p)
-    if not a:
-        return sa, ta, a
-    inv = pow(a[-1], -1, p)
-    return (
-        gf_mul_scalar(sa, inv, p),
-        gf_mul_scalar(ta, inv, p),
-        gf_monic(a, p),
-    )
-
-
-def gf_diff(f, p):
-    return zz_trim([(i * f[i]) % p for i in range(1, len(f))])
-
-
-def gf_pow_mod(f, e, mod, p):
-    out = [1]
-    base = gf_rem(f, mod, p)
-    while e:
-        if e & 1:
-            out = gf_rem(gf_mul(out, base, p), mod, p)
-        e >>= 1
-        if e:
-            base = gf_rem(gf_mul(base, base, p), mod, p)
-    return out
-
-
-def gf_is_squarefree(f, p):
-    d = gf_diff(f, p)
-    if not d:
-        return False
-    return len(gf_gcd(f, d, p)) == 1
-
-
-def _stable_seed(f, p):
-    acc = p
-    for a in f:
-        acc = (acc * 1000003 + a) % (1 << 61)
-    return acc
-
-
-def gf_ddf(f, p):
-    """Distinct-degree factorization of a monic squarefree f mod p.
-
-    Returns [(product_of_irreducibles_of_degree_d, d), ...] in increasing d.
-    """
-    out = []
-    h = [0, 1]
-    x = [0, 1]
-    d = 0
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        h = gf_pow_mod(h, p, f, p)
-        g = gf_gcd(f, gf_sub(h, x, p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            f = gf_divmod(f, g, p)[0]
-            h = gf_rem(h, f, p)
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
-def gf_edf(f, d, p, rng):
-    """Equal-degree splitting (Cantor-Zassenhaus, odd p) of monic f whose
-    irreducible factors all have degree d."""
-    n = len(f) - 1
-    if n == d:
-        return [f]
-    out = []
-    stack = [f]
-    e = (p**d - 1) // 2
-    while stack:
-        g = stack.pop()
-        if len(g) - 1 == d:
-            out.append(g)
-            continue
-        while True:
-            r = zz_trim([rng.randrange(p) for _ in range(len(g) - 1)])
-            if not r:
-                continue
-            s = gf_pow_mod(r, e, g, p)
-            s = gf_sub(s, [1], p)
-            h = gf_gcd(g, s, p)
-            if 1 < len(h) < len(g):
-                stack.append(h)
-                stack.append(gf_divmod(g, h, p)[0])
-                break
-    return out
-
 
 # ----------------------------------------------------------------------------
 # Hensel lifting (quadratic, binary tree)
@@ -296,6 +139,14 @@ def hensel_lift(p, f, factors, l):
 
 # ----------------------------------------------------------------------------
 # Zassenhaus over the integers
+
+
+def _stable_seed(f, p):
+    acc = p
+    for a in f:
+        acc = (acc * 1000003 + a) % (1 << 61)
+    return acc
+
 
 # admissible primes whose distinct-degree factorization is compared, and the
 # factor count at which the first of them is taken without looking further
@@ -502,7 +353,10 @@ def zz_factor_squarefree(f):
 
 
 def squarefree_decomposition(f):
-    """[(monic squarefree part, multiplicity), ...] for a monic f."""
+    """[(monic squarefree part, multiplicity), ...] for a monic f; one of
+    degree at most 1 is its own squarefree part, with no gcd taken."""
+    if f.degree <= 1:
+        return [(f, 1)]
     out = []
     d = f.derivative()
     a = poly_gcd(f, d)

@@ -1,44 +1,55 @@
-"""The gcd of polynomial families over a number-field tower, modulo word
-primes: the modular number-field gcd of Encarnacion (J. Symb. Comp. 20,
-1995), extended to towers as by van Hoeij and Monagan (ISSAC 2002).
+"""The gcd of polynomial families over a number-field tower, at totally
+split primes: the modular number-field gcd of Encarnacion (J. Symb. Comp.
+20, 1995), extended to towers as by van Hoeij and Monagan (ISSAC 2002).
 
-`nf_gcd` reduces the family at word-size primes, where every element maps
-into a finite ring, and runs Euclid there with every leading coefficient
-inverted, so each image is monic.  An image of degree 0 proves coprimality
-at once; otherwise the least-degree images are combined by Chinese
-remaindering, the coordinates recovered as rationals, and the monic
-candidate returned once it divides every input exactly.  When the first
-least-degree image is x - s_p and does not reconstruct on its own, s_p is
-lifted p-adically by Newton's iteration instead of taking more primes, and
-the lifted candidate faces the same exact division.  The image degree
-bounds the true one from above, so that division is a proof (argument in
-`nf_gcd`).  Every `UniPoly` gcd runs here.  The rationals are the
-degree-1 field Q[z]/(z), where the argument is that of Brown's modular gcd
-over Z (J. ACM 18, 1971).  `fold_common_root` is its summary for the
-degree-at-most-one question that classifies a sampled parameter.
+`nf_gcd` works only at primes p where each level's integral defining
+polynomial splits into distinct linear factors mod p over every embedding
+of the level below (`_split_primes`).  There every prime of the tower above
+p has degree 1, and the tower mod p is F_p^N, N the absolute degree: one
+evaluation matrix on the flat `NFElement.ic` tuple maps an element to its
+N values, one per embedding, and its inverse mod p maps values back to
+coordinates.  An image of the family is N monic gcds over F_p
+(`intpoly.gf_gcd`, the toolkit Zassenhaus uses too).  One of degree 0
+proves coprimality at once; otherwise the least-degree images are combined
+by Chinese remaindering, the coordinates recovered as rationals, and the
+monic candidate returned once it divides every input exactly.  When the
+first least-degree image is x - s and does not reconstruct on its own, s is
+lifted p-adically per embedding by Newton's iteration instead of taking
+more primes, and the lifted candidate faces the same exact division.  The
+image degree bounds the true one from above, so that division is a proof
+(argument in `nf_gcd`).  Every `UniPoly` gcd runs here.  The rationals are
+the degree-1 field Q[z]/(z), where every prime splits and the argument is
+that of Brown's modular gcd over Z (J. ACM 18, 1971).  `fold_common_root`
+is its summary for the degree-at-most-one question that classifies a
+sampled parameter.
 
-A reduced element is one flat tuple of ints mod q in the layout of
-`NFElement.ic`, so sums are one comprehension at every level.  A product
-at a tower level over another level is one integer product of packed
-(Kronecker) coordinates; the first level runs the integer product of
-`NumberField._tmul` (`numberfield._conv_reduce`) and reduces each
-coordinate mod q once, and a level of degree 1 multiplies as the level
-below it.
-
-Elements reduce in the rescaled-generator basis, where the reduction rows
-are integral, so a prime is inadmissible only when it divides a coefficient
-denominator, the tower discriminant (a product of norms, `_tower_disc`), or
-turns a needed leading coefficient into a zero divisor — all detected
-cheaply.
+A field's split primes are found among those of its base: each embedding
+of the base extends by the roots mod p of the level's polynomial there, so
+roots of each level's polynomial are all that is ever computed, and the
+normal closure is never built.  Split primes and their matrices are cached
+per field.
 """
 
+import random
 from itertools import chain
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
+from operator import mul
 
-from .intpoly import primes
-from .numberfield import NFElement, NumberField, _blocks, _conv_reduce, _tbool
+from .intpoly import gf_diff, gf_edf, gf_eval, gf_gcd, gf_monic, gf_pow_mod, primes
+from .numberfield import NFElement, NumberField, _blocks, _tscale
 from .polynomials import UniPoly
 from .rationals import QQ, Rational, RationalField
+
+# The first prime tried.  Split primes have density 1/[normal closure : Q],
+# and each prime tried costs a root test of about log2(p) squarings mod a
+# level's polynomial, so the search cost grows with p: a split prime of the
+# class field of size 4 of x^5 - 2 (x^6 - 2, size 2) took 42 ms (23 ms) to
+# find from 2^61, 20 ms (13 ms) from 2^31 and 13 ms (8 ms) from 2^20, and
+# workload blocks of plane2, tower5 and sextic_mixed were decided in
+# 0.32, 1.26 and 1.21 s from 2^20 against 0.34, 1.38 and 1.44 s from 2^31
+# (medians of 5, 2-core x86-64 VM, CPython 3.11).  One prime still usually
+# carries a gcd: the p-adic lift covers roots of larger height.
+_PRIME_START = 1 << 20
 
 
 class BadPrime(Exception):
@@ -50,317 +61,148 @@ class BadPrime(Exception):
 _QZ = NumberField(QQ, UniPoly.gen(QQ), "z")
 
 
-def _red(t, p):
-    return tuple([x % p for x in t])
+def _level_poly(field, row, q):
+    """The integral defining polynomial of `field`'s rescaled generator,
+    monic with the constant first, at the embedding of the base whose
+    monomial values are `row`, mod q."""
+    if field._level1:
+        return [-c % q for c in field._txn] + [1]
+    return [-sum(map(mul, c, row)) % q for c in field._txn] + [1]
 
 
-def _neg(t, p):
-    return tuple([(-x) % p for x in t])
-
-
-def _scale(t, c, p):
-    return tuple([(x * c) % p for x in t])
-
-
-class _IntOps:
-    """Coefficient arithmetic of the bottom level: integers mod p."""
-
-    __slots__ = ("p", "zero", "one")
-
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def sub(self, x, y):
-        return (x - y) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def inv(self, x):
-        try:
-            return pow(x, -1, self.p)
-        except ValueError:
-            raise BadPrime("zero divisor met") from None
-
-    def is0(self, x):
-        return x == 0
-
-
-class _ElemOps:
-    """Coefficient arithmetic over one reduced tower level."""
-
-    __slots__ = ("lvl", "zero", "one")
-
-    def __init__(self, lvl):
-        self.lvl = lvl
-        self.zero = lvl.zero
-        self.one = lvl.one
-
-    def add(self, x, y):
-        return _madd(self.lvl, x, y)
-
-    def sub(self, x, y):
-        return _msub(self.lvl, x, y)
-
-    def mul(self, x, y):
-        return _mmul(self.lvl, x, y)
-
-    def inv(self, x):
-        return _minv(self.lvl, x)
-
-    def is0(self, x):
-        return not _tbool(x)
-
-
-class ModLevel:
-    """One tower level reduced mod q: (Z/q)[theta]/(defining polynomial).
-
-    A ring, not necessarily a field — zero divisors surface as BadPrime
-    wherever an inverse is required.  q is a word prime for the Euclid
-    images and a power of one for the p-adic lift.
-    """
-
-    __slots__ = (
-        "p", "sub", "deg", "rows", "mpoly", "zero", "one", "ops", "width",
-        "block", "krows", "absolute_degree",
-    )
-
-
-def _build_level(field, q, width=None):
-    """The tower of `field` reduced mod q.  `width` is the byte width of
-    one packed slot, shared by the whole chain and fixed by its top level:
-    a slot of a packed product holds a sum of fewer than 2 N terms below
-    q^2, N the absolute degree (bound in `_kreduce`)."""
-    if width is None:
-        bits = 2 * q.bit_length() + (2 * field.absolute_degree).bit_length()
-        width = (bits + 7) // 8
-    lvl = ModLevel()
-    lvl.p = q
-    lvl.sub = sub = None if field._level1 else _build_level(field.base, q, width)
-    lvl.deg = field.degree
-    lvl.absolute_degree = field.absolute_degree
-    if sub is None:
-        lvl.rows = tuple(_red(r, q) for r in field._ired)
-        lvl.mpoly = [(-x) % q for x in field._txn] + [1]
-    else:
-        lvl.rows = tuple([_red(b, q) for b in r] for r in field._ired)
-        lvl.mpoly = [_neg(b, q) for b in field._txn] + [sub.one]
-    lvl.zero = field.zero.ic
-    lvl.one = field.one.ic
-    lvl.ops = _IntOps(q) if sub is None else _ElemOps(sub)
-    lvl.width = width
-    lvl.block = width if sub is None else (2 * sub.deg - 1) * sub.block
-    lvl.krows = () if sub is None else tuple(
-        _kpack(lvl, tuple(chain.from_iterable(r))) for r in lvl.rows
-    )
-    return lvl
-
-
-def _madd(lvl, a, b):
-    p = lvl.p
-    return tuple([(x + y) % p for x, y in zip(a, b)])
-
-
-def _msub(lvl, a, b):
-    p = lvl.p
-    return tuple([(x - y) % p for x, y in zip(a, b)])
-
-
-def _mmul(lvl, a, b):
-    if lvl.sub is None:
-        p = lvl.p
-        return tuple([x % p for x in _conv_reduce(a, b, lvl.rows)])
-    if lvl.deg == 1:
-        return _mmul(lvl.sub, a, b)
-    return _kreduce(lvl, _kpack(lvl, a) * _kpack(lvl, b))
-
-
-# Packed (Kronecker) products over a tower level, after Harvey (J. Symb.
-# Comp. 44, 2009).  An element becomes one integer of `width`-byte slots:
-# coordinate i fills block i, and a block has one slot per coefficient of
-# an unreduced product one level down (`block` bytes in all), so a single
-# integer product holds the whole unreduced convolution with no carry
-# between slots.
-
-
-def _kbytes(lvl, a):
-    """A reduced element in lvl's packed layout, as little-endian bytes."""
-    if lvl.sub is None:
-        w = lvl.width
-        return b"".join([x.to_bytes(w, "little") for x in a])
-    sub, blk = lvl.sub, lvl.block
-    cs = _blocks(a, sub.absolute_degree)
-    return b"".join([_kbytes(sub, c).ljust(blk, b"\0") for c in cs])
-
-
-def _kpack(lvl, a):
-    return int.from_bytes(_kbytes(lvl, a), "little")
-
-
-def _kreduce(lvl, x):
-    """The reduced element of lvl from x, an unreduced product packed in
-    lvl's layout: its 2n - 1 blocks.  The high blocks are reduced one level
-    down and folded into the low n with the packed rows (theta^n ..
-    theta^(2n-2), already reduced, so the fold does not cascade), then each
-    low block is reduced one level down.
-
-    Slot bound: with N_l the absolute degree of level l, a slot of the
-    product of two packed elements at level l sums at most N_l terms below
-    q^2, one per pair of first-level coordinates whose exponents add up to
-    the slot's, and the fold there adds at most
-    (n - 1) N_(l-1) = N_l - N_(l-1) more (each row times a reduced block).
-    The folds of all the levels below add to a telescoping sum, so every
-    slot that reaches the first level stays below 2 N_l q^2, which the
-    width of `_build_level` holds.
-    """
-    n = lvl.deg
-    sub = lvl.sub
-    if sub is None:
-        q, w = lvl.p, lvl.width
-        buf = x.to_bytes((2 * n - 1) * w, "little")
-        c = [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
-        for k in range(n, 2 * n - 1):
-            ck = c[k] % q
-            if ck:
-                for i, ri in enumerate(lvl.rows[k - n]):
-                    if ri:
-                        c[i] += ck * ri
-        return tuple(v % q for v in c[:n])
-    blk = lvl.block
-    buf = x.to_bytes((2 * n - 1) * blk, "little")
-    if n > 1:
-        acc = int.from_bytes(buf[: n * blk], "little")
-        for k, row in enumerate(lvl.krows, n):
-            c = _kreduce(sub, int.from_bytes(buf[k * blk : (k + 1) * blk], "little"))
-            if _tbool(c):
-                acc += _kpack(sub, c) * row
-        buf = acc.to_bytes(n * blk, "little")
-    return tuple(chain.from_iterable(
-        _kreduce(sub, int.from_bytes(buf[i : i + blk], "little"))
-        for i in range(0, n * blk, blk)
-    ))
-
-
-def _p_trim(ops, a):
-    while a and ops.is0(a[-1]):
-        a.pop()
-    return a
-
-
-def _p_monic(ops, a):
-    ilc = ops.inv(a[-1])
-    out = [ops.mul(c, ilc) for c in a[:-1]]
-    out.append(ops.one)
+def _expand(prows, roots, n, q):
+    """The monomial values, mod q, at the embeddings that extend the rows
+    prows of the base by `roots`, n of them per base embedding: position
+    i*m + j of the flat layout holds root^i times the base's value j."""
+    out = []
+    for c, r in enumerate(roots):
+        pows = [1]
+        for _ in range(n - 1):
+            pows.append(pows[-1] * r % q)
+        out.append([pw * x % q for pw in pows for x in prows[c // n]])
     return out
 
 
-def _p_rem(ops, a, b):
-    """a mod b for monic b, as a trimmed coefficient list."""
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db:
-        c = r[-1]
-        if not ops.is0(c):
-            off = len(r) - 1 - db
-            for i in range(db):
-                r[off + i] = ops.sub(r[off + i], ops.mul(c, b[i]))
-        r.pop()
-    return _p_trim(ops, r)
+class _Split:
+    """A field's tower at a totally split prime p.
 
-
-def _p_gcd(ops, a, b):
-    """Monic gcd of two monic polynomials."""
-    while b:
-        a, b = b, _p_rem(ops, a, b)
-        if b:
-            b = _p_monic(ops, b)
-    return a
-
-
-def _p_half_xgcd(ops, m, a):
-    """(c, s) with s*a = c (mod m) and c a nonzero constant."""
-    r0, s0 = list(m), []
-    r1, s1 = _p_trim(ops, list(a)), [ops.one]
-    if not r1:
-        raise BadPrime("zero divisor met")
-    while len(r1) > 1:
-        ilc = ops.inv(r1[-1])
-        r1 = [ops.mul(c, ilc) for c in r1]
-        s1 = [ops.mul(c, ilc) for c in s1]
-        db = len(r1) - 1
-        while len(r0) - 1 >= db:
-            c = r0[-1]
-            if not ops.is0(c):
-                off = len(r0) - 1 - db
-                for i in range(db):
-                    r0[off + i] = ops.sub(r0[off + i], ops.mul(c, r1[i]))
-                need = off + len(s1)
-                while len(s0) < need:
-                    s0.append(ops.zero)
-                for i, sc in enumerate(s1):
-                    s0[off + i] = ops.sub(s0[off + i], ops.mul(c, sc))
-            r0.pop()
-        r0 = _p_trim(ops, r0)
-        r0, s0, r1, s1 = r1, s1, r0, s0
-        if not r1:
-            raise BadPrime("zero divisor met")
-    return r1[0], s1
-
-
-def _minv(lvl, a):
-    if not _tbool(a):
-        raise BadPrime("zero divisor met")
-    ops, sub = lvl.ops, lvl.sub
-    # a polynomial over the level below: ints, or blocks of its vectors
-    cs = list(a) if sub is None else _blocks(a, sub.absolute_degree)
-    c, s = _p_half_xgcd(ops, lvl.mpoly, cs)
-    ic = ops.inv(c)
-    out = [ops.mul(x, ic) for x in s]
-    out.extend([ops.zero] * (lvl.deg - len(out)))
-    return tuple(out) if sub is None else tuple(chain.from_iterable(out))
-
-
-def _red_elem(lvl, e):
-    p = lvl.p
-    den = e.den % p
-    if den == 0:
-        raise BadPrime("denominator vanishes")
-    if den == 1:
-        return _red(e.ic, p)
-    return _scale(e.ic, pow(den, -1, p), p)
-
-
-def _tower_disc(field):
-    """Product over the tower of the defining polynomials' discriminant
-    norms, as a positive integer; primes dividing it are never used.
-
-    At each level the rescaled generator theta = scale * gen has the
-    integral defining polynomial m_theta(x) = scale^n m(x / scale), and
-    for a monic f the resultant Res(f, g) is the product of g over the
-    roots of f, so Res(m_theta, m_theta') = N(m_theta'(theta))
-    = N(scale^(n-1) m'(gen)), a norm to the base field; further norms take
-    it down to the rationals.
+    `levels` lists, bottom-up, each level's field and its roots mod p: the
+    level's polynomial over base embedding j has the roots at positions
+    j*n .. j*n + n - 1, n the level's degree, so the top level's positions
+    number the field's N embeddings.  `rows` is the evaluation matrix:
+    row k holds the values mod p at embedding k of the monomials of the
+    flat `ic` layout, and `inv` (built on first use) is its inverse mod p.
     """
-    d = getattr(field, "_modp_disc", None)
-    if d is None:
-        d = 1
-        f = field
-        while getattr(f, "_level1", None) is not None:
-            n = f.degree
-            if n > 1:
-                dm = f.element(f.minpoly.derivative().coeffs)
-                r = (dm * f._scale ** (n - 1)).norm()
-                while not isinstance(r, Rational):
-                    r = r.norm()
-                d *= abs(r.numerator) * r.denominator
-            f = f.base
-        field._modp_disc = d
-    return d
+
+    __slots__ = ("p", "levels", "rows", "_inv")
+
+    def __init__(self, p, levels, rows):
+        self.p = p
+        self.levels = levels
+        self.rows = rows
+        self._inv = None
+
+    @property
+    def inv(self):
+        if self._inv is None:
+            self._inv = _inverse(self.rows, self.p)
+        return self._inv
+
+
+def _inverse(rows, p):
+    """The inverse mod p of an invertible square matrix (Gauss-Jordan)."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        ic = pow(a[c][c], -1, p)
+        pr = a[c] = [x * ic % p for x in a[c]]
+        for i in range(n):
+            f = a[i][c]
+            if f and i != c:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
+    return [r[n:] for r in a]
+
+
+def _extend(field, below):
+    """The record of `field` at the prime of `below`, its base's record, or
+    None unless field's polynomial splits into distinct linear factors mod
+    p over every embedding of the base.  It splits so exactly when x^p = x
+    modulo it, as x^p - x is the squarefree product of all x - a."""
+    p = below.p
+    n = field.degree
+    roots = []
+    for row in below.rows:
+        f = _level_poly(field, row, p)
+        if n == 1:
+            roots.append(-f[0] % p)
+            continue
+        if gf_pow_mod([0, 1], p, f, p) != [0, 1]:
+            return None
+        roots.extend(sorted(-g[0] % p for g in gf_edf(f, 1, p, random.Random(p))))
+    levels = below.levels + ((field, roots),)
+    return _Split(p, levels, _expand(below.rows, roots, n, p))
+
+
+def _split_primes(field):
+    """The records of `field` at its totally split primes, in increasing
+    order from _PRIME_START: an endless generator over a per-field cache."""
+    cache = field.__dict__.get("_modp_split")
+    if cache is None:
+        if field._level1:
+            below = (_Split(p, (), [[1]]) for p in primes(_PRIME_START))
+        else:
+            below = _split_primes(field.base)
+        cache = field._modp_split = ([], below)
+    found, below = cache
+    i = 0
+    while True:
+        while i == len(found):
+            sp = _extend(field, next(below))
+            if sp is not None:
+                found.append(sp)
+        yield found[i]
+        i += 1
+
+
+def _scaled(f):
+    """f times the lcm of its coefficient denominators: that lcm and the
+    integral coefficient vectors."""
+    den = _int_lcm(*(c.den for c in f.coeffs))
+    return den, [c.ic if c.den == den else _tscale(c.ic, den // c.den) for c in f.coeffs]
+
+
+def _apply(m, v, q):
+    """The matrix m times the vector v, mod q."""
+    return [sum(map(mul, r, v)) % q for r in m]
+
+
+def _values(rows, vecs, q):
+    """The polynomial with integral coefficient vectors vecs at each
+    embedding whose monomial values mod q are a row: one list each."""
+    return [_apply(vecs, row, q) for row in rows]
+
+
+def _image(sp, scaled):
+    """The monic gcds over F_p of the inputs at each embedding, stopping at
+    the first input after which one of them is 1; BadPrime when a
+    denominator or, at some embedding, a leading coefficient vanishes."""
+    p = sp.p
+    g = None
+    for den, vecs in scaled:
+        if den % p == 0:
+            raise BadPrime("denominator vanishes")
+        fs = _values(sp.rows, vecs, p)
+        if not all(f[-1] for f in fs):
+            raise BadPrime("leading coefficient vanishes")
+        if g is None:
+            g = [gf_monic(f, p) for f in fs]
+        else:
+            g = [gf_gcd(a, f, p) for a, f in zip(g, fs)]
+        if any(len(h) == 1 for h in g):
+            break
+    return g
 
 
 def _crt(acc, m, t, p):
@@ -388,24 +230,6 @@ def _rat_rec(a, m):
     return Rational(num, den)
 
 
-def _reduced(lvl, f):
-    return [_red_elem(lvl, c) for c in f.coeffs]
-
-
-def _gcd_image(lvl, polys):
-    """Monic gcd of the family at lvl's prime, by Euclid over the reduced
-    ring with every leading coefficient inverted, an input's own included
-    (so no input drops degree); BadPrime when one is a zero divisor."""
-    ops = _ElemOps(lvl)
-    g = None
-    for q in polys:
-        b = _p_monic(ops, _reduced(lvl, q))
-        g = b if g is None else _p_gcd(ops, g, b)
-        if len(g) == 1:
-            break
-    return g
-
-
 def _candidate(field, polys, v, m):
     """The monic polynomial whose lower coefficients are recovered from
     their coordinate vectors mod m, concatenated in v, if it divides every
@@ -425,135 +249,182 @@ def _candidate(field, polys, v, m):
     return h if all((q % h).is_zero for q in polys) else None
 
 
-def _derivative(lvl, cs):
-    q = lvl.p
-    return [_scale(cs[i], i, q) for i in range(1, len(cs))]
+def _solve(p, inv, rows, vals, c, pk, q):
+    """The coordinates mod q, q a power of the prime p, of the element whose
+    values mod q are vals at the embeddings with monomial values rows, from
+    c, its coordinates mod pk: one p-adic digit at a time from the inverse
+    matrix mod p (Dixon, Numer. Math. 40, 1982), as rows agree with the
+    evaluation matrix mod p."""
+    r = [(v - sum(map(mul, row, c))) // pk for v, row in zip(vals, rows)]
+    while pk < q:
+        d = _apply(inv, [x % p for x in r], p)
+        c = [x + pk * y for x, y in zip(c, d)]
+        r = [(x - sum(map(mul, row, d))) // p for x, row in zip(r, rows)]
+        pk *= p
+    return c
 
 
-def _horner(lvl, cs, s):
-    """The polynomial with reduced coefficients cs (constant first) at s."""
-    acc = cs[-1]
-    for c in cs[-2::-1]:
-        acc = _madd(lvl, _mmul(lvl, acc, s), c)
-    return acc
+def _newton(w, f, s, q, qq):
+    """One Newton step for a root s mod q of f, with w the inverse of f'(s)
+    to at least half that precision: w is refined to precision q by
+    w <- w (2 - f'(s) w), with no inversion mod a prime power, and s
+    becomes the root mod qq = q^2.  The new (s, w)."""
+    w = w * (2 - gf_eval(gf_diff(f, q), s, q) * w) % q
+    return (s - gf_eval(f, s, qq) * w) % qq, w
 
 
-def _lift_root(field, levels, polys, lvl, s):
-    """x - s0 from the root s of a degree-1 image at lvl's prime p, by
-    Newton's iteration mod p^(2^k) (Loos, SIAM J. Comput. 12, 1983; von zur
-    Gathen and Gerhard, Modern Computer Algebra, ch. 15) on an input f with
-    f'(s) a unit mod p.  None when no input has one, or when another input
-    stops vanishing at the lifted root, which proves p unlucky.
-
-    Each step refines w, the inverse of f'(s), by w <- w (2 - f'(s) w) to
-    the current precision q, with no inversion mod a prime power, then
-    sets s <- s - f(s) w mod q^2; each precision is tried as a candidate
-    that must divide every input exactly.
-    """
-    for f in polys:
-        try:
-            w = _minv(lvl, _horner(lvl, _derivative(lvl, _reduced(lvl, f)), s))
-        except BadPrime:
-            continue
-        break
-    else:
-        return None
-    lq = lvl
+def _lifted_rows(sp):
+    """The evaluation matrix of sp lifted p-adically: an endless generator
+    of (q, rows) at q = p^2, p^4, ..., with each level's roots lifted by
+    `_newton` from the simple roots mod p of its polynomial, the level
+    below first, as the polynomial moves with the embedding below."""
+    p = sp.p
+    levels = []
+    prows = [[1]]
+    for lf, rs in sp.levels:
+        n = lf.degree
+        ws = []
+        for j, prow in enumerate(prows):
+            d = gf_diff(_level_poly(lf, prow, p), p)
+            ws += [pow(gf_eval(d, r, p), -1, p) for r in rs[j * n : j * n + n]]
+        levels.append((lf, list(rs), ws))
+        prows = _expand(prows, rs, n, p)
+    q = p
     while True:
-        if lq is not lvl:
-            dw = _mmul(lq, _horner(lq, _derivative(lq, cs), s), w)
-            w = _mmul(lq, w, _msub(lq, _madd(lq, lq.one, lq.one), dw))
-        q = lq.p * lq.p
-        lq = levels.get(q)
-        if lq is None:
-            lq = levels[q] = _build_level(field, q)
-        cs = _reduced(lq, f)
-        s = _msub(lq, s, _mmul(lq, _horner(lq, cs, s), w))
-        h = _candidate(field, polys, _neg(s, q), q)
+        qq = q * q
+        prows = [[1]]
+        for lf, rs, ws in levels:
+            n = lf.degree
+            for j, prow in enumerate(prows):
+                f = _level_poly(lf, prow, qq)
+                for c in range(j * n, j * n + n):
+                    rs[c], ws[c] = _newton(ws[c], f, rs[c], q, qq)
+            prows = _expand(prows, rs, n, qq)
+        yield qq, prows
+        q = qq
+
+
+def _lift_root(field, polys, scaled, sp, roots):
+    """x - s0 from the roots, one per embedding, of a degree-1 image at sp's
+    prime p, by Newton's iteration mod p^(2^k) (Loos, SIAM J. Comput. 12,
+    1983; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15) per
+    embedding, on an input whose derivative is nonzero mod p there, as the
+    embedding itself is lifted (`_lifted_rows`).  None when some embedding
+    has no such input, or when another input stops vanishing at the first
+    embedding's lifted root, which proves p unlucky.  Each precision's
+    coordinates come back from the lifted values by `_solve`, digits on
+    from the last precision's, and are tried as a candidate that must
+    divide every input exactly.
+    """
+    p = sp.p
+    fs = [_values(sp.rows, vecs, p) for _, vecs in scaled]
+    pick, ws = [], []
+    for k, s in enumerate(roots):
+        for i, f in enumerate(fs):
+            d = gf_eval(gf_diff(f[k], p), s, p)
+            if d:
+                pick.append(i)
+                ws.append(pow(d, -1, p))
+                break
+        else:
+            return None
+    coords = _apply(sp.inv, roots, p)
+    q = p
+    for qq, rows in _lifted_rows(sp):
+        fs = {i: _values(rows, scaled[i][1], qq) for i in set(pick)}
+        for k, i in enumerate(pick):
+            roots[k], ws[k] = _newton(ws[k], fs[i][k], roots[k], q, qq)
+        coords = _solve(p, sp.inv, rows, roots, coords, q, qq)
+        h = _candidate(field, polys, [-x % qq for x in coords], qq)
         if h is not None:
             return h
-        for g in polys:
-            if g is not f and _tbool(_horner(lq, _reduced(lq, g), s)):
+        for i, (_, vecs) in enumerate(scaled):
+            if i != pick[0] and gf_eval(_apply(vecs, rows[0], qq), roots[0], qq):
                 return None
+        q = qq
 
 
 def nf_gcd(polys, field):
     """Monic gcd of a family of nonzero polynomials over the rationals or a
     number-field tower.
 
-    Why the answer is proven.  Call a prime p admissible when it divides no
-    coefficient denominator and no tower discriminant and the Euclid run
-    mod p inverts every leading coefficient it meets.  Then the reduced
-    tower is a product of finite fields F_P, one per prime P of the field
-    above p, and the monic image g_p is, in each F_P, the gcd of the inputs
-    reduced mod P.  The true monic gcd G divides each input f, whose leading
-    coefficient is a unit at P; the roots of G are roots of f/lc(f), hence
-    integral at P, so G has P-integral coefficients and G mod P is a monic
-    divisor of every reduced input.  So deg G <= deg g_p at every admissible
-    prime: an image of degree 0 proves G = 1, and a monic candidate h of
-    the least image degree that divides every input exactly divides G and
-    has deg h >= deg G, so h = G.  A candidate x - s0 from the p-adic lift
-    below has degree 1, the degree of an image, so the same argument makes
-    it G once it divides every input.
+    Why the answer is proven.  Let p be a totally split prime of the tower
+    (`_split_primes`): every level's integral polynomial has distinct roots
+    mod p over each embedding of the level below, so the tower has N
+    primes P above p, each of degree 1, and reduction mod P is evaluation
+    at an embedding into F_p.  Admissibility is that split test plus, for
+    each input reduced, denominators that survive mod p and a leading
+    coefficient that vanishes at no P: the input is then P-integral with a
+    unit leading coefficient.  The true monic gcd G divides each input f;
+    the roots of G are roots of f/lc(f), hence integral at P, so G has
+    P-integral coefficients and G mod P is a monic divisor of f mod P.  So
+    deg G <= deg g_P, g_P the monic gcd over F_p of the inputs reduced so
+    far mod P: an image of degree 0 proves G = 1, and a monic candidate
+    h of the least image degree that divides every input exactly divides G
+    and has deg h >= deg G, so h = G.  A candidate x - s0 from the p-adic
+    lift below has degree 1, the degree of an image, so the same argument
+    makes it G once it divides every input.
 
-    Why the loop ends.  Only finitely many primes are inadmissible, and only
-    finitely many are unlucky (image degree above deg G); at every other
-    prime the image is G mod p, so the Chinese remainder of those images
-    grows until rational reconstruction returns G itself.
+    Why the loop ends.  By Chebotarev's density theorem the totally split
+    primes have density 1/[normal closure : Q], so there are infinitely
+    many.  Only finitely many of them are inadmissible, and only finitely
+    many unlucky (an image of degree above deg G at some P, or images of
+    unequal degrees, both skipped); at every other one the image is G mod
+    each P, so the Chinese remainder of those images grows until rational
+    reconstruction returns G itself.
 
-    The lift.  When the first image of least degree is x - s_p and does not
-    reconstruct on its own, s_p is lifted p-adically from an input f with
-    f'(s_p) a unit mod p, so that s_p is a simple root of f in every F_P
-    and lifts to exactly one root s* of f over the p-adic completions.  If
-    p is lucky, G = x - s0 with s0 = s_p mod p, so s* = s0: the lifted
-    roots converge to s0, whose coordinates are p-integral because p
-    divides no tower discriminant, and reconstruct once p^(2^k) exceeds
-    twice the square of their heights.  If p is unlucky, G = 1, so some
-    input g has g(s*) != 0 (a common root over the completions would be a
-    common factor over the field); g(s*) has finite valuation (when f and g
-    are coprime, at most the p-valuation of their resultant), and g stops
-    vanishing at the lifted root once 2^k exceeds it.  The CRT loop then goes on at the next prime; it
-    stays the only route for degree 2 and above and for roots that no input
-    has simple mod p.
+    The lift.  When the first image of least degree is x - s_P at each P
+    and does not reconstruct on its own, each s_P is lifted in the
+    completion at P, which is Q_p, from an input f with f'(s_P) nonzero
+    mod p, so that s_P is a simple root of f mod P and lifts to exactly
+    one root s*_P of f in Q_p; the embedding itself is lifted too, from
+    the simple roots of each level's polynomial.  If p is lucky,
+    G = x - s0 with s0 = s_P mod P, so s*_P is the image of s0 at P: the
+    lifted roots converge to s0's values, whose coordinates are p-integral
+    because p divides no level's discriminant (the roots are distinct),
+    and reconstruct once p^(2^k) exceeds twice the square of their heights.
+    If p is unlucky, G = 1, and as the gcd over Q_p of the inputs' images
+    at P is the image of G, at every P some input g has g(s*_P) != 0, so
+    the first embedding's P is watched alone; g(s*_P) has finite valuation
+    (when f and g are coprime, at most the p-valuation of their
+    resultant), and g stops vanishing at the lifted root once 2^k exceeds
+    it.  The CRT loop then goes on at the next prime; it stays the only
+    route for degree 2 and above and for roots that no input has simple
+    mod P.
 
-    Over the rationals the family runs over Q[z]/(z), where the reduced
-    ring is F_p and the tower discriminant is 1, and the monic result is
-    mapped back.
+    Over the rationals the family runs over Q[z]/(z), where N = 1 and every
+    prime splits, and the monic result is mapped back.
     """
     if any(q.degree == 0 for q in polys):
         return UniPoly.one(field)
     if isinstance(field, RationalField):
         g = nf_gcd([q.map_into(_QZ) for q in polys], _QZ)
         return g.map_coeffs(lambda c: c.retract(), field)
-    disc = _tower_disc(field)
-    levels = field.__dict__.setdefault("_modp_levels", {})
+    scaled = [_scaled(q) for q in polys]
     least = None
     acc = None
     mod = 1
-    for p in primes(1 << 61):
-        if disc % p == 0:
-            continue
-        lvl = levels.get(p)
-        if lvl is None:
-            lvl = levels[p] = _build_level(field, p)
+    for sp in _split_primes(field):
+        p = sp.p
         try:
-            g = _gcd_image(lvl, polys)
+            gs = _image(sp, scaled)
         except BadPrime:
             continue
-        deg = len(g) - 1
+        deg = min(len(g) for g in gs) - 1
         if deg == 0:
             return UniPoly.one(field)
-        if least is not None and deg > least:
-            continue  # unlucky: the image has a spurious common factor
+        if any(len(g) != deg + 1 for g in gs) or (least is not None and deg > least):
+            continue  # unlucky: an image has a spurious common factor
         first = least is None or deg < least
-        v = tuple(chain.from_iterable(g[:-1]))  # the lower coefficients
+        # the lower coefficients' coordinates
+        v = tuple(chain.from_iterable(_apply(sp.inv, [g[j] for g in gs], p) for j in range(deg)))
         if first:
             least, acc, mod = deg, v, p
         else:
             acc, mod = _crt(acc, mod, v, p)
         h = _candidate(field, polys, acc, mod)
         if h is None and first and deg == 1:
-            h = _lift_root(field, levels, polys, lvl, _neg(g[0], p))
+            h = _lift_root(field, polys, scaled, sp, [-g[0] % p for g in gs])
         if h is not None:
             return h
 

@@ -7,7 +7,7 @@ trimmed tuple, so the zero polynomial has an empty coefficient tuple and
 ``degree == -1``.
 
 There is one gcd engine for every field: `poly_gcd` is the modular gcd of
-`modp.nf_gcd`, which works at word-size primes and proves its answer by
+`modp.nf_gcd`, which works at totally split primes and proves its answer by
 exact division; over the rationals it runs over the degree-1 field
 Q[z]/(z).
 """

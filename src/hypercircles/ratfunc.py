@@ -349,18 +349,6 @@ class MoebiusTransform:
             return POLE
         return n / d
 
-    def inverse(self):
-        return type(self)._raw(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other):
-        """Composition: (self.compose(other))(t) = self(other(t))."""
-        return type(self)._raw(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     @classmethod
     def _raw(cls, a, b, c, d):
         m = cls.__new__(cls)
@@ -379,16 +367,6 @@ class MoebiusTransform:
                 if u[i] * v[j] != u[j] * v[i]:
                     return False
         return True
-
-    def canonical(self):
-        """Scale so the first nonzero coefficient is one."""
-        for c in (self.a, self.b, self.c, self.d):
-            if c:
-                inv = 1 / c
-                return type(self)._raw(
-                    self.a * inv, self.b * inv, self.c * inv, self.d * inv
-                )
-        raise InternalInvariantError("zero Moebius transform")
 
     def __eq__(self, other):
         if not isinstance(other, MoebiusTransform):

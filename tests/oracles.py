@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 from hypercircles.errors import InstanceError, InternalInvariantError
 from hypercircles.hypercircle import conjugacy_classes, parameter_schedule
-from hypercircles.modp import _madd
-from hypercircles.numberfield import NFElement, NumberField, nf_conjugate
+from hypercircles.numberfield import nf_conjugate
 from hypercircles.polynomials import UniPoly, poly_gcd
 from hypercircles.rationals import RationalField
 from hypercircles.ratfunc import POLE, RatFunc
@@ -246,26 +245,6 @@ def charpoly_by_faddeev_leverrier(x):
     return UniPoly._raw(base, coeffs)
 
 
-def tower_disc_by_resultant(field):
-    """`modp._tower_disc` by Euclid: at each level of degree n > 1, the
-    resultant of the rescaled generator's defining polynomial
-    m_theta(x) = scale^n m(x / scale) and its derivative, normed down to Q;
-    the product of their absolute values."""
-    d = 1
-    f = field
-    while isinstance(f, NumberField):
-        n = f.degree
-        if n > 1:
-            s = f._scale
-            mt = UniPoly(f.base, [c * s ** (n - i) for i, c in enumerate(f.minpoly.coeffs)])
-            r = poly_resultant(mt, mt.derivative())
-            while isinstance(r, NFElement):
-                r = r.norm()
-            d *= abs(r.numerator) * r.denominator
-        f = f.base
-    return d
-
-
 def tmul_by_convolution_and_division(field, a, b):
     """`NumberField._tmul` at the first level by the full integer convolution,
     then division by the integral relation theta^n = sum txn_i theta^i from
@@ -281,37 +260,6 @@ def tmul_by_convolution_and_division(field, a, b):
         for i, r in enumerate(field._txn):
             out[k - n + i] += c * r
     return tuple(out[:n])
-
-
-def mmul_by_nested_convolution(lvl, a, b):
-    """`modp._mmul` by schoolbook convolution at every level: a coordinate
-    over the sub-level is a block of the sub-level's absolute degree, each
-    product of two such blocks is itself a convolution, and the high
-    coordinates are folded in with the unpacked reduction rows."""
-    q = lvl.p
-    n = lvl.deg
-    sub = lvl.sub
-    if sub is None:
-        out = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-        for k in range(2 * n - 2, n - 1, -1):
-            for i, ri in enumerate(lvl.rows[k - n]):
-                out[i] = (out[i] + out[k] * ri) % q
-        return tuple(out[:n])
-    m = sub.absolute_degree
-    a = [a[i : i + m] for i in range(0, len(a), m)]
-    b = [b[i : i + m] for i in range(0, len(b), m)]
-    out = [sub.zero] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = _madd(sub, out[i + j], mmul_by_nested_convolution(sub, ai, bj))
-    for k in range(2 * n - 2, n - 1, -1):
-        for i, ri in enumerate(lvl.rows[k - n]):
-            prod = mmul_by_nested_convolution(sub, out[k], ri)
-            out[i] = _madd(sub, out[i], prod)
-    return tuple(x for c in out[:n] for x in c)
 
 
 # Independent witness-variety oracle for hypercircle parametrizations.

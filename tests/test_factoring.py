@@ -17,6 +17,7 @@ from hypercircles import (
 )
 from hypercircles import factoring
 from hypercircles.generators import cyclotomic_minpoly
+from hypercircles.hypercircle import conjugacy_classes
 from hypercircles.intpoly import primes, zz_mul, zz_primitive
 
 from test_numberfield import tower
@@ -291,6 +292,19 @@ def test_factor_over_nf_gaussian():
     # a polynomial that stays irreducible
     unit, fac = factor_over_nf(x**2 - 2, field)
     assert len(fac) == 1 and fac[0][0].degree == 2
+
+
+def test_conjugacy_classes_of_a_quadratic_field_take_no_gcd(monkeypatch):
+    # m(alpha, x) = x + alpha over Q(i) has degree 1: it is its own
+    # squarefree part and its own class, with no gcd taken
+    def refuse(*args):
+        raise AssertionError("a gcd was taken")
+
+    monkeypatch.setattr(factoring, "poly_gcd", refuse)
+    field = NumberField(QQ, x**2 + 1, "i")
+    _, classes = conjugacy_classes(field)
+    assert [c.factor for c in classes] == [UniPoly.gen(field) + field.gen]
+    assert factoring.squarefree_decomposition(x - 3) == [(x - 3, 1)]
 
 
 def test_factor_over_nf_multiplicity():

@@ -5,7 +5,8 @@ Weil witness variety (`oracles.check_on_witness`, checked where it runs in
 well under a second: not at n = 3, degree 5 and 6, where it takes about 6 s
 and 17 s on a 2-core x86-64 VM); twisted ones must be refused with a minimum
 field of degree n.  The pinned instances below, up to n = 6, pass
-`check_certificate` too.
+`check_certificate` too, and two CLI outputs over x^6 - 2 hash to pinned
+values.
 
 A unit Moebius reparametrization over Q(alpha) describes the same curve, so
 on a smaller grid it must leave the verdict, the classes that fix the curve
@@ -24,9 +25,12 @@ from hypercircles import (
     parse_instance,
     standard_parametrization,
 )
+from hypercircles import cli
+from hypercircles.instances import serialize_instance
 from hypercircles.ratfunc import MoebiusTransform
 
 from oracles import check_on_witness, sums_to_t, weil_substitution
+from test_minfield import sextic_subfield_instance
 
 GRID = [(2, d) for d in range(3, 7)] + [(3, d) for d in range(3, 7)]
 WITNESS_GRID = [(2, d) for d in range(3, 7)] + [(3, d) for d in range(3, 5)]
@@ -117,6 +121,32 @@ def test_pipeline_outputs_are_pinned():
     refreshes PINNED_SHA256 and justifies the refresh in CHANGES.md."""
     text = "\n\n".join(_rendered_outputs(*spec) for spec in PINNED)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+# sha256 of the standard output of `compute --check` on the seed-0 twisted
+# x^6 - 2 instance of degree 4, whose degree-2 Trager pull-back gcds take
+# the CRT route, and of `minfield` on the x^6 - 2 instance over Q(sqrt 2),
+# whose rerun takes gcds over a two-level tower.  The same refresh rule as
+# PINNED_SHA256 holds.
+CLI_PINNED_SHA256 = {
+    "compute --check": "488fc15bc386578f680048979a03cfdf7e74182f0e60e5b9f62838da8fa5946b",
+    "minfield": "935ceaae80310522bda5baf60dbae06bce13cc1fc77b1394f4bff8072e984633",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_PINNED_SHA256))
+def test_cli_outputs_are_pinned(tmp_path, capsys, command):
+    path = tmp_path / "instance.json"
+    if command == "minfield":
+        text = serialize_instance(*sextic_subfield_instance(2, 4))
+        want = cli.EXIT_OK
+    else:
+        text = json.dumps(gen_instance("twisted", 4, ext_degree=6, seed=0))
+        want = cli.EXIT_NOT_DEFINED
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(command.split() + [str(path)]) == want
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_PINNED_SHA256[command]
 
 
 @pytest.mark.parametrize(

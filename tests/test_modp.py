@@ -1,5 +1,7 @@
 """The modular number-field gcd and its common-root summary, checked
-against the textbook Euclidean gcd over the field."""
+against the textbook Euclidean gcd over the field; the split test that
+picks its primes, and the evaluation at a split prime, round-tripped mod p
+and mod p^k."""
 
 import itertools
 import math
@@ -18,20 +20,25 @@ from hypercircles import (
     classify_parameter,
     poly_gcd,
 )
-from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.hypercircle import SINGULAR, conjugacy_classes
-from hypercircles.intpoly import is_prime, primes
+from hypercircles import modp
+from hypercircles.intpoly import gf_diff, gf_gcd, is_prime, primes
 from hypercircles.modp import (
-    _build_level,
-    _mmul,
+    _PRIME_START,
+    _Split,
+    _extend,
+    _lifted_rows,
     _rat_rec,
-    _tower_disc,
+    _scaled,
+    _solve,
+    _split_primes,
+    _values,
     fold_common_root,
     nf_gcd,
 )
 from hypercircles.numberfield import ConjugacyClass
 
-from oracles import euclid_gcd, mmul_by_nested_convolution, tower_disc_by_resultant
+from oracles import euclid_gcd
 
 
 def make_K():
@@ -49,11 +56,66 @@ def make_M():
     return NumberField(L, UniPoly(L, [-L.gen, L.zero, L.one]), "c")
 
 
+def make_size4():
+    """The relative field of the class of size 4 of x^5 - 2."""
+    quintic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 1]), "a")
+    (size4,) = [c for c in conjugacy_classes(quintic)[1] if c.size == 4]
+    return size4.relative_field
+
+
+def sextic_classes():
+    sextic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 0, 1]), "a")
+    return conjugacy_classes(sextic)[1]
+
+
+def make_over1():
+    """A depth-3 tower over a degree-1 level: c^2 = -b over the relative
+    field of the class of size 1 of x^6 - 2."""
+    size1 = next(c.relative_field for c in sextic_classes() if c.size == 1)
+    return NumberField(size1, UniPoly(size1, [size1.gen, size1.zero, size1.one]), "c")
+
+
 def make_field(label):
-    return {"Q": lambda: QQ, "K": make_K, "L": make_L, "M": make_M}[label]()
+    return {
+        "Q": lambda: QQ,
+        "K": make_K,
+        "L": make_L,
+        "M": make_M,
+        "over1": make_over1,
+        "size4": make_size4,
+    }[label]()
 
 
-FIRST_PRIME = next(primes(1 << 61))
+def split_primes(field, count=1):
+    """The first `count` totally split primes of the field's tower."""
+    return [sp.p for sp in itertools.islice(_split_primes(field), count)]
+
+
+def spy(monkeypatch, name):
+    """Record each call of the modp function `name` as (args, result), with
+    the result "bad" when it raised BadPrime."""
+    calls = []
+    inner = getattr(modp, name)
+
+    def recorded(*args):
+        try:
+            out = inner(*args)
+        except modp.BadPrime:
+            calls.append((args, "bad"))
+            raise
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(modp, name, recorded)
+    return calls
+
+
+def image_degrees(calls):
+    """(prime, image degrees) of each recorded `_image` call."""
+    return [
+        (args[0].p, out if out == "bad" else sorted({len(g) - 1 for g in out}))
+        for args, out in calls
+    ]
 
 
 def rand_elem(rng, f, bound=9):
@@ -143,31 +205,58 @@ def test_rational_reconstruction_rejects_out_of_bounds():
     assert seen_none
 
 
-def test_tower_discriminant_positive():
-    K, L = make_K(), make_L()
-    assert _tower_disc(K) > 0
-    assert _tower_disc(L) > 0
-    # memoised on the field
-    assert _tower_disc(L) is _tower_disc(L)
+def bottom(p):
+    """The record of the rationals at p, the base of every level-1 record."""
+    return _Split(p, (), [[1]])
 
 
-def disc_fields():
-    """Fields whose tower discriminant is checked against the resultant."""
-    qi = NumberField(QQ, UniPoly(QQ, [1, 0, 1]), "a")
-    # x^3 - x/2 + 1/3: the generator is rescaled by 6
-    cubic = NumberField(QQ, UniPoly(QQ, [Rational(1, 3), Rational(-1, 2), 0, 1]), "a")
-    quintic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 1]), "a")
-    (size4,) = [c for c in conjugacy_classes(quintic)[1] if c.size == 4]
-    phi7 = NumberField(QQ, cyclotomic_minpoly(7), "a")
-    phi7_classes = [c.relative_field for c in conjugacy_classes(phi7)[1]]
-    return [qi, make_K(), cubic, make_L(), size4.relative_field] + phi7_classes
+def test_split_test_refuses_a_prime_that_splits_only_partly():
+    # x^2 + 1 splits mod p exactly when p = 1 mod 4.  Over Q(r), r^2 = 2,
+    # which splits when p = +-1 mod 8, the level i^2 = -1 splits only when
+    # p = 1 mod 8: at p = 7 mod 8 the tower splits at its first level only.
+    qi = NumberField(QQ, UniPoly(QQ, [1, 0, 1]), "i")
+    r2 = NumberField(QQ, UniPoly(QQ, [-2, 0, 1]), "r")
+    over = NumberField(r2, UniPoly(r2, [r2.one, r2.zero, r2.one]), "i")
+    residues = set()
+    for p in itertools.islice(primes(_PRIME_START), 40):
+        sp = _extend(qi, bottom(p))
+        assert (sp is not None) == (p % 4 == 1)
+        if sp is not None:
+            assert sorted(r * r % p for r in sp.levels[0][1]) == [p - 1] * 2
+        below = _extend(r2, bottom(p))
+        assert (below is not None) == (p % 8 in (1, 7))
+        if below is not None:
+            assert (_extend(over, below) is None) == (p % 8 == 7)
+        residues.add(p % 8)
+    assert residues == {1, 3, 5, 7}
+    assert all(p % 4 == 1 for p in split_primes(qi, 5))
+    assert all(p % 8 == 1 for p in split_primes(over, 5))
 
 
-def test_tower_discriminant_is_the_resultant():
-    fields = disc_fields()
-    assert fields[2]._scale == 6
-    for field in fields:
-        assert _tower_disc(field) == tower_disc_by_resultant(field)
+def test_split_test_refuses_a_prime_dividing_a_level_discriminant():
+    # (x - 1)^2 - p over Q, and x^2 - p over Q(i), have discriminants 4p:
+    # mod p their roots meet, so p is refused although they split there
+    p = next(q for q in primes(_PRIME_START) if q % 4 == 1)
+    field = NumberField(QQ, UniPoly(QQ, [1 - p, -2, 1]), "a")
+    assert _extend(field, bottom(p)) is None
+    assert p not in split_primes(field, 4)
+    qi = NumberField(QQ, UniPoly(QQ, [1, 0, 1]), "i")
+    over = NumberField(qi, UniPoly(qi, [-p, 0, 1]), "b")
+    below = _extend(qi, bottom(p))
+    assert below is not None and _extend(over, below) is None
+    assert p not in split_primes(over, 4)
+
+
+def test_gcd_skips_a_prime_dividing_a_denominator(monkeypatch):
+    # a / p0 reduces at no embedding of the first split prime p0: that
+    # image is refused, and the next split prime gives the gcd
+    field = make_K()
+    x = UniPoly.gen(field)
+    p0, p1 = split_primes(field, 2)
+    s = field.gen / p0
+    images = spy(monkeypatch, "_image")
+    assert nf_gcd([(x - s) * (x + 1), (x - s) * (x - 2)], field) == x - s
+    assert image_degrees(images) == [(p0, "bad"), (p1, [1])]
 
 
 @pytest.mark.parametrize("label", ["K", "L"])
@@ -235,7 +324,7 @@ def test_fold_lone_input_is_made_monic():
     assert fold_common_root([2 * x**2 + a], field) == ("degree", 2)
 
 
-@pytest.mark.parametrize("label", ["Q", "K", "L"])
+@pytest.mark.parametrize("label", ["Q", "K", "L", "M", "over1", "size4"])
 @pytest.mark.parametrize("planted", [0, 2, 3])
 def test_gcd_matches_euclid(label, planted):
     field = make_field(label)
@@ -274,111 +363,132 @@ def test_gcd_with_a_constant_input_is_one():
     assert nf_gcd([f, c, f], field) == UniPoly.one(field)
 
 
-def test_gcd_skips_a_prime_that_kills_a_leading_coefficient():
-    # At the first word prime p the leading coefficient p vanishes; the
+def test_gcd_skips_a_prime_that_kills_a_leading_coefficient(monkeypatch):
+    # At the first split prime p the leading coefficient p vanishes; the
     # reduced inputs would then be coprime although the gcd is x - 1/p.
     field = make_K()
     a = field.gen
     x = UniPoly.gen(field)
-    p = next(primes(1 << 61))
+    p, p1 = split_primes(field, 2)
     f = (p * x - 1) * (x - a)
     g = (p * x - 1) * (x + 2)
+    images = spy(monkeypatch, "_image")
     assert poly_gcd(f, g) == x - Rational(1, p)
+    assert image_degrees(images) == [(p, "bad"), (p1, [1])]
 
 
-def test_gcd_discards_an_unlucky_prime():
-    # x - p and x share a root mod p, so at the prime p the image has a
-    # spurious factor: as the first image, which the next prime's lower
+def test_gcd_discards_an_unlucky_prime(monkeypatch):
+    # x - p and x share a root mod p, so at the split prime p the image has
+    # a spurious factor: as the first image, which the next prime's lower
     # degree replaces, and after a lucky image, where it is skipped.  A
     # degree-1 lucky first image is lifted p-adically and never meets p1,
     # so the planted quadratic keeps the CRT loop on that path.
     field = make_L()
     b = field.gen
     x = UniPoly.gen(field)
-    p0, p1 = itertools.islice(primes(1 << 61), 2)
+    p0, p1 = split_primes(field, 2)
+    images = spy(monkeypatch, "_image")
     assert poly_gcd((x - b) * (x - p0), (x - b) * x) == x - b
-    big = b + 10**40  # its coordinates need five primes of CRT
+    assert image_degrees(images) == [(p0, [2]), (p1, [1])]
+    big = b + 10**40  # its coordinates need many primes of CRT
+    images.clear()
+    lifts = spy(monkeypatch, "_lift_root")
     assert poly_gcd((x - big) * (x - p1), (x - big) * x) == x - big
+    assert image_degrees(images) == [(p0, [1])]
+    assert [(args[3].p, out) for args, out in lifts] == [(p0, x - big)]
     h = x**2 + big * x - 3 * big
+    images.clear()
+    crts = spy(monkeypatch, "_crt")
     assert poly_gcd(h * (x - p1), h * x) == h
+    assert image_degrees(images)[:2] == [(p0, [2]), (p1, [3])]
+    assert [args[3] for args, _ in crts] == [args[0].p for args, _ in images[2:]]
 
 
-def test_lift_detects_an_unlucky_first_prime():
+def test_lift_detects_an_unlucky_first_prime(monkeypatch):
     # mod p0 both inputs are x, so the first image is x - 0; the gcd is 1,
     # and the lifted root of either input stops being a root of the other
     # (with x first the lifted root 0 reconstructs, and only the trial
     # division rejects x)
     field = make_L()
     x = UniPoly.gen(field)
-    p0 = FIRST_PRIME
+    p0, p1 = split_primes(field, 2)
     one = UniPoly.one(field)
+    images = spy(monkeypatch, "_image")
+    lifts = spy(monkeypatch, "_lift_root")
     assert nf_gcd([x - p0, x], field) == one
     assert nf_gcd([x, x - p0], field) == one
     assert nf_gcd([x - 1, x - 1 - p0, x - 1], field) == one
+    assert [(args[3].p, out) for args, out in lifts] == [(p0, None)] * 3
+    assert image_degrees(images) == [(p0, [1]), (p1, [0])] * 3
 
 
-def test_lift_skips_an_input_with_a_double_root_mod_p():
-    # s and s + p0 meet mod p0, so the first input has a double root there
-    # (its derivative vanishes) and the lift must run on the second
+def test_lift_skips_an_input_with_a_double_root_mod_p(monkeypatch):
+    # s and s + p0 meet mod p0, so at every embedding the first input has a
+    # double root there (its derivative vanishes) and the lift must run on
+    # the second
     field = make_L()
     b = field.gen
     x = UniPoly.gen(field)
-    p0 = FIRST_PRIME
+    sp = next(_split_primes(field))
+    p0 = sp.p
     s = b * 10**40 + Rational(1, 3)
     f = (x - s) * (x - s - p0) * (x + b)
     g = (x - s) * (x - 2)
+    for fk in _values(sp.rows, _scaled(f)[1], p0):
+        assert len(gf_gcd(fk, gf_diff(fk, p0), p0)) > 1
+    lifts = spy(monkeypatch, "_lift_root")
     assert nf_gcd([f, g], field) == x - s
     assert nf_gcd([g, f], field) == x - s
+    assert [(args[3].p, out) for args, out in lifts] == [(p0, x - s)] * 2
 
 
 def parity_fields():
-    """Towers whose packed products are checked against nested convolution."""
-    quintic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 1]), "a")
-    (size4,) = [c.relative_field for c in conjugacy_classes(quintic)[1] if c.size == 4]
-    sextic = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 0, 1]), "a")
-    classes = conjugacy_classes(sextic)[1]
-    size2 = next(c.relative_field for c in classes if c.size == 2)
-    size1 = next(c.relative_field for c in classes if c.size == 1)
-    over1 = NumberField(size1, UniPoly(size1, [size1.gen, size1.zero, size1.one]), "c")
+    """Towers whose evaluation at a split prime is checked."""
+    classes = sextic_classes()
     return {
-        "x5-2 size 4": size4,
+        "x5-2 size 4": make_size4(),
         "L": make_L(),
-        "x6-2 size 2": size2,
-        "x6-2 size 1": size1,
+        "x6-2 size 2": next(c.relative_field for c in classes if c.size == 2),
+        "x6-2 size 1": next(c.relative_field for c in classes if c.size == 1),
         "depth 3": make_M(),
-        "depth 3 over degree 1": over1,
+        "depth 3 over degree 1": make_over1(),
+        # x^3 - x/2 + 1/3: the generator is rescaled by 6
+        "rescaled": NumberField(
+            QQ, UniPoly(QQ, [Rational(1, 3), Rational(-1, 2), 0, 1]), "a"
+        ),
     }
 
 
-def rand_reduced(rng, lvl, top):
-    """A reduced element of lvl with first-level coordinates below top."""
-    return tuple(rng.randrange(top) for _ in range(lvl.absolute_degree))
-
-
-def filled(lvl, v):
-    """The element of lvl with every first-level coordinate v."""
-    return (v,) * lvl.absolute_degree
+def values_at(rows, e, q):
+    """The values mod q of the element e at the embeddings of rows."""
+    dinv = pow(e.den, -1, q)
+    return [v[0] * dinv % q for v in _values(rows, [e.ic], q)]
 
 
 @pytest.mark.parametrize("power", [1, 2, 4])
-def test_packed_product_matches_nested_convolution(power):
-    q = FIRST_PRIME**power
+def test_evaluation_then_interpolation_round_trips(power):
+    # at the first split prime p, the evaluation matrix (power 1) and its
+    # lifts mod p^2 and p^4: coordinates come back from their values, and
+    # the values of a product are the products of the values, so each row
+    # is a ring homomorphism of the tower mod p^power
     rng = random.Random(power)
-    for name, field in parity_fields().items():
-        lvl = _build_level(field, q)
-
-        def rand(top=q):
-            return rand_reduced(rng, lvl, top)
-
-        top = filled(lvl, q - 1)  # every slot at its largest
-        pairs = [(rand(), rand()) for _ in range(8)]
-        pairs += [(rand(3), rand()), (top, top), (top, rand())]
-        for a in (rand(), top):
-            pairs += [(a, lvl.zero), (lvl.zero, a), (a, lvl.one), (lvl.one, a)]
-        for a, b in pairs:
-            want = mmul_by_nested_convolution(lvl, a, b)
-            assert _mmul(lvl, a, b) == want, name
-        assert _mmul(lvl, lvl.one, lvl.one) == lvl.one
+    fields = parity_fields()
+    assert fields["rescaled"]._scale == 6
+    for name, field in fields.items():
+        sp = next(_split_primes(field))
+        p = sp.p
+        q = p**power
+        rows = sp.rows if power == 1 else dict(itertools.islice(_lifted_rows(sp), 2))[q]
+        n = field.absolute_degree
+        assert len(rows) == n and len({tuple(r) for r in rows}) == n, name
+        assert values_at(rows, field.one, q) == [1] * n, name
+        for _ in range(4):
+            c = [rng.randrange(q) for _ in range(n)]
+            vals = [v[0] for v in _values(rows, [c], q)]
+            assert _solve(p, sp.inv, rows, vals, [0] * n, 1, q) == c, name
+            a, b = rand_elem(rng, field), rand_elem(rng, field)
+            ab = [x * y % q for x, y in zip(values_at(rows, a, q), values_at(rows, b, q))]
+            assert values_at(rows, a * b, q) == ab, name
 
 
 def test_classify_parameter_singular_on_a_degree_two_fibre():
