@@ -31,7 +31,7 @@ from math import gcd
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_over_nf
 from .modp import fold_common_root
-from .numberfield import ConjugacyClass, NumberField, integral_ops, nf_conjugate
+from .numberfield import ConjugacyClass, NumberField, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
     POLE,
@@ -270,11 +270,6 @@ def verify_identity(psi, psi_sigma, u):
     return True
 
 
-def _conjugate_poly(p, cls):
-    rel = cls.relative_field
-    return p.map_coeffs(lambda c: nf_conjugate(c, cls), rel)
-
-
 def trace_term(m_alpha, cls, u):
     """The class's term of phi's sum, traced down to K(alpha).
 
@@ -284,12 +279,14 @@ def trace_term(m_alpha, cls, u):
     polynomial of the pole -d/c over K(alpha) when c != 0 (the product of
     the t + d/c over the class) and 1 when u is affine.  Returns
     (numerators, g): numerators[k] is N_k, a polynomial in t over K(alpha).
-    Nothing is normalized here.
+    Nothing is normalized here.  m(alpha_i, alpha_i) is the conjugate of
+    m(alpha, alpha), so it is inverted in K(alpha), not in the larger
+    relative field.
     """
     rel = cls.relative_field
     base = rel.base
-    m_i = _conjugate_poly(m_alpha, cls)
-    scaled = m_i * (rel.one / m_i(rel.gen))  # P(x) over rel
+    m_i = m_alpha.map_coeffs(cls.conjugate, rel)
+    scaled = m_i * cls.conjugate(base.one / m_alpha(base.gen))  # P(x) over rel
     a, b, c, d = u.a, u.b, u.c, u.d
     if c:
         btil = d / c

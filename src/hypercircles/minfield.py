@@ -57,24 +57,13 @@ def invariance_system(cls):
     field = rel.base
     if not isinstance(field.base, RationalField):
         raise InstanceError("invariance systems require a ground field of Q")
-    n = field.degree
-    root = rel.gen
     cols = []
-    p = rel.one
-    for j in range(n):
-        img = p  # sigma(alpha^j) = root^j
-        orig = rel.coerce(field.gen ** j)
-        diff = img - orig
-        flat = []
-        for kcoord in diff.coords:  # over K(alpha)
-            flat.extend(kcoord.coords)  # over QQ
-        cols.append(flat)
-        p = p * root
-    rows = []
-    nrows = len(cols[0])
-    for r in range(nrows):
-        rows.append([cols[j][r] for j in range(n)])
-    return rows
+    for j in range(field.degree):
+        power = field.gen**j
+        diff = cls.conjugate(power) - rel.coerce(power)
+        # coordinates over K(alpha), then each one's over Q
+        cols.append([q for c in diff.coords for q in c.coords])
+    return [list(row) for row in zip(*cols)]
 
 
 def _minimal_polynomial(x):

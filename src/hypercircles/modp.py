@@ -36,7 +36,7 @@ from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
 from .intpoly import gf_diff, gf_edf, gf_eval, gf_gcd, gf_monic, gf_pow_mod, primes
-from .numberfield import NFElement, NumberField, _blocks, _tscale
+from .numberfield import NFElement, NumberField, _blocks, integral_ops
 from .polynomials import UniPoly
 from .rationals import QQ, Rational, RationalField
 
@@ -166,13 +166,6 @@ def _split_primes(field):
         i += 1
 
 
-def _scaled(f):
-    """f times the lcm of its coefficient denominators: that lcm and the
-    integral coefficient vectors."""
-    den = _int_lcm(*(c.den for c in f.coeffs))
-    return den, [c.ic if c.den == den else _tscale(c.ic, den // c.den) for c in f.coeffs]
-
-
 def _apply(m, v, q):
     """The matrix m times the vector v, mod q."""
     return [sum(map(mul, r, v)) % q for r in m]
@@ -190,7 +183,7 @@ def _image(sp, scaled):
     denominator or, at some embedding, a leading coefficient vanishes."""
     p = sp.p
     g = None
-    for den, vecs in scaled:
+    for vecs, den in scaled:
         if den % p == 0:
             raise BadPrime("denominator vanishes")
         fs = _values(sp.rows, vecs, p)
@@ -317,7 +310,7 @@ def _lift_root(field, polys, scaled, sp, roots):
     divide every input exactly.
     """
     p = sp.p
-    fs = [_values(sp.rows, vecs, p) for _, vecs in scaled]
+    fs = [_values(sp.rows, vecs, p) for vecs, _ in scaled]
     pick, ws = [], []
     for k, s in enumerate(roots):
         for i, f in enumerate(fs):
@@ -331,14 +324,14 @@ def _lift_root(field, polys, scaled, sp, roots):
     coords = _apply(sp.inv, roots, p)
     q = p
     for qq, rows in _lifted_rows(sp):
-        fs = {i: _values(rows, scaled[i][1], qq) for i in set(pick)}
+        fs = {i: _values(rows, scaled[i][0], qq) for i in set(pick)}
         for k, i in enumerate(pick):
             roots[k], ws[k] = _newton(ws[k], fs[i][k], roots[k], q, qq)
         coords = _solve(p, sp.inv, rows, roots, coords, q, qq)
         h = _candidate(field, polys, [-x % qq for x in coords], qq)
         if h is not None:
             return h
-        for i, (_, vecs) in enumerate(scaled):
+        for i, (vecs, _) in enumerate(scaled):
             if i != pick[0] and gf_eval(_apply(vecs, rows[0], qq), roots[0], qq):
                 return None
         q = qq
@@ -400,7 +393,7 @@ def nf_gcd(polys, field):
     if isinstance(field, RationalField):
         g = nf_gcd([q.map_into(_QZ) for q in polys], _QZ)
         return g.map_coeffs(lambda c: c.retract(), field)
-    scaled = [_scaled(q) for q in polys]
+    scaled = [integral_ops(field).lift(q.coeffs) for q in polys]
     least = None
     acc = None
     mod = 1

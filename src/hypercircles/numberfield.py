@@ -14,11 +14,20 @@ positive denominator, reduced once per operation.  Its coordinate i over
 the base is the block of positions i*m .. i*m + m - 1, m the base's
 absolute degree, and holds that base element's own tuple; so a degree-1
 level has its base's tuples, and code that needs a polynomial over the
-base (`_tmul`, `_columns`, `coords`) slices the blocks.  This keeps the inner loops on plain machine/big integers — one
-content gcd per arithmetic operation instead of a rational reduction per
-coefficient — which is what keeps exact arithmetic over these fields
-affordable.  The public `coords` property still exposes exact coordinates
-over the power basis of `gen` itself.
+base (`_tmul`, `_columns`, `coords`) slices the blocks.  This keeps the
+inner loops on plain machine/big integers — one content gcd per arithmetic
+operation instead of a rational reduction per coefficient — which is what
+keeps exact arithmetic over these fields affordable.  The public `coords`
+property still exposes exact coordinates over the power basis of `gen`
+itself.
+
+A map that is linear over a subfield is one integer matrix over one
+denominator on the flat tuple (`_matvec`), built once from the images of
+the basis theta^i b_j, b_j the basis of the base: the trace down one level
+(`NFElement.trace`; the image of theta^i b_j is D^i s_i b_j, s_i the power
+sums of the defining polynomial's roots), a conjugation alpha -> alpha_i,
+which fixes the base (`ConjugacyClass.conjugate`; the image is
+(D alpha_i)^i b_j), and a product by a fixed element (`integral_ops`).
 
 Norms, characteristic polynomials and inverses share one path: the traces
 of an element's powers give its characteristic polynomial by Newton's
@@ -111,6 +120,34 @@ def _blocks(v, m):
     return [v[i : i + m] for i in range(0, len(v), m)]
 
 
+def _matvec(rows, ic):
+    """The integer matrix with the given rows times the vector ic."""
+    return tuple([sum(map(mul, row, ic)) for row in rows])
+
+
+def _basis(field):
+    """The elements whose vectors are the unit vectors: theta^i b_j, b_j
+    the base's, at index i*m + j; over Q the single 1."""
+    if not isinstance(field, NumberField):
+        return [field.one]
+    n = field.absolute_degree
+    return [NFElement._raw(field, (0,) * k + (1,) + (0,) * (n - k - 1), 1) for k in range(n)]
+
+
+def _linear_map(images, target):
+    """The linear map that sends the basis element at index k (`_basis`) to
+    images[k], an element of `target`, as a function on elements: one
+    integer matrix over one denominator, its rows the coordinates of the
+    images (over Q a single row)."""
+    ops = integral_ops(target)
+    vecs, q = ops.lift(images)
+    if isinstance(target, NumberField):
+        rows, make = tuple(zip(*vecs)), ops.make
+    else:
+        rows, make = (tuple(vecs),), lambda v, den: Rational(v[0], den)
+    return lambda x: make(_matvec(rows, x.ic), x.den * q)
+
+
 class NumberField:
     def __init__(self, base, minpoly, name):
         if minpoly.field != base and minpoly.field is not base:
@@ -157,8 +194,7 @@ class NumberField:
         else:
             vec[0], vec[m] = 0, 1
             self.gen = NFElement._raw(self, tuple(vec), scale)
-        self._power_traces = None
-        self._theta_traces = None
+        self._trace = None
         self._ops = None
 
     def _sub_to_frac(self, c):
@@ -213,22 +249,6 @@ class NumberField:
                     return e
             raise TypeError(f"cannot coerce element of {x.field!r} into {self!r}")
         return self._from_base_elem(self.base.coerce(x))
-
-    def power_traces(self):
-        """Traces of gen^0 .. gen^(degree-1) down to the base field."""
-        if self._power_traces is None:
-            self._power_traces = newton_sums(self.minpoly, self.degree)
-        return self._power_traces
-
-    def theta_traces(self):
-        """Traces of theta^0 .. theta^(degree-1) at the first level, as
-        integers over one shared positive denominator: (ints, den)."""
-        if self._theta_traces is None:
-            ts = [s * self._scale**i for i, s in enumerate(self.power_traces())]
-            den = _int_lcm(*(t.denominator for t in ts))
-            ints = tuple(t.numerator * (den // t.denominator) for t in ts)
-            self._theta_traces = (ints, den)
-        return self._theta_traces
 
     def _tmul(self, a, b):
         """Product of two integral coordinate vectors, reduced."""
@@ -311,12 +331,6 @@ class NumberField:
 
 class NFElement:
     __slots__ = ("field", "ic", "den")
-
-    def __init__(self, field, coords):
-        e = field.element(coords)
-        self.field = field
-        self.ic = e.ic
-        self.den = e.den
 
     @classmethod
     def _raw(cls, field, vec, den):
@@ -503,17 +517,18 @@ class NFElement:
         return acc * -(self.field.base.one / c[0])
 
     def trace(self):
-        """Trace down one level, to the base field.  At the first level it
-        is one integer dot product of the coordinates with `theta_traces`."""
-        if self.field._level1:
-            ints, den = self.field.theta_traces()
-            return Rational(sum(map(mul, self.ic, ints)), self.den * den)
-        sums = self.field.power_traces()
-        out = self.field.base.zero
-        for c, s in zip(self.coords, sums):
-            if c:
-                out = out + c * s
-        return out
+        """Trace down one level, to the base field: one integer matrix,
+        built on first use, whose column for theta^i b_j is the vector of
+        D^i s_i b_j, s_i the i-th power sum of the roots of the defining
+        polynomial (`newton_sums`) and D its generator scale."""
+        f = self.field
+        if f._trace is None:
+            sums = newton_sums(f.minpoly, f.degree)
+            basis = _basis(f.base)
+            f._trace = _linear_map(
+                [s * f._scale**i * b for i, s in enumerate(sums) for b in basis], f.base
+            )
+        return f._trace(self)
 
     def _powers_and_charpoly(self):
         """The powers x^0 .. x^n and the characteristic polynomial over the
@@ -686,8 +701,7 @@ class _FieldOps:
         field = self.field
         if not self.matrix:
             return partial(field._tmul, v)
-        rows = tuple(zip(*field._columns(v)))
-        return lambda w: tuple([sum(map(mul, row, w)) for row in rows])
+        return partial(_matvec, tuple(zip(*field._columns(v))))
 
     def make(self, v, q):
         return NFElement._make(self.field, v, q)
@@ -705,24 +719,32 @@ class ConjugacyClass:
         self.factor = factor
         self.size = factor.degree
         self.relative_field = NumberField(factor.field, factor, name)
+        self._sigma = None
 
     @property
     def root(self):
         """The designated root of `factor` in the relative field."""
         return self.relative_field.gen
 
+    def conjugate(self, x):
+        """The conjugation alpha -> root of an element x of K(alpha), where
+        root is the class's designated root; the result lives in the
+        relative field.  It fixes the base of K(alpha), so it is one integer
+        matrix, built on first use, whose column for theta^i b_j is the
+        vector of (D root)^i b_j, D the generator scale of K(alpha)."""
+        if self._sigma is None:
+            rel = self.relative_field
+            field = rel.base
+            basis = [rel.coerce(b) for b in _basis(field.base)]
+            theta = rel.gen * field._scale
+            images = []
+            power = rel.one
+            for _ in range(field.degree):
+                images.extend([power * b for b in basis])
+                power = power * theta
+            self._sigma = _linear_map(images, rel)
+        return self._sigma(x)
+
     def __repr__(self):
         return f"ConjugacyClass({self.factor.render()}, size={self.size})"
 
-
-def nf_conjugate(x, cls):
-    """Apply the conjugation alpha -> root to an element of K(alpha), where
-    root is the class's designated root; the result lives in the class's
-    relative field.
-    """
-    rel = cls.relative_field
-    root = rel.gen
-    acc = rel.zero
-    for c in reversed(x.coords):
-        acc = acc * root + rel.coerce(c)
-    return acc

@@ -13,15 +13,6 @@ Q[z]/(z).
 """
 
 
-def field_extends(big, small):
-    """True if `small` appears in the base chain of `big` (or equals it)."""
-    while big is not None:
-        if big is small or big == small:
-            return True
-        big = getattr(big, "base", None)
-    return False
-
-
 class UniPoly:
     __slots__ = ("field", "coeffs")
 
@@ -208,14 +199,7 @@ class UniPoly:
         return UniPoly._raw(self.field, [cs[i] * i for i in range(1, len(cs))])
 
     def __call__(self, x):
-        """Evaluate by Horner; x may live in an extension of the base field."""
-        xf = getattr(x, "field", None)
-        if xf is not None and xf != self.field and field_extends(xf, self.field):
-            co = xf.coerce
-            acc = xf.zero
-            for c in reversed(self.coeffs):
-                acc = acc * x + co(c)
-            return acc
+        """Evaluate by Horner at a value of the coefficient field."""
         x = self.field.coerce(x)
         acc = self.field.zero
         for c in reversed(self.coeffs):

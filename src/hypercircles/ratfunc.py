@@ -9,7 +9,7 @@ line.
 
 from .errors import InternalInvariantError
 from .linalg import kernel_basis
-from .numberfield import integral_ops, nf_conjugate
+from .numberfield import integral_ops
 from .polynomials import UniPoly, poly_gcd
 
 
@@ -479,8 +479,8 @@ class Parametrization:
         rel = cls.relative_field
         out = []
         for c in self.components:
-            num = c.num.map_coeffs(lambda x: nf_conjugate(x, cls), rel)
-            den = c.den.map_coeffs(lambda x: nf_conjugate(x, cls), rel)
+            num = c.num.map_coeffs(cls.conjugate, rel)
+            den = c.den.map_coeffs(cls.conjugate, rel)
             out.append(RatFunc._normalized(num, den))
         return Parametrization(out)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from hypercircles.errors import InstanceError, InternalInvariantError
 from hypercircles.hypercircle import conjugacy_classes, parameter_schedule
-from hypercircles.numberfield import nf_conjugate
+from hypercircles.numberfield import newton_sums
 from hypercircles.polynomials import UniPoly, poly_gcd
 from hypercircles.rationals import RationalField
 from hypercircles.ratfunc import POLE, RatFunc
@@ -23,6 +23,30 @@ def sums_to_t(field, phi):
         total = total + comp * power
         power = power * field.gen
     return total == RatFunc.gen(field)
+
+
+def nf_conjugate(x, cls):
+    """Apply the conjugation alpha -> root to an element of K(alpha), where
+    root is the class's designated root; the result lives in the class's
+    relative field.
+    """
+    rel = cls.relative_field
+    root = rel.gen
+    acc = rel.zero
+    for c in reversed(x.coords):
+        acc = acc * root + rel.coerce(c)
+    return acc
+
+
+def trace_by_power_sums(x):
+    """The trace of x down one level as sum_i c_i s_i, c_i its coordinates
+    over the base and s_i the power sums of the defining polynomial's roots,
+    one base-field product per coordinate."""
+    f = x.field
+    out = f.base.zero
+    for c, s in zip(x.coords, newton_sums(f.minpoly, f.degree)):
+        out = out + c * s
+    return out
 
 
 def cubic_compose_pair(num, den, mob, degree=None):

@@ -29,14 +29,13 @@ from hypercircles.modp import (
     _extend,
     _lifted_rows,
     _rat_rec,
-    _scaled,
     _solve,
     _split_primes,
     _values,
     fold_common_root,
     nf_gcd,
 )
-from hypercircles.numberfield import ConjugacyClass
+from hypercircles.numberfield import ConjugacyClass, integral_ops
 
 from oracles import euclid_gcd
 
@@ -434,7 +433,7 @@ def test_lift_skips_an_input_with_a_double_root_mod_p(monkeypatch):
     s = b * 10**40 + Rational(1, 3)
     f = (x - s) * (x - s - p0) * (x + b)
     g = (x - s) * (x - 2)
-    for fk in _values(sp.rows, _scaled(f)[1], p0):
+    for fk in _values(sp.rows, integral_ops(field).lift(f.coeffs)[0], p0):
         assert len(gf_gcd(fk, gf_diff(fk, p0), p0)) > 1
     lifts = spy(monkeypatch, "_lift_root")
     assert nf_gcd([f, g], field) == x - s

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hypercircles import NumberField, QQ, Rational, UniPoly
 from hypercircles.errors import InternalInvariantError
 from hypercircles.hypercircle import conjugacy_classes
-from hypercircles.numberfield import ConjugacyClass, nf_conjugate
+from hypercircles.numberfield import ConjugacyClass
 
-from oracles import tmul_by_convolution_and_division
+from oracles import nf_conjugate, tmul_by_convolution_and_division, trace_by_power_sums
+from test_modp import parity_fields
 
 small_rats = st.builds(
     Rational,
@@ -140,8 +141,8 @@ def test_charpoly_of_generator_is_minpoly():
 def test_power_traces_match_float_roots():
     field = quartic()
     roots = np.roots([1, 0, 0, 0, -2])  # x^4 - 2
-    traces = field.power_traces()
-    for k, tr in enumerate(traces):
+    for k in range(6):
+        tr = (field.gen**k).trace()
         want = np.sum(roots**k)
         assert abs(complex(want) - float(tr.numerator) / float(tr.denominator)) < 1e-6
 
@@ -170,14 +171,12 @@ def test_conjugation_consistency():
         assert not cls.factor.map_into(rel)(root)
         # conjugation is a ring homomorphism
         y = field.element([Rational(0), Rational(1), Rational(1), Rational(3)])
-        assert nf_conjugate(x * y, cls) == nf_conjugate(x, cls) * nf_conjugate(y, cls)
-        assert nf_conjugate(x + y, cls) == nf_conjugate(x, cls) + nf_conjugate(y, cls)
+        assert cls.conjugate(x * y) == cls.conjugate(x) * cls.conjugate(y)
+        assert cls.conjugate(x + y) == cls.conjugate(x) + cls.conjugate(y)
         # rationals are fixed
-        assert nf_conjugate(field.coerce(Rational(7, 3)), cls) == rel.coerce(
-            Rational(7, 3)
-        )
+        assert cls.conjugate(field.coerce(Rational(7, 3))) == rel.coerce(Rational(7, 3))
         # alpha maps to the root
-        assert nf_conjugate(a, cls) == root
+        assert cls.conjugate(a) == root
 
 
 def test_trace_decomposes_over_classes():
@@ -188,7 +187,7 @@ def test_trace_decomposes_over_classes():
     x = field.element([Rational(2), Rational(1), Rational(-3), Rational(1, 2)])
     total = x
     for cls in classes:
-        y = nf_conjugate(x, cls)
+        y = cls.conjugate(x)
         total = total + (y.retract() if cls.size == 1 else y.trace())
     coords = list(total.coords)
     assert coords[1:] == [Rational(0)] * 3
@@ -321,3 +320,49 @@ def test_tensor_multiply_big_coordinates():
     x = field.element([Rational(big), Rational(1, big), Rational(0), Rational(-big)])
     y = x * x.inverse()
     assert y == field.one
+
+
+def _levels(field):
+    while isinstance(field, NumberField):
+        yield field
+        field = field.base
+
+
+def _matrix_cases():
+    """(name, level) for every level of every `parity_fields()` tower."""
+    for name, field in parity_fields().items():
+        for depth, level in enumerate(_levels(field)):
+            yield f"{name}[{depth}]", level
+
+
+def _conjugation_cases():
+    """(name, class) for each level over a number field as the class of
+    its own defining polynomial, and the conjugacy classes of every first
+    level of degree >= 2.  Not every such map is a conjugation (the class
+    fields of x^5 - 2 and x^6 - 2 give one, `L`'s a -> b does not), but
+    each is linear over the base, which is all the matrix relies on."""
+    for name, level in _matrix_cases():
+        if isinstance(level.base, NumberField):
+            yield name, ConjugacyClass(level.minpoly, "z")
+        elif level.degree >= 2:
+            for cls in conjugacy_classes(level)[1]:
+                yield f"{name} size {cls.size}", cls
+
+
+def test_conjugation_matrix_matches_horner():
+    rng = random.Random("conjugate")
+    for name, cls in _conjugation_cases():
+        field = cls.factor.field
+        xs = [field.gen, field.one, field.zero]
+        xs += [_dyadic_element(rng, field) for _ in range(4)]
+        for x in xs:
+            assert cls.conjugate(x) == nf_conjugate(x, cls), name
+
+
+def test_trace_matrix_matches_power_sums():
+    rng = random.Random("trace")
+    for name, level in _matrix_cases():
+        xs = [level.gen, level.one, level.zero]
+        xs += [_dyadic_element(rng, level) for _ in range(4)]
+        for x in xs:
+            assert x.trace() == trace_by_power_sums(x), name
