@@ -215,41 +215,58 @@ def compute_u_for_class(psi, cls):
 
 
 def verify_identity(psi, psi_sigma, u):
-    """Exact check of psi == psi_sigma o u, component by component.
+    """Exact proof of psi == psi_sigma o u, checked as
+    psi o u^-1 == psi_sigma, component by component.
 
-    Each component of psi is a reduced fraction N/D with D monic, since
-    `RatFunc` is normalized that way; conjugation is a field embedding, so
-    the components of psi_sigma are reduced too.  Substituting a unit
-    Moebius map into a coprime pair, homogenized to degree
-    max(deg num, deg den), is an invertible change of variables of the
-    binary forms, so the composed pair (cn, cd) is coprime as well.  Two
-    reduced fractions are equal iff their parts are proportional, and with
-    D monic the factor is lam = lc(cd): the check is deg cn == deg N,
-    deg cd == deg D, cn == lam * N and cd == lam * D coefficient by
-    coefficient.
+    The identity.  With u = (a t + b)/(c t + d) a unit, the adjugate
+    u^-1 = (d t - b)/(-c t + a) is its inverse, and composing
+    psi o u^-1 == psi^sigma with u gives psi == psi^sigma o u.
 
-    A True answer needs none of these premises: proportional pairs define
-    the same function, so it is a proof on any input.
+    The premises.  Each component of psi is a reduced fraction N/D with D
+    monic, since `RatFunc` is normalized that way; conjugation is a field
+    embedding, so each component N'/D' of psi^sigma is reduced with D'
+    monic too, and of the same degree k = max(deg N, deg D).  Substituting
+    a unit Moebius map into a coprime pair, homogenized to degree k, is an
+    invertible change of variables of the binary forms, so the composed
+    pair (cn, cd) of N/D and u^-1 is coprime as well.  Two reduced
+    fractions are equal iff their parts are proportional, and with D'
+    monic the factor is lam = lc(cd): the check is deg N'/D' == k,
+    deg cn == deg N', deg cd == deg D', cn == lam * N' and cd == lam * D'
+    coefficient by coefficient.
 
-    The same coefficients are compared on integers, and nothing is
-    normalized.  u and each part of psi^sigma and of psi become integral
-    vectors over one denominator each (`integral_ops`): L for u, E_num and
-    E_den for the parts of psi^sigma, E_N and E_D for those of psi, whose
-    vectors are X_j and Y_j.  The Horner scheme of `moebius_compose_pair`
-    (`moebius_composer`, with one table of the powers of C t + D for every
-    component) gives CN = E_num L^k cn and CD = E_den L^k cd, so the checks
-    read CN_j E_den E_N == lc(CD) X_j E_num and CD_j E_D == lc(CD) Y_j.
-    The composition costs O(d^2) products of integral vectors, each by a
-    fixed multiplier (a coefficient of u, or of psi^sigma times a row of the
-    table), and the comparison O(d) products by lc(CD).
+    A True answer is a proof for any u.  For a unit u, proportional pairs
+    define the same function.  A singular u makes each composed pair a
+    constant pair times a power of one linear form; that is proportional
+    to the reduced N'/D' only when N'/D' is a constant, and then the equal
+    degrees make N/D the same constant.  A False answer is the
+    failed-identity certificate that `check_certificate` re-proves.
+
+    The cost.  The coefficients are compared on integers, and nothing is
+    normalized.  u^-1 and each part of psi and of psi^sigma become integral
+    vectors of the class field over one denominator each (`integral_ops`):
+    L for u^-1, E_N and E_D for the parts of psi, E_num and E_den for those
+    of psi^sigma, whose vectors are X_j and Y_j.  The Horner scheme of
+    `moebius_compose_pair` (`moebius_composer`, with one table of the
+    powers of -C t + A for every component) gives CN = E_N L^k cn and
+    CD = E_D L^k cd, so the checks read CN_j E_D E_num == lc(CD) X_j E_N
+    and CD_j E_den == lc(CD) Y_j.  The composition costs O(d^2) products of
+    integral vectors, each by a fixed multiplier.  A coefficient of psi
+    lies in K(alpha), the base of the class field, so its products act
+    block by block (`integral_ops`); the fit sets d = 1, so the Horner
+    step's L t - B scales by an integer on one side.  Only -B, -C, A and
+    each component's lc(CD), the multiplier of the O(d) products of the
+    comparison, multiply as full matrices of the class field.
     """
     ops = integral_ops(psi_sigma.field)
     nonzero, scale = ops.nonzero, ops.scale
-    compose, _ = moebius_composer(ops, u, psi_sigma.degree)
+    inverse = MoebiusTransform._raw(u.d, -u.b, -u.c, u.a)
+    compose, _ = moebius_composer(ops, inverse, psi.degree)
     for comp, comp_s in zip(psi, psi_sigma):
-        k = comp_s.degree
+        k = comp.degree
+        if comp_s.degree != k:
+            return False
         images = []
-        for part, image in ((comp.num, comp_s.num), (comp.den, comp_s.den)):
+        for part, image in ((comp_s.num, comp.num), (comp_s.den, comp.den)):
             acc, e = compose(image, k) if image.coeffs else ([], 1)
             size = len(acc)
             while size and not nonzero(acc[size - 1]):
@@ -258,7 +275,7 @@ def verify_identity(psi, psi_sigma, u):
                 return False
             images.append((part, acc, e))
         e_den = images[1][2]
-        lam = ops.fixed(images[1][1][len(comp.den.coeffs) - 1])
+        lam = ops.fixed(images[1][1][len(comp_s.den.coeffs) - 1])
         for part, acc, e in images:
             xs, e_part = ops.lift(part.coeffs)
             left, right = e_den * e_part, e
@@ -281,23 +298,25 @@ def trace_term(m_alpha, cls, u):
     (numerators, g): numerators[k] is N_k, a polynomial in t over K(alpha).
     Nothing is normalized here.  m(alpha_i, alpha_i) is the conjugate of
     m(alpha, alpha), so it is inverted in K(alpha), not in the larger
-    relative field.
+    relative field; c (or d when u is affine) is inverted once for its
+    three quotients.
     """
     rel = cls.relative_field
     base = rel.base
     m_i = m_alpha.map_coeffs(cls.conjugate, rel)
     scaled = m_i * cls.conjugate(base.one / m_alpha(base.gen))  # P(x) over rel
     a, b, c, d = u.a, u.b, u.c, u.d
+    inv = (c or d).inverse()
+    mult = UniPoly(rel, [b * inv, a * inv])  # (a t + b) / c, or / d
     if c:
-        btil = d / c
+        btil = d * inv
         g = (-btil).charpoly()  # monic over K(alpha), degree = class size
         g1, r = divmod(g.map_into(rel), UniPoly(rel, [btil, rel.one]))
         if not r.is_zero:
             raise InternalInvariantError("charpoly of the pole is not divisible")
-        mult = UniPoly(rel, [b / c, a / c]) * g1  # ((a/c) t + b/c) g / (t + d/c)
+        mult = mult * g1  # ((a/c) t + b/c) g / (t + d/c)
     else:
         g = UniPoly.one(base)
-        mult = UniPoly(rel, [b / d, a / d])
     numerators = []
     for pk in scaled.coeffs:
         prod = mult * pk

@@ -36,8 +36,11 @@ and whose coefficients give the inverse by Cayley-Hamilton.
 
 Loops that only add and multiply (the Moebius composition of the identity
 proof) run on `integral_ops` instead: the same integer tuples over one
-denominator, normalized once at the end, with a product by a fixed element as an
-integer matrix from absolute degree 4 on.
+denominator, normalized once at the end.  A product by a fixed element is
+an integer matrix from absolute degree 4 on, a scaling when the element
+is an integer, and when the element lies in the base (its blocks after
+the first are zero) it acts on each block through the base's own product,
+so its matrix is the base's.
 
 Field identity is object identity: two elements interoperate only when their
 fields are literally the same object or one field appears in the base chain
@@ -632,8 +635,12 @@ def integral_ops(field):
     - `zero`, `one`: vectors;
     - `add(v, w)`, `scale(v, k)` by an int, `nonzero(v)`;
     - `fixed(v)`: the map w -> the vector of v * w.  It is a scaling when v
-      is an integer; from absolute degree _MATRIX_DEGREE on it is one
-      integer matrix-vector product, and below that `_tmul`;
+      is an integer.  When v lies in the base (every block after the first
+      is zero), v * w is the base's product by v on each block of w, so
+      the base's `fixed` serves, recursively down to the scaling; a
+      degree-1 level's vectors are its base's.  Otherwise it is one
+      integer matrix-vector product from absolute degree _MATRIX_DEGREE
+      on, and `_tmul` below that;
     - `make(v, q)`: the field element v / q, normalized.
     """
     if not isinstance(field, NumberField):
@@ -699,6 +706,12 @@ class _FieldOps:
                 return _same
             return lambda w: _tscale(w, k)
         field = self.field
+        m = len(v) // field.degree
+        if not _tbool(v[m:]):  # an element of the base: block by block
+            sub = integral_ops(field.base).fixed(v[:m])
+            if field.degree == 1:  # one block
+                return sub
+            return lambda w: tuple(chain.from_iterable(map(sub, _blocks(w, m))))
         if not self.matrix:
             return partial(field._tmul, v)
         return partial(_matvec, tuple(zip(*field._columns(v))))

@@ -5,13 +5,14 @@ answer by a different, more direct route.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from hypercircles.errors import InstanceError, InternalInvariantError
 from hypercircles.hypercircle import conjugacy_classes, parameter_schedule
-from hypercircles.numberfield import newton_sums
+from hypercircles.numberfield import integral_ops, newton_sums
 from hypercircles.polynomials import UniPoly, poly_gcd
 from hypercircles.rationals import RationalField
-from hypercircles.ratfunc import POLE, RatFunc
+from hypercircles.ratfunc import POLE, RatFunc, moebius_composer
 
 
 def sums_to_t(field, phi):
@@ -128,6 +129,65 @@ def _linear_multiplier(lo, hi, one):
         return [lq[0]] + [x + y for x, y in zip(lq[1:], hq)] + [hq[-1]]
 
     return times
+
+
+def verify_identity_forward(psi, psi_sigma, u):
+    """Exact check of psi == psi_sigma o u, component by component, in the
+    forward direction: psi^sigma, whose coefficients fill the class field,
+    is composed with u (`hypercircle.verify_identity` composes psi with
+    u^-1 instead).
+
+    Each component of psi is a reduced fraction N/D with D monic, since
+    `RatFunc` is normalized that way; conjugation is a field embedding, so
+    the components of psi_sigma are reduced too.  Substituting a unit
+    Moebius map into a coprime pair, homogenized to degree
+    max(deg num, deg den), is an invertible change of variables of the
+    binary forms, so the composed pair (cn, cd) is coprime as well.  Two
+    reduced fractions are equal iff their parts are proportional, and with
+    D monic the factor is lam = lc(cd): the check is deg cn == deg N,
+    deg cd == deg D, cn == lam * N and cd == lam * D coefficient by
+    coefficient.
+
+    A True answer needs none of these premises: proportional pairs define
+    the same function, so it is a proof on any input.
+
+    The same coefficients are compared on integers, and nothing is
+    normalized.  u and each part of psi^sigma and of psi become integral
+    vectors over one denominator each (`integral_ops`): L for u, E_num and
+    E_den for the parts of psi^sigma, E_N and E_D for those of psi, whose
+    vectors are X_j and Y_j.  The Horner scheme of `moebius_compose_pair`
+    (`moebius_composer`, with one table of the powers of C t + D for every
+    component) gives CN = E_num L^k cn and CD = E_den L^k cd, so the checks
+    read CN_j E_den E_N == lc(CD) X_j E_num and CD_j E_D == lc(CD) Y_j.
+    The composition costs O(d^2) products of integral vectors, each by a
+    fixed multiplier (a coefficient of u, or of psi^sigma times a row of the
+    table), and the comparison O(d) products by lc(CD).
+    """
+    ops = integral_ops(psi_sigma.field)
+    nonzero, scale = ops.nonzero, ops.scale
+    compose, _ = moebius_composer(ops, u, psi_sigma.degree)
+    for comp, comp_s in zip(psi, psi_sigma):
+        k = comp_s.degree
+        images = []
+        for part, image in ((comp.num, comp_s.num), (comp.den, comp_s.den)):
+            acc, e = compose(image, k) if image.coeffs else ([], 1)
+            size = len(acc)
+            while size and not nonzero(acc[size - 1]):
+                size -= 1
+            if size != len(part.coeffs):
+                return False
+            images.append((part, acc, e))
+        e_den = images[1][2]
+        lam = ops.fixed(images[1][1][len(comp.den.coeffs) - 1])
+        for part, acc, e in images:
+            xs, e_part = ops.lift(part.coeffs)
+            left, right = e_den * e_part, e
+            g = gcd(left, right)
+            left, right = left // g, right // g
+            for x, y in zip(xs, acc):
+                if scale(y, left) != scale(lam(x), right):
+                    return False
+    return True
 
 
 def verify_identity_by_cross_multiplication(psi, psi_sigma, u):

@@ -1,8 +1,9 @@
 """The exact identity proof psi == psi^sigma o u: the quadratic Moebius
 composition on integers against the per-element Horner scheme and the
-term-by-term reference, its regular-representation products against
-`_tmul`, and `verify_identity` against cross-multiplication and evaluation
-on generated instances."""
+term-by-term reference, its regular-representation and block-by-block
+products against `_tmul`, and `verify_identity` (psi o u^-1 against
+psi^sigma) against the forward composition psi^sigma o u,
+cross-multiplication and evaluation on generated instances."""
 
 import functools
 import json
@@ -35,13 +36,18 @@ from oracles import (
     horner_compose_pair,
     verify_identity_by_cross_multiplication,
     verify_identity_by_evaluation,
+    verify_identity_forward,
 )
+from test_modp import parity_fields
 
 CHECKS = (
     verify_identity,
+    verify_identity_forward,
     verify_identity_by_cross_multiplication,
     verify_identity_by_evaluation,
 )
+
+_parity_fields = functools.cache(parity_fields)
 
 
 @functools.cache
@@ -144,6 +150,61 @@ def test_regular_representation_matches_tmul(name):
             assert ops.fixed(v)(w) == prod
 
 
+def _levels_below(field):
+    """Every level of the tower strictly below `field`, down to Q's
+    first level."""
+    level = field.base
+    while isinstance(level, NumberField):
+        yield level
+        level = level.base
+
+
+def _count_columns(monkeypatch, field):
+    """Record every regular representation of `field` built from now on
+    (`_columns`: one per product by a fixed element as a matrix)."""
+    calls = []
+    columns = NumberField._columns
+
+    def counted(self, t):
+        if self is field:
+            calls.append(t)
+        return columns(self, t)
+
+    monkeypatch.setattr(NumberField, "_columns", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in FIELDS if n != "Q"] + [f"parity {n}" for n in _parity_fields()],
+)
+def test_fixed_multiplies_a_subfield_element_block_by_block(name, monkeypatch):
+    """A vector whose blocks above the first are zero lies in the base:
+    `integral_ops(field).fixed` multiplies it block by block through the
+    base's own `fixed`, recursively, and the product is `_tmul`'s for an
+    integer and for an element of every level below, with no matrix of
+    `field` itself."""
+    if name.startswith("parity "):
+        field = _parity_fields()[name.removeprefix("parity ")]
+    else:
+        field = FIELDS[name]()
+    ops = integral_ops(field)
+    rng = random.Random(f"subfield:{name}")
+    xs = [Rational(1), Rational(-3), Rational(rng.getrandbits(90) + 1)]
+    for level in _levels_below(field):
+        xs += [level.gen] + [_random_element(rng, level) for _ in range(3)]
+    vs = [ops.lift([field.coerce(x)])[0][0] for x in xs]
+    # larger entries at the same places: zeros stay zero, so each vector
+    # stays in its level
+    vs += [tuple(c * rng.getrandbits(60) for c in v) for v in vs[3:]]
+    builds = _count_columns(monkeypatch, field)
+    for v in vs:
+        assert not any(v[len(v) // field.degree :]), name
+        w = _random_element(rng, field).ic
+        assert ops.fixed(v)(w) == field._tmul(v, w), name
+    assert builds == []
+
+
 def _decided_classes(n, degree, seed):
     doc = gen_instance("defined", degree, minpoly=canonical_minpoly(n), seed=seed)
     field, psi = parse_instance(json.dumps(doc))
@@ -164,10 +225,10 @@ def _bumped(u, k, step=1):
 @pytest.mark.parametrize("n, degree", [(2, 7), (3, 5), (5, 4)])
 def test_verify_identity_agrees_with_references(n, degree):
     for psi, sigma, u in _decided_classes(n, degree, seed=2):
-        assert [check(psi, sigma, u) for check in CHECKS] == [True] * 3
+        assert [check(psi, sigma, u) for check in CHECKS] == [True] * len(CHECKS)
         for k in range(4):
             bad = _bumped(u, k)
-            assert [check(psi, sigma, bad) for check in CHECKS] == [False] * 3
+            assert [check(psi, sigma, bad) for check in CHECKS] == [False] * len(CHECKS)
 
 
 def _count_makes(monkeypatch):
@@ -228,6 +289,39 @@ def test_verify_identity_mutations_on_the_matrix_path():
         assert not verify_identity(psi, moved, u), (i, l)
 
 
+def test_verify_identity_builds_few_class_field_matrices(monkeypatch):
+    """The n = 5, d = 8 proof multiplies psi's coefficients, which lie in
+    K(alpha), block by block: the class field (absolute degree 20) builds
+    a matrix only for the non-integer coefficients of u^-1 (d = 1 after
+    the fit) and for one lc(CD) per component."""
+    psi, sigma, u = next(_decided_classes(5, 8, seed=1))
+    assert u.d == sigma.field.one
+    builds = _count_columns(monkeypatch, sigma.field)
+    assert verify_identity(psi, sigma, u)
+    assert 0 < len(builds) <= 3 + len(psi)
+
+
+def _scaled(u, mu):
+    return MoebiusTransform._raw(*(mu * x for x in (u.a, u.b, u.c, u.d)))
+
+
+@pytest.mark.parametrize("n, degree", [(3, 5), (5, 4)])
+def test_verify_identity_is_projective(n, degree):
+    """u and mu u are the same map: the proof holds for mu = 1/c, 1/a and a
+    random mu of the class field, so the integer coefficient of u^-1 moves
+    from d to c or a or is gone, and fails for the same maps with a
+    bumped coefficient."""
+    rng = random.Random(f"projective:{n}")
+    for psi, sigma, u in _decided_classes(n, degree, seed=2):
+        rel = sigma.field
+        assert u.a and u.c
+        for mu in (rel.one / u.c, rel.one / u.a, _random_element(rng, rel)):
+            v = _scaled(u, mu)
+            assert verify_identity(psi, sigma, v)
+            for k in range(4):
+                assert not verify_identity(psi, sigma, _bumped(v, k))
+
+
 def test_verify_identity_rejects_partial_agreement():
     """Pairs that agree in one part, or on a prefix of the coefficients."""
     field = NumberField(QQ, canonical_minpoly(2), "i")
@@ -240,7 +334,19 @@ def test_verify_identity_rejects_partial_agreement():
         RatFunc(t * t + 1, t * t + t),  # denominator extends psi's
     ):
         sigma = Parametrization([other])
-        assert [check(psi, sigma, ident) for check in CHECKS] == [False] * 3
+        assert [check(psi, sigma, ident) for check in CHECKS] == [False] * len(CHECKS)
+
+
+def test_verify_identity_rejects_a_singular_u():
+    """u = (2 t + 3)/0 is singular, and psi o u^-1 is the constant -3/2:
+    the proof must not take psi = t for psi^sigma = -3/2 o u."""
+    field = NumberField(QQ, canonical_minpoly(2), "i")
+    t = UniPoly.gen(field)
+    psi = Parametrization([RatFunc(t, UniPoly.one(field))])
+    sigma = Parametrization([RatFunc.constant(field, Rational(-3, 2))])
+    u = MoebiusTransform(field, 2, 3, 0, 0)
+    assert not verify_identity(psi, sigma, u)
+    assert not verify_identity_forward(psi, sigma, u)
 
 
 def _outputs(result):
