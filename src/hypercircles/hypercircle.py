@@ -26,12 +26,13 @@ phi interpolates every u.
 """
 
 from dataclasses import dataclass, field as dc_field
+from itertools import zip_longest
 from math import gcd
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_over_nf
 from .modp import fold_common_root
-from .numberfield import ConjugacyClass, NumberField, integral_ops
+from .numberfield import ConjugacyClass, NumberField, integral_horner, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
     POLE,
@@ -136,31 +137,53 @@ class HypercircleResult:
 
 
 def classify_parameter(psi, psi_sigma, t, limit=None):
-    """Classify one candidate parameter t for one conjugacy class.
+    """Classify one candidate parameter t, a rational number, for one
+    conjugacy class.
 
     psi_sigma is psi with its coefficients conjugated into the class's
     relative field, and `limit` its value at infinity (recomputed if absent).
     Returns a ParameterVerdict.
+
+    The fibre psi^sigma(s) = psi(t) is built and classified on integral
+    vectors (`Parametrization.vectors`): field arithmetic is left only to
+    an absent `limit` and to a gcd candidate of degree 2 or more
+    (`fold_common_root`).  With t = r/q in
+    lowest terms, q > 0, a component N/D of psi of degree k gives
+    N_t = q^k E N(t) and D_t = q^k E D(t) by homogeneous integer Horner
+    (E the component's dropped denominator), and D_t = 0 exactly when D(t)
+    does.  The component's polynomial D' v - N' in s, v = N(t)/D(t) and
+    N'/D' the matching component of psi^sigma, times the nonzero constant
+    F D_t of K(alpha) (F that component's dropped denominator) has the
+    coefficient vectors N_t X'_j - D_t Y'_j, X'_j and Y'_j those of D' and
+    N'.  A constant factor leaves the gcd alone, and N_t and D_t lie in
+    K(alpha), the base of the class field, so their products act block by
+    block (`integral_ops`).
     """
-    field = psi.field
-    rel = psi_sigma.field
-    te = field.coerce(t)
+    ops = integral_ops(psi.field)
+    rops = integral_ops(psi_sigma.field)
+    q = t.denominator
+    by_r = ops.fixed(ops.scale(ops.one, t.numerator))  # a scaling
+    pad = (0,) * (psi_sigma.field.absolute_degree - psi.field.absolute_degree)
     values = []
-    for comp in psi:
-        dv = comp.den(te)
-        if not dv:
+    for num, den in psi.vectors:
+        k = max(len(num), len(den)) - 1
+        dv = _homogeneous(ops, den, by_r, q, k)
+        if not ops.nonzero(dv):
             return ParameterVerdict(BAD_DENOMINATOR, t)
-        values.append(comp.num(te) / dv)
-    polys = []
-    for v, comp_s in zip(values, psi_sigma):
-        vv = rel.coerce(v)
-        p = comp_s.den * vv - comp_s.num
-        if not p.is_zero:
-            polys.append(p)
-    if not polys:
+        values.append((_homogeneous(ops, num, by_r, q, k) + pad, dv + pad))
+    add, nonzero, zero = rops.add, rops.nonzero, rops.zero
+    family = []
+    for (nv, dv), (num_s, den_s) in zip(values, psi_sigma.vectors):
+        times_n, times_d = rops.fixed(nv), rops.fixed(rops.scale(dv, -1))
+        vecs = [add(times_n(y), times_d(x)) for y, x in zip_longest(den_s, num_s, fillvalue=zero)]
+        while vecs and not nonzero(vecs[-1]):
+            vecs.pop()
+        if vecs:
+            family.append((vecs, 1))
+    if not family:
         # psi(t) coincides with the whole conjugated map — degenerate input.
         return ParameterVerdict(SINGULAR, t)
-    kind, s0 = fold_common_root(polys, rel)
+    kind, s0 = fold_common_root(family, psi_sigma.field)
     if kind == "empty":
         return ParameterVerdict(NOT_ATTAINED, t)
     if kind == "degree":
@@ -168,12 +191,25 @@ def classify_parameter(psi, psi_sigma, t, limit=None):
         return ParameterVerdict(SINGULAR, t)
     if limit is None:
         limit = psi_sigma.value_at_infinity()
-    if all(
-        not isinstance(lv, _PoleType) and rel.coerce(v) == lv
-        for v, lv in zip(values, limit)
-    ):
+    # v = N_t / D_t equals the limit lv = w / e exactly when D_t w = e N_t
+    for (nv, dv), lv in zip(values, limit):
+        if isinstance(lv, _PoleType):
+            break
+        (w,), e = rops.lift([lv])
+        if rops.fixed(dv)(w) != rops.scale(nv, e):
+            break
+    else:
         return ParameterVerdict(SINGULAR, t)
     return ParameterVerdict(GOOD, t, s0)
+
+
+def _homogeneous(ops, vecs, by_r, q, k):
+    """q^k p(r/q) for the polynomial p of degree at most k with the
+    integral coefficient vectors vecs, `by_r` the scaling by r: homogeneous
+    Horner (`integral_horner`), scalings only."""
+    if not vecs:
+        return ops.zero
+    return ops.scale(integral_horner(ops, vecs, by_r, q), q ** (k + 1 - len(vecs)))
 
 
 def compute_u_for_class(psi, cls):

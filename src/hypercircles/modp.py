@@ -21,7 +21,9 @@ image degree bounds the true one from above, so that division is a proof
 the degree-1 field Q[z]/(z), where every prime splits and the argument is
 that of Brown's modular gcd over Z (J. ACM 18, 1971).  `fold_common_root`
 is its summary for the degree-at-most-one question that classifies a
-sampled parameter.
+sampled parameter; it takes the inputs as the integral coefficient
+vectors it works on, and `nf_gcd` is the entry for UniPolys, which it
+lifts to those vectors.
 
 A field's split primes are found among those of its base: each embedding
 of the base extends by the roots mod p of the level's polynomial there, so
@@ -36,7 +38,7 @@ from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
 from .intpoly import gf_diff, gf_edf, gf_eval, gf_gcd, gf_monic, gf_pow_mod, primes
-from .numberfield import NFElement, NumberField, _blocks, integral_ops
+from .numberfield import NFElement, NumberField, _blocks, integral_horner, integral_ops
 from .polynomials import UniPoly
 from .rationals import QQ, Rational, RationalField
 
@@ -177,25 +179,29 @@ def _values(rows, vecs, q):
     return [_apply(vecs, row, q) for row in rows]
 
 
-def _image(sp, scaled):
-    """The monic gcds over F_p of the inputs at each embedding, stopping at
-    the first input after which one of them is 1; BadPrime when a
-    denominator or, at some embedding, a leading coefficient vanishes."""
+def _image(sp, family):
+    """(gcds, values): the monic gcds over F_p of the inputs at each
+    embedding, stopping at the first input after which one of them is 1,
+    and each input reduced so far at each embedding (`_values`); BadPrime
+    when a denominator or, at some embedding, a leading coefficient
+    vanishes."""
     p = sp.p
     g = None
-    for vecs, den in scaled:
+    values = []
+    for vecs, den in family:
         if den % p == 0:
             raise BadPrime("denominator vanishes")
         fs = _values(sp.rows, vecs, p)
         if not all(f[-1] for f in fs):
             raise BadPrime("leading coefficient vanishes")
+        values.append(fs)
         if g is None:
             g = [gf_monic(f, p) for f in fs]
         else:
             g = [gf_gcd(a, f, p) for a, f in zip(g, fs)]
         if any(len(h) == 1 for h in g):
             break
-    return g
+    return g, values
 
 
 def _crt(acc, m, t, p):
@@ -223,10 +229,11 @@ def _rat_rec(a, m):
     return Rational(num, den)
 
 
-def _candidate(field, polys, v, m):
+def _candidate(field, family, v, m):
     """The monic polynomial whose lower coefficients are recovered from
     their coordinate vectors mod m, concatenated in v, if it divides every
-    input exactly."""
+    input exactly.  A candidate x - s0 is proven by `_is_root`; one of
+    degree 2 or more by division, on polynomials built from the family."""
     rs = []
     for x in v:
         r = _rat_rec(x, m)
@@ -236,10 +243,23 @@ def _candidate(field, polys, v, m):
     coeffs = []
     for c in _blocks(rs, field.absolute_degree):
         den = _int_lcm(*(r.denominator for r in c))
-        vec = tuple([r.numerator * (den // r.denominator) for r in c])
-        coeffs.append(NFElement._make(field, vec, den))
-    h = UniPoly._raw(field, coeffs + [field.one])
+        coeffs.append((tuple([r.numerator * (den // r.denominator) for r in c]), den))
+    h = UniPoly._raw(field, [NFElement._make(field, c, d) for c, d in coeffs] + [field.one])
+    if len(coeffs) == 1:
+        ((c, d),) = coeffs  # h = x + c/d vanishes at c/(-d)
+        return h if _is_root(field, family, c, -d) else None
+    polys = [UniPoly._raw(field, [NFElement._make(field, c, d) for c in vecs]) for vecs, d in family]
     return h if all((q % h).is_zero for q in polys) else None
+
+
+def _is_root(field, family, s, e):
+    """Whether s0 = s/e, s an integral vector and e a nonzero int, is a
+    root of every input: `integral_horner` on each input's vectors gives
+    e^d q(s0) up to q's positive denominator, with the product by s built
+    once."""
+    ops = integral_ops(field)
+    times = ops.fixed(s)
+    return not any(ops.nonzero(integral_horner(ops, vecs, times, e)) for vecs, _ in family)
 
 
 def _solve(p, inv, rows, vals, c, pk, q):
@@ -297,23 +317,23 @@ def _lifted_rows(sp):
         q = qq
 
 
-def _lift_root(field, polys, scaled, sp, roots):
+def _lift_root(field, family, values, sp, roots):
     """x - s0 from the roots, one per embedding, of a degree-1 image at sp's
     prime p, by Newton's iteration mod p^(2^k) (Loos, SIAM J. Comput. 12,
     1983; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15) per
     embedding, on an input whose derivative is nonzero mod p there, as the
     embedding itself is lifted (`_lifted_rows`).  None when some embedding
     has no such input, or when another input stops vanishing at the first
-    embedding's lifted root, which proves p unlucky.  Each precision's
-    coordinates come back from the lifted values by `_solve`, digits on
-    from the last precision's, and are tried as a candidate that must
-    divide every input exactly.
+    embedding's lifted root, which proves p unlucky.  `values` holds the
+    inputs at each embedding mod p, as `_image` reduced them.  Each
+    precision's coordinates come back from the lifted values by `_solve`,
+    digits on from the last precision's, and are tried as a candidate that
+    must divide every input exactly.
     """
     p = sp.p
-    fs = [_values(sp.rows, vecs, p) for vecs, _ in scaled]
     pick, ws = [], []
     for k, s in enumerate(roots):
-        for i, f in enumerate(fs):
+        for i, f in enumerate(values):
             d = gf_eval(gf_diff(f[k], p), s, p)
             if d:
                 pick.append(i)
@@ -324,14 +344,14 @@ def _lift_root(field, polys, scaled, sp, roots):
     coords = _apply(sp.inv, roots, p)
     q = p
     for qq, rows in _lifted_rows(sp):
-        fs = {i: _values(rows, scaled[i][0], qq) for i in set(pick)}
+        fs = {i: _values(rows, family[i][0], qq) for i in set(pick)}
         for k, i in enumerate(pick):
             roots[k], ws[k] = _newton(ws[k], fs[i][k], roots[k], q, qq)
         coords = _solve(p, sp.inv, rows, roots, coords, q, qq)
-        h = _candidate(field, polys, [-x % qq for x in coords], qq)
+        h = _candidate(field, family, [-x % qq for x in coords], qq)
         if h is not None:
             return h
-        for i, (vecs, _) in enumerate(scaled):
+        for i, (vecs, _) in enumerate(family):
             if i != pick[0] and gf_eval(_apply(vecs, rows[0], qq), roots[0], qq):
                 return None
         q = qq
@@ -357,6 +377,14 @@ def nf_gcd(polys, field):
     and has deg h >= deg G, so h = G.  A candidate x - s0 from the p-adic
     lift below has degree 1, the degree of an image, so the same argument
     makes it G once it divides every input.
+
+    Division is exact in both cases.  x - s0 divides an input q exactly
+    when q(s0) = 0.  With s0 = S/e, S an integral vector and e a nonzero
+    integer, and q's integral coefficient vectors c_0 .. c_d, the integer
+    Horner scheme B_d = c_d, B_i = S B_(i+1) + e^(d-i) c_i ends in
+    B_0 = e^d E q(s0), E q's positive common denominator, so B_0 is the
+    zero vector exactly when x - s0 divides q (`_is_root`).  A candidate of
+    degree 2 or more divides every input with zero remainder.
 
     Why the loop ends.  By Chebotarev's density theorem the totally split
     primes have density 1/[normal closure : Q], so there are infinitely
@@ -388,19 +416,26 @@ def nf_gcd(polys, field):
     Over the rationals the family runs over Q[z]/(z), where N = 1 and every
     prime splits, and the monic result is mapped back.
     """
-    if any(q.degree == 0 for q in polys):
+    ops = integral_ops(field)
+    return _gcd([ops.lift(q.coeffs) for q in polys], field)
+
+
+def _gcd(family, field):
+    """`nf_gcd` of the nonzero polynomials whose coefficient vectors over
+    one denominator each, as `integral_ops(field).lift` gives them with the
+    leading vector nonzero, are the family: the monic gcd as a UniPoly."""
+    if any(len(vecs) == 1 for vecs, _ in family):
         return UniPoly.one(field)
     if isinstance(field, RationalField):
-        g = nf_gcd([q.map_into(_QZ) for q in polys], _QZ)
+        g = _gcd([([(c,) for c in vecs], den) for vecs, den in family], _QZ)
         return g.map_coeffs(lambda c: c.retract(), field)
-    scaled = [integral_ops(field).lift(q.coeffs) for q in polys]
     least = None
     acc = None
     mod = 1
     for sp in _split_primes(field):
         p = sp.p
         try:
-            gs = _image(sp, scaled)
+            gs, values = _image(sp, family)
         except BadPrime:
             continue
         deg = min(len(g) for g in gs) - 1
@@ -415,21 +450,24 @@ def nf_gcd(polys, field):
             least, acc, mod = deg, v, p
         else:
             acc, mod = _crt(acc, mod, v, p)
-        h = _candidate(field, polys, acc, mod)
+        h = _candidate(field, family, acc, mod)
         if h is None and first and deg == 1:
-            h = _lift_root(field, polys, scaled, sp, [-g[0] % p for g in gs])
+            h = _lift_root(field, family, values, sp, [-g[0] % p for g in gs])
         if h is not None:
             return h
 
 
-def fold_common_root(polys, field):
-    """Degree-at-most-one summary of `nf_gcd(polys, field)`.
+def fold_common_root(family, field):
+    """Degree-at-most-one summary of the gcd of a family of nonzero
+    polynomials over `field`, given by their coefficient vectors over one
+    denominator each (`integral_ops(field).lift`, the leading vector
+    nonzero).
 
     Returns ("empty", None) when the gcd is 1, ("root", s0) when it is
     x - s0, and ("degree", k) when it has degree k >= 2.  Each outcome is
-    proven, so no caller needs an exact fallback.
+    proven as in `nf_gcd`, so no caller needs an exact fallback.
     """
-    g = nf_gcd(polys, field)
+    g = _gcd(family, field)
     if g.degree == 0:
         return ("empty", None)
     if g.degree == 1:

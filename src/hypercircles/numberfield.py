@@ -35,12 +35,13 @@ identities (`from_power_sums`), whose constant term is the norm up to sign
 and whose coefficients give the inverse by Cayley-Hamilton.
 
 Loops that only add and multiply (the Moebius composition of the identity
-proof) run on `integral_ops` instead: the same integer tuples over one
-denominator, normalized once at the end.  A product by a fixed element is
-an integer matrix from absolute degree 4 on, a scaling when the element
-is an integer, and when the element lies in the base (its blocks after
-the first are zero) it acts on each block through the base's own product,
-so its matrix is the base's.
+proof, the fibre of a sampled parameter) run on `integral_ops` instead: the
+same integer tuples over one denominator, normalized once at the end.  A
+product by a fixed element is an integer matrix from absolute degree
+`_MATRIX_DEGREE` on (2 with the pure loops, 4 with the compiled kernel), a
+scaling when the element is an integer, and when the element lies in the
+base (its blocks after the first are zero) it acts on each block through
+the base's own product, so its matrix is the base's.
 
 Field identity is object identity: two elements interoperate only when their
 fields are literally the same object or one field appears in the base chain
@@ -106,7 +107,7 @@ def _conv_reduce(a, b, rows):
 try:
     from . import _tensorcore as _tc
 except ImportError:  # pragma: no cover - depends on the build environment
-    pass
+    _tc = None
 else:
     _tadd = _tc.tadd
     _tsub = _tc.tsub
@@ -616,9 +617,11 @@ def from_power_sums(sums, field):
 # From this absolute degree on, a product by a fixed element is one integer
 # matrix-vector product on coordinate vectors (the regular representation;
 # Cohen, A Course in Computational Algebraic Number Theory, GTM 138).  Below
-# it the product stays `_tmul`: over Q(i) a 2 x 2 matrix beat the
-# pure-Python `_tmul` but lost to the compiled one.
-_MATRIX_DEGREE = 4
+# it the product stays `_tmul`.  The crossing follows the loaded kernel: on
+# the six identity proofs of one plane2 block over Q(i) (seed 13301, best of
+# 7, 2-core x86-64 VM) the 2 x 2 matrix took 35 ms against 52-55 ms for the
+# pure `_tmul`, but 35-42 ms against 22-35 ms for the compiled one.
+_MATRIX_DEGREE = 2 if _tc is None else 4
 
 
 def integral_ops(field):
@@ -648,6 +651,21 @@ def integral_ops(field):
     if field._ops is None:
         field._ops = _FieldOps(field)
     return field._ops
+
+
+def integral_horner(ops, vecs, times, e):
+    """The vector of e^d p(s/e), for the polynomial p of degree d with the
+    integral coefficient vectors vecs of `ops` (`integral_ops`), ascending
+    and nonempty, `times` the product by the vector s (`ops.fixed`) and e a
+    nonzero int: B_d = c_d, B_i = s B_(i+1) + e^(d-i) c_i, and B_0 is the
+    value."""
+    add, scale = ops.add, ops.scale
+    acc = vecs[-1]
+    ek = 1
+    for c in reversed(vecs[:-1]):
+        ek *= e
+        acc = add(times(acc), scale(c, ek) if ek != 1 else c)
+    return acc
 
 
 def _same(x):

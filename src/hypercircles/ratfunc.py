@@ -424,7 +424,7 @@ def moebius_from_three_points(field, pairs):
 class Parametrization:
     """A tuple of rational functions of one parameter over a common field."""
 
-    __slots__ = ("components",)
+    __slots__ = ("components", "_vectors")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -435,10 +435,28 @@ class Parametrization:
             if c.field != field:
                 raise TypeError("components over different fields")
         self.components = comps
+        self._vectors = None
 
     @property
     def field(self):
         return self.components[0].field
+
+    @property
+    def vectors(self):
+        """Each component's (numerator, denominator) as lists of integral
+        coefficient vectors of `integral_ops(field)`, ascending, built on
+        first use.  Both parts of a component share one positive
+        denominator, which is dropped: each pair is the component's parts
+        times one positive integer, so their ratio is the component."""
+        if self._vectors is None:
+            ops = integral_ops(self.field)
+            out = []
+            for c in self.components:
+                vecs, _ = ops.lift(c.num.coeffs + c.den.coeffs)
+                k = len(c.num.coeffs)
+                out.append((vecs[:k], vecs[k:]))
+            self._vectors = tuple(out)
+        return self._vectors
 
     @property
     def degree(self):

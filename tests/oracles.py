@@ -8,7 +8,16 @@ from dataclasses import dataclass
 from math import gcd
 
 from hypercircles.errors import InstanceError, InternalInvariantError
-from hypercircles.hypercircle import conjugacy_classes, parameter_schedule
+from hypercircles.hypercircle import (
+    BAD_DENOMINATOR,
+    GOOD,
+    NOT_ATTAINED,
+    SINGULAR,
+    ParameterVerdict,
+    conjugacy_classes,
+    parameter_schedule,
+)
+from hypercircles.modp import nf_gcd
 from hypercircles.numberfield import integral_ops, newton_sums
 from hypercircles.polynomials import UniPoly, poly_gcd
 from hypercircles.rationals import RationalField
@@ -229,6 +238,40 @@ def verify_identity_by_evaluation(psi, psi_sigma, u):
         successes += 1
         if successes >= needed:
             return True
+
+
+def classify_parameter_by_polynomials(psi, psi_sigma, t, limit=None):
+    """`hypercircle.classify_parameter` on field elements and UniPolys: psi(t)
+    by Horner in K(alpha) and a division there (a field inverse), the fibre
+    polynomials D' v - N' over the class field, and their gcd summarized
+    from `nf_gcd`."""
+    field = psi.field
+    rel = psi_sigma.field
+    te = field.coerce(t)
+    values = []
+    for comp in psi:
+        dv = comp.den(te)
+        if not dv:
+            return ParameterVerdict(BAD_DENOMINATOR, t)
+        values.append(comp.num(te) / dv)
+    polys = []
+    for v, comp_s in zip(values, psi_sigma):
+        vv = rel.coerce(v)
+        p = comp_s.den * vv - comp_s.num
+        if not p.is_zero:
+            polys.append(p)
+    if not polys:
+        return ParameterVerdict(SINGULAR, t)
+    g = nf_gcd(polys, rel)
+    if g.degree == 0:
+        return ParameterVerdict(NOT_ATTAINED, t)
+    if g.degree >= 2:
+        return ParameterVerdict(SINGULAR, t)
+    if limit is None:
+        limit = psi_sigma.value_at_infinity()
+    if all(lv is not POLE and rel.coerce(v) == lv for v, lv in zip(values, limit)):
+        return ParameterVerdict(SINGULAR, t)
+    return ParameterVerdict(GOOD, t, -g.coeffs[0])
 
 
 def euclid_gcd(f, g):

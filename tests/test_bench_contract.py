@@ -1,0 +1,39 @@
+"""The names the benchmark's tracer wraps still exist in the package, and a
+traced decision records the classification and fold layers, so a rename
+cannot silently empty the benchmark's layer rows."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from hypercircles import QQ, UniPoly, gen_instance, parse_instance, standard_parametrization
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists():
+    tracer = load_tracer()
+    for module, attr, name, _ in tracer.LAYERS:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr, name)
+    for cls, attr, key in tracer.KERNELS:
+        assert attr in cls.__dict__, (cls.__name__, attr, key)
+
+
+def test_traced_decision_records_classify_and_fold():
+    # a plane2-sized decision: x^2 + 1, defined, degree 14
+    tracer_module = load_tracer()
+    doc = gen_instance("defined", 14, minpoly=UniPoly(QQ, [1, 0, 1]), seed=0)
+    tracer = tracer_module.Tracer()
+    with tracer.installed(), tracer.decision(0):
+        _, psi = parse_instance(json.dumps(doc))
+        assert standard_parametrization(psi).defined
+    names = {span[1] for span in tracer.spans}
+    assert {"hypercircle.classify", "modp.fold"} <= names
+    assert tracer.counts.get("modp.fold_root", 0) >= 3

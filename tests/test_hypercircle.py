@@ -31,12 +31,18 @@ from hypercircles.hypercircle import (
     GOOD,
     NOT_ATTAINED,
     SINGULAR,
+    _identity_class,
     parameter_schedule,
     probably_proper,
 )
+from hypercircles.numberfield import NFElement
 
 from conftest import quartic_phi_expected
-from oracles import sums_to_t, verify_identity_by_evaluation
+from oracles import (
+    classify_parameter_by_polynomials,
+    sums_to_t,
+    verify_identity_by_evaluation,
+)
 
 
 def test_parameter_budget():
@@ -91,8 +97,9 @@ def test_classify_parameter_circle(circle):
     assert "good" in str(v1)
 
 
-def test_classify_parameter_not_attained():
-    # (t, a^2 t^2) moves under alpha -> root of x^2 + alpha^2
+def _moved_by_the_quadratic_class():
+    """(t, a^2 t^2) over Q(a), a^4 = 2, and the classes of a: the class of
+    size 2, alpha -> root of x^2 + alpha^2, moves it."""
     x = UniPoly.gen(QQ)
     field = NumberField(QQ, x**4 - 2, "a")
     a2 = field.gen * field.gen
@@ -102,7 +109,11 @@ def test_classify_parameter_not_attained():
             RatFunc(UniPoly(field, [field.zero, field.zero, a2])),
         ]
     )
-    _, classes = conjugacy_classes(field)
+    return psi, conjugacy_classes(field)[1]
+
+
+def test_classify_parameter_not_attained():
+    psi, classes = _moved_by_the_quadratic_class()
     quad = next(c for c in classes if c.size == 2)
     sigma = psi.conjugate(quad)
     assert classify_parameter(psi, sigma, 1).kind == NOT_ATTAINED
@@ -114,6 +125,72 @@ def test_classify_parameter_not_attained():
     sigma_lin = psi.conjugate(lin)
     v = classify_parameter(psi, sigma_lin, 3)
     assert v.kind == GOOD and v.s == sigma_lin.field.coerce(3)
+
+
+def test_classification_matches_the_polynomial_oracle(circle):
+    # the integral-vector fibre against field elements and UniPolys, on the
+    # seed-0 grid and on one case for each way a parameter is classified
+    a = NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 1]), "a").gen
+    field = a.field
+    t = UniPoly.gen(field)
+    one = UniPoly.one(field)
+    moved, classes = _moved_by_the_quadratic_class()
+    # the fibre of t = 1/2 is s^2 = 1/4: not one point
+    fibre2 = Parametrization([RatFunc(a * t**2), RatFunc(t**4)])
+    # t = 0 and infinity meet at the origin: the fibre is one finite point,
+    # but psi(0) is also psi's value at infinity
+    node = Parametrization([RatFunc(a * t, t**2 + one), RatFunc(t**3, t**4 + one)])
+    circle_field, psi_circle = circle
+    circle_cls = conjugacy_classes(circle_field)[1][0]
+    ident = _identity_class(field)
+    named = [
+        (psi_circle, circle_cls, 1, GOOD),
+        (psi_circle, circle_cls, 0, BAD_DENOMINATOR),
+        (moved, next(c for c in classes if c.size == 2), 1, NOT_ATTAINED),
+        (fibre2, ident, Rational(1, 2), SINGULAR),
+        (node, ident, 0, SINGULAR),
+    ]
+    for psi, cls, t0, kind in named:
+        psi_sigma = psi.conjugate(cls)
+        assert classify_parameter(psi, psi_sigma, t0).kind == kind
+        assert classify_parameter(psi, psi_sigma, t0) == classify_parameter_by_polynomials(
+            psi, psi_sigma, t0
+        )
+    seen = set()
+    for kind, n, d in itertools.product(("defined", "twisted"), (2, 3), range(3, 7)):
+        _, psi = parse_instance(json.dumps(gen_instance(kind, d, ext_degree=n, seed=0)))
+        for cls in [*conjugacy_classes(psi.field)[1], _identity_class(psi.field)]:
+            psi_sigma = psi.conjugate(cls)
+            limit = psi_sigma.value_at_infinity()
+            for t0 in (0, 1, -1, 2, -2, Rational(1, 2), Rational(-3, 2)):
+                v = classify_parameter(psi, psi_sigma, t0, limit)
+                assert v == classify_parameter_by_polynomials(psi, psi_sigma, t0, limit)
+                seen.add(v.kind)
+    assert seen >= {GOOD, NOT_ATTAINED}
+
+
+def test_refused_parameters_make_no_field_products(circle, monkeypatch):
+    # a parameter refused as NOT_ATTAINED or BAD_DENOMINATOR is decided on
+    # integral vectors alone: no NFElement product and no field inverse
+    moved, classes = _moved_by_the_quadratic_class()
+    quad = next(c for c in classes if c.size == 2)
+    _, psi = circle
+    cls = conjugacy_classes(psi.field)[1][0]
+    cases = [(moved, moved.conjugate(quad), 1), (psi, psi.conjugate(cls), 0)]
+    calls = []
+    for name in ("__mul__", "__rmul__", "inverse"):
+        inner = NFElement.__dict__[name]
+
+        def counted(*args, _inner=inner, _name=name):
+            calls.append(_name)
+            return _inner(*args)
+
+        monkeypatch.setattr(NFElement, name, counted)
+    kinds = [classify_parameter(p, s, t0).kind for p, s, t0 in cases]
+    assert kinds == [NOT_ATTAINED, BAD_DENOMINATOR] and calls == []
+    # the polynomial route divides in K(alpha) for the same verdict
+    assert classify_parameter_by_polynomials(*cases[0]).kind == NOT_ATTAINED
+    assert "inverse" in calls and "__mul__" in calls
 
 
 def test_compute_u_circle(circle):

@@ -26,6 +26,7 @@ from hypercircles.intpoly import gf_diff, gf_gcd, is_prime, primes
 from hypercircles.modp import (
     _PRIME_START,
     _Split,
+    _candidate,
     _extend,
     _lifted_rows,
     _rat_rec,
@@ -112,7 +113,7 @@ def spy(monkeypatch, name):
 def image_degrees(calls):
     """(prime, image degrees) of each recorded `_image` call."""
     return [
-        (args[0].p, out if out == "bad" else sorted({len(g) - 1 for g in out}))
+        (args[0].p, out if out == "bad" else sorted({len(g) - 1 for g in out[0]}))
         for args, out in calls
     ]
 
@@ -130,6 +131,12 @@ def rand_poly(rng, f, deg):
         lc = rand_elem(rng, f)
     cs.append(lc)
     return UniPoly(f, cs)
+
+
+def lifted(polys, field):
+    """The polynomials as the coefficient vectors `fold_common_root` takes."""
+    ops = integral_ops(field)
+    return [ops.lift(q.coeffs) for q in polys]
 
 
 def exact_fold(polys):
@@ -265,7 +272,7 @@ def test_fold_matches_exact_gcd(label):
     for trial in range(10):
         polys = [rand_poly(rng, field, rng.randint(2, 5)) for _ in range(3)]
         ex = exact_fold(polys)
-        kind, payload = fold_common_root(polys, field)
+        kind, payload = fold_common_root(lifted(polys, field), field)
         if ex.degree == 0:
             assert kind == "empty"
         elif ex.degree == 1:
@@ -284,7 +291,7 @@ def test_fold_finds_planted_root(label):
         root = UniPoly(field, [-s, field.one])
         polys = [root * rand_poly(rng, field, rng.randint(1, 4)) for _ in range(3)]
         ex = exact_fold(polys)
-        kind, payload = fold_common_root(polys, field)
+        kind, payload = fold_common_root(lifted(polys, field), field)
         if ex.degree == 1:
             assert kind == "root" and payload == s
         else:
@@ -301,7 +308,7 @@ def test_fold_handles_big_coordinates(label):
         s = rand_elem(rng, field, bound=10**12)
         root = UniPoly(field, [-s, field.one])
         polys = [root * rand_poly(rng, field, 2) for _ in range(2)]
-        kind, payload = fold_common_root(polys, field)
+        kind, payload = fold_common_root(lifted(polys, field), field)
         assert kind == "root" and payload == s
 
 
@@ -309,7 +316,7 @@ def test_fold_constant_poly_means_empty():
     field = make_K()
     one = UniPoly(field, [field.one])
     t = UniPoly(field, [field.zero, field.one])
-    assert fold_common_root([one, t], field) == ("empty", None)
+    assert fold_common_root(lifted([one, t], field), field) == ("empty", None)
 
 
 def test_fold_lone_input_is_made_monic():
@@ -318,9 +325,9 @@ def test_fold_lone_input_is_made_monic():
     field = make_K()
     a = field.gen
     q = UniPoly(field, [-(a**2 + 3), 2])
-    assert fold_common_root([q], field) == ("root", (a**2 + 3) / 2)
+    assert fold_common_root(lifted([q], field), field) == ("root", (a**2 + 3) / 2)
     x = UniPoly.gen(field)
-    assert fold_common_root([2 * x**2 + a], field) == ("degree", 2)
+    assert fold_common_root(lifted([2 * x**2 + a], field), field) == ("degree", 2)
 
 
 @pytest.mark.parametrize("label", ["Q", "K", "L", "M", "over1", "size4"])
@@ -458,6 +465,51 @@ def parity_fields():
     }
 
 
+def summary(g):
+    """`fold_common_root`'s summary of the monic gcd g."""
+    if g.degree == 0:
+        return ("empty", None)
+    if g.degree == 1:
+        return ("root", -g.coeffs[0])
+    return ("degree", g.degree)
+
+
+def test_vector_fold_agrees_with_nf_gcd():
+    # the fold on coefficient vectors and nf_gcd on UniPolys, over Q and
+    # every tower of the parity check, for each outcome
+    rng = random.Random(61)
+    seen = set()
+    fields = {"Q": QQ, **parity_fields()}
+    for name, field in fields.items():
+        for planted in (0, 1, 2):
+            h = rand_monic(rng, field, planted)
+            polys = [h * rand_poly(rng, field, rng.randint(1, 2)) for _ in range(3)]
+            expected = summary(nf_gcd(polys, field))
+            assert fold_common_root(lifted(polys, field), field) == expected, name
+            seen.add((name, expected[0]))
+    assert len(seen) == 3 * len(fields)
+
+
+@pytest.mark.parametrize("label", ["K", "L", "over1", "size4"])
+def test_candidate_refuses_a_bumped_root(label):
+    # the residues of x - s's lower coefficient give x - s; each one moved
+    # by 1 in one coordinate still reconstructs, to a value that is no
+    # root, and the integer Horner proof refuses it
+    field = make_field(label)
+    rng = random.Random(71)
+    x = UniPoly.gen(field)
+    s = rand_elem(rng, field)
+    family = lifted([(x - s) * rand_poly(rng, field, 2) for _ in range(2)], field)
+    m = (1 << 127) - 1
+    c = -s
+    v = [w * pow(c.den, -1, m) % m for w in c.ic]
+    assert _candidate(field, family, v, m) == x - s
+    for k in range(len(v)):
+        bumped = v[:k] + [(v[k] + 1) % m] + v[k + 1 :]
+        assert _rat_rec(bumped[k], m) is not None
+        assert _candidate(field, family, bumped, m) is None
+
+
 def values_at(rows, e, q):
     """The values mod q of the element e at the embeddings of rows."""
     dinv = pow(e.den, -1, q)
@@ -502,5 +554,5 @@ def test_classify_parameter_singular_on_a_degree_two_fibre():
     rel = ident.relative_field
     s = UniPoly.gen(rel)
     polys = [rel.coerce(a) - rel.coerce(a) * s**2, rel.one - s**4]
-    assert fold_common_root(polys, rel) == ("degree", 2)
+    assert fold_common_root(lifted(polys, rel), rel) == ("degree", 2)
     assert classify_parameter(psi, psi_id, 1).kind == SINGULAR
