@@ -1,5 +1,6 @@
-"""Build script: compiles the optional integer-tensor kernel `_tensorcore`
-(the coordinate arithmetic of `numberfield`) from its committed C source.
+"""Build script: compiles the optional kernel `_tensorcore` (the loops on
+the flat integer coordinate vectors of `numberfield`) from its hand-written
+C source, which needs the CPython headers and nothing else.
 
 The package works without the extension (`numberfield` falls back to its
 pure-Python loops at import time), so a build failure here downgrades to a

@@ -37,11 +37,10 @@ and whose coefficients give the inverse by Cayley-Hamilton.
 Loops that only add and multiply (the Moebius composition of the identity
 proof, the fibre of a sampled parameter) run on `integral_ops` instead: the
 same integer tuples over one denominator, normalized once at the end.  A
-product by a fixed element is an integer matrix from absolute degree
-`_MATRIX_DEGREE` on (2 with the pure loops, 4 with the compiled kernel), a
-scaling when the element is an integer, and when the element lies in the
-base (its blocks after the first are zero) it acts on each block through
-the base's own product, so its matrix is the base's.
+product by a fixed element is one integer matrix, a scaling when the
+element is an integer, and when the element lies in the base (its blocks
+after the first are zero) it acts on each block through the base's own
+product, so its matrix is the base's.
 
 Field identity is object identity: two elements interoperate only when their
 fields are literally the same object or one field appears in the base chain
@@ -53,6 +52,7 @@ from itertools import chain
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add, mul
 
+from . import rationals
 from .errors import InternalInvariantError
 from .polynomials import UniPoly, format_poly
 from .rationals import Rational
@@ -104,29 +104,29 @@ def _conv_reduce(a, b, rows):
     return tuple(out[:n])
 
 
+def _matvec(rows, ic):
+    """The integer matrix with the given rows times the vector ic."""
+    return tuple([sum(map(mul, row, ic)) for row in rows])
+
+
+# The compiled kernel (README, "Kernels") replaces every loop above or none:
+# the right-hand tuple is built before any name is bound, so a build that
+# lacks an entry point leaves the pure loops in place.
 try:
     from . import _tensorcore as _tc
-except ImportError:  # pragma: no cover - depends on the build environment
-    _tc = None
-else:
-    _tadd = _tc.tadd
-    _tsub = _tc.tsub
-    _tneg = _tc.tneg
-    _tscale = _tc.tscale
-    _tdiv = _tc.tdiv
-    _tbool = _tc.tbool
-    _tcontent = _tc.tcontent
-    _conv_reduce = _tc.conv_reduce
+
+    _tadd, _tsub, _tneg, _tscale, _tdiv, _tbool, _tcontent, _conv_reduce, _matvec = (
+        _tc.tadd, _tc.tsub, _tc.tneg, _tc.tscale, _tc.tdiv,
+        _tc.tbool, _tc.tcontent, _tc.conv_reduce, _tc.matvec,
+    )
+    rationals.BACKEND = "_tensorcore"
+except (ImportError, AttributeError):  # pragma: no cover - depends on the build
+    pass
 
 
 def _blocks(v, m):
     """The consecutive slices of length m of a flat vector."""
     return [v[i : i + m] for i in range(0, len(v), m)]
-
-
-def _matvec(rows, ic):
-    """The integer matrix with the given rows times the vector ic."""
-    return tuple([sum(map(mul, row, ic)) for row in rows])
 
 
 def _basis(field):
@@ -614,16 +614,6 @@ def from_power_sums(sums, field):
     return UniPoly._raw(field, c)
 
 
-# From this absolute degree on, a product by a fixed element is one integer
-# matrix-vector product on coordinate vectors (the regular representation;
-# Cohen, A Course in Computational Algebraic Number Theory, GTM 138).  Below
-# it the product stays `_tmul`.  The crossing follows the loaded kernel: on
-# the six identity proofs of one plane2 block over Q(i) (seed 13301, best of
-# 7, 2-core x86-64 VM) the 2 x 2 matrix took 35 ms against 52-55 ms for the
-# pure `_tmul`, but 35-42 ms against 22-35 ms for the compiled one.
-_MATRIX_DEGREE = 2 if _tc is None else 4
-
-
 def integral_ops(field):
     """The integer arithmetic of `field` (QQ or a NumberField) for loops that
     normalize once, at the end.
@@ -642,8 +632,8 @@ def integral_ops(field):
       is zero), v * w is the base's product by v on each block of w, so
       the base's `fixed` serves, recursively down to the scaling; a
       degree-1 level's vectors are its base's.  Otherwise it is one
-      integer matrix-vector product from absolute degree _MATRIX_DEGREE
-      on, and `_tmul` below that;
+      integer matrix-vector product: the regular representation of v
+      (Cohen, A Course in Computational Algebraic Number Theory, GTM 138);
     - `make(v, q)`: the field element v / q, normalized.
     """
     if not isinstance(field, NumberField):
@@ -708,7 +698,6 @@ class _FieldOps:
 
     def __init__(self, field):
         self.field = field
-        self.matrix = field.absolute_degree >= _MATRIX_DEGREE
         self.zero = field.zero.ic
         self.one = field.one.ic
 
@@ -730,8 +719,6 @@ class _FieldOps:
             if field.degree == 1:  # one block
                 return sub
             return lambda w: tuple(chain.from_iterable(map(sub, _blocks(w, m))))
-        if not self.matrix:
-            return partial(field._tmul, v)
         return partial(_matvec, tuple(zip(*field._columns(v))))
 
     def make(self, v, q):

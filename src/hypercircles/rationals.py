@@ -14,8 +14,10 @@ coordinate vectors of `numberfield` (README, "Kernels").
 
 from fractions import Fraction as Rational
 
-# The benchmark records this name with every run; `Rational` is the standard
-# library's type, so there is one scalar kernel and this is a constant.
+# The kernel the package runs on, which the benchmark records with every
+# run: `numberfield`, which imports this module, sets it to "_tensorcore"
+# when the compiled kernel loads.  `Rational` is the standard library's
+# type either way.
 BACKEND = "pure"
 
 
