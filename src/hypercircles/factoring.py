@@ -19,11 +19,17 @@ Two entry points:
     Landau–Mignotte bound.
 
 * `factor_over_nf(f, K)` — factorization over a number field K = L(alpha),
-  L = Q or a tower, by Trager's method: shift by integer multiples of alpha
-  until the norm down to L is squarefree (over Q one squarefree image mod a
-  small prime proves it, and the exact test decides only when none of the
-  first few primes gives one), factor the norm one level down (over Z, or
-  by the same method over L), and pull factors back with gcds.
+  L = Q or a tower, by Trager's method (SYMSAC 1976): shift by an integer
+  multiple of alpha whose norm down to L is squarefree, factor the norm one
+  level down (over Z, or by the same method over L), and pull factors back
+  with gcds.  The shift is chosen on one image: at a totally split prime of
+  K (`modp._split_primes`) the norm reduces at a degree-1 prime of L to
+  the product of n shifted images of f, one per embedding of K above it,
+  and a squarefree product proves the norm squarefree
+  (`_squarefree_norm`), so only the accepted shift's norm is built.  Every
+  factor of that norm over L is the norm of a factor over K, so its degree
+  is a multiple of n = [K:L], and Zassenhaus recombines only such degrees
+  (`zz_factor_squarefree(f, step)`).
 
 Both return `(unit, [(monic_factor, multiplicity), ...])` with the unit in
 the coefficient field, so unit * prod(factor^mult) reproduces the input.
@@ -50,8 +56,9 @@ from .intpoly import (
     zz_sub,
     zz_trim,
 )
-from .numberfield import from_power_sums, newton_sums
-from .polynomials import UniPoly, is_squarefree, poly_gcd
+from .modp import _apply, _split_primes, _values
+from .numberfield import from_power_sums, integral_ops, newton_sums
+from .polynomials import UniPoly, poly_gcd
 from .rationals import RationalField
 
 # ----------------------------------------------------------------------------
@@ -154,23 +161,13 @@ _PRIME_TRIES = 3
 _FEW_FACTORS = 6
 
 
-def _admissible_primes(f, limit=None):
-    """(p, f mod p made monic) for the primes p >= 3 at which f stays
-    squarefree of its degree, among the first `limit` primes not dividing
-    lc(f) (all of them when `limit` is None).
-
-    Such a p is admissible for Zassenhaus.  A squarefree image also proves
-    f squarefree: a square g**2 dividing f would reduce to one of positive
-    degree dividing f mod p, since lc(g) divides lc(f).
-    """
+def _admissible_primes(f):
+    """(p, f mod p made monic) for the primes p >= 3 not dividing lc(f) at
+    which f stays squarefree: those admissible for Zassenhaus."""
     lc = f[-1]
-    seen = 0
     for p in primes(3):
         if lc % p == 0:
             continue
-        if seen == limit:
-            return
-        seen += 1
         fp = gf_from_zz(f, p)
         if gf_is_squarefree(fp, p):
             yield p, gf_monic(fp, p)
@@ -185,17 +182,18 @@ def _subset_degrees(degrees):
     return mask
 
 
-def _choose_prime(f):
+def _choose_prime(f, step=1):
     """(p, f's distinct-degree factorization mod p, allowed degree mask).
 
     Tries up to _PRIME_TRIES admissible primes, stopping early at one with
     at most _FEW_FACTORS modular factors, and keeps the first with the
-    fewest.  The mask intersects the subset-degree sums over every prime
-    tried: a factor of f over Z reduces to a product of modular factors at
-    each prime, so its degree is a subset sum at each.
+    fewest.  The mask starts at the multiples of `step`, which divides the
+    degree of every factor of f, and intersects the subset-degree sums over
+    every prime tried: a factor of f over Z reduces to a product of modular
+    factors at each prime, so its degree is a subset sum at each.
     """
     n = len(f) - 1
-    allowed = (1 << (n + 1)) - 1
+    allowed = sum(1 << d for d in range(0, n + 1, step))
     best = None
     for tried, (p, fp) in enumerate(_admissible_primes(f), 1):
         ddf = gf_ddf(fp, p)
@@ -234,8 +232,14 @@ def _coefficients_may_divide(top, const, d, lc, rest0, norm2, lc_f):
     return rest0 == 0 or (const != 0 and lc * rest0 % const == 0)
 
 
-def zz_factor_squarefree(f):
-    """Irreducible integer factors of a primitive squarefree f, lc(f) > 0.
+def zz_factor_squarefree(f, step=1):
+    """Irreducible integer factors of a primitive squarefree f, lc(f) > 0,
+    given that `step` divides the degree of each of them.
+
+    The step is 1 for an arbitrary f.  For the squarefree Trager norm of a
+    squarefree h over K = Q(alpha) it is n = [K:Q]: each irreducible factor
+    of the norm is the norm N(g(x - k alpha)) of an irreducible factor g of
+    h over K (Trager, SYMSAC 1976), of degree n deg g.
 
     Zassenhaus's method:
 
@@ -246,9 +250,9 @@ def zz_factor_squarefree(f):
       at most _FEW_FACTORS factors ends the comparison.
     * Degree sets.  A factor of f reduces to a product of modular factors
       at every prime, so its degree is a subset-degree sum at each prime
-      tried.  The intersection of those sets is `allowed`; {0, n} proves f
-      irreducible.  A subset is skipped unless both its degree and the
-      cofactor's lie in `allowed`.
+      tried, and a multiple of `step`.  The intersection of those sets is
+      `allowed`; {0, n} proves f irreducible with no lift.  A subset is
+      skipped unless both its degree and the cofactor's lie in `allowed`.
     * Lifting.  The factors are lifted to monic factors mod p**l by
       `hensel_lift` along its ladder of moduli, where p**l > 2 * B and B
       is the Landau-Mignotte bound (isqrt(n+1)+1) * 2**n * max|a_i| * lc.
@@ -286,7 +290,7 @@ def zz_factor_squarefree(f):
     a_max = max(abs(a) for a in f)
     # Landau-Mignotte: any factor's coefficients are bounded by this.
     bound = (isqrt(n + 1) + 1) * (1 << n) * a_max * abs(lc)
-    p, ddf, allowed = _choose_prime(f)
+    p, ddf, allowed = _choose_prime(f, step)
     if allowed == 1 | (1 << n):
         return [list(f)]
     l = 1
@@ -473,38 +477,86 @@ def _norm_poly(h, field):
     return from_power_sums(sums, field.base)
 
 
-# primes, not dividing the norm's lc, among which one squarefree image of a
-# Trager norm over Q is looked for before the exact test
-_SQUAREFREE_TRIES = 5
+def _shifts():
+    """The Trager shifts 0, 1, -1, 2, -2, ..."""
+    yield 0
+    for k in itertools.count(1):
+        yield k
+        yield -k
+
+
+def _gf_taylor(f, c, p):
+    """f(x - c) mod p, by Horner's rule in x - c."""
+    out = []
+    for a in reversed(f):
+        nxt = [0] + out
+        for i, b in enumerate(out):
+            nxt[i] -= c * b
+        nxt[0] += a
+        out = [v % p for v in nxt]
+    return out
+
+
+def _split_images(h, field):
+    """(p, values, images) at K's first admissible totally split prime p,
+    K = `field` of degree n over L: at the n embeddings of K into F_p that
+    extend the first embedding of L, the values of alpha and the images of
+    the monic h, all squarefree.  A record of `modp._split_primes` is
+    admissible when p divides neither the common denominator of h's
+    coefficients nor alpha's, and every image is squarefree mod p."""
+    n = field.degree
+    vecs, den = integral_ops(field).lift(h.coeffs)
+    gen = field.gen
+    for sp in _split_primes(field):
+        p = sp.p
+        if den % p == 0 or gen.den % p == 0:
+            continue
+        rows = sp.rows[:n]
+        images = [gf_monic(f, p) for f in _values(rows, vecs, p)]
+        if all(gf_is_squarefree(f, p) for f in images):
+            inv = pow(gen.den, -1, p)
+            values = [v * inv % p for v in _apply(rows, gen.ic, p)]
+            return p, values, images
 
 
 def _squarefree_norm(h, field):
-    """(k, N): the first shift k in 0, 1, -1, 2, -2, ... at which the norm N
-    of h(x - k*alpha) down to the base field is squarefree, N monic over
-    the base.
+    """(k, N): a shift k, the first of 0, 1, -1, 2, -2, ... whose image
+    below is squarefree, and the norm N of h(x - k*alpha) down to the
+    base field L, monic over L and squarefree.
 
-    Over Q a squarefree image mod one of the first _SQUAREFREE_TRIES primes
-    not dividing lc(N) proves N squarefree; only when none of them gives
-    one, or over a tower base, does the exact `is_squarefree` decide, so
-    the shift chosen is the first squarefree one either way.
+    The image.  At K's first admissible split prime p (`_split_images`)
+    the first embedding of L is a degree-1 prime P of L that splits
+    completely in K, so K tensor L_P is Q_p^n, one factor per embedding e
+    of K above P, and N is the product over e of h(x - k alpha) mapped
+    into the e-th factor.  p divides neither denominator, so h and alpha
+    are integral at every prime above P: N is monic and P-integral, and
+    reduces mod P to the image prod_e h_e(x - k a_e), h_e and a_e the
+    images of h and alpha mod p at e.  A square g**2 dividing N, g monic,
+    has P-integral coefficients (its roots are N's) and would reduce to a
+    square of positive degree dividing the image: a squarefree image
+    proves N squarefree, and only the accepted shift's N is built.
+
+    The bound.  The image is squarefree unless r + k a_e = r' + k a_e' for
+    roots r of h_e and r' of h_e', e != e', as each h_e is squarefree.
+    The a_e are distinct mod p, so each such pair of roots rules out at
+    most one k mod p: among the first (n deg h)**2 + 1 shifts one is good,
+    as they are distinct mod p while their count is below p (split primes
+    start at 2**20).
     """
-    alpha = field.gen
-    over_q = isinstance(field.base, RationalField)
-    shifts = itertools.chain([0], (s for k in itertools.count(1) for s in (k, -k)))
-    for k in shifts:
-        if k == 0:
-            shifted = h
-        else:
-            ka = field.coerce(k) * alpha
-            move = UniPoly._raw(field, [-ka, field.one])  # x - k*alpha
-            shifted = h.compose(move)
-        norm = _norm_poly(shifted, field)
-        screened = over_q and any(
-            _admissible_primes(_primitive_ints(norm), _SQUAREFREE_TRIES)
-        )
-        if screened or is_squarefree(norm):
-            return k, norm
-    raise InternalInvariantError("unreachable: ran out of Trager shifts")
+    p, values, images = _split_images(h, field)
+    tries = (field.degree * h.degree) ** 2 + 1
+    for k in itertools.islice(_shifts(), tries):
+        image = [1]
+        for f, a in zip(images, values):
+            image = gf_mul(image, _gf_taylor(f, k * a, p), p)
+        if gf_is_squarefree(image, p):
+            break
+    else:
+        raise InternalInvariantError(f"no squarefree image among {tries} shifts")
+    if k != 0:
+        ka = field.coerce(k) * field.gen
+        h = h.compose(UniPoly._raw(field, [-ka, field.one]))  # h(x - k*alpha)
+    return k, _norm_poly(h, field)
 
 
 def _trager_squarefree(h, field):
@@ -518,7 +570,7 @@ def _trager_squarefree(h, field):
     if isinstance(base, RationalField):
         nfactors = [
             _monic_over_qq(fac, base)
-            for fac in zz_factor_squarefree(_primitive_ints(norm))
+            for fac in zz_factor_squarefree(_primitive_ints(norm), field.degree)
         ]
     else:
         nfactors = _trager_squarefree(norm, base)

@@ -6,12 +6,13 @@ polynomial.  The `zz_*` routines work over Z and back the Zassenhaus
 factorization, where staying in plain ints avoids per-operation rational
 normalization.  The `gf_*` routines (values in [0, p)) are the one F_p
 toolkit: Zassenhaus's distinct- and equal-degree splitting and Hensel
-seeds, and the modular gcd (`modp.nf_gcd`), which runs on them at totally
-split primes, where its per-embedding images are gcds over F_p and its
-split test is root finding; its p-adic lift also runs `gf_diff` and
-`gf_eval` mod p^k.  `primes`, on top of `is_prime`, is the one
-source of every prime the modular code picks: the small ones of the
-Zassenhaus search and the split primes of the gcd.
+seeds, Trager's shift test on one image at a totally split prime, and the
+modular gcd (`modp.nf_gcd`), which runs on them at totally split primes,
+where its per-embedding images are gcds over F_p and its split test is
+root finding; its p-adic lift also runs `gf_diff` and `gf_eval` mod p^k.
+`primes`, on top of `is_prime`, is the one source of every prime the
+modular code picks: the small ones of the Zassenhaus search and the split
+primes of the gcd and of the shift test.
 """
 
 from math import gcd as _int_gcd

@@ -26,10 +26,11 @@ vectors it works on, and `nf_gcd` is the entry for UniPolys, which it
 lifts to those vectors.
 
 A field's split primes are found among those of its base: each embedding
-of the base extends by the roots mod p of the level's polynomial there, so
-roots of each level's polynomial are all that is ever computed, and the
-normal closure is never built.  Split primes and their matrices are cached
-per field.
+of the base extends by the roots mod p of the level's polynomial there, and
+the normal closure is never built.  Those roots are first looked for among
+the lower levels' roots, which always hold a class field's, and otherwise
+found by Cantor-Zassenhaus.  Split primes and their matrices are cached per
+field.
 """
 
 import random
@@ -127,22 +128,49 @@ def _inverse(rows, p):
     return [r[n:] for r in a]
 
 
+def _known_roots(field, below):
+    """Candidate roots mod p, `below`'s prime, of field's level polynomial:
+    the values field's rescaled generator D*gen would take if gen were a
+    conjugate of a lower level's generator.  A lower level's roots are the
+    values of its own D'*gen', so each root r gives r * D / D' (none when p
+    divides D')."""
+    p = below.p
+    out = set()
+    for lf, rs in below.levels:
+        if lf._scale % p:
+            ratio = field._scale * pow(lf._scale, -1, p)
+            out.update(r * ratio % p for r in rs)
+    return sorted(out)
+
+
 def _extend(field, below):
     """The record of `field` at the prime of `below`, its base's record, or
     None unless field's polynomial splits into distinct linear factors mod
-    p over every embedding of the base.  It splits so exactly when x^p = x
-    modulo it, as x^p - x is the squarefree product of all x - a."""
+    p over every embedding of the base.
+
+    At each embedding the polynomial is first evaluated at the roots the
+    lower levels already know (`_known_roots`): n distinct roots among them
+    prove that it splits, as it has degree n.  A class field's polynomial
+    divides that of its base K(alpha) over K(alpha), so its roots are
+    always found there.  Otherwise it splits so exactly when x^p = x
+    modulo it, as x^p - x is the squarefree product of all x - a, and its
+    roots come from `gf_edf`.  Either way the roots are the polynomial's,
+    sorted."""
     p = below.p
     n = field.degree
+    known = _known_roots(field, below) if n > 1 else ()
     roots = []
     for row in below.rows:
         f = _level_poly(field, row, p)
         if n == 1:
             roots.append(-f[0] % p)
             continue
-        if gf_pow_mod([0, 1], p, f, p) != [0, 1]:
-            return None
-        roots.extend(sorted(-g[0] % p for g in gf_edf(f, 1, p, random.Random(p))))
+        found = [r for r in known if not gf_eval(f, r, p)]
+        if len(found) < n:
+            if gf_pow_mod([0, 1], p, f, p) != [0, 1]:
+                return None
+            found = sorted(-g[0] % p for g in gf_edf(f, 1, p, random.Random(p)))
+        roots.extend(found)
     levels = below.levels + ((field, roots),)
     return _Split(p, levels, _expand(below.rows, roots, n, p))
 

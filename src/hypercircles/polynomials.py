@@ -272,7 +272,3 @@ def poly_gcd(f, g):
     from .modp import nf_gcd  # modp builds on this module
 
     return nf_gcd((f, g), f.field)
-
-
-def is_squarefree(f):
-    return poly_gcd(f, f.derivative()).degree == 0

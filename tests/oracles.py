@@ -4,10 +4,14 @@ They are slower than the library code on purpose: each computes the same
 answer by a different, more direct route.
 """
 
+import itertools
+import random
 from dataclasses import dataclass
 from math import gcd
 
+from hypercircles import modp
 from hypercircles.errors import InstanceError, InternalInvariantError
+from hypercircles.factoring import _norm_poly
 from hypercircles.hypercircle import (
     BAD_DENOMINATOR,
     GOOD,
@@ -17,6 +21,7 @@ from hypercircles.hypercircle import (
     conjugacy_classes,
     parameter_schedule,
 )
+from hypercircles.intpoly import gf_edf, gf_pow_mod
 from hypercircles.modp import nf_gcd
 from hypercircles.numberfield import integral_ops, newton_sums
 from hypercircles.polynomials import UniPoly, poly_gcd
@@ -280,6 +285,45 @@ def euclid_gcd(f, g):
     while not g.is_zero:
         f, g = g, f % g
     return f.monic()
+
+
+def is_squarefree(f):
+    """Whether f is squarefree, by the exact gcd of f and f'."""
+    return poly_gcd(f, f.derivative()).degree == 0
+
+
+def squarefree_norm_by_exact_test(h, field):
+    """(k, N) for the first Trager shift k in 0, 1, -1, 2, -2, ... whose
+    norm N of h(x - k*alpha) down to the base is squarefree, each norm
+    built and tested exactly: the shift search `factoring._squarefree_norm`
+    replaces with one image at a split prime."""
+    for k in itertools.chain([0], (s for k in itertools.count(1) for s in (k, -k))):
+        shifted = h
+        if k != 0:
+            ka = field.coerce(k) * field.gen
+            shifted = h.compose(UniPoly._raw(field, [-ka, field.one]))
+        norm = _norm_poly(shifted, field)
+        if is_squarefree(norm):
+            return k, norm
+
+
+def extend_by_root_finding(field, below):
+    """`modp._extend` with no known roots: at each embedding of the base
+    the level's polynomial splits into distinct linear factors exactly when
+    x^p = x modulo it, and its sorted roots come from `gf_edf`."""
+    p = below.p
+    n = field.degree
+    roots = []
+    for row in below.rows:
+        f = modp._level_poly(field, row, p)
+        if n == 1:
+            roots.append(-f[0] % p)
+            continue
+        if gf_pow_mod([0, 1], p, f, p) != [0, 1]:
+            return None
+        roots.extend(sorted(-g[0] % p for g in gf_edf(f, 1, p, random.Random(p))))
+    levels = below.levels + ((field, roots),)
+    return modp._Split(p, levels, modp._expand(below.rows, roots, n, p))
 
 
 def poly_resultant(f, g):

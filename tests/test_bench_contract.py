@@ -26,14 +26,28 @@ def test_every_traced_name_exists():
         assert attr in cls.__dict__, (cls.__name__, attr, key)
 
 
-def test_traced_decision_records_classify_and_fold():
-    # a plane2-sized decision: x^2 + 1, defined, degree 14
-    tracer_module = load_tracer()
-    doc = gen_instance("defined", 14, minpoly=UniPoly(QQ, [1, 0, 1]), seed=0)
-    tracer = tracer_module.Tracer()
+def traced(doc):
+    """The tracer after one traced decision of the instance doc, which must
+    be defined."""
+    tracer = load_tracer().Tracer()
     with tracer.installed(), tracer.decision(0):
         _, psi = parse_instance(json.dumps(doc))
         assert standard_parametrization(psi).defined
+    return tracer
+
+
+def test_traced_decision_records_classify_and_fold():
+    # a plane2-sized decision: x^2 + 1, defined, degree 14
+    tracer = traced(gen_instance("defined", 14, minpoly=UniPoly(QQ, [1, 0, 1]), seed=0))
     names = {span[1] for span in tracer.spans}
     assert {"hypercircle.classify", "modp.fold"} <= names
     assert tracer.counts.get("modp.fold_root", 0) >= 3
+
+
+def test_traced_sextic_decision_records_classes_and_fold():
+    # a sextic_mixed-sized decision: over x^6 - 2, m(alpha, x) has degree 5
+    # and is factored into classes, where over x^2 + 1 it is linear
+    sextic = UniPoly(QQ, [-2, 0, 0, 0, 0, 0, 1])
+    tracer = traced(gen_instance("defined", 6, minpoly=sextic, seed=0))
+    names = {span[1] for span in tracer.spans}
+    assert {"factoring.classes", "modp.fold"} <= names

@@ -15,11 +15,13 @@ from hypercircles import (
     factor_rational,
     is_irreducible_rational,
 )
-from hypercircles import factoring
+from hypercircles import factoring, modp
 from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.hypercircle import conjugacy_classes
 from hypercircles.intpoly import primes, zz_mul, zz_primitive
 
+from oracles import squarefree_norm_by_exact_test
+from test_minfield import _model, negative_instance, sextic_subfield_instance
 from test_numberfield import tower
 
 x = UniPoly.gen(QQ)
@@ -252,6 +254,121 @@ def test_trager_norm_factorizations_are_pinned():
         assert k == shift, minpoly
         text = _render_factorization(*factor_rational(norm))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, minpoly
+
+
+def counted(monkeypatch, module, name):
+    """The list of the argument tuples of each call of module.name."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def assert_same_shift(got, want):
+    """(k, N) pairs compared part by part, so that a failure reports the
+    shifts without diffing the norms' long reprs."""
+    assert got[0] == want[0]
+    assert got[1] == want[1], "same shift, other norm"
+
+
+@pytest.mark.parametrize("minpoly, exact_norms", [(x**6 - 2, 6), (x**5 - 2, 3)])
+def test_shift_search_builds_one_norm_and_takes_no_gcd(minpoly, exact_norms, monkeypatch):
+    # the split prime's image screens every shift, so only the accepted
+    # shift's norm is built, where the exact search builds one per shift
+    field = NumberField(QQ, minpoly, "a")
+    h = _m_alpha(field)
+    want = squarefree_norm_by_exact_test(h, field)
+    assert [0, 1, -1, 2, -2, 3].index(want[0]) + 1 == exact_norms
+
+    def refuse(*args):
+        raise AssertionError("an exact gcd was taken")
+
+    monkeypatch.setattr(factoring, "poly_gcd", refuse)
+    monkeypatch.setattr(modp, "_gcd", refuse)
+    norms = counted(monkeypatch, factoring, "_norm_poly")
+    assert_same_shift(factoring._squarefree_norm(h, field), want)
+    assert len(norms) == 1
+
+
+def _tower_cases():
+    """(field, polynomial) pairs over tower bases: those of
+    `test_factor_over_nf_over_a_tower`, then m(alpha, x) and alpha's
+    minimal polynomial over Q, over the tower model L(alpha) of each
+    subfield rerun."""
+    field = tower()
+    cases = [(field, (x**4 - 2).map_into(field)), (field, (x**2 + 1).map_into(field))]
+    for make in (
+        negative_instance,
+        lambda: sextic_subfield_instance(2, 4),
+        lambda: sextic_subfield_instance(3, 4),
+    ):
+        field, _, _, (model, _) = _model(make)
+        cases.append((model, _m_alpha(model)))
+        cases.append((model, field.minpoly.map_into(model)))
+    return cases
+
+
+def test_shift_over_tower_bases_matches_the_exact_search(monkeypatch):
+    # the first shift with a squarefree image is the first with a
+    # squarefree norm here, and the factors are those of the exact search
+    for field, f in _tower_cases():
+        h = f.monic()
+        assert_same_shift(
+            factoring._squarefree_norm(h, field), squarefree_norm_by_exact_test(h, field)
+        )
+        _, got = factor_over_nf(f, field)
+        with monkeypatch.context() as m:
+            m.setattr(factoring, "_squarefree_norm", squarefree_norm_by_exact_test)
+            _, want = factor_over_nf(f, field)
+        assert got == want and sum(g.degree for g, _ in got) == f.degree
+
+
+def test_shift_search_skips_a_prime_dividing_alpha_denominator():
+    # alpha^2 - alpha/q + 1 = 0 with q the first prime the split search
+    # tries: theta = q alpha has theta^2 - theta + q^2 mod q, which splits,
+    # so q is the field's first split prime, but alpha has no value mod q
+    # and the shift is screened at the next one
+    q = next(primes(modp._PRIME_START))
+    field = NumberField(QQ, UniPoly(QQ, [1, Rational(-1, q), 1]), "a")
+    assert next(modp._split_primes(field)).p == q and field.gen.den == q
+    f = (x**4 - 2).map_into(field)
+    assert factoring._split_images(f, field)[0] != q
+    assert_same_shift(
+        factoring._squarefree_norm(f, field), squarefree_norm_by_exact_test(f, field)
+    )
+    _, fac = factor_over_nf(f, field)
+    assert [g for g, _ in fac] == [f]
+
+
+def test_degree_step_keeps_the_factors(monkeypatch):
+    # every factor of a Trager norm over K = Q(alpha) has degree a multiple
+    # of [K:Q]; a product of norms keeps the gcd of their steps
+    sextic, phi5, phi7 = (
+        _int_coeffs(norm) for _, norm in _pinned_norms(with_phi13=False)
+    )
+    cases = [
+        (sextic, 6),
+        (phi5, 4),
+        (phi7, 6),
+        (zz_mul(sextic, phi7), 6),
+        (zz_mul(sextic, phi5), 2),
+    ]
+    for f, step in cases:
+        want = sorted(factoring.zz_factor_squarefree(f))
+        assert sorted(factoring.zz_factor_squarefree(f, step)) == want
+    # x^5 - 2's degree-20 norm is proven irreducible with no Hensel lift
+    quintic = NumberField(QQ, x**5 - 2, "a")
+    f = _int_coeffs(factoring._squarefree_norm(_m_alpha(quintic), quintic)[1])
+    lifts = counted(monkeypatch, factoring, "hensel_lift")
+    assert factoring.zz_factor_squarefree(f, 5) == [f]
+    assert lifts == []
+    assert factoring.zz_factor_squarefree(f) == [f]
+    assert lifts
 
 
 def test_factor_over_nf_golden():

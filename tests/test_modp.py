@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypercircles import (
     NumberField,
+    factor_over_nf,
     Parametrization,
     QQ,
     RatFunc,
@@ -20,6 +21,7 @@ from hypercircles import (
     classify_parameter,
     poly_gcd,
 )
+from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.hypercircle import SINGULAR, conjugacy_classes
 from hypercircles import modp
 from hypercircles.intpoly import gf_diff, gf_gcd, is_prime, primes
@@ -38,7 +40,7 @@ from hypercircles.modp import (
 )
 from hypercircles.numberfield import ConjugacyClass, integral_ops
 
-from oracles import euclid_gcd
+from oracles import euclid_gcd, extend_by_root_finding
 
 
 def make_K():
@@ -251,6 +253,86 @@ def test_split_test_refuses_a_prime_dividing_a_level_discriminant():
     below = _extend(qi, bottom(p))
     assert below is not None and _extend(over, below) is None
     assert p not in split_primes(over, 4)
+
+
+def levels_of(field):
+    """The fields of a tower, bottom-up."""
+    out = []
+    while isinstance(field, NumberField):
+        out.append(field)
+        field = field.base
+    return out[::-1]
+
+
+def test_known_roots_give_the_records_of_root_finding():
+    # at each level, the record built from the lower levels' roots equals
+    # the one of the x^p test and Cantor-Zassenhaus: the same prime, the
+    # same sorted roots and the same rows; the first level is tried at
+    # split and non-split primes alike, the others at their base's records
+    x = UniPoly.gen(QQ)
+    fields = list(parity_fields().values())
+    for minpoly in (x**5 - 2, x**6 - 2, x**3 - 2, cyclotomic_minpoly(7)):
+        field = NumberField(QQ, minpoly, "a")
+        fields += [c.relative_field for c in conjugacy_classes(field)[1]]
+    for top in fields:
+        for level in levels_of(top):
+            if level._level1:
+                belows = [bottom(p) for p in itertools.islice(primes(_PRIME_START), 6)]
+            else:
+                belows = itertools.islice(_split_primes(level.base), 3)
+            for below in belows:
+                got = _extend(level, below)
+                want = extend_by_root_finding(level, below)
+                if want is None:
+                    assert got is None, level
+                else:
+                    assert (got.p, got.levels, got.rows) == (want.p, want.levels, want.rows)
+
+
+def rescaled_class_field():
+    """The class field of x^3 - x/2 + 1/3: its generator is rescaled by
+    36, its base's by 6."""
+    field = parity_fields()["rescaled"]
+    (cls,) = conjugacy_classes(field)[1]
+    assert (field._scale, cls.relative_field._scale) == (6, 36)
+    return cls.relative_field
+
+
+@pytest.mark.parametrize(
+    "make, base_degree", [(make_size4, 5), (rescaled_class_field, 3)], ids=["x5-2", "rescaled"]
+)
+def test_class_field_roots_come_from_the_base(make, base_degree, monkeypatch):
+    # a class field's polynomial divides its base's over K(alpha), so its
+    # roots at a split prime are among the base's, rescaled: Cantor-
+    # Zassenhaus runs only on the first level's polynomial
+    field = make()
+    degrees = []
+    inner = modp.gf_edf
+
+    def recorded(f, *args):
+        degrees.append(len(f) - 1)
+        return inner(f, *args)
+
+    monkeypatch.setattr(modp, "gf_edf", recorded)
+    assert len(split_primes(field, 5)) == 5
+    assert degrees and set(degrees) == {base_degree}
+
+
+def test_partly_known_roots_fall_back_to_root_finding():
+    # at K's first split prime p, the cubic (x - s)(x - 1)(x - 2) mod p, s
+    # a square root of 2 mod p, lifted to Z: one of its roots is a's value
+    # and two are not, so the record comes from root finding, and it
+    # splits there
+    field = NumberField(QQ, UniPoly(QQ, [-2, 0, 1]), "a")
+    below = next(_split_primes(field))
+    p = below.p
+    s = below.levels[0][1][0]
+    cubic = [(-s * 2) % p, (s * 3 + 2) % p, (-s - 3) % p, 1]
+    over = NumberField(field, UniPoly(field, cubic), "c")
+    assert len(factor_over_nf(over.minpoly, field)[1]) == 1
+    got = _extend(over, below)
+    assert got is not None and got.levels[-1][1][:2] == [1, 2]
+    assert got.levels == extend_by_root_finding(over, below).levels
 
 
 def test_gcd_skips_a_prime_dividing_a_denominator(monkeypatch):

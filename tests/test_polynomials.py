@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercircles import NumberField, QQ, Rational, UniPoly
-from hypercircles.polynomials import is_squarefree, poly_gcd
+from hypercircles.polynomials import poly_gcd
 
-from oracles import euclid_gcd, poly_resultant
+from oracles import euclid_gcd, is_squarefree, poly_resultant
 
 rats = st.builds(
     Rational,
