@@ -6,6 +6,21 @@ Two entry points:
   squarefree decomposition (Yun), then for each squarefree part a Zassenhaus
   run (`zz_factor_squarefree`), after Musser (J. ACM 22, 1975) and Abbott,
   Shoup and Zimmermann (ISSAC 2000):
+  - a polynomial f = P(x^e), e > 1 the gcd of the exponents of its nonzero
+    terms, is deflated: P is factored, and each of its irreducible factors
+    P_i gives a piece P_i(x^e) that the Zassenhaus core splits on its own.
+    This is sound because P is primitive and squarefree with lc(P) =
+    lc(f) > 0 (a square Q^2 dividing P gives Q(x^e)^2 dividing f); the
+    pieces are pairwise coprime (A P_i + B P_j = 1 stays true at x^e), so
+    every irreducible factor of f divides exactly one of them; and a
+    degree step that divides the degree of every factor of f divides that
+    of every factor of each piece, as those are factors of f.  A step s
+    also gives P the step s / gcd(s, e), since each piece, of degree
+    e deg P_i, is a product of factors of f.  Every Trager norm of a pure
+    field x^n - c is such a P(x^e): m(y, x - ky) is homogeneous, so the
+    norm is invariant under x -> zeta x.  A norm that the degree sets at
+    its first admissible prime prove irreducible (the degree-20 norm of
+    x^5 - 2) is returned before P is factored;
   - the prime is chosen among a few admissible ones by the factor count of
     their distinct-degree factorizations, and only the chosen one is split
     into irreducibles (Cantor–Zassenhaus);
@@ -29,7 +44,11 @@ Two entry points:
   (`_squarefree_norm`), so only the accepted shift's norm is built.  Every
   factor of that norm over L is the norm of a factor over K, so its degree
   is a multiple of n = [K:L], and Zassenhaus recombines only such degrees
-  (`zz_factor_squarefree(f, step)`).
+  (`zz_factor_squarefree(f, step)`).  The gcds are taken with
+  f(x - k alpha), which the shift search built, and only the gcds, of
+  lower degree than the norm's factors, are shifted back.
+  `factor_squarefree_over_nf(f, K)` is that method alone, for a monic f
+  known to be squarefree, and returns only the sorted factors.
 
 Both return `(unit, [(monic_factor, multiplicity), ...])` with the unit in
 the coefficient field, so unit * prod(factor^mult) reproduces the input.
@@ -163,14 +182,33 @@ _FEW_FACTORS = 6
 
 def _admissible_primes(f):
     """(p, f mod p made monic) for the primes p >= 3 not dividing lc(f) at
-    which f stays squarefree: those admissible for Zassenhaus."""
+    which f stays squarefree: those admissible for Zassenhaus.
+
+    Every prime skipped divides lc(f) disc(f) = +-Res(f, f'), which is
+    nonzero for a squarefree f.  Hadamard's bound on the Sylvester matrix
+    (n - 1 rows of f, n of f') gives |Res|^2 <= ||f||^(2(n-1)) ||f'||^(2n)
+    < 2^b, and k distinct primes >= 3 have a product of at least 3^k, so
+    8^k <= 9^k <= |Res|^2 < 2^b: at most b // 3 primes are skipped.  One
+    more proves f not squarefree, and raises InternalInvariantError.
+    """
+    n = len(f) - 1
     lc = f[-1]
+    norm_sq = sum(a * a for a in f)
+    diff_sq = sum((i * a) ** 2 for i, a in enumerate(f))
+    max_skips = ((n - 1) * norm_sq.bit_length() + n * diff_sq.bit_length()) // 3
+    skipped = 0
     for p in primes(3):
-        if lc % p == 0:
-            continue
-        fp = gf_from_zz(f, p)
-        if gf_is_squarefree(fp, p):
-            yield p, gf_monic(fp, p)
+        if lc % p:
+            fp = gf_from_zz(f, p)
+            if gf_is_squarefree(fp, p):
+                yield p, gf_monic(fp, p)
+                continue
+        skipped += 1
+        if skipped > max_skips:
+            raise InternalInvariantError(
+                f"f is not squarefree: {skipped} primes are inadmissible, "
+                f"where a squarefree f has at most {max_skips}"
+            )
 
 
 def _subset_degrees(degrees):
@@ -182,10 +220,10 @@ def _subset_degrees(degrees):
     return mask
 
 
-def _choose_prime(f, step=1):
+def _choose_prime(f, step=1, tries=_PRIME_TRIES):
     """(p, f's distinct-degree factorization mod p, allowed degree mask).
 
-    Tries up to _PRIME_TRIES admissible primes, stopping early at one with
+    Tries up to `tries` admissible primes, stopping early at one with
     at most _FEW_FACTORS modular factors, and keeps the first with the
     fewest.  The mask starts at the multiples of `step`, which divides the
     degree of every factor of f, and intersects the subset-degree sums over
@@ -202,7 +240,7 @@ def _choose_prime(f, step=1):
         if best is None or len(degrees) < best[0]:
             best = (len(degrees), p, ddf)
         if (
-            tried == _PRIME_TRIES
+            tried == tries
             or len(degrees) <= _FEW_FACTORS
             or allowed == 1 | (1 << n)
         ):
@@ -224,8 +262,8 @@ def _coefficients_may_divide(top, const, d, lc, rest0, norm2, lc_f):
     `top` and `const` are the candidate's x^(d-1) and constant coefficients
     as symmetric residues mod p**l, `rest0` is the constant term of the
     polynomial being split, which divides f, and `norm2` and `lc_f` are an
-    integer at or above ||f||_2 and lc(f).  `zz_factor_squarefree` gives
-    the soundness argument.
+    integer at or above ||f||_2 and lc(f).  `_zassenhaus` gives the
+    soundness argument.
     """
     if abs(top) > abs(lc) * (norm2 + (d - 1) * lc_f):
         return False
@@ -240,6 +278,33 @@ def zz_factor_squarefree(f, step=1):
     squarefree h over K = Q(alpha) it is n = [K:Q]: each irreducible factor
     of the norm is the norm N(g(x - k alpha)) of an irreducible factor g of
     h over K (Trager, SYMSAC 1976), of degree n deg g.
+
+    An f = P(x^e), e > 1 the gcd of its exponents, is first checked against
+    the degree sets at its first admissible prime, which may prove it
+    irreducible.  Otherwise P is factored by `_zassenhaus` with the step
+    step / gcd(step, e), and each piece P_i(x^e) by `_zassenhaus` with
+    `step`; the module docstring gives the argument.  Every other f goes to
+    `_zassenhaus` as it is.
+    """
+    e = 0
+    for i, a in enumerate(f):
+        if a:
+            e = _int_gcd(e, i)
+    if e <= 1:
+        return _zassenhaus(f, step)
+    n = len(f) - 1
+    if _choose_prime(f, step, 1)[2] == 1 | (1 << n):
+        return [list(f)]
+    out = []
+    for g in _zassenhaus(f[::e], step // _int_gcd(step, e)):
+        piece = [0] * (e * (len(g) - 1) + 1)
+        piece[::e] = g
+        out.extend(_zassenhaus(piece, step))
+    return out
+
+
+def _zassenhaus(f, step):
+    """`zz_factor_squarefree` with no deflation: the Zassenhaus core.
 
     Zassenhaus's method:
 
@@ -455,7 +520,7 @@ def factor_over_nf(f, field):
         return unit, []
     out = []
     for part, mult in squarefree_decomposition(f.monic()):
-        for fac in _trager_squarefree(part, field):
+        for fac in factor_squarefree_over_nf(part, field):
             out.append((fac, mult))
     out.sort(key=lambda fm: (fm[0].degree, str(fm[0])))
     return unit, out
@@ -520,9 +585,9 @@ def _split_images(h, field):
 
 
 def _squarefree_norm(h, field):
-    """(k, N): a shift k, the first of 0, 1, -1, 2, -2, ... whose image
-    below is squarefree, and the norm N of h(x - k*alpha) down to the
-    base field L, monic over L and squarefree.
+    """(k, H, N): a shift k, the first of 0, 1, -1, 2, -2, ... whose image
+    below is squarefree, H = h(x - k*alpha), and the norm N of H down to
+    the base field L, monic over L and squarefree.
 
     The image.  At K's first admissible split prime p (`_split_images`)
     the first embedding of L is a degree-1 prime P of L that splits
@@ -553,27 +618,32 @@ def _squarefree_norm(h, field):
             break
     else:
         raise InternalInvariantError(f"no squarefree image among {tries} shifts")
+    shifted = h
     if k != 0:
         ka = field.coerce(k) * field.gen
-        h = h.compose(UniPoly._raw(field, [-ka, field.one]))  # h(x - k*alpha)
-    return k, _norm_poly(h, field)
+        shifted = h.compose(UniPoly._raw(field, [-ka, field.one]))
+    return k, shifted, _norm_poly(shifted, field)
 
 
-def _trager_squarefree(h, field):
-    """Irreducible factors of a monic squarefree h over K = L(alpha): the
-    squarefree norm is factored over L (Zassenhaus over Z when L = Q, this
-    function one level down otherwise) and pulled back by gcds."""
+def factor_squarefree_over_nf(h, field):
+    """Monic irreducible factors of a monic squarefree h over K = L(alpha),
+    sorted as `factor_over_nf` sorts them: the squarefree norm of
+    H = h(x - k alpha) is factored over L (Zassenhaus over Z when L = Q,
+    this function one level down otherwise), each factor F gives the
+    factor gcd(H, F) of H, and that gcd at x + k alpha is one of h.
+    x -> x - k alpha is a ring automorphism of K[x], so the last step gives
+    gcd(h, F(x + k alpha)) while shifting only the gcd."""
     if h.degree == 1:
         return [h]
     base = field.base
-    k, norm = _squarefree_norm(h, field)
+    k, shifted, norm = _squarefree_norm(h, field)
     if isinstance(base, RationalField):
         nfactors = [
             _monic_over_qq(fac, base)
             for fac in zz_factor_squarefree(_primitive_ints(norm), field.degree)
         ]
     else:
-        nfactors = _trager_squarefree(norm, base)
+        nfactors = factor_squarefree_over_nf(norm, base)
     if len(nfactors) == 1:
         return [h]
     out = []
@@ -583,11 +653,10 @@ def _trager_squarefree(h, field):
         back = UniPoly._raw(field, [ka, field.one])  # x + k*alpha
     total = 0
     for fac in nfactors:
-        cand = fac.map_into(field)
-        if back is not None:
-            cand = cand.compose(back)
-        g = poly_gcd(h, cand)
+        g = poly_gcd(shifted, fac.map_into(field))
         if g.degree > 0:
+            if back is not None:
+                g = g.compose(back)
             out.append(g)
             total += g.degree
     if total != h.degree:

@@ -30,7 +30,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
-from .factoring import factor_over_nf
+from .factoring import factor_squarefree_over_nf
 from .modp import fold_common_root
 from .numberfield import ConjugacyClass, NumberField, integral_horner, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
@@ -380,18 +380,19 @@ def _m_alpha(field):
 
 
 def conjugacy_classes(field):
-    """Factor m(alpha, x) = M(x)/(x - alpha) over K(alpha) into classes."""
+    """Factor m(alpha, x) = M(x)/(x - alpha) over K(alpha) into classes.
+
+    M is irreducible over the base (checked on parse, and true of every
+    field built internally), so it is separable in characteristic zero, and
+    so is its divisor m(alpha, x): Trager's method runs on it directly, with
+    no squarefree decomposition."""
     if field.degree < 2:
         raise InstanceError("the coefficient field must have degree >= 2")
     m_alpha = _m_alpha(field)
     names = _class_names(field)
-    _, factors = factor_over_nf(m_alpha, field)
-    for fac, mult in factors:
-        if mult != 1:
-            raise InstanceError("defining polynomial is not separable over the field")
+    factors = factor_squarefree_over_nf(m_alpha, field)
     classes = [
-        ConjugacyClass(fac, names[i % len(names)])
-        for i, (fac, _) in enumerate(factors)
+        ConjugacyClass(fac, names[i % len(names)]) for i, fac in enumerate(factors)
     ]
     return m_alpha, classes
 

@@ -293,8 +293,8 @@ def is_squarefree(f):
 
 
 def squarefree_norm_by_exact_test(h, field):
-    """(k, N) for the first Trager shift k in 0, 1, -1, 2, -2, ... whose
-    norm N of h(x - k*alpha) down to the base is squarefree, each norm
+    """(k, H, N) for the first Trager shift k in 0, 1, -1, 2, -2, ... whose
+    norm N of H = h(x - k*alpha) down to the base is squarefree, each norm
     built and tested exactly: the shift search `factoring._squarefree_norm`
     replaces with one image at a split prime."""
     for k in itertools.chain([0], (s for k in itertools.count(1) for s in (k, -k))):
@@ -304,7 +304,7 @@ def squarefree_norm_by_exact_test(h, field):
             shifted = h.compose(UniPoly._raw(field, [-ka, field.one]))
         norm = _norm_poly(shifted, field)
         if is_squarefree(norm):
-            return k, norm
+            return k, shifted, norm
 
 
 def extend_by_root_finding(field, below):

@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercircles import (
+    InternalInvariantError,
     NumberField,
     QQ,
     Rational,
@@ -236,7 +238,8 @@ def _pinned_norms(with_phi13=True):
     out = []
     for minpoly, _, _ in PINNED_NORMS[: None if with_phi13 else -1]:
         field = NumberField(QQ, minpoly, "a")
-        out.append(factoring._squarefree_norm(_m_alpha(field), field))
+        k, _, norm = factoring._squarefree_norm(_m_alpha(field), field)
+        out.append((k, norm))
     return out
 
 
@@ -270,10 +273,11 @@ def counted(monkeypatch, module, name):
 
 
 def assert_same_shift(got, want):
-    """(k, N) pairs compared part by part, so that a failure reports the
-    shifts without diffing the norms' long reprs."""
+    """(k, H, N) triples compared part by part, so that a failure reports
+    the shifts without diffing the polynomials' long reprs."""
     assert got[0] == want[0]
-    assert got[1] == want[1], "same shift, other norm"
+    assert got[1] == want[1], "same shift, other shifted polynomial"
+    assert got[2] == want[2], "same shift, other norm"
 
 
 @pytest.mark.parametrize("minpoly, exact_norms", [(x**6 - 2, 6), (x**5 - 2, 3)])
@@ -361,14 +365,120 @@ def test_degree_step_keeps_the_factors(monkeypatch):
     for f, step in cases:
         want = sorted(factoring.zz_factor_squarefree(f))
         assert sorted(factoring.zz_factor_squarefree(f, step)) == want
-    # x^5 - 2's degree-20 norm is proven irreducible with no Hensel lift
+    # x^5 - 2's degree-20 norm is P(x^10), and the degree sets at its first
+    # admissible prime prove it irreducible with no Hensel lift, before P
+    # is factored
     quintic = NumberField(QQ, x**5 - 2, "a")
-    f = _int_coeffs(factoring._squarefree_norm(_m_alpha(quintic), quintic)[1])
+    f = _int_coeffs(factoring._squarefree_norm(_m_alpha(quintic), quintic)[2])
+    assert f[1:10] == [0] * 9
+    cores = counted(monkeypatch, factoring, "_zassenhaus")
     lifts = counted(monkeypatch, factoring, "hensel_lift")
     assert factoring.zz_factor_squarefree(f, 5) == [f]
-    assert lifts == []
+    assert cores == [] and lifts == []
     assert factoring.zz_factor_squarefree(f) == [f]
     assert lifts
+
+
+def test_deflation_gives_the_core_factors(monkeypatch):
+    # f = P(x^e) is split as P's factors P_i, then each piece P_i(x^e) by
+    # the Zassenhaus core, never deflated again; the factors are the core's
+    # on f itself, also where a piece splits again
+    pinned = [
+        (_int_coeffs(norm), NumberField(QQ, minpoly, "a").degree)
+        for (_, norm), (minpoly, _, _) in zip(_pinned_norms(), PINNED_NORMS)
+    ]
+    for f, step in pinned + [(_int_coeffs((x**2 - 1) * (x**2 - 4)), 1)]:
+        assert sorted(factoring.zz_factor_squarefree(f, step)) == sorted(
+            factoring._zassenhaus(f, step)
+        )
+    # x^4 + 4 = P(x^4), P = x + 4, is one piece that splits again
+    f = [4, 0, 0, 0, 1]
+    calls = counted(monkeypatch, factoring, "_zassenhaus")
+    got = factoring.zz_factor_squarefree(f)
+    assert sorted(got) == sorted([[2, 2, 1], [2, -2, 1]])
+    assert calls == [([4, 1], 1), (f, 1)]
+    # (x^2 - 1)(x^2 - 4): P's two factors give two pieces, each split again
+    calls.clear()
+    got = factoring.zz_factor_squarefree([4, 0, -5, 0, 1], 1)
+    assert sorted(got) == sorted([[-1, 1], [1, 1], [-2, 1], [2, 1]])
+    assert sorted(calls[1:]) == [([-4, 0, 1], 1), ([-1, 0, 1], 1)]
+    # a step s gives P the step s / gcd(s, e): Phi7's norm is P(x^2), and
+    # its step 6 leaves P the step 3
+    phi7, step = pinned[2]
+    calls.clear()
+    factoring.zz_factor_squarefree(phi7, step)
+    assert calls[0] == (phi7[::2], 3)
+    assert all(s == step for _, s in calls[1:])
+
+
+def test_non_squarefree_input_raises_within_a_second():
+    # the admissible-prime search stops after the most primes that can
+    # divide lc(f) disc(f) of a squarefree f; the alarm turns a hang into a
+    # failure
+    def hang(*args):
+        raise AssertionError("no answer within a second")
+
+    cases = [
+        _int_coeffs((x - 1) ** 2 * (x + 1)),
+        _int_coeffs((x**2 - 1) ** 2),
+        _int_coeffs(x**2 * (x**2 + 1)),
+    ]
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for f in cases:
+            with pytest.raises(InternalInvariantError, match="not squarefree"):
+                factoring.zz_factor_squarefree(f)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    # a squarefree f whose lc is divisible by the first 24 odd primes still
+    # reaches an admissible prime
+    lc = 1
+    for p in itertools.islice(primes(3), 24):
+        lc *= p
+    f = _int_coeffs((lc * x - 1) * (x**2 + 1))
+    assert sorted(factoring.zz_factor_squarefree(f)) == [[-1, lc], [1, 0, 1]]
+
+
+def test_pull_back_shifts_only_the_gcds(monkeypatch):
+    # the norm's factors meet h(x - k alpha), and only those gcds are
+    # shifted back: on x^6 - 2 (k = 3) the compositions are h's shift and
+    # then the factors of degree 1, 2 and 2, not the norm's of degree 6, 12
+    # and 12; each factor is gcd(h, F(x + k alpha)) for a norm factor F
+    field = NumberField(QQ, x**6 - 2, "a")
+    h = _m_alpha(field)
+    k, _, norm = factoring._squarefree_norm(h, field)
+    _, nfactors = factor_rational(norm)
+    back = UniPoly(field, [field.coerce(k) * field.gen, field.one])
+    want = [
+        factoring.poly_gcd(h, fac.map_into(field).compose(back)) for fac, _ in nfactors
+    ]
+    degrees = []
+    compose = UniPoly.compose
+
+    def record(self, other):
+        degrees.append(self.degree)
+        return compose(self, other)
+
+    monkeypatch.setattr(UniPoly, "compose", record)
+    got = factoring.factor_squarefree_over_nf(h, field)
+    assert sorted(degrees) == [1, 2, 2, 5] and degrees[0] == 5
+    assert sorted(got, key=str) == sorted(want, key=str)
+
+
+def test_conjugacy_classes_take_no_squarefree_decomposition(monkeypatch):
+    # m(alpha, x) divides the irreducible M, so it is separable: the classes
+    # come from Trager's method directly, over Q and over a tower base
+    def refuse(*args):
+        raise AssertionError("a squarefree decomposition ran")
+
+    tower_model = _model(lambda: sextic_subfield_instance(2, 4))[3][0]
+    fields = [NumberField(QQ, x**6 - 2, "a"), tower_model]
+    want = [[g for g, _ in factor_over_nf(_m_alpha(f), f)[1]] for f in fields]
+    monkeypatch.setattr(factoring, "squarefree_decomposition", refuse)
+    for field, factors in zip(fields, want):
+        assert [c.factor for c in conjugacy_classes(field)[1]] == factors
 
 
 def test_factor_over_nf_golden():
