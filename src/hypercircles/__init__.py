@@ -12,7 +12,7 @@ from .errors import (
     InternalInvariantError,
     NonProperParametrization,
 )
-from .factoring import factor_over_nf, factor_rational, is_irreducible_rational
+from .factoring import factor_squarefree, is_irreducible_rational
 from .generators import (
     adversarial_relations,
     canonical_minpoly,
@@ -54,8 +54,7 @@ __all__ = [
     "InstanceError",
     "InternalInvariantError",
     "NonProperParametrization",
-    "factor_over_nf",
-    "factor_rational",
+    "factor_squarefree",
     "is_irreducible_rational",
     "adversarial_relations",
     "canonical_minpoly",

@@ -1,10 +1,11 @@
-"""Exact polynomial factorization.
+"""Exact factorization of squarefree polynomials.
 
-Two entry points:
+One entry point, `factor_squarefree(h, field, step)`: the monic irreducible
+factors of a monic squarefree h over the rationals or a number-field tower,
+given that `step` divides the degree of each of them (1 always does).
 
-* `factor_rational(f)` — complete factorization over the rationals:
-  squarefree decomposition (Yun), then for each squarefree part a Zassenhaus
-  run (`zz_factor_squarefree`), after Musser (J. ACM 22, 1975) and Abbott,
+* Over the rationals, Zassenhaus (`zz_factor_squarefree`) splits h's
+  primitive integer multiple, after Musser (J. ACM 22, 1975) and Abbott,
   Shoup and Zimmermann (ISSAC 2000):
   - a polynomial f = P(x^e), e > 1 the gcd of the exponents of its nonzero
     terms, is deflated: P is factored, and each of its irreducible factors
@@ -33,25 +34,24 @@ Two entry points:
     any product is built, and a built factor is certified by the
     Landau–Mignotte bound.
 
-* `factor_over_nf(f, K)` — factorization over a number field K = L(alpha),
-  L = Q or a tower, by Trager's method (SYMSAC 1976): shift by an integer
-  multiple of alpha whose norm down to L is squarefree, factor the norm one
-  level down (over Z, or by the same method over L), and pull factors back
-  with gcds.  The shift is chosen on one image: at a totally split prime of
-  K (`modp._split_primes`) the norm reduces at a degree-1 prime of L to
-  the product of n shifted images of f, one per embedding of K above it,
-  and a squarefree product proves the norm squarefree
+* Over K = L(alpha), L the rationals or a tower, Trager's method (SYMSAC
+  1976): shift by an integer multiple of alpha whose norm down to L is
+  squarefree, factor the norm over L by the same function, and pull the
+  factors back with gcds.  The shift is chosen on one image: at a totally
+  split prime of K (`modp._split_primes`) the norm reduces at a degree-1
+  prime of L to the product of n shifted images of h, one per embedding of
+  K above it, and a squarefree product proves the norm squarefree
   (`_squarefree_norm`), so only the accepted shift's norm is built.  Every
   factor of that norm over L is the norm of a factor over K, so its degree
-  is a multiple of n = [K:L], and Zassenhaus recombines only such degrees
-  (`zz_factor_squarefree(f, step)`).  The gcds are taken with
-  f(x - k alpha), which the shift search built, and only the gcds, of
-  lower degree than the norm's factors, are shifted back.
-  `factor_squarefree_over_nf(f, K)` is that method alone, for a monic f
-  known to be squarefree, and returns only the sorted factors.
+  is n = [K:L] times that factor's: the norm's step is step * n.  On a
+  tower the steps multiply level by level, and the Zassenhaus run at the
+  bottom gets step * [K:Q].  The gcds are taken with h(x - k alpha), which
+  the shift search built, and only the gcds, of lower degree than the
+  norm's factors, are shifted back.
 
-Both return `(unit, [(monic_factor, multiplicity), ...])` with the unit in
-the coefficient field, so unit * prod(factor^mult) reproduces the input.
+`is_irreducible_rational(f)`, the parse-time check on a minimal
+polynomial, takes a gcd with f' to prove f squarefree, then one Zassenhaus
+run.
 """
 
 import itertools
@@ -68,6 +68,7 @@ from .intpoly import (
     gf_is_squarefree,
     gf_monic,
     gf_mul,
+    integer_schedule,
     primes,
     zz_add,
     zz_mul,
@@ -274,10 +275,8 @@ def zz_factor_squarefree(f, step=1):
     """Irreducible integer factors of a primitive squarefree f, lc(f) > 0,
     given that `step` divides the degree of each of them.
 
-    The step is 1 for an arbitrary f.  For the squarefree Trager norm of a
-    squarefree h over K = Q(alpha) it is n = [K:Q]: each irreducible factor
-    of the norm is the norm N(g(x - k alpha)) of an irreducible factor g of
-    h over K (Trager, SYMSAC 1976), of degree n deg g.
+    The step is 1 for an arbitrary f, and for a Trager norm it is the one
+    `factor_squarefree` derives (the module docstring gives the rule).
 
     An f = P(x^e), e > 1 the gcd of its exponents, is first checked against
     the degree sets at its first admissible prime, which may prove it
@@ -418,57 +417,15 @@ def _zassenhaus(f, step):
 
 
 # ----------------------------------------------------------------------------
-# squarefree decomposition (Yun) over any characteristic-zero field
-
-
-def squarefree_decomposition(f):
-    """[(monic squarefree part, multiplicity), ...] for a monic f; one of
-    degree at most 1 is its own squarefree part, with no gcd taken."""
-    if f.degree <= 1:
-        return [(f, 1)]
-    out = []
-    d = f.derivative()
-    a = poly_gcd(f, d)
-    if a.degree == 0:
-        return [(f, 1)]
-    b = f // a
-    c = d // a
-    w = c - b.derivative()
-    k = 1
-    while True:
-        if w.is_zero:
-            if b.degree > 0:
-                out.append((b, k))
-            break
-        a = poly_gcd(b, w)
-        if a.degree > 0:
-            out.append((a, k))
-        b = b // a
-        c = w // a
-        w = c - b.derivative()
-        k += 1
-        if b.degree == 0:
-            break
-    return out
-
-
-# ----------------------------------------------------------------------------
-# public entry points
-
-
-def _qq_int_coeffs(f):
-    """Integer coefficient list proportional to f (denominators cleared)."""
-    den = 1
-    for c in f.coeffs:
-        q = c.denominator
-        if q != 1:
-            den = den * q // _int_gcd(den, q)
-    return [c.numerator * (den // c.denominator) for c in f.coeffs]
+# the entry points
 
 
 def _primitive_ints(f):
     """The primitive integer coefficient list of a rational polynomial."""
-    return zz_primitive(_qq_int_coeffs(f))[1]
+    den = 1
+    for c in f.coeffs:
+        den = den * c.denominator // _int_gcd(den, c.denominator)
+    return zz_primitive([c.numerator * (den // c.denominator) for c in f.coeffs])[1]
 
 
 def _monic_over_qq(f, qq):
@@ -477,53 +434,12 @@ def _monic_over_qq(f, qq):
     return UniPoly._raw(qq, [qq(c, lc) for c in f])
 
 
-def factor_rational(f):
-    """Factor f over the rationals: (unit, [(monic irreducible, mult), ...])."""
-    field = f.field
-    if not isinstance(field, RationalField):
-        raise TypeError("factor_rational expects a polynomial over QQ")
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    unit = f.lc
-    if f.degree == 0:
-        return unit, []
-    mon = f.monic()
-    out = []
-    for part, mult in squarefree_decomposition(mon):
-        for fac in zz_factor_squarefree(_primitive_ints(part)):
-            out.append((_monic_over_qq(fac, field), mult))
-    out.sort(key=lambda fm: (fm[0].degree, [str(c) for c in fm[0].coeffs]))
-    return unit, out
-
-
 def is_irreducible_rational(f):
-    if f.degree < 1:
+    """Whether f, over the rationals, is irreducible: of positive degree,
+    squarefree (coprime to f'), and one Zassenhaus factor."""
+    if f.degree < 1 or poly_gcd(f, f.derivative()).degree > 0:
         return False
-    _, factors = factor_rational(f)
-    return len(factors) == 1 and factors[0][1] == 1
-
-
-def factor_over_nf(f, field):
-    """Factor f over a number field K = L(alpha), L = Q or any tower below,
-    by Trager's method: the norm of f one level down is factored over L
-    (recursively, down to Zassenhaus over Z), and each factor of the norm
-    is pulled back to K by a gcd with f.
-
-    Returns (unit, [(monic irreducible over K, mult), ...]).
-    """
-    if f.field is not field:
-        f = f.map_into(field)
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    unit = f.lc
-    if f.degree == 0:
-        return unit, []
-    out = []
-    for part, mult in squarefree_decomposition(f.monic()):
-        for fac in factor_squarefree_over_nf(part, field):
-            out.append((fac, mult))
-    out.sort(key=lambda fm: (fm[0].degree, str(fm[0])))
-    return unit, out
+    return len(zz_factor_squarefree(_primitive_ints(f.monic()))) == 1
 
 
 def _norm_poly(h, field):
@@ -540,14 +456,6 @@ def _norm_poly(h, field):
     count = field.degree * h.degree + 1
     sums = [s.trace() for s in newton_sums(h, count)]
     return from_power_sums(sums, field.base)
-
-
-def _shifts():
-    """The Trager shifts 0, 1, -1, 2, -2, ..."""
-    yield 0
-    for k in itertools.count(1):
-        yield k
-        yield -k
 
 
 def _gf_taylor(f, c, p):
@@ -610,7 +518,7 @@ def _squarefree_norm(h, field):
     """
     p, values, images = _split_images(h, field)
     tries = (field.degree * h.degree) ** 2 + 1
-    for k in itertools.islice(_shifts(), tries):
+    for k in itertools.islice(integer_schedule(), tries):
         image = [1]
         for f, a in zip(images, values):
             image = gf_mul(image, _gf_taylor(f, k * a, p), p)
@@ -625,41 +533,38 @@ def _squarefree_norm(h, field):
     return k, shifted, _norm_poly(shifted, field)
 
 
-def factor_squarefree_over_nf(h, field):
-    """Monic irreducible factors of a monic squarefree h over K = L(alpha),
-    sorted as `factor_over_nf` sorts them: the squarefree norm of
-    H = h(x - k alpha) is factored over L (Zassenhaus over Z when L = Q,
-    this function one level down otherwise), each factor F gives the
-    factor gcd(H, F) of H, and that gcd at x + k alpha is one of h.
-    x -> x - k alpha is a ring automorphism of K[x], so the last step gives
-    gcd(h, F(x + k alpha)) while shifting only the gcd."""
-    if h.degree == 1:
+def factor_squarefree(h, field, step=1):
+    """Monic irreducible factors of a monic squarefree h over `field`,
+    sorted by degree and then by text, given that `step` divides the degree
+    of each of them.
+
+    Over the rationals they are the Zassenhaus factors of h's primitive
+    integer multiple.  Over K = L(alpha) the squarefree norm of
+    H = h(x - k alpha) is factored over L by this function, with the step
+    step * [K:L]; each factor F gives the factor gcd(H, F) of H, and that
+    gcd at x + k alpha is one of h.  x -> x - k alpha is a ring
+    automorphism of K[x], so the last step gives gcd(h, F(x + k alpha))
+    while shifting only the gcd."""
+    if isinstance(field, RationalField):
+        ints = zz_factor_squarefree(_primitive_ints(h), step)
+        out = [_monic_over_qq(fac, field) for fac in ints]
+    elif h.degree == 1:
         return [h]
-    base = field.base
-    k, shifted, norm = _squarefree_norm(h, field)
-    if isinstance(base, RationalField):
-        nfactors = [
-            _monic_over_qq(fac, base)
-            for fac in zz_factor_squarefree(_primitive_ints(norm), field.degree)
-        ]
     else:
-        nfactors = factor_squarefree_over_nf(norm, base)
-    if len(nfactors) == 1:
-        return [h]
-    out = []
-    back = None
-    if k != 0:
-        ka = field.coerce(k) * field.gen
-        back = UniPoly._raw(field, [ka, field.one])  # x + k*alpha
-    total = 0
-    for fac in nfactors:
-        g = poly_gcd(shifted, fac.map_into(field))
-        if g.degree > 0:
-            if back is not None:
-                g = g.compose(back)
-            out.append(g)
-            total += g.degree
-    if total != h.degree:
-        raise InternalInvariantError("norm factorization did not cover h")
+        k, shifted, norm = _squarefree_norm(h, field)
+        nfactors = factor_squarefree(norm, field.base, step * field.degree)
+        if len(nfactors) == 1:
+            return [h]
+        out = []
+        back = None
+        if k != 0:
+            ka = field.coerce(k) * field.gen
+            back = UniPoly._raw(field, [ka, field.one])  # x + k*alpha
+        for fac in nfactors:
+            g = poly_gcd(shifted, fac.map_into(field))
+            if g.degree > 0:
+                out.append(g if back is None else g.compose(back))
+        if sum(g.degree for g in out) != h.degree:
+            raise InternalInvariantError("norm factorization did not cover h")
     out.sort(key=lambda q: (q.degree, str(q)))
     return out

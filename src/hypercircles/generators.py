@@ -21,8 +21,8 @@ goes through strings so it is independent of hash randomization.
 import random
 
 from .errors import InstanceError, NonProperParametrization
-from .factoring import factor_over_nf, is_irreducible_rational
-from .hypercircle import probably_proper, standard_parametrization
+from .factoring import is_irreducible_rational
+from .hypercircle import conjugacy_classes, probably_proper, standard_parametrization
 from .instances import instance_doc
 from .linalg import kernel_basis, solve
 from .numberfield import NumberField
@@ -166,10 +166,9 @@ def _gen_twisted(rng, field, degree):
 
 
 def require_normal(field):
-    """Check that the field is normal over Q (its polynomial splits in it)."""
-    lifted = field.minpoly.map_into(field)
-    _, factors = factor_over_nf(lifted, field)
-    if any(f.degree != 1 for f, _ in factors):
+    """Check that the field is normal over Q (its polynomial splits in it):
+    M = (x - alpha) m(alpha, x), so every conjugacy class has size 1."""
+    if any(cls.size != 1 for cls in conjugacy_classes(field)[1]):
         raise InstanceError(
             "the adversarial construction requires a normal extension "
             "(the minimal polynomial must split into linear factors over the field)"

@@ -30,20 +30,18 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
-from .factoring import factor_squarefree_over_nf
+from .factoring import factor_squarefree
+from .intpoly import integer_schedule as parameter_schedule
 from .modp import fold_common_root
 from .numberfield import ConjugacyClass, NumberField, integral_horner, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
-    POLE,
     MoebiusTransform,
     Parametrization,
     RatFunc,
     moebius_composer,
     moebius_from_three_points,
 )
-
-_PoleType = type(POLE)
 
 GOOD = "good"
 BAD_DENOMINATOR = "bad_denominator"
@@ -59,16 +57,6 @@ _PROPER_SAMPLES = 4
 def parameter_budget(d, n):
     """Candidate parameters needed per class before declaring non-properness."""
     return d * d - 2 * d + n + 4
-
-
-def parameter_schedule():
-    """The fixed candidate sequence 0, 1, -1, 2, -2, ..."""
-    yield 0
-    k = 1
-    while True:
-        yield k
-        yield -k
-        k += 1
 
 
 @dataclass
@@ -136,19 +124,17 @@ class HypercircleResult:
         return "DefinedOverK" if self.defined else "NotDefinedOverK"
 
 
-def classify_parameter(psi, psi_sigma, t, limit=None):
+def classify_parameter(psi, psi_sigma, t):
     """Classify one candidate parameter t, a rational number, for one
     conjugacy class.
 
     psi_sigma is psi with its coefficients conjugated into the class's
-    relative field, and `limit` its value at infinity (recomputed if absent).
-    Returns a ParameterVerdict.
+    relative field.  Returns a ParameterVerdict.
 
     The fibre psi^sigma(s) = psi(t) is built and classified on integral
-    vectors (`Parametrization.vectors`): field arithmetic is left only to
-    an absent `limit` and to a gcd candidate of degree 2 or more
-    (`fold_common_root`).  With t = r/q in
-    lowest terms, q > 0, a component N/D of psi of degree k gives
+    vectors (`Parametrization.vectors`): field arithmetic is left only to a
+    gcd candidate of degree 2 or more (`fold_common_root`).  With t = r/q
+    in lowest terms, q > 0, a component N/D of psi of degree k gives
     N_t = q^k E N(t) and D_t = q^k E D(t) by homogeneous integer Horner
     (E the component's dropped denominator), and D_t = 0 exactly when D(t)
     does.  The component's polynomial D' v - N' in s, v = N(t)/D(t) and
@@ -158,6 +144,11 @@ def classify_parameter(psi, psi_sigma, t, limit=None):
     N'.  A constant factor leaves the gcd alone, and N_t and D_t lie in
     K(alpha), the base of the class field, so their products act block by
     block (`integral_ops`).
+
+    The s^k coefficient, N_t X'_k - D_t Y'_k (zero padded), is zero exactly
+    when v is psi^sigma's value at s = infinity: Y'_k / X'_k when X'_k != 0,
+    and a pole, where the coefficient is -D_t Y'_k != 0, when X'_k = 0.  A
+    t whose psi(t) is that value in every component is SINGULAR.
     """
     ops = integral_ops(psi.field)
     rops = integral_ops(psi_sigma.field)
@@ -173,9 +164,11 @@ def classify_parameter(psi, psi_sigma, t, limit=None):
         values.append((_homogeneous(ops, num, by_r, q, k) + pad, dv + pad))
     add, nonzero, zero = rops.add, rops.nonzero, rops.zero
     family = []
+    at_infinity = True
     for (nv, dv), (num_s, den_s) in zip(values, psi_sigma.vectors):
         times_n, times_d = rops.fixed(nv), rops.fixed(rops.scale(dv, -1))
         vecs = [add(times_n(y), times_d(x)) for y, x in zip_longest(den_s, num_s, fillvalue=zero)]
+        at_infinity = at_infinity and not nonzero(vecs[-1])
         while vecs and not nonzero(vecs[-1]):
             vecs.pop()
         if vecs:
@@ -186,19 +179,9 @@ def classify_parameter(psi, psi_sigma, t, limit=None):
     kind, s0 = fold_common_root(family, psi_sigma.field)
     if kind == "empty":
         return ParameterVerdict(NOT_ATTAINED, t)
-    if kind == "degree":
-        # a proven common factor of degree >= 2: t's fibre is not one point
-        return ParameterVerdict(SINGULAR, t)
-    if limit is None:
-        limit = psi_sigma.value_at_infinity()
-    # v = N_t / D_t equals the limit lv = w / e exactly when D_t w = e N_t
-    for (nv, dv), lv in zip(values, limit):
-        if isinstance(lv, _PoleType):
-            break
-        (w,), e = rops.lift([lv])
-        if rops.fixed(dv)(w) != rops.scale(nv, e):
-            break
-    else:
+    if kind == "degree" or at_infinity:
+        # a proven common factor of degree >= 2, or psi(t) is also
+        # psi^sigma's value at infinity: t's fibre is not one point
         return ParameterVerdict(SINGULAR, t)
     return ParameterVerdict(GOOD, t, s0)
 
@@ -217,14 +200,13 @@ def compute_u_for_class(psi, cls):
     certificate that the class moves the curve.  Returns a ClassReport."""
     budget = parameter_budget(psi.degree, psi.field.degree)
     psi_sigma = psi.conjugate(cls)
-    limit = psi_sigma.value_at_infinity()
     report = ClassReport(cls=cls, fixes=False)
     good = []
     not_attained = []
     schedule = parameter_schedule()
     while len(report.verdicts) < budget:
         t = next(schedule)
-        v = classify_parameter(psi, psi_sigma, t, limit)
+        v = classify_parameter(psi, psi_sigma, t)
         report.verdicts.append(v)
         if v.kind == NOT_ATTAINED:
             not_attained.append(v.t)
@@ -384,13 +366,12 @@ def conjugacy_classes(field):
 
     M is irreducible over the base (checked on parse, and true of every
     field built internally), so it is separable in characteristic zero, and
-    so is its divisor m(alpha, x): Trager's method runs on it directly, with
-    no squarefree decomposition."""
+    so is its divisor m(alpha, x), as `factor_squarefree` requires."""
     if field.degree < 2:
         raise InstanceError("the coefficient field must have degree >= 2")
     m_alpha = _m_alpha(field)
     names = _class_names(field)
-    factors = factor_squarefree_over_nf(m_alpha, field)
+    factors = factor_squarefree(m_alpha, field)
     classes = [
         ConjugacyClass(fac, names[i % len(names)]) for i, fac in enumerate(factors)
     ]
@@ -554,7 +535,6 @@ def probably_proper(psi):
     field = psi.field
     ident = _identity_class(field)
     psi_id = psi.conjugate(ident)
-    limit = psi_id.value_at_infinity()
     rel = ident.relative_field
     budget = parameter_budget(psi.degree, field.degree)
     seen = 0
@@ -563,7 +543,7 @@ def probably_proper(psi):
         if tried >= budget:
             return False
         tried += 1
-        v = classify_parameter(psi, psi_id, t, limit)
+        v = classify_parameter(psi, psi_id, t)
         if v.kind == GOOD:
             if v.s != rel.coerce(t):
                 return False

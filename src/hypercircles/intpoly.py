@@ -12,7 +12,8 @@ where its per-embedding images are gcds over F_p and its split test is
 root finding; its p-adic lift also runs `gf_diff` and `gf_eval` mod p^k.
 `primes`, on top of `is_prime`, is the one source of every prime the
 modular code picks: the small ones of the Zassenhaus search and the split
-primes of the gcd and of the shift test.
+primes of the gcd and of the shift test.  `integer_schedule` is the one
+integer sequence, of Trager shifts and of sampled parameters.
 """
 
 from math import gcd as _int_gcd
@@ -283,3 +284,14 @@ def primes(start=2):
         if is_prime(k):
             yield k
         k += 2
+
+
+def integer_schedule():
+    """The integers 0, 1, -1, 2, -2, ... (an endless generator): the Trager
+    shifts and the candidate parameters of the hypercircle search."""
+    yield 0
+    k = 1
+    while True:
+        yield k
+        yield -k
+        k += 1

@@ -54,8 +54,9 @@ def test_compute_into_closed_pipe_has_no_traceback(tmp_path):
         (["1"], "at least 2"),
         ([], "at least 2"),
         (["-1", "0", "1"], "reducible"),
+        (["1", "0", "2", "0", "1"], "reducible"),
     ],
-    ids=["numbers", "field-list", "constant", "empty", "reducible"],
+    ids=["numbers", "field-list", "constant", "empty", "reducible", "square"],
 )
 def test_gen_rejects_malformed_minpoly_file(tmp_path, capsys, doc, message):
     path = tmp_path / "minpoly.json"

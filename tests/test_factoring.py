@@ -13,14 +13,13 @@ from hypercircles import (
     QQ,
     Rational,
     UniPoly,
-    factor_over_nf,
-    factor_rational,
+    factor_squarefree,
     is_irreducible_rational,
 )
 from hypercircles import factoring, modp
 from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.hypercircle import conjugacy_classes
-from hypercircles.intpoly import primes, zz_mul, zz_primitive
+from hypercircles.intpoly import primes, zz_mul
 
 from oracles import squarefree_norm_by_exact_test
 from test_minfield import _model, negative_instance, sextic_subfield_instance
@@ -52,40 +51,20 @@ NONMONIC_POOL = [
 ]
 
 
-def reassemble(unit, factors):
-    out = UniPoly(QQ, [unit])
-    for f, m in factors:
-        for _ in range(m):
-            out = out * f
+def reassemble(factors, field=QQ):
+    out = UniPoly.one(field)
+    for f in factors:
+        out = out * f
     return out
 
 
 def test_golden_factorizations():
-    unit, fac = factor_rational(x**4 - 1)
-    assert unit == Rational(1)
-    assert fac == [(x - 1, 1), (x + 1, 1), (x**2 + 1, 1)]
-
-    unit, fac = factor_rational(x**4 - 2)
-    assert fac == [(x**4 - 2, 1)]
-
-    unit, fac = factor_rational(6 * x**2 - 6)
-    assert unit == Rational(6)
-    assert fac == [(x - 1, 1), (x + 1, 1)]
-
-    # multiplicities
-    unit, fac = factor_rational((x - 1) ** 3 * (x**2 + 1) ** 2)
-    assert fac == [(x - 1, 3), (x**2 + 1, 2)]
-
+    # sorted by degree, then by text
+    assert factor_squarefree(x**4 - 1, QQ) == [x + 1, x - 1, x**2 + 1]
+    assert factor_squarefree(x**4 - 2, QQ) == [x**4 - 2]
+    assert factor_squarefree((6 * x**2 - 6).monic(), QQ) == [x + 1, x - 1]
     # cyclotomic-style: x^5 - 1
-    unit, fac = factor_rational(x**5 - 1)
-    assert fac == [(x - 1, 1), (x**4 + x**3 + x**2 + x + 1, 1)]
-
-
-def test_constant_and_errors():
-    unit, fac = factor_rational(UniPoly(QQ, [Rational(5)]))
-    assert unit == Rational(5) and fac == []
-    with pytest.raises(ValueError):
-        factor_rational(UniPoly(QQ, []))
+    assert factor_squarefree(x**5 - 1, QQ) == [x - 1, x**4 + x**3 + x**2 + x + 1]
 
 
 def test_is_irreducible_rational():
@@ -94,37 +73,24 @@ def test_is_irreducible_rational():
     assert not is_irreducible_rational(x**2 - 1)
     assert not is_irreducible_rational((x**2 + 1) ** 2)
     assert not is_irreducible_rational(UniPoly(QQ, [Rational(3)]))
+    assert is_irreducible_rational(-3 * x**3 + Rational(1, 2))
 
 
 @given(
     st.lists(
-        st.tuples(
-            st.sampled_from(range(len(IRREDUCIBLE_POOL))),
-            st.integers(min_value=1, max_value=2),
-        ),
+        st.sampled_from(range(len(IRREDUCIBLE_POOL))),
         min_size=1,
         max_size=3,
-        unique_by=lambda t: t[0],
+        unique=True,
     ),
-    st.integers(min_value=-6, max_value=6).filter(bool),
 )
 @settings(max_examples=30, deadline=None)
-def test_random_products_reconstruct(picks, scale):
-    want = []
-    prod = UniPoly(QQ, [Rational(scale)])
-    for idx, mult in picks:
-        f = IRREDUCIBLE_POOL[idx]
-        want.append((f, mult))
-        for _ in range(mult):
-            prod = prod * f
-    unit, fac = factor_rational(prod)
-    assert unit == Rational(scale)
-    assert len(fac) == len(want)
-    for f, m in want:
-        assert sum(1 for g, gm in fac if g == f and gm == m) == 1
-    assert reassemble(unit, fac) == prod
-    for f, _ in fac:
-        assert f.lc == QQ.one
+def test_random_products_reconstruct(picks):
+    want = [IRREDUCIBLE_POOL[i] for i in picks]
+    prod = reassemble(want)
+    fac = factor_squarefree(prod, QQ)
+    assert fac == sorted(want, key=lambda f: (f.degree, str(f)))
+    assert reassemble(fac) == prod
 
 
 @given(
@@ -139,18 +105,10 @@ def test_random_products_reconstruct(picks, scale):
 @settings(max_examples=20, deadline=None)
 def test_nonmonic_products_reconstruct(picks, monic_idx):
     want = [NONMONIC_POOL[i] for i in picks] + [IRREDUCIBLE_POOL[monic_idx]]
-    prod = UniPoly(QQ, [Rational(1)])
-    for f in want:
-        prod = prod * f
-    unit, fac = factor_rational(prod)
-    assert sorted(str(f) for f, _ in fac) == sorted(str(f.monic()) for f in want)
-    assert all(m == 1 for _, m in fac)
-    assert reassemble(unit, fac) == prod
-
-
-def _int_coeffs(f):
-    """The primitive integer coefficient list of a rational polynomial."""
-    return zz_primitive(factoring._qq_int_coeffs(f))[1]
+    prod = reassemble(want).monic()
+    fac = factor_squarefree(prod, QQ)
+    assert sorted(str(f) for f in fac) == sorted(str(f.monic()) for f in want)
+    assert reassemble(fac) == prod
 
 
 def test_coefficient_tests_accept_true_factors():
@@ -158,10 +116,10 @@ def test_coefficient_tests_accept_true_factors():
     # subset of lifted factors would give, passes both coefficient tests.
     # x^30 - 1 has divisors whose x^(d-1) coefficient exceeds ||f||_2, such
     # as Phi2 * Phi3 * Phi5 * Phi30 with 4 there (||f||_2 is sqrt 2).
-    cases = [_int_coeffs(norm) for _, norm in _pinned_norms(with_phi13=False)]
+    cases = [factoring._primitive_ints(norm) for _, norm in _pinned_norms(with_phi13=False)]
     prod = [1]
     for f in NONMONIC_POOL:
-        prod = zz_mul(prod, _int_coeffs(f))
+        prod = zz_mul(prod, factoring._primitive_ints(f))
     cases.append(prod)
     cases.append([-1] + [0] * 29 + [1])
     for f in cases:
@@ -179,7 +137,7 @@ def test_coefficient_tests_accept_true_factors():
                     top, const, len(g) - 1, lc_f, f[0], norm2, lc_f
                 )
     # a candidate above Mignotte's cap, or whose constant misses f(0), fails
-    f = _int_coeffs(NONMONIC_POOL[0] * NONMONIC_POOL[1])
+    f = factoring._primitive_ints(NONMONIC_POOL[0] * NONMONIC_POOL[1])
     norm2 = factoring._norm2_ceil(f)
     cap = f[-1] * (norm2 + f[-1])
     assert not factoring._coefficients_may_divide(cap + 1, 1, 2, f[-1], f[0], norm2, f[-1])
@@ -208,7 +166,7 @@ def _m_alpha(field):
 
 
 # field, Trager shift and sha256 of `_render_factorization` of the norm's
-# factor_rational output
+# factors
 PINNED_NORMS = [
     (
         x**6 - 2,
@@ -243,19 +201,22 @@ def _pinned_norms(with_phi13=True):
     return out
 
 
-def _render_factorization(unit, fac):
-    lines = [str(unit)]
-    for f, m in fac:
-        lines.append("%d %s" % (m, " ".join(str(c) for c in f.coeffs)))
+def _render_factorization(factors):
+    """The monic factors of a monic norm as the digests were taken: the unit
+    1, then one line per factor, its multiplicity 1 and its coefficients,
+    ordered by degree and then by the coefficients' text."""
+    lines = ["1"]
+    for f in sorted(factors, key=lambda f: (f.degree, [str(c) for c in f.coeffs])):
+        lines.append("1 " + " ".join(str(c) for c in f.coeffs))
     return "\n".join(lines)
 
 
 def test_trager_norm_factorizations_are_pinned():
-    """factor_rational on the Trager norms of x^6 - 2, Phi5, Phi7 and Phi13
+    """factor_squarefree on the Trager norms of x^6 - 2, Phi5, Phi7 and Phi13
     hashes to the values the plain first-prime Zassenhaus search gave."""
     for (k, norm), (minpoly, shift, digest) in zip(_pinned_norms(), PINNED_NORMS):
         assert k == shift, minpoly
-        text = _render_factorization(*factor_rational(norm))
+        text = _render_factorization(factor_squarefree(norm, QQ))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, minpoly
 
 
@@ -325,11 +286,11 @@ def test_shift_over_tower_bases_matches_the_exact_search(monkeypatch):
         assert_same_shift(
             factoring._squarefree_norm(h, field), squarefree_norm_by_exact_test(h, field)
         )
-        _, got = factor_over_nf(f, field)
+        got = factor_squarefree(h, field)
         with monkeypatch.context() as m:
             m.setattr(factoring, "_squarefree_norm", squarefree_norm_by_exact_test)
-            _, want = factor_over_nf(f, field)
-        assert got == want and sum(g.degree for g, _ in got) == f.degree
+            want = factor_squarefree(h, field)
+        assert got == want and sum(g.degree for g in got) == f.degree
 
 
 def test_shift_search_skips_a_prime_dividing_alpha_denominator():
@@ -345,15 +306,14 @@ def test_shift_search_skips_a_prime_dividing_alpha_denominator():
     assert_same_shift(
         factoring._squarefree_norm(f, field), squarefree_norm_by_exact_test(f, field)
     )
-    _, fac = factor_over_nf(f, field)
-    assert [g for g, _ in fac] == [f]
+    assert factor_squarefree(f, field) == [f]
 
 
 def test_degree_step_keeps_the_factors(monkeypatch):
     # every factor of a Trager norm over K = Q(alpha) has degree a multiple
     # of [K:Q]; a product of norms keeps the gcd of their steps
     sextic, phi5, phi7 = (
-        _int_coeffs(norm) for _, norm in _pinned_norms(with_phi13=False)
+        factoring._primitive_ints(norm) for _, norm in _pinned_norms(with_phi13=False)
     )
     cases = [
         (sextic, 6),
@@ -369,7 +329,7 @@ def test_degree_step_keeps_the_factors(monkeypatch):
     # admissible prime prove it irreducible with no Hensel lift, before P
     # is factored
     quintic = NumberField(QQ, x**5 - 2, "a")
-    f = _int_coeffs(factoring._squarefree_norm(_m_alpha(quintic), quintic)[2])
+    f = factoring._primitive_ints(factoring._squarefree_norm(_m_alpha(quintic), quintic)[2])
     assert f[1:10] == [0] * 9
     cores = counted(monkeypatch, factoring, "_zassenhaus")
     lifts = counted(monkeypatch, factoring, "hensel_lift")
@@ -384,10 +344,10 @@ def test_deflation_gives_the_core_factors(monkeypatch):
     # the Zassenhaus core, never deflated again; the factors are the core's
     # on f itself, also where a piece splits again
     pinned = [
-        (_int_coeffs(norm), NumberField(QQ, minpoly, "a").degree)
+        (factoring._primitive_ints(norm), NumberField(QQ, minpoly, "a").degree)
         for (_, norm), (minpoly, _, _) in zip(_pinned_norms(), PINNED_NORMS)
     ]
-    for f, step in pinned + [(_int_coeffs((x**2 - 1) * (x**2 - 4)), 1)]:
+    for f, step in pinned + [(factoring._primitive_ints((x**2 - 1) * (x**2 - 4)), 1)]:
         assert sorted(factoring.zz_factor_squarefree(f, step)) == sorted(
             factoring._zassenhaus(f, step)
         )
@@ -419,9 +379,9 @@ def test_non_squarefree_input_raises_within_a_second():
         raise AssertionError("no answer within a second")
 
     cases = [
-        _int_coeffs((x - 1) ** 2 * (x + 1)),
-        _int_coeffs((x**2 - 1) ** 2),
-        _int_coeffs(x**2 * (x**2 + 1)),
+        factoring._primitive_ints((x - 1) ** 2 * (x + 1)),
+        factoring._primitive_ints((x**2 - 1) ** 2),
+        factoring._primitive_ints(x**2 * (x**2 + 1)),
     ]
     old = signal.signal(signal.SIGALRM, hang)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
@@ -437,7 +397,7 @@ def test_non_squarefree_input_raises_within_a_second():
     lc = 1
     for p in itertools.islice(primes(3), 24):
         lc *= p
-    f = _int_coeffs((lc * x - 1) * (x**2 + 1))
+    f = factoring._primitive_ints((lc * x - 1) * (x**2 + 1))
     assert sorted(factoring.zz_factor_squarefree(f)) == [[-1, lc], [1, 0, 1]]
 
 
@@ -449,11 +409,9 @@ def test_pull_back_shifts_only_the_gcds(monkeypatch):
     field = NumberField(QQ, x**6 - 2, "a")
     h = _m_alpha(field)
     k, _, norm = factoring._squarefree_norm(h, field)
-    _, nfactors = factor_rational(norm)
+    nfactors = factor_squarefree(norm, QQ)
     back = UniPoly(field, [field.coerce(k) * field.gen, field.one])
-    want = [
-        factoring.poly_gcd(h, fac.map_into(field).compose(back)) for fac, _ in nfactors
-    ]
+    want = [factoring.poly_gcd(h, fac.map_into(field).compose(back)) for fac in nfactors]
     degrees = []
     compose = UniPoly.compose
 
@@ -462,21 +420,17 @@ def test_pull_back_shifts_only_the_gcds(monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(UniPoly, "compose", record)
-    got = factoring.factor_squarefree_over_nf(h, field)
+    got = factor_squarefree(h, field)
     assert sorted(degrees) == [1, 2, 2, 5] and degrees[0] == 5
     assert sorted(got, key=str) == sorted(want, key=str)
 
 
-def test_conjugacy_classes_take_no_squarefree_decomposition(monkeypatch):
+def test_conjugacy_classes_take_no_squarefree_decomposition():
     # m(alpha, x) divides the irreducible M, so it is separable: the classes
-    # come from Trager's method directly, over Q and over a tower base
-    def refuse(*args):
-        raise AssertionError("a squarefree decomposition ran")
-
+    # are its factors by Trager's method, over Q and over a tower base
     tower_model = _model(lambda: sextic_subfield_instance(2, 4))[3][0]
     fields = [NumberField(QQ, x**6 - 2, "a"), tower_model]
-    want = [[g for g, _ in factor_over_nf(_m_alpha(f), f)[1]] for f in fields]
-    monkeypatch.setattr(factoring, "squarefree_decomposition", refuse)
+    want = [factor_squarefree(_m_alpha(f), f) for f in fields]
     for field, factors in zip(fields, want):
         assert [c.factor for c in conjugacy_classes(field)[1]] == factors
 
@@ -485,40 +439,35 @@ def test_factor_over_nf_golden():
     field = NumberField(QQ, x**4 - 2, "a")
     a = field.gen
     y = UniPoly.gen(field)
-    unit, fac = factor_over_nf(x**4 - 2, field)
-    assert unit == field.one
-    assert sorted(f.degree for f, _ in fac) == [1, 1, 2]
-    got = [f for f, _ in fac]
+    got = factor_squarefree(y**4 - 2, field)
+    assert sorted(f.degree for f in got) == [1, 1, 2]
     for want in (y - a, y + a, y**2 + a * a):
         assert want in got
-    assert all(m == 1 for _, m in fac)
 
 
-def test_factor_over_nf_over_a_tower():
+def test_factor_over_nf_over_a_tower(monkeypatch):
     # Q(a)(b) with a^2 = 2, b^2 = -a: the norm of x^4 - 2 one level down is
-    # factored over Q(a) by the same method, and pulled back by gcds
+    # factored over Q(a) by the same method, and pulled back by gcds; its
+    # norm down to Q gets the step [K:Q] = 4, since every factor there is
+    # the norm of a factor over K
     field = tower()
     a = field.coerce(field.base.gen)
     b = field.gen
     y = UniPoly.gen(field)
-    unit, fac = factor_over_nf(x**4 - 2, field)
-    assert unit == field.one
-    assert [f for f, _ in fac] == [y + b, y - b, y**2 - a]
-    assert all(m == 1 for _, m in fac)
-    unit, fac = factor_over_nf(x**2 + 1, field)
-    assert [f for f, _ in fac] == [y**2 + 1]
+    calls = counted(monkeypatch, factoring, "zz_factor_squarefree")
+    assert factor_squarefree(y**4 - 2, field) == [y + b, y - b, y**2 - a]
+    assert [step for _, step in calls] == [4]
+    assert factor_squarefree(y**2 + 1, field) == [y**2 + 1]
 
 
 def test_factor_over_nf_gaussian():
     field = NumberField(QQ, x**2 + 1, "i")
     i = field.gen
     y = UniPoly.gen(field)
-    unit, fac = factor_over_nf(x**2 + 1, field)
-    got = [f for f, _ in fac]
+    got = factor_squarefree(y**2 + 1, field)
     assert len(got) == 2 and (y - i) in got and (y + i) in got
     # a polynomial that stays irreducible
-    unit, fac = factor_over_nf(x**2 - 2, field)
-    assert len(fac) == 1 and fac[0][0].degree == 2
+    assert factor_squarefree(y**2 - 2, field) == [y**2 - 2]
 
 
 def test_conjugacy_classes_of_a_quadratic_field_take_no_gcd(monkeypatch):
@@ -531,33 +480,14 @@ def test_conjugacy_classes_of_a_quadratic_field_take_no_gcd(monkeypatch):
     field = NumberField(QQ, x**2 + 1, "i")
     _, classes = conjugacy_classes(field)
     assert [c.factor for c in classes] == [UniPoly.gen(field) + field.gen]
-    assert factoring.squarefree_decomposition(x - 3) == [(x - 3, 1)]
-
-
-def test_factor_over_nf_multiplicity():
-    field = NumberField(QQ, x**2 + 1, "i")
-    i = field.gen
-    y = UniPoly.gen(field)
-    g = (y - i) * (y - i) * (y + i)
-    unit, fac = factor_over_nf(g, field)
-    assert len(fac) == 2
-    mults = {}
-    for f, m in fac:
-        mults["minus" if f == y - i else "plus"] = m
-    assert mults == {"minus": 2, "plus": 1}
 
 
 def test_factor_over_nf_product_identity():
     field = NumberField(QQ, x**3 - 2, "c")
     y = UniPoly.gen(field)
-    f = y**3 - 2
-    unit, fac = factor_over_nf(f, field)
-    prod = UniPoly(field, [unit])
-    for g, m in fac:
-        for _ in range(m):
-            prod = prod * g
-    assert prod == f
-    assert sorted(g.degree for g, _ in fac) == [1, 2]
+    fac = factor_squarefree(y**3 - 2, field)
+    assert reassemble(fac, field) == y**3 - 2
+    assert sorted(g.degree for g in fac) == [1, 2]
 
 
 def test_next_prime_walks_the_primes():

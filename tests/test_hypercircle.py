@@ -163,7 +163,7 @@ def test_classification_matches_the_polynomial_oracle(circle):
             psi_sigma = psi.conjugate(cls)
             limit = psi_sigma.value_at_infinity()
             for t0 in (0, 1, -1, 2, -2, Rational(1, 2), Rational(-3, 2)):
-                v = classify_parameter(psi, psi_sigma, t0, limit)
+                v = classify_parameter(psi, psi_sigma, t0)
                 assert v == classify_parameter_by_polynomials(psi, psi_sigma, t0, limit)
                 seen.add(v.kind)
     assert seen >= {GOOD, NOT_ATTAINED}
@@ -191,6 +191,36 @@ def test_refused_parameters_make_no_field_products(circle, monkeypatch):
     # the polynomial route divides in K(alpha) for the same verdict
     assert classify_parameter_by_polynomials(*cases[0]).kind == NOT_ATTAINED
     assert "inverse" in calls and "__mul__" in calls
+
+
+def test_good_parameters_take_no_field_inverse(circle, monkeypatch):
+    # whether psi(t) is psi^sigma's value at infinity is read off the
+    # fibre's leading coefficients, with no division in the field: the
+    # circle's class and each class of a cubic instance, defined and twisted
+    _, psi = circle
+    cases = [(psi, conjugacy_classes(psi.field)[1][0])]
+    for kind in ("defined", "twisted"):
+        _, cubic = parse_instance(json.dumps(gen_instance(kind, 4, ext_degree=3, seed=0)))
+        cases += [(cubic, cls) for cls in conjugacy_classes(cubic.field)[1]]
+    inverses = []
+    inner = NFElement.inverse
+
+    def counted(self):
+        inverses.append(self)
+        return inner(self)
+
+    good = 0
+    for p, cls in cases:
+        psi_sigma = p.conjugate(cls)
+        for t0 in itertools.islice(parameter_schedule(), 6):
+            with monkeypatch.context() as m:
+                m.setattr(NFElement, "inverse", counted)
+                v = classify_parameter(p, psi_sigma, t0)
+            if v.kind == GOOD:
+                good += 1
+                assert inverses == [], (p, cls.factor, t0)
+            inverses.clear()
+    assert good >= 4
 
 
 def test_compute_u_circle(circle):

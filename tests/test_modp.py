@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from hypercircles import (
     NumberField,
-    factor_over_nf,
     Parametrization,
     QQ,
     RatFunc,
     Rational,
     UniPoly,
     classify_parameter,
+    factor_squarefree,
     poly_gcd,
 )
 from hypercircles.generators import cyclotomic_minpoly
@@ -329,7 +329,7 @@ def test_partly_known_roots_fall_back_to_root_finding():
     s = below.levels[0][1][0]
     cubic = [(-s * 2) % p, (s * 3 + 2) % p, (-s - 3) % p, 1]
     over = NumberField(field, UniPoly(field, cubic), "c")
-    assert len(factor_over_nf(over.minpoly, field)[1]) == 1
+    assert factor_squarefree(over.minpoly, field) == [over.minpoly]
     got = _extend(over, below)
     assert got is not None and got.levels[-1][1][:2] == [1, 2]
     assert got.levels == extend_by_root_finding(over, below).levels
