@@ -13,9 +13,10 @@ m(alpha, x) = M(x)/(x - alpha) over K(alpha); for each conjugacy class find a
 Moebius transform u with psi = psi^sigma o u by sampling parameters, classify
 each sample, fit u through three good samples, and verify the identity
 symbolically.  phi is then the sum of m(alpha_i, x)/m(alpha_i, alpha_i)
-* u_i(t) over every class, the identity class (alpha_0 = alpha, u_0 = t)
-included, traced down to K(alpha): each class contributes numerators over
-its own g (the characteristic polynomial of u's pole, or 1), they are summed
+* u_i(t) over every class, traced down to K(alpha), plus the identity's
+term m(alpha, x)/m(alpha, alpha) * t, which lies in K(alpha) already: each
+term contributes numerators over its own g (the characteristic polynomial
+of u's pole, or 1), they are summed
 over D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and
 each x-coefficient A_i / D is normalized once to give phi_i.
 
@@ -27,7 +28,6 @@ phi interpolates every u.
 
 from dataclasses import dataclass, field as dc_field
 from itertools import zip_longest
-from math import gcd
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_squarefree
@@ -260,47 +260,50 @@ def verify_identity(psi, psi_sigma, u):
     failed-identity certificate that `check_certificate` re-proves.
 
     The cost.  The coefficients are compared on integers, and nothing is
-    normalized.  u^-1 and each part of psi and of psi^sigma become integral
-    vectors of the class field over one denominator each (`integral_ops`):
-    L for u^-1, E_N and E_D for the parts of psi, E_num and E_den for those
-    of psi^sigma, whose vectors are X_j and Y_j.  The Horner scheme of
+    normalized.  u^-1 becomes integral vectors of the class field over one
+    denominator L (`integral_ops`), and both parts of a component of psi
+    and of psi^sigma are the integral vectors of `Parametrization.vectors`,
+    over one dropped denominator E and E' (those of psi^sigma are X_j and
+    Y_j; E' times one is Y's last, as D' is monic).  The Horner scheme of
     `moebius_compose_pair` (`moebius_composer`, with one table of the
-    powers of -C t + A for every component) gives CN = E_N L^k cn and
-    CD = E_D L^k cd, so the checks read CN_j E_D E_num == lc(CD) X_j E_N
-    and CD_j E_den == lc(CD) Y_j.  The composition costs O(d^2) products of
-    integral vectors, each by a fixed multiplier.  A coefficient of psi
-    lies in K(alpha), the base of the class field, so its products act
-    block by block (`integral_ops`); the fit sets d = 1, so the Horner
-    step's L t - B scales by an integer on one side.  Only -B, -C, A and
-    each component's lc(CD), the multiplier of the O(d) products of the
-    comparison, multiply as full matrices of the class field.
+    powers of -C t + A for every component) gives CN = E L^k cn and
+    CD = E L^k cd, so the checks read CN_j E' == lc(CD) X_j and
+    CD_j E' == lc(CD) Y_j.  The composition runs on packed vectors,
+    each coordinate's t-coefficients in one int, so each part costs O(d)
+    products by a fixed multiplier, a few per Horner step, and its slots
+    are read once at the end; at small degree the Python calls per step
+    set the cost, at large degree the size of the packed ints.  A
+    coefficient of psi lies in K(alpha), the base of the class field, so
+    its products act block by block (`integral_ops`); the fit sets d = 1,
+    so the Horner step's L t - B scales by an integer on one side.  Only
+    -B, -C, A and each component's lc(CD), the multiplier of the O(d)
+    products of the comparison, multiply as full matrices of the class
+    field.
     """
     ops = integral_ops(psi_sigma.field)
-    nonzero, scale = ops.nonzero, ops.scale
+    nonzero = ops.nonzero
     inverse = MoebiusTransform._raw(u.d, -u.b, -u.c, u.a)
     compose, _ = moebius_composer(ops, inverse, psi.degree)
-    for comp, comp_s in zip(psi, psi_sigma):
+    # a vector of K(alpha) is the first block of the class field's
+    pad = (0,) * (psi_sigma.field.absolute_degree - psi.field.absolute_degree)
+    for comp, comp_s, parts, parts_s in zip(psi, psi_sigma, psi.vectors, psi_sigma.vectors):
         k = comp.degree
         if comp_s.degree != k:
             return False
         images = []
-        for part, image in ((comp_s.num, comp.num), (comp_s.den, comp.den)):
-            acc, e = compose(image, k) if image.coeffs else ([], 1)
+        for vecs, vecs_s in zip(parts, parts_s):
+            acc = compose([v + pad for v in vecs], k) if vecs else []
             size = len(acc)
             while size and not nonzero(acc[size - 1]):
                 size -= 1
-            if size != len(part.coeffs):
+            if size != len(vecs_s):
                 return False
-            images.append((part, acc, e))
-        e_den = images[1][2]
-        lam = ops.fixed(images[1][1][len(comp_s.den.coeffs) - 1])
-        for part, acc, e in images:
-            xs, e_part = ops.lift(part.coeffs)
-            left, right = e_den * e_part, e
-            g = gcd(left, right)
-            left, right = left // g, right // g
-            for x, y in zip(xs, acc):
-                if scale(y, left) != scale(lam(x), right):
+            images.append(acc)
+        lam = ops.fixed(images[1][len(parts_s[1]) - 1])
+        by_e = ops.fixed(parts_s[1][-1])  # D' is monic: E' times one
+        for acc, vecs_s in zip(images, parts_s):
+            for y, x in zip(acc, vecs_s):
+                if by_e(y) != lam(x):
                     return False
     return True
 
@@ -340,6 +343,16 @@ def trace_term(m_alpha, cls, u):
         prod = mult * pk
         numerators.append(UniPoly(base, [co.trace() for co in prod.coeffs]))
     return numerators, g
+
+
+def _identity_term(m_alpha):
+    """The identity's term of phi's sum, m(alpha, x)/m(alpha, alpha) * t
+    with g = 1: it lies in K(alpha) already, so it needs no relative field
+    and no trace."""
+    field = m_alpha.field
+    inv = field.one / m_alpha(field.gen)
+    numerators = [UniPoly(field, [field.zero, c * inv]) for c in m_alpha.coeffs]
+    return numerators, UniPoly.one(field)
 
 
 def _class_names(field):
@@ -400,10 +413,8 @@ def standard_parametrization(psi):
     reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
     if not all(rep.fixes for rep in reports):
         return HypercircleResult(False, None, field, reports)
-    ident = _identity_class(field)
-    pairs = [(ident, MoebiusTransform.identity(ident.relative_field))]
-    pairs += [(rep.cls, rep.u) for rep in reports]
-    terms = [trace_term(m_alpha, cls, u) for cls, u in pairs]
+    terms = [_identity_term(m_alpha)]
+    terms += [trace_term(m_alpha, rep.cls, rep.u) for rep in reports]
     den = UniPoly.one(field)
     for _, g in terms:
         den = den * g

@@ -40,7 +40,9 @@ same integer tuples over one denominator, normalized once at the end.  A
 product by a fixed element is one integer matrix, a scaling when the
 element is an integer, and when the element lies in the base (its blocks
 after the first are zero) it acts on each block through the base's own
-product, so its matrix is the base's.
+product, so its matrix is the base's.  Being linear over Z, it acts as well
+on packed vectors, each int a polynomial's t-coefficients: the Moebius
+composition makes one per Horner step, not one per t-coefficient.
 
 Field identity is object identity: two elements interoperate only when their
 fields are literally the same object or one field appears in the base chain
@@ -48,9 +50,9 @@ of the other (in which case the lower element is lifted).
 """
 
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add, mul
+from operator import add, itemgetter, lshift, mul
 
 from . import rationals
 from .errors import InternalInvariantError
@@ -626,7 +628,8 @@ def integral_ops(field):
     - `lift(elems)`: (vectors, q) over one shared positive denominator q;
       anything that is not a field element is coerced;
     - `zero`, `one`: vectors;
-    - `add(v, w)`, `scale(v, k)` by an int, `nonzero(v)`;
+    - `add(v, w)`, `scale(v, k)` by an int, `shift(v, s)` by 2^s,
+      `nonzero(v)`, `coords(v)` (v's ints) and its inverse `vector(ints)`;
     - `fixed(v)`: the map w -> the vector of v * w.  It is a scaling when v
       is an integer.  When v lies in the base (every block after the first
       is zero), v * w is the base's product by v on each block of w, so
@@ -634,6 +637,8 @@ def integral_ops(field):
       degree-1 level's vectors are its base's.  Otherwise it is one
       integer matrix-vector product: the regular representation of v
       (Cohen, A Course in Computational Algebraic Number Theory, GTM 138);
+    - `bounded(v)`: (fixed(v), the infinity-norm of its matrix: |k| for a
+      scaling by k, the base's block by block), with no other matrix;
     - `make(v, q)`: the field element v / q, normalized.
     """
     if not isinstance(field, NumberField):
@@ -669,7 +674,10 @@ class _RationalOps:
     one = 1
     add = staticmethod(add)
     scale = staticmethod(mul)
+    shift = staticmethod(lshift)
     nonzero = staticmethod(bool)
+    coords = staticmethod(lambda v: (v,))
+    vector = staticmethod(itemgetter(0))
 
     @staticmethod
     def lift(elems):
@@ -681,6 +689,10 @@ class _RationalOps:
         if v == 1:
             return _same
         return lambda w: v * w
+
+    @classmethod
+    def bounded(cls, v):
+        return cls.fixed(v), abs(v)
 
     @staticmethod
     def make(v, q):
@@ -694,7 +706,10 @@ class _FieldOps:
 
     add = staticmethod(_tadd)
     scale = staticmethod(_tscale)
+    shift = staticmethod(lambda v, s: tuple([x << s for x in v]))
     nonzero = staticmethod(_tbool)
+    coords = staticmethod(_same)
+    vector = tuple
 
     def __init__(self, field):
         self.field = field
@@ -707,19 +722,30 @@ class _FieldOps:
         return [v if d == q else _tscale(v, q // d) for v, d in pairs], q
 
     def fixed(self, v):
+        return self._product(v)[0]
+
+    def bounded(self, v):
+        times, norm = self._product(v)
+        return times, norm()
+
+    def _product(self, v):
+        """(fixed(v), a function giving the norm of `bounded`), so that
+        `fixed` does not pay for the norm."""
         if not _tbool(v[1:]):  # an integer multiple of one
             k = v[0]
-            if k == 1:
-                return _same
-            return lambda w: _tscale(w, k)
+            return (_same if k == 1 else lambda w: _tscale(w, k)), lambda: abs(k)
         field = self.field
         m = len(v) // field.degree
         if not _tbool(v[m:]):  # an element of the base: block by block
-            sub = integral_ops(field.base).fixed(v[:m])
+            # a NumberField: over Q, m = 1 and the first test held
+            sub, norm = integral_ops(field.base)._product(v[:m])
             if field.degree == 1:  # one block
-                return sub
-            return lambda w: tuple(chain.from_iterable(map(sub, _blocks(w, m))))
-        return partial(_matvec, tuple(zip(*field._columns(v))))
+                return sub, norm
+            return (
+                lambda w: tuple(chain.from_iterable(map(sub, _blocks(w, m))))
+            ), norm
+        rows = tuple(zip(*field._columns(v)))
+        return partial(_matvec, rows), lambda: max(map(sum, map(map, repeat(abs), rows)))
 
     def make(self, v, q):
         return NFElement._make(self.field, v, q)

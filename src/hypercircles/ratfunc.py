@@ -3,8 +3,7 @@
 A `RatFunc` is kept normalized: the denominator is monic and coprime to the
 numerator, so two rational functions are equal iff their parts are equal.
 Evaluation returns the special `POLE` marker where the (reduced) denominator
-vanishes; `value_at_infinity` extends evaluation to the projective parameter
-line.
+vanishes.
 """
 
 from .errors import InternalInvariantError
@@ -167,14 +166,6 @@ class RatFunc:
             return POLE
         return self.num(t) / d
 
-    def value_at_infinity(self):
-        dn, dd = self.num.degree, self.den.degree
-        if dn > dd:
-            return POLE
-        if dn < dd:
-            return self.field.zero
-        return self.num.lc / self.den.lc
-
     def compose_moebius(self, mob):
         """self((a t + b)/(c t + d)), normalized."""
         n, d = moebius_compose_pair(self.num, self.den, mob)
@@ -211,10 +202,14 @@ def moebius_compose_pair(num, den, mob, degree=None):
     L, and each input polynomial is integral over one denominator E.  From
     the top coefficient down, acc <- acc * (A t + B) + P_j (C t + D)^(k - j),
     with one table of the powers of C t + D shared by both parts; the result
-    is acc / (E L^k).  Every product is by a linear polynomial, so the pair
-    costs O(k^2) products of integral vectors, each by a fixed multiplier
-    (A, B, C, D, or a P_j times a row of the table), and one normalization
-    per output coefficient.
+    is acc / (E L^k).
+
+    The cost.  The accumulator and the table's rows are packed
+    (`moebius_composer`): each coordinate's t-coefficients are one int, so
+    a Horner step is a few products by a fixed multiplier (A, B, and P_j
+    times a row), O(k) products for the pair where one per t-coefficient
+    made O(k^2), on ints about k times as long.  Then one normalization per
+    output coefficient.
     """
     field = num.field
     big = degree if degree is not None else max(num.degree, den.degree)
@@ -223,7 +218,8 @@ def moebius_compose_pair(num, den, mob, degree=None):
     out = []
     for p in (num, den):
         if p.coeffs:
-            acc, e = compose(p, big)
+            cs, e = ops.lift(p.coeffs)
+            acc = compose(cs, big)
             q = e * lcd**big
             p = UniPoly._raw(field, [ops.make(v, q) for v in acc])
         out.append(p)
@@ -234,80 +230,143 @@ def moebius_composer(ops, mob, big):
     """The Horner scheme of `moebius_compose_pair` for polynomials over the
     field of `ops` (`integral_ops`), with the table built for degree `big`.
 
-    Returns (compose, L).  compose(p, k), for p nonzero and
-    deg p <= k <= big, gives (acc, E): E is p's common denominator and acc
-    the vectors of E L^k sum_j p_j (a t + b)^j (c t + d)^(k - j), ascending
-    and not trimmed.
+    Returns (compose, L).  compose(cs, k), for the integral vectors
+    cs = (P_0 .. P_top) of E p (`ops.lift`), P_top nonzero and
+    top <= k <= big, gives the k + 1 vectors of
+    E L^k sum_j p_j (a t + b)^j (c t + d)^(k - j), ascending and not
+    trimmed.  Given a list `trace`, it appends (j, acc_j, w) after each
+    step: the packed accumulator below and the slot bytes w it was
+    computed in, so that the width argument below can be checked on data.
+
+    Kronecker substitution (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 8.4): the accumulator and each row of the table of
+    (C t + D)^i are one vector of ints, each int one coordinate's
+    t-coefficients in slots of W bits, that is, its value at t = 2^W.  A
+    product by a fixed multiplier is linear over Z, so it acts on every
+    slot at once, and a Horner step is (A acc << W) + B acc, plus P_j times
+    a row: a few big-int products instead of one per t-coefficient.  An
+    entry below 2^(W-1) in absolute value is one balanced slot, so a
+    polynomial whose entries all are is its packed int's only reading.
+
+    The width.  Write |Q| for the sum over t of the infinity-norms of the
+    coefficient vectors of Q, and n(v) for the infinity-norm of the matrix
+    of the product by v (`bounded`: |k| for a scaling by k, the base's for
+    a product block by block), so that |v Q| <= n(v) |Q|.  With
+    x = n(A) + n(B) and y = n(C) + n(D), |Q (A t + B)| <= x |Q| and
+    |(C t + D)^i| <= y^i by induction, and the accumulator after the step
+    of P_j, acc_j = acc_(j+1) (A t + B) + P_j (C t + D)^(k - j), has
+    |acc_j| <= S_j, where S_top = n(P_top) y^(k - top) and
+    S_j = x S_(j+1) + n(P_j) y^(k - j).  Each entry of acc_j is at most
+    |acc_j|, and each entry of the row P_j multiplies is at most
+    y^(k - j) <= S_j, since n(P_j) >= 1 for P_j != 0 (the matrix's column
+    of 1 is P_j).  So 2^(W-1) > S_j lets step j read both, as
+    2^(W-1) > y^i does row i.  Sums and products are exact at any width
+    (they are values at t = 2^W); slots are read only where a row or the
+    accumulator moves to another width, and at the end.  A width is a
+    whole number of 64-bit words with a word of slack (`_width`), and
+    moves only when the bound outgrows it; a move reads and writes each
+    slot once (`_respace`).  acc_j has degree at most k - j and row i
+    degree i, or 0 when C = 0.
     """
     (a, b, c, d), lcd = ops.lift((mob.a, mob.b, mob.c, mob.d))
-    times_ab = _linear_multiplier(ops, b, a)
-    pows = _power_table(ops, d, c, big)
+    bounded, add = ops.bounded, ops.add
+    times_ab, x = _linear_step(ops, b, a)
+    times_cd, y = _linear_step(ops, d, c)
+    deg_cd = 1 if ops.nonzero(c) else 0  # row i has i * deg_cd + 1 slots
+    ypow = [1]
+    rows = [(ops.one, 1)]  # (row, slot bytes)
+    for i in range(1, big + 1):
+        ypow.append(ypow[-1] * y)
+        row, w = rows[-1]
+        if ypow[i].bit_length() >= 8 * w:
+            row = _respace(ops, row, (i - 1) * deg_cd + 1, w, _width(ypow[i]))
+            w = _width(ypow[i])
+        rows.append((times_cd(row, 8 * w), w))
 
-    def compose(p, k):
-        cs, e = ops.lift(p.coeffs)
-        return _horner(ops, cs, times_ab, pows, k), e
+    def row_at(i, w):
+        row, wr = rows[i]
+        if wr != w:  # the row moves to the width of its last use
+            row = _respace(ops, row, i * deg_cd + 1, wr, w)
+            rows[i] = row, w
+        return row
+
+    def compose(cs, k, trace=None):
+        top = len(cs) - 1
+        times, n = bounded(cs[top])
+        bound = n * ypow[k - top]
+        w = _width(bound)
+        acc = times(row_at(k - top, w))
+        if trace is not None:
+            trace.append((top, acc, w))
+        for j in range(top - 1, -1, -1):
+            times, n = bounded(cs[j])
+            bound = x * bound + n * ypow[k - j]
+            if bound.bit_length() >= 8 * w:
+                acc, w = _respace(ops, acc, k - j, w, _width(bound)), _width(bound)
+            acc = times_ab(acc, 8 * w)
+            if n:
+                acc = add(acc, times(row_at(k - j, w)))
+            if trace is not None:
+                trace.append((j, acc, w))
+        return _unpack(ops, acc, k + 1, w)
 
     return compose, lcd
 
 
-def _power_table(ops, d, c, big):
-    """Row i holds (len, [(j, v_j)]): the length of (C t + D)^i and its
-    nonzero coefficient vectors."""
-    times_cd = _linear_multiplier(ops, d, c)
-    nonzero = ops.nonzero
-    row = [ops.one]
-    table = []
-    for i in range(big + 1):
-        if i:
-            row = times_cd(row)
-        table.append((len(row), [(j, v) for j, v in enumerate(row) if nonzero(v)]))
-    return table
+# bits to spare above a width's bound, so that a width lasts a few steps
+_SLACK = 64
 
 
-def _horner(ops, cs, times_ab, pows, k):
-    """The vectors of sum_j P_j (A t + B)^j (C t + D)^(k - j), ascending, for
-    the integral vectors cs = (P_0 .. P_top), top = len(cs) - 1 <= k.  Each
-    P_j multiplies a whole row of the table, so it is a fixed multiplier."""
-    add, fixed, nonzero, zero = ops.add, ops.fixed, ops.nonzero, ops.zero
-    top = len(cs) - 1
-    size, row = pows[k - top]
-    acc = [zero] * size
-    times = fixed(cs[top])
-    for i, v in row:
-        acc[i] = times(v)
-    for j in range(top - 1, -1, -1):
-        acc = times_ab(acc)
-        if nonzero(cs[j]):
-            size, row = pows[k - j]
-            if len(acc) < size:
-                acc.extend([zero] * (size - len(acc)))
-            times = fixed(cs[j])
-            for i, v in row:
-                acc[i] = add(acc[i], times(v))
-    return acc
+def _width(bound):
+    """The slot bytes w for a bound: 2^(8w - 1) > bound with `_SLACK` bits
+    to spare, in whole 64-bit words, so that the compositions that share a
+    table mostly meet its rows at the widths they last had."""
+    return (bound.bit_length() + _SLACK) // 64 * 8 + 8
 
 
-def _linear_multiplier(ops, lo, hi):
-    """The map from ascending lists of vectors q to those of q * (hi t + lo),
-    for the vectors lo and hi.
+def _linear_step(ops, lo, hi):
+    """(times, n): times(q, s) is the packed q * (hi t + lo) in slots of s
+    bits, for the vectors lo and hi, and n = n(hi) + n(lo)."""
+    (low, n_lo), (high, n_hi) = ops.bounded(lo), ops.bounded(hi)
+    shift, add = ops.shift, ops.add
+    if not n_hi:
+        return (lambda q, s: low(q)), n_lo
+    if not n_lo:
+        return (lambda q, s: shift(high(q), s)), n_hi
+    return (lambda q, s: add(shift(high(q), s), low(q))), n_lo + n_hi
 
-    A zero `hi` keeps the length of q, a zero `lo` only shifts; products by
-    an integer coefficient are scalings (`integral_ops`'s `fixed`).
-    """
-    low, high = ops.fixed(lo), ops.fixed(hi)
-    if not ops.nonzero(hi):
-        return lambda q: [low(v) for v in q]
-    if not ops.nonzero(lo):
-        zero = ops.zero
-        return lambda q: [zero] + [high(v) for v in q]
-    add = ops.add
 
-    def times(q):
-        lq = [low(v) for v in q]
-        hq = [high(v) for v in q]
-        return [lq[0]] + list(map(add, lq[1:], hq)) + [hq[-1]]
+def _bias(half, w, n):
+    """The int with `half` in each of n slots of w bytes."""
+    return int.from_bytes(half.to_bytes(w, "little") * n, "little")
 
-    return times
+
+def _respace(ops, v, n, w1, w2):
+    """The packed vector v of n coefficients moved from slots of w1 bytes to
+    slots of w2 bytes, each entry below 2^(8 min(w1, w2) - 1) in absolute
+    value: biased by half that, every slot is a nonnegative number of
+    min(w1, w2) bytes, copied byte for byte.  One slot is its own packing
+    at every width."""
+    if n == 1:
+        return v
+    w = min(w1, w2)
+    half = 1 << (8 * w - 1)
+    before, after = _bias(half, w1, n), _bias(half, w2, n)
+    pad, span = bytes(w2 - w), range(0, n * w1, w1)
+    out = []
+    for z in ops.coords(v):
+        raw = (z + before).to_bytes(n * w1, "little")
+        out.append(int.from_bytes(pad.join([raw[i : i + w] for i in span]), "little") - after)
+    return ops.vector(out)
+
+
+def _unpack(ops, v, n, w):
+    """The n coefficient vectors of the packed vector v, slots of w bytes."""
+    half = 1 << (8 * w - 1)
+    bias, size = _bias(half, w, n), n * w
+    raw = b"".join([(z + bias).to_bytes(size, "little") for z in ops.coords(v)])
+    flat = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w)]
+    return [ops.vector(flat[i::n]) for i in range(n)]
 
 
 class MoebiusTransform:
@@ -480,9 +539,6 @@ class Parametrization:
 
     def __call__(self, t):
         return tuple(c(t) for c in self.components)
-
-    def value_at_infinity(self):
-        return tuple(c.value_at_infinity() for c in self.components)
 
     def compose_moebius(self, mob):
         return Parametrization([c.compose_moebius(mob) for c in self.components])

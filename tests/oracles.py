@@ -173,9 +173,9 @@ def verify_identity_forward(psi, psi_sigma, u):
     (`moebius_composer`, with one table of the powers of C t + D for every
     component) gives CN = E_num L^k cn and CD = E_den L^k cd, so the checks
     read CN_j E_den E_N == lc(CD) X_j E_num and CD_j E_D == lc(CD) Y_j.
-    The composition costs O(d^2) products of integral vectors, each by a
-    fixed multiplier (a coefficient of u, or of psi^sigma times a row of the
-    table), and the comparison O(d) products by lc(CD).
+    The composition runs on packed vectors, O(d) products by a fixed
+    multiplier (a coefficient of u, or of psi^sigma times a row of the
+    table) per part, and the comparison O(d) products by lc(CD).
     """
     ops = integral_ops(psi_sigma.field)
     nonzero, scale = ops.nonzero, ops.scale
@@ -184,7 +184,11 @@ def verify_identity_forward(psi, psi_sigma, u):
         k = comp_s.degree
         images = []
         for part, image in ((comp.num, comp_s.num), (comp.den, comp_s.den)):
-            acc, e = compose(image, k) if image.coeffs else ([], 1)
+            if image.coeffs:
+                cs, e = ops.lift(image.coeffs)
+                acc = compose(cs, k)
+            else:
+                acc, e = [], 1
             size = len(acc)
             while size and not nonzero(acc[size - 1]):
                 size -= 1
@@ -245,6 +249,22 @@ def verify_identity_by_evaluation(psi, psi_sigma, u):
             return True
 
 
+def value_at_infinity(f):
+    """The value of the rational function f at t = infinity: POLE when
+    deg num > deg den, else the limit of f."""
+    dn, dd = f.num.degree, f.den.degree
+    if dn > dd:
+        return POLE
+    if dn < dd:
+        return f.field.zero
+    return f.num.lc / f.den.lc
+
+
+def values_at_infinity(psi):
+    """`value_at_infinity` of each component of the parametrization psi."""
+    return tuple(value_at_infinity(c) for c in psi)
+
+
 def classify_parameter_by_polynomials(psi, psi_sigma, t, limit=None):
     """`hypercircle.classify_parameter` on field elements and UniPolys: psi(t)
     by Horner in K(alpha) and a division there (a field inverse), the fibre
@@ -273,7 +293,7 @@ def classify_parameter_by_polynomials(psi, psi_sigma, t, limit=None):
     if g.degree >= 2:
         return ParameterVerdict(SINGULAR, t)
     if limit is None:
-        limit = psi_sigma.value_at_infinity()
+        limit = values_at_infinity(psi_sigma)
     if all(lv is not POLE and rel.coerce(v) == lv for v, lv in zip(values, limit)):
         return ParameterVerdict(SINGULAR, t)
     return ParameterVerdict(GOOD, t, -g.coeffs[0])

@@ -1,16 +1,19 @@
 """The exact identity proof psi == psi^sigma o u: the quadratic Moebius
-composition on integers against the per-element Horner scheme and the
-term-by-term reference, its regular-representation and block-by-block
-products against `_tmul`, and `verify_identity` (psi o u^-1 against
-psi^sigma) against the forward composition psi^sigma o u,
-cross-multiplication and evaluation on generated instances."""
+composition on packed integers against the per-element Horner scheme and
+the term-by-term reference, its slot widths against the exact
+accumulators, its regular-representation and block-by-block products
+against `_tmul`, and `verify_identity` (psi o u^-1 against psi^sigma)
+against the forward composition psi^sigma o u, cross-multiplication and
+evaluation on generated instances."""
 
 import functools
+import itertools
 import json
 import random
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypercircles import (
     NumberField,
@@ -29,7 +32,11 @@ from hypercircles import hypercircle
 from hypercircles.generators import canonical_minpoly
 from hypercircles.hypercircle import compute_u_for_class
 from hypercircles.numberfield import NFElement, integral_ops
-from hypercircles.ratfunc import MoebiusTransform, moebius_compose_pair
+from hypercircles.ratfunc import (
+    MoebiusTransform,
+    moebius_compose_pair,
+    moebius_composer,
+)
 
 from oracles import (
     cubic_compose_pair,
@@ -38,6 +45,7 @@ from oracles import (
     verify_identity_by_evaluation,
     verify_identity_forward,
 )
+from test_grid import GRID
 from test_modp import parity_fields
 
 CHECKS = (
@@ -84,13 +92,25 @@ def _random_element(rng, field):
     )
 
 
-def _random_poly(rng, field, degree):
-    return UniPoly(field, [_random_element(rng, field) for _ in range(degree + 1)])
+def _big_element(rng, field, bits):
+    """An element whose rational leaves have numerators of up to `bits`
+    bits and either sign, over 1, 3 or a power of two of up to `bits`
+    bits; a tenth of the leaves are zero."""
+    if not isinstance(field, NumberField):
+        if rng.random() < 0.1:
+            return Rational(0)
+        den = rng.choice((1, 3, 1 << rng.randint(1, bits)))
+        return Rational(rng.randint(-(1 << bits), 1 << bits), den)
+    return field.element([_big_element(rng, field.base, bits) for _ in range(field.degree)])
 
 
-def _maps(rng, field):
+def _random_poly(rng, field, degree, element=_random_element):
+    return UniPoly(field, [element(rng, field) for _ in range(degree + 1)])
+
+
+def _maps(rng, field, element=_random_element):
     """Generic maps plus the shapes the composition special-cases."""
-    r = lambda: _random_element(rng, field)  # noqa: E731
+    r = lambda: element(rng, field)  # noqa: E731
     zero, one = field.zero, field.one
     return [
         MoebiusTransform._raw(r(), r(), r(), r()),
@@ -122,6 +142,106 @@ def test_compose_pair_matches_cubic_reference(name):
                 got = moebius_compose_pair(num, den, mob, pad)
                 assert got == cubic_compose_pair(num, den, mob, pad), (dn, dd, mob)
                 assert got == horner_compose_pair(num, den, mob, pad), (dn, dd, mob)
+
+
+# the largest degree drawn at each absolute degree, so that the reference
+# on field elements stays within a second or so per example
+_MAX_DEGREE = {1: 40, 2: 40, 3: 24, 6: 12, 12: 8, 20: 5}
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_packed_composition_matches_the_horner_reference(data):
+    """Coefficients of up to thousands of bits and either sign, some zero,
+    degree up to 40, every field of FIELDS and every map shape of `_maps`
+    (affine, singular, zero coefficients), padded or not: the packed scheme
+    returns exactly the pair of the per-element Horner scheme, whose every
+    sum and product is a normalized field element.  The output's entries
+    grow by the map's bits at every step, so 1000-bit maps come with
+    degrees up to 4."""
+    name = data.draw(st.sampled_from(list(FIELDS)), label="field")
+    field = FIELDS[name]()
+    size = field.absolute_degree if isinstance(field, NumberField) else 1
+    poly_bits = data.draw(st.sampled_from((1, 64, 1000, 3000)), label="poly bits")
+    map_bits = data.draw(st.sampled_from((1, 64, 1000)), label="map bits")
+    top = min(_MAX_DEGREE[size], max(4, 4000 // map_bits))
+    degree = data.draw(st.integers(0, top), label="degree")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    element = functools.partial(_big_element, bits=poly_bits)
+    num = _random_poly(rng, field, degree, element)
+    den = _random_poly(rng, field, rng.randint(0, degree), element)
+    if den.is_zero:
+        den = UniPoly.one(field)
+    maps = _maps(rng, field, functools.partial(_big_element, bits=map_bits))
+    mob = maps[data.draw(st.integers(0, len(maps) - 1), label="map")]
+    pad = data.draw(st.sampled_from((None, degree + 3)), label="pad")
+    got = moebius_compose_pair(num, den, mob, pad)
+    assert got == horner_compose_pair(num, den, mob, pad)
+
+
+def _exact_steps(field, mob, cs, k):
+    """The accumulators of `moebius_composer`'s Horner scheme for the
+    integral vectors cs = (P_0 .. P_top) over `field`, by field arithmetic:
+    {j: the coefficient vectors of
+    sum_(i >= j) P_i (A t + B)^(i - j) (C t + D)^(k - i)}, for the integral
+    vectors A, B, C, D of mob."""
+    ops = integral_ops(field)
+    (a, b, c, d), _ = ops.lift((mob.a, mob.b, mob.c, mob.d))
+    el = lambda v: ops.make(v, 1)  # noqa: E731
+    ab, cd = UniPoly(field, [el(b), el(a)]), UniPoly(field, [el(d), el(c)])
+    top = len(cs) - 1
+    acc = cd ** (k - top) * el(cs[top])
+    out = {top: acc}
+    for j in range(top - 1, -1, -1):
+        acc = acc * ab + cd ** (k - j) * el(cs[j])
+        out[j] = acc
+    steps = {}
+    for j, acc in out.items():
+        vecs, q = ops.lift(acc.coeffs) if acc.coeffs else ([], 1)
+        assert q == 1
+        steps[j] = vecs
+    return steps
+
+
+def test_packed_widths_hold_every_accumulator():
+    """On the seed-0 grid of `test_grid`, every step of every composition
+    of the identity proof (psi o u^-1 on the vectors `verify_identity`
+    composes, for each class with a fitted u; the twisted instances refuse
+    their classes before any fit): the packed ints are the exact
+    accumulator's coefficients at t = 2^W, and 2^(W-1) exceeds their
+    largest absolute value, so the slots read back exactly."""
+    steps = 0
+    for kind, (n, d) in itertools.product(("defined", "twisted"), GRID):
+        doc = gen_instance(kind, d, ext_degree=n, seed=0)
+        _, psi = parse_instance(json.dumps(doc))
+        for rep in standard_parametrization(psi).reports:
+            if rep.u is None:
+                continue
+            rel, u = rep.cls.relative_field, rep.u
+            ops = integral_ops(rel)
+            inverse = MoebiusTransform._raw(u.d, -u.b, -u.c, u.a)
+            compose, _ = moebius_composer(ops, inverse, psi.degree)
+            pad = (0,) * (rel.absolute_degree - psi.field.absolute_degree)
+            for comp, parts in zip(psi, psi.vectors):
+                for vecs in parts:
+                    if not vecs:
+                        continue
+                    cs = [v + pad for v in vecs]
+                    trace = []
+                    compose(cs, comp.degree, trace)
+                    exact = _exact_steps(rel, inverse, cs, comp.degree)
+                    assert [j for j, _, _ in trace] == sorted(exact, reverse=True)
+                    for j, acc, w in trace:
+                        vecs = exact[j]
+                        largest = max((abs(z) for v in vecs for z in ops.coords(v)), default=0)
+                        assert largest < 1 << (8 * w - 1), (n, d, j)
+                        packed = tuple(
+                            sum(z << (8 * w * i) for i, z in enumerate(col))
+                            for col in zip(*map(ops.coords, vecs))
+                        ) or tuple(0 for _ in ops.coords(ops.one))
+                        assert packed == tuple(ops.coords(acc)), (n, d, j)
+                        steps += 1
+    assert steps > 100
 
 
 def _phi7():

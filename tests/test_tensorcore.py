@@ -75,10 +75,17 @@ def kernel(kernel_path):
     return module
 
 
+# the sizes of the identity proof's packed operands
+# (`ratfunc.moebius_composer`): every t-coefficient of one coordinate in
+# one int, thousands of bits
+packed = st.integers(min_value=2**2000, max_value=2**6000)
+
 entries = st.one_of(
     st.just(0),
     st.integers(min_value=-50, max_value=50),
     st.integers(min_value=-(2**700), max_value=2**700),
+    packed,
+    packed.map(operator.neg),
 )
 
 
