@@ -274,7 +274,9 @@ def verify_identity(psi, psi_sigma, u):
     are read once at the end; at small degree the Python calls per step
     set the cost, at large degree the size of the packed ints.  A
     coefficient of psi lies in K(alpha), the base of the class field, so
-    its products act block by block (`integral_ops`); the fit sets d = 1,
+    its products act block by block (`integral_ops(...).over_base`), each
+    on the matrix of K(alpha) that psi built once for every class and for
+    `check_certificate` (`Parametrization.products`); the fit sets d = 1,
     so the Horner step's L t - B scales by an integer on one side.  Only
     -B, -C, A and each component's lc(CD), the multiplier of the O(d)
     products of the comparison, multiply as full matrices of the class
@@ -284,15 +286,18 @@ def verify_identity(psi, psi_sigma, u):
     nonzero = ops.nonzero
     inverse = MoebiusTransform._raw(u.d, -u.b, -u.c, u.a)
     compose, _ = moebius_composer(ops, inverse, psi.degree)
-    # a vector of K(alpha) is the first block of the class field's
-    pad = (0,) * (psi_sigma.field.absolute_degree - psi.field.absolute_degree)
-    for comp, comp_s, parts, parts_s in zip(psi, psi_sigma, psi.vectors, psi_sigma.vectors):
+    # psi's coefficients lie in the base of the class field: their products
+    # there act block by block, from the matrices psi keeps
+    embed = ops.over_base if psi_sigma.field != psi.field else None
+    for comp, comp_s, parts, parts_s in zip(psi, psi_sigma, psi.products, psi_sigma.vectors):
         k = comp.degree
         if comp_s.degree != k:
             return False
         images = []
-        for vecs, vecs_s in zip(parts, parts_s):
-            acc = compose([v + pad for v in vecs], k) if vecs else []
+        for products, vecs_s in zip(parts, parts_s):
+            if embed is not None:
+                products = [embed(b) for b in products]
+            acc = compose(products, k) if products else []
             size = len(acc)
             while size and not nonzero(acc[size - 1]):
                 size -= 1

@@ -9,11 +9,13 @@ toolkit: Zassenhaus's distinct- and equal-degree splitting and Hensel
 seeds, Trager's shift test on one image at a totally split prime, and the
 modular gcd (`modp.nf_gcd`), which runs on them at totally split primes,
 where its per-embedding images are gcds over F_p and its split test is
-root finding; its p-adic lift also runs `gf_diff` and `gf_eval` mod p^k.
-`primes`, on top of `is_prime`, is the one source of every prime the
-modular code picks: the small ones of the Zassenhaus search and the split
-primes of the gcd and of the shift test.  `integer_schedule` is the one
-integer sequence, of Trager shifts and of sampled parameters.
+root finding; its p-adic lift also runs `gf_diff` and `gf_eval` mod p.
+`filled_slots` is the bias of Kronecker packing, where one int holds a
+polynomial's coefficients in slots of w bytes.  `primes`, on top of
+`is_prime`, is the one source of every prime the modular code picks: the
+small ones of the Zassenhaus search and the split primes of the gcd and of
+the shift test.  `integer_schedule` is the one integer sequence, of Trager
+shifts and of sampled parameters.
 """
 
 from math import gcd as _int_gcd
@@ -77,6 +79,13 @@ def zz_primitive(f):
 
 # ----------------------------------------------------------------------------
 # arithmetic mod a prime (dense ascending int lists, values in [0, p))
+
+
+def filled_slots(x, w, n):
+    """The int whose n little-endian slots of w bytes each hold x,
+    0 <= x < 2^(8w): added to a packed int whose slots lie in [-x, x], it
+    makes every slot nonnegative, so that `to_bytes` reads them."""
+    return int.from_bytes(x.to_bytes(w, "little") * n, "little")
 
 
 def gf_from_zz(f, p):

@@ -17,7 +17,13 @@ first least-degree image is x - s and does not reconstruct on its own, s is
 lifted p-adically per embedding by Newton's iteration instead of taking
 more primes, and the lifted candidate faces the same exact division.  The
 image degree bounds the true one from above, so that division is a proof
-(argument in `nf_gcd`).  Every `UniPoly` gcd runs here.  The rationals are
+(argument in `nf_gcd`).  The embedding is lifted with s, once per split
+prime: the lifted matrices and level roots of the record lifted last are
+kept and shared by the lifts that follow there, as a class's good samples
+all lift at one prime (`_lifted_rows`).  Inputs are evaluated at the
+embeddings with each coordinate's coefficients packed into one int where
+that pays, so that an embedding costs one dot product, not one per
+coefficient (`_values`).  Every `UniPoly` gcd runs here.  The rationals are
 the degree-1 field Q[z]/(z), where every prime splits and the argument is
 that of Brown's modular gcd over Z (J. ACM 18, 1971).  `fold_common_root`
 is its summary for the degree-at-most-one question that classifies a
@@ -38,20 +44,32 @@ from itertools import chain
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
-from .intpoly import gf_diff, gf_edf, gf_eval, gf_gcd, gf_monic, gf_pow_mod, primes
+from .intpoly import (
+    filled_slots,
+    gf_diff,
+    gf_edf,
+    gf_eval,
+    gf_gcd,
+    gf_monic,
+    gf_pow_mod,
+    primes,
+)
 from .numberfield import NFElement, NumberField, _blocks, integral_horner, integral_ops
 from .polynomials import UniPoly
 from .rationals import QQ, Rational, RationalField
 
 # The first prime tried.  Split primes have density 1/[normal closure : Q],
 # and each prime tried costs a root test of about log2(p) squarings mod a
-# level's polynomial, so the search cost grows with p: a split prime of the
-# class field of size 4 of x^5 - 2 (x^6 - 2, size 2) took 42 ms (23 ms) to
-# find from 2^61, 20 ms (13 ms) from 2^31 and 13 ms (8 ms) from 2^20, and
-# workload blocks of plane2, tower5 and sextic_mixed were decided in
-# 0.32, 1.26 and 1.21 s from 2^20 against 0.34, 1.38 and 1.44 s from 2^31
-# (medians of 5, 2-core x86-64 VM, CPython 3.11).  One prime still usually
-# carries a gcd: the p-adic lift covers roots of larger height.
+# level's polynomial, so the search cost grows with p.  K's first split prime
+# took 1.8-3.3 ms to find from 2^20 on x^5 - 2 (8 primes tried) and
+# 1.8-2.6 ms on x^6 - 2 (9 tried), 3.8-6.7 and 5.2-7.2 ms from 2^31 (14 and
+# 13 tried), and 11.4-15.7 and 11.7-16.8 ms from 2^61 (21 and 18 tried),
+# over two rounds of timings on a 2-core x86-64 VM (CPython 3.11, pure).
+# A tower5 block was decided in 0.99, 1.03 and 1.16 times the time from
+# 2^31, 2^40 and 2^61 (in-process, seed 91001): from 2^61 the p-adic lift
+# took 0.185 s where it took 0.280 s from 2^20, but the search and the
+# wider image arithmetic cost more.  One prime still usually carries a gcd:
+# the p-adic lift covers roots of larger height.
 _PRIME_START = 1 << 20
 
 
@@ -202,9 +220,84 @@ def _apply(m, v, q):
 
 
 def _values(rows, vecs, q):
-    """The polynomial with integral coefficient vectors vecs at each
-    embedding whose monomial values mod q are a row: one list each."""
-    return [_apply(vecs, row, q) for row in rows]
+    """The polynomial with the k integral coefficient vectors vecs, N
+    entries each, at each of the R embeddings whose monomial values mod q,
+    in [0, q), are a row: one list of its k coefficients mod q per row.
+
+    Plain, each value is a dot product of N terms.  Packed
+    (`_packed_values`), a row's k values are the slots of one dot product.
+    Count the steps per value, a step being one operation the interpreter
+    makes or one multiply-add of the C loop of a dot product.  Plain, a
+    value takes the N steps of its dot product.  Packed, it takes three to
+    read its slot (a slice, `int.from_bytes`, a remainder), its share of
+    packing the coefficient's N entries over the R rows (two steps each:
+    a sum or a remainder, and `to_bytes`), and its share of the row's dot
+    product over the k values: 3 + 2N/R + N/k.  So the packed path runs
+    when N > 3 + 2N/R + N/k: never for one row or one coefficient, and
+    never for N <= 5, as R <= N; at every embedding (R = N), for N = 6
+    from k = 7 on, and for N >= 12 from k = 2 on.  The rule is a property
+    of the field, its absolute degree N, and of the call's shape, with no
+    tuned constant.  It leaves out digits: the packed dot multiplies by
+    ints k slots long, each about log2(q) + log2(M) bits wide, so once q
+    spans many words the packed path does more digit work than it saves
+    in steps (1.1 times the plain loop's time at q = p^16 on tower5's
+    lifts, and 0.4-0.7 times at q = p .. p^8).
+    """
+    n, r, k = len(vecs[0]), len(rows), len(vecs)
+    if n * r * k > 3 * r * k + 2 * n * k + n * r:
+        return _packed_values(rows, vecs, q)
+    return [[sum(map(mul, row, v)) % q for v in vecs] for row in rows]
+
+
+def _packed_values(rows, vecs, q):
+    """`_values` by Kronecker substitution (von zur Gathen and Gerhard,
+    Modern Computer Algebra, 8.4): coordinate i's k entries x_0i .. x_(k-1)i
+    are one int P_i = sum_j x_ji 2^(8wj), so that sum_i r_i P_i, for a row
+    r, is sum_j s_j 2^(8wj) with s_j = sum_i r_i x_ji the j-th value before
+    its reduction mod q: one dot product of N big ints per row, whose k
+    slots of w bytes are read by one `to_bytes`.
+
+    The width.  Let M be the largest |x_ji|.  When M >= q every entry is
+    replaced by its residue in [0, q), which changes no value mod q; then
+    M = q - 1, every s_j lies in [0, N (q - 1)^2], and h = 0.  Otherwise
+    s_j lies in [-N (q - 1) M, N (q - 1) M], as 0 <= r_i < q, and h is the
+    least multiple of q at least N (q - 1) M.  Either way s_j + h lies in
+    [0, B], B = h + N (q - 1) M, and w is the least number of bytes with
+    2^(8w) > B (at least one).  Then sum_j (s_j + h) 2^(8wj), the dot
+    product plus h in every slot, is the number whose little-endian bytes
+    are the slots' own, each slot a nonnegative number below 2^(8w), so
+    its k w bytes read each s_j + h back exactly, and s_j + h = s_j mod q
+    as q divides h.  Packing is exact too: each entry packed is a
+    nonnegative number at most B, a residue (q - 1 <= B) or x + M with
+    0 <= x + M <= 2M <= B, and the bias M of the latter is taken off the
+    packed int.
+    """
+    n, k = len(vecs[0]), len(vecs)
+    m = max(map(abs, chain.from_iterable(vecs)))
+    if m >= q:
+        m, h = q - 1, 0
+        w = ((n * m * m).bit_length() + 7) // 8
+        packed = [
+            int.from_bytes(b"".join([(x % q).to_bytes(w, "little") for x in col]), "little")
+            for col in zip(*vecs)
+        ]
+    else:
+        h = -(-n * (q - 1) * m // q) * q
+        w = ((h + n * (q - 1) * m).bit_length() + 7) // 8 or 1
+        bias = filled_slots(m, w, k)
+        packed = [
+            int.from_bytes(b"".join([(x + m).to_bytes(w, "little") for x in col]), "little")
+            - bias
+            for col in zip(*vecs)
+        ]
+    size = k * w
+    bias = filled_slots(h, w, k)
+    span = range(0, size, w)
+    out = []
+    for row in rows:
+        raw = (sum(map(mul, row, packed)) + bias).to_bytes(size, "little")
+        out.append([int.from_bytes(raw[i : i + w], "little") % q for i in span])
+    return out
 
 
 def _image(sp, family):
@@ -309,16 +402,60 @@ def _newton(w, f, s, q, qq):
     """One Newton step for a root s mod q of f, with w the inverse of f'(s)
     to at least half that precision: w is refined to precision q by
     w <- w (2 - f'(s) w), with no inversion mod a prime power, and s
-    becomes the root mod qq = q^2.  The new (s, w)."""
-    w = w * (2 - gf_eval(gf_diff(f, q), s, q) * w) % q
-    return (s - gf_eval(f, s, qq) * w) % qq, w
+    becomes the root mod qq = q^2.  The new (s, w).
+
+    f(s) mod qq and f'(s) mod q come from one Horner pass over f's
+    coefficients, with no derivative built: v_n = f_n, d_n = 0 and, from
+    the top down, d_i = d_(i+1) s + v_(i+1), v_i = v_(i+1) s + f_i, so
+    that v_0 = f(s) and d_0 = f'(s); d is needed only mod q, which divides
+    qq."""
+    v, d = f[-1], 0
+    for i in range(len(f) - 2, -1, -1):
+        d = (d * s + v) % q
+        v = (v * s + f[i]) % qq
+    w = w * (2 - d * w) % q
+    return (s - v * w) % qq, w
+
+
+# The embedding of the record lifted last, as far as a lift has needed it:
+# (record, its lifted matrices [(q, rows), ...] at q = p^2, p^4, ..., and
+# its levels [(field, roots, inverses), ...] at the last of those q).  One
+# slot, not one per record: a field's records live as long as the field,
+# which only the cyclic collector frees, so matrices kept on each record
+# would outlive their decision.  Like the per-field caches, it assumes that
+# one thread lifts at a time.
+_lifted = None
 
 
 def _lifted_rows(sp):
     """The evaluation matrix of sp lifted p-adically: an endless generator
     of (q, rows) at q = p^2, p^4, ..., with each level's roots lifted by
     `_newton` from the simple roots mod p of its polynomial, the level
-    below first, as the polynomial moves with the embedding below."""
+    below first, as the polynomial moves with the embedding below.
+
+    Every lift at sp shares one lifting: the matrices and the level roots
+    with their Newton inverses are kept in `_lifted` while sp is the record
+    lifted last, and a later lift there reads the matrices already built
+    and extends them from the kept roots, so a class's good samples, which
+    all lift at its field's first admissible split prime, lift its
+    embedding once.  A lift at another record replaces them."""
+    global _lifted
+    if _lifted is None or _lifted[0] is not sp:
+        _lifted = (sp, [], _level_inverses(sp))
+    _, steps, levels = _lifted
+    i = 0
+    while True:
+        if i == len(steps):
+            q = steps[-1][0] if steps else sp.p
+            steps.append(_lift_levels(levels, q))
+        yield steps[i]
+        i += 1
+
+
+def _level_inverses(sp):
+    """sp's levels as (field, roots, inverses): each root's inverse of the
+    level polynomial's derivative there, mod p, where the roots are
+    simple."""
     p = sp.p
     levels = []
     prows = [[1]]
@@ -330,19 +467,22 @@ def _lifted_rows(sp):
             ws += [pow(gf_eval(d, r, p), -1, p) for r in rs[j * n : j * n + n]]
         levels.append((lf, list(rs), ws))
         prows = _expand(prows, rs, n, p)
-    q = p
-    while True:
-        qq = q * q
-        prows = [[1]]
-        for lf, rs, ws in levels:
-            n = lf.degree
-            for j, prow in enumerate(prows):
-                f = _level_poly(lf, prow, qq)
-                for c in range(j * n, j * n + n):
-                    rs[c], ws[c] = _newton(ws[c], f, rs[c], q, qq)
-            prows = _expand(prows, rs, n, qq)
-        yield qq, prows
-        q = qq
+    return levels
+
+
+def _lift_levels(levels, q):
+    """(q^2, rows): the levels' roots, mod q, lifted in place to q^2 by one
+    Newton step each, and the evaluation matrix mod q^2 they give."""
+    qq = q * q
+    prows = [[1]]
+    for lf, rs, ws in levels:
+        n = lf.degree
+        for j, prow in enumerate(prows):
+            f = _level_poly(lf, prow, qq)
+            for c in range(j * n, j * n + n):
+                rs[c], ws[c] = _newton(ws[c], f, rs[c], q, qq)
+        prows = _expand(prows, rs, n, qq)
+    return qq, prows
 
 
 def _lift_root(field, family, values, sp, roots):
@@ -353,10 +493,12 @@ def _lift_root(field, family, values, sp, roots):
     embedding itself is lifted (`_lifted_rows`).  None when some embedding
     has no such input, or when another input stops vanishing at the first
     embedding's lifted root, which proves p unlucky.  `values` holds the
-    inputs at each embedding mod p, as `_image` reduced them.  Each
-    precision's coordinates come back from the lifted values by `_solve`,
-    digits on from the last precision's, and are tried as a candidate that
-    must divide every input exactly.
+    inputs at each embedding mod p, as `_image` reduced them.  At each
+    precision the embedding comes from the lifting that sp's lifts share
+    (`_lifted_rows`), the picked inputs are evaluated there (`_values`),
+    the coordinates come back from the lifted values by `_solve`, digits on
+    from the last precision's, and they are tried as a candidate that must
+    divide every input exactly.
     """
     p = sp.p
     pick, ws = [], []

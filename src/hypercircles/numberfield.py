@@ -639,6 +639,8 @@ def integral_ops(field):
       (Cohen, A Course in Computational Algebraic Number Theory, GTM 138);
     - `bounded(v)`: (fixed(v), the infinity-norm of its matrix: |k| for a
       scaling by k, the base's block by block), with no other matrix;
+    - `over_base(b)`: `bounded` of an element of the base, padded, from
+      b, the base's `bounded` of it, with no matrix built;
     - `make(v, q)`: the field element v / q, normalized.
     """
     if not isinstance(field, NumberField):
@@ -739,13 +741,23 @@ class _FieldOps:
         if not _tbool(v[m:]):  # an element of the base: block by block
             # a NumberField: over Q, m = 1 and the first test held
             sub, norm = integral_ops(field.base)._product(v[:m])
-            if field.degree == 1:  # one block
-                return sub, norm
-            return (
-                lambda w: tuple(chain.from_iterable(map(sub, _blocks(w, m))))
-            ), norm
+            return self._blockwise(sub), norm
         rows = tuple(zip(*field._columns(v)))
         return partial(_matvec, rows), lambda: max(map(sum, map(map, repeat(abs), rows)))
+
+    def over_base(self, bound):
+        """`bounded` of the padded vector of an element of the base, from
+        the base's `bounded` of its own vector, (times, n): the same norm,
+        and the base's product on each block, so that a caller holding the
+        base's products builds no matrix here."""
+        return self._blockwise(bound[0]), bound[1]
+
+    def _blockwise(self, sub):
+        """The base's product `sub` on each block of this field's vectors."""
+        if self.field.degree == 1:  # one block
+            return sub
+        m = len(self.zero) // self.field.degree
+        return lambda w: tuple(chain.from_iterable(map(sub, _blocks(w, m))))
 
     def make(self, v, q):
         return NFElement._make(self.field, v, q)

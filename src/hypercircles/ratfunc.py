@@ -7,6 +7,7 @@ vanishes.
 """
 
 from .errors import InternalInvariantError
+from .intpoly import filled_slots
 from .linalg import kernel_basis
 from .numberfield import integral_ops
 from .polynomials import UniPoly, poly_gcd
@@ -219,7 +220,7 @@ def moebius_compose_pair(num, den, mob, degree=None):
     for p in (num, den):
         if p.coeffs:
             cs, e = ops.lift(p.coeffs)
-            acc = compose(cs, big)
+            acc = compose([ops.bounded(c) for c in cs], big)
             q = e * lcd**big
             p = UniPoly._raw(field, [ops.make(v, q) for v in acc])
         out.append(p)
@@ -230,9 +231,10 @@ def moebius_composer(ops, mob, big):
     """The Horner scheme of `moebius_compose_pair` for polynomials over the
     field of `ops` (`integral_ops`), with the table built for degree `big`.
 
-    Returns (compose, L).  compose(cs, k), for the integral vectors
-    cs = (P_0 .. P_top) of E p (`ops.lift`), P_top nonzero and
-    top <= k <= big, gives the k + 1 vectors of
+    Returns (compose, L).  compose(products, k), for the products by the
+    integral vectors (P_0 .. P_top) of E p (`ops.lift`), each as
+    `ops.bounded` gives it, P_top nonzero and top <= k <= big, gives the
+    k + 1 vectors of
     E L^k sum_j p_j (a t + b)^j (c t + d)^(k - j), ascending and not
     trimmed.  Given a list `trace`, it appends (j, acc_j, w) after each
     step: the packed accumulator below and the slot bytes w it was
@@ -269,7 +271,7 @@ def moebius_composer(ops, mob, big):
     degree i, or 0 when C = 0.
     """
     (a, b, c, d), lcd = ops.lift((mob.a, mob.b, mob.c, mob.d))
-    bounded, add = ops.bounded, ops.add
+    add = ops.add
     times_ab, x = _linear_step(ops, b, a)
     times_cd, y = _linear_step(ops, d, c)
     deg_cd = 1 if ops.nonzero(c) else 0  # row i has i * deg_cd + 1 slots
@@ -290,16 +292,16 @@ def moebius_composer(ops, mob, big):
             rows[i] = row, w
         return row
 
-    def compose(cs, k, trace=None):
-        top = len(cs) - 1
-        times, n = bounded(cs[top])
+    def compose(products, k, trace=None):
+        top = len(products) - 1
+        times, n = products[top]
         bound = n * ypow[k - top]
         w = _width(bound)
         acc = times(row_at(k - top, w))
         if trace is not None:
             trace.append((top, acc, w))
         for j in range(top - 1, -1, -1):
-            times, n = bounded(cs[j])
+            times, n = products[j]
             bound = x * bound + n * ypow[k - j]
             if bound.bit_length() >= 8 * w:
                 acc, w = _respace(ops, acc, k - j, w, _width(bound)), _width(bound)
@@ -336,11 +338,6 @@ def _linear_step(ops, lo, hi):
     return (lambda q, s: add(shift(high(q), s), low(q))), n_lo + n_hi
 
 
-def _bias(half, w, n):
-    """The int with `half` in each of n slots of w bytes."""
-    return int.from_bytes(half.to_bytes(w, "little") * n, "little")
-
-
 def _respace(ops, v, n, w1, w2):
     """The packed vector v of n coefficients moved from slots of w1 bytes to
     slots of w2 bytes, each entry below 2^(8 min(w1, w2) - 1) in absolute
@@ -351,7 +348,7 @@ def _respace(ops, v, n, w1, w2):
         return v
     w = min(w1, w2)
     half = 1 << (8 * w - 1)
-    before, after = _bias(half, w1, n), _bias(half, w2, n)
+    before, after = filled_slots(half, w1, n), filled_slots(half, w2, n)
     pad, span = bytes(w2 - w), range(0, n * w1, w1)
     out = []
     for z in ops.coords(v):
@@ -363,7 +360,7 @@ def _respace(ops, v, n, w1, w2):
 def _unpack(ops, v, n, w):
     """The n coefficient vectors of the packed vector v, slots of w bytes."""
     half = 1 << (8 * w - 1)
-    bias, size = _bias(half, w, n), n * w
+    bias, size = filled_slots(half, w, n), n * w
     raw = b"".join([(z + bias).to_bytes(size, "little") for z in ops.coords(v)])
     flat = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w)]
     return [ops.vector(flat[i::n]) for i in range(n)]
@@ -483,7 +480,7 @@ def moebius_from_three_points(field, pairs):
 class Parametrization:
     """A tuple of rational functions of one parameter over a common field."""
 
-    __slots__ = ("components", "_vectors")
+    __slots__ = ("components", "_vectors", "_products")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -495,6 +492,7 @@ class Parametrization:
                 raise TypeError("components over different fields")
         self.components = comps
         self._vectors = None
+        self._products = None
 
     @property
     def field(self):
@@ -516,6 +514,27 @@ class Parametrization:
                 out.append((vecs[:k], vecs[k:]))
             self._vectors = tuple(out)
         return self._vectors
+
+    @property
+    def products(self):
+        """`vectors` as the products by each coefficient, in the form
+        `moebius_composer`'s compose takes (`integral_ops(field).bounded`),
+        built on first use: the regular representation of each distinct
+        coefficient and its norm are built once for psi, and every
+        composition of it (each class's identity proof and its re-proof in
+        `check_certificate`) shares them."""
+        if self._products is None:
+            bounded = integral_ops(self.field).bounded
+            built = {}
+            for pair in self.vectors:
+                for part in pair:
+                    for v in part:
+                        if v not in built:
+                            built[v] = bounded(v)
+            self._products = tuple(
+                tuple([built[v] for v in part] for part in pair) for pair in self.vectors
+            )
+        return self._products
 
     @property
     def degree(self):

@@ -8,6 +8,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from hypercircles import modp
 from hypercircles.errors import InstanceError, InternalInvariantError
@@ -186,7 +187,7 @@ def verify_identity_forward(psi, psi_sigma, u):
         for part, image in ((comp.num, comp_s.num), (comp.den, comp_s.den)):
             if image.coeffs:
                 cs, e = ops.lift(image.coeffs)
-                acc = compose(cs, k)
+                acc = compose([ops.bounded(c) for c in cs], k)
             else:
                 acc, e = [], 1
             size = len(acc)
@@ -344,6 +345,13 @@ def extend_by_root_finding(field, below):
         roots.extend(sorted(-g[0] % p for g in gf_edf(f, 1, p, random.Random(p))))
     levels = below.levels + ((field, roots),)
     return modp._Split(p, levels, modp._expand(below.rows, roots, n, p))
+
+
+def values_by_dot_products(rows, vecs, q):
+    """`modp._values` one dot product per coefficient and embedding: the
+    polynomial with the integral coefficient vectors vecs at each embedding
+    whose monomial values mod q are a row."""
+    return [[sum(map(mul, row, v)) % q for v in vecs] for row in rows]
 
 
 def poly_resultant(f, g):

@@ -228,7 +228,7 @@ def test_packed_widths_hold_every_accumulator():
                         continue
                     cs = [v + pad for v in vecs]
                     trace = []
-                    compose(cs, comp.degree, trace)
+                    compose([ops.bounded(c) for c in cs], comp.degree, trace)
                     exact = _exact_steps(rel, inverse, cs, comp.degree)
                     assert [j for j, _, _ in trace] == sorted(exact, reverse=True)
                     for j, acc, w in trace:
@@ -419,6 +419,34 @@ def test_verify_identity_builds_few_class_field_matrices(monkeypatch):
     builds = _count_columns(monkeypatch, sigma.field)
     assert verify_identity(psi, sigma, u)
     assert 0 < len(builds) <= 3 + len(psi)
+
+
+def test_psi_builds_each_coefficient_matrix_once_per_decision(monkeypatch):
+    """The seed-0 defined x^6 - 2, d = 6 instance has three classes (sizes
+    1, 2 and 2), each proving psi = psi^sigma o u, and `check_certificate`
+    proves all three again.  Over those six proofs K(alpha) builds the
+    matrix of each distinct non-integer coefficient of psi once
+    (`Parametrization.products`), where each composition built its own."""
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(6), seed=0)
+    field, psi = parse_instance(json.dumps(doc))
+    coefficients = {v for pair in psi.vectors for part in pair for v in part if any(v[1:])}
+    builds = _count_columns(monkeypatch, field)
+    proving = []
+    inner = hypercircle.verify_identity
+
+    def counted(psi, psi_sigma, u):
+        start = len(builds)
+        ok = inner(psi, psi_sigma, u)
+        proving.extend(tuple(t) for t in builds[start:] if tuple(t) in coefficients)
+        return ok
+
+    monkeypatch.setattr(hypercircle, "verify_identity", counted)
+    result = standard_parametrization(psi)
+    hypercircle.check_certificate(psi, result)
+    assert [rep.cls.size for rep in result.reports] == [1, 2, 2]
+    assert all(rep.fixes for rep in result.reports)
+    assert len(coefficients) >= 20
+    assert sorted(proving) == sorted(coefficients)
 
 
 def _scaled(u, mu):

@@ -1,9 +1,11 @@
 """The modular number-field gcd and its common-root summary, checked
 against the textbook Euclidean gcd over the field; the split test that
 picks its primes, and the evaluation at a split prime, round-tripped mod p
-and mod p^k."""
+and mod p^k, packed against one dot product per value, and lifted once for
+every lift at its prime."""
 
 import itertools
+import json
 import math
 import random
 
@@ -19,9 +21,12 @@ from hypercircles import (
     UniPoly,
     classify_parameter,
     factor_squarefree,
+    gen_instance,
+    parse_instance,
     poly_gcd,
+    standard_parametrization,
 )
-from hypercircles.generators import cyclotomic_minpoly
+from hypercircles.generators import canonical_minpoly, cyclotomic_minpoly
 from hypercircles.hypercircle import SINGULAR, conjugacy_classes
 from hypercircles import modp
 from hypercircles.intpoly import gf_diff, gf_gcd, is_prime, primes
@@ -40,7 +45,7 @@ from hypercircles.modp import (
 )
 from hypercircles.numberfield import ConjugacyClass, integral_ops
 
-from oracles import euclid_gcd, extend_by_root_finding
+from oracles import euclid_gcd, extend_by_root_finding, values_by_dot_products
 
 
 def make_K():
@@ -638,3 +643,104 @@ def test_classify_parameter_singular_on_a_degree_two_fibre():
     polys = [rel.coerce(a) - rel.coerce(a) * s**2, rel.one - s**4]
     assert fold_common_root(lifted(polys, rel), rel) == ("degree", 2)
     assert classify_parameter(psi, psi_id, 1).kind == SINGULAR
+
+
+PACKED_DEGREES = (1, 2, 5, 6, 12, 20)
+PACKED_POWERS = (1, 2, 16)
+PACKED_BITS = (0, 1, 20, 64, 200, 1000, 3000)
+
+
+def packed_case(n, k, q, r, m, rng, at_bound):
+    """(rows, vecs) for `_values`: r rows of n values mod q and k vectors
+    of n entries of at most about m in absolute value.  At the slot bound
+    every row entry is q - 1 and each vector's entries are all m or all
+    -m, so that every value is +-n (q - 1) m; when m >= q, where the
+    entries are reduced, they are all m q - 1 or all -m q - 1, whose
+    residues are q - 1, so that every value is n (q - 1)^2.  Otherwise
+    they are random, with zero vectors."""
+    if at_bound:
+        ends = (m, -m) if m < q else (m * q - 1, -m * q - 1)
+        return [[q - 1] * n for _ in range(r)], [[rng.choice(ends)] * n for _ in range(k)]
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(r)]
+    vecs = [
+        [0] * n if rng.random() < 0.25 else [rng.randint(-m, m) for _ in range(n)]
+        for _ in range(k)
+    ]
+    return rows, vecs
+
+
+def check_packed(rows, vecs, q):
+    want = values_by_dot_products(rows, vecs, q)
+    assert modp._packed_values(rows, vecs, q) == want
+    assert _values(rows, vecs, q) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_evaluation_matches_the_dot_products(data):
+    # `_values`, and its packed path on every shape, against one dot
+    # product per value: N the absolute degrees of the benchmark's fields
+    # and more, k up to 40, q = p, p^2 and p^16, entries of either sign up
+    # to 3000 bits, zero vectors, and entries at the slot bound; M just
+    # below q keeps the entries, M = q reduces them
+    n = data.draw(st.sampled_from(PACKED_DEGREES), label="N")
+    k = data.draw(st.integers(1, 40), label="k")
+    q = next(primes(_PRIME_START)) ** data.draw(st.sampled_from(PACKED_POWERS), label="power")
+    r = data.draw(st.integers(1, n), label="rows")
+    bits = data.draw(st.sampled_from(PACKED_BITS), label="bits")
+    m = data.draw(st.sampled_from(((1 << bits) - 1, q - 1, q)), label="M")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    at_bound = data.draw(st.booleans(), label="at the slot bound")
+    check_packed(*packed_case(n, k, q, r, m, rng, at_bound), q)
+
+
+def test_packed_evaluation_at_the_slot_bound():
+    # every N, q and entry size of the property test at the slot bound,
+    # where a slot one byte too narrow, or a bias that q does not divide,
+    # reads a wrong value; also at the prime 2^28 - 57, where (q - 1)^2
+    # fills 7 bytes and 20 (q - 1)^2 needs 8
+    rng = random.Random(83)
+    p = next(primes(_PRIME_START))
+    moduli = [p**power for power in PACKED_POWERS] + [(1 << 28) - 57]
+    for n, q, bits in itertools.product(PACKED_DEGREES, moduli, PACKED_BITS):
+        for m in ((1 << bits) - 1, q - 1, q):
+            check_packed(*packed_case(n, 3, q, n, m, rng, True), q)
+
+
+def test_a_class_lifts_its_embedding_once(monkeypatch):
+    # the seed-0 defined x^5 - 2, d = 6 instance has one class, of size 4,
+    # whose three good samples lift at one split prime: the embedding is
+    # lifted once for all three, one `_expand` per level and precision
+    monkeypatch.setattr(modp, "_lifted", None)
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+    _, psi = parse_instance(json.dumps(doc))
+    lifts = spy(monkeypatch, "_lift_root")
+    expands = spy(monkeypatch, "_expand")
+    assert standard_parametrization(psi).defined
+    assert len(lifts) == 3 and all(out is not None for _, out in lifts)
+    (sp,) = {args[3] for args, _ in lifts}
+    lifted = [(args[3], args[2]) for args, _ in expands if args[3] > sp.p]
+    assert len(lifted) == len(set(lifted))
+    assert {n for _, n in lifted} == {5, 4}
+    assert len(lifted) == 2 * len(modp._lifted[1])
+
+
+def test_a_lift_at_another_record_replaces_the_kept_embedding(monkeypatch):
+    # one record's lifted embedding is kept at a time: a lift there reads
+    # the kept matrices and extends them, and a lift at another record
+    # replaces them, so that going back starts again from p
+    monkeypatch.setattr(modp, "_lifted", None)
+    field = make_L()
+    sp0, sp1 = itertools.islice(_split_primes(field), 2)
+    p0, p1 = sp0.p, sp1.p
+    first = list(itertools.islice(_lifted_rows(sp0), 2))
+    assert modp._lifted[0] is sp0
+    expands = spy(monkeypatch, "_expand")
+    again = list(itertools.islice(_lifted_rows(sp0), 3))
+    assert again[:2] == first
+    assert [args[3] for args, _ in expands] == [p0**8] * 2  # one per level
+    other = list(itertools.islice(_lifted_rows(sp1), 1))
+    assert modp._lifted[0] is sp1 and other[0][0] == p1**2
+    expands.clear()
+    assert list(itertools.islice(_lifted_rows(sp0), 2)) == first
+    assert [args[3] for args, _ in expands if args[3] > p0] == [p0**2] * 2 + [p0**4] * 2
