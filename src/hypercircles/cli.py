@@ -37,7 +37,7 @@ from .errors import (
 )
 from .generators import gen_instance
 from .hypercircle import check_certificate, standard_parametrization
-from .instances import instance_doc, load_instance, read_text
+from .instances import _rat_from_str, instance_doc, load_instance, read_text
 from .minfield import minimum_field, relative_model
 from .polynomials import UniPoly
 from .ratfunc import Parametrization
@@ -69,16 +69,7 @@ def _read_minpoly_file(path):
         raise InstanceError(
             f"{path}: expected a coefficient list or an object with 'minpoly'"
         )
-    for s in doc:
-        if not isinstance(s, str):
-            raise InstanceError(
-                f"{path}: expected each coefficient as a rational string, got {s!r}"
-            )
-    try:
-        coeffs = [QQ.from_str(s) for s in doc]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"{path}: {exc}") from None
-    return UniPoly(QQ, coeffs)
+    return UniPoly(QQ, [_rat_from_str(s, f"{path}[{k}]") for k, s in enumerate(doc)])
 
 
 @contextlib.contextmanager

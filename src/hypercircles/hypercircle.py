@@ -468,6 +468,12 @@ def _moves_the_curve(psi, psi_sigma, rep):
     samples with distinct s determine v: it is the fitted u.  So the samples
     must re-classify to the same s, u must pass through them, and the
     identity must fail for u.
+
+    u = (a t + b)/(c t + d) passes through (t, s) when a t + b = s (c t + d),
+    with no division.  That reads u(t) = s only for a unit u: then (a t + b,
+    c t + d) is never (0, 0), so c t + d = 0 forces a t + b != 0 = s * 0.  A
+    singular u, such as (0, 0, 0, 0), satisfies the cross-multiplied check at
+    every sample, so u must be a unit.
     """
     if rep.not_attained is not None:
         t1, t2 = rep.not_attained
@@ -479,16 +485,18 @@ def _moves_the_curve(psi, psi_sigma, rep):
     for v in rep.verdicts:
         if v.kind == GOOD and all(v.s != s for _, s in good):
             good.append((v.t, v.s))
+    u = rep.u
     return (
         rep.identity_failed
-        and rep.u is not None
+        and u is not None
+        and u.is_unit
         and len(good) == 3
         and all(
             classify_parameter(psi, psi_sigma, t) == ParameterVerdict(GOOD, t, s)
-            and rep.u(rep.cls.relative_field.coerce(t)) == s
+            and u.a * t + u.b == s * (u.c * t + u.d)
             for t, s in good
         )
-        and not verify_identity(psi, psi_sigma, rep.u)
+        and not verify_identity(psi, psi_sigma, u)
     )
 
 

@@ -31,7 +31,7 @@ from .ratfunc import Parametrization, RatFunc
 
 def _rat_from_str(s, where):
     if not isinstance(s, str):
-        raise InstanceError(f"{where}: expected a rational as a string, got {s!r}")
+        raise InstanceError(f"{where}: expected a rational string, got {s!r}")
     try:
         return QQ.from_str(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -453,13 +453,6 @@ class NFElement:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        try:
-            o = self.field.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented

@@ -2,33 +2,15 @@
 
 A `RatFunc` is kept normalized: the denominator is monic and coprime to the
 numerator, so two rational functions are equal iff their parts are equal.
-Evaluation returns the special `POLE` marker where the (reduced) denominator
-vanishes.
+Nothing here evaluates at a point: psi and its conjugates are compared on
+integral coefficient vectors (`moebius_composer`).
 """
 
 from .errors import InternalInvariantError
 from .intpoly import filled_slots
 from .linalg import kernel_basis
 from .numberfield import integral_ops
-from .polynomials import UniPoly, poly_gcd
-
-
-class _Pole:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "POLE"
-
-    def __bool__(self):
-        return True
-
-
-POLE = _Pole()
+from .polynomials import UniPoly, format_poly, poly_gcd
 
 
 class RatFunc:
@@ -82,13 +64,6 @@ class RatFunc:
         """max(deg num, deg den) — the degree as a map P1 -> P1."""
         return max(self.num.degree, self.den.degree)
 
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __bool__(self):
-        return not self.num.is_zero
-
     def __eq__(self, other):
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
@@ -108,43 +83,11 @@ class RatFunc:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RatFunc(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RatFunc._normalized(-self.num, self.den)
-
     def __mul__(self, other):
         other = self._as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
 
     def _as_ratfunc(self, other):
         if isinstance(other, RatFunc):
@@ -160,12 +103,6 @@ class RatFunc:
         except TypeError:
             return NotImplemented
         return RatFunc(UniPoly(self.field, [c]))
-
-    def __call__(self, t):
-        d = self.den(t)
-        if not d:
-            return POLE
-        return self.num(t) / d
 
     def compose_moebius(self, mob):
         """self((a t + b)/(c t + d)), normalized."""
@@ -383,27 +320,12 @@ class MoebiusTransform:
         return cls(field, 1, 0, 0, 1)
 
     @property
-    def field(self):
-        return self.a.field if hasattr(self.a, "field") else None
-
-    @property
     def det(self):
         return self.a * self.d - self.b * self.c
 
     @property
     def is_unit(self):
         return bool(self.det)
-
-    def __call__(self, t):
-        if t is POLE:
-            if not self.c:
-                return POLE
-            return self.a / self.c
-        n = self.a * t + self.b
-        d = self.c * t + self.d
-        if not d:
-            return POLE
-        return n / d
 
     @classmethod
     def _raw(cls, a, b, c, d):
@@ -432,8 +354,8 @@ class MoebiusTransform:
     __hash__ = None
 
     def render(self, var="t"):
-        num = format_linear(self.a, self.b, var)
-        den = format_linear(self.c, self.d, var)
+        num = format_poly((self.b, self.a), var)
+        den = format_poly((self.d, self.c), var)
         if den == "1":
             return num
         return f"({num})/({den})"
@@ -443,12 +365,6 @@ class MoebiusTransform:
 
     def __repr__(self):
         return f"MoebiusTransform({self.render()!r})"
-
-
-def format_linear(a, b, var):
-    from .polynomials import format_poly
-
-    return format_poly((b, a), var)
 
 
 def moebius_from_three_points(field, pairs):
@@ -555,9 +471,6 @@ class Parametrization:
         return self.components == other.components
 
     __hash__ = None
-
-    def __call__(self, t):
-        return tuple(c(t) for c in self.components)
 
     def compose_moebius(self, mob):
         return Parametrization([c.compose_moebius(mob) for c in self.components])

@@ -27,7 +27,7 @@ from hypercircles.modp import nf_gcd
 from hypercircles.numberfield import integral_ops, newton_sums
 from hypercircles.polynomials import UniPoly, poly_gcd
 from hypercircles.rationals import RationalField
-from hypercircles.ratfunc import POLE, RatFunc, moebius_composer
+from hypercircles.ratfunc import MoebiusTransform, Parametrization, RatFunc, moebius_composer
 
 
 def sums_to_t(field, phi):
@@ -221,6 +221,31 @@ def verify_identity_by_cross_multiplication(psi, psi_sigma, u):
     return True
 
 
+class _Pole:
+    """The value of a rational function at one of its poles."""
+
+    def __repr__(self):
+        return "POLE"
+
+
+POLE = _Pole()
+
+
+def at(f, t):
+    """f evaluated at t, POLE where its denominator vanishes: f a RatFunc, a
+    Parametrization (a tuple of values) or a MoebiusTransform, which also
+    takes t = POLE, the point at infinity."""
+    if isinstance(f, Parametrization):
+        return tuple(at(c, t) for c in f)
+    if isinstance(f, MoebiusTransform):
+        if t is POLE:
+            return f.a / f.c if f.c else POLE
+        n, d = f.a * t + f.b, f.c * t + f.d
+    else:
+        n, d = f.num(t), f.den(t)
+    return n / d if d else POLE
+
+
 def verify_identity_by_evaluation(psi, psi_sigma, u):
     """psi == psi_sigma o u by agreement at more points than the degree of
     the difference; poles on either side are skipped and do not count."""
@@ -236,11 +261,11 @@ def verify_identity_by_evaluation(psi, psi_sigma, u):
                 "evaluation check could not find enough pole-free samples"
             )
         te = rel.coerce(t)
-        ut = u(te)
+        ut = at(u, te)
         if ut is POLE:
             continue
-        lhs = psi(psi.field.coerce(t))
-        rhs = psi_sigma(ut)
+        lhs = at(psi, psi.field.coerce(t))
+        rhs = at(psi_sigma, ut)
         if any(v is POLE for v in lhs + rhs):
             continue
         if any(rel.coerce(a) != b for a, b in zip(lhs, rhs)):
@@ -273,13 +298,9 @@ def classify_parameter_by_polynomials(psi, psi_sigma, t, limit=None):
     from `nf_gcd`."""
     field = psi.field
     rel = psi_sigma.field
-    te = field.coerce(t)
-    values = []
-    for comp in psi:
-        dv = comp.den(te)
-        if not dv:
-            return ParameterVerdict(BAD_DENOMINATOR, t)
-        values.append(comp.num(te) / dv)
+    values = at(psi, field.coerce(t))
+    if any(v is POLE for v in values):
+        return ParameterVerdict(BAD_DENOMINATOR, t)
     polys = []
     for v, comp_s in zip(values, psi_sigma):
         vv = rel.coerce(v)
@@ -483,9 +504,6 @@ def tmul_by_convolution_and_division(field, a, b):
 #
 # This oracle is deliberately restricted to small instances (n <= 3, degree
 # <= 6); it exists to cross-check the main pipeline, not to scale.
-
-_PoleType = type(POLE)
-
 
 class MPoly:
     """Sparse multivariate polynomial: {exponent tuple: nonzero coefficient}."""
@@ -795,8 +813,8 @@ def check_on_witness(system, phi):
             )
         te = field.coerce(t)
         t = -t + (1 if t <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-        values = phi(te)
-        if any(isinstance(v, _PoleType) for v in values):
+        values = at(phi, te)
+        if any(v is POLE for v in values):
             continue
         samples += 1
         cache = {}

@@ -1,14 +1,15 @@
 """`check_certificate` re-proves a decision from the result alone: it passes
 on defined instances and on both kinds of certificate that a class moves the
-curve.  It fails on a changed u, a failed fit whose identity holds, a pair
-with one attained t, a changed phi (a bumped coefficient, or a shift that
-only a conjugate of alpha sees) and a dropped class."""
+curve.  It fails on a changed u, a singular u, a failed fit whose identity
+holds, a pair with one attained t, a changed phi (a bumped coefficient, or a
+shift that only a conjugate of alpha sees) and a dropped class."""
 
 from dataclasses import replace
 
 import pytest
 
 from hypercircles import (
+    MoebiusTransform,
     NumberField,
     Parametrization,
     QQ,
@@ -48,7 +49,7 @@ def _moved_by_a_not_attained_pair():
 
 
 def _bumped(u):
-    return type(u)(u.field, u.a, u.b + 1, u.c, u.d)
+    return MoebiusTransform._raw(u.a, u.b + 1, u.c, u.d)
 
 
 def test_certificates_of_both_kinds_pass():
@@ -86,6 +87,21 @@ def test_a_changed_u_fails(which, quartic):
     res = standard_parametrization(psi)
     k = 0 if which == "failed-fit" else len(res.reports) - 1
     bad = _with_report(res, k, u=_bumped(res.reports[k].u))
+    with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+        check_certificate(psi, bad)
+
+
+@pytest.mark.parametrize("entry", ["zero", "one"])
+def test_a_singular_u_fails(entry):
+    """u must be a unit: a t + b = s (c t + d) holds at every sample for
+    u = (0, 0, 0, 0), although no map takes t to s."""
+    psi = _moved_by_a_failed_fit()
+    res = standard_parametrization(psi)
+    d = res.reports[0].u.d  # the fit scales u to d = 1
+    a = d - d if entry == "zero" else d
+    singular = MoebiusTransform._raw(a, a, a, a)
+    assert not singular.is_unit
+    bad = _with_report(res, 0, u=singular)
     with pytest.raises(InternalInvariantError, match="certificate does not hold"):
         check_certificate(psi, bad)
 

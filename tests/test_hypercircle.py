@@ -39,6 +39,7 @@ from hypercircles.numberfield import NFElement
 
 from conftest import quartic_phi_expected
 from oracles import (
+    at,
     classify_parameter_by_polynomials,
     sums_to_t,
     values_at_infinity,
@@ -320,7 +321,7 @@ def test_good_samples_match_u(circle):
     for t in range(-5, 6):
         v = classify_parameter(psi, sigma, t)
         if v.kind == GOOD:
-            assert v.s == u(rel.coerce(t))
+            assert v.s == at(u, rel.coerce(t))
 
 
 PINNED_PHI = [

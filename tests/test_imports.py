@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private helper the package defines is used somewhere in it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,62 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom math import gcd, lcm\nfrom re import sub  # noqa: F401\nlcm(1)\n"
     assert unused_imports(source) == [(1, "os"), (2, "gcd")]
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node):
+    """How often each name is read inside node: as a name, an attribute or
+    an imported name."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def orphaned_helpers(sources):
+    """(module, line, name) of each private top-level function or class, and
+    each private non-dunder method of a top-level class, in the modules
+    {name: source} that no module reads outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                members += node.body
+            for d in members:
+                if (
+                    isinstance(d, _DEFS)
+                    and d.name.startswith("_")
+                    and not d.name.endswith("__")
+                    and used[d.name] == _references(d)[d.name]
+                ):
+                    out.append((name, d.lineno, d.name))
+    return out
+
+
+def test_every_private_helper_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert orphaned_helpers(sources) == []
+
+
+def test_the_check_sees_an_orphaned_helper():
+    a = (
+        "def _used():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _C:\n    def _m(self):\n        pass\n    def __len__(self):\n        return 0\n"
+    )
+    b = "from a import _used\n_used()\n"
+    assert orphaned_helpers({"a.py": a, "b.py": b}) == [
+        ("a.py", 3, "_recursive"),
+        ("a.py", 5, "_C"),
+        ("a.py", 6, "_m"),
+    ]
