@@ -22,12 +22,13 @@ each x-coefficient A_i / D is normalized once to give phi_i.
 
 `check_certificate` re-proves a result from the result alone, with no
 parameter search: the classes cover every conjugate, each class's u passes
-the identity (or its certificate that the class moves the curve holds), and
-phi interpolates every u.
+the identity (or its certificate that the class moves the curve holds, with
+a good sample proving psi proper behind a not-attained pair), and phi
+interpolates every u.
 """
 
 from dataclasses import dataclass, field as dc_field
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_squarefree
@@ -50,7 +51,7 @@ SINGULAR = "singular"
 
 _CLASS_NAMES = "bcdefghjklm"
 
-# good samples with s == t that `probably_proper` asks of the identity class
+# good samples with s == t that `probably_proper` asks of psi against itself
 _PROPER_SAMPLES = 4
 
 
@@ -103,10 +104,15 @@ class ClassReport:
 
 @dataclass
 class HypercircleResult:
+    """A decision.  `proper_at` is a t that psi against itself classifies
+    as GOOD, which proves psi proper; it is sampled only when some report
+    rests on a not-attained pair."""
+
     defined: bool
     phi: Parametrization | None
     field: NumberField
     reports: tuple
+    proper_at: object = None
 
     @property
     def parameters_tried(self):
@@ -396,13 +402,6 @@ def conjugacy_classes(field):
     return m_alpha, classes
 
 
-def _identity_class(field):
-    """The identity conjugation alpha -> alpha as a class of size 1."""
-    return ConjugacyClass(
-        UniPoly(field, [-field.gen, field.one]), _class_names(field)[0]
-    )
-
-
 def standard_parametrization(psi):
     """Decide K-definability of psi's curve; compute phi when defined.
 
@@ -410,6 +409,14 @@ def standard_parametrization(psi):
     hypercircle associated with the witnessing parameter change, and
     sum(phi_i * alpha^i) == t is checked on it: a failure raises
     InternalInvariantError.
+
+    A not-attained pair proves that its class moves the curve only for a
+    proper psi (`_moves_the_curve`).  So when a report rests on one, psi
+    is classified against itself until a GOOD verdict (`_proper_at`),
+    which proves psi proper: the fibre of psi over psi(t) is then one
+    finite point of multiplicity 1, while a map of degree k >= 2 has k
+    preimages with multiplicity over every point of its image.
+    NonProperParametrization is raised when the budget yields none.
     """
     field = psi.field
     if psi.degree < 1:
@@ -417,7 +424,15 @@ def standard_parametrization(psi):
     m_alpha, classes = conjugacy_classes(field)
     reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
     if not all(rep.fixes for rep in reports):
-        return HypercircleResult(False, None, field, reports)
+        proper_at = None
+        if any(rep.not_attained for rep in reports):
+            proper_at = _proper_at(psi)
+            if proper_at is None:
+                raise NonProperParametrization(
+                    "parametrization is non-proper: no candidate parameter within "
+                    "the budget has a one-point fibre"
+                )
+        return HypercircleResult(False, None, field, reports, proper_at)
     terms = [_identity_term(m_alpha)]
     terms += [trace_term(m_alpha, rep.cls, rep.u) for rep in reports]
     den = UniPoly.one(field)
@@ -455,12 +470,14 @@ def _interpolates(nums, den, root, u):
 def _moves_the_curve(psi, psi_sigma, rep):
     """The certificate of a class that moves the curve, re-proved.
 
-    A not-attained pair: if sigma fixed the curve, psi^sigma = psi o v for a
-    unit Moebius v, and for every t other than v(infinity) the finite
-    s = v^-1(t) gives psi^sigma(s) = psi(t).  So at most one t, v(infinity),
-    is not attained, and two distinct not-attained t prove that sigma moves
-    the curve.  Both must re-classify as NOT_ATTAINED (`fold_common_root`
-    proves the empty common root set).
+    A not-attained pair, for a proper psi: if sigma fixed the curve, the
+    proper psi^sigma = psi o v for a unit Moebius v, and for every t other
+    than v(infinity) the finite s = v^-1(t) gives psi^sigma(s) = psi(t).
+    So at most one t, v(infinity), is not attained, and two distinct
+    not-attained t prove that sigma moves the curve.  Both must re-classify
+    as NOT_ATTAINED (`fold_common_root` proves the empty common root set).
+    The premise is proven apart (`_proven_proper`): a psi of degree k >= 2
+    onto its curve can leave k values of t unattained.
 
     A failed identity: a good sample t has exactly one s with
     psi^sigma(s) = psi(t), and psi(t) is not psi^sigma's value at infinity.
@@ -512,6 +529,8 @@ def check_certificate(psi, result):
       and each class that moves it has a certificate that holds
       (`_moves_the_curve`); the verdict is DefinedOverK iff every class
       fixes the curve;
+    * psi is proper when a class rests on a not-attained pair: psi against
+      itself re-classifies `proper_at` as GOOD (`_proven_proper`);
     * when defined, phi interpolates every u: over D, the product of the
       distinct denominators of phi, `_interpolates` holds at alpha with the
       identity (the sum phi_i alpha^i = t) and at each class's root with
@@ -537,6 +556,8 @@ def check_certificate(psi, result):
             raise InternalInvariantError(
                 f"class {rep.cls.factor.render()}: its certificate does not hold"
             )
+    if any(rep.not_attained for rep in result.reports) and not _proven_proper(psi, result):
+        raise InternalInvariantError("no good sample proves the parametrization proper")
     if not result.defined:
         return
     den = UniPoly.one(field)
@@ -553,23 +574,37 @@ def check_certificate(psi, result):
             raise InternalInvariantError(f"phi does not interpolate u = {u}")
 
 
+def _proven_proper(psi, result):
+    """Whether `result.proper_at` proves psi proper
+    (`standard_parametrization`): psi against itself re-classifies it as
+    GOOD."""
+    if result.proper_at is None:
+        return False
+    return classify_parameter(psi, psi, result.proper_at).kind == GOOD
+
+
+def _identity_verdicts(psi):
+    """psi's verdicts against itself, the identity conjugation, at the
+    first `parameter_budget` schedule parameters, one at a time."""
+    budget = parameter_budget(psi.degree, psi.field.degree)
+    for t in islice(parameter_schedule(), budget):
+        yield classify_parameter(psi, psi, t)
+
+
+def _proper_at(psi):
+    """The first t within the budget that psi against itself classifies as
+    GOOD, which proves psi proper (`standard_parametrization`), or None."""
+    return next((v.t for v in _identity_verdicts(psi) if v.kind == GOOD), None)
+
+
 def probably_proper(psi):
-    """Cheap properness screen: the identity conjugation must classify
-    _PROPER_SAMPLES schedule parameters as good with s == t."""
-    field = psi.field
-    ident = _identity_class(field)
-    psi_id = psi.conjugate(ident)
-    rel = ident.relative_field
-    budget = parameter_budget(psi.degree, field.degree)
+    """Cheap properness screen: psi against itself, the identity
+    conjugation, must classify _PROPER_SAMPLES schedule parameters as good
+    with s == t."""
     seen = 0
-    tried = 0
-    for t in parameter_schedule():
-        if tried >= budget:
-            return False
-        tried += 1
-        v = classify_parameter(psi, psi_id, t)
+    for v in _identity_verdicts(psi):
         if v.kind == GOOD:
-            if v.s != rel.coerce(t):
+            if v.s != v.t:
                 return False
             seen += 1
             if seen >= _PROPER_SAMPLES:

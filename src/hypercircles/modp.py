@@ -24,19 +24,19 @@ all lift at one prime (`_lifted_rows`).  Inputs are evaluated at the
 embeddings with each coordinate's coefficients packed into one int where
 that pays, so that an embedding costs one dot product, not one per
 coefficient (`_values`).  Every `UniPoly` gcd runs here.  The rationals are
-the degree-1 field Q[z]/(z), where every prime splits and the argument is
-that of Brown's modular gcd over Z (J. ACM 18, 1971).  `fold_common_root`
-is its summary for the degree-at-most-one question that classifies a
-sampled parameter; it takes the inputs as the integral coefficient
-vectors it works on, and `nf_gcd` is the entry for UniPolys, which it
-lifts to those vectors.
+the tower's root, whose integral vectors are 1-tuples (`integral_ops`):
+there N = 1, every prime splits, and the argument is that of Brown's
+modular gcd over Z (J. ACM 18, 1971).  `fold_common_root` is its summary
+for the degree-at-most-one question that classifies a sampled parameter;
+it takes the inputs as the integral coefficient vectors it works on, and
+`nf_gcd` is the entry for UniPolys, which it lifts to those vectors.
 
 A field's split primes are found among those of its base: each embedding
 of the base extends by the roots mod p of the level's polynomial there, and
 the normal closure is never built.  Those roots are first looked for among
 the lower levels' roots, which always hold a class field's, and otherwise
 found by Cantor-Zassenhaus.  Split primes and their matrices are cached per
-field.
+number field.
 """
 
 import random
@@ -54,9 +54,9 @@ from .intpoly import (
     gf_pow_mod,
     primes,
 )
-from .numberfield import NFElement, NumberField, _blocks, integral_horner, integral_ops
+from .numberfield import NumberField, _blocks, integral_horner, integral_ops
 from .polynomials import UniPoly
-from .rationals import QQ, Rational, RationalField
+from .rationals import Rational
 
 # The first prime tried.  Split primes have density 1/[normal closure : Q],
 # and each prime tried costs a root test of about log2(p) squarings mod a
@@ -75,11 +75,6 @@ _PRIME_START = 1 << 20
 
 class BadPrime(Exception):
     """The chosen prime degenerates the reduction."""
-
-
-# The rationals as the degree-1 field Q[z]/(z): a family over Q runs through
-# `nf_gcd` over it unchanged.
-_QZ = NumberField(QQ, UniPoly.gen(QQ), "z")
 
 
 def _level_poly(field, row, q):
@@ -195,15 +190,15 @@ def _extend(field, below):
 
 def _split_primes(field):
     """The records of `field` at its totally split primes, in increasing
-    order from _PRIME_START: an endless generator over a per-field cache."""
-    cache = field.__dict__.get("_modp_split")
-    if cache is None:
-        if field._level1:
-            below = (_Split(p, (), [[1]]) for p in primes(_PRIME_START))
-        else:
-            below = _split_primes(field.base)
-        cache = field._modp_split = ([], below)
-    found, below = cache
+    order from _PRIME_START: an endless generator, over a per-field cache
+    for a number field.  Over Q every prime splits, with no level and the
+    one embedding's row [1]."""
+    if not isinstance(field, NumberField):
+        yield from (_Split(p, (), [[1]]) for p in primes(_PRIME_START))
+        return
+    if field._modp_split is None:
+        field._modp_split = ([], _split_primes(field.base))
+    found, below = field._modp_split
     i = 0
     while True:
         while i == len(found):
@@ -365,11 +360,12 @@ def _candidate(field, family, v, m):
     for c in _blocks(rs, field.absolute_degree):
         den = _int_lcm(*(r.denominator for r in c))
         coeffs.append((tuple([r.numerator * (den // r.denominator) for r in c]), den))
-    h = UniPoly._raw(field, [NFElement._make(field, c, d) for c, d in coeffs] + [field.one])
+    make = integral_ops(field).make
+    h = UniPoly._raw(field, [make(c, d) for c, d in coeffs] + [field.one])
     if len(coeffs) == 1:
         ((c, d),) = coeffs  # h = x + c/d vanishes at c/(-d)
         return h if _is_root(field, family, c, -d) else None
-    polys = [UniPoly._raw(field, [NFElement._make(field, c, d) for c in vecs]) for vecs, d in family]
+    polys = [UniPoly._raw(field, [make(c, d) for c in vecs]) for vecs, d in family]
     return h if all((q % h).is_zero for q in polys) else None
 
 
@@ -583,8 +579,8 @@ def nf_gcd(polys, field):
     route for degree 2 and above and for roots that no input has simple
     mod P.
 
-    Over the rationals the family runs over Q[z]/(z), where N = 1 and every
-    prime splits, and the monic result is mapped back.
+    Over the rationals N = 1, every prime splits and the one embedding is
+    the reduction mod p.
     """
     ops = integral_ops(field)
     return _gcd([ops.lift(q.coeffs) for q in polys], field)
@@ -596,9 +592,6 @@ def _gcd(family, field):
     leading vector nonzero, are the family: the monic gcd as a UniPoly."""
     if any(len(vecs) == 1 for vecs, _ in family):
         return UniPoly.one(field)
-    if isinstance(field, RationalField):
-        g = _gcd([([(c,) for c in vecs], den) for vecs, den in family], _QZ)
-        return g.map_coeffs(lambda c: c.retract(), field)
     least = None
     acc = None
     mod = 1

@@ -14,12 +14,14 @@ positive denominator, reduced once per operation.  Its coordinate i over
 the base is the block of positions i*m .. i*m + m - 1, m the base's
 absolute degree, and holds that base element's own tuple; so a degree-1
 level has its base's tuples, and code that needs a polynomial over the
-base (`_tmul`, `_columns`, `coords`) slices the blocks.  This keeps the
-inner loops on plain machine/big integers — one content gcd per arithmetic
-operation instead of a rational reduction per coefficient — which is what
-keeps exact arithmetic over these fields affordable.  The public `coords`
-property still exposes exact coordinates over the power basis of `gen`
-itself.
+base (`_tmul`, `_columns`, `coords`) slices the blocks.  The rationals are
+the layout's root, of absolute degree 1, with 1-tuples for vectors, so an
+element of any field in the base chain has block 0 of its vector above
+(`coerce`).  This keeps the inner loops on plain machine/big integers —
+one content gcd per arithmetic operation instead of a rational reduction
+per coefficient — which is what keeps exact arithmetic over these fields
+affordable.  The public `coords` property still exposes exact coordinates
+over the power basis of `gen` itself.
 
 A map that is linear over a subfield is one integer matrix over one
 denominator on the flat tuple (`_matvec`), built once from the images of
@@ -52,12 +54,12 @@ of the other (in which case the lower element is lifted).
 from functools import partial
 from itertools import chain, repeat
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add, itemgetter, lshift, mul
+from operator import add, mul
 
 from . import rationals
 from .errors import InternalInvariantError
 from .polynomials import UniPoly, format_poly
-from .rationals import Rational
+from .rationals import QQ, Rational
 
 
 def _tadd(a, b):
@@ -134,23 +136,18 @@ def _blocks(v, m):
 def _basis(field):
     """The elements whose vectors are the unit vectors: theta^i b_j, b_j
     the base's, at index i*m + j; over Q the single 1."""
-    if not isinstance(field, NumberField):
-        return [field.one]
-    n = field.absolute_degree
-    return [NFElement._raw(field, (0,) * k + (1,) + (0,) * (n - k - 1), 1) for k in range(n)]
+    n, make = field.absolute_degree, integral_ops(field).make
+    return [make((0,) * k + (1,) + (0,) * (n - k - 1), 1) for k in range(n)]
 
 
 def _linear_map(images, target):
     """The linear map that sends the basis element at index k (`_basis`) to
     images[k], an element of `target`, as a function on elements: one
     integer matrix over one denominator, its rows the coordinates of the
-    images (over Q a single row)."""
+    images."""
     ops = integral_ops(target)
     vecs, q = ops.lift(images)
-    if isinstance(target, NumberField):
-        rows, make = tuple(zip(*vecs)), ops.make
-    else:
-        rows, make = (tuple(vecs),), lambda v, den: Rational(v[0], den)
+    rows, make = tuple(zip(*vecs)), ops.make
     return lambda x: make(_matvec(rows, x.ic), x.den * q)
 
 
@@ -167,7 +164,7 @@ class NumberField:
         self.name = name
         self.degree = n = minpoly.degree
         self._level1 = not isinstance(base, NumberField)
-        m = 1 if self._level1 else base.absolute_degree
+        m = base.absolute_degree
         self.absolute_degree = n * m
         # the generator rescaling that makes reduction integral
         scale = 1
@@ -202,6 +199,7 @@ class NumberField:
             self.gen = NFElement._raw(self, tuple(vec), scale)
         self._trace = None
         self._ops = None
+        self._modp_split = None
 
     def _sub_to_frac(self, c):
         """A base element as (integral numerator, positive denominator): an
@@ -232,29 +230,23 @@ class NumberField:
             vec = chain.from_iterable([_tscale(t, den // q) for t, q in parts])
         return NFElement._make(self, tuple(vec), den)
 
-    def _from_base_elem(self, c):
-        t, q = self._sub_to_frac(c)
-        if self._level1:
-            t = (t,)
-        return NFElement._raw(self, t + (0,) * (self.absolute_degree - len(t)), q)
-
     def coerce(self, x):
+        """x as an element of this field: an element of a field in the base
+        chain, or anything the rationals coerce.  Its vector is block 0 of
+        this field's, the rest zero, over its own denominator."""
         if isinstance(x, NFElement):
             if x.field is self:
                 return x
-            chain = []
-            f = self
-            while isinstance(f, NumberField):
-                chain.append(f)
+            f = self.base
+            while f is not x.field:
+                if not isinstance(f, NumberField):
+                    raise TypeError(f"cannot coerce element of {x.field!r} into {self!r}")
                 f = f.base
-            for idx, c in enumerate(chain):
-                if c is x.field:
-                    e = x
-                    for up in reversed(chain[:idx]):
-                        e = up._from_base_elem(e)
-                    return e
-            raise TypeError(f"cannot coerce element of {x.field!r} into {self!r}")
-        return self._from_base_elem(self.base.coerce(x))
+            vec, den = x.ic, x.den
+        else:
+            c = QQ.coerce(x)
+            vec, den = (c.numerator,), c.denominator
+        return NFElement._raw(self, vec + (0,) * (self.absolute_degree - len(vec)), den)
 
     def _tmul(self, a, b):
         """Product of two integral coordinate vectors, reduced."""
@@ -366,12 +358,10 @@ class NFElement:
     def coords(self):
         """Exact coordinates over the power basis of the field generator."""
         f, den = self.field, self.den
-        if f._level1:
-            return tuple([Rational(x * f._scale**i, den) for i, x in enumerate(self.ic)])
-        base = f.base
+        make = integral_ops(f.base).make
         return tuple([
-            NFElement._make(base, _tscale(t, f._scale**i), den)
-            for i, t in enumerate(_blocks(self.ic, base.absolute_degree))
+            make(_tscale(t, f._scale**i), den)
+            for i, t in enumerate(_blocks(self.ic, f.base.absolute_degree))
         ])
 
     def __add__(self, other):
@@ -552,14 +542,12 @@ class NFElement:
     def retract(self):
         """The element as a base-field value; raises if it has higher parts."""
         f = self.field
-        m = len(self.ic) // f.degree
+        m = f.base.absolute_degree
         if _tbool(self.ic[m:]):
             raise InternalInvariantError(
                 f"{self} is not a base-field element; cannot retract"
             )
-        if f._level1:
-            return Rational(self.ic[0], self.den)
-        return NFElement._make(f.base, self.ic[:m], self.den)
+        return integral_ops(f.base).make(self.ic[:m], self.den)
 
     def __str__(self):
         return format_poly(self.coords, self.field.name)
@@ -614,15 +602,16 @@ def integral_ops(field):
     normalize once, at the end.
 
     A field element x is carried as an integral vector v over a positive
-    denominator q, x = v / q: an int over Q, over a number field the
-    coordinate vector `ic` of `NFElement`.  Sums and products of vectors are
-    exact and never reduced.
+    denominator q, x = v / q: over a number field the coordinate vector `ic`
+    of `NFElement`, over Q a 1-tuple, as at a degree-1 level.  Vectors are
+    tuples of ints, and sums and products of them are exact and never
+    reduced.
 
     - `lift(elems)`: (vectors, q) over one shared positive denominator q;
       anything that is not a field element is coerced;
     - `zero`, `one`: vectors;
-    - `add(v, w)`, `scale(v, k)` by an int, `shift(v, s)` by 2^s,
-      `nonzero(v)`, `coords(v)` (v's ints) and its inverse `vector(ints)`;
+    - `add(v, w)`, `scale(v, k)` by an int, `shift(v, s)` by 2^s and
+      `nonzero(v)`;
     - `fixed(v)`: the map w -> the vector of v * w.  It is a scaling when v
       is an integer.  When v lies in the base (every block after the first
       is zero), v * w is the base's product by v on each block of w, so
@@ -636,10 +625,8 @@ def integral_ops(field):
       b, the base's `bounded` of it, with no matrix built;
     - `make(v, q)`: the field element v / q, normalized.
     """
-    if not isinstance(field, NumberField):
-        return _RationalOps
     if field._ops is None:
-        field._ops = _FieldOps(field)
+        field._ops = (_FieldOps if isinstance(field, NumberField) else _RationalOps)(field)
     return field._ops
 
 
@@ -662,54 +649,20 @@ def _same(x):
     return x
 
 
-class _RationalOps:
-    """`integral_ops` over Q: vectors are ints."""
-
-    zero = 0
-    one = 1
-    add = staticmethod(add)
-    scale = staticmethod(mul)
-    shift = staticmethod(lshift)
-    nonzero = staticmethod(bool)
-    coords = staticmethod(lambda v: (v,))
-    vector = staticmethod(itemgetter(0))
-
-    @staticmethod
-    def lift(elems):
-        q = _int_lcm(*(e.denominator for e in elems))
-        return [e.numerator * (q // e.denominator) for e in elems], q
-
-    @staticmethod
-    def fixed(v):
-        if v == 1:
-            return _same
-        return lambda w: v * w
-
-    @classmethod
-    def bounded(cls, v):
-        return cls.fixed(v), abs(v)
-
-    @staticmethod
-    def make(v, q):
-        return Rational(v, q)
-
-
 class _FieldOps:
     """`integral_ops` over a NumberField: vectors are the coordinate vectors
     of its elements, so `_tmul` and `NFElement._make` take them as they
-    are."""
+    are.  Every member but `lift` and `make` serves Q too."""
 
     add = staticmethod(_tadd)
     scale = staticmethod(_tscale)
     shift = staticmethod(lambda v, s: tuple([x << s for x in v]))
     nonzero = staticmethod(_tbool)
-    coords = staticmethod(_same)
-    vector = tuple
 
     def __init__(self, field):
         self.field = field
-        self.zero = field.zero.ic
-        self.one = field.one.ic
+        self.zero = (0,) * field.absolute_degree
+        self.one = (1,) + self.zero[1:]
 
     def lift(self, elems):
         pairs = [(e.ic, e.den) for e in map(self.field.coerce, elems)]
@@ -754,6 +707,18 @@ class _FieldOps:
 
     def make(self, v, q):
         return NFElement._make(self.field, v, q)
+
+
+class _RationalOps(_FieldOps):
+    """`integral_ops` over Q, the root of the flat layout: vectors are
+    1-tuples, and every product is a scaling."""
+
+    def lift(self, elems):
+        q = _int_lcm(*(e.denominator for e in elems))
+        return [(e.numerator * (q // e.denominator),) for e in elems], q
+
+    def make(self, v, q):
+        return Rational(v[0], q)
 
 
 class ConjugacyClass:

@@ -218,14 +218,14 @@ def moebius_composer(ops, mob, big):
         ypow.append(ypow[-1] * y)
         row, w = rows[-1]
         if ypow[i].bit_length() >= 8 * w:
-            row = _respace(ops, row, (i - 1) * deg_cd + 1, w, _width(ypow[i]))
+            row = _respace(row, (i - 1) * deg_cd + 1, w, _width(ypow[i]))
             w = _width(ypow[i])
         rows.append((times_cd(row, 8 * w), w))
 
     def row_at(i, w):
         row, wr = rows[i]
         if wr != w:  # the row moves to the width of its last use
-            row = _respace(ops, row, i * deg_cd + 1, wr, w)
+            row = _respace(row, i * deg_cd + 1, wr, w)
             rows[i] = row, w
         return row
 
@@ -241,13 +241,13 @@ def moebius_composer(ops, mob, big):
             times, n = products[j]
             bound = x * bound + n * ypow[k - j]
             if bound.bit_length() >= 8 * w:
-                acc, w = _respace(ops, acc, k - j, w, _width(bound)), _width(bound)
+                acc, w = _respace(acc, k - j, w, _width(bound)), _width(bound)
             acc = times_ab(acc, 8 * w)
             if n:
                 acc = add(acc, times(row_at(k - j, w)))
             if trace is not None:
                 trace.append((j, acc, w))
-        return _unpack(ops, acc, k + 1, w)
+        return _unpack(acc, k + 1, w)
 
     return compose, lcd
 
@@ -275,7 +275,7 @@ def _linear_step(ops, lo, hi):
     return (lambda q, s: add(shift(high(q), s), low(q))), n_lo + n_hi
 
 
-def _respace(ops, v, n, w1, w2):
+def _respace(v, n, w1, w2):
     """The packed vector v of n coefficients moved from slots of w1 bytes to
     slots of w2 bytes, each entry below 2^(8 min(w1, w2) - 1) in absolute
     value: biased by half that, every slot is a nonnegative number of
@@ -288,19 +288,19 @@ def _respace(ops, v, n, w1, w2):
     before, after = filled_slots(half, w1, n), filled_slots(half, w2, n)
     pad, span = bytes(w2 - w), range(0, n * w1, w1)
     out = []
-    for z in ops.coords(v):
+    for z in v:
         raw = (z + before).to_bytes(n * w1, "little")
         out.append(int.from_bytes(pad.join([raw[i : i + w] for i in span]), "little") - after)
-    return ops.vector(out)
+    return tuple(out)
 
 
-def _unpack(ops, v, n, w):
+def _unpack(v, n, w):
     """The n coefficient vectors of the packed vector v, slots of w bytes."""
     half = 1 << (8 * w - 1)
     bias, size = filled_slots(half, w, n), n * w
-    raw = b"".join([(z + bias).to_bytes(size, "little") for z in ops.coords(v)])
+    raw = b"".join([(z + bias).to_bytes(size, "little") for z in v])
     flat = [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w)]
-    return [ops.vector(flat[i::n]) for i in range(n)]
+    return [tuple(flat[i::n]) for i in range(n)]
 
 
 class MoebiusTransform:

@@ -24,11 +24,12 @@ BACKEND = "pure"
 class RationalField:
     """The field of rational numbers."""
 
-    degree = 1
+    degree = absolute_degree = 1  # the root of `numberfield`'s flat layout
 
     def __init__(self):
         self.zero = Rational(0)
         self.one = Rational(1)
+        self._ops = None  # `numberfield.integral_ops`, built on first use
 
     def __call__(self, p, q=1):
         return Rational(p, q)

@@ -1,4 +1,5 @@
-"""Shared fixtures: two hand-checked instances used across the suite.
+"""Shared fixtures: two hand-checked instances used across the suite, and
+a non-proper one.
 
 The quartic instance is a degree-3 plane curve over Q(alpha) with
 alpha^4 = 2, for which the whole pipeline output is known in closed form:
@@ -66,6 +67,24 @@ CIRCLE_DOC = {
         {
             "num": [["0", "1"], ["0", "0"], ["0", "-1"]],
             "den": [["0", "0"], ["2", "0"]],
+        },
+    ],
+}
+
+# psi = ((a t^2 - 2a)/t^2, (-t^4 + 4t^2 - 4)/t^4) over Q(a), a^2 = -1: it is
+# phi0(u(t^2)) with phi0(s) = (s, s^2) and u(s) = a (s - 2)/s, so it traces
+# y = x^2, which is defined over Q, but psi(t) = psi(-t).  The class x + a
+# attains neither psi(1) nor psi(-1), although the curve is not moved.
+NONPROPER_DOC = {
+    "field": {"generator": "a", "minpoly": ["1", "0", "1"]},
+    "parametrization": [
+        {
+            "num": [["0", "-2"], ["0", "0"], ["0", "1"]],
+            "den": [["0", "0"], ["0", "0"], ["1", "0"]],
+        },
+        {
+            "num": [["-4", "0"], ["0", "0"], ["4", "0"], ["0", "0"], ["-1", "0"]],
+            "den": [["0", "0"], ["0", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
         },
     ],
 }

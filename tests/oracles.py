@@ -637,7 +637,6 @@ class MPoly:
         """Evaluate at a point; `cache` memoizes variable powers per point."""
         if cache is None:
             cache = {}
-        field = values[0].field if hasattr(values[0], "field") else self.field
         zero_like = values[0] - values[0]
         out = zero_like
         for e, c in self.terms.items():

@@ -1,9 +1,11 @@
 """`check_certificate` re-proves a decision from the result alone: it passes
 on defined instances and on both kinds of certificate that a class moves the
 curve.  It fails on a changed u, a singular u, a failed fit whose identity
-holds, a pair with one attained t, a changed phi (a bumped coefficient, or a
-shift that only a conjugate of alpha sees) and a dropped class."""
+holds, a pair with one attained t, a not-attained pair with no good sample
+that proves psi proper, a changed phi (a bumped coefficient, or a shift
+that only a conjugate of alpha sees) and a dropped class."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -16,10 +18,21 @@ from hypercircles import (
     RatFunc,
     UniPoly,
     check_certificate,
+    parse_instance,
     standard_parametrization,
 )
-from hypercircles.errors import InternalInvariantError
-from hypercircles.hypercircle import NOT_ATTAINED, classify_parameter
+from hypercircles.errors import InternalInvariantError, NonProperParametrization
+from hypercircles.hypercircle import (
+    GOOD,
+    NOT_ATTAINED,
+    HypercircleResult,
+    ParameterVerdict,
+    classify_parameter,
+    compute_u_for_class,
+    conjugacy_classes,
+)
+
+from conftest import NONPROPER_DOC
 
 x = UniPoly.gen(QQ)
 
@@ -123,6 +136,40 @@ def test_a_pair_with_one_attained_t_fails():
     bad = _with_report(res, k, not_attained=(0, rep.not_attained[1]))
     with pytest.raises(InternalInvariantError, match="certificate does not hold"):
         check_certificate(psi, bad)
+
+
+def test_a_not_attained_pair_needs_a_proof_of_properness():
+    # the class's own GOOD verdict at t = 0 is no witness: only proper_at is
+    psi = _moved_by_a_not_attained_pair()
+    res = standard_parametrization(psi)
+    assert any(v.kind == GOOD for v in res.certificate.verdicts)
+    assert res.certificate.not_attained is not None
+    assert res.proper_at is not None
+    check_certificate(psi, res)
+    with pytest.raises(InternalInvariantError, match="proves the parametrization proper"):
+        check_certificate(psi, replace(res, proper_at=None))
+
+
+def test_a_non_proper_psi_is_not_certified():
+    """The reports of a psi that is not proper: the class x + a rests on a
+    not-attained pair, and psi against itself has no good sample to offer.
+    A forged witness does not re-classify, and a GOOD verdict in a report
+    is no witness."""
+    field, psi = parse_instance(json.dumps(NONPROPER_DOC))
+    _, classes = conjugacy_classes(field)
+    reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
+    assert [rep.not_attained for rep in reports] == [(1, -1)]
+    result = HypercircleResult(False, None, field, reports)
+    forged = [ParameterVerdict(GOOD, 2, field.zero), *reports[0].verdicts]
+    for bad in (
+        result,
+        replace(result, proper_at=2),
+        replace(result, reports=(replace(reports[0], verdicts=forged),)),
+    ):
+        with pytest.raises(InternalInvariantError, match="proves the parametrization proper"):
+            check_certificate(psi, bad)
+    with pytest.raises(NonProperParametrization):
+        standard_parametrization(psi)
 
 
 @pytest.mark.parametrize("alpha_blind", [False, True], ids=["bumped", "alpha-blind"])

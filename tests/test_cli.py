@@ -1,7 +1,8 @@
 """The command-line interface: a reader that stops early, unreadable,
 malformed or unusable input files, output that cannot be written, and the
 exit codes of `gen`, `definable`, `minfield` (with its rerun over the
-minimum field) and `compute --check` (at n = 5, and on a twisted instance);
+minimum field) and `compute --check` (at n = 5, and on a twisted instance),
+and of all three on a non-proper input;
 exact outputs too long for Python's integer-string limit, printed in full;
 exit code 3 for a phi that fails its check and for any unexpected exception;
 and a package import that leaves the test oracles out."""
@@ -20,7 +21,7 @@ from hypercircles.generators import gen_instance
 from hypercircles.hypercircle import standard_parametrization, trace_term
 from hypercircles.instances import load_instance, serialize_instance
 
-from conftest import CIRCLE_DOC
+from conftest import CIRCLE_DOC, NONPROPER_DOC
 from test_minfield import sextic_subfield_instance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -207,6 +208,21 @@ def test_compute_check_of_twisted_instance(instance_files, capsys):
     out = capsys.readouterr().out
     assert out.startswith("verdict: NotDefinedOverK")
     assert out.endswith("certificate check: passed\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["compute", "--check"], ["definable"], ["minfield"]], ids=lambda a: a[0]
+)
+def test_a_non_proper_input_exits_2(tmp_path, capsys, argv):
+    # the class x + a leaves psi(1) and psi(-1) unattained, but only because
+    # psi(t) = psi(-t): no sample of any class is good, so psi is not proven
+    # proper, and the curve is in fact defined over Q
+    path = tmp_path / "nonproper.json"
+    path.write_text(json.dumps(NONPROPER_DOC), encoding="utf-8")
+    assert cli.main(argv + [str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "non-proper" in captured.err
 
 
 def _big_coefficient_doc(digits):

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from hypercircles import (
+    ConjugacyClass,
     MoebiusTransform,
     NumberField,
     Parametrization,
@@ -31,7 +32,6 @@ from hypercircles.hypercircle import (
     GOOD,
     NOT_ATTAINED,
     SINGULAR,
-    _identity_class,
     parameter_schedule,
     probably_proper,
 )
@@ -45,6 +45,12 @@ from oracles import (
     values_at_infinity,
     verify_identity_by_evaluation,
 )
+
+
+def _identity_class(field):
+    """The identity conjugation alpha -> alpha as a class of size 1, whose
+    class field K(alpha)(b) has degree 1 over K(alpha)."""
+    return ConjugacyClass(UniPoly(field, [-field.gen, field.one]), "z")
 
 
 def test_parameter_budget():
@@ -161,8 +167,8 @@ def test_classification_matches_the_polynomial_oracle(circle):
     seen = set()
     for kind, n, d in itertools.product(("defined", "twisted"), (2, 3), range(3, 7)):
         _, psi = parse_instance(json.dumps(gen_instance(kind, d, ext_degree=n, seed=0)))
-        for cls in [*conjugacy_classes(psi.field)[1], _identity_class(psi.field)]:
-            psi_sigma = psi.conjugate(cls)
+        classes = [*conjugacy_classes(psi.field)[1], _identity_class(psi.field)]
+        for psi_sigma in [*(psi.conjugate(cls) for cls in classes), psi]:
             limit = values_at_infinity(psi_sigma)
             for t0 in (0, 1, -1, 2, -2, Rational(1, 2), Rational(-3, 2)):
                 v = classify_parameter(psi, psi_sigma, t0)

@@ -233,13 +233,13 @@ def test_packed_widths_hold_every_accumulator():
                     assert [j for j, _, _ in trace] == sorted(exact, reverse=True)
                     for j, acc, w in trace:
                         vecs = exact[j]
-                        largest = max((abs(z) for v in vecs for z in ops.coords(v)), default=0)
+                        largest = max((abs(z) for v in vecs for z in v), default=0)
                         assert largest < 1 << (8 * w - 1), (n, d, j)
                         packed = tuple(
                             sum(z << (8 * w * i) for i, z in enumerate(col))
-                            for col in zip(*map(ops.coords, vecs))
-                        ) or tuple(0 for _ in ops.coords(ops.one))
-                        assert packed == tuple(ops.coords(acc)), (n, d, j)
+                            for col in zip(*vecs)
+                        ) or ops.zero
+                        assert packed == acc, (n, d, j)
                         steps += 1
     assert steps > 100
 

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private helper the package defines is used somewhere in it."""
+"""Every name a module of the package, the tests or the benchmark imports
+is used in that module, and every private helper the package defines is
+used somewhere in it."""
 
 import ast
 from collections import Counter
@@ -10,6 +11,9 @@ import pytest
 import hypercircles
 
 MODULES = sorted(Path(hypercircles.__file__).parent.glob("*.py"))
+_ROOT = Path(__file__).resolve().parent.parent
+# read only: the benchmark's files are checked, never changed by the check
+SCRIPTS = sorted(_ROOT.glob("tests/*.py")) + sorted(_ROOT.glob("perfbench/*.py"))
 
 
 def unused_imports(source):
@@ -41,6 +45,13 @@ def unused_imports(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", SCRIPTS, ids=[str(p.relative_to(_ROOT)) for p in SCRIPTS]
+)
+def test_every_import_of_the_tests_and_the_benchmark_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

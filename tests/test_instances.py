@@ -19,7 +19,7 @@ from hypercircles import (
 )
 from hypercircles.errors import InstanceError
 
-from conftest import CIRCLE_DOC, QUARTIC_DOC
+from conftest import CIRCLE_DOC
 
 
 def test_quartic_doc_parses(quartic):

@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercircles import NumberField, QQ, Rational, UniPoly
+from hypercircles import NumberField, QQ, Rational, UniPoly, poly_gcd
 from hypercircles.errors import InternalInvariantError
 from hypercircles.hypercircle import conjugacy_classes
-from hypercircles.numberfield import ConjugacyClass
+from hypercircles.numberfield import ConjugacyClass, integral_ops
 
-from oracles import nf_conjugate, tmul_by_convolution_and_division, trace_by_power_sums
+from oracles import (
+    euclid_gcd,
+    nf_conjugate,
+    tmul_by_convolution_and_division,
+    trace_by_power_sums,
+)
 from test_modp import parity_fields
 
 small_rats = st.builds(
@@ -221,6 +226,75 @@ def test_mixed_level_arithmetic():
     x = L.gen + K.gen  # lifts the base element
     assert x - K.gen == L.gen
     assert (x * K.gen).field is L
+
+
+def _three_levels():
+    """Q(a)(b)(c) with a^2 = 2, b^2 = -a and c^3 = -b/3, whose generator
+    scale is 3: -b/3 has norm -2/81 to Q, not a cube, so x^3 + b/3 is
+    irreducible."""
+    L = tower()
+    return NumberField(L, UniPoly(L, [L.gen / 3, L.zero, L.zero, L.one]), "c")
+
+
+def test_coerce_pads_block_zero_from_every_level():
+    """Q is the root of the flat layout: an int, a Rational and an element
+    of each lower level of a three-level tower coerce to the element whose
+    vector has theirs as block 0 over their denominator, which is the
+    element `element` builds from coordinates; `coords` and `retract`
+    round-trip."""
+    M = _three_levels()
+    L = M.base
+    K = L.base
+    rng = random.Random(5)
+
+    def leaf():
+        return Rational(rng.randint(-9, 9), rng.choice((1, 2, 6)))
+
+    def elem(field):
+        if field is QQ:
+            return leaf()
+        return field.element([elem(field.base) for _ in range(field.degree)])
+
+    def built(x, field):
+        """x from coordinates, level by level from x's own field up."""
+        below = M
+        chain = []
+        while below is not field:
+            chain.append(below)
+            below = below.base
+        for up in reversed(chain):
+            x = up.element([x])
+        return x
+
+    for _ in range(5):
+        for field in (QQ, K, L, M):
+            x = elem(field)
+            lifted = M.coerce(x)
+            assert lifted == built(x, field)
+            if field is QQ:
+                vec, den = (x.numerator,), x.denominator
+            else:
+                vec, den = x.ic, x.den
+            assert lifted.ic == vec + (0,) * (M.absolute_degree - len(vec))
+            assert lifted.den == den
+        three = M.coerce(3)
+        assert three == built(Rational(3), QQ) and three.ic[0] == 3 and three.den == 1
+        z = elem(M)
+        assert M.element(z.coords) == z
+        for field in (K, L, M):
+            below = elem(field.base)
+            assert field.coerce(below).retract() == below
+    assert isinstance(K.coerce(Rational(1, 2)).retract(), Rational)
+    other = NumberField(QQ, UniPoly(QQ, [-3, 0, 1]), "r")
+    with pytest.raises(TypeError):
+        M.coerce(other.gen)
+    assert integral_ops(QQ).lift([Rational(1, 2), 3]) == ([(1,), (6,)], 2)
+    x = UniPoly.gen(QQ)
+    for _ in range(6):
+        h = UniPoly(QQ, [leaf() for _ in range(rng.randint(0, 2))] + [1])
+        f = h * UniPoly(QQ, [leaf() for _ in range(3)] + [1])
+        g = h * (x - leaf())
+        assert poly_gcd(f, g) == euclid_gcd(f, g)
 
 
 # --- coordinate-vector kernels: active backend vs. plain comprehensions ---

@@ -15,7 +15,6 @@ from hypercircles import (
 from oracles import POLE, at, value_at_infinity, values_at_infinity
 
 x = UniPoly.gen(QQ)
-t = RatFunc.gen(QQ)
 
 small_rats = st.builds(
     Rational,
