@@ -22,6 +22,23 @@ given that `step` divides the degree of each of them (1 always does).
     norm is invariant under x -> zeta x.  A norm that the degree sets at
     its first admissible prime prove irreducible (the degree-20 norm of
     x^5 - 2) is returned before P is factored;
+  - a piece is proven irreducible without the core where it can be
+    (`_capelli_irreducible`).  For beta a root of P_i and m = deg P_i, the
+    piece is irreducible exactly when x^e - beta is irreducible over
+    Q(beta), as its roots theta have [Q(theta):Q] = [Q(theta):Q(beta)] m.
+    By Capelli's theorem (Lang, Algebra, VI §9) that holds exactly when
+    beta is not an l-th power in Q(beta) for each prime l | e, and, when
+    4 | e, not in -4 Q(beta)^4.  Each condition, beta not in c Q(beta)^k,
+    is proven by the norm, as N(beta / c) is then no k-th power in Q, or
+    by a local witness: an odd prime p not dividing lc(P_i) disc(P_i) and
+    a nonzero root r of P_i mod p with r / c no k-th power mod p.  Such a
+    p makes Z_(p)[beta] the integral closure of Z_(p) in Q(beta) (its
+    discriminant is a p-unit), so by Dedekind-Kummer x - r gives a prime
+    P of degree 1 with beta = r mod P.  A gamma with gamma^k = beta / c
+    is integral over Z_(p), as beta / c is, so it is P-integral, and its
+    residue in F_p would be a k-th root of r / c.  A piece whose degree is
+    below 2 * step is irreducible before any of this: each of its factors
+    has a positive multiple of step as its degree;
   - the prime is chosen among a few admissible ones by the factor count of
     their distinct-degree factorizations, and only the chosen one is split
     into irreducibles (Cantor–Zassenhaus);
@@ -50,8 +67,9 @@ given that `step` divides the degree of each of them (1 always does).
   norm's factors, are shifted back.
 
 `is_irreducible_rational(f)`, the parse-time check on a minimal
-polynomial, takes a gcd with f' to prove f squarefree, then one Zassenhaus
-run.
+polynomial, takes a gcd with f' to prove f squarefree, then one
+`zz_factor_squarefree` run: a pure x^n - c, such as x^6 - 2, is one piece
+that the norm of c proves irreducible.
 """
 
 import itertools
@@ -63,6 +81,7 @@ from .intpoly import (
     gf_ddf,
     gf_divmod,
     gf_edf,
+    gf_eval,
     gf_from_zz,
     gf_gcdex,
     gf_is_squarefree,
@@ -281,9 +300,17 @@ def zz_factor_squarefree(f, step=1):
     An f = P(x^e), e > 1 the gcd of its exponents, is first checked against
     the degree sets at its first admissible prime, which may prove it
     irreducible.  Otherwise P is factored by `_zassenhaus` with the step
-    step / gcd(step, e), and each piece P_i(x^e) by `_zassenhaus` with
-    `step`; the module docstring gives the argument.  Every other f goes to
-    `_zassenhaus` as it is.
+    step / gcd(step, e).  A piece P_i(x^e) of degree at least 2 * step is
+    then tried by Capelli's criterion (`_capelli_irreducible`): x^e - beta,
+    beta a root of P_i, is irreducible over Q(beta) unless beta / c is a
+    k-th power there, for (k, c) = (l, 1) with l a prime dividing e or
+    (4, -4) when 4 | e, which the norm of beta / c or a local witness rules
+    out.  The witness is a degree-1 prime P of Q(beta) at which beta / c
+    has no k-th root mod P: a k-th root in Q(beta) would be P-integral, as
+    beta / c is, and reduce to one.  A piece the criterion does not prove
+    goes to `_zassenhaus` with `step`, as does a piece below 2 * step,
+    which the core returns at once.  The module docstring gives the
+    arguments.  Every other f goes to `_zassenhaus` as it is.
     """
     e = 0
     for i, a in enumerate(f):
@@ -298,8 +325,70 @@ def zz_factor_squarefree(f, step=1):
     for g in _zassenhaus(f[::e], step // _int_gcd(step, e)):
         piece = [0] * (e * (len(g) - 1) + 1)
         piece[::e] = g
-        out.extend(_zassenhaus(piece, step))
+        if len(piece) - 1 >= 2 * step and _capelli_irreducible(g, e):
+            out.append(piece)
+        else:
+            out.extend(_zassenhaus(piece, step))
     return out
+
+
+def _is_power(a, b, k):
+    """Whether the rational a / b, a and b nonzero integers, is the k-th
+    power of a rational: a / b = a b^(k-1) / b^k with b > 0, and a
+    rational k-th root of an integer is an integer."""
+    if b < 0:
+        a, b = -a, -b
+    n = a * b ** (k - 1)
+    if n < 0:
+        if k % 2 == 0:
+            return False
+        n = -n
+    # Newton's method from above converges to the integer k-th root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r**k == n
+        r = s
+
+
+def _capelli_irreducible(g, e):
+    """True when Capelli's criterion proves the piece g(x^e) irreducible,
+    g irreducible and primitive with g(0) != 0; False when it cannot,
+    which never claims that the piece is reducible.
+
+    Each condition beta not in c Q(beta)^k, (k, c) = (l, 1) for the primes
+    l | e and (4, -4) when 4 | e, is proven by the norm
+    N(beta / c) = (-1)^m g(0) / (lc(g) c^m), m = deg g, when that is no
+    k-th power in Q (which decides it when m = 1), or by a nonzero root r
+    of g mod p with r / c no k-th power mod p, at one of g's first
+    _PRIME_TRIES admissible primes p.  The module docstring gives the
+    argument.
+    """
+    m = len(g) - 1
+    conditions = [
+        (l, 1) for l in range(2, e + 1) if e % l == 0 and all(l % q for q in range(2, l))
+    ]
+    if e % 4 == 0:
+        conditions.append((4, -4))
+    conditions = [
+        (k, c) for k, c in conditions if _is_power((-1) ** m * g[0], g[-1] * c**m, k)
+    ]
+    if m == 1 or not conditions:
+        return not conditions
+    for p, gp in itertools.islice(_admissible_primes(g), _PRIME_TRIES):
+        roots = [r for r in range(1, p) if gf_eval(gp, r, p) == 0]
+        conditions = [
+            (k, c)
+            for k, c in conditions
+            if all(
+                pow(r * pow(c, -1, p), (p - 1) // _int_gcd(k, p - 1), p) == 1
+                for r in roots
+            )
+        ]
+        if not conditions:
+            return True
+    return False
 
 
 def _zassenhaus(f, step):
@@ -317,6 +406,8 @@ def _zassenhaus(f, step):
       tried, and a multiple of `step`.  The intersection of those sets is
       `allowed`; {0, n} proves f irreducible with no lift.  A subset is
       skipped unless both its degree and the cofactor's lie in `allowed`.
+      An f of degree below 2 * step is returned before any prime: each of
+      its factors has a positive multiple of `step` as its degree.
     * Lifting.  The factors are lifted to monic factors mod p**l by
       `hensel_lift` along its ladder of moduli, where p**l > 2 * B and B
       is the Landau-Mignotte bound (isqrt(n+1)+1) * 2**n * max|a_i| * lc.
@@ -348,7 +439,7 @@ def _zassenhaus(f, step):
     n = len(f) - 1
     if n <= 0:
         return []
-    if n == 1:
+    if n < 2 * step:
         return [list(f)]
     lc = f[-1]
     a_max = max(abs(a) for a in f)
@@ -436,7 +527,7 @@ def _monic_over_qq(f, qq):
 
 def is_irreducible_rational(f):
     """Whether f, over the rationals, is irreducible: of positive degree,
-    squarefree (coprime to f'), and one Zassenhaus factor."""
+    squarefree (coprime to f'), and one `zz_factor_squarefree` factor."""
     if f.degree < 1 or poly_gcd(f, f.derivative()).degree > 0:
         return False
     return len(zz_factor_squarefree(_primitive_ints(f.monic()))) == 1

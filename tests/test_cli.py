@@ -56,8 +56,19 @@ def test_compute_into_closed_pipe_has_no_traceback(tmp_path):
         ([], "at least 2"),
         (["-1", "0", "1"], "reducible"),
         (["1", "0", "2", "0", "1"], "reducible"),
+        # 4x^4 + 1 = (2x^2 + 2x + 1)(2x^2 - 2x + 1): its root beta = -1/4 of
+        # P = 4x + 1 is in -4 Q^4, Capelli's exception
+        (["1", "0", "0", "0", "4"], "reducible"),
     ],
-    ids=["numbers", "field-list", "constant", "empty", "reducible", "square"],
+    ids=[
+        "numbers",
+        "field-list",
+        "constant",
+        "empty",
+        "reducible",
+        "square",
+        "minus-4-fourth",
+    ],
 )
 def test_gen_rejects_malformed_minpoly_file(tmp_path, capsys, doc, message):
     path = tmp_path / "minpoly.json"

@@ -3,9 +3,10 @@
 import hashlib
 import itertools
 import signal
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hypercircles import (
     InternalInvariantError,
@@ -335,7 +336,12 @@ def test_degree_step_keeps_the_factors(monkeypatch):
     lifts = counted(monkeypatch, factoring, "hensel_lift")
     assert factoring.zz_factor_squarefree(f, 5) == [f]
     assert cores == [] and lifts == []
+    # at step 1 they do not: P is factored, and Capelli's criterion proves
+    # the one piece, which the core would lift
+    capelli = counted(monkeypatch, factoring, "_capelli_irreducible")
     assert factoring.zz_factor_squarefree(f) == [f]
+    assert capelli == [(f[::10], 10)] and lifts == []
+    assert factoring._zassenhaus(f, 1) == [f]
     assert lifts
 
 
@@ -369,6 +375,136 @@ def test_deflation_gives_the_core_factors(monkeypatch):
     factoring.zz_factor_squarefree(phi7, step)
     assert calls[0] == (phi7[::2], 3)
     assert all(s == step for _, s in calls[1:])
+
+
+def _deflated(f):
+    """(e, P) with f = P(x^e), e the gcd of the exponents of f's terms."""
+    e = 0
+    for i, a in enumerate(f):
+        if a:
+            e = gcd(e, i)
+    return e, f[::e]
+
+
+def test_a_piece_below_twice_the_step_takes_no_prime(monkeypatch):
+    # x^6 - 128 at step 6 and Phi7's degree-6 pieces at step 6: each factor
+    # has a positive multiple of the step as its degree, so they are
+    # irreducible before any prime or any Capelli search
+    ddf = counted(monkeypatch, factoring, "gf_ddf")
+    capelli = counted(monkeypatch, factoring, "_capelli_irreducible")
+    f = [-128, 0, 0, 0, 0, 0, 1]
+    assert factoring._zassenhaus(f, 6) == [f] and ddf == []
+    sextic, _, phi7 = (
+        factoring._primitive_ints(norm) for _, norm in _pinned_norms(with_phi13=False)
+    )
+    for norm in (sextic, phi7):
+        ddf.clear()
+        capelli.clear()
+        got = factoring.zz_factor_squarefree(norm, 6)
+        assert 6 in {len(g) - 1 for g in got}
+        e = _deflated(norm)[0]
+        assert all(e * (len(g) - 1) >= 12 for g, _ in capelli)
+        assert all(len(fp) - 1 != 6 for fp, _ in ddf)
+    assert capelli and ddf
+
+
+def test_capelli_proves_the_sextic_pieces_without_a_lift(monkeypatch):
+    # the two degree-12 pieces of x^6 - 2's Trager norm are irreducible:
+    # the norm of beta settles l = 3 and a local witness l = 2, so the
+    # only Hensel lift is P's (degree 5, factors of degree 1, 2 and 2)
+    capelli = counted(monkeypatch, factoring, "_capelli_irreducible")
+    lifts = counted(monkeypatch, factoring, "hensel_lift")
+    field = NumberField(QQ, x**6 - 2, "a")
+    _, classes = conjugacy_classes(field)
+    assert sorted(c.factor.degree for c in classes) == [1, 2, 2]
+    assert [len(g) - 1 for g, _ in capelli] == [2, 2]
+    # hensel_lift recurses on its halves, so P's lift is the largest call
+    assert max(len(f) - 1 for _, f, _, _ in lifts) == 5
+    assert all(factoring._capelli_irreducible(g, e) for g, e in capelli[:2])
+    # the parse check of x^6 - 2 is proven by the norm of beta = 2 alone
+    cores = counted(monkeypatch, factoring, "_zassenhaus")
+    admissible = counted(monkeypatch, factoring, "_admissible_primes")
+    capelli.clear()
+    assert is_irreducible_rational(x**6 - 2)
+    assert [f for f, _ in cores] == [[-2, 1]]
+    assert capelli == [([-2, 1], 6)]
+    assert all(len(f) == 7 for f, in admissible)
+
+
+# reducible pieces P_i(x^e) whose root beta is an l-th power or in -4 Q^4,
+# with their irreducible factors
+CAPELLI_EXCEPTIONS = [
+    (x**4 + 4, [x**2 - 2 * x + 2, x**2 + 2 * x + 2]),
+    (4 * x**4 + 1, [2 * x**2 - 2 * x + 1, 2 * x**2 + 2 * x + 1]),
+    (x**6 - 8, [x**2 - 2, x**4 + 2 * x**2 + 4]),
+    (x**6 + 27, [x**2 + 3, x**2 - 3 * x + 3, x**2 + 3 * x + 3]),
+    (x**4 - 4, [x**2 - 2, x**2 + 2]),
+    ((x**2 - 1) * (x**2 - 4), [x - 2, x - 1, x + 1, x + 2]),
+]
+
+
+@pytest.mark.parametrize(
+    "f, want", CAPELLI_EXCEPTIONS, ids=[str(f) for f, _ in CAPELLI_EXCEPTIONS]
+)
+def test_capelli_certifies_no_exception(f, want):
+    ints = factoring._primitive_ints(f)
+    e, p = _deflated(ints)
+    for g in factoring._zassenhaus(p, 1):
+        assert not factoring._capelli_irreducible(g, e), g
+    got = factoring.zz_factor_squarefree(ints)
+    assert sorted(got) == sorted(factoring._primitive_ints(g) for g in want)
+    assert not is_irreducible_rational(f)
+
+
+def test_rational_powers():
+    assert factoring._is_power(-27, 8, 3) and factoring._is_power(1, 16, 4)
+    assert not factoring._is_power(4, -1, 3)
+    assert factoring._is_power(-8, -125, 3) and not factoring._is_power(-4, 1, 2)
+    assert not factoring._is_power(-1, 16, 4) and not factoring._is_power(1, -16, 4)
+    # N(beta) of the sextic pieces is a square but not a cube
+    for c in (13, 7):
+        assert factoring._is_power(4 * c**6, 1, 2) and not factoring._is_power(4 * c**6, 1, 3)
+    big = 3**97 * 10**60
+    assert factoring._is_power(big**5, 7**5, 5)
+    assert not factoring._is_power(big**5 + 1, 1, 5)
+    assert not factoring._is_power(big**5 - 1, 1, 5)
+
+
+def _quadratic_power(a, b, c, d, l, scale):
+    """The primitive integer minimal polynomial of beta = scale * gamma^l,
+    gamma = (a + b sqrt d) / c, or None when beta is rational."""
+    u, v = Rational(scale), Rational(0)
+    for _ in range(l):
+        u, v = (u * a + v * b * d) / c, (u * b + v * a) / c
+    if v == 0:
+        return None
+    # x^2 - 2u x + (u^2 - d v^2)
+    return factoring._primitive_ints(x**2 - 2 * u * x + (u * u - d * v * v))
+
+
+@given(
+    st.integers(-6, 6),
+    st.integers(-6, 6).filter(bool),
+    st.integers(1, 3),
+    st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 6, 7]),
+    st.sampled_from([(2, 1), (3, 1), (4, -4)]),
+    st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=80, deadline=None)
+def test_capelli_never_certifies_a_power(a, b, c, d, power, j):
+    # beta = gamma^l, l = 2 or 3, or beta = -4 gamma^4, with
+    # gamma = (a + b sqrt d) / c in Q(beta) = Q(sqrt d): x^(jl) - beta is
+    # reducible over Q(beta), so no piece g(x^(jl)) is certified, and the
+    # factors are the core's
+    l, scale = power
+    g = _quadratic_power(a, b, c, d, l, scale)
+    assume(g is not None)
+    e = j * l
+    assert not factoring._capelli_irreducible(g, e)
+    piece = [0] * (2 * e + 1)
+    piece[::e] = g
+    got = factoring.zz_factor_squarefree(piece)
+    assert len(got) > 1 and sorted(got) == sorted(factoring._zassenhaus(piece, 1))
 
 
 def test_non_squarefree_input_raises_within_a_second():
