@@ -10,15 +10,23 @@ that witnesses definability.
 
 The per-class work follows the Lagrange-interpolation shape: factor
 m(alpha, x) = M(x)/(x - alpha) over K(alpha); for each conjugacy class find a
-Moebius transform u with psi = psi^sigma o u by sampling parameters, classify
-each sample, fit u through three good samples, and verify the identity
-symbolically.  phi is then the sum of m(alpha_i, x)/m(alpha_i, alpha_i)
-* u_i(t) over every class, traced down to K(alpha), plus the identity's
-term m(alpha, x)/m(alpha, alpha) * t, which lies in K(alpha) already: each
-term contributes numerators over its own g (the characteristic polynomial
-of u's pole, or 1), they are summed
-over D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and
-each x-coefficient A_i / D is normalized once to give phi_i.
+Moebius transform u with psi = psi^sigma o u by sampling parameters and
+classifying each sample, and verify the identity symbolically.  u comes from
+the 2-jet of the curve s = u(t) at the class's first good sample, computed
+at the split prime where that sample's root was lifted (`_jet_u`); when the
+jet gives out or its u fails the identity, the sampling goes on to three
+good samples and the exact three-point fit.  Either way u is only a
+candidate: `verify_identity` is the one proof that u carries psi^sigma back
+onto psi, and it proves any u it accepts, so the jet needs no argument of
+its own.  The three-point fit stays for the classes that move the curve:
+the failed-identity certificate rests on three proven samples, which
+determine any u that could work.  phi is then the sum of
+m(alpha_i, x)/m(alpha_i, alpha_i) * u_i(t) over every class, traced down to
+K(alpha), plus the identity's term m(alpha, x)/m(alpha, alpha) * t, which
+lies in K(alpha) already: each term contributes numerators over its own g
+(the characteristic polynomial of u's pole, or 1), they are summed over
+D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and each
+x-coefficient A_i / D is normalized once to give phi_i.
 
 `check_certificate` re-proves a result from the result alone, with no
 parameter search: the classes cover every conjugate, each class's u passes
@@ -29,11 +37,12 @@ interpolates every u.
 
 from dataclasses import dataclass, field as dc_field
 from itertools import islice, zip_longest
+from operator import mul
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_squarefree
 from .intpoly import integer_schedule as parameter_schedule
-from .modp import fold_common_root
+from .modp import _values, fold_common_root, from_values, image_degree, kept_embedding
 from .numberfield import ConjugacyClass, NumberField, integral_horner, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
@@ -156,6 +165,25 @@ def classify_parameter(psi, psi_sigma, t):
     and a pole, where the coefficient is -D_t Y'_k != 0, when X'_k = 0.  A
     t whose psi(t) is that value in every component is SINGULAR.
     """
+    fibre = _fibre(psi, psi_sigma, t)
+    if isinstance(fibre, ParameterVerdict):
+        return fibre
+    family, at_infinity = fibre
+    kind, s0 = fold_common_root(family, psi_sigma.field)
+    if kind == "empty":
+        return ParameterVerdict(NOT_ATTAINED, t)
+    if kind == "degree" or at_infinity:
+        # a proven common factor of degree >= 2, or psi(t) is also
+        # psi^sigma's value at infinity: t's fibre is not one point
+        return ParameterVerdict(SINGULAR, t)
+    return ParameterVerdict(GOOD, t, s0)
+
+
+def _fibre(psi, psi_sigma, t):
+    """The fibre of `classify_parameter` as (family, at_infinity): the
+    integral coefficient vectors of its nonzero inputs, and whether psi(t)
+    is psi^sigma's value at s = infinity.  A BAD_DENOMINATOR or SINGULAR
+    verdict instead when no fibre is left to fold."""
     ops = integral_ops(psi.field)
     rops = integral_ops(psi_sigma.field)
     q = t.denominator
@@ -182,14 +210,7 @@ def classify_parameter(psi, psi_sigma, t):
     if not family:
         # psi(t) coincides with the whole conjugated map — degenerate input.
         return ParameterVerdict(SINGULAR, t)
-    kind, s0 = fold_common_root(family, psi_sigma.field)
-    if kind == "empty":
-        return ParameterVerdict(NOT_ATTAINED, t)
-    if kind == "degree" or at_infinity:
-        # a proven common factor of degree >= 2, or psi(t) is also
-        # psi^sigma's value at infinity: t's fibre is not one point
-        return ParameterVerdict(SINGULAR, t)
-    return ParameterVerdict(GOOD, t, s0)
+    return family, at_infinity
 
 
 def _homogeneous(ops, vecs, by_r, q, k):
@@ -203,7 +224,18 @@ def _homogeneous(ops, vecs, by_r, q, k):
 
 def compute_u_for_class(psi, cls):
     """Find the Moebius transform carrying psi^sigma back onto psi, or a
-    certificate that the class moves the curve.  Returns a ClassReport."""
+    certificate that the class moves the curve.  Returns a ClassReport.
+
+    Parameters are classified in schedule order.  At the first good sample
+    (t, s), u is taken from the 2-jet there (`_jet_u`), and if
+    `verify_identity` proves it the class fixes the curve, with that sample
+    as its last verdict.  Otherwise, when the jet gives out or its u fails
+    the identity, the loop goes on as if no jet had run: to two
+    not-attained parameters, or to three good samples with distinct s, the
+    three-point fit through them and its identity check, whose failure is
+    the failed-identity certificate.  A proper psi has at most one u, so a
+    u that passes is the fit's, coordinate for coordinate, as both set the
+    last nonzero coordinate to 1."""
     budget = parameter_budget(psi.degree, psi.field.degree)
     psi_sigma = psi.conjugate(cls)
     report = ClassReport(cls=cls, fixes=False)
@@ -220,6 +252,12 @@ def compute_u_for_class(psi, cls):
                 report.not_attained = tuple(not_attained)
                 return report
         elif v.kind == GOOD:
+            if not good:
+                u = _jet_u(psi, psi_sigma, v.t, v.s)
+                if u is not None and verify_identity(psi, psi_sigma, u):
+                    report.u = u
+                    report.fixes = True
+                    return report
             if all(v.s != s for _, s in good):
                 good.append((v.t, v.s))
                 if len(good) == 3:
@@ -236,6 +274,107 @@ def compute_u_for_class(psi, cls):
         return report
     report.fixes = True
     return report
+
+
+def _taylor(f, x, q):
+    """f(x), f'(x) and f''(x)/2 mod q, for f's coefficients ascending: the
+    first three Taylor coefficients at x, from one Horner pass."""
+    v = d1 = d2 = 0
+    for c in reversed(f):
+        d2 = (d2 * x + d1) % q
+        d1 = (d1 * x + v) % q
+        v = (v * x + c) % q
+    return v, d1, d2
+
+
+def _jet_u(psi, psi_sigma, t, s):
+    """The candidate u with psi = psi^sigma o u from the 2-jet of the curve
+    s = u(t) at a good sample (t, s), or None when the jet gives out.
+
+    The jet.  u(t) is a root of G(t, s) = N(t) D'(s) - D(t) N'(s) for
+    every component N/D of psi and N'/D' of psi^sigma.  At a component
+    where Q = G_s != 0, implicit differentiation gives u' = P/Q and
+    u'' = 2 R/Q^3, with P = -G_t and R = -(G_tt Q^2/2 + G_ts P Q +
+    G_ss P^2/2).  A Moebius map through (t, s) is
+    x -> s + m (x - t)/(1 + k (x - t)), whose first two derivatives at t
+    are m and -2 m k, so m = P/Q and k = -R/(P Q^2), and with P Q^2
+    cleared u(x) = (a x + b)/(c x + d) for a = P^2 Q - s R, c = -R and
+    d = P Q^2 + R t, b following from u(t) = s.  A unit u has m != 0, and
+    only one Moebius map has a given 2-jet with m != 0.
+
+    Where it runs.  Pointwise, at the class field's embeddings mod q, on
+    the record that `modp.kept_embedding` gives: the record whose lifting
+    s's own lift just kept, at the highest precision kept, or the class
+    field's first record at q = p when s needed no lift.  Nothing is lifted
+    here; that is the precision rule.  u is then normalized pointwise, as
+    `linalg.kernel_basis` normalizes the three-point fit, with its last
+    nonzero coordinate 1: d = 1, or c = 1 when d vanishes at every
+    embedding.  That removes any scalar, so each embedding uses its own
+    first component with G_s a unit there.  The coordinates of a and c are
+    recovered as rationals (`modp.from_values`), and b = s (c t + d) - a t
+    exactly.  The jet gives out when p divides a denominator of s or t,
+    when an embedding has no component with G_s a unit, when the
+    coordinate set to 1 is not a unit at every embedding, and when a
+    coordinate does not reconstruct at q.
+
+    Nothing here is a proof: the caller proves u by `verify_identity`,
+    which proves any u it accepts.
+    """
+    rel = psi_sigma.field
+    kept = kept_embedding(rel)
+    sp, q, rows = kept
+    p = sp.p
+    if s.den % p == 0 or t.denominator % p == 0:
+        return None
+    by_den = pow(s.den, -1, q)
+    tq = t.numerator * pow(t.denominator, -1, q) % q
+    # psi's side lies in K(alpha): one value per base embedding, read from
+    # the first block of each group of rows above it
+    size = rel.degree
+    base_rows = [row[: psi.field.absolute_degree] for row in rows[::size]]
+
+    def at(rows, part):
+        return _values(rows, part, q) if part else [()] * len(rows)
+
+    pairs = list(zip(psi.vectors, psi_sigma.vectors))
+    jets, coeffs = [], []  # per component, as far as some embedding needed
+    cols = []
+    for e, row in enumerate(rows):
+        se = sum(map(mul, row, s.ic)) * by_den % q
+        for i, (pair, pair_s) in enumerate(pairs):
+            if i == len(jets):
+                base = zip(*(at(base_rows, part) for part in pair))
+                jets.append([[_taylor(f, tq, q) for f in fs] for fs in base])
+                coeffs.append(list(zip(*(at(rows, part) for part in pair_s))))
+            (n0, n1, n2), (d0, d1, d2) = jets[i][e // size]
+            (y0, y1, y2), (x0, x1, x2) = (_taylor(f, se, q) for f in coeffs[i][e])
+            gs = (n0 * x1 - d0 * y1) % q
+            if gs % p:
+                break
+        else:
+            return None
+        gp = (d1 * y0 - n1 * x0) % q  # P = -G_t
+        r = -((n2 * x0 - d2 * y0) * gs * gs + (n1 * x1 - d1 * y1) * gp * gs
+              + (n0 * x2 - d0 * y2) * gp * gp) % q
+        pq = gp * gs
+        a = (pq * gp - se * r) % q
+        cols.append((a, -r % q, (pq * gs + r * tq) % q))  # (a, c, d)
+    # the last nonzero coordinate is 1: d, or c when d = 0 (a u with
+    # c = d = 0 is singular)
+    last = 2 if any(c[2] for c in cols) else 1
+    scaled = []
+    for c in cols:
+        if c[last] % p == 0:
+            return None
+        inv = pow(c[last], -1, q)
+        scaled.append((c[0] * inv % q, c[1] * inv % q))
+    a_c = from_values(rel, kept, list(zip(*scaled))[:last])
+    if a_c is None:
+        return None
+    a, c = a_c if last == 2 else (a_c[0], rel.one)
+    d = rel.one if last == 2 else rel.zero
+    # b from u(t) = s, exactly: a t + b = s (c t + d)
+    return MoebiusTransform._raw(a, s * (c * t + d) - a * t, c, d)
 
 
 def verify_identity(psi, psi_sigma, u):
@@ -282,11 +421,11 @@ def verify_identity(psi, psi_sigma, u):
     coefficient of psi lies in K(alpha), the base of the class field, so
     its products act block by block (`integral_ops(...).over_base`), each
     on the matrix of K(alpha) that psi built once for every class and for
-    `check_certificate` (`Parametrization.products`); the fit sets d = 1,
-    so the Horner step's L t - B scales by an integer on one side.  Only
-    -B, -C, A and each component's lc(CD), the multiplier of the O(d)
-    products of the comparison, multiply as full matrices of the class
-    field.
+    `check_certificate` (`Parametrization.products`); the jet and the fit
+    set d = 1 unless d = 0, so the Horner step's L t - B scales by an
+    integer on one side.  Only -B, -C, A and each component's lc(CD), the
+    multiplier of the O(d) products of the comparison, multiply as full
+    matrices of the class field.
     """
     ops = integral_ops(psi_sigma.field)
     nonzero = ops.nonzero
@@ -576,25 +715,43 @@ def check_certificate(psi, result):
 
 def _proven_proper(psi, result):
     """Whether `result.proper_at` proves psi proper
-    (`standard_parametrization`): psi against itself re-classifies it as
+    (`standard_parametrization`): psi against itself classifies it as
     GOOD."""
-    if result.proper_at is None:
-        return False
-    return classify_parameter(psi, psi, result.proper_at).kind == GOOD
-
-
-def _identity_verdicts(psi):
-    """psi's verdicts against itself, the identity conjugation, at the
-    first `parameter_budget` schedule parameters, one at a time."""
-    budget = parameter_budget(psi.degree, psi.field.degree)
-    for t in islice(parameter_schedule(), budget):
-        yield classify_parameter(psi, psi, t)
+    return result.proper_at is not None and _good_against_itself(psi, result.proper_at)
 
 
 def _proper_at(psi):
     """The first t within the budget that psi against itself classifies as
     GOOD, which proves psi proper (`standard_parametrization`), or None."""
-    return next((v.t for v in _identity_verdicts(psi) if v.kind == GOOD), None)
+    budget = parameter_budget(psi.degree, psi.field.degree)
+    return next(
+        (t for t in islice(parameter_schedule(), budget) if _good_against_itself(psi, t)),
+        None,
+    )
+
+
+def _good_against_itself(psi, t):
+    """Whether psi against itself classifies t as GOOD, with no root to
+    build or check in the common case.
+
+    Against itself, s = t is a known common root: every fibre input
+    N_t D(s) - D_t N(s) vanishes there, so x - t divides the gcd G.  G is
+    never 1, and t is GOOD exactly when deg G = 1 and psi(t) is not psi's
+    value at infinity.  An image at an admissible split prime bounds deg G
+    from above (`nf_gcd`), so an image of degree 1 (`modp.image_degree`)
+    proves G = x - t, and the s = infinity test settles the rest.  An image
+    of higher degree may come from an unlucky prime, so then the full
+    `classify_parameter` decides, which builds and proves the root.
+    """
+    fibre = _fibre(psi, psi, t)
+    if isinstance(fibre, ParameterVerdict):
+        return False
+    family, at_infinity = fibre
+    if at_infinity:
+        return False
+    if image_degree(family, psi.field) == 1:
+        return True
+    return classify_parameter(psi, psi, t).kind == GOOD
 
 
 def probably_proper(psi):
@@ -602,7 +759,8 @@ def probably_proper(psi):
     conjugation, must classify _PROPER_SAMPLES schedule parameters as good
     with s == t."""
     seen = 0
-    for v in _identity_verdicts(psi):
+    for t in islice(parameter_schedule(), parameter_budget(psi.degree, psi.field.degree)):
+        v = classify_parameter(psi, psi, t)
         if v.kind == GOOD:
             if v.s != v.t:
                 return False

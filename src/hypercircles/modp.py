@@ -20,10 +20,11 @@ image degree bounds the true one from above, so that division is a proof
 (argument in `nf_gcd`).  The embedding is lifted with s, once per split
 prime: the lifted matrices and level roots of the record lifted last are
 kept and shared by the lifts that follow there, as a class's good samples
-all lift at one prime (`_lifted_rows`).  Inputs are evaluated at the
-embeddings with each coordinate's coefficients packed into one int where
-that pays, so that an embedding costs one dot product, not one per
-coefficient (`_values`).  Every `UniPoly` gcd runs here.  The rationals are
+all lift at one prime (`_lifted_rows`), and the 2-jet that gives a class's
+u at its first good sample reads them (`kept_embedding`).  Inputs are
+evaluated at the embeddings with each coordinate's coefficients packed into
+one int where that pays, so that an embedding costs one dot product, not
+one per coefficient (`_values`).  Every `UniPoly` gcd runs here.  The rationals are
 the tower's root, whose integral vectors are 1-tuples (`integral_ops`):
 there N = 1, every prime splits, and the argument is that of Brown's
 modular gcd over Z (J. ACM 18, 1971).  `fold_common_root` is its summary
@@ -214,6 +215,13 @@ def _apply(m, v, q):
     return [sum(map(mul, r, v)) % q for r in m]
 
 
+# A step of `_values`' cost model, in products of two 30-bit digits (the
+# digits of CPython's ints): a term of a dot product of small ints costs
+# 60-100 ns on a 2-core x86-64 VM (CPython 3.11), and each further digit
+# product about 1 ns.
+_STEP_DIGITS = 96
+
+
 def _values(rows, vecs, q):
     """The polynomial with the k integral coefficient vectors vecs, N
     entries each, at each of the R embeddings whose monomial values mod q,
@@ -221,25 +229,31 @@ def _values(rows, vecs, q):
 
     Plain, each value is a dot product of N terms.  Packed
     (`_packed_values`), a row's k values are the slots of one dot product.
-    Count the steps per value, a step being one operation the interpreter
-    makes or one multiply-add of the C loop of a dot product.  Plain, a
-    value takes the N steps of its dot product.  Packed, it takes three to
-    read its slot (a slice, `int.from_bytes`, a remainder), its share of
-    packing the coefficient's N entries over the R rows (two steps each:
-    a sum or a remainder, and `to_bytes`), and its share of the row's dot
-    product over the k values: 3 + 2N/R + N/k.  So the packed path runs
-    when N > 3 + 2N/R + N/k: never for one row or one coefficient, and
-    never for N <= 5, as R <= N; at every embedding (R = N), for N = 6
-    from k = 7 on, and for N >= 12 from k = 2 on.  The rule is a property
-    of the field, its absolute degree N, and of the call's shape, with no
-    tuned constant.  It leaves out digits: the packed dot multiplies by
-    ints k slots long, each about log2(q) + log2(M) bits wide, so once q
-    spans many words the packed path does more digit work than it saves
-    in steps (1.1 times the plain loop's time at q = p^16 on tower5's
-    lifts, and 0.4-0.7 times at q = p .. p^8).
+    The cost counts steps and digit work.  A step is one operation the
+    interpreter makes or one multiply-add of the C loop of a dot product.
+    Plain, a value takes the N steps of its dot product.  Packed, it takes
+    three to read its slot (a slice, `int.from_bytes`, a remainder), its
+    share of packing the coefficient's N entries over the R rows (two
+    steps each: a sum or a remainder, and `to_bytes`), and its share of
+    the row's dot product over the k values: 3 + 2N/R + N/k.  The digits:
+    plain, a term multiplies a row entry of W digits, W those of q, by an
+    entry of the vector; packed, by that entry's slot, which is wider by
+    about the row entry's W digits (`_packed_values`), so each of a
+    value's N terms makes about W^2 more digit products.  With a step worth
+    S = `_STEP_DIGITS` digit products, the packed path runs when
+    S (N - 3 - 2N/R - N/k) > N W^2.  So it never runs for one row or one
+    coefficient, nor for N <= 5 at R <= N; at q = p (W = 1) and R = N it
+    runs for N = 6 from k = 7 on and for N >= 12 from k = 2 on, as when
+    steps alone were counted.  On the calls of 16 tower5 decisions at the
+    class field (N = R = 20, k = 7 or 8), packed took 0.43-0.45,
+    0.49-0.51, 0.55-0.58, 0.68-0.73 and 1.00-1.07 times the plain loop at
+    q = p, p^2, p^4, p^8 and p^16 (W = 1, 2, 3, 6 and 11; two timings):
+    any S from 60 to 190 picks the faster path at each of them, plain at
+    p^16.
     """
     n, r, k = len(vecs[0]), len(rows), len(vecs)
-    if n * r * k > 3 * r * k + 2 * n * k + n * r:
+    w = (q.bit_length() + 29) // 30
+    if _STEP_DIGITS * (n * r * k - 3 * r * k - 2 * n * k - n * r) > n * r * k * w * w:
         return _packed_values(rows, vecs, q)
     return [[sum(map(mul, row, v)) % q for v in vecs] for row in rows]
 
@@ -345,11 +359,11 @@ def _rat_rec(a, m):
     return Rational(num, den)
 
 
-def _candidate(field, family, v, m):
-    """The monic polynomial whose lower coefficients are recovered from
-    their coordinate vectors mod m, concatenated in v, if it divides every
-    input exactly.  A candidate x - s0 is proven by `_is_root`; one of
-    degree 2 or more by division, on polynomials built from the family."""
+def _coordinates(field, v, m):
+    """The elements of field whose coordinate vectors mod m are
+    concatenated in v, recovered as rationals (`_rat_rec`): one (integral
+    vector, positive denominator) per element, or None when a coordinate
+    does not reconstruct."""
     rs = []
     for x in v:
         r = _rat_rec(x, m)
@@ -360,6 +374,17 @@ def _candidate(field, family, v, m):
     for c in _blocks(rs, field.absolute_degree):
         den = _int_lcm(*(r.denominator for r in c))
         coeffs.append((tuple([r.numerator * (den // r.denominator) for r in c]), den))
+    return coeffs
+
+
+def _candidate(field, family, v, m):
+    """The monic polynomial whose lower coefficients are recovered from
+    their coordinate vectors mod m, concatenated in v, if it divides every
+    input exactly.  A candidate x - s0 is proven by `_is_root`; one of
+    degree 2 or more by division, on polynomials built from the family."""
+    coeffs = _coordinates(field, v, m)
+    if coeffs is None:
+        return None
     make = integral_ops(field).make
     h = UniPoly._raw(field, [make(c, d) for c, d in coeffs] + [field.one])
     if len(coeffs) == 1:
@@ -523,6 +548,38 @@ def _lift_root(field, family, values, sp, roots):
         q = qq
 
 
+def kept_embedding(field):
+    """(sp, q, rows): a record of field with its evaluation matrix rows mod
+    q, with no lifting done here.  The record lifted last (`_lifted`) at the
+    highest precision kept, when it is one of field's; otherwise field's
+    first split record at q = p, where a root recovered with no lift was
+    found."""
+    if _lifted is not None:
+        sp, steps, _ = _lifted
+        if steps and sp.levels and sp.levels[-1][0] is field:
+            return (sp,) + steps[-1]
+    sp = next(_split_primes(field))
+    return sp, sp.p, sp.rows
+
+
+def from_values(field, kept, vals):
+    """The elements of field whose values mod q at the embeddings of
+    kept = (sp, q, rows) (`kept_embedding`) are the lists in vals, or None
+    when one does not reconstruct: the coordinates come back digit by digit
+    from sp's inverse matrix (`_solve`) and are recovered as rationals as a
+    gcd candidate's are (`_coordinates`)."""
+    sp, q, rows = kept
+    p, inv = sp.p, sp.inv
+    v = []
+    for x in vals:
+        v += _solve(p, inv, rows, x, _apply(inv, [y % p for y in x], p), p, q)
+    coeffs = _coordinates(field, v, q)
+    if coeffs is None:
+        return None
+    make = integral_ops(field).make
+    return [make(c, d) for c, d in coeffs]
+
+
 def nf_gcd(polys, field):
     """Monic gcd of a family of nonzero polynomials over the rationals or a
     number-field tower.
@@ -618,6 +675,18 @@ def _gcd(family, field):
             h = _lift_root(field, family, values, sp, [-g[0] % p for g in gs])
         if h is not None:
             return h
+
+
+def image_degree(family, field):
+    """The least degree of the family's images at field's first admissible
+    split prime (`_image`), which bounds the degree of its gcd from above
+    (`nf_gcd`); the family as `fold_common_root` takes it."""
+    for sp in _split_primes(field):
+        try:
+            gs, _ = _image(sp, family)
+        except BadPrime:
+            continue
+        return min(len(g) for g in gs) - 1
 
 
 def fold_common_root(family, field):

@@ -41,7 +41,7 @@ def test_traced_decision_records_classify_and_fold():
     tracer = traced(gen_instance("defined", 14, minpoly=UniPoly(QQ, [1, 0, 1]), seed=0))
     names = {span[1] for span in tracer.spans}
     assert {"hypercircle.classify", "modp.fold"} <= names
-    assert tracer.counts.get("modp.fold_root", 0) >= 3
+    assert tracer.counts.get("modp.fold_root", 0) >= 1
 
 
 def test_traced_sextic_decision_records_classes_and_fold():

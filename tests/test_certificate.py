@@ -21,6 +21,7 @@ from hypercircles import (
     parse_instance,
     standard_parametrization,
 )
+from hypercircles import hypercircle
 from hypercircles.errors import InternalInvariantError, NonProperParametrization
 from hypercircles.hypercircle import (
     GOOD,
@@ -76,6 +77,19 @@ def test_certificates_of_both_kinds_pass():
     res = standard_parametrization(psi)
     assert res.certificate.not_attained is not None
     check_certificate(psi, res)
+
+
+def test_a_moving_class_with_a_good_first_sample_keeps_its_certificate(monkeypatch):
+    # the failed fit's class classifies t = 0 as good, where the jet gives
+    # u = t; that u fails the identity, so the loop goes on exactly as with
+    # no jet, to the three-point fit and the failed-identity certificate
+    psi = _moved_by_a_failed_fit()
+    (cls,) = conjugacy_classes(psi.field)[1]
+    report = compute_u_for_class(psi, cls)
+    assert report.verdicts[0].kind == GOOD
+    assert report.identity_failed and not report.fixes
+    monkeypatch.setattr(hypercircle, "_jet_u", lambda *args: None)
+    assert compute_u_for_class(psi, cls) == report
 
 
 def test_defined_instances_pass(circle, quartic):

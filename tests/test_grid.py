@@ -10,7 +10,10 @@ values.
 
 A unit Moebius reparametrization over Q(alpha) describes the same curve, so
 on a smaller grid it must leave the verdict, the classes that fix the curve
-and (for defined instances) the defining property of phi unchanged."""
+and (for defined instances) the defining property of phi unchanged.
+
+Every fixing class on that grid gets u from the 2-jet at its first good
+sample, and that u is the three-point fit's, coordinate for coordinate."""
 
 import hashlib
 import json
@@ -25,7 +28,8 @@ from hypercircles import (
     parse_instance,
     standard_parametrization,
 )
-from hypercircles import cli
+from hypercircles import cli, hypercircle
+from hypercircles.hypercircle import GOOD, compute_u_for_class
 from hypercircles.instances import serialize_instance
 from hypercircles.ratfunc import MoebiusTransform
 
@@ -89,7 +93,7 @@ PINNED = [
     ("defined", 6, 4),
     ("twisted", 6, 4),
 ]
-PINNED_SHA256 = "402df588f9a6d81e07811359407832f91316ab79be89be91fb7e2bfe11f98329"
+PINNED_SHA256 = "a8261100ca99db58c811a98a1cdd2c01700a73e2a6fd514eea38e2060e28b0b4"
 
 
 def _rendered_outputs(kind, n, d):
@@ -155,3 +159,42 @@ def test_cli_outputs_are_pinned(tmp_path, capsys, command):
 def test_pinned_instance_passes_its_certificate_check(kind, n, d):
     _, psi, res = _decide(kind, n, d)
     check_certificate(psi, res)
+
+
+JET_CASES = [("defined", n, d) for n, d in GRID] + [
+    spec for spec in PINNED if spec[0] == "defined" and spec[1] > 3
+]
+
+
+@pytest.mark.parametrize(
+    "kind, n, d", JET_CASES, ids=[f"{k}-n{n}-d{d}" for k, n, d in JET_CASES]
+)
+def test_the_jet_gives_the_three_point_u(monkeypatch, kind, n, d):
+    _check_jet(monkeypatch, *_decide(kind, n, d)[1:])
+
+
+@pytest.mark.parametrize("sub_degree", [2, 3])
+def test_the_jet_gives_the_three_point_u_on_fixing_classes_of_negatives(
+    monkeypatch, sub_degree
+):
+    _, psi = sextic_subfield_instance(sub_degree, 4)
+    res = standard_parametrization(psi)
+    assert not res.defined and any(rep.fixes for rep in res.reports)
+    _check_jet(monkeypatch, psi, res)
+
+
+def _check_jet(monkeypatch, psi, res):
+    """Each fixing class stopped at its first good sample, and the jet off,
+    the loop's three good samples fit the same u, coordinate for
+    coordinate: both are normalized with the last nonzero coordinate 1."""
+    monkeypatch.setattr(hypercircle, "_jet_u", lambda *args: None)
+    fixing = [rep for rep in res.reports if rep.fixes]
+    assert fixing
+    for rep in fixing:
+        assert [v.kind for v in rep.verdicts].count(GOOD) == 1
+        assert rep.verdicts[-1].kind == GOOD
+        fitted = compute_u_for_class(psi, rep.cls)
+        assert fitted.fixes and [v.kind for v in fitted.verdicts].count(GOOD) >= 3
+        u, w = rep.u, fitted.u
+        assert (u.a, u.b, u.c, u.d) == (w.a, w.b, w.c, w.d)
+        assert str(u) == str(w)

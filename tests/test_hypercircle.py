@@ -25,6 +25,7 @@ from hypercircles import (
     standard_parametrization,
     verify_identity,
 )
+from hypercircles import hypercircle
 from hypercircles.errors import NonProperParametrization
 from hypercircles.generators import cyclotomic_minpoly
 from hypercircles.hypercircle import (
@@ -314,6 +315,78 @@ def test_non_proper_raises():
 def test_probably_proper_accepts_good_input(circle):
     _, psi = circle
     assert probably_proper(psi)
+
+
+def _jet_off(monkeypatch, psi, cls):
+    """compute_u_for_class with the jet switched off: three good samples
+    and the three-point fit."""
+    with monkeypatch.context() as m:
+        m.setattr(hypercircle, "_jet_u", lambda *args: None)
+        return compute_u_for_class(psi, cls)
+
+
+def _goods(report):
+    return [v.kind for v in report.verdicts].count(GOOD)
+
+
+def _coefficients(u):
+    return (u.a, u.b, u.c, u.d)
+
+
+def _affine_over_gaussian():
+    """(t + i, (t + i)^2) over Q(i): its conjugate class is carried back by
+    the affine u = t + 2 i, with c = 0."""
+    field = NumberField(QQ, UniPoly(QQ, [1, 0, 1]), "i")
+    w = UniPoly(field, [field.gen, field.one])
+    return field, Parametrization([RatFunc(w), RatFunc(w * w)])
+
+
+@pytest.mark.parametrize("which", ["d = 0", "c = 0"])
+def test_the_jet_normalizes_like_the_three_point_fit(monkeypatch, circle, which):
+    # the circle's u = 1/t has d = 0 (u(0) is infinity), so c is set to 1;
+    # an affine u has c = 0 and d = 1
+    field, psi = circle if which == "d = 0" else _affine_over_gaussian()
+    (cls,) = conjugacy_classes(field)[1]
+    report = compute_u_for_class(psi, cls)
+    assert report.fixes and _goods(report) == 1
+    u = report.u
+    rel = cls.relative_field
+    if which == "d = 0":
+        assert (u.c, u.d) == (rel.one, rel.zero) and u == MoebiusTransform(rel, 0, 1, 1, 0)
+    else:
+        assert (u.c, u.d) == (rel.zero, rel.one)
+        assert u == MoebiusTransform(rel, 1, 2 * rel.coerce(field.gen), 0, 1)
+    fitted = _jet_off(monkeypatch, psi, cls)
+    assert _goods(fitted) == 3 and _coefficients(fitted.u) == _coefficients(u)
+
+
+def test_a_jet_that_gives_out_leaves_the_loop_as_it_was(monkeypatch, quartic):
+    # no reconstruction: the loop goes on to three good samples and the
+    # three-point fit, with the same u
+    field, psi = quartic
+    _, classes = conjugacy_classes(field)
+    jet = [compute_u_for_class(psi, cls) for cls in classes]
+    monkeypatch.setattr(hypercircle, "from_values", lambda *args: None)
+    loop = [compute_u_for_class(psi, cls) for cls in classes]
+    for by_jet, by_loop, cls in zip(jet, loop, classes):
+        assert by_jet.fixes and by_loop.fixes
+        assert _goods(by_jet) == 1 and _goods(by_loop) == 3
+        assert by_loop.verdicts[: len(by_jet.verdicts)] == by_jet.verdicts
+        assert _coefficients(by_loop.u) == _coefficients(by_jet.u)
+        assert by_loop.verdicts == _jet_off(monkeypatch, psi, cls).verdicts
+
+
+def test_the_properness_witness_proves_s_equal_t_by_one_image(monkeypatch):
+    # against itself x - t divides every fibre input, so one image of
+    # degree 1 proves t GOOD with no gcd candidate and no root check; an
+    # image of higher degree falls back to the full classification
+    psi, _ = _moved_by_the_quadratic_class()
+    want = next(t for t in parameter_schedule() if classify_parameter(psi, psi, t).kind == GOOD)
+    with monkeypatch.context() as m:
+        m.setattr(hypercircle, "fold_common_root", None)
+        assert hypercircle._proper_at(psi) == want
+    monkeypatch.setattr(hypercircle, "image_degree", lambda *args: 2)
+    assert hypercircle._proper_at(psi) == want
 
 
 def test_good_samples_match_u(circle):

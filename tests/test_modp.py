@@ -28,7 +28,7 @@ from hypercircles import (
 )
 from hypercircles.generators import canonical_minpoly, cyclotomic_minpoly
 from hypercircles.hypercircle import SINGULAR, conjugacy_classes
-from hypercircles import modp
+from hypercircles import hypercircle, modp
 from hypercircles.intpoly import gf_diff, gf_gcd, is_prime, primes
 from hypercircles.modp import (
     _PRIME_START,
@@ -707,22 +707,64 @@ def test_packed_evaluation_at_the_slot_bound():
             check_packed(*packed_case(n, 3, q, n, m, rng, True), q)
 
 
+def test_the_packing_rule_counts_digit_work(monkeypatch):
+    # tower5's lift shape at the class field, N = R = 20 and k = 7: packed
+    # at q = p^8, where it took about 0.7 times the plain loop, and plain
+    # at q = p^16, where its wider slots cost more digit work than packing
+    # saves in steps
+    p = next(primes(_PRIME_START))
+    rng = random.Random(16)
+    packed = spy(monkeypatch, "_packed_values")
+    for power, want in ((8, 1), (16, 0)):
+        q = p**power
+        rows, vecs = packed_case(20, 7, q, 20, (1 << 200) - 1, rng, False)
+        packed.clear()
+        assert _values(rows, vecs, q) == values_by_dot_products(rows, vecs, q)
+        assert len(packed) == want, power
+
+
 def test_a_class_lifts_its_embedding_once(monkeypatch):
     # the seed-0 defined x^5 - 2, d = 6 instance has one class, of size 4,
-    # whose three good samples lift at one split prime: the embedding is
-    # lifted once for all three, one `_expand` per level and precision
+    # whose first good sample lifts at one split prime, one `_expand` per
+    # level and precision; the 2-jet that gives u then reads that record's
+    # kept embedding at its highest precision, with no second `_expand` at
+    # any precision
     monkeypatch.setattr(modp, "_lifted", None)
     doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
     _, psi = parse_instance(json.dumps(doc))
     lifts = spy(monkeypatch, "_lift_root")
     expands = spy(monkeypatch, "_expand")
-    assert standard_parametrization(psi).defined
-    assert len(lifts) == 3 and all(out is not None for _, out in lifts)
-    (sp,) = {args[3] for args, _ in lifts}
+    kept = []
+    read = hypercircle.kept_embedding
+    monkeypatch.setattr(hypercircle, "kept_embedding", lambda f: kept.append(read(f)) or kept[-1])
+    res = standard_parametrization(psi)
+    assert res.defined and res.reports[0].parameters_tried == 1
+    assert len(lifts) == 1 and lifts[0][1] is not None
+    sp = lifts[0][0][3]
+    ((sp_jet, q, rows),) = kept
+    assert sp_jet is sp and (q, rows) == modp._lifted[1][-1]
     lifted = [(args[3], args[2]) for args, _ in expands if args[3] > sp.p]
     assert len(lifted) == len(set(lifted))
     assert {n for _, n in lifted} == {5, 4}
     assert len(lifted) == 2 * len(modp._lifted[1])
+
+
+def test_the_kept_embedding_is_the_fields_own(monkeypatch):
+    # the jet reads the slot only when it holds a record of the field it
+    # asks for, lifted at least once; a record of Q or of another field, or
+    # none lifted yet, gives the field's first record at q = p
+    field = make_L()
+    first = next(_split_primes(field))
+    at_p = (first, first.p, first.rows)
+    monkeypatch.setattr(modp, "_lifted", None)
+    assert modp.kept_embedding(field) == at_p
+    monkeypatch.setattr(modp, "_lifted", (first, [], None))
+    assert modp.kept_embedding(field) == at_p
+    for sp in (next(_split_primes(QQ)), next(_split_primes(field.base)), first):
+        monkeypatch.setattr(modp, "_lifted", None)
+        next(_lifted_rows(sp))
+        lifted = (first, first.p**2, modp._lifted[1][-1][1])
+        assert modp.kept_embedding(field) == (lifted if sp is first else at_p)
 
 
 def test_a_lift_at_another_record_replaces_the_kept_embedding(monkeypatch):
