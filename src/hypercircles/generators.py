@@ -22,7 +22,7 @@ import random
 
 from .errors import InstanceError, NonProperParametrization
 from .factoring import is_irreducible_rational
-from .hypercircle import conjugacy_classes, probably_proper, standard_parametrization
+from .hypercircle import _proper_at, conjugacy_classes, standard_parametrization
 from .instances import instance_doc
 from .linalg import kernel_basis, solve
 from .numberfield import NumberField
@@ -134,7 +134,7 @@ def _gen_defined(rng, field, degree):
         psi = base.compose_moebius(_random_unit(rng, field))
         if psi.degree != degree:
             continue
-        if probably_proper(psi):
+        if _proper_at(psi) is not None:
             return psi
     raise InstanceError(
         f"properness retry budget exceeded while generating a degree-{degree} instance"
@@ -245,7 +245,7 @@ def _gen_adversarial(rng, minpoly, degree):
             if all(first[k] == second[k] for k in homogeneous):
                 continue
         psi = Parametrization([component(first), component(second)])
-        if psi.degree == d and probably_proper(psi):
+        if psi.degree == d and _proper_at(psi) is not None:
             return field, psi
     raise InstanceError(
         f"properness retry budget exceeded for the degree-{degree} adversarial instance"

@@ -13,7 +13,7 @@ m(alpha, x) = M(x)/(x - alpha) over K(alpha); for each conjugacy class find a
 Moebius transform u with psi = psi^sigma o u by sampling parameters and
 classifying each sample, and verify the identity symbolically.  u comes from
 the 2-jet of the curve s = u(t) at the class's first good sample, computed
-at the split prime where that sample's root was lifted (`_jet_u`); when the
+at the embedding that sample's root came back with (`_jet_u`); when the
 jet gives out or its u fails the identity, the sampling goes on to three
 good samples and the exact three-point fit.  Either way u is only a
 candidate: `verify_identity` is the one proof that u carries psi^sigma back
@@ -42,7 +42,7 @@ from operator import mul
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_squarefree
 from .intpoly import integer_schedule as parameter_schedule
-from .modp import _values, fold_common_root, from_values, image_degree, kept_embedding
+from .modp import _values, fold_common_root, from_values, image_degree
 from .numberfield import ConjugacyClass, NumberField, integral_horner, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
@@ -60,10 +60,6 @@ SINGULAR = "singular"
 
 _CLASS_NAMES = "bcdefghjklm"
 
-# good samples with s == t that `probably_proper` asks of psi against itself
-_PROPER_SAMPLES = 4
-
-
 def parameter_budget(d, n):
     """Candidate parameters needed per class before declaring non-properness."""
     return d * d - 2 * d + n + 4
@@ -74,6 +70,9 @@ class ParameterVerdict:
     kind: str
     t: object
     s: object = None  # root in the relative field when kind == GOOD
+    # where s was found, (split record, q, evaluation matrix mod q), or None
+    # (`modp.fold_common_root`); for the 2-jet, not part of the verdict
+    kept: object = dc_field(default=None, compare=False, repr=False)
 
     def __str__(self):
         if self.kind == GOOD:
@@ -169,14 +168,14 @@ def classify_parameter(psi, psi_sigma, t):
     if isinstance(fibre, ParameterVerdict):
         return fibre
     family, at_infinity = fibre
-    kind, s0 = fold_common_root(family, psi_sigma.field)
+    kind, s0, kept = fold_common_root(family, psi_sigma.field)
     if kind == "empty":
         return ParameterVerdict(NOT_ATTAINED, t)
     if kind == "degree" or at_infinity:
         # a proven common factor of degree >= 2, or psi(t) is also
         # psi^sigma's value at infinity: t's fibre is not one point
         return ParameterVerdict(SINGULAR, t)
-    return ParameterVerdict(GOOD, t, s0)
+    return ParameterVerdict(GOOD, t, s0, kept)
 
 
 def _fibre(psi, psi_sigma, t):
@@ -253,7 +252,7 @@ def compute_u_for_class(psi, cls):
                 return report
         elif v.kind == GOOD:
             if not good:
-                u = _jet_u(psi, psi_sigma, v.t, v.s)
+                u = _jet_u(psi, psi_sigma, v)
                 if u is not None and verify_identity(psi, psi_sigma, u):
                     report.u = u
                     report.fixes = True
@@ -287,9 +286,10 @@ def _taylor(f, x, q):
     return v, d1, d2
 
 
-def _jet_u(psi, psi_sigma, t, s):
+def _jet_u(psi, psi_sigma, v):
     """The candidate u with psi = psi^sigma o u from the 2-jet of the curve
-    s = u(t) at a good sample (t, s), or None when the jet gives out.
+    s = u(t) at the good sample v = (t, s), or None when the jet gives
+    out.
 
     The jet.  u(t) is a root of G(t, s) = N(t) D'(s) - D(t) N'(s) for
     every component N/D of psi and N'/D' of psi^sigma.  At a component
@@ -302,26 +302,28 @@ def _jet_u(psi, psi_sigma, t, s):
     d = P Q^2 + R t, b following from u(t) = s.  A unit u has m != 0, and
     only one Moebius map has a given 2-jet with m != 0.
 
-    Where it runs.  Pointwise, at the class field's embeddings mod q, on
-    the record that `modp.kept_embedding` gives: the record whose lifting
-    s's own lift just kept, at the highest precision kept, or the class
-    field's first record at q = p when s needed no lift.  Nothing is lifted
-    here; that is the precision rule.  u is then normalized pointwise, as
-    `linalg.kernel_basis` normalizes the three-point fit, with its last
-    nonzero coordinate 1: d = 1, or c = 1 when d vanishes at every
-    embedding.  That removes any scalar, so each embedding uses its own
-    first component with G_s a unit there.  The coordinates of a and c are
-    recovered as rationals (`modp.from_values`), and b = s (c t + d) - a t
-    exactly.  The jet gives out when p divides a denominator of s or t,
-    when an embedding has no component with G_s a unit, when the
+    Where it runs.  Pointwise, at the class field's embeddings mod q where
+    the fold found s (`v.kept`): the split record whose lift reconstructed
+    s, at that precision, or the record at q = p when s needed no lift.
+    Nothing is lifted here; that is the precision rule.  u is then
+    normalized pointwise, as `linalg.kernel_basis` normalizes the
+    three-point fit, with its last nonzero coordinate 1: d = 1, or c = 1
+    when d vanishes at every embedding.  That removes any scalar, so each
+    embedding uses its own first component with G_s a unit there.  The
+    coordinates of a and c are recovered as rationals (`modp.from_values`),
+    and b = s (c t + d) - a t exactly.  The jet gives out when s took
+    several primes (v.kept is None), when p divides a denominator of s or
+    t, when an embedding has no component with G_s a unit, when the
     coordinate set to 1 is not a unit at every embedding, and when a
     coordinate does not reconstruct at q.
 
     Nothing here is a proof: the caller proves u by `verify_identity`,
     which proves any u it accepts.
     """
+    t, s, kept = v.t, v.s, v.kept
+    if kept is None:
+        return None
     rel = psi_sigma.field
-    kept = kept_embedding(rel)
     sp, q, rows = kept
     p = sp.p
     if s.den % p == 0 or t.denominator % p == 0:
@@ -752,23 +754,3 @@ def _good_against_itself(psi, t):
     if image_degree(family, psi.field) == 1:
         return True
     return classify_parameter(psi, psi, t).kind == GOOD
-
-
-def probably_proper(psi):
-    """Cheap properness screen: psi against itself, the identity
-    conjugation, must classify _PROPER_SAMPLES schedule parameters as good
-    with s == t."""
-    seen = 0
-    for t in islice(parameter_schedule(), parameter_budget(psi.degree, psi.field.degree)):
-        v = classify_parameter(psi, psi, t)
-        if v.kind == GOOD:
-            if v.s != v.t:
-                return False
-            seen += 1
-            if seen >= _PROPER_SAMPLES:
-                return True
-        elif v.kind == NOT_ATTAINED:
-            # the identity always attains psi(t); non-attainment means the
-            # fiber is empty, which cannot happen for a genuine value
-            return False
-    return False

@@ -17,20 +17,20 @@ first least-degree image is x - s and does not reconstruct on its own, s is
 lifted p-adically per embedding by Newton's iteration instead of taking
 more primes, and the lifted candidate faces the same exact division.  The
 image degree bounds the true one from above, so that division is a proof
-(argument in `nf_gcd`).  The embedding is lifted with s, once per split
-prime: the lifted matrices and level roots of the record lifted last are
-kept and shared by the lifts that follow there, as a class's good samples
-all lift at one prime (`_lifted_rows`), and the 2-jet that gives a class's
-u at its first good sample reads them (`kept_embedding`).  Inputs are
-evaluated at the embeddings with each coordinate's coefficients packed into
-one int where that pays, so that an embedding costs one dot product, not
-one per coefficient (`_values`).  Every `UniPoly` gcd runs here.  The rationals are
-the tower's root, whose integral vectors are 1-tuples (`integral_ops`):
-there N = 1, every prime splits, and the argument is that of Brown's
-modular gcd over Z (J. ACM 18, 1971).  `fold_common_root` is its summary
-for the degree-at-most-one question that classifies a sampled parameter;
-it takes the inputs as the integral coefficient vectors it works on, and
-`nf_gcd` is the entry for UniPolys, which it lifts to those vectors.
+(argument in `nf_gcd`).  The embedding is lifted with s
+(`_lifted_rows`), and the root comes back with the embedding it was found
+at: the split record, the precision and the evaluation matrix there, which
+the 2-jet that gives a class's u at its first good sample reads.  Inputs
+are evaluated at the embeddings with each coordinate's coefficients packed
+into one int where that pays, so that an embedding costs one dot product,
+not one per coefficient (`_values`).  Every `UniPoly` gcd runs here.  The
+rationals are the tower's root, whose integral vectors are 1-tuples
+(`integral_ops`): there N = 1, every prime splits, and the argument is that
+of Brown's modular gcd over Z (J. ACM 18, 1971).  `fold_common_root` is
+its summary for the degree-at-most-one question that classifies a sampled
+parameter; it takes the inputs as the integral coefficient vectors it works
+on, and `nf_gcd` is the entry for UniPolys, which it lifts to those
+vectors.
 
 A field's split primes are found among those of its base: each embedding
 of the base extends by the roots mod p of the level's polynomial there, and
@@ -438,39 +438,16 @@ def _newton(w, f, s, q, qq):
     return (s - v * w) % qq, w
 
 
-# The embedding of the record lifted last, as far as a lift has needed it:
-# (record, its lifted matrices [(q, rows), ...] at q = p^2, p^4, ..., and
-# its levels [(field, roots, inverses), ...] at the last of those q).  One
-# slot, not one per record: a field's records live as long as the field,
-# which only the cyclic collector frees, so matrices kept on each record
-# would outlive their decision.  Like the per-field caches, it assumes that
-# one thread lifts at a time.
-_lifted = None
-
-
 def _lifted_rows(sp):
     """The evaluation matrix of sp lifted p-adically: an endless generator
     of (q, rows) at q = p^2, p^4, ..., with each level's roots lifted by
     `_newton` from the simple roots mod p of its polynomial, the level
-    below first, as the polynomial moves with the embedding below.
-
-    Every lift at sp shares one lifting: the matrices and the level roots
-    with their Newton inverses are kept in `_lifted` while sp is the record
-    lifted last, and a later lift there reads the matrices already built
-    and extends them from the kept roots, so a class's good samples, which
-    all lift at its field's first admissible split prime, lift its
-    embedding once.  A lift at another record replaces them."""
-    global _lifted
-    if _lifted is None or _lifted[0] is not sp:
-        _lifted = (sp, [], _level_inverses(sp))
-    _, steps, levels = _lifted
-    i = 0
+    below first, as the polynomial moves with the embedding below."""
+    levels = _level_inverses(sp)
+    q = sp.p
     while True:
-        if i == len(steps):
-            q = steps[-1][0] if steps else sp.p
-            steps.append(_lift_levels(levels, q))
-        yield steps[i]
-        i += 1
+        q, rows = _lift_levels(levels, q)
+        yield q, rows
 
 
 def _level_inverses(sp):
@@ -507,17 +484,18 @@ def _lift_levels(levels, q):
 
 
 def _lift_root(field, family, values, sp, roots):
-    """x - s0 from the roots, one per embedding, of a degree-1 image at sp's
-    prime p, by Newton's iteration mod p^(2^k) (Loos, SIAM J. Comput. 12,
-    1983; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15) per
-    embedding, on an input whose derivative is nonzero mod p there, as the
-    embedding itself is lifted (`_lifted_rows`).  None when some embedding
-    has no such input, or when another input stops vanishing at the first
-    embedding's lifted root, which proves p unlucky.  `values` holds the
-    inputs at each embedding mod p, as `_image` reduced them.  At each
-    precision the embedding comes from the lifting that sp's lifts share
-    (`_lifted_rows`), the picked inputs are evaluated there (`_values`),
-    the coordinates come back from the lifted values by `_solve`, digits on
+    """(x - s0, (sp, q, rows)) from the roots, one per embedding, of a
+    degree-1 image at sp's prime p, by Newton's iteration mod p^(2^k)
+    (Loos, SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard, Modern
+    Computer Algebra, ch. 15) per embedding, on an input whose derivative
+    is nonzero mod p there, as the embedding itself is lifted
+    (`_lifted_rows`): rows is the evaluation matrix mod q, the precision
+    at which s0 reconstructed.  None when some embedding has no such input,
+    or when another input stops vanishing at the first embedding's lifted
+    root, which proves p unlucky.  `values` holds the inputs at each
+    embedding mod p, as `_image` reduced them.  At each precision the
+    picked inputs are evaluated at the lifted embedding (`_values`), the
+    coordinates come back from the lifted values by `_solve`, digits on
     from the last precision's, and they are tried as a candidate that must
     divide every input exactly.
     """
@@ -541,33 +519,19 @@ def _lift_root(field, family, values, sp, roots):
         coords = _solve(p, sp.inv, rows, roots, coords, q, qq)
         h = _candidate(field, family, [-x % qq for x in coords], qq)
         if h is not None:
-            return h
+            return h, (sp, qq, rows)
         for i, (vecs, _) in enumerate(family):
             if i != pick[0] and gf_eval(_apply(vecs, rows[0], qq), roots[0], qq):
                 return None
         q = qq
 
 
-def kept_embedding(field):
-    """(sp, q, rows): a record of field with its evaluation matrix rows mod
-    q, with no lifting done here.  The record lifted last (`_lifted`) at the
-    highest precision kept, when it is one of field's; otherwise field's
-    first split record at q = p, where a root recovered with no lift was
-    found."""
-    if _lifted is not None:
-        sp, steps, _ = _lifted
-        if steps and sp.levels and sp.levels[-1][0] is field:
-            return (sp,) + steps[-1]
-    sp = next(_split_primes(field))
-    return sp, sp.p, sp.rows
-
-
 def from_values(field, kept, vals):
     """The elements of field whose values mod q at the embeddings of
-    kept = (sp, q, rows) (`kept_embedding`) are the lists in vals, or None
-    when one does not reconstruct: the coordinates come back digit by digit
-    from sp's inverse matrix (`_solve`) and are recovered as rationals as a
-    gcd candidate's are (`_coordinates`)."""
+    kept = (sp, q, rows), where a root was found (`_gcd`), are the lists
+    in vals, or None when one does not reconstruct: the coordinates come
+    back digit by digit from sp's inverse matrix (`_solve`) and are
+    recovered as rationals as a gcd candidate's are (`_coordinates`)."""
     sp, q, rows = kept
     p, inv = sp.p, sp.inv
     v = []
@@ -640,15 +604,20 @@ def nf_gcd(polys, field):
     the reduction mod p.
     """
     ops = integral_ops(field)
-    return _gcd([ops.lift(q.coeffs) for q in polys], field)
+    return _gcd([ops.lift(q.coeffs) for q in polys], field)[0]
 
 
 def _gcd(family, field):
     """`nf_gcd` of the nonzero polynomials whose coefficient vectors over
     one denominator each, as `integral_ops(field).lift` gives them with the
-    leading vector nonzero, are the family: the monic gcd as a UniPoly."""
+    leading vector nonzero, are the family: (g, kept), g the monic gcd as a
+    UniPoly and kept = (sp, q, rows) the split record whose image gave g,
+    with its evaluation matrix rows mod q: q = p when g came from that one
+    image, the last precision of the lift when the image's root was lifted
+    (`_lift_root`).  kept is None when g = 1 or when g took several
+    primes' images."""
     if any(len(vecs) == 1 for vecs, _ in family):
-        return UniPoly.one(field)
+        return UniPoly.one(field), None
     least = None
     acc = None
     mod = 1
@@ -660,7 +629,7 @@ def _gcd(family, field):
             continue
         deg = min(len(g) for g in gs) - 1
         if deg == 0:
-            return UniPoly.one(field)
+            return UniPoly.one(field), None
         if any(len(g) != deg + 1 for g in gs) or (least is not None and deg > least):
             continue  # unlucky: an image has a spurious common factor
         first = least is None or deg < least
@@ -671,10 +640,12 @@ def _gcd(family, field):
         else:
             acc, mod = _crt(acc, mod, v, p)
         h = _candidate(field, family, acc, mod)
-        if h is None and first and deg == 1:
-            h = _lift_root(field, family, values, sp, [-g[0] % p for g in gs])
         if h is not None:
-            return h
+            return h, ((sp, p, sp.rows) if first else None)
+        if first and deg == 1:
+            lifted = _lift_root(field, family, values, sp, [-g[0] % p for g in gs])
+            if lifted is not None:
+                return lifted
 
 
 def image_degree(family, field):
@@ -695,13 +666,15 @@ def fold_common_root(family, field):
     denominator each (`integral_ops(field).lift`, the leading vector
     nonzero).
 
-    Returns ("empty", None) when the gcd is 1, ("root", s0) when it is
-    x - s0, and ("degree", k) when it has degree k >= 2.  Each outcome is
-    proven as in `nf_gcd`, so no caller needs an exact fallback.
+    Returns ("empty", None, None) when the gcd is 1, ("degree", k, None)
+    when it has degree k >= 2, and ("root", s0, kept) when it is x - s0,
+    with kept the split record, precision and evaluation matrix where s0
+    was found (`_gcd`), or None when it took several primes.  Each outcome
+    is proven as in `nf_gcd`, so no caller needs an exact fallback.
     """
-    g = _gcd(family, field)
+    g, kept = _gcd(family, field)
     if g.degree == 0:
-        return ("empty", None)
+        return ("empty", None, None)
     if g.degree == 1:
-        return ("root", -g.coeffs[0])
-    return ("degree", g.degree)
+        return ("root", -g.coeffs[0], kept)
+    return ("degree", g.degree, None)

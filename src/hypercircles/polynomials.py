@@ -8,8 +8,8 @@ trimmed tuple, so the zero polynomial has an empty coefficient tuple and
 
 There is one gcd engine for every field: `poly_gcd` is the modular gcd of
 `modp.nf_gcd`, which works at totally split primes and proves its answer by
-exact division; over the rationals it runs over the degree-1 field
-Q[z]/(z).
+exact division; over the rationals it runs at the root of the tower
+layout, whose integral vectors are 1-tuples and where every prime splits.
 """
 
 

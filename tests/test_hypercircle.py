@@ -34,7 +34,6 @@ from hypercircles.hypercircle import (
     NOT_ATTAINED,
     SINGULAR,
     parameter_schedule,
-    probably_proper,
 )
 from hypercircles.numberfield import NFElement
 
@@ -307,14 +306,19 @@ def test_non_proper_raises():
             RatFunc(UniPoly(field, [field.zero] * 4 + [field.one])),
         ]
     )  # (t^2, t^4): factors through t -> t^2
-    assert not probably_proper(psi)
+    assert hypercircle._proper_at(psi) is None
     with pytest.raises(NonProperParametrization):
         standard_parametrization(psi)
 
 
-def test_probably_proper_accepts_good_input(circle):
+def test_proper_at_accepts_good_input(circle):
+    # the witness is a t that psi against itself classifies as GOOD, with
+    # s = t
     _, psi = circle
-    assert probably_proper(psi)
+    t = hypercircle._proper_at(psi)
+    assert t is not None
+    v = classify_parameter(psi, psi, t)
+    assert v.kind == GOOD and v.s == t
 
 
 def _jet_off(monkeypatch, psi, cls):

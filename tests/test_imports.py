@@ -1,6 +1,6 @@
 """Every name a module of the package, the tests or the benchmark imports
-is used in that module, and every private helper the package defines is
-used somewhere in it."""
+is used in that module, every private helper the package defines is used
+somewhere in it, and no module of the package rebinds its own globals."""
 
 import ast
 from collections import Counter
@@ -117,3 +117,15 @@ def test_the_check_sees_an_orphaned_helper():
         ("a.py", 5, "_C"),
         ("a.py", 6, "_m"),
     ]
+
+
+def test_no_module_has_a_global_statement():
+    # module state that a function rebinds is hidden state shared by every
+    # caller: a result goes back to its caller instead
+    found = [
+        (p.name, node.lineno)
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []

@@ -1,13 +1,15 @@
 """The modular number-field gcd and its common-root summary, checked
 against the textbook Euclidean gcd over the field; the split test that
 picks its primes, and the evaluation at a split prime, round-tripped mod p
-and mod p^k, packed against one dot product per value, and lifted once for
-every lift at its prime."""
+and mod p^k, packed against one dot product per value, and returned with
+the root found there."""
 
+import gc
 import itertools
 import json
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +29,9 @@ from hypercircles import (
     standard_parametrization,
 )
 from hypercircles.generators import canonical_minpoly, cyclotomic_minpoly
-from hypercircles.hypercircle import SINGULAR, conjugacy_classes
+from hypercircles.hypercircle import GOOD, SINGULAR, conjugacy_classes
 from hypercircles import hypercircle, modp
-from hypercircles.intpoly import gf_diff, gf_gcd, is_prime, primes
+from hypercircles.intpoly import gf_diff, gf_eval, gf_gcd, is_prime, primes
 from hypercircles.modp import (
     _PRIME_START,
     _Split,
@@ -144,6 +146,52 @@ def lifted(polys, field):
     """The polynomials as the coefficient vectors `fold_common_root` takes."""
     ops = integral_ops(field)
     return [ops.lift(q.coeffs) for q in polys]
+
+
+def fold(polys, field):
+    """`fold_common_root` on the polynomials as (kind, payload), once the
+    embedding it returns is checked: a root's holds where the root was
+    found (`check_kept`), as no root here takes several primes; the other
+    outcomes return none."""
+    family = lifted(polys, field)
+    kind, payload, kept = fold_common_root(family, field)
+    if kind == "root":
+        check_kept(field, family, payload, kept)
+    else:
+        assert kept is None
+    return kind, payload
+
+
+def check_kept(field, family, s, kept):
+    """kept = (sp, q, rows) is a split record of field, q is its prime p or
+    p^(2^k), rows agree with sp's evaluation matrix mod p, and they send s
+    to a root of every input mod q."""
+    sp, q, rows = kept
+    p = sp.p
+    assert (sp.levels[-1][0] if sp.levels else QQ) is field
+    m = p
+    while m < q:
+        m *= m
+    assert m == q
+    assert [[x % p for x in row] for row in rows] == sp.rows
+    (vec,), den = integral_ops(field).lift([s])
+    at_s = [v[0] * pow(den, -1, q) % q for v in _values(rows, [vec], q)]
+    for vecs, _ in family:
+        for f, x in zip(_values(rows, vecs, q), at_s):
+            assert gf_eval(f, x, q) == 0
+
+
+def lifted_roots(calls):
+    """(prime, x - s0 or None) of each recorded `_lift_root` call, whose
+    returned embedding must be the call's own record."""
+    out = []
+    for args, res in calls:
+        if res is not None:
+            h, (sp, _, _) = res
+            assert sp is args[3]
+            res = h
+        out.append((args[3].p, res))
+    return out
 
 
 def exact_fold(polys):
@@ -359,7 +407,7 @@ def test_fold_matches_exact_gcd(label):
     for trial in range(10):
         polys = [rand_poly(rng, field, rng.randint(2, 5)) for _ in range(3)]
         ex = exact_fold(polys)
-        kind, payload = fold_common_root(lifted(polys, field), field)
+        kind, payload = fold(polys, field)
         if ex.degree == 0:
             assert kind == "empty"
         elif ex.degree == 1:
@@ -378,7 +426,7 @@ def test_fold_finds_planted_root(label):
         root = UniPoly(field, [-s, field.one])
         polys = [root * rand_poly(rng, field, rng.randint(1, 4)) for _ in range(3)]
         ex = exact_fold(polys)
-        kind, payload = fold_common_root(lifted(polys, field), field)
+        kind, payload = fold(polys, field)
         if ex.degree == 1:
             assert kind == "root" and payload == s
         else:
@@ -395,7 +443,7 @@ def test_fold_handles_big_coordinates(label):
         s = rand_elem(rng, field, bound=10**12)
         root = UniPoly(field, [-s, field.one])
         polys = [root * rand_poly(rng, field, 2) for _ in range(2)]
-        kind, payload = fold_common_root(lifted(polys, field), field)
+        kind, payload = fold(polys, field)
         assert kind == "root" and payload == s
 
 
@@ -403,7 +451,7 @@ def test_fold_constant_poly_means_empty():
     field = make_K()
     one = UniPoly(field, [field.one])
     t = UniPoly(field, [field.zero, field.one])
-    assert fold_common_root(lifted([one, t], field), field) == ("empty", None)
+    assert fold([one, t], field) == ("empty", None)
 
 
 def test_fold_lone_input_is_made_monic():
@@ -412,9 +460,9 @@ def test_fold_lone_input_is_made_monic():
     field = make_K()
     a = field.gen
     q = UniPoly(field, [-(a**2 + 3), 2])
-    assert fold_common_root(lifted([q], field), field) == ("root", (a**2 + 3) / 2)
+    assert fold([q], field) == ("root", (a**2 + 3) / 2)
     x = UniPoly.gen(field)
-    assert fold_common_root(lifted([2 * x**2 + a], field), field) == ("degree", 2)
+    assert fold([2 * x**2 + a], field) == ("degree", 2)
 
 
 @pytest.mark.parametrize("label", ["Q", "K", "L", "M", "over1", "size4"])
@@ -488,7 +536,7 @@ def test_gcd_discards_an_unlucky_prime(monkeypatch):
     lifts = spy(monkeypatch, "_lift_root")
     assert poly_gcd((x - big) * (x - p1), (x - big) * x) == x - big
     assert image_degrees(images) == [(p0, [1])]
-    assert [(args[3].p, out) for args, out in lifts] == [(p0, x - big)]
+    assert lifted_roots(lifts) == [(p0, x - big)]
     h = x**2 + big * x - 3 * big
     images.clear()
     crts = spy(monkeypatch, "_crt")
@@ -511,7 +559,7 @@ def test_lift_detects_an_unlucky_first_prime(monkeypatch):
     assert nf_gcd([x - p0, x], field) == one
     assert nf_gcd([x, x - p0], field) == one
     assert nf_gcd([x - 1, x - 1 - p0, x - 1], field) == one
-    assert [(args[3].p, out) for args, out in lifts] == [(p0, None)] * 3
+    assert lifted_roots(lifts) == [(p0, None)] * 3
     assert image_degrees(images) == [(p0, [1]), (p1, [0])] * 3
 
 
@@ -532,7 +580,7 @@ def test_lift_skips_an_input_with_a_double_root_mod_p(monkeypatch):
     lifts = spy(monkeypatch, "_lift_root")
     assert nf_gcd([f, g], field) == x - s
     assert nf_gcd([g, f], field) == x - s
-    assert [(args[3].p, out) for args, out in lifts] == [(p0, x - s)] * 2
+    assert lifted_roots(lifts) == [(p0, x - s)] * 2
 
 
 def parity_fields():
@@ -572,7 +620,7 @@ def test_vector_fold_agrees_with_nf_gcd():
             h = rand_monic(rng, field, planted)
             polys = [h * rand_poly(rng, field, rng.randint(1, 2)) for _ in range(3)]
             expected = summary(nf_gcd(polys, field))
-            assert fold_common_root(lifted(polys, field), field) == expected, name
+            assert fold(polys, field) == expected, name
             seen.add((name, expected[0]))
     assert len(seen) == 3 * len(fields)
 
@@ -641,7 +689,7 @@ def test_classify_parameter_singular_on_a_degree_two_fibre():
     rel = ident.relative_field
     s = UniPoly.gen(rel)
     polys = [rel.coerce(a) - rel.coerce(a) * s**2, rel.one - s**4]
-    assert fold_common_root(lifted(polys, rel), rel) == ("degree", 2)
+    assert fold(polys, rel) == ("degree", 2)
     assert classify_parameter(psi, psi_id, 1).kind == SINGULAR
 
 
@@ -725,64 +773,102 @@ def test_the_packing_rule_counts_digit_work(monkeypatch):
 
 def test_a_class_lifts_its_embedding_once(monkeypatch):
     # the seed-0 defined x^5 - 2, d = 6 instance has one class, of size 4,
-    # whose first good sample lifts at one split prime, one `_expand` per
-    # level and precision; the 2-jet that gives u then reads that record's
-    # kept embedding at its highest precision, with no second `_expand` at
-    # any precision
-    monkeypatch.setattr(modp, "_lifted", None)
+    # whose first good sample lifts its root at one split prime, one
+    # `_expand` per level and precision; the GOOD verdict carries that
+    # lift's record and last (q, rows), and the 2-jet that gives u reads
+    # them with no lifting and no `_expand` of its own
     doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
     _, psi = parse_instance(json.dumps(doc))
     lifts = spy(monkeypatch, "_lift_root")
+    liftings = spy(monkeypatch, "_lifted_rows")
+    steps = spy(monkeypatch, "_lift_levels")
     expands = spy(monkeypatch, "_expand")
-    kept = []
-    read = hypercircle.kept_embedding
-    monkeypatch.setattr(hypercircle, "kept_embedding", lambda f: kept.append(read(f)) or kept[-1])
+    jet = hypercircle._jet_u
+    in_jet = []
+
+    def watched(*args):
+        before = len(liftings), len(expands)
+        u = jet(*args)
+        in_jet.append((len(liftings) - before[0], len(expands) - before[1]))
+        return u
+
+    monkeypatch.setattr(hypercircle, "_jet_u", watched)
     res = standard_parametrization(psi)
-    assert res.defined and res.reports[0].parameters_tried == 1
-    assert len(lifts) == 1 and lifts[0][1] is not None
-    sp = lifts[0][0][3]
-    ((sp_jet, q, rows),) = kept
-    assert sp_jet is sp and (q, rows) == modp._lifted[1][-1]
+    (rep,) = res.reports
+    assert res.defined and rep.parameters_tried == 1
+    (v,) = rep.verdicts
+    ((args, (h, kept)),) = lifts
+    sp = args[3]
+    assert v.kind == GOOD and h == UniPoly(v.s.field, [-v.s, 1])
+    assert v.kept is kept and kept[0] is sp and kept[1:] == steps[-1][1]
+    assert len(liftings) == 1 and in_jet == [(0, 0)]
     lifted = [(args[3], args[2]) for args, _ in expands if args[3] > sp.p]
     assert len(lifted) == len(set(lifted))
     assert {n for _, n in lifted} == {5, 4}
-    assert len(lifted) == 2 * len(modp._lifted[1])
+    assert [q for q, _ in lifted] == [sp.p ** (2**k) for k in range(1, len(steps) + 1) for _ in "ab"]
 
 
-def test_the_kept_embedding_is_the_fields_own(monkeypatch):
-    # the jet reads the slot only when it holds a record of the field it
-    # asks for, lifted at least once; a record of Q or of another field, or
-    # none lifted yet, gives the field's first record at q = p
-    field = make_L()
-    first = next(_split_primes(field))
-    at_p = (first, first.p, first.rows)
-    monkeypatch.setattr(modp, "_lifted", None)
-    assert modp.kept_embedding(field) == at_p
-    monkeypatch.setattr(modp, "_lifted", (first, [], None))
-    assert modp.kept_embedding(field) == at_p
-    for sp in (next(_split_primes(QQ)), next(_split_primes(field.base)), first):
-        monkeypatch.setattr(modp, "_lifted", None)
-        next(_lifted_rows(sp))
-        lifted = (first, first.p**2, modp._lifted[1][-1][1])
-        assert modp.kept_embedding(field) == (lifted if sp is first else at_p)
-
-
-def test_a_lift_at_another_record_replaces_the_kept_embedding(monkeypatch):
-    # one record's lifted embedding is kept at a time: a lift there reads
-    # the kept matrices and extends them, and a lift at another record
-    # replaces them, so that going back starts again from p
-    monkeypatch.setattr(modp, "_lifted", None)
-    field = make_L()
+def test_a_root_found_at_p_carries_its_record():
+    # a root that reconstructs from one image at p comes back with that
+    # image's record at q = p: the field's first split record, or the next
+    # one when an input's denominator vanishes at the first
+    field = make_K()
+    x = UniPoly.gen(field)
+    s = field.gen + 1
     sp0, sp1 = itertools.islice(_split_primes(field), 2)
-    p0, p1 = sp0.p, sp1.p
-    first = list(itertools.islice(_lifted_rows(sp0), 2))
-    assert modp._lifted[0] is sp0
-    expands = spy(monkeypatch, "_expand")
-    again = list(itertools.islice(_lifted_rows(sp0), 3))
-    assert again[:2] == first
-    assert [args[3] for args, _ in expands] == [p0**8] * 2  # one per level
-    other = list(itertools.islice(_lifted_rows(sp1), 1))
-    assert modp._lifted[0] is sp1 and other[0][0] == p1**2
-    expands.clear()
-    assert list(itertools.islice(_lifted_rows(sp0), 2)) == first
-    assert [args[3] for args, _ in expands if args[3] > p0] == [p0**2] * 2 + [p0**4] * 2
+    for c, sp in ((1, sp0), (Rational(1, sp0.p), sp1)):
+        family = lifted([(x - s) * (x + c), (x - s) * (x - 2)], field)
+        kind, root, kept = fold_common_root(family, field)
+        assert (kind, root) == ("root", s)
+        assert kept[0] is sp and kept[1] == sp.p and kept[2] is sp.rows
+
+
+def test_a_root_found_over_several_primes_carries_no_embedding(monkeypatch):
+    # with the lift giving out, a root whose coordinates need several
+    # primes comes from the Chinese remainder of their images, which no
+    # one embedding holds
+    field = make_L()
+    x = UniPoly.gen(field)
+    big = field.gen + 10**40
+    monkeypatch.setattr(modp, "_lift_root", lambda *args: None)
+    crts = spy(monkeypatch, "_crt")
+    family = lifted([(x - big) * (x + 1), (x - big) * (x - 2)], field)
+    assert fold_common_root(family, field) == ("root", big, None)
+    assert len(crts) >= 2
+
+
+def test_a_good_sample_with_no_embedding_leaves_the_jet_out(monkeypatch):
+    # the seed-0 defined x^3 - 2, d = 3 instance, with every lift giving
+    # out: its roots come over several primes, so the jet at the first good
+    # sample gives out, and the loop goes on exactly as with the jet off
+    doc = gen_instance("defined", 3, minpoly=canonical_minpoly(3), seed=0)
+    field, psi = parse_instance(json.dumps(doc))
+    (cls,) = conjugacy_classes(field)[1]
+    with monkeypatch.context() as m:
+        m.setattr(hypercircle, "_jet_u", lambda *args: None)
+        jet_off = hypercircle.compute_u_for_class(psi, cls)
+    jet = hypercircle._jet_u
+    jets = []
+    monkeypatch.setattr(hypercircle, "_jet_u", lambda *args: jets.append(jet(*args)) or jets[-1])
+    monkeypatch.setattr(modp, "_lift_root", lambda *args: None)
+    rep = hypercircle.compute_u_for_class(psi, cls)
+    goods = [v for v in rep.verdicts if v.kind == GOOD]
+    assert goods[0].kept is None and jets == [None]
+    assert rep.fixes and rep.verdicts == jet_off.verdicts and len(goods) == 3
+    assert (rep.u.a, rep.u.b, rep.u.c, rep.u.d) == (jet_off.u.a, jet_off.u.b, jet_off.u.c, jet_off.u.d)
+
+
+def test_a_decision_leaves_no_field_alive():
+    # once its result is dropped, nothing in the package holds a decision's
+    # class field: the embedding a root was found at goes with the verdict
+    # that carries it
+    def decide():
+        doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+        _, psi = parse_instance(json.dumps(doc))
+        res = standard_parametrization(psi)
+        assert res.defined
+        return weakref.ref(res.reports[0].cls.relative_field)
+
+    field = decide()
+    gc.collect()
+    assert field() is None
