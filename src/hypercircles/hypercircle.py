@@ -61,7 +61,9 @@ SINGULAR = "singular"
 _CLASS_NAMES = "bcdefghjklm"
 
 def parameter_budget(d, n):
-    """Candidate parameters needed per class before declaring non-properness."""
+    """Candidate parameters needed per class before declaring
+    non-properness.  Poles of psi (BAD_DENOMINATOR) spend none, and a search
+    still ends: a nonzero denominator D has at most deg D rational roots."""
     return d * d - 2 * d + n + 4
 
 
@@ -70,7 +72,7 @@ class ParameterVerdict:
     kind: str
     t: object
     s: object = None  # root in the relative field when kind == GOOD
-    # where s was found, (split record, q, evaluation matrix mod q), or None
+    # where s was found when GOOD, (split record, q, evaluation matrix mod q)
     # (`modp.fold_common_root`); for the 2-jet, not part of the verdict
     kept: object = dc_field(default=None, compare=False, repr=False)
 
@@ -234,17 +236,20 @@ def compute_u_for_class(psi, cls):
     three-point fit through them and its identity check, whose failure is
     the failed-identity certificate.  A proper psi has at most one u, so a
     u that passes is the fit's, coordinate for coordinate, as both set the
-    last nonzero coordinate to 1."""
+    last nonzero coordinate to 1.  Poles of psi are recorded but spend no
+    budget (`parameter_budget`)."""
     budget = parameter_budget(psi.degree, psi.field.degree)
     psi_sigma = psi.conjugate(cls)
     report = ClassReport(cls=cls, fixes=False)
     good = []
     not_attained = []
     schedule = parameter_schedule()
-    while len(report.verdicts) < budget:
+    tried = 0
+    while tried < budget:
         t = next(schedule)
         v = classify_parameter(psi, psi_sigma, t)
         report.verdicts.append(v)
+        tried += v.kind != BAD_DENOMINATOR
         if v.kind == NOT_ATTAINED:
             not_attained.append(v.t)
             if len(not_attained) == 2:
@@ -311,23 +316,20 @@ def _jet_u(psi, psi_sigma, v):
     when d vanishes at every embedding.  That removes any scalar, so each
     embedding uses its own first component with G_s a unit there.  The
     coordinates of a and c are recovered as rationals (`modp.from_values`),
-    and b = s (c t + d) - a t exactly.  The jet gives out when s took
-    several primes (v.kept is None), when p divides a denominator of s or
-    t, when an embedding has no component with G_s a unit, when the
-    coordinate set to 1 is not a unit at every embedding, and when a
-    coordinate does not reconstruct at q.
+    and b = s (c t + d) - a t exactly.  The jet gives out when an
+    embedding has no component with G_s a unit, when the coordinate set to
+    1 is not a unit at every embedding, and when a coordinate does not
+    reconstruct at q.
 
     Nothing here is a proof: the caller proves u by `verify_identity`,
     which proves any u it accepts.
     """
     t, s, kept = v.t, v.s, v.kept
-    if kept is None:
-        return None
     rel = psi_sigma.field
     sp, q, rows = kept
     p = sp.p
-    if s.den % p == 0 or t.denominator % p == 0:
-        return None
+    # p divides neither denominator: t is an integer, and s was rebuilt mod
+    # q (`modp._rat_rec` refuses a p-divisible denominator)
     by_den = pow(s.den, -1, q)
     tq = t.numerator * pow(t.denominator, -1, q) % q
     # psi's side lies in K(alpha): one value per base embedding, read from
@@ -719,21 +721,21 @@ def _proven_proper(psi, result):
     """Whether `result.proper_at` proves psi proper
     (`standard_parametrization`): psi against itself classifies it as
     GOOD."""
-    return result.proper_at is not None and _good_against_itself(psi, result.proper_at)
+    return result.proper_at is not None and _against_itself(psi, result.proper_at) == GOOD
 
 
 def _proper_at(psi):
-    """The first t within the budget that psi against itself classifies as
-    GOOD, which proves psi proper (`standard_parametrization`), or None."""
+    """The first t within the budget (`parameter_budget`, poles spending
+    none) that psi against itself classifies as GOOD, which proves psi
+    proper (`standard_parametrization`), or None."""
     budget = parameter_budget(psi.degree, psi.field.degree)
-    return next(
-        (t for t in islice(parameter_schedule(), budget) if _good_against_itself(psi, t)),
-        None,
-    )
+    kinds = ((t, _against_itself(psi, t)) for t in parameter_schedule())
+    counted = islice(((t, k) for t, k in kinds if k != BAD_DENOMINATOR), budget)
+    return next((t for t, k in counted if k == GOOD), None)
 
 
-def _good_against_itself(psi, t):
-    """Whether psi against itself classifies t as GOOD, with no root to
+def _against_itself(psi, t):
+    """The kind of verdict psi against itself gives t, with no root to
     build or check in the common case.
 
     Against itself, s = t is a known common root: every fibre input
@@ -747,10 +749,10 @@ def _good_against_itself(psi, t):
     """
     fibre = _fibre(psi, psi, t)
     if isinstance(fibre, ParameterVerdict):
-        return False
+        return fibre.kind
     family, at_infinity = fibre
     if at_infinity:
-        return False
+        return SINGULAR
     if image_degree(family, psi.field) == 1:
-        return True
-    return classify_parameter(psi, psi, t).kind == GOOD
+        return GOOD
+    return classify_parameter(psi, psi, t).kind

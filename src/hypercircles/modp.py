@@ -9,21 +9,21 @@ p has degree 1, and the tower mod p is F_p^N, N the absolute degree: one
 evaluation matrix on the flat `NFElement.ic` tuple maps an element to its
 N values, one per embedding, and its inverse mod p maps values back to
 coordinates.  An image of the family is N monic gcds over F_p
-(`intpoly.gf_gcd`, the toolkit Zassenhaus uses too).  One of degree 0
-proves coprimality at once; otherwise the least-degree images are combined
-by Chinese remaindering, the coordinates recovered as rationals, and the
-monic candidate returned once it divides every input exactly.  When the
-first least-degree image is x - s and does not reconstruct on its own, s is
-lifted p-adically per embedding by Newton's iteration instead of taking
-more primes, and the lifted candidate faces the same exact division.  The
-image degree bounds the true one from above, so that division is a proof
-(argument in `nf_gcd`).  The embedding is lifted with s
-(`_lifted_rows`), and the root comes back with the embedding it was found
-at: the split record, the precision and the evaluation matrix there, which
-the 2-jet that gives a class's u at its first good sample reads.  Inputs
-are evaluated at the embeddings with each coordinate's coefficients packed
-into one int where that pays, so that an embedding costs one dot product,
-not one per coefficient (`_values`).  Every `UniPoly` gcd runs here.  The
+(`intpoly.gf_gcd`, the toolkit Zassenhaus uses too).  The image degree
+bounds the true one from above (argument in `nf_gcd`).  One of degree 0
+proves coprimality at once.  One of degree 1, x - s, settles the gcd at
+that prime alone: s is lifted p-adically per embedding by Newton's
+iteration, with the embedding itself (`_lifted_rows`), until the candidate
+x - s0 divides every input exactly, or an input stops vanishing at the
+lifted root, which proves the gcd 1.  A root comes back with the embedding
+it was found at: the split record, the precision and the evaluation matrix
+there, which the 2-jet that gives a class's u at its first good sample
+reads.  Images of degree 2 or more are combined by Chinese remaindering,
+the coordinates recovered as rationals, and the monic candidate returned
+once it divides every input exactly.  Inputs are evaluated at the
+embeddings with each coordinate's coefficients packed into one int where
+that pays, so that an embedding costs one dot product, not one per
+coefficient (`_values`).  Every `UniPoly` gcd runs here.  The
 rationals are the tower's root, whose integral vectors are 1-tuples
 (`integral_ops`): there N = 1, every prime splits, and the argument is that
 of Brown's modular gcd over Z (J. ACM 18, 1971).  `fold_common_root` is
@@ -45,6 +45,7 @@ from itertools import chain
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
+from .errors import InternalInvariantError
 from .intpoly import (
     filled_slots,
     gf_diff,
@@ -484,22 +485,25 @@ def _lift_levels(levels, q):
 
 
 def _lift_root(field, family, values, sp, roots):
-    """(x - s0, (sp, q, rows)) from the roots, one per embedding, of a
-    degree-1 image at sp's prime p, by Newton's iteration mod p^(2^k)
-    (Loos, SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard, Modern
-    Computer Algebra, ch. 15) per embedding, on an input whose derivative
-    is nonzero mod p there, as the embedding itself is lifted
-    (`_lifted_rows`): rows is the evaluation matrix mod q, the precision
-    at which s0 reconstructed.  None when some embedding has no such input,
-    or when another input stops vanishing at the first embedding's lifted
-    root, which proves p unlucky.  `values` holds the inputs at each
-    embedding mod p, as `_image` reduced them.  At each precision the
-    picked inputs are evaluated at the lifted embedding (`_values`), the
-    coordinates come back from the lifted values by `_solve`, digits on
-    from the last precision's, and they are tried as a candidate that must
-    divide every input exactly.
+    """The gcd of the family from a degree-1 image at sp's prime p, whose
+    roots, one per embedding, are `roots`: (x - s0, (sp, q, rows)) once
+    x - s0 divides every input exactly, rows the evaluation matrix mod q,
+    or (1, None) once another input stops vanishing at the first
+    embedding's lifted root, which proves the gcd 1 (`nf_gcd`).  The
+    candidate is tried at q = p, then each root is lifted by Newton's
+    iteration mod p^(2^k) (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 15) on an input with a simple
+    root there, as the embedding itself is lifted (`_lifted_rows`).
+    `values` holds every input at each embedding mod p, as `_image` reduced
+    them.  At each precision the picked inputs are evaluated at the lifted
+    embedding (`_values`) and the coordinates come back by `_solve`, digits
+    on from the last precision's.
     """
     p = sp.p
+    coords = _apply(sp.inv, roots, p)
+    h = _candidate(field, family, [-x % p for x in coords], p)
+    if h is not None:
+        return h, (sp, p, sp.rows)
     pick, ws = [], []
     for k, s in enumerate(roots):
         for i, f in enumerate(values):
@@ -509,8 +513,7 @@ def _lift_root(field, family, values, sp, roots):
                 ws.append(pow(d, -1, p))
                 break
         else:
-            return None
-    coords = _apply(sp.inv, roots, p)
+            raise InternalInvariantError("no input has a simple root at a degree-1 image")
     q = p
     for qq, rows in _lifted_rows(sp):
         fs = {i: _values(rows, family[i][0], qq) for i in set(pick)}
@@ -522,7 +525,7 @@ def _lift_root(field, family, values, sp, roots):
             return h, (sp, qq, rows)
         for i, (vecs, _) in enumerate(family):
             if i != pick[0] and gf_eval(_apply(vecs, rows[0], qq), roots[0], qq):
-                return None
+                return UniPoly.one(field), None
         q = qq
 
 
@@ -578,27 +581,26 @@ def nf_gcd(polys, field):
     many.  Only finitely many of them are inadmissible, and only finitely
     many unlucky (an image of degree above deg G at some P, or images of
     unequal degrees, both skipped); at every other one the image is G mod
-    each P, so the Chinese remainder of those images grows until rational
+    each P.  So an image of degree 1 ends the loop (the lift), and for
+    deg G >= 2 the Chinese remainder of the images grows until rational
     reconstruction returns G itself.
 
-    The lift.  When the first image of least degree is x - s_P at each P
-    and does not reconstruct on its own, each s_P is lifted in the
-    completion at P, which is Q_p, from an input f with f'(s_P) nonzero
-    mod p, so that s_P is a simple root of f mod P and lifts to exactly
-    one root s*_P of f in Q_p; the embedding itself is lifted too, from
-    the simple roots of each level's polynomial.  If p is lucky,
-    G = x - s0 with s0 = s_P mod P, so s*_P is the image of s0 at P: the
-    lifted roots converge to s0's values, whose coordinates are p-integral
-    because p divides no level's discriminant (the roots are distinct),
-    and reconstruct once p^(2^k) exceeds twice the square of their heights.
-    If p is unlucky, G = 1, and as the gcd over Q_p of the inputs' images
-    at P is the image of G, at every P some input g has g(s*_P) != 0, so
-    the first embedding's P is watched alone; g(s*_P) has finite valuation
-    (when f and g are coprime, at most the p-valuation of their
-    resultant), and g stops vanishing at the lifted root once 2^k exceeds
-    it.  The CRT loop then goes on at the next prime; it stays the only
-    route for degree 2 and above and for roots that no input has simple
-    mod P.
+    The lift.  An image of degree 1, x - s_P at each P, gives deg G <= 1.
+    Each s_P is lifted in the completion at P, which is Q_p, from an input
+    f with f'(s_P) nonzero mod p (one exists, as (x - s_P)^2 does not
+    divide the image), so s_P lifts to exactly one root s*_P of f in Q_p;
+    the embedding is lifted too, from the simple roots of each level's
+    polynomial.  If G = x - s0, G mod P is the image, so s*_P is the image
+    of s0 at P: every input vanishes there, and the lifted roots converge
+    to s0's values, whose coordinates are p-integral because p divides no
+    level's discriminant, and reconstruct once p^(2^k) exceeds twice the
+    square of their heights.  So an input g with g(s*_P) != 0 mod p^(2^k)
+    proves G = 1.  And if G = 1, the gcd over Q_p of the inputs' images at
+    P is 1, so at every P some input g has g(s*_P) != 0, and the first
+    embedding's P is watched alone; g(s*_P) has finite valuation (when f
+    and g are coprime, at most the p-valuation of their resultant), and g
+    stops vanishing at the lifted root once 2^k exceeds it.  Either way the
+    lift ends at p.
 
     Over the rationals N = 1, every prime splits and the one embedding is
     the reduction mod p.
@@ -611,16 +613,13 @@ def _gcd(family, field):
     """`nf_gcd` of the nonzero polynomials whose coefficient vectors over
     one denominator each, as `integral_ops(field).lift` gives them with the
     leading vector nonzero, are the family: (g, kept), g the monic gcd as a
-    UniPoly and kept = (sp, q, rows) the split record whose image gave g,
-    with its evaluation matrix rows mod q: q = p when g came from that one
-    image, the last precision of the lift when the image's root was lifted
-    (`_lift_root`).  kept is None when g = 1 or when g took several
-    primes' images."""
+    UniPoly and, when g = x - s0, kept = (sp, q, rows) the split record
+    whose degree-1 image gave g, with its evaluation matrix rows mod q
+    (`_lift_root`); kept is None otherwise.  Only images of degree 2 or
+    more take further primes."""
     if any(len(vecs) == 1 for vecs, _ in family):
         return UniPoly.one(field), None
-    least = None
-    acc = None
-    mod = 1
+    least = acc = mod = None
     for sp in _split_primes(field):
         p = sp.p
         try:
@@ -632,20 +631,17 @@ def _gcd(family, field):
             return UniPoly.one(field), None
         if any(len(g) != deg + 1 for g in gs) or (least is not None and deg > least):
             continue  # unlucky: an image has a spurious common factor
-        first = least is None or deg < least
+        if deg == 1:
+            return _lift_root(field, family, values, sp, [-g[0] % p for g in gs])
         # the lower coefficients' coordinates
         v = tuple(chain.from_iterable(_apply(sp.inv, [g[j] for g in gs], p) for j in range(deg)))
-        if first:
-            least, acc, mod = deg, v, p
-        else:
+        if deg == least:
             acc, mod = _crt(acc, mod, v, p)
+        else:  # the first image, or one of lower degree
+            least, acc, mod = deg, v, p
         h = _candidate(field, family, acc, mod)
         if h is not None:
-            return h, ((sp, p, sp.rows) if first else None)
-        if first and deg == 1:
-            lifted = _lift_root(field, family, values, sp, [-g[0] % p for g in gs])
-            if lifted is not None:
-                return lifted
+            return h, None
 
 
 def image_degree(family, field):
@@ -669,8 +665,8 @@ def fold_common_root(family, field):
     Returns ("empty", None, None) when the gcd is 1, ("degree", k, None)
     when it has degree k >= 2, and ("root", s0, kept) when it is x - s0,
     with kept the split record, precision and evaluation matrix where s0
-    was found (`_gcd`), or None when it took several primes.  Each outcome
-    is proven as in `nf_gcd`, so no caller needs an exact fallback.
+    was found (`_gcd`).  Each outcome is proven as in `nf_gcd`, so no
+    caller needs an exact fallback.
     """
     g, kept = _gcd(family, field)
     if g.degree == 0:

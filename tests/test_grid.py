@@ -128,8 +128,9 @@ def test_pipeline_outputs_are_pinned():
 
 
 # sha256 of the standard output of `compute --check` on the seed-0 twisted
-# x^6 - 2 instance of degree 4, whose degree-2 Trager pull-back gcds take
-# the CRT route, and of `minfield` on the x^6 - 2 instance over Q(sqrt 2),
+# x^6 - 2 instance of degree 4, a refusal whose certificate is re-proved
+# (none of its gcds combines several primes; `test_phi_is_pinned` pins that
+# route), and of `minfield` on the x^6 - 2 instance over Q(sqrt 2),
 # whose rerun takes gcds over a two-level tower.  The same refresh rule as
 # PINNED_SHA256 holds.
 CLI_PINNED_SHA256 = {

@@ -16,6 +16,7 @@ from hypercircles import (
     RatFunc,
     Rational,
     UniPoly,
+    check_certificate,
     classify_parameter,
     compute_u_for_class,
     conjugacy_classes,
@@ -25,9 +26,9 @@ from hypercircles import (
     standard_parametrization,
     verify_identity,
 )
-from hypercircles import hypercircle
+from hypercircles import hypercircle, modp
 from hypercircles.errors import NonProperParametrization
-from hypercircles.generators import cyclotomic_minpoly
+from hypercircles.generators import canonical_minpoly, cyclotomic_minpoly
 from hypercircles.hypercircle import (
     BAD_DENOMINATOR,
     GOOD,
@@ -311,6 +312,35 @@ def test_non_proper_raises():
         standard_parametrization(psi)
 
 
+def _gaussian_poles(denominators):
+    """The curve (1/D, ...) over Q(i), one component per D, given by its
+    coefficients ascending."""
+    x = UniPoly.gen(QQ)
+    field = NumberField(QQ, x**2 + 1, "i")
+    one = UniPoly.one(field)
+    return Parametrization([RatFunc(one, UniPoly(field, list(d))) for d in denominators])
+
+
+def test_poles_spend_no_budget():
+    # the first five parameters, the whole budget of this degree-1 curve,
+    # are its poles; they are recorded but do not count, so the sixth
+    # decides
+    psi = _gaussian_poles([(-c, 1) for c in (0, 1, -1, 2, -2)])
+    assert parameter_budget(psi.degree, psi.field.degree) == 5
+    res = standard_parametrization(psi)
+    assert res.defined
+    (rep,) = res.reports
+    assert [v.kind for v in rep.verdicts] == [BAD_DENOMINATOR] * 5 + [GOOD]
+    t = UniPoly.gen(psi.field)
+    assert res.phi == Parametrization([RatFunc(t), RatFunc(UniPoly.zero(psi.field))])
+    check_certificate(psi, res)
+    # the budget still ends a search on a non-proper curve with poles
+    psi = _gaussian_poles([(-c, 0, 1) for c in (0, 1, 4)])
+    assert hypercircle._proper_at(psi) is None
+    with pytest.raises(NonProperParametrization):
+        standard_parametrization(psi)
+
+
 def test_proper_at_accepts_good_input(circle):
     # the witness is a t that psi against itself classifies as GOOD, with
     # s = t
@@ -380,6 +410,28 @@ def test_a_jet_that_gives_out_leaves_the_loop_as_it_was(monkeypatch, quartic):
         assert by_loop.verdicts == _jet_off(monkeypatch, psi, cls).verdicts
 
 
+def test_a_jet_gives_out_on_its_own(monkeypatch):
+    # the seed-2 defined x^3 - 2, d = 6 instance: its class's first root
+    # is rebuilt at q = p^2, about 2^41, but u has 21-bit coordinates,
+    # above sqrt(q/2), so `from_values` cannot rebuild them there; the
+    # class fixes the curve through three good samples and the fit
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(3), seed=2)
+    _, psi = parse_instance(json.dumps(doc))
+    jet, rebuild = hypercircle._jet_u, hypercircle.from_values
+    jets, rebuilt = [], []
+    monkeypatch.setattr(hypercircle, "_jet_u", lambda *args: jets.append(jet(*args)) or jets[-1])
+    monkeypatch.setattr(
+        hypercircle, "from_values", lambda *args: rebuilt.append(rebuild(*args)) or rebuilt[-1]
+    )
+    res = standard_parametrization(psi)
+    (rep,) = res.reports
+    assert jets == [None] and rebuilt == [None]
+    assert [v.kind for v in rep.verdicts] == [GOOD] * 3
+    sp, q, _ = rep.verdicts[0].kept
+    assert q == sp.p**2
+    assert rep.fixes and verify_identity(psi, psi.conjugate(rep.cls), rep.u)
+
+
 def test_the_properness_witness_proves_s_equal_t_by_one_image(monkeypatch):
     # against itself x - t divides every fibre input, so one image of
     # degree 1 proves t GOOD with no gcd candidate and no root check; an
@@ -421,13 +473,31 @@ PINNED_PHI = [
 
 
 @pytest.mark.parametrize(
-    "degree, field_args, digest",
-    [spec[1:] for spec in PINNED_PHI],
-    ids=[spec[0] for spec in PINNED_PHI],
+    "name, degree, field_args, digest", PINNED_PHI, ids=[spec[0] for spec in PINNED_PHI]
 )
-def test_phi_is_pinned(degree, field_args, digest):
+def test_phi_is_pinned(monkeypatch, name, degree, field_args, digest):
+    # a gcd that combines images over several primes (`modp._crt`) has
+    # degree 2 or more, as one of degree 1 is lifted at its first image's
+    # prime; for phi7-d6 the sums that check phi's defining identity take
+    # that route
+    crts = []
+    crt, gcd = modp._crt, modp._gcd
+    monkeypatch.setattr(modp, "_crt", lambda *args: crts.append(args) or crt(*args))
+    degrees = []
+
+    def watched(*args):
+        before = len(crts)
+        g, kept = gcd(*args)
+        if len(crts) > before:
+            degrees.append(g.degree)
+        return g, kept
+
+    monkeypatch.setattr(modp, "_gcd", watched)
     doc = gen_instance("defined", degree, seed=0, **field_args)
     field, psi = parse_instance(json.dumps(doc))
     res = standard_parametrization(psi)
     assert sums_to_t(field, res.phi)
     assert hashlib.sha256(res.phi.render().encode()).hexdigest() == digest
+    assert all(d >= 2 for d in degrees)
+    if name == "phi7-d6":
+        assert crts and degrees

@@ -150,9 +150,8 @@ def lifted(polys, field):
 
 def fold(polys, field):
     """`fold_common_root` on the polynomials as (kind, payload), once the
-    embedding it returns is checked: a root's holds where the root was
-    found (`check_kept`), as no root here takes several primes; the other
-    outcomes return none."""
+    embedding it returns is checked: a root always carries the one it was
+    found at (`check_kept`), and the other outcomes carry none."""
     family = lifted(polys, field)
     kind, payload, kept = fold_common_root(family, field)
     if kind == "root":
@@ -182,15 +181,16 @@ def check_kept(field, family, s, kept):
 
 
 def lifted_roots(calls):
-    """(prime, x - s0 or None) of each recorded `_lift_root` call, whose
-    returned embedding must be the call's own record."""
+    """(prime, gcd) of each recorded `_lift_root` call: x - s0, returned
+    with the call's own record, or 1, returned with none."""
     out = []
-    for args, res in calls:
-        if res is not None:
-            h, (sp, _, _) = res
-            assert sp is args[3]
-            res = h
-        out.append((args[3].p, res))
+    for args, (h, kept) in calls:
+        sp = args[3]
+        if h.degree == 1:
+            assert kept[0] is sp
+        else:
+            assert h.degree == 0 and kept is None
+        out.append((sp.p, h))
     return out
 
 
@@ -435,8 +435,8 @@ def test_fold_finds_planted_root(label):
 
 @pytest.mark.parametrize("label", ["K", "L", "M"])
 def test_fold_handles_big_coordinates(label):
-    # roots whose coordinates need several primes' worth of CRT lifting, or
-    # a p-adic lift of the first image's root
+    # roots whose coordinates need a p-adic lift of the degree-1 image's
+    # root
     field = make_field(label)
     rng = random.Random(11)
     for trial in range(3):
@@ -549,18 +549,18 @@ def test_lift_detects_an_unlucky_first_prime(monkeypatch):
     # mod p0 both inputs are x, so the first image is x - 0; the gcd is 1,
     # and the lifted root of either input stops being a root of the other
     # (with x first the lifted root 0 reconstructs, and only the trial
-    # division rejects x)
+    # division rejects x), which proves the gcd 1 with no second image
     field = make_L()
     x = UniPoly.gen(field)
-    p0, p1 = split_primes(field, 2)
+    (p0,) = split_primes(field, 1)
     one = UniPoly.one(field)
     images = spy(monkeypatch, "_image")
     lifts = spy(monkeypatch, "_lift_root")
     assert nf_gcd([x - p0, x], field) == one
     assert nf_gcd([x, x - p0], field) == one
     assert nf_gcd([x - 1, x - 1 - p0, x - 1], field) == one
-    assert lifted_roots(lifts) == [(p0, None)] * 3
-    assert image_degrees(images) == [(p0, [1]), (p1, [0])] * 3
+    assert lifted_roots(lifts) == [(p0, one)] * 3
+    assert image_degrees(images) == [(p0, [1])] * 3
 
 
 def test_lift_skips_an_input_with_a_double_root_mod_p(monkeypatch):
@@ -821,41 +821,6 @@ def test_a_root_found_at_p_carries_its_record():
         kind, root, kept = fold_common_root(family, field)
         assert (kind, root) == ("root", s)
         assert kept[0] is sp and kept[1] == sp.p and kept[2] is sp.rows
-
-
-def test_a_root_found_over_several_primes_carries_no_embedding(monkeypatch):
-    # with the lift giving out, a root whose coordinates need several
-    # primes comes from the Chinese remainder of their images, which no
-    # one embedding holds
-    field = make_L()
-    x = UniPoly.gen(field)
-    big = field.gen + 10**40
-    monkeypatch.setattr(modp, "_lift_root", lambda *args: None)
-    crts = spy(monkeypatch, "_crt")
-    family = lifted([(x - big) * (x + 1), (x - big) * (x - 2)], field)
-    assert fold_common_root(family, field) == ("root", big, None)
-    assert len(crts) >= 2
-
-
-def test_a_good_sample_with_no_embedding_leaves_the_jet_out(monkeypatch):
-    # the seed-0 defined x^3 - 2, d = 3 instance, with every lift giving
-    # out: its roots come over several primes, so the jet at the first good
-    # sample gives out, and the loop goes on exactly as with the jet off
-    doc = gen_instance("defined", 3, minpoly=canonical_minpoly(3), seed=0)
-    field, psi = parse_instance(json.dumps(doc))
-    (cls,) = conjugacy_classes(field)[1]
-    with monkeypatch.context() as m:
-        m.setattr(hypercircle, "_jet_u", lambda *args: None)
-        jet_off = hypercircle.compute_u_for_class(psi, cls)
-    jet = hypercircle._jet_u
-    jets = []
-    monkeypatch.setattr(hypercircle, "_jet_u", lambda *args: jets.append(jet(*args)) or jets[-1])
-    monkeypatch.setattr(modp, "_lift_root", lambda *args: None)
-    rep = hypercircle.compute_u_for_class(psi, cls)
-    goods = [v for v in rep.verdicts if v.kind == GOOD]
-    assert goods[0].kept is None and jets == [None]
-    assert rep.fixes and rep.verdicts == jet_off.verdicts and len(goods) == 3
-    assert (rep.u.a, rep.u.b, rep.u.c, rep.u.d) == (jet_off.u.a, jet_off.u.b, jet_off.u.c, jet_off.u.d)
 
 
 def test_a_decision_leaves_no_field_alive():
