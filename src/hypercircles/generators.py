@@ -24,7 +24,7 @@ from .errors import InstanceError, NonProperParametrization
 from .factoring import is_irreducible_rational
 from .hypercircle import _proper_at, conjugacy_classes, standard_parametrization
 from .instances import instance_doc
-from .linalg import kernel_basis, solve
+from .linalg import kernel_basis
 from .numberfield import NumberField
 from .polynomials import UniPoly, poly_gcd
 from .rationals import QQ
@@ -203,19 +203,21 @@ def adversarial_relations(degree, minpoly):
         for k in range(1, d + 1):
             v = v * field.coerce(i + k)
         g_values.append(v)
-    matrix = []
-    rhs = []
+    augmented = []  # [A | -rhs]
     for row, i in enumerate(range(1, n)):
         iq = field.coerce(i)
-        matrix.append([iq**j for j in range(d)])
-        rhs.append(targets[row] * g_values[row] - alpha * iq**d)
-    particular = solve(matrix, rhs, field)
-    if particular is None:
+        minus_rhs = alpha * iq**d - targets[row] * g_values[row]
+        augmented.append([iq**j for j in range(d)] + [minus_rhs])
+    # the kernel basis vector whose last coordinate is 1 solves A x = rhs; a
+    # pivot in the last column, where every basis vector has 0, means the
+    # system is inconsistent.  The Vandermonde rows at 1..n-1 pivot on
+    # a_0..a_(n-2), so a_(n-1)..a_(d-1) are the free unknowns, in
+    # kernel_basis order, and their vectors have a last coordinate 0
+    *kernel, last = kernel_basis(augmented, d + 1, field)
+    if last[d] != field.one:
         raise InstanceError("adversarial interpolation system is inconsistent")
-    # the Vandermonde rows at 1..n-1 pivot on a_0..a_(n-2), so a_(n-1)..a_(d-1)
-    # are the free unknowns, in kernel_basis order
-    homogeneous = dict(zip(range(n - 1, d), kernel_basis(matrix, d, field)))
-    return field, g_values, particular, homogeneous
+    homogeneous = dict(zip(range(n - 1, d), (v[:d] for v in kernel)))
+    return field, g_values, last[:d], homogeneous
 
 
 def _gen_adversarial(rng, minpoly, degree):

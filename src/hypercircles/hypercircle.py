@@ -31,18 +31,19 @@ x-coefficient A_i / D is normalized once to give phi_i.
 `check_certificate` re-proves a result from the result alone, with no
 parameter search: the classes cover every conjugate, each class's u passes
 the identity (or its certificate that the class moves the curve holds, with
-a good sample proving psi proper behind a not-attained pair), and phi
-interpolates every u.
+a good sample of psi against itself proving psi proper behind a
+not-attained pair), and phi interpolates every u.  Every verdict, the
+properness witness's included, comes from `classify_parameter`.
 """
 
 from dataclasses import dataclass, field as dc_field
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from operator import mul
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
 from .factoring import factor_squarefree
 from .intpoly import integer_schedule as parameter_schedule
-from .modp import _values, fold_common_root, from_values, image_degree
+from .modp import _values, fold_common_root, from_values
 from .numberfield import ConjugacyClass, NumberField, integral_horner, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
@@ -63,8 +64,42 @@ _CLASS_NAMES = "bcdefghjklm"
 def parameter_budget(d, n):
     """Candidate parameters needed per class before declaring
     non-properness.  Poles of psi (BAD_DENOMINATOR) spend none, and a search
-    still ends: a nonzero denominator D has at most deg D rational roots."""
+    still ends: a nonzero denominator D has at most deg D rational roots.
+
+    Why it suffices.  Let psi be proper, with its components over one
+    denominator, so that its curve C has degree at most d, and let sigma
+    fix C (or be the identity, for psi against itself).  A parameter that
+    is not a pole fails to be GOOD only when psi(t) is a singular point of
+    C, or psi^sigma's value at infinity, or not attained.  A singular
+    point P of multiplicity m_P >= 2 has at most m_P parameters, one per
+    branch, and sum m_P <= sum m_P (m_P - 1) <= 2 delta = (d - 1)(d - 2)
+    for a rational plane curve, delta counting infinitely near points too
+    (a generic projection to the plane keeps the degree and the
+    multiplicities).  Off the singular points, one t has
+    psi(t) = psi^sigma(infinity), and at most one t, v(infinity) for the
+    v with psi^sigma = psi o v, is not attained (none against itself).
+    The rest are GOOD, and their s = u(t) are distinct, as u is
+    injective: the jet needs one of them and the three-point fit three.
+    That is at most (d - 1)(d - 2) + 5 = d^2 - 3d + 7 parameters, within
+    the budget whenever d + n >= 3.  Components over distinct
+    denominators can give C a degree above d, which this bound does not
+    cover yet, nor a class that moves C, whose search ends at its second
+    not-attained parameter or its third good sample with a new s.
+    """
     return d * d - 2 * d + n + 4
+
+
+def _budgeted_verdicts(psi, psi_sigma):
+    """`classify_parameter`'s verdicts on psi against psi_sigma in schedule
+    order, until `parameter_budget` parameters that are not poles of psi
+    are classified."""
+    budget = parameter_budget(psi.degree, psi.field.degree)
+    for t in parameter_schedule():
+        v = classify_parameter(psi, psi_sigma, t)
+        yield v
+        budget -= v.kind != BAD_DENOMINATOR
+        if not budget:
+            return
 
 
 @dataclass
@@ -166,25 +201,6 @@ def classify_parameter(psi, psi_sigma, t):
     and a pole, where the coefficient is -D_t Y'_k != 0, when X'_k = 0.  A
     t whose psi(t) is that value in every component is SINGULAR.
     """
-    fibre = _fibre(psi, psi_sigma, t)
-    if isinstance(fibre, ParameterVerdict):
-        return fibre
-    family, at_infinity = fibre
-    kind, s0, kept = fold_common_root(family, psi_sigma.field)
-    if kind == "empty":
-        return ParameterVerdict(NOT_ATTAINED, t)
-    if kind == "degree" or at_infinity:
-        # a proven common factor of degree >= 2, or psi(t) is also
-        # psi^sigma's value at infinity: t's fibre is not one point
-        return ParameterVerdict(SINGULAR, t)
-    return ParameterVerdict(GOOD, t, s0, kept)
-
-
-def _fibre(psi, psi_sigma, t):
-    """The fibre of `classify_parameter` as (family, at_infinity): the
-    integral coefficient vectors of its nonzero inputs, and whether psi(t)
-    is psi^sigma's value at s = infinity.  A BAD_DENOMINATOR or SINGULAR
-    verdict instead when no fibre is left to fold."""
     ops = integral_ops(psi.field)
     rops = integral_ops(psi_sigma.field)
     q = t.denominator
@@ -211,7 +227,14 @@ def _fibre(psi, psi_sigma, t):
     if not family:
         # psi(t) coincides with the whole conjugated map — degenerate input.
         return ParameterVerdict(SINGULAR, t)
-    return family, at_infinity
+    kind, s0, kept = fold_common_root(family, psi_sigma.field)
+    if kind == "empty":
+        return ParameterVerdict(NOT_ATTAINED, t)
+    if kind == "degree" or at_infinity:
+        # a proven common factor of degree >= 2, or psi(t) is also
+        # psi^sigma's value at infinity: t's fibre is not one point
+        return ParameterVerdict(SINGULAR, t)
+    return ParameterVerdict(GOOD, t, s0, kept)
 
 
 def _homogeneous(ops, vecs, by_r, q, k):
@@ -236,20 +259,15 @@ def compute_u_for_class(psi, cls):
     three-point fit through them and its identity check, whose failure is
     the failed-identity certificate.  A proper psi has at most one u, so a
     u that passes is the fit's, coordinate for coordinate, as both set the
-    last nonzero coordinate to 1.  Poles of psi are recorded but spend no
-    budget (`parameter_budget`)."""
-    budget = parameter_budget(psi.degree, psi.field.degree)
+    last nonzero coordinate to 1.  The verdicts come from
+    `_budgeted_verdicts`, so poles of psi are recorded but spend no
+    budget."""
     psi_sigma = psi.conjugate(cls)
     report = ClassReport(cls=cls, fixes=False)
     good = []
     not_attained = []
-    schedule = parameter_schedule()
-    tried = 0
-    while tried < budget:
-        t = next(schedule)
-        v = classify_parameter(psi, psi_sigma, t)
+    for v in _budgeted_verdicts(psi, psi_sigma):
         report.verdicts.append(v)
-        tried += v.kind != BAD_DENOMINATOR
         if v.kind == NOT_ATTAINED:
             not_attained.append(v.t)
             if len(not_attained) == 2:
@@ -267,6 +285,7 @@ def compute_u_for_class(psi, cls):
                 if len(good) == 3:
                     break
     if len(good) < 3:
+        budget = parameter_budget(psi.degree, psi.field.degree)
         raise NonProperParametrization(
             "parametrization appears non-proper: the candidate-parameter "
             f"budget ({budget}) was exhausted without three usable samples"
@@ -555,10 +574,11 @@ def standard_parametrization(psi):
 
     A not-attained pair proves that its class moves the curve only for a
     proper psi (`_moves_the_curve`).  So when a report rests on one, psi
-    is classified against itself until a GOOD verdict (`_proper_at`),
-    which proves psi proper: the fibre of psi over psi(t) is then one
-    finite point of multiplicity 1, while a map of degree k >= 2 has k
-    preimages with multiplicity over every point of its image.
+    against itself is classified as any sample is (`classify_parameter`
+    on the budgeted schedule, `_proper_at`) until a GOOD verdict, which
+    proves psi proper: the fibre of psi over psi(t) is then one finite
+    point of multiplicity 1, while a map of degree k >= 2 has k preimages
+    with multiplicity over every point of its image.
     NonProperParametrization is raised when the budget yields none.
     """
     field = psi.field
@@ -721,38 +741,12 @@ def _proven_proper(psi, result):
     """Whether `result.proper_at` proves psi proper
     (`standard_parametrization`): psi against itself classifies it as
     GOOD."""
-    return result.proper_at is not None and _against_itself(psi, result.proper_at) == GOOD
+    t = result.proper_at
+    return t is not None and classify_parameter(psi, psi, t).kind == GOOD
 
 
 def _proper_at(psi):
-    """The first t within the budget (`parameter_budget`, poles spending
-    none) that psi against itself classifies as GOOD, which proves psi
-    proper (`standard_parametrization`), or None."""
-    budget = parameter_budget(psi.degree, psi.field.degree)
-    kinds = ((t, _against_itself(psi, t)) for t in parameter_schedule())
-    counted = islice(((t, k) for t, k in kinds if k != BAD_DENOMINATOR), budget)
-    return next((t for t, k in counted if k == GOOD), None)
-
-
-def _against_itself(psi, t):
-    """The kind of verdict psi against itself gives t, with no root to
-    build or check in the common case.
-
-    Against itself, s = t is a known common root: every fibre input
-    N_t D(s) - D_t N(s) vanishes there, so x - t divides the gcd G.  G is
-    never 1, and t is GOOD exactly when deg G = 1 and psi(t) is not psi's
-    value at infinity.  An image at an admissible split prime bounds deg G
-    from above (`nf_gcd`), so an image of degree 1 (`modp.image_degree`)
-    proves G = x - t, and the s = infinity test settles the rest.  An image
-    of higher degree may come from an unlucky prime, so then the full
-    `classify_parameter` decides, which builds and proves the root.
-    """
-    fibre = _fibre(psi, psi, t)
-    if isinstance(fibre, ParameterVerdict):
-        return fibre.kind
-    family, at_infinity = fibre
-    if at_infinity:
-        return SINGULAR
-    if image_degree(family, psi.field) == 1:
-        return GOOD
-    return classify_parameter(psi, psi, t).kind
+    """The first t that psi against itself classifies as GOOD within the
+    budget (`_budgeted_verdicts`), which proves psi proper
+    (`standard_parametrization`), or None."""
+    return next((v.t for v in _budgeted_verdicts(psi, psi) if v.kind == GOOD), None)

@@ -46,19 +46,3 @@ def kernel_basis(matrix, ncols, field):
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
-
-
-def solve(matrix, rhs, field):
-    """One solution of A x = rhs, or None if the system is inconsistent.
-
-    Free columns are set to zero.
-    """
-    aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = rref(aug, field)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return x

@@ -644,18 +644,6 @@ def _gcd(family, field):
             return h, None
 
 
-def image_degree(family, field):
-    """The least degree of the family's images at field's first admissible
-    split prime (`_image`), which bounds the degree of its gcd from above
-    (`nf_gcd`); the family as `fold_common_root` takes it."""
-    for sp in _split_primes(field):
-        try:
-            gs, _ = _image(sp, family)
-        except BadPrime:
-            continue
-        return min(len(g) for g in gs) - 1
-
-
 def fold_common_root(family, field):
     """Degree-at-most-one summary of the gcd of a family of nonzero
     polynomials over `field`, given by their coefficient vectors over one

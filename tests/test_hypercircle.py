@@ -342,13 +342,37 @@ def test_poles_spend_no_budget():
 
 
 def test_proper_at_accepts_good_input(circle):
-    # the witness is a t that psi against itself classifies as GOOD, with
-    # s = t
-    _, psi = circle
-    t = hypercircle._proper_at(psi)
-    assert t is not None
-    v = classify_parameter(psi, psi, t)
-    assert v.kind == GOOD and v.s == t
+    # the witness is the first t that psi against itself classifies as
+    # GOOD, with s = t
+    moved, _ = _moved_by_the_quadratic_class()
+    for psi in (circle[1], moved):
+        t = hypercircle._proper_at(psi)
+        assert t == next(
+            t0 for t0 in parameter_schedule() if classify_parameter(psi, psi, t0).kind == GOOD
+        )
+        v = classify_parameter(psi, psi, t)
+        assert v.kind == GOOD and v.s == t
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_witness_walks_past_singular_parameters(k):
+    # (i t^2, t^3 prod (t^2 - j^2)) over Q(i) is proper (t is rational in
+    # x and y), with a cusp at t = 0 and nodes at t = +-1 .. +-k; its one
+    # class does not attain t = 1 and t = -1, so the witness walks past
+    # the 2k + 1 singular parameters to t = k + 1
+    field = NumberField(QQ, UniPoly(QQ, [1, 0, 1]), "i")
+    t = UniPoly.gen(field)
+    y = t**3
+    for j in range(1, k + 1):
+        y = y * (t * t - UniPoly(field, [field.coerce(j * j)]))
+    psi = Parametrization([RatFunc(t * t * field.gen), RatFunc(y)])
+    res = standard_parametrization(psi)
+    (rep,) = res.reports
+    assert not res.defined and rep.not_attained == (1, -1)
+    assert res.proper_at == k + 1
+    kinds = [classify_parameter(psi, psi, t0).kind for t0 in range(-k, k + 1)]
+    assert kinds == [SINGULAR] * (2 * k + 1)
+    check_certificate(psi, res)
 
 
 def _jet_off(monkeypatch, psi, cls):
@@ -430,19 +454,6 @@ def test_a_jet_gives_out_on_its_own(monkeypatch):
     sp, q, _ = rep.verdicts[0].kept
     assert q == sp.p**2
     assert rep.fixes and verify_identity(psi, psi.conjugate(rep.cls), rep.u)
-
-
-def test_the_properness_witness_proves_s_equal_t_by_one_image(monkeypatch):
-    # against itself x - t divides every fibre input, so one image of
-    # degree 1 proves t GOOD with no gcd candidate and no root check; an
-    # image of higher degree falls back to the full classification
-    psi, _ = _moved_by_the_quadratic_class()
-    want = next(t for t in parameter_schedule() if classify_parameter(psi, psi, t).kind == GOOD)
-    with monkeypatch.context() as m:
-        m.setattr(hypercircle, "fold_common_root", None)
-        assert hypercircle._proper_at(psi) == want
-    monkeypatch.setattr(hypercircle, "image_degree", lambda *args: 2)
-    assert hypercircle._proper_at(psi) == want
 
 
 def test_good_samples_match_u(circle):

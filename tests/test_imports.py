@@ -1,6 +1,8 @@
 """Every name a module of the package, the tests or the benchmark imports
 is used in that module, every private helper the package defines is used
-somewhere in it, and no module of the package rebinds its own globals."""
+somewhere in it, every public name it defines is read by the package, the
+tests or the benchmark, and no module of the package rebinds its own
+globals."""
 
 import ast
 from collections import Counter
@@ -77,12 +79,14 @@ def _references(node):
     return out
 
 
-def orphaned_helpers(sources):
-    """(module, line, name) of each private top-level function or class, and
-    each private non-dunder method of a top-level class, in the modules
-    {name: source} that no module reads outside the definition itself."""
+def _unread(sources, readers, wanted):
+    """(module, line, name) of each top-level function or class, and each
+    method of a top-level class, in the modules {name: source} whose name
+    `wanted` accepts and that no module of sources or readers reads outside
+    the definition itself."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     used = sum((_references(tree) for tree in trees.values()), Counter())
+    used += sum((_references(ast.parse(source)) for source in readers.values()), Counter())
     out = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -92,12 +96,23 @@ def orphaned_helpers(sources):
             for d in members:
                 if (
                     isinstance(d, _DEFS)
-                    and d.name.startswith("_")
-                    and not d.name.endswith("__")
+                    and wanted(d.name)
                     and used[d.name] == _references(d)[d.name]
                 ):
                     out.append((name, d.lineno, d.name))
     return out
+
+
+def orphaned_helpers(sources):
+    """The private helpers, dunders aside, of the modules {name: source}
+    that none of them reads (`_unread`)."""
+    return _unread(sources, {}, lambda name: name.startswith("_") and not name.endswith("__"))
+
+
+def orphaned_public(sources, readers):
+    """The public functions, classes and methods of the modules
+    {name: source} that neither they nor the readers read (`_unread`)."""
+    return _unread(sources, readers, lambda name: not name.startswith("_"))
 
 
 def test_every_private_helper_is_used():
@@ -116,6 +131,32 @@ def test_the_check_sees_an_orphaned_helper():
         ("a.py", 3, "_recursive"),
         ("a.py", 5, "_C"),
         ("a.py", 6, "_m"),
+    ]
+
+
+def test_every_public_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = {str(p.relative_to(_ROOT)): p.read_text(encoding="utf-8") for p in SCRIPTS}
+    assert orphaned_public(sources, readers) == []
+
+
+def test_the_check_sees_an_orphaned_public_name():
+    a = (
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def _private():\n    pass\n"
+        "class C:\n    def m(self):\n        pass\n    def read(self):\n        pass\n"
+    )
+    b = "from a import C\nC().read()\n"
+    tests = "import a\na.used()\n"
+    assert orphaned_public({"a.py": a, "b.py": b}, {"test_a.py": tests}) == [
+        ("a.py", 3, "recursive"),
+        ("a.py", 8, "m"),
+    ]
+    assert orphaned_public({"a.py": a, "b.py": b}, {}) == [
+        ("a.py", 1, "used"),
+        ("a.py", 3, "recursive"),
+        ("a.py", 8, "m"),
     ]
 
 
