@@ -23,10 +23,12 @@ the failed-identity certificate rests on three proven samples, which
 determine any u that could work.  phi is then the sum of
 m(alpha_i, x)/m(alpha_i, alpha_i) * u_i(t) over every class, traced down to
 K(alpha), plus the identity's term m(alpha, x)/m(alpha, alpha) * t, which
-lies in K(alpha) already: each term contributes numerators over its own g
-(the characteristic polynomial of u's pole, or 1), they are summed over
-D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and each
-x-coefficient A_i / D is normalized once to give phi_i.
+lies in K(alpha) already; 1/m(alpha, alpha) is inverted once for all,
+and a class's trace is read off coordinates by Euler's lemma
+(`trace_term`).  Each term contributes numerators over its own g (the
+characteristic polynomial of u's pole, or 1), they are summed over
+D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and
+each x-coefficient A_i / D is normalized once to give phi_i.
 
 `check_certificate` re-proves a result from the result alone, with no
 parameter search: the classes cover every conjugate, each class's u passes
@@ -44,7 +46,7 @@ from .errors import InstanceError, InternalInvariantError, NonProperParametrizat
 from .factoring import factor_squarefree
 from .intpoly import integer_schedule as parameter_schedule
 from .modp import _values, fold_common_root, from_values
-from .numberfield import ConjugacyClass, NumberField, integral_horner, integral_ops
+from .numberfield import ConjugacyClass, NumberField, _blocks, integral_horner, integral_ops
 from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .ratfunc import (
     MoebiusTransform,
@@ -481,49 +483,83 @@ def verify_identity(psi, psi_sigma, u):
     return True
 
 
-def trace_term(m_alpha, cls, u):
+def trace_term(inv_m, cls, u):
     """The class's term of phi's sum, traced down to K(alpha).
 
-    Over the class's relative field the term is
-    m(alpha_i, x)/m(alpha_i, alpha_i) * u(t) with u = (a t + b)/(c t + d).
-    Its trace is sum_k N_k(t) x^k / g(t), where g is the characteristic
-    polynomial of the pole -d/c over K(alpha) when c != 0 (the product of
-    the t + d/c over the class) and 1 when u is affine.  Returns
-    (numerators, g): numerators[k] is N_k, a polynomial in t over K(alpha).
-    Nothing is normalized here.  m(alpha_i, alpha_i) is the conjugate of
-    m(alpha, alpha), so it is inverted in K(alpha), not in the larger
-    relative field; c (or d when u is affine) is inverted once for its
-    three quotients.
+    Over K(alpha)(gamma), gamma a root of the class factor f of degree s,
+    the term is M(x)/((x - gamma) M'(gamma)) * u(t), M alpha's minimal
+    polynomial and u = (a t + b)/(c t + d); inv_m = 1/M'(alpha).  Returns
+    (numerators, g), the trace as sum_k N_k(t) x^k / g(t) with N_k over
+    K(alpha) and g monic: the characteristic polynomial of the pole -d/c,
+    or 1 when c = 0.
+
+    By Euler's lemma (Serre, Local Fields, III.6) the trace of
+    y f(x)/((x - gamma) f'(gamma)) is sum_(j<s) y_j x^j, y_j the
+    gamma-coordinates of y.  So the trace times g is (M/f)(x) sum_j W_j x^j,
+    W_j the j-th gamma-coordinate of v = e u(t) g(t), e = f'(gamma)/M'(gamma),
+    read off the blocks of v's vectors.  u's last nonzero coordinate is 1,
+    as the jet and the fit give it (any other u is scaled so first).
+    c = 0: g = 1 and v = e (a t + b).  d = 0: g = t^s and
+    v = e (a t + b) t^(s-1).  d = 1: g = n/n_s for n(t) = prod (c_i t + 1)
+    over the conjugates c_i of c, n_j = (-1)^j chi_(s-j) from the
+    characteristic polynomial chi of c (the only traces; 1/n_s, in K(alpha),
+    is the only inverse), and (c t + 1) v = e (a t + b) g gives v from the
+    bottom by s products by c, on integral vectors with one matrix of c.
     """
     rel = cls.relative_field
-    base = rel.base
-    m_i = m_alpha.map_coeffs(cls.conjugate, rel)
-    scaled = m_i * cls.conjugate(base.one / m_alpha(base.gen))  # P(x) over rel
+    field = rel.base
+    s = rel.degree
+    ops = integral_ops(rel)
     a, b, c, d = u.a, u.b, u.c, u.d
-    inv = (c or d).inverse()
-    mult = UniPoly(rel, [b * inv, a * inv])  # (a t + b) / c, or / d
-    if c:
-        btil = d * inv
-        g = (-btil).charpoly()  # monic over K(alpha), degree = class size
-        g1, r = divmod(g.map_into(rel), UniPoly(rel, [btil, rel.one]))
-        if not r.is_zero:
-            raise InternalInvariantError("charpoly of the pole is not divisible")
-        mult = mult * g1  # ((a/c) t + b/c) g / (t + d/c)
+    lead = d or c
+    if lead != rel.one:
+        inv = lead.inverse()
+        a, b, c, d = a * inv, b * inv, c * inv, d * inv
+    e = rel.element(cls.factor.derivative().coeffs) * cls.conjugate(inv_m)
+    (ea, eb), den = ops.lift([e * a, e * b])
+    if not c:
+        g, vs = [field.one], [eb, ea]
+    elif not d:
+        g = [field.zero] * s + [field.one]
+        vs = [ops.zero] * (s - 1) + [eb, ea]
     else:
-        g = UniPoly.one(base)
-    numerators = []
-    for pk in scaled.coeffs:
-        prod = mult * pk
-        numerators.append(UniPoly(base, [co.trace() for co in prod.coeffs]))
-    return numerators, g
+        times, k = ops.fixed(c.ic), c.den
+        chi = c._powers_and_charpoly(times)[1].coeffs
+        norm = [chi[s - j] if j % 2 == 0 else -chi[s - j] for j in range(s + 1)]
+        inv = field.one / norm[s]
+        g = [x * inv for x in norm]
+        vecs, q = ops.lift(g)
+        by_g = [ops.fixed(v) for v in vecs]
+        add, scale = ops.add, ops.scale
+        # V_l = v_l q den k^l, so V_l = k^l P_l - C V_(l-1), C = k c
+        vs = [by_g[0](eb)]
+        for l in range(1, s + 1):
+            p = add(by_g[l - 1](ea), by_g[l](eb))
+            vs.append(add(scale(p, k**l), scale(times(vs[-1]), -1)))
+        vs = [scale(v, k ** (s - l)) for l, v in enumerate(vs)]
+        den *= q * k**s
+    # block j is W_j / scale^j, as the rescaled generator is scale * gamma
+    fops = integral_ops(field)
+    vecs, q = fops.lift((field.minpoly.map_into(field) // cls.factor).coeffs)
+    by_cof = [fops.fixed(v) for v in vecs]
+    zero, m, scale_j = fops.zero, field.absolute_degree, rel._scale
+    cols = [[zero] * len(vs) for _ in range(field.degree)]
+    for l, v in enumerate(vs):
+        for j, blk in enumerate(_blocks(v, m)):
+            if fops.nonzero(blk):
+                blk = fops.scale(blk, scale_j**j)
+                for i, times_i in enumerate(by_cof):
+                    cols[i + j][l] = fops.add(cols[i + j][l], times_i(blk))
+    make = fops.make
+    numerators = [UniPoly._raw(field, [make(v, q * den) for v in col]) for col in cols]
+    return numerators, UniPoly._raw(field, g)
 
 
-def _identity_term(m_alpha):
+def _identity_term(m_alpha, inv):
     """The identity's term of phi's sum, m(alpha, x)/m(alpha, alpha) * t
-    with g = 1: it lies in K(alpha) already, so it needs no relative field
-    and no trace."""
+    with g = 1, inv = 1/m(alpha, alpha): it lies in K(alpha) already, so it
+    needs no relative field and no trace."""
     field = m_alpha.field
-    inv = field.one / m_alpha(field.gen)
     numerators = [UniPoly(field, [field.zero, c * inv]) for c in m_alpha.coeffs]
     return numerators, UniPoly.one(field)
 
@@ -596,8 +632,9 @@ def standard_parametrization(psi):
                     "the budget has a one-point fibre"
                 )
         return HypercircleResult(False, None, field, reports, proper_at)
-    terms = [_identity_term(m_alpha)]
-    terms += [trace_term(m_alpha, rep.cls, rep.u) for rep in reports]
+    inv = field.one / m_alpha(field.gen)
+    terms = [_identity_term(m_alpha, inv)]
+    terms += [trace_term(inv, rep.cls, rep.u) for rep in reports]
     den = UniPoly.one(field)
     for _, g in terms:
         den = den * g

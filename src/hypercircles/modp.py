@@ -9,9 +9,10 @@ p has degree 1, and the tower mod p is F_p^N, N the absolute degree: one
 evaluation matrix on the flat `NFElement.ic` tuple maps an element to its
 N values, one per embedding, and its inverse mod p maps values back to
 coordinates.  An image of the family is N monic gcds over F_p
-(`intpoly.gf_gcd`, the toolkit Zassenhaus uses too).  The image degree
-bounds the true one from above (argument in `nf_gcd`).  One of degree 0
-proves coprimality at once.  One of degree 1, x - s, settles the gcd at
+(`intpoly.gf_gcd`, the toolkit Zassenhaus uses too).  The degree at each
+embedding bounds the true one from above (argument in `nf_gcd`), so a
+gcd of 1 at the first embedding, tried alone first, proves coprimality
+at once.  An image of degree 1, x - s, settles the gcd at
 that prime alone: s is lifted p-adically per embedding by Newton's
 iteration, with the embedding itself (`_lifted_rows`), until the candidate
 x - s0 divides every input exactly, or an input stops vanishing at the
@@ -315,24 +316,34 @@ def _image(sp, family):
     embedding, stopping at the first input after which one of them is 1,
     and each input reduced so far at each embedding (`_values`); BadPrime
     when a denominator or, at some embedding, a leading coefficient
-    vanishes."""
-    p = sp.p
-    g = None
-    values = []
+    vanishes.  The first embedding goes alone first: a gcd of 1 there
+    proves the family coprime (`nf_gcd`), and [1] comes back with no
+    values; the others are reduced only when it is not 1."""
+    p, row, rest = sp.p, sp.rows[:1], sp.rows[1:]
+    first, chain = [], []
     for vecs, den in family:
         if den % p == 0:
             raise BadPrime("denominator vanishes")
-        fs = _values(sp.rows, vecs, p)
-        if not all(f[-1] for f in fs):
-            raise BadPrime("leading coefficient vanishes")
-        values.append(fs)
-        if g is None:
-            g = [gf_monic(f, p) for f in fs]
-        else:
-            g = [gf_gcd(a, f, p) for a, f in zip(g, fs)]
-        if any(len(h) == 1 for h in g):
+        (f,) = _values(row, vecs, p)
+        if not f[-1]:
             break
-    return g, values
+        chain.append(gf_gcd(chain[-1], f, p) if chain else gf_monic(f, p))
+        if len(chain[-1]) == 1:
+            return chain[-1:], None
+        first.append(f)
+    g = None
+    values = []
+    for f, h, (vecs, _) in zip(first, chain, family):
+        fs = _values(rest, vecs, p)
+        if not all(x[-1] for x in fs):
+            raise BadPrime("leading coefficient vanishes")
+        values.append([f] + fs)
+        g = [gf_monic(x, p) for x in fs] if g is None else [gf_gcd(a, x, p) for a, x in zip(g, fs)]
+        if any(len(x) == 1 for x in g):
+            return [h] + g, values
+    if len(first) < len(family):
+        raise BadPrime("leading coefficient vanishes")
+    return [chain[-1]] + g, values
 
 
 def _crt(acc, m, t, p):
@@ -555,18 +566,19 @@ def nf_gcd(polys, field):
     (`_split_primes`): every level's integral polynomial has distinct roots
     mod p over each embedding of the level below, so the tower has N
     primes P above p, each of degree 1, and reduction mod P is evaluation
-    at an embedding into F_p.  Admissibility is that split test plus, for
-    each input reduced, denominators that survive mod p and a leading
-    coefficient that vanishes at no P: the input is then P-integral with a
-    unit leading coefficient.  The true monic gcd G divides each input f;
-    the roots of G are roots of f/lc(f), hence integral at P, so G has
-    P-integral coefficients and G mod P is a monic divisor of f mod P.  So
-    deg G <= deg g_P, g_P the monic gcd over F_p of the inputs reduced so
-    far mod P: an image of degree 0 proves G = 1, and a monic candidate
-    h of the least image degree that divides every input exactly divides G
-    and has deg h >= deg G, so h = G.  A candidate x - s0 from the p-adic
-    lift below has degree 1, the degree of an image, so the same argument
-    makes it G once it divides every input.
+    at an embedding into F_p.  Admissibility at P is that split test plus,
+    for each input reduced, a denominator that survives mod p and a
+    leading coefficient that does not vanish at P: the input is then
+    P-integral with a unit leading coefficient.  The true monic gcd G
+    divides each input f; the roots of G are roots of f/lc(f), hence
+    integral at P, so G has P-integral coefficients and G mod P is a monic
+    divisor of f mod P.  So deg G <= deg g_P, g_P the monic gcd over F_p
+    of the inputs reduced so far mod P, at any P where they are
+    admissible: a g_P of degree 0 at one P proves G = 1, and a monic
+    candidate h of the least image degree that divides every input
+    exactly divides G and has deg h >= deg G, so h = G.  A candidate
+    x - s0 from the p-adic lift below has degree 1, the degree of an
+    image, so the same argument makes it G once it divides every input.
 
     Division is exact in both cases.  x - s0 divides an input q exactly
     when q(s0) = 0.  With s0 = S/e, S an integral vector and e a nonzero

@@ -519,14 +519,20 @@ class NFElement:
             )
         return f._trace(self)
 
-    def _powers_and_charpoly(self):
+    def _powers_and_charpoly(self, times=None):
         """The powers x^0 .. x^n and the characteristic polynomial over the
         base field (monic, degree n): its roots are the conjugates of x, so
-        their power sums are the traces of the powers of x."""
+        their power sums are the traces of the powers of x.  A caller that
+        holds the product by x on vectors (`integral_ops(...).fixed`) passes
+        it as `times`, and the powers come from it."""
         f = self.field
         powers = [f.one, self]
         for _ in range(f.degree - 1):
-            powers.append(powers[-1] * self)
+            p = powers[-1]
+            if times is None:
+                powers.append(p * self)
+            else:
+                powers.append(NFElement._make(f, times(p.ic), p.den * self.den))
         sums = [f.base.coerce(f.degree)] + [p.trace() for p in powers[1:]]
         return powers, from_power_sums(sums, f.base)
 

@@ -65,6 +65,36 @@ def trace_by_power_sums(x):
     return out
 
 
+def trace_term_by_traces(m_alpha, cls, u):
+    """A class's term of phi's sum by tracing every coefficient: over the
+    relative field the term is m(alpha_i, x)/m(alpha_i, alpha_i) * u(t),
+    u = (a t + b)/(c t + d), times g, the characteristic polynomial of the
+    pole -d/c over K(alpha) (1 when c = 0), and each x^k t^l coefficient
+    is traced down to K(alpha).  Returns (numerators, g) as
+    `hypercircle.trace_term` does."""
+    rel = cls.relative_field
+    base = rel.base
+    m_i = m_alpha.map_coeffs(cls.conjugate, rel)
+    scaled = m_i * cls.conjugate(base.one / m_alpha(base.gen))
+    a, b, c, d = u.a, u.b, u.c, u.d
+    inv = (c or d).inverse()
+    mult = UniPoly(rel, [b * inv, a * inv])  # (a t + b) / c, or / d
+    if c:
+        btil = d * inv
+        g = (-btil).charpoly()
+        g1, r = divmod(g.map_into(rel), UniPoly(rel, [btil, rel.one]))
+        if not r.is_zero:
+            raise InternalInvariantError("charpoly of the pole is not divisible")
+        mult = mult * g1  # ((a/c) t + b/c) g / (t + d/c)
+    else:
+        g = UniPoly.one(base)
+    numerators = []
+    for pk in scaled.coeffs:
+        prod = mult * pk
+        numerators.append(UniPoly(base, [co.trace() for co in prod.coeffs]))
+    return numerators, g
+
+
 def cubic_compose_pair(num, den, mob, degree=None):
     """t -> (a t + b)/(c t + d) substituted into (num, den) term by term:
     every (a t + b)^j (c t + d)^(k - j) is built as a full product, O(k^3)."""

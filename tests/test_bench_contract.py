@@ -1,6 +1,6 @@
 """The names the benchmark's tracer wraps still exist in the package, and a
-traced decision records the classification and fold layers, so a rename
-cannot silently empty the benchmark's layer rows."""
+traced decision records the classification, fold, identity and trace
+layers, so a rename cannot silently empty the benchmark's layer rows."""
 
 import importlib.util
 import json
@@ -51,3 +51,12 @@ def test_traced_sextic_decision_records_classes_and_fold():
     tracer = traced(gen_instance("defined", 6, minpoly=sextic, seed=0))
     names = {span[1] for span in tracer.spans}
     assert {"factoring.classes", "modp.fold"} <= names
+
+
+def test_traced_quintic_decision_records_trace_and_verify():
+    # a tower5-sized decision: over x^5 - 2 the one class has size 4, and
+    # its u is proven and its term traced down, each in its own layer
+    quintic = UniPoly(QQ, [-2, 0, 0, 0, 0, 1])
+    tracer = traced(gen_instance("defined", 6, minpoly=quintic, seed=0))
+    names = {span[1] for span in tracer.spans}
+    assert {"hypercircle.trace", "hypercircle.verify"} <= names

@@ -4,6 +4,7 @@ trace assembly, and the final standard parametrization."""
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -35,7 +36,9 @@ from hypercircles.hypercircle import (
     NOT_ATTAINED,
     SINGULAR,
     parameter_schedule,
+    trace_term,
 )
+from hypercircles.minfield import minimum_field, relative_model
 from hypercircles.numberfield import NFElement
 
 from conftest import quartic_phi_expected
@@ -43,6 +46,7 @@ from oracles import (
     at,
     classify_parameter_by_polynomials,
     sums_to_t,
+    trace_term_by_traces,
     values_at_infinity,
     verify_identity_by_evaluation,
 )
@@ -512,3 +516,94 @@ def test_phi_is_pinned(monkeypatch, name, degree, field_args, digest):
     assert all(d >= 2 for d in degrees)
     if name == "phi7-d6":
         assert crts and degrees
+
+
+# the fields whose norms are checked in test_norms, x^5 - 2, and a cubic
+# whose class field's generator is rescaled by 36
+TRACE_FIELDS = {
+    "Q(i)": [1, 0, 1],
+    "Q(2^(1/3))": [-2, 0, 0, 1],
+    "Q(2^(1/5))": [-2, 0, 0, 0, 0, 1],
+    "Q(2^(1/6))": [-2, 0, 0, 0, 0, 0, 1],
+    "Phi5": [1, 1, 1, 1, 1],
+    "Phi7": [1, 1, 1, 1, 1, 1, 1],
+    "rescaled": [Rational(1, 3), Rational(-1, 2), 0, 1],
+}
+
+
+def _trace_field(name):
+    """A field of TRACE_FIELDS, or ("rerun") the tower L(alpha)/L over
+    L = Q(alpha^3) of x^6 - 2, as `minfield.relative_model` builds it to
+    rerun a decision over the minimum field: its class has size 2."""
+    if name != "rerun":
+        return NumberField(QQ, UniPoly(QQ, TRACE_FIELDS[name]), "a")
+    field = NumberField(QQ, UniPoly(QQ, TRACE_FIELDS["Q(2^(1/6))"]), "a")
+    fixed = next(
+        f
+        for f in (minimum_field(field, [cls]) for cls in conjugacy_classes(field)[1])
+        if f.degree == 2
+    )
+    return relative_model(field, fixed)[0]
+
+
+def _random_element(rng, field):
+    if not isinstance(field, NumberField):
+        return Rational(rng.randint(-9, 9), rng.choice((1, 2, 3, 8)))
+    return field.element([_random_element(rng, field.base) for _ in range(field.degree)])
+
+
+@pytest.mark.parametrize("name", [*TRACE_FIELDS, "rerun"])
+def test_trace_term_matches_the_traces(name):
+    # Euler's lemma gives each class term exactly as tracing every
+    # coefficient does: u affine (c = 0), with d = 0, with d = 1, and with
+    # random coordinates, which are scaled to one of those first
+    field = _trace_field(name)
+    m_alpha, classes = conjugacy_classes(field)
+    inv = field.one / m_alpha(field.gen)
+    rng = random.Random(35)
+    for cls in classes:
+        rel = cls.relative_field
+        zero, one = rel.zero, rel.one
+        for c, d in [(zero, one), (one, zero), (None, zero), (None, one), (None, None), (zero, None)]:
+            r = lambda: _random_element(rng, rel)  # noqa: E731
+            u = MoebiusTransform._raw(r(), r(), r() if c is None else c, r() if d is None else d)
+            assert trace_term(inv, cls, u) == trace_term_by_traces(m_alpha, cls, u), (cls, u)
+
+
+def test_trace_term_traces_only_the_powers_of_c(monkeypatch):
+    # on the seed-0 defined x^5 - 2, d = 6 decision (one class, of size 4)
+    # a class term inverts no element of the class field and traces one
+    # only inside one characteristic polynomial, that of c
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+    _, psi = parse_instance(json.dumps(doc))
+    events = []
+
+    def watch(owner, name, label):
+        inner = getattr(owner, name)
+
+        def watched(*args):
+            events.append((label, args[-1] if label == "term" else args[0].field))
+            try:
+                return inner(*args)
+            finally:
+                events.append(("end " + label, None))
+
+        monkeypatch.setattr(owner, name, watched)
+
+    watch(hypercircle, "trace_term", "term")
+    watch(NFElement, "inverse", "inverse")
+    watch(NFElement, "trace", "trace")
+    watch(NFElement, "_powers_and_charpoly", "charpoly")
+    res = standard_parametrization(psi)
+    assert res.defined
+    (rep,) = res.reports
+    rel = rep.cls.relative_field
+    start = events.index(("term", rep.u))
+    inside = events[start : events.index(("end term", None), start)]
+    assert ("charpoly", rel) in inside
+    assert ("inverse", rel) not in inside
+    first = inside.index(("charpoly", rel))
+    last = inside.index(("end charpoly", None), first)
+    assert inside.count(("charpoly", rel)) == 1
+    traced = [i for i, ev in enumerate(inside) if ev == ("trace", rel)]
+    assert len(traced) == rel.degree and all(first < i < last for i in traced)

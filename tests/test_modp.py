@@ -837,3 +837,49 @@ def test_a_decision_leaves_no_field_alive():
     field = decide()
     gc.collect()
     assert field() is None
+
+
+def test_a_coprime_family_is_settled_at_the_first_embedding(monkeypatch):
+    # on the seed-0 defined x^5 - 2, d = 6 decision every coprime family
+    # (the normalizations of its parse and of phi, and the squarefree check
+    # of M) is reduced at one embedding only, its gcds chained once there
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+    rows, chains = [], []
+    values, gcd, inner = modp._values, modp.gf_gcd, modp._gcd
+    monkeypatch.setattr(modp, "_values", lambda r, *a: rows.append(len(r)) or values(r, *a))
+    monkeypatch.setattr(modp, "gf_gcd", lambda *a: chains.append(1) or gcd(*a))
+    coprime = []
+
+    def watched(family, field):
+        rows.clear()
+        chains.clear()
+        g, kept = inner(family, field)
+        if g.degree == 0 and rows:
+            coprime.append((len(family), list(rows), len(chains)))
+        return g, kept
+
+    monkeypatch.setattr(modp, "_gcd", watched)
+    _, psi = parse_instance(json.dumps(doc))
+    assert standard_parametrization(psi).defined
+    assert len(coprime) >= 3
+    for size, made, chained in coprime:
+        assert set(made) == {1} and len(made) <= size and chained < size
+
+
+def test_a_leading_coefficient_vanishing_at_a_later_embedding_spares_the_prime(
+    monkeypatch,
+):
+    # z = a - r, r the value of a at the second embedding of the first split
+    # prime p0, is a unit at the first embedding and vanishes at the second:
+    # z x + 1 and x are coprime at the first, which proves the gcd 1 at p0
+    # although z x + 1 is not admissible at every embedding there
+    field = make_K()
+    x = UniPoly.gen(field)
+    sp = next(_split_primes(field))
+    r = sp.rows[1][1]
+    assert (sp.rows[0][1] - r) % sp.p
+    f = (field.gen - r) * x + 1
+    images = spy(monkeypatch, "_image")
+    assert nf_gcd([f, x], field) == UniPoly.one(field)
+    assert nf_gcd([x, f], field) == UniPoly.one(field)
+    assert image_degrees(images) == [(sp.p, [0])] * 2
