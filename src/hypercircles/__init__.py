@@ -36,7 +36,7 @@ from .instances import (
     parse_instance,
     serialize_instance,
 )
-from .minfield import FixedField, minimum_field, relative_model
+from .minfield import FixedField, minimum_field
 from .numberfield import ConjugacyClass, NFElement, NumberField
 from .polynomials import UniPoly, poly_gcd
 from .ratfunc import (
@@ -75,7 +75,6 @@ __all__ = [
     "serialize_instance",
     "FixedField",
     "minimum_field",
-    "relative_model",
     "ConjugacyClass",
     "NFElement",
     "NumberField",

@@ -749,7 +749,7 @@ def check_certificate(psi, result):
     for rep in result.reports:
         psi_sigma = psi.conjugate(rep.cls)
         if rep.fixes:
-            ok = verify_identity(psi, psi_sigma, rep.u)
+            ok = rep.u is not None and verify_identity(psi, psi_sigma, rep.u)
         else:
             ok = _moves_the_curve(psi, psi_sigma, rep)
         if not ok:

@@ -1,22 +1,20 @@
 """Minimum field of definition for curves that fail K-definability.
 
 When some conjugations move the curve, the curve is still defined over the
-intersection L of the fixed fields of the conjugations that do fix it.  Over
-the ground field Q this module computes L explicitly: a Q-basis, a primitive
-element, and its minimal polynomial, by intersecting the kernels of the
-linearized invariance conditions sigma(x) = x.
-
-Whenever [K(alpha) : L] >= 2 there is also an explicit tower model L(alpha)
-(`relative_model`).  Rerunning the definability decision over L(alpha)/L
-gives DefinedOverK, which certifies that the curve is defined over L.
+fixed field L of the conjugations that do fix it (Weil, Amer. J. Math. 78
+(1956)).  Over the ground field Q this module computes L explicitly from the
+fixing classes' factors: M_L(x) = (x - alpha) * prod f_c(x) over those
+classes is alpha's minimal polynomial over L, and its coefficients generate
+L (van Hoeij, Kluners and Novocin, J. Symbolic Comput. 52 (2013)).  The
+result is a Q-basis of L, a primitive element, its minimal polynomial, and
+M_L itself; [L:Q] * deg M_L = [K(alpha):Q] is checked, which proves M_L is
+alpha's minimal polynomial over L.
 """
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import InstanceError, InternalInvariantError
-from .linalg import kernel_basis, rref
 from .numberfield import NumberField
 from .polynomials import UniPoly, poly_gcd
 from .rationals import RationalField
@@ -28,6 +26,8 @@ class FixedField:
     basis: tuple
     primitive: object
     primitive_minpoly: UniPoly
+    # M_L: alpha's minimal polynomial over L, with coefficients in K(alpha)
+    relative_minpoly: UniPoly
 
     @property
     def degree(self):
@@ -46,24 +46,8 @@ class FixedField:
         return self.degree == self.field.degree
 
 
-def invariance_system(cls):
-    """Q-linear conditions on alpha-power coordinates for sigma(x) = x.
-
-    sigma sends alpha to the class's designated root; the returned rows are
-    rational vectors of length n = deg K(alpha), one row per flattened
-    coordinate of sigma(alpha^j) - alpha^j.
-    """
-    rel = cls.relative_field
-    field = rel.base
-    if not isinstance(field.base, RationalField):
-        raise InstanceError("invariance systems require a ground field of Q")
-    cols = []
-    for j in range(field.degree):
-        power = field.gen**j
-        diff = cls.conjugate(power) - rel.coerce(power)
-        # coordinates over K(alpha), then each one's over Q
-        cols.append([q for c in diff.coords for q in c.coords])
-    return [list(row) for row in zip(*cols)]
+def _is_rational(x):
+    return not any(x.coords[1:])
 
 
 def _minimal_polynomial(x):
@@ -74,50 +58,106 @@ def _minimal_polynomial(x):
     return cp // poly_gcd(cp, cp.derivative())
 
 
+def _algebra_rows(field, gens):
+    """The Q-algebra that `gens` generate in K(alpha), as the reduced row
+    echelon form of its coordinate vectors with the columns reversed.  The
+    span starts at 1, and each element that raises its rank is multiplied
+    by every generator, until no product does: the span is then closed
+    under the generators, so it is the algebra."""
+    rows = {}  # pivot column -> row; each row is zero at the other pivots
+    queue = [field.one]
+    while queue:
+        e = queue.pop()
+        v = e.coords[::-1]
+        for p, row in rows.items():
+            f = v[p]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        p = next((i for i, c in enumerate(v) if c), None)
+        if p is None:
+            continue
+        f = v[p]
+        v = [c / f for c in v]
+        for q, row in rows.items():
+            f = row[p]
+            if f:
+                rows[q] = [a - f * b for a, b in zip(row, v)]
+        rows[p] = v
+        queue.extend(e * g for g in gens)
+    return [rows[p] for p in sorted(rows)]
+
+
 def minimum_field(field, fixing_classes):
     """The fixed field L of the given conjugacy classes, as a FixedField.
 
     `fixing_classes` are the classes whose conjugation fixes the curve; the
     identity conjugation is implicit.  L = Q and L = K(alpha) are both
-    possible outcomes (empty class list gives the whole field).
+    possible outcomes (empty class list gives the whole field).  A class
+    list that is not the embedding set of K(alpha) over a subfield raises
+    InternalInvariantError: its M_L then has degree above [K(alpha):L].
+
+    The basis is the Q-span of M_L's coefficient algebra in the form
+    `linalg.kernel_basis` gives a kernel: row reduced with the columns
+    reversed, it is the identity on the last independent coordinates.
+    Those are the free columns of the linear conditions sigma(x) = x whose
+    kernel L is (by matroid duality, a set of columns is a basis for the
+    span iff its complement is one for the conditions, and the free columns
+    are the complement of the first such basis), so the basis is that
+    kernel basis.
     """
     if not isinstance(field.base, RationalField):
         raise InstanceError("minimum fields are computed over the ground field Q")
     n = field.degree
-    system = []
+    m_l = UniPoly(field, [-field.gen, field.one])
     for cls in fixing_classes:
-        system.extend(invariance_system(cls))
-    if not system:
-        vectors = [
-            [field.base.one if i == j else field.base.zero for i in range(n)]
-            for j in range(n)
-        ]
-    else:
-        vectors = kernel_basis(system, n, field.base)
-    basis = tuple(field.element(v) for v in vectors)
-    m = len(basis)
-    if m == 0:
-        raise InternalInvariantError("fixed field lost the rationals")
+        m_l = m_l * cls.factor
+    gens = [c for c in m_l.coeffs if not _is_rational(c)]
+    rows = _algebra_rows(field, gens)
+    m = len(rows)
+    if m * m_l.degree != n:
+        raise InternalInvariantError(
+            f"M_L has degree {m_l.degree} and its coefficients generate a field "
+            f"of degree {m}: the classes are not the embeddings over a subfield"
+        )
+    basis = tuple(field.element(row[::-1]) for row in reversed(rows))
     # primitive element: basis elements first, then small integer combinations
-    best = None
     for cand in _primitive_candidates(basis, field):
         mp = _minimal_polynomial(cand)
         if mp.degree == m:
-            best = (cand, mp)
-            break
-    if best is None:
-        raise InternalInvariantError("no primitive element found for the fixed field")
-    primitive, mp = best
-    return FixedField(field=field, basis=basis, primitive=primitive, primitive_minpoly=mp)
+            return FixedField(
+                field=field,
+                basis=basis,
+                primitive=cand,
+                primitive_minpoly=mp,
+                relative_minpoly=m_l,
+            )
+    raise InternalInvariantError("no primitive element found for the fixed field")
 
 
 def _primitive_candidates(basis, field):
-    for b in basis:
-        yield b
+    """The basis elements, then sum k_i b_i for integer vectors k in order
+    of height max |k_i|, up to a height that proves a primitive element is
+    among them.  When m = [L:Q] >= 2, rational candidates generate Q, so
+    they are skipped.
+
+    The bound.  sum k_i b_i is primitive iff its images under the m
+    embeddings of L are distinct.  Two distinct embeddings tau, tau' differ
+    on some b_i, since the b_i span L, so sum k_i (tau b_i - tau' b_i) is a
+    nonzero linear form in k; there are at most m(m - 1)/2 such forms up to
+    sign.  Their product has degree m(m - 1)/2, so by Schwartz-Zippel it
+    vanishes on at most a fraction m(m - 1)/2 / (2h + 1) of the cube
+    |k_i| <= h, and some k there avoids every form once
+    2h + 1 > m(m - 1)/2.
+    """
     m = len(basis)
-    if m <= 1:
+    if m == 1:
+        yield from basis
         return
-    for height in range(1, 9):
+    for b in basis:
+        if not _is_rational(b):
+            yield b
+    bound = (m * (m - 1) // 2 + 1) // 2
+    for height in range(1, bound + 1):
         for combo in itertools.product(range(-height, height + 1), repeat=m):
             if max(abs(c) for c in combo) != height:
                 continue
@@ -125,47 +165,5 @@ def _primitive_candidates(basis, field):
             for c, b in zip(combo, basis):
                 if c:
                     acc = acc + b * field.base.coerce(c)
-            if acc:
+            if not _is_rational(acc):
                 yield acc
-
-
-def relative_model(field, fixed):
-    """Tower model L(alpha) of K(alpha) over its subfield L: (E, rewrite).
-
-    E is L(alpha) with L = Q(primitive), defined by alpha's minimal
-    polynomial over L, of degree r = [K(alpha) : L]; `rewrite` maps elements
-    of K(alpha) to E.  The products primitive^j * alpha^i (j < deg L, i < r)
-    are a Q-basis of K(alpha), since 1, alpha, .., alpha^(r-1) is an L-basis;
-    coordinates in it are tower coordinates, and those of alpha^r give the
-    relative minimal polynomial.  There is no tower when r = 1, L = K(alpha).
-    """
-    r = fixed.relative_degree
-    if r == 1:
-        raise InstanceError("the minimum field is the whole field: no relative model")
-    qq = field.base
-    n = field.degree
-    m = fixed.degree
-    lfield = NumberField(qq, fixed.primitive_minpoly, "g")
-    prim, gen = fixed.primitive, field.gen
-    cols = [(prim**j * gen**i).coords for i in range(r) for j in range(m)]
-    # invert the basis matrix B: row reduce [B | 1]
-    aug = [list(row) + [qq.zero] * n for row in zip(*cols)]
-    for i in range(n):
-        aug[i][n + i] = qq.one
-    rows, pivots = rref(aug, qq)
-    if pivots != list(range(n)):
-        raise InternalInvariantError("primitive-power basis is singular")
-    binv = [row[n:] for row in rows]
-
-    def to_tower_coords(x):
-        y = [sum(map(mul, brow, x.coords)) for brow in binv]
-        return [lfield.element(y[i * m : (i + 1) * m]) for i in range(r)]
-
-    top = to_tower_coords(field.gen**r)
-    relpoly = UniPoly(lfield, [-c for c in top] + [lfield.one])
-    tower = NumberField(lfield, relpoly, field.name)
-
-    def rewrite(x):
-        return tower.element(to_tower_coords(field.coerce(x)))
-
-    return tower, rewrite

@@ -23,8 +23,9 @@ from hypercircles.hypercircle import (
     parameter_schedule,
 )
 from hypercircles.intpoly import gf_edf, gf_pow_mod
+from hypercircles.linalg import kernel_basis, rref
 from hypercircles.modp import nf_gcd
-from hypercircles.numberfield import integral_ops, newton_sums
+from hypercircles.numberfield import NumberField, integral_ops, newton_sums
 from hypercircles.polynomials import UniPoly, poly_gcd
 from hypercircles.rationals import RationalField
 from hypercircles.ratfunc import MoebiusTransform, Parametrization, RatFunc, moebius_composer
@@ -856,3 +857,101 @@ def check_on_witness(system, phi):
         if not denominator_hit and system.denominator.eval(values, cache):
             denominator_hit = True
     return denominator_hit
+
+
+def invariance_system(cls):
+    """Q-linear conditions on alpha-power coordinates for sigma(x) = x.
+
+    sigma sends alpha to the class's designated root; the returned rows are
+    rational vectors of length n = deg K(alpha), one row per flattened
+    coordinate of sigma(alpha^j) - alpha^j.
+    """
+    rel = cls.relative_field
+    field = rel.base
+    if not isinstance(field.base, RationalField):
+        raise InstanceError("invariance systems require a ground field of Q")
+    cols = []
+    for j in range(field.degree):
+        power = field.gen**j
+        diff = cls.conjugate(power) - rel.coerce(power)
+        # coordinates over K(alpha), then each one's over Q
+        cols.append([q for c in diff.coords for q in c.coords])
+    return [list(row) for row in zip(*cols)]
+
+
+def fixed_field_by_kernel(field, fixing_classes):
+    """The fixed field of the classes as (basis, primitive element, its
+    minimal polynomial), by intersecting the kernels of the conditions
+    sigma(x) = x (`invariance_system`), then searching integer
+    combinations of the kernel basis up to height 8 for an element whose
+    minimal polynomial has degree [L:Q]."""
+    if not isinstance(field.base, RationalField):
+        raise InstanceError("minimum fields are computed over the ground field Q")
+    n = field.degree
+    system = []
+    for cls in fixing_classes:
+        system.extend(invariance_system(cls))
+    if not system:
+        vectors = [
+            [field.base.one if i == j else field.base.zero for i in range(n)]
+            for j in range(n)
+        ]
+    else:
+        vectors = kernel_basis(system, n, field.base)
+    basis = tuple(field.element(v) for v in vectors)
+    m = len(basis)
+    combos = (
+        combo
+        for height in range(1, 9 if m > 1 else 1)
+        for combo in itertools.product(range(-height, height + 1), repeat=m)
+        if max(abs(c) for c in combo) == height
+    )
+    combinations = (sum((b * c for c, b in zip(combo, basis)), field.zero) for combo in combos)
+    for cand in itertools.chain(basis, combinations):
+        cp = cand.charpoly()
+        mp = cp // poly_gcd(cp, cp.derivative())
+        if mp.degree == m:
+            return basis, cand, mp
+    raise InternalInvariantError("no primitive element found for the fixed field")
+
+
+def relative_model(field, fixed):
+    """Tower model L(alpha) of K(alpha) over its subfield L: (E, rewrite).
+
+    E is L(alpha) with L = Q(primitive), defined by alpha's minimal
+    polynomial over L, of degree r = [K(alpha) : L]; `rewrite` maps elements
+    of K(alpha) to E.  The products primitive^j * alpha^i (j < deg L, i < r)
+    are a Q-basis of K(alpha), since 1, alpha, .., alpha^(r-1) is an L-basis;
+    coordinates in it are tower coordinates, and those of alpha^r give the
+    relative minimal polynomial.  There is no tower when r = 1, L = K(alpha).
+    """
+    r = fixed.relative_degree
+    if r == 1:
+        raise InstanceError("the minimum field is the whole field: no relative model")
+    qq = field.base
+    n = field.degree
+    m = fixed.degree
+    lfield = NumberField(qq, fixed.primitive_minpoly, "g")
+    prim, gen = fixed.primitive, field.gen
+    cols = [(prim**j * gen**i).coords for i in range(r) for j in range(m)]
+    # invert the basis matrix B: row reduce [B | 1]
+    aug = [list(row) + [qq.zero] * n for row in zip(*cols)]
+    for i in range(n):
+        aug[i][n + i] = qq.one
+    rows, pivots = rref(aug, qq)
+    if pivots != list(range(n)):
+        raise InternalInvariantError("primitive-power basis is singular")
+    binv = [row[n:] for row in rows]
+
+    def to_tower_coords(x):
+        y = [sum(map(mul, brow, x.coords)) for brow in binv]
+        return [lfield.element(y[i * m : (i + 1) * m]) for i in range(r)]
+
+    top = to_tower_coords(field.gen**r)
+    relpoly = UniPoly(lfield, [-c for c in top] + [lfield.one])
+    tower = NumberField(lfield, relpoly, field.name)
+
+    def rewrite(x):
+        return tower.element(to_tower_coords(field.coerce(x)))
+
+    return tower, rewrite

@@ -1,12 +1,13 @@
 """The command-line interface: a reader that stops early, unreadable,
 malformed or unusable input files, output that cannot be written, and the
-exit codes of `gen`, `definable`, `minfield` (with its rerun over the
-minimum field) and `compute --check` (at n = 5, and on a twisted instance),
-and of all three on a non-proper input;
+exit codes of `gen`, `definable`, `minfield` (with its certificate check,
+which a moving class reported as fixing fails) and `compute --check` (at
+n = 5, and on a twisted instance), and of all three on a non-proper input;
 exact outputs too long for Python's integer-string limit, printed in full;
 exit code 3 for a phi that fails its check and for any unexpected exception;
 and a package import that leaves the test oracles out."""
 
+import dataclasses
 import json
 import os
 import re
@@ -157,7 +158,8 @@ def test_minfield_of_twisted_instance(instance_files, capsys):
 def test_minfield_of_defined_instance_does_not_rerun(
     instance_files, capsys, monkeypatch
 ):
-    # L = Q: the decision and its checked phi already prove it
+    # L = Q: the one decision and its re-proved certificate prove it, as
+    # they do for every instance
     calls = []
 
     def counted(psi):
@@ -170,19 +172,59 @@ def test_minfield_of_defined_instance_does_not_rerun(
     out = capsys.readouterr().out
     assert "minimum field degree: 1" in out
     assert "rerun" not in out
+    assert out.endswith("minpoly over L: x^2 + 1\ncertificate check: passed\n")
 
 
-def test_minfield_reruns_over_a_relative_cubic(tmp_path, capsys):
-    # a curve over Q(sqrt 2) written over Q(2^(1/6)): L = Q(sqrt 2) has
-    # relative degree 3, and the rerun over L(alpha)/L certifies it
+@pytest.fixture
+def sextic_over_sqrt2(tmp_path):
+    """A curve over Q(sqrt 2) written over Q(2^(1/6)), as a file: its
+    minimum field L = Q(sqrt 2) has relative degree 3."""
     path = tmp_path / "sextic_over_sqrt2.json"
-    text = serialize_instance(*sextic_subfield_instance(2, 4))
-    path.write_text(text, encoding="utf-8")
-    assert cli.main(["minfield", str(path)]) == cli.EXIT_OK
+    path.write_text(serialize_instance(*sextic_subfield_instance(2, 4)), encoding="utf-8")
+    return str(path)
+
+
+def test_minfield_of_a_relative_cubic_prints_m_l_and_its_check(
+    sextic_over_sqrt2, capsys, monkeypatch
+):
+    # M_L and the decision's certificate prove L with no second decision
+    calls = []
+
+    def counted(psi):
+        calls.append(psi)
+        return standard_parametrization(psi)
+
+    monkeypatch.setattr(cli, "standard_parametrization", counted)
+    assert cli.main(["minfield", sextic_over_sqrt2]) == cli.EXIT_OK
+    assert len(calls) == 1
     out = capsys.readouterr().out
     assert "minimum field degree: 2" in out
     assert "primitive minpoly: x^2 - 2" in out
-    assert "rerun over L(alpha)/L: DefinedOverK" in out
+    assert out.endswith("minpoly over L: x^3 - a^3\ncertificate check: passed\n")
+
+
+@pytest.mark.parametrize(
+    "fixes, name",
+    [(False, "x + a"), (True, "x^2 + a*x + a^2")],
+    ids=["moving-reported-fixing", "fixing-reported-moving"],
+)
+def test_minfield_of_a_misreported_class_exits_3(
+    sextic_over_sqrt2, capsys, monkeypatch, fixes, name
+):
+    # the first class that fixes (or moves) the curve is reported the other
+    # way round: its certificate no longer holds
+    def tampered(psi):
+        res = standard_parametrization(psi)
+        reports = list(res.reports)
+        i = next(i for i, rep in enumerate(reports) if rep.fixes == fixes)
+        reports[i] = dataclasses.replace(reports[i], fixes=not fixes)
+        return dataclasses.replace(res, reports=tuple(reports))
+
+    monkeypatch.setattr(cli, "standard_parametrization", tampered)
+    assert cli.main(["minfield", sextic_over_sqrt2]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: class {name}: its certificate does not hold\n"
 
 
 def test_corrupted_trace_term_is_an_internal_error(
@@ -252,19 +294,22 @@ def _big_coefficient_doc(digits):
 @pytest.fixture(scope="module")
 def big_coefficient_instance(tmp_path_factory):
     """The instance at N = 10^4250, whose inputs are within Python's
-    4300-digit limit on integer-string conversion while phi's are not, and
-    its decision (made once: it takes seconds)."""
+    4300-digit limit on integer-string conversion while phi's are not, as
+    its path, the loaded instance, and its decision (made once: it takes
+    seconds)."""
     path = tmp_path_factory.mktemp("big") / "big.json"
     path.write_text(json.dumps(_big_coefficient_doc(4250)), encoding="utf-8")
-    _, psi = load_instance(str(path))
-    return str(path), standard_parametrization(psi)
+    loaded = load_instance(str(path))
+    return str(path), loaded, standard_parametrization(loaded[1])
 
 
 @pytest.mark.parametrize("command", ["compute", "definable", "minfield"])
 def test_outputs_beyond_the_digit_limit_print_in_full(
     big_coefficient_instance, capsys, monkeypatch, command
 ):
-    path, result = big_coefficient_instance
+    path, loaded, result = big_coefficient_instance
+    # `minfield` checks the result against psi: both come from one load
+    monkeypatch.setattr(cli, "load_instance", lambda _: loaded)
     monkeypatch.setattr(cli, "standard_parametrization", lambda psi: result)
     before = getattr(sys, "get_int_max_str_digits", lambda: None)()
     assert cli.main([command, path]) == cli.EXIT_OK

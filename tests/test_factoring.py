@@ -265,7 +265,7 @@ def _tower_cases():
     """(field, polynomial) pairs over tower bases: those of
     `test_factor_over_nf_over_a_tower`, then m(alpha, x) and alpha's
     minimal polynomial over Q, over the tower model L(alpha) of each
-    subfield rerun."""
+    subfield negative."""
     field = tower()
     cases = [(field, (x**4 - 2).map_into(field)), (field, (x**2 + 1).map_into(field))]
     for make in (

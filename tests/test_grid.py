@@ -4,9 +4,10 @@ Defined instances must give phi with sum phi_i alpha^i = t, which lies on the
 Weil witness variety (`oracles.check_on_witness`, checked where it runs in
 well under a second: not at n = 3, degree 5 and 6, where it takes about 6 s
 and 17 s on a 2-core x86-64 VM); twisted ones must be refused with a minimum
-field of degree n.  The pinned instances below, up to n = 6, pass
-`check_certificate` too, and two CLI outputs over x^6 - 2 hash to pinned
-values.
+field of degree n, the one the kernel of sigma(x) = x gives
+(`oracles.fixed_field_by_kernel`).  The pinned instances below, up to
+n = 6, pass `check_certificate` too, and two CLI outputs over x^6 - 2 hash
+to pinned values.
 
 A unit Moebius reparametrization over Q(alpha) describes the same curve, so
 on a smaller grid it must leave the verdict, the classes that fix the curve
@@ -33,7 +34,7 @@ from hypercircles.hypercircle import GOOD, compute_u_for_class
 from hypercircles.instances import serialize_instance
 from hypercircles.ratfunc import MoebiusTransform
 
-from oracles import check_on_witness, sums_to_t, weil_substitution
+from oracles import check_on_witness, fixed_field_by_kernel, sums_to_t, weil_substitution
 from test_minfield import sextic_subfield_instance
 
 GRID = [(2, d) for d in range(3, 7)] + [(3, d) for d in range(3, 7)]
@@ -63,7 +64,10 @@ def test_twisted_instance_has_minimum_field_of_degree_n(n, d):
     assert res.verdict == "NotDefinedOverK"
     check_certificate(psi, res)
     fixing = [rep.cls for rep in res.reports if rep.fixes]
-    assert minimum_field(field, fixing).degree == n
+    fixed = minimum_field(field, fixing)
+    assert fixed.degree == n
+    got = (fixed.basis, fixed.primitive, fixed.primitive_minpoly)
+    assert got == fixed_field_by_kernel(field, fixing)
 
 
 @pytest.mark.parametrize("kind", ["defined", "twisted"])
@@ -130,12 +134,12 @@ def test_pipeline_outputs_are_pinned():
 # sha256 of the standard output of `compute --check` on the seed-0 twisted
 # x^6 - 2 instance of degree 4, a refusal whose certificate is re-proved
 # (none of its gcds combines several primes; `test_phi_is_pinned` pins that
-# route), and of `minfield` on the x^6 - 2 instance over Q(sqrt 2),
-# whose rerun takes gcds over a two-level tower.  The same refresh rule as
-# PINNED_SHA256 holds.
+# route), and of `minfield` on the x^6 - 2 instance over Q(sqrt 2), which
+# prints M_L and re-proves the decision's certificate.  The same refresh
+# rule as PINNED_SHA256 holds.
 CLI_PINNED_SHA256 = {
     "compute --check": "488fc15bc386578f680048979a03cfdf7e74182f0e60e5b9f62838da8fa5946b",
-    "minfield": "935ceaae80310522bda5baf60dbae06bce13cc1fc77b1394f4bff8072e984633",
+    "minfield": "f0ad965d5e725a56fb56b34b1516d80a9b12a4c9c09bd59b75736b5647fece8e",
 }
 
 

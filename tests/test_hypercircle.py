@@ -38,7 +38,6 @@ from hypercircles.hypercircle import (
     parameter_schedule,
     trace_term,
 )
-from hypercircles.minfield import minimum_field, relative_model
 from hypercircles.numberfield import NFElement
 
 from conftest import quartic_phi_expected
@@ -50,6 +49,7 @@ from oracles import (
     values_at_infinity,
     verify_identity_by_evaluation,
 )
+from test_minfield import _model, sextic_subfield_instance
 
 
 def _identity_class(field):
@@ -533,17 +533,12 @@ TRACE_FIELDS = {
 
 def _trace_field(name):
     """A field of TRACE_FIELDS, or ("rerun") the tower L(alpha)/L over
-    L = Q(alpha^3) of x^6 - 2, as `minfield.relative_model` builds it to
-    rerun a decision over the minimum field: its class has size 2."""
+    L = Q(alpha^3) of x^6 - 2, the minimum field of the x^6 - 2 rewrite of
+    a curve over Q(sqrt 2), as `oracles.relative_model` builds it to rerun
+    the decision over L: its class has size 2."""
     if name != "rerun":
         return NumberField(QQ, UniPoly(QQ, TRACE_FIELDS[name]), "a")
-    field = NumberField(QQ, UniPoly(QQ, TRACE_FIELDS["Q(2^(1/6))"]), "a")
-    fixed = next(
-        f
-        for f in (minimum_field(field, [cls]) for cls in conjugacy_classes(field)[1])
-        if f.degree == 2
-    )
-    return relative_model(field, fixed)[0]
+    return _model(lambda: sextic_subfield_instance(2, 4))[3][0]
 
 
 def _random_element(rng, field):

@@ -1,7 +1,11 @@
-"""Fixed fields of the conjugations that preserve the curve, and the tower
-model L(alpha) used to rerun the decision over the smaller field L."""
+"""Fixed fields of the conjugations that preserve the curve, read off the
+fixing classes' factors, against the kernel of the conditions sigma(x) = x
+(`oracles.fixed_field_by_kernel`), and the decision rerun over the tower
+model L(alpha) of the smaller field L (`oracles.relative_model`)."""
 
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,12 +20,11 @@ from hypercircles import (
     gen_instance,
     minimum_field,
     parse_instance,
-    relative_model,
     standard_parametrization,
 )
-from hypercircles.errors import InstanceError
+from hypercircles.errors import InstanceError, InternalInvariantError
 
-from oracles import sums_to_t
+from oracles import fixed_field_by_kernel, relative_model, sums_to_t
 
 x = UniPoly.gen(QQ)
 
@@ -57,7 +60,7 @@ def sextic_subfield_instance(sub_degree, degree):
     return field, Parametrization([c.map_coeffs(embed, field) for c in psi_b])
 
 
-@pytest.mark.parametrize(
+SUBFIELD_NEGATIVES_BY_DEGREE = pytest.mark.parametrize(
     "make, degree",
     [
         (negative_instance, 2),
@@ -66,16 +69,84 @@ def sextic_subfield_instance(sub_degree, degree):
     ],
     ids=["x4-2", "x6-2-over-sqrt2", "x6-2-over-cbrt2"],
 )
-def test_minimum_field_is_fixed_exactly_by_the_fixing_classes(make, degree):
+
+
+def _fixed(make):
     field, psi = make()
     res = standard_parametrization(psi)
     assert not res.defined
-    fixed = minimum_field(field, [r.cls for r in res.reports if r.fixes])
+    return field, res, minimum_field(field, [r.cls for r in res.reports if r.fixes])
+
+
+@SUBFIELD_NEGATIVES_BY_DEGREE
+def test_minimum_field_is_fixed_exactly_by_the_fixing_classes(make, degree):
+    _, res, fixed = _fixed(make)
     assert fixed.degree == degree
     for rep in res.reports:
         rel = rep.cls.relative_field
         kept = [rep.cls.conjugate(b) == rel.coerce(b) for b in fixed.basis]
         assert all(kept) if rep.fixes else not all(kept)
+
+
+@SUBFIELD_NEGATIVES_BY_DEGREE
+def test_minimum_field_matches_the_kernel_oracle(make, degree):
+    # the basis, and so the primitive element and its minimal polynomial,
+    # are those of the kernel of the conditions sigma(x) = x
+    field, res, fixed = _fixed(make)
+    fixing = [r.cls for r in res.reports if r.fixes]
+    got = (fixed.basis, fixed.primitive, fixed.primitive_minpoly)
+    assert got == fixed_field_by_kernel(field, fixing)
+    assert fixed.relative_minpoly.degree * degree == field.degree
+
+
+@pytest.mark.parametrize(
+    "minpoly", [x**4 - 2, x**6 - 2, UniPoly(QQ, [1] * 7)], ids=["x4-2", "x6-2", "Phi7"]
+)
+def test_minimum_field_of_every_class_set_matches_the_kernel_oracle(minpoly):
+    # a class set is the embedding set over its fixed field exactly when
+    # [L:Q] times the number of embeddings is n; any other set raises
+    field = NumberField(QQ, minpoly, "a")
+    _, classes = conjugacy_classes(field)
+    for k in range(len(classes) + 1):
+        for subset in itertools.combinations(classes, k):
+            basis, primitive, mp = fixed_field_by_kernel(field, subset)
+            if len(basis) * (1 + sum(c.size for c in subset)) != field.degree:
+                with pytest.raises(InternalInvariantError):
+                    minimum_field(field, subset)
+                continue
+            fixed = minimum_field(field, subset)
+            got = (fixed.basis, fixed.primitive, fixed.primitive_minpoly)
+            assert got == (basis, primitive, mp)
+
+
+@pytest.mark.parametrize(
+    "minpoly, x_coeff", [(x**4 - 2, 0), (x**6 - 2, -1)], ids=["x4-2", "x6-2"]
+)
+def test_a_class_that_is_no_subfields_embedding_set_raises(minpoly, x_coeff):
+    # the class x^2 + x_coeff a x + a^2: alpha -> +-i alpha on x^4 - 2, and
+    # alpha -> -omega alpha, -omega^2 alpha on x^6 - 2.  With the identity
+    # these are 3 embeddings of a field of degree 4 or 6, which no subfield
+    # has: the kernel of sigma(x) = x is Q, while M_L is a cubic
+    field = NumberField(QQ, minpoly, "a")
+    a = field.gen
+    factor = UniPoly(field, [a * a, a * x_coeff, field.one])
+    (cls,) = [c for c in conjugacy_classes(field)[1] if c.factor == factor]
+    assert len(fixed_field_by_kernel(field, [cls])[0]) == 1
+    with pytest.raises(InternalInvariantError):
+        minimum_field(field, [cls])
+
+
+def test_a_changed_coefficient_of_m_l_raises():
+    # x^2 + a x + a^2 fixes the curve over Q(sqrt 2) = Q(a^3); doubling its
+    # constant term gives M_L = x^3 + a^2 x - 2 a^3, whose coefficients
+    # generate Q(a), of degree 6, not 2
+    field, res, fixed = _fixed(lambda: sextic_subfield_instance(2, 4))
+    (rep,) = [r for r in res.reports if r.fixes]
+    f = rep.cls.factor
+    changed = UniPoly(field, [f.coeffs[0] * 2] + list(f.coeffs[1:]))
+    assert fixed.relative_minpoly == UniPoly(field, [-field.gen, field.one]) * f
+    with pytest.raises(InternalInvariantError):
+        minimum_field(field, [SimpleNamespace(factor=changed)])
 
 
 def test_minimum_field_of_negative_instance():
@@ -168,8 +239,11 @@ def test_relative_model_rewrites_faithfully(make, relative_degree):
 
 @SUBFIELD_NEGATIVES
 def test_rerun_over_tower_is_defined(make, relative_degree):
-    # relative to its minimum field the curve becomes definable
-    _, psi, _, (tower, rewrite) = _model(make)
+    # relative to its minimum field the curve becomes definable, over the
+    # tower whose defining polynomial is M_L rewritten over L
+    _, psi, fixed, (tower, rewrite) = _model(make)
+    m_l = fixed.relative_minpoly
+    assert tower.minpoly == m_l.map_coeffs(lambda c: rewrite(c).retract(), tower.base)
     psi_tower = Parametrization([c.map_coeffs(rewrite, tower) for c in psi])
     res = standard_parametrization(psi_tower)
     assert res.defined
