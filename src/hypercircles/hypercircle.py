@@ -14,28 +14,29 @@ Moebius transform u with psi = psi^sigma o u by sampling parameters and
 classifying each sample, and verify the identity symbolically.  u comes from
 the 2-jet of the curve s = u(t) at the class's first good sample, computed
 at the embedding that sample's root came back with (`_jet_u`); when the
-jet gives out or its u fails the identity, the sampling goes on to three
-good samples and the exact three-point fit.  Either way u is only a
-candidate: `verify_identity` is the one proof that u carries psi^sigma back
-onto psi, and it proves any u it accepts, so the jet needs no argument of
-its own.  The three-point fit stays for the classes that move the curve:
-the failed-identity certificate rests on three proven samples, which
-determine any u that could work.  phi is then the sum of
-m(alpha_i, x)/m(alpha_i, alpha_i) * u_i(t) over every class, traced down to
-K(alpha), plus the identity's term m(alpha, x)/m(alpha, alpha) * t, which
-lies in K(alpha) already; 1/m(alpha, alpha) is inverted once for all,
-and a class's trace is read off coordinates by Euler's lemma
-(`trace_term`).  Each term contributes numerators over its own g (the
-characteristic polynomial of u's pole, or 1), they are summed over
-D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and
-each x-coefficient A_i / D is normalized once to give phi_i.
+jet gives out or its u fails the identity, the exact three-point fit
+through the third good sample with a new s is the second candidate.  Each
+u is only a candidate: `verify_identity` is the one proof that u carries
+psi^sigma back onto psi, and it proves any u it accepts, so neither needs
+an argument of its own.  A class that moves the curve has one
+certificate, whatever candidates failed on the way: two values of t that
+are not attained, which the budget reaches (`parameter_budget`).  phi is
+then the sum of m(alpha_i, x)/m(alpha_i, alpha_i) * u_i(t) over every
+class, traced down to K(alpha), plus the identity's term
+m(alpha, x)/m(alpha, alpha) * t, which lies in K(alpha) already;
+1/m(alpha, alpha) is inverted once for all, and a class's trace is read
+off coordinates by Euler's lemma (`trace_term`).  Each term contributes
+numerators over its own g (the characteristic polynomial of u's pole, or
+1), they are summed over D = prod g, the identity sum A_i alpha^i = t D is
+checked exactly, and each x-coefficient A_i / D is normalized once to give
+phi_i.
 
 `check_certificate` re-proves a result from the result alone, with no
 parameter search: the classes cover every conjugate, each class's u passes
-the identity (or its certificate that the class moves the curve holds, with
-a good sample of psi against itself proving psi proper behind a
-not-attained pair), and phi interpolates every u.  Every verdict, the
-properness witness's included, comes from `classify_parameter`.
+the identity (or its not-attained pair re-classifies, with a good sample of
+psi against itself proving psi proper behind it), and phi interpolates
+every u.  Every verdict, the properness witness's included, comes from
+`classify_parameter`.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -63,39 +64,55 @@ SINGULAR = "singular"
 
 _CLASS_NAMES = "bcdefghjklm"
 
-def parameter_budget(d, n):
-    """Candidate parameters needed per class before declaring
-    non-properness.  Poles of psi (BAD_DENOMINATOR) spend none, and a search
-    still ends: a nonzero denominator D has at most deg D rational roots.
+def parameter_budget(d):
+    """Parameters that are not poles of psi, per class search or for the
+    properness witness, before psi is declared non-proper:
+    max(d^2 + 2, d^2 - 3d + 7), which is d^2 + 2 from d = 2 on.  Poles of
+    psi (BAD_DENOMINATOR) spend none, and a search still ends: a nonzero
+    denominator D has at most deg D rational roots.
 
     Why it suffices.  Let psi be proper, with its components over one
-    denominator, so that its curve C has degree at most d, and let sigma
-    fix C (or be the identity, for psi against itself).  A parameter that
-    is not a pole fails to be GOOD only when psi(t) is a singular point of
-    C, or psi^sigma's value at infinity, or not attained.  A singular
-    point P of multiplicity m_P >= 2 has at most m_P parameters, one per
-    branch, and sum m_P <= sum m_P (m_P - 1) <= 2 delta = (d - 1)(d - 2)
-    for a rational plane curve, delta counting infinitely near points too
-    (a generic projection to the plane keeps the degree and the
-    multiplicities).  Off the singular points, one t has
-    psi(t) = psi^sigma(infinity), and at most one t, v(infinity) for the
-    v with psi^sigma = psi o v, is not attained (none against itself).
-    The rest are GOOD, and their s = u(t) are distinct, as u is
-    injective: the jet needs one of them and the three-point fit three.
-    That is at most (d - 1)(d - 2) + 5 = d^2 - 3d + 7 parameters, within
-    the budget whenever d + n >= 3.  Components over distinct
-    denominators can give C a degree above d, which this bound does not
-    cover yet, nor a class that moves C, whose search ends at its second
-    not-attained parameter or its third good sample with a new s.
+    denominator D, so that its curve C and each conjugate C^sigma have
+    degree at most d.
+
+    A class that fixes C, or psi against itself.  A parameter that is not
+    a pole fails to be GOOD only when psi(t) is a singular point of C, or
+    psi^sigma's value at infinity, or not attained.  A singular point P of
+    multiplicity m_P >= 2 has at most m_P parameters, one per branch, and
+    sum m_P <= sum m_P (m_P - 1) <= 2 delta = (d - 1)(d - 2) for a rational
+    plane curve, delta counting infinitely near points too (a generic
+    projection to the plane keeps the degree and the multiplicities).  Off
+    the singular points, one t has psi(t) = psi^sigma(infinity), and at
+    most one t, v(infinity) for the v with psi^sigma = psi o v, is not
+    attained (none against itself).  The rest are GOOD, and their s = u(t)
+    are distinct, as u is injective: the jet needs one of them and the
+    three-point fit three.  That is at most (d - 1)(d - 2) + 5 =
+    d^2 - 3d + 7 parameters.
+
+    A class that moves C.  A non-pole t whose verdict is not NOT_ATTAINED
+    has psi(t) on the closure of C^sigma: a GOOD verdict or a common factor
+    gives a finite s with psi^sigma(s) = psi(t), a SINGULAR one at infinity
+    has psi(t) = psi^sigma(infinity), and an empty family has psi^sigma
+    constant at psi(t).  A generic linear projection pi to the plane keeps
+    the two irreducible curves apart and their degrees at most d, so the
+    implicit equation F of pi(C^sigma) has degree e <= d and does not vanish
+    on pi(C).  D(t)^e F(pi(psi(t))) is then a nonzero polynomial of degree
+    at most d^2, and it vanishes at every such t.  So at most d^2 of them
+    come before the second not-attained t, which ends the search within
+    d^2 + 2 parameters, whatever candidate u failed the identity on the
+    way.
+
+    Components over distinct denominators can give C a degree above d,
+    which neither bound covers yet.
     """
-    return d * d - 2 * d + n + 4
+    return max(d * d + 2, d * d - 3 * d + 7)
 
 
 def _budgeted_verdicts(psi, psi_sigma):
     """`classify_parameter`'s verdicts on psi against psi_sigma in schedule
     order, until `parameter_budget` parameters that are not poles of psi
     are classified."""
-    budget = parameter_budget(psi.degree, psi.field.degree)
+    budget = parameter_budget(psi.degree)
     for t in parameter_schedule():
         v = classify_parameter(psi, psi_sigma, t)
         yield v
@@ -121,16 +138,15 @@ class ParameterVerdict:
 
 @dataclass
 class ClassReport:
-    """One class's outcome.  `u` is the fitted Moebius transform: it carries
-    psi^sigma back onto psi when `fixes`, failed the identity check when
-    `identity_failed`, and is None after a not-attained pair."""
+    """One class's outcome: when it `fixes` the curve, the Moebius transform
+    `u` that carries psi^sigma back onto psi; when it moves the curve, the
+    `not_attained` pair, and u is None."""
 
     cls: ConjugacyClass
     fixes: bool
     u: MoebiusTransform | None = None
     verdicts: list = dc_field(default_factory=list)
     not_attained: tuple | None = None
-    identity_failed: bool = False
 
     @property
     def parameters_tried(self):
@@ -140,20 +156,19 @@ class ClassReport:
         name = self.cls.factor.render()
         if self.fixes:
             return f"class {name}: fixes the curve, u = {self.u}"
-        if self.not_attained is not None:
-            t1, t2 = self.not_attained
-            return (
-                f"class {name}: curve moved (values at t={t1} and t={t2} "
-                "are not attained by the conjugate)"
-            )
-        return f"class {name}: Moebius fit failed the identity check"
+        t1, t2 = self.not_attained
+        return (
+            f"class {name}: curve moved (values at t={t1} and t={t2} "
+            "are not attained by the conjugate)"
+        )
 
 
 @dataclass
 class HypercircleResult:
     """A decision.  `proper_at` is a t that psi against itself classifies
-    as GOOD, which proves psi proper; it is sampled only when some report
-    rests on a not-attained pair."""
+    as GOOD, which proves psi proper; it is sampled only when some class
+    moves the curve, as a not-attained pair proves that for a proper psi
+    alone."""
 
     defined: bool
     phi: Parametrization | None
@@ -249,21 +264,21 @@ def _homogeneous(ops, vecs, by_r, q, k):
 
 
 def compute_u_for_class(psi, cls):
-    """Find the Moebius transform carrying psi^sigma back onto psi, or a
-    certificate that the class moves the curve.  Returns a ClassReport.
+    """Find the Moebius transform carrying psi^sigma back onto psi, or two
+    values of t that are not attained, the certificate that the class moves
+    the curve.  Returns a ClassReport.
 
-    Parameters are classified in schedule order.  At the first good sample
-    (t, s), u is taken from the 2-jet there (`_jet_u`), and if
-    `verify_identity` proves it the class fixes the curve, with that sample
-    as its last verdict.  Otherwise, when the jet gives out or its u fails
-    the identity, the loop goes on as if no jet had run: to two
-    not-attained parameters, or to three good samples with distinct s, the
-    three-point fit through them and its identity check, whose failure is
-    the failed-identity certificate.  A proper psi has at most one u, so a
-    u that passes is the fit's, coordinate for coordinate, as both set the
-    last nonzero coordinate to 1.  The verdicts come from
-    `_budgeted_verdicts`, so poles of psi are recorded but spend no
-    budget."""
+    Parameters are classified in schedule order.  Two candidates for u are
+    tried, and the class fixes the curve when `verify_identity` proves one:
+    the 2-jet at the first good sample (`_jet_u`), and, when the jet gives
+    out or its u fails, the three-point fit through the first three good
+    samples with distinct s.  A candidate that fails ends nothing: the
+    search goes on until two parameters are not attained.  A proper psi has
+    at most one u, so a u that passes is the fit's, coordinate for
+    coordinate, as both set the last nonzero coordinate to 1.  The verdicts
+    come from `_budgeted_verdicts`, so poles of psi are recorded but spend
+    no budget, and `parameter_budget` proves that the budget reaches either
+    end for a proper psi."""
     psi_sigma = psi.conjugate(cls)
     report = ClassReport(cls=cls, fixes=False)
     good = []
@@ -275,30 +290,23 @@ def compute_u_for_class(psi, cls):
             if len(not_attained) == 2:
                 report.not_attained = tuple(not_attained)
                 return report
-        elif v.kind == GOOD:
-            if not good:
+        elif v.kind == GOOD and len(good) < 3 and all(v.s != s for _, s in good):
+            good.append((v.t, v.s))
+            if len(good) == 1:
                 u = _jet_u(psi, psi_sigma, v)
-                if u is not None and verify_identity(psi, psi_sigma, u):
-                    report.u = u
-                    report.fixes = True
-                    return report
-            if all(v.s != s for _, s in good):
-                good.append((v.t, v.s))
-                if len(good) == 3:
-                    break
-    if len(good) < 3:
-        budget = parameter_budget(psi.degree, psi.field.degree)
-        raise NonProperParametrization(
-            "parametrization appears non-proper: the candidate-parameter "
-            f"budget ({budget}) was exhausted without three usable samples"
-        )
-    rel = cls.relative_field
-    report.u = moebius_from_three_points(rel, good)
-    if not verify_identity(psi, psi_sigma, report.u):
-        report.identity_failed = True
-        return report
-    report.fixes = True
-    return report
+            elif len(good) == 3:
+                u = moebius_from_three_points(cls.relative_field, good)
+            else:
+                continue
+            if u is not None and verify_identity(psi, psi_sigma, u):
+                report.u = u
+                report.fixes = True
+                return report
+    raise NonProperParametrization(
+        "parametrization appears non-proper: the candidate-parameter budget "
+        f"({parameter_budget(psi.degree)}) ran out before a proven u or two "
+        "values of t that are not attained"
+    )
 
 
 def _taylor(f, x, q):
@@ -426,8 +434,7 @@ def verify_identity(psi, psi_sigma, u):
     define the same function.  A singular u makes each composed pair a
     constant pair times a power of one linear form; that is proportional
     to the reduced N'/D' only when N'/D' is a constant, and then the equal
-    degrees make N/D the same constant.  A False answer is the
-    failed-identity certificate that `check_certificate` re-proves.
+    degrees make N/D the same constant.
 
     The cost.  The coefficients are compared on integers, and nothing is
     normalized.  u^-1 becomes integral vectors of the class field over one
@@ -609,7 +616,7 @@ def standard_parametrization(psi):
     InternalInvariantError.
 
     A not-attained pair proves that its class moves the curve only for a
-    proper psi (`_moves_the_curve`).  So when a report rests on one, psi
+    proper psi (`_moves_the_curve`).  So when a class moves the curve, psi
     against itself is classified as any sample is (`classify_parameter`
     on the budgeted schedule, `_proper_at`) until a GOOD verdict, which
     proves psi proper: the fibre of psi over psi(t) is then one finite
@@ -623,14 +630,12 @@ def standard_parametrization(psi):
     m_alpha, classes = conjugacy_classes(field)
     reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
     if not all(rep.fixes for rep in reports):
-        proper_at = None
-        if any(rep.not_attained for rep in reports):
-            proper_at = _proper_at(psi)
-            if proper_at is None:
-                raise NonProperParametrization(
-                    "parametrization is non-proper: no candidate parameter within "
-                    "the budget has a one-point fibre"
-                )
+        proper_at = _proper_at(psi)
+        if proper_at is None:
+            raise NonProperParametrization(
+                "parametrization is non-proper: no candidate parameter within "
+                "the budget has a one-point fibre"
+            )
         return HypercircleResult(False, None, field, reports, proper_at)
     inv = field.one / m_alpha(field.gen)
     terms = [_identity_term(m_alpha, inv)]
@@ -668,52 +673,23 @@ def _interpolates(nums, den, root, u):
 
 
 def _moves_the_curve(psi, psi_sigma, rep):
-    """The certificate of a class that moves the curve, re-proved.
+    """The certificate of a class that moves the curve, re-proved: a
+    not-attained pair, for a proper psi.
 
-    A not-attained pair, for a proper psi: if sigma fixed the curve, the
-    proper psi^sigma = psi o v for a unit Moebius v, and for every t other
-    than v(infinity) the finite s = v^-1(t) gives psi^sigma(s) = psi(t).
-    So at most one t, v(infinity), is not attained, and two distinct
-    not-attained t prove that sigma moves the curve.  Both must re-classify
-    as NOT_ATTAINED (`fold_common_root` proves the empty common root set).
-    The premise is proven apart (`_proven_proper`): a psi of degree k >= 2
-    onto its curve can leave k values of t unattained.
-
-    A failed identity: a good sample t has exactly one s with
-    psi^sigma(s) = psi(t), and psi(t) is not psi^sigma's value at infinity.
-    Any v with psi = psi^sigma o v therefore has v(t) = s, and three such
-    samples with distinct s determine v: it is the fitted u.  So the samples
-    must re-classify to the same s, u must pass through them, and the
-    identity must fail for u.
-
-    u = (a t + b)/(c t + d) passes through (t, s) when a t + b = s (c t + d),
-    with no division.  That reads u(t) = s only for a unit u: then (a t + b,
-    c t + d) is never (0, 0), so c t + d = 0 forces a t + b != 0 = s * 0.  A
-    singular u, such as (0, 0, 0, 0), satisfies the cross-multiplied check at
-    every sample, so u must be a unit.
+    If sigma fixed the curve, the proper psi^sigma = psi o v for a unit
+    Moebius v, and for every t other than v(infinity) the finite
+    s = v^-1(t) gives psi^sigma(s) = psi(t).  So at most one t,
+    v(infinity), is not attained, and two distinct not-attained t prove
+    that sigma moves the curve.  Both must re-classify as NOT_ATTAINED
+    (`fold_common_root` proves the empty common root set).  The premise is
+    proven apart (`_proven_proper`): a psi of degree k >= 2 onto its curve
+    can leave k values of t unattained.
     """
-    if rep.not_attained is not None:
-        t1, t2 = rep.not_attained
-        return t1 != t2 and all(
-            classify_parameter(psi, psi_sigma, t).kind == NOT_ATTAINED
-            for t in (t1, t2)
-        )
-    good = []
-    for v in rep.verdicts:
-        if v.kind == GOOD and all(v.s != s for _, s in good):
-            good.append((v.t, v.s))
-    u = rep.u
-    return (
-        rep.identity_failed
-        and u is not None
-        and u.is_unit
-        and len(good) == 3
-        and all(
-            classify_parameter(psi, psi_sigma, t) == ParameterVerdict(GOOD, t, s)
-            and u.a * t + u.b == s * (u.c * t + u.d)
-            for t, s in good
-        )
-        and not verify_identity(psi, psi_sigma, u)
+    if rep.not_attained is None:
+        return False
+    t1, t2 = rep.not_attained
+    return t1 != t2 and all(
+        classify_parameter(psi, psi_sigma, t).kind == NOT_ATTAINED for t in (t1, t2)
     )
 
 
@@ -726,17 +702,23 @@ def check_certificate(psi, result):
     * the reported class factors multiply to m(alpha, x), so the classes
       cover every conjugate of alpha;
     * each class that fixes the curve passes `verify_identity` with its u,
-      and each class that moves it has a certificate that holds
-      (`_moves_the_curve`); the verdict is DefinedOverK iff every class
-      fixes the curve;
-    * psi is proper when a class rests on a not-attained pair: psi against
-      itself re-classifies `proper_at` as GOOD (`_proven_proper`);
+      and each class that moves it has a not-attained pair that
+      re-classifies (`_moves_the_curve`); the verdict is DefinedOverK iff
+      every class fixes the curve;
+    * psi is proper when a class moves the curve: psi against itself
+      re-classifies `proper_at` as GOOD (`_proven_proper`);
     * when defined, phi interpolates every u: over D, the product of the
       distinct denominators of phi, `_interpolates` holds at alpha with the
       identity (the sum phi_i alpha^i = t) and at each class's root with
       its u.
+
+    psi and result must share one field object: a TypeError says so
+    before any arithmetic when they do not (two loads of one instance
+    build two fields whose elements do not combine).
     """
     field = psi.field
+    if result.field is not field:
+        raise TypeError("result.field is not psi.field: decide and check on one loaded instance")
     cover = UniPoly.one(field)
     for rep in result.reports:
         cover = cover * rep.cls.factor
@@ -756,9 +738,9 @@ def check_certificate(psi, result):
             raise InternalInvariantError(
                 f"class {rep.cls.factor.render()}: its certificate does not hold"
             )
-    if any(rep.not_attained for rep in result.reports) and not _proven_proper(psi, result):
-        raise InternalInvariantError("no good sample proves the parametrization proper")
     if not result.defined:
+        if not _proven_proper(psi, result):
+            raise InternalInvariantError("no good sample proves the parametrization proper")
         return
     den = UniPoly.one(field)
     seen = []

@@ -1,9 +1,11 @@
 """`check_certificate` re-proves a decision from the result alone: it passes
-on defined instances and on both kinds of certificate that a class moves the
-curve.  It fails on a changed u, a singular u, a failed fit whose identity
-holds, a pair with one attained t, a not-attained pair with no good sample
-that proves psi proper, a changed phi (a bumped coefficient, or a shift
-that only a conjugate of alpha sees) and a dropped class."""
+on defined instances and on the one certificate that a class moves the
+curve, two values of t that are not attained, also where both candidate u
+failed the identity first.  It fails on a changed u, a singular u, a moving
+report with no not-attained pair, a pair with one attained t, a
+not-attained pair with no good sample that proves psi proper, a changed phi
+(a bumped coefficient, or a shift that only a conjugate of alpha sees), a
+dropped class, and a result decided over another field object."""
 
 import json
 from dataclasses import replace
@@ -18,6 +20,8 @@ from hypercircles import (
     RatFunc,
     UniPoly,
     check_certificate,
+    gen_instance,
+    load_instance,
     parse_instance,
     standard_parametrization,
 )
@@ -31,6 +35,7 @@ from hypercircles.hypercircle import (
     classify_parameter,
     compute_u_for_class,
     conjugacy_classes,
+    verify_identity,
 )
 
 from conftest import NONPROPER_DOC
@@ -38,10 +43,11 @@ from conftest import NONPROPER_DOC
 x = UniPoly.gen(QQ)
 
 
-def _moved_by_a_failed_fit():
+def moved_after_a_failed_fit():
     """(t, t + i (t^3 - t)) over Q(i): psi(0), psi(1) and psi(-1) are
-    rational, so the conjugate attains them at s = t and the fit gives
-    u = t, but psi is not over Q and the identity fails."""
+    rational, so the conjugate attains them at s = t, and both the jet and
+    the fit give u = t; but psi is not over Q, the identity fails, and
+    psi(2) and psi(-2) are not attained."""
     field = NumberField(QQ, x**2 + 1, "i")
     i = field.gen
     return Parametrization(
@@ -66,11 +72,13 @@ def _bumped(u):
     return MoebiusTransform._raw(u.a, u.b + 1, u.c, u.d)
 
 
-def test_certificates_of_both_kinds_pass():
-    psi = _moved_by_a_failed_fit()
+def test_moving_certificates_pass():
+    psi = moved_after_a_failed_fit()
     res = standard_parametrization(psi)
     cert = res.certificate
-    assert cert.identity_failed and cert.u is not None
+    assert [v.kind for v in cert.verdicts] == [GOOD] * 3 + [NOT_ATTAINED] * 2
+    assert cert.not_attained == (2, -2) and cert.u is None
+    assert res.proper_at == 0
     check_certificate(psi, res)
 
     psi = _moved_by_a_not_attained_pair()
@@ -80,16 +88,27 @@ def test_certificates_of_both_kinds_pass():
 
 
 def test_a_moving_class_with_a_good_first_sample_keeps_its_certificate(monkeypatch):
-    # the failed fit's class classifies t = 0 as good, where the jet gives
-    # u = t; that u fails the identity, so the loop goes on exactly as with
-    # no jet, to the three-point fit and the failed-identity certificate
-    psi = _moved_by_a_failed_fit()
+    # the class classifies t = 0 as good, where the jet gives u = t, and the
+    # fit through the third good sample gives u = t again; both fail the
+    # identity, and the search goes on to the not-attained pair.  With no
+    # jet, the fit alone is tried, and the report is the same.
+    psi = moved_after_a_failed_fit()
     (cls,) = conjugacy_classes(psi.field)[1]
+    tried = []
+
+    def counted(psi, psi_sigma, u):
+        tried.append(u)
+        return verify_identity(psi, psi_sigma, u)
+
+    monkeypatch.setattr(hypercircle, "verify_identity", counted)
     report = compute_u_for_class(psi, cls)
     assert report.verdicts[0].kind == GOOD
-    assert report.identity_failed and not report.fixes
+    assert report.not_attained == (2, -2) and not report.fixes
+    assert len(tried) == 2 and all(u == tried[0] for u in tried)
     monkeypatch.setattr(hypercircle, "_jet_u", lambda *args: None)
+    tried.clear()
     assert compute_u_for_class(psi, cls) == report
+    assert len(tried) == 1
 
 
 def test_defined_instances_pass(circle, quartic):
@@ -105,40 +124,49 @@ def _with_report(res, k, **changes):
     return replace(res, reports=tuple(reports))
 
 
-@pytest.mark.parametrize("which", ["fixing", "failed-fit"])
+@pytest.mark.parametrize("which", ["fixing", "fixing-beside-a-moving-class"])
 def test_a_changed_u_fails(which, quartic):
     if which == "fixing":
         psi = quartic[1]
     else:
-        psi = _moved_by_a_failed_fit()
+        psi = _moved_by_a_not_attained_pair()
     res = standard_parametrization(psi)
-    k = 0 if which == "failed-fit" else len(res.reports) - 1
+    k = next(j for j, rep in enumerate(res.reports) if rep.fixes)
     bad = _with_report(res, k, u=_bumped(res.reports[k].u))
     with pytest.raises(InternalInvariantError, match="certificate does not hold"):
         check_certificate(psi, bad)
 
 
 @pytest.mark.parametrize("entry", ["zero", "one"])
-def test_a_singular_u_fails(entry):
-    """u must be a unit: a t + b = s (c t + d) holds at every sample for
-    u = (0, 0, 0, 0), although no map takes t to s."""
-    psi = _moved_by_a_failed_fit()
+def test_a_singular_u_fails(entry, quartic):
+    """A fixing class's u must be a unit: u = (0, 0, 0, 0) takes no t to
+    any s, and `verify_identity` refuses a singular u for a curve that is
+    not a point."""
+    _, psi = quartic
     res = standard_parametrization(psi)
-    d = res.reports[0].u.d  # the fit scales u to d = 1
+    k = len(res.reports) - 1
+    d = res.reports[k].u.d  # the jet scales u to d = 1
     a = d - d if entry == "zero" else d
     singular = MoebiusTransform._raw(a, a, a, a)
     assert not singular.is_unit
-    bad = _with_report(res, 0, u=singular)
+    bad = _with_report(res, k, u=singular)
     with pytest.raises(InternalInvariantError, match="certificate does not hold"):
         check_certificate(psi, bad)
 
 
-def test_a_failed_fit_whose_identity_holds_fails(circle):
+def test_a_moving_report_without_a_not_attained_pair_fails(circle):
+    # a fixing class reported as moving, with or without its u, and a
+    # moving class whose pair is dropped
     _, psi = circle
     res = standard_parametrization(psi)
-    moved = _with_report(res, 0, fixes=False, identity_failed=True)
+    for u in (res.reports[0].u, None):
+        moved = _with_report(res, 0, fixes=False, u=u)
+        with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+            check_certificate(psi, replace(moved, defined=False, phi=None))
+    psi = moved_after_a_failed_fit()
+    res = standard_parametrization(psi)
     with pytest.raises(InternalInvariantError, match="certificate does not hold"):
-        check_certificate(psi, replace(moved, defined=False, phi=None))
+        check_certificate(psi, _with_report(res, 0, not_attained=None))
 
 
 def test_a_pair_with_one_attained_t_fails():
@@ -206,3 +234,16 @@ def test_a_dropped_class_fails(quartic):
     assert len(res.reports) == 2
     with pytest.raises(InternalInvariantError, match="do not cover"):
         check_certificate(psi, replace(res, reports=res.reports[1:]))
+
+
+def test_a_result_over_another_field_object_raises_type_error(tmp_path):
+    # two loads of one file build two fields whose elements do not combine:
+    # the check names the mismatch before any arithmetic
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(gen_instance("twisted", 3, ext_degree=3, seed=0)))
+    _, psi = load_instance(str(path))
+    _, other = load_instance(str(path))
+    res = standard_parametrization(other)
+    check_certificate(other, res)
+    with pytest.raises(TypeError, match=r"result\.field is not psi\.field"):
+        check_certificate(psi, res)

@@ -2,7 +2,8 @@
 malformed or unusable input files, output that cannot be written, and the
 exit codes of `gen`, `definable`, `minfield` (with its certificate check,
 which a moving class reported as fixing fails) and `compute --check` (at
-n = 5, and on a twisted instance), and of all three on a non-proper input;
+n = 5, on a twisted instance, and on a class whose candidate u both fail
+before its not-attained pair), and of all three on a non-proper input;
 exact outputs too long for Python's integer-string limit, printed in full;
 exit code 3 for a phi that fails its check and for any unexpected exception;
 and a package import that leaves the test oracles out."""
@@ -23,6 +24,7 @@ from hypercircles.hypercircle import standard_parametrization, trace_term
 from hypercircles.instances import load_instance, serialize_instance
 
 from conftest import CIRCLE_DOC, NONPROPER_DOC
+from test_certificate import moved_after_a_failed_fit
 from test_minfield import sextic_subfield_instance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -257,6 +259,32 @@ def test_compute_check_passes_at_n5(tmp_path, capsys):
 
 def test_compute_check_of_twisted_instance(instance_files, capsys):
     argv = ["compute", "--check", instance_files["twisted"]]
+    assert cli.main(argv) == cli.EXIT_NOT_DEFINED
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: NotDefinedOverK")
+    assert out.endswith("certificate check: passed\n")
+
+
+@pytest.fixture
+def failed_fit_file(tmp_path):
+    """(t, t + i (t^3 - t)) over Q(i), as a file: the jet and the fit both
+    give u = t, which fails the identity, and t = 2 and t = -2 are not
+    attained."""
+    path = tmp_path / "failed_fit.json"
+    psi = moved_after_a_failed_fit()
+    path.write_text(serialize_instance(psi.field, psi), encoding="utf-8")
+    return str(path)
+
+
+def test_definable_of_a_class_whose_candidates_fail(failed_fit_file, capsys):
+    assert cli.main(["definable", failed_fit_file]) == cli.EXIT_NOT_DEFINED
+    out = capsys.readouterr().out
+    assert "values at t=2 and t=-2 are not attained by the conjugate" in out
+    assert out.endswith("parameters tried (max per class): 5\n")
+
+
+def test_compute_check_of_a_class_whose_candidates_fail(failed_fit_file, capsys):
+    argv = ["compute", "--check", failed_fit_file]
     assert cli.main(argv) == cli.EXIT_NOT_DEFINED
     out = capsys.readouterr().out
     assert out.startswith("verdict: NotDefinedOverK")

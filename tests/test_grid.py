@@ -14,7 +14,12 @@ on a smaller grid it must leave the verdict, the classes that fix the curve
 and (for defined instances) the defining property of phi unchanged.
 
 Every fixing class on that grid gets u from the 2-jet at its first good
-sample, and that u is the three-point fit's, coordinate for coordinate."""
+sample, and that u is the three-point fit's, coordinate for coordinate.
+
+Every class search on the grid, and the properness witness, ends within
+`parameter_budget`; a class that moves the curve attains psi(t) at no more
+than d^2 parameters that are not poles (the Bezout bound of
+`parameter_budget`'s docstring)."""
 
 import hashlib
 import json
@@ -23,18 +28,27 @@ import pytest
 
 from hypercircles import (
     check_certificate,
+    classify_parameter,
     gen_instance,
     instance_doc,
     minimum_field,
+    parameter_budget,
     parse_instance,
     standard_parametrization,
 )
 from hypercircles import cli, hypercircle
-from hypercircles.hypercircle import GOOD, compute_u_for_class
+from hypercircles.hypercircle import (
+    BAD_DENOMINATOR,
+    GOOD,
+    NOT_ATTAINED,
+    compute_u_for_class,
+    parameter_schedule,
+)
 from hypercircles.instances import serialize_instance
 from hypercircles.ratfunc import MoebiusTransform
 
 from oracles import check_on_witness, fixed_field_by_kernel, sums_to_t, weil_substitution
+from test_certificate import moved_after_a_failed_fit
 from test_minfield import sextic_subfield_instance
 
 GRID = [(2, d) for d in range(3, 7)] + [(3, d) for d in range(3, 7)]
@@ -84,6 +98,38 @@ def test_unit_moebius_reparametrization_keeps_the_decision(kind, n, d):
     assert [r.fixes for r in res2.reports] == [r.fixes for r in res.reports]
     if kind == "defined":
         assert sums_to_t(field, res2.phi)
+
+
+BUDGET_CASES = [(kind, n, d) for kind in ("defined", "twisted") for n, d in GRID]
+
+
+@pytest.mark.parametrize(
+    "case",
+    BUDGET_CASES + ["failed-fit"],
+    ids=[f"{k}-n{n}-d{d}" for k, n, d in BUDGET_CASES] + ["failed-fit"],
+)
+def test_every_search_ends_within_the_proven_budget(case):
+    if case == "failed-fit":
+        psi = moved_after_a_failed_fit()
+        res = standard_parametrization(psi)
+    else:
+        _, psi, res = _decide(*case)
+    d = psi.degree
+    for rep in res.reports:
+        tried = [v.kind for v in rep.verdicts if v.kind != BAD_DENOMINATOR]
+        assert len(tried) <= parameter_budget(d)
+        if not rep.fixes:
+            assert len(tried) - tried.count(NOT_ATTAINED) <= d * d
+    if not res.defined:
+        # the witness: every non-pole parameter up to and including proper_at
+        witness = []
+        for t in parameter_schedule():
+            kind = classify_parameter(psi, psi, t).kind
+            if kind != BAD_DENOMINATOR:
+                witness.append(kind)
+            if t == res.proper_at:
+                break
+        assert witness[-1] == GOOD and len(witness) <= parameter_budget(d)
 
 
 PINNED = [

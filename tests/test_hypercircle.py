@@ -59,9 +59,9 @@ def _identity_class(field):
 
 
 def test_parameter_budget():
-    assert parameter_budget(3, 4) == 11
-    assert parameter_budget(2, 2) == 6
-    assert parameter_budget(25, 5) == 584
+    # max(d^2 + 2, d^2 - 3d + 7): the moving classes' bound from d = 2 on
+    assert [parameter_budget(d) for d in (1, 2, 3)] == [5, 6, 11]
+    assert parameter_budget(25) == 627
 
 
 def test_parameter_schedule_prefix():
@@ -244,7 +244,7 @@ def test_compute_u_circle(circle):
     rel = classes[0].relative_field
     inv_t = MoebiusTransform(rel, 0, 1, 1, 0)
     assert report.u.proportional(inv_t)
-    assert report.parameters_tried <= parameter_budget(psi.degree, field.degree)
+    assert report.parameters_tried <= parameter_budget(psi.degree)
     assert "fixes" in report.describe()
 
 
@@ -278,7 +278,7 @@ def test_standard_parametrization_quartic(quartic):
     assert res.phi == quartic_phi_expected(field)
     # defining identity of the standard parametrization
     assert sums_to_t(field, res.phi)
-    assert res.parameters_tried <= parameter_budget(psi.degree, field.degree)
+    assert res.parameters_tried <= parameter_budget(psi.degree)
 
 
 def test_standard_parametrization_negative():
@@ -330,7 +330,7 @@ def test_poles_spend_no_budget():
     # are its poles; they are recorded but do not count, so the sixth
     # decides
     psi = _gaussian_poles([(-c, 1) for c in (0, 1, -1, 2, -2)])
-    assert parameter_budget(psi.degree, psi.field.degree) == 5
+    assert parameter_budget(psi.degree) == 5
     res = standard_parametrization(psi)
     assert res.defined
     (rep,) = res.reports
