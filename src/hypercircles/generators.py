@@ -19,12 +19,12 @@ goes through strings so it is independent of hash randomization.
 """
 
 import random
+from math import prod
 
 from .errors import InstanceError, NonProperParametrization
 from .factoring import is_irreducible_rational
 from .hypercircle import _proper_at, conjugacy_classes, standard_parametrization
 from .instances import instance_doc
-from .linalg import kernel_basis
 from .numberfield import NumberField
 from .polynomials import UniPoly, poly_gcd
 from .rationals import QQ
@@ -183,6 +183,13 @@ def adversarial_relations(degree, minpoly):
     free unknowns set to zero and `homogeneous` maps each free column k to
     the kernel vector with a_k = 1 and the other free unknowns zero. Pivot
     relations read a_j = particular[j] + sum_k homogeneous[k][j] * a_k.
+
+    The conditions sum_j a_j i^j = r_i at the nodes i = 1..n-1, with
+    r_i = alpha^(i+2) g(i) - alpha i^d, are a Vandermonde system, so they
+    always have a solution: a_0..a_(n-2) are the pivots and
+    a_(n-1)..a_(d-1) are free.  The particular solution is the Lagrange
+    interpolant of the r_i, and with N(x) the product of the x - i, a_k's
+    vector is the coefficient list of x^k - (x^k mod N).
     """
     minpoly = _check_minpoly(minpoly)
     n = minpoly.degree
@@ -194,30 +201,21 @@ def adversarial_relations(degree, minpoly):
     field = NumberField(QQ, minpoly, "a")
     require_normal(field)
     alpha = field.gen
-    # targets: successive generator powers, reduced modulo the field relation
-    targets = [alpha ** (i + 2) for i in range(1, n)]
-    # g(i) for g = (t+1)...(t+d) without building g itself
-    g_values = []
-    for i in range(1, n):
-        v = field.one
-        for k in range(1, d + 1):
-            v = v * field.coerce(i + k)
-        g_values.append(v)
-    augmented = []  # [A | -rhs]
-    for row, i in enumerate(range(1, n)):
-        iq = field.coerce(i)
-        minus_rhs = alpha * iq**d - targets[row] * g_values[row]
-        augmented.append([iq**j for j in range(d)] + [minus_rhs])
-    # the kernel basis vector whose last coordinate is 1 solves A x = rhs; a
-    # pivot in the last column, where every basis vector has 0, means the
-    # system is inconsistent.  The Vandermonde rows at 1..n-1 pivot on
-    # a_0..a_(n-2), so a_(n-1)..a_(d-1) are the free unknowns, in
-    # kernel_basis order, and their vectors have a last coordinate 0
-    *kernel, last = kernel_basis(augmented, d + 1, field)
-    if last[d] != field.one:
-        raise InstanceError("adversarial interpolation system is inconsistent")
-    homogeneous = dict(zip(range(n - 1, d), (v[:d] for v in kernel)))
-    return field, g_values, last[:d], homogeneous
+    nodes = range(1, n)
+    # g(i) for g = (t+1)...(t+d), an integer, without building g itself
+    g_values = [field.coerce(prod(range(i + 1, i + d + 1))) for i in nodes]
+    x = UniPoly.gen(QQ)
+    big_n = prod((x - i for i in nodes), start=UniPoly.one(QQ))
+    particular = [field.zero] * d
+    for i, g in zip(nodes, g_values):
+        basis = big_n // (x - i)  # Lagrange's basis polynomial at i, times basis(i)
+        r = (alpha ** (i + 2) * g - alpha * i**d) * (1 / basis(i))
+        particular[: n - 1] = [acc + r * c for acc, c in zip(particular, basis.coeffs)]
+    homogeneous = {
+        k: [field.coerce(c) for c in (x**k - x**k % big_n).coeffs] + [field.zero] * (d - 1 - k)
+        for k in range(n - 1, d)
+    }
+    return field, g_values, particular, homogeneous
 
 
 def _gen_adversarial(rng, minpoly, degree):

@@ -41,6 +41,7 @@ every u.  Every verdict, the properness witness's included, comes from
 
 from dataclasses import dataclass, field as dc_field
 from itertools import zip_longest
+from math import prod
 from operator import mul
 
 from .errors import InstanceError, InternalInvariantError, NonProperParametrization
@@ -66,14 +67,15 @@ _CLASS_NAMES = "bcdefghjklm"
 
 def parameter_budget(d):
     """Parameters that are not poles of psi, per class search or for the
-    properness witness, before psi is declared non-proper:
-    max(d^2 + 2, d^2 - 3d + 7), which is d^2 + 2 from d = 2 on.  Poles of
-    psi (BAD_DENOMINATOR) spend none, and a search still ends: a nonzero
-    denominator D has at most deg D rational roots.
+    properness witness, before psi is declared non-proper, for
+    d = `curve_degree_bound(psi)`: max(d^2 + 2, d^2 - 3d + 7), which is
+    d^2 + 2 from d = 2 on.  Poles of psi (BAD_DENOMINATOR) spend none, and
+    a search still ends: a nonzero denominator D has at most deg D
+    rational roots.
 
-    Why it suffices.  Let psi be proper, with its components over one
-    denominator D, so that its curve C and each conjugate C^sigma have
-    degree at most d.
+    Why it suffices.  Let psi be proper, and d at least its degree over
+    the lcm D of its denominators (`curve_degree_bound`), so that its curve
+    C and each conjugate C^sigma have degree at most d.
 
     A class that fixes C, or psi against itself.  A parameter that is not
     a pole fails to be GOOD only when psi(t) is a singular point of C, or
@@ -101,18 +103,26 @@ def parameter_budget(d):
     come before the second not-attained t, which ends the search within
     d^2 + 2 parameters, whatever candidate u failed the identity on the
     way.
-
-    Components over distinct denominators can give C a degree above d,
-    which neither bound covers yet.
     """
     return max(d * d + 2, d * d - 3 * d + 7)
+
+
+def curve_degree_bound(psi):
+    """The degree of psi written over the product L of its distinct
+    denominators, deg L + max(0, max deg N_i - deg D_i) for components
+    N_i/D_i: it bounds the degree over lcm(D_i), a divisor of L, and so
+    the degree of psi's curve.  It is `Parametrization.degree` when the
+    components share one denominator."""
+    dens = [comp.den for comp in psi]
+    deg_l = sum(den.degree for i, den in enumerate(dens) if den not in dens[:i])
+    return deg_l + max(0, max(comp.num.degree - comp.den.degree for comp in psi))
 
 
 def _budgeted_verdicts(psi, psi_sigma):
     """`classify_parameter`'s verdicts on psi against psi_sigma in schedule
     order, until `parameter_budget` parameters that are not poles of psi
     are classified."""
-    budget = parameter_budget(psi.degree)
+    budget = parameter_budget(curve_degree_bound(psi))
     for t in parameter_schedule():
         v = classify_parameter(psi, psi_sigma, t)
         yield v
@@ -138,15 +148,18 @@ class ParameterVerdict:
 
 @dataclass
 class ClassReport:
-    """One class's outcome: when it `fixes` the curve, the Moebius transform
+    """One class's outcome: when it fixes the curve, the Moebius transform
     `u` that carries psi^sigma back onto psi; when it moves the curve, the
     `not_attained` pair, and u is None."""
 
     cls: ConjugacyClass
-    fixes: bool
     u: MoebiusTransform | None = None
     verdicts: list = dc_field(default_factory=list)
     not_attained: tuple | None = None
+
+    @property
+    def fixes(self):
+        return self.u is not None
 
     @property
     def parameters_tried(self):
@@ -165,16 +178,19 @@ class ClassReport:
 
 @dataclass
 class HypercircleResult:
-    """A decision.  `proper_at` is a t that psi against itself classifies
-    as GOOD, which proves psi proper; it is sampled only when some class
-    moves the curve, as a not-attained pair proves that for a proper psi
-    alone."""
+    """A decision: the curve is defined over K when every class fixes it.
+    `proper_at` is a t that psi against itself classifies as GOOD, which
+    proves psi proper; it is sampled only when some class moves the curve,
+    as a not-attained pair proves that for a proper psi alone."""
 
-    defined: bool
     phi: Parametrization | None
     field: NumberField
     reports: tuple
     proper_at: object = None
+
+    @property
+    def defined(self):
+        return all(r.fixes for r in self.reports)
 
     @property
     def parameters_tried(self):
@@ -280,7 +296,7 @@ def compute_u_for_class(psi, cls):
     no budget, and `parameter_budget` proves that the budget reaches either
     end for a proper psi."""
     psi_sigma = psi.conjugate(cls)
-    report = ClassReport(cls=cls, fixes=False)
+    report = ClassReport(cls=cls)
     good = []
     not_attained = []
     for v in _budgeted_verdicts(psi, psi_sigma):
@@ -300,11 +316,10 @@ def compute_u_for_class(psi, cls):
                 continue
             if u is not None and verify_identity(psi, psi_sigma, u):
                 report.u = u
-                report.fixes = True
                 return report
     raise NonProperParametrization(
         "parametrization appears non-proper: the candidate-parameter budget "
-        f"({parameter_budget(psi.degree)}) ran out before a proven u or two "
+        f"({parameter_budget(curve_degree_bound(psi))}) ran out before a proven u or two "
         "values of t that are not attained"
     )
 
@@ -340,10 +355,9 @@ def _jet_u(psi, psi_sigma, v):
     the fold found s (`v.kept`): the split record whose lift reconstructed
     s, at that precision, or the record at q = p when s needed no lift.
     Nothing is lifted here; that is the precision rule.  u is then
-    normalized pointwise, as `linalg.kernel_basis` normalizes the
-    three-point fit, with its last nonzero coordinate 1: d = 1, or c = 1
-    when d vanishes at every embedding.  That removes any scalar, so each
-    embedding uses its own first component with G_s a unit there.  The
+    normalized pointwise as the three-point fit normalizes its u, with its
+    last nonzero coordinate 1: d = 1, or c = 1 when d vanishes at every
+    embedding.  That removes any scalar, so each embedding uses its own first component with G_s a unit there.  The
     coordinates of a and c are recovered as rationals (`modp.from_values`),
     and b = s (c t + d) - a t exactly.  The jet gives out when an
     embedding has no component with G_s a unit, when the coordinate set to
@@ -636,7 +650,7 @@ def standard_parametrization(psi):
                 "parametrization is non-proper: no candidate parameter within "
                 "the budget has a one-point fibre"
             )
-        return HypercircleResult(False, None, field, reports, proper_at)
+        return HypercircleResult(None, field, reports, proper_at)
     inv = field.one / m_alpha(field.gen)
     terms = [_identity_term(m_alpha, inv)]
     terms += [trace_term(inv, rep.cls, rep.u) for rep in reports]
@@ -651,7 +665,7 @@ def standard_parametrization(psi):
     if not _interpolates(nums, den, field.gen, MoebiusTransform.identity(field)):
         raise InternalInvariantError("sum of phi_i * alpha^i is not t")
     phi = Parametrization([RatFunc(num, den) for num in nums])
-    return HypercircleResult(True, phi, field, reports)
+    return HypercircleResult(phi, field, reports)
 
 
 def _interpolates(nums, den, root, u):
@@ -701,16 +715,16 @@ def check_certificate(psi, result):
 
     * the reported class factors multiply to m(alpha, x), so the classes
       cover every conjugate of alpha;
-    * each class that fixes the curve passes `verify_identity` with its u,
-      and each class that moves it has a not-attained pair that
-      re-classifies (`_moves_the_curve`); the verdict is DefinedOverK iff
-      every class fixes the curve;
+    * each class that fixes the curve, one with a u, passes
+      `verify_identity` with it, and each class that moves it has a
+      not-attained pair that re-classifies (`_moves_the_curve`); the
+      verdict is DefinedOverK when every class fixes the curve;
     * psi is proper when a class moves the curve: psi against itself
       re-classifies `proper_at` as GOOD (`_proven_proper`);
-    * when defined, phi interpolates every u: over D, the product of the
-      distinct denominators of phi, `_interpolates` holds at alpha with the
-      identity (the sum phi_i alpha^i = t) and at each class's root with
-      its u.
+    * when defined, phi is there and interpolates every u: over D, the
+      product of the distinct denominators of phi, `_interpolates` holds at
+      alpha with the identity (the sum phi_i alpha^i = t) and at each
+      class's root with its u.
 
     psi and result must share one field object: a TypeError says so
     before any arithmetic when they do not (two loads of one instance
@@ -724,14 +738,10 @@ def check_certificate(psi, result):
         cover = cover * rep.cls.factor
     if cover != _m_alpha(field):
         raise InternalInvariantError("the classes do not cover every conjugate")
-    if result.defined != all(rep.fixes for rep in result.reports):
-        raise InternalInvariantError(
-            f"the verdict {result.verdict} contradicts the classes"
-        )
     for rep in result.reports:
         psi_sigma = psi.conjugate(rep.cls)
         if rep.fixes:
-            ok = rep.u is not None and verify_identity(psi, psi_sigma, rep.u)
+            ok = verify_identity(psi, psi_sigma, rep.u)
         else:
             ok = _moves_the_curve(psi, psi_sigma, rep)
         if not ok:
@@ -742,12 +752,10 @@ def check_certificate(psi, result):
         if not _proven_proper(psi, result):
             raise InternalInvariantError("no good sample proves the parametrization proper")
         return
-    den = UniPoly.one(field)
-    seen = []
-    for comp in result.phi:
-        if comp.den not in seen:
-            seen.append(comp.den)
-            den = den * comp.den
+    if result.phi is None:
+        raise InternalInvariantError("a defined result carries no phi")
+    dens = [comp.den for comp in result.phi]
+    den = prod((d for i, d in enumerate(dens) if d not in dens[:i]), start=UniPoly.one(field))
     nums = [comp.num * (den // comp.den) for comp in result.phi]
     pairs = [(field.gen, MoebiusTransform.identity(field))]
     pairs += [(rep.cls.root, rep.u) for rep in result.reports]

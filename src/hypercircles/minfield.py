@@ -96,14 +96,14 @@ def minimum_field(field, fixing_classes):
     list that is not the embedding set of K(alpha) over a subfield raises
     InternalInvariantError: its M_L then has degree above [K(alpha):L].
 
-    The basis is the Q-span of M_L's coefficient algebra in the form
-    `linalg.kernel_basis` gives a kernel: row reduced with the columns
-    reversed, it is the identity on the last independent coordinates.
-    Those are the free columns of the linear conditions sigma(x) = x whose
-    kernel L is (by matroid duality, a set of columns is a basis for the
-    span iff its complement is one for the conditions, and the free columns
-    are the complement of the first such basis), so the basis is that
-    kernel basis.
+    The basis is the Q-span of M_L's coefficient algebra, row reduced with
+    the columns reversed: each element is 1 at its own coordinate, 0 at the
+    others' and 0 after its own, the own coordinates being the last
+    independent ones.  By matroid duality (a set of columns is a basis for
+    the span iff its complement is one for the conditions sigma(x) = x,
+    whose kernel is L) they are the free columns of those conditions, the
+    complement of their first basis, so each element is the kernel vector
+    with its own free column 1 and the others 0.
     """
     if not isinstance(field.base, RationalField):
         raise InstanceError("minimum fields are computed over the ground field Q")

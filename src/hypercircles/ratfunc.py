@@ -8,7 +8,6 @@ integral coefficient vectors (`moebius_composer`).
 
 from .errors import InternalInvariantError
 from .intpoly import filled_slots
-from .linalg import kernel_basis
 from .numberfield import integral_ops
 from .polynomials import UniPoly, format_poly, poly_gcd
 
@@ -320,12 +319,8 @@ class MoebiusTransform:
         return cls(field, 1, 0, 0, 1)
 
     @property
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    @property
     def is_unit(self):
-        return bool(self.det)
+        return bool(self.a * self.d - self.b * self.c)
 
     @classmethod
     def _raw(cls, a, b, c, d):
@@ -368,29 +363,26 @@ class MoebiusTransform:
 
 
 def moebius_from_three_points(field, pairs):
-    """The unique Moebius transform with u(t_k) = s_k for three samples.
+    """The unique Moebius transform with u(t_k) = s_k for three samples
+    (t_k, s_k), the t_k pairwise distinct rationals and the s_k pairwise
+    distinct, coerced into `field`; its last nonzero coordinate is 1.
 
-    `pairs` holds three (t_k, s_k) with the t_k pairwise distinct and the s_k
-    pairwise distinct; everything lives in (or is coerced into) `field`.
+    u = adj(B) A for the cross-ratio maps A and B that send t_1, t_2, t_3
+    and s_1, s_2, s_3 to 0, 1, infinity: with p = s_2 - s_1, q = s_2 - s_3,
+    x = t_2 - t_3 and y = t_2 - t_1, a = s_1 q y - s_3 p x,
+    b = s_3 p t_1 x - s_1 q t_3 y, c = q y - p x and d = p t_1 x - q t_3 y,
+    divided by d, or by c when d = 0: one inverse in the field.
     """
     if len(pairs) != 3:
         raise ValueError("exactly three samples are required")
-    rows = []
-    co = field.coerce
-    for t, s in pairs:
-        t = co(t)
-        s = co(s)
-        rows.append([t, field.one, -(s * t), -s])
-    basis = kernel_basis(rows, 4, field)
-    if len(basis) != 1:
-        raise InternalInvariantError(
-            "degenerate sample set for the Moebius fit"
-        )
-    a, b, c, d = basis[0]
-    mob = MoebiusTransform._raw(a, b, c, d)
+    (t1, s1), (t2, s2), (t3, s3) = [(t, field.coerce(s)) for t, s in pairs]
+    px, qy = (s2 - s1) * (t2 - t3), (s2 - s3) * (t2 - t1)
+    mob = MoebiusTransform._raw(s1 * qy - s3 * px, s3 * px * t1 - s1 * qy * t3,
+                                qy - px, px * t1 - qy * t3)
     if not mob.is_unit:
         raise InternalInvariantError("three-point fit produced a singular map")
-    return mob
+    inv = field.one / (mob.d or mob.c)
+    return MoebiusTransform._raw(mob.a * inv, mob.b * inv, mob.c * inv, mob.d * inv)
 
 
 class Parametrization:

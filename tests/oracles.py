@@ -23,7 +23,6 @@ from hypercircles.hypercircle import (
     parameter_schedule,
 )
 from hypercircles.intpoly import gf_edf, gf_pow_mod
-from hypercircles.linalg import kernel_basis, rref
 from hypercircles.modp import nf_gcd
 from hypercircles.numberfield import NumberField, integral_ops, newton_sums
 from hypercircles.polynomials import UniPoly, poly_gcd
@@ -857,6 +856,78 @@ def check_on_witness(system, phi):
         if not denominator_hit and system.denominator.eval(values, cache):
             denominator_hit = True
     return denominator_hit
+
+
+def rref(matrix, field):
+    """Reduced row echelon form. Returns (new_rows, pivot_column_indices)."""
+    rows = [list(r) for r in matrix]
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def kernel_basis(matrix, ncols, field):
+    """Basis of the right kernel of the matrix (list of length-ncols vectors).
+
+    Deterministic: one basis vector per free column, that free coordinate set
+    to one, so each vector's last nonzero coordinate is 1.
+    """
+    rows, pivots = rref(matrix, field)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def moebius_by_kernel(field, pairs):
+    """The Moebius map through three samples (t, s) as the kernel of the
+    3 x 4 system a t + b - c s t - d s = 0, row reduced over the field."""
+    rows = [[field.coerce(t), field.one, -field.coerce(s * t), -field.coerce(s)] for t, s in pairs]
+    (u,) = kernel_basis(rows, 4, field)
+    return MoebiusTransform._raw(*u)
+
+
+def adversarial_solution_by_kernel(field, degree, g_values):
+    """The adversarial construction's (particular, homogeneous) solution,
+    by row reducing sum_j a_j i^j = alpha^(i+2) g(i) - alpha i^d at the
+    nodes i = 1..n-1 augmented with its right-hand side, g_values the g(i):
+    the kernel vector whose last coordinate is 1 gives the particular
+    solution, the others one homogeneous vector per free unknown."""
+    d, alpha = degree, field.gen
+    augmented = []
+    for i, g in enumerate(g_values, start=1):
+        row = [field.coerce(i**j) for j in range(d)]
+        augmented.append(row + [alpha * i**d - alpha ** (i + 2) * g])
+    *kernel, last = kernel_basis(augmented, d + 1, field)
+    assert last[d] == field.one, "the system is consistent"
+    free = range(len(g_values), d)
+    return last[:d], {k: v[:d] for k, v in zip(free, kernel)}
 
 
 def invariance_system(cls):

@@ -155,14 +155,14 @@ def test_a_singular_u_fails(entry, quartic):
 
 
 def test_a_moving_report_without_a_not_attained_pair_fails(circle):
-    # a fixing class reported as moving, with or without its u, and a
-    # moving class whose pair is dropped
+    # a fixing class that loses its u, so that it is reported as moving,
+    # and a moving class whose pair is dropped
     _, psi = circle
     res = standard_parametrization(psi)
-    for u in (res.reports[0].u, None):
-        moved = _with_report(res, 0, fixes=False, u=u)
-        with pytest.raises(InternalInvariantError, match="certificate does not hold"):
-            check_certificate(psi, replace(moved, defined=False, phi=None))
+    moved = _with_report(res, 0, u=None)
+    assert not moved.defined
+    with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+        check_certificate(psi, replace(moved, phi=None))
     psi = moved_after_a_failed_fit()
     res = standard_parametrization(psi)
     with pytest.raises(InternalInvariantError, match="certificate does not hold"):
@@ -201,7 +201,7 @@ def test_a_non_proper_psi_is_not_certified():
     _, classes = conjugacy_classes(field)
     reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
     assert [rep.not_attained for rep in reports] == [(1, -1)]
-    result = HypercircleResult(False, None, field, reports)
+    result = HypercircleResult(None, field, reports)
     forged = [ParameterVerdict(GOOD, 2, field.zero), *reports[0].verdicts]
     for bad in (
         result,
@@ -226,6 +226,13 @@ def test_a_changed_phi_fails(circle, alpha_blind):
     )
     with pytest.raises(InternalInvariantError, match="does not interpolate"):
         check_certificate(psi, replace(res, phi=phi))
+
+
+def test_a_defined_result_without_phi_fails(quartic):
+    _, psi = quartic
+    res = standard_parametrization(psi)
+    with pytest.raises(InternalInvariantError, match="carries no phi"):
+        check_certificate(psi, replace(res, phi=None))
 
 
 def test_a_dropped_class_fails(quartic):

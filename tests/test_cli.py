@@ -22,6 +22,7 @@ from hypercircles.errors import InternalInvariantError
 from hypercircles.generators import gen_instance
 from hypercircles.hypercircle import standard_parametrization, trace_term
 from hypercircles.instances import load_instance, serialize_instance
+from hypercircles.ratfunc import MoebiusTransform
 
 from conftest import CIRCLE_DOC, NONPROPER_DOC
 from test_certificate import moved_after_a_failed_fit
@@ -214,12 +215,14 @@ def test_minfield_of_a_misreported_class_exits_3(
     sextic_over_sqrt2, capsys, monkeypatch, fixes, name
 ):
     # the first class that fixes (or moves) the curve is reported the other
-    # way round: its certificate no longer holds
+    # way round, by dropping its u (or giving it the identity): its
+    # certificate no longer holds
     def tampered(psi):
         res = standard_parametrization(psi)
         reports = list(res.reports)
         i = next(i for i, rep in enumerate(reports) if rep.fixes == fixes)
-        reports[i] = dataclasses.replace(reports[i], fixes=not fixes)
+        u = None if fixes else MoebiusTransform.identity(reports[i].cls.relative_field)
+        reports[i] = dataclasses.replace(reports[i], u=u)
         return dataclasses.replace(res, reports=tuple(reports))
 
     monkeypatch.setattr(cli, "standard_parametrization", tampered)

@@ -1,12 +1,15 @@
-"""Instance generators: the adversarial construction's goldens, and seeding."""
+"""Instance generators: the adversarial construction's goldens and its
+solution by interpolation, and seeding."""
 
 import hashlib
 import json
 
+import pytest
+
 from hypercircles import QQ, parse_instance, standard_parametrization
 from hypercircles.generators import adversarial_relations, cyclotomic_minpoly, gen_instance
 
-from oracles import sums_to_t
+from oracles import adversarial_solution_by_kernel, sums_to_t
 
 
 def test_adversarial_relations_phi5_golden():
@@ -26,6 +29,19 @@ def test_adversarial_relations_phi5_golden():
         elem(420, 360, 335, 780),
     ]
     assert homog[3][:3] == [field.coerce(v) for v in (-6, 11, -6)]
+
+
+ADVERSARIAL_SYSTEMS = [(5, 4), (5, 6), (7, 8), (9, 7), (3, 3), (8, 9)]
+
+
+@pytest.mark.parametrize(
+    "m, degree", ADVERSARIAL_SYSTEMS, ids=[f"Phi{m}-d{d}" for m, d in ADVERSARIAL_SYSTEMS]
+)
+def test_interpolation_solves_the_adversarial_system(m, degree):
+    # the Lagrange interpolant and x^k - (x^k mod N) are the particular and
+    # homogeneous vectors that row reducing the system gives
+    field, g_vals, particular, homog = adversarial_relations(degree, cyclotomic_minpoly(m))
+    assert (particular, homog) == adversarial_solution_by_kernel(field, degree, g_vals)
 
 
 def test_adversarial_phi5_instance_verdict():

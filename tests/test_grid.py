@@ -17,9 +17,10 @@ Every fixing class on that grid gets u from the 2-jet at its first good
 sample, and that u is the three-point fit's, coordinate for coordinate.
 
 Every class search on the grid, and the properness witness, ends within
-`parameter_budget`; a class that moves the curve attains psi(t) at no more
-than d^2 parameters that are not poles (the Bezout bound of
-`parameter_budget`'s docstring)."""
+`parameter_budget` of d = `curve_degree_bound`, which is psi's degree
+there; a class that moves the curve attains psi(t) at no more than d^2
+parameters that are not poles (the Bezout bound of `parameter_budget`'s
+docstring)."""
 
 import hashlib
 import json
@@ -42,6 +43,7 @@ from hypercircles.hypercircle import (
     GOOD,
     NOT_ATTAINED,
     compute_u_for_class,
+    curve_degree_bound,
     parameter_schedule,
 )
 from hypercircles.instances import serialize_instance
@@ -114,7 +116,9 @@ def test_every_search_ends_within_the_proven_budget(case):
         res = standard_parametrization(psi)
     else:
         _, psi, res = _decide(*case)
-    d = psi.degree
+        # a generated instance has one denominator
+        assert curve_degree_bound(psi) == psi.degree
+    d = curve_degree_bound(psi)
     for rep in res.reports:
         tried = [v.kind for v in rep.verdicts if v.kind != BAD_DENOMINATOR]
         assert len(tried) <= parameter_budget(d)

@@ -35,6 +35,7 @@ from hypercircles.hypercircle import (
     GOOD,
     NOT_ATTAINED,
     SINGULAR,
+    curve_degree_bound,
     parameter_schedule,
     trace_term,
 )
@@ -44,6 +45,7 @@ from conftest import quartic_phi_expected
 from oracles import (
     at,
     classify_parameter_by_polynomials,
+    moebius_by_kernel,
     sums_to_t,
     trace_term_by_traces,
     values_at_infinity,
@@ -326,11 +328,11 @@ def _gaussian_poles(denominators):
 
 
 def test_poles_spend_no_budget():
-    # the first five parameters, the whole budget of this degree-1 curve,
-    # are its poles; they are recorded but do not count, so the sixth
-    # decides
+    # the first five parameters are the poles of this curve, whose
+    # components have degree 1 over five denominators, so it has degree 5;
+    # they are recorded but do not count, and the sixth decides
     psi = _gaussian_poles([(-c, 1) for c in (0, 1, -1, 2, -2)])
-    assert parameter_budget(psi.degree) == 5
+    assert psi.degree == 1 and curve_degree_bound(psi) == 5
     res = standard_parametrization(psi)
     assert res.defined
     (rep,) = res.reports
@@ -338,10 +340,16 @@ def test_poles_spend_no_budget():
     t = UniPoly.gen(psi.field)
     assert res.phi == Parametrization([RatFunc(t), RatFunc(UniPoly.zero(psi.field))])
     check_certificate(psi, res)
-    # the budget still ends a search on a non-proper curve with poles
+    # the budget still ends a search on a non-proper curve with poles, and
+    # its five poles in the schedule come on top of the budget
     psi = _gaussian_poles([(-c, 0, 1) for c in (0, 1, 4)])
+    budget = parameter_budget(curve_degree_bound(psi))
+    assert psi.degree == 2 and budget == 38
+    verdicts = list(hypercircle._budgeted_verdicts(psi, psi))
+    assert len(verdicts) == budget + 5
+    assert [v.t for v in verdicts if v.kind == BAD_DENOMINATOR] == [0, 1, -1, 2, -2]
     assert hypercircle._proper_at(psi) is None
-    with pytest.raises(NonProperParametrization):
+    with pytest.raises(NonProperParametrization, match=r"budget \(38\)"):
         standard_parametrization(psi)
 
 
@@ -458,6 +466,41 @@ def test_a_jet_gives_out_on_its_own(monkeypatch):
     sp, q, _ = rep.verdicts[0].kept
     assert q == sp.p**2
     assert rep.fixes and verify_identity(psi, psi.conjugate(rep.cls), rep.u)
+
+
+FIT_CASES = [
+    ("x3-2", canonical_minpoly(3), 6, 2),
+    ("x6-2", canonical_minpoly(6), 6, 2),
+    ("Phi7", cyclotomic_minpoly(7), 3, 3),
+    ("Phi7", cyclotomic_minpoly(7), 3, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "name, minpoly, degree, seed",
+    FIT_CASES,
+    ids=[f"{name}-d{degree}-seed{seed}" for name, _, degree, seed in FIT_CASES],
+)
+def test_the_fit_decides_where_the_jet_gives_out(monkeypatch, name, minpoly, degree, seed):
+    # defined instances on which one class gets its u from the three-point
+    # fit: the closed form gives the u and phi that the fit by row
+    # reduction gives, and the certificate holds
+    doc = gen_instance("defined", degree, minpoly=minpoly, seed=seed)
+    _, psi = parse_instance(json.dumps(doc))
+    fits = []
+    fit = hypercircle.moebius_from_three_points
+    monkeypatch.setattr(
+        hypercircle, "moebius_from_three_points", lambda *args: fits.append(fit(*args)) or fits[-1]
+    )
+    res = standard_parametrization(psi)
+    assert len(fits) == 1 and any(rep.u is fits[0] for rep in res.reports)
+    check_certificate(psi, res)
+    monkeypatch.setattr(hypercircle, "moebius_from_three_points", moebius_by_kernel)
+    ref = standard_parametrization(psi)
+    assert [_coefficients(rep.u) for rep in res.reports] == [
+        _coefficients(rep.u) for rep in ref.reports
+    ]
+    assert res.phi == ref.phi
 
 
 def test_good_samples_match_u(circle):

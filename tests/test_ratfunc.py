@@ -1,18 +1,25 @@
-"""Rational functions, Moebius transforms, and the three-point fit."""
+"""Rational functions, Moebius transforms, and the three-point fit, whose
+closed form is the kernel of its linear system."""
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hypercircles import (
     MoebiusTransform,
+    NumberField,
     Parametrization,
     QQ,
     RatFunc,
     Rational,
     UniPoly,
+    conjugacy_classes,
     moebius_from_three_points,
 )
-from oracles import POLE, at, value_at_infinity, values_at_infinity
+from hypercircles.errors import InternalInvariantError
+from hypercircles.generators import canonical_minpoly
+from oracles import POLE, at, moebius_by_kernel, value_at_infinity, values_at_infinity
 
 x = UniPoly.gen(QQ)
 
@@ -117,6 +124,43 @@ def test_three_point_fit_recovers(m, ts):
     assert fit.proportional(m)
     for t0, v in zip(ts, vals):
         assert at(fit, t0) == v
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_three_point_fit_is_the_kernel_of_its_system(n):
+    """In the largest class field over Q(alpha), alpha^n = 2, the closed
+    form is the kernel vector of a t + b - c s t - d s = 0 that row
+    reduction gives, coordinate for coordinate, for maps with c = 0, with
+    d = 0 and with neither."""
+    field = NumberField(QQ, canonical_minpoly(n), "a")
+    rel = max(conjugacy_classes(field)[1], key=lambda cls: cls.size).relative_field
+    alpha, gamma = rel.coerce(field.gen), rel.gen
+    rng = random.Random(f"three-point fit over x^{n} - 2")
+
+    def element():
+        terms = (rng.randint(-3, 3) * alpha**i * gamma**j for i in range(n) for j in range(2))
+        return sum(terms, rel.zero)
+
+    for shape in ["c = 0", "d = 0"] + ["c, d != 0"] * 5:
+        a, b, c, d = (element() for _ in range(4))
+        c = rel.zero if shape == "c = 0" else c
+        d = rel.zero if shape == "d = 0" else d
+        u = MoebiusTransform._raw(a, b, c, d)
+        assert u.is_unit
+        ts = rng.sample([t for t in range(-6, 7) if t], 3)
+        pairs = [(Rational(t), (a * t + b) / (c * t + d)) for t in ts]
+        fit, ref = moebius_from_three_points(rel, pairs), moebius_by_kernel(rel, pairs)
+        assert (fit.a, fit.b, fit.c, fit.d) == (ref.a, ref.b, ref.c, ref.d)
+        last = (rel.one, rel.zero) if shape == "d = 0" else (fit.c, rel.one)
+        assert (fit.c, fit.d) == last
+        assert fit.proportional(u)
+
+
+def test_three_point_fit_refuses_degenerate_samples():
+    with pytest.raises(ValueError):
+        moebius_from_three_points(QQ, [(Rational(0), Rational(1))] * 2)
+    with pytest.raises(InternalInvariantError, match="singular"):
+        moebius_from_three_points(QQ, [(Rational(t), Rational(1)) for t in (0, 1, 2)])
 
 
 def test_parametrization_basics():

@@ -2,8 +2,9 @@
 session: every entry point against the pure loops of `numberfield`, no
 memory kept over repeated calls, and whole decisions on a copy of the
 package that loads it, against the same decisions on the pure loops.  A
-build that lacks an entry point leaves the pure loops in place, and
-`rationals.BACKEND` names the kernel that loaded."""
+build that lacks an entry point leaves the pure loops in place,
+`rationals.BACKEND` names the kernel that loaded, and `setup.py` with no
+compiler warns and exits 0."""
 
 import ast
 import gc
@@ -277,3 +278,15 @@ def test_backend_names_the_loaded_kernel():
     assert rationals.BACKEND == ("_tensorcore" if compiled else "pure")
     for e in ENTRY_POINTS:
         assert (getattr(nf, f"_{e}").__module__ == "hypercircles._tensorcore") == compiled, e
+
+
+def test_a_failed_build_is_a_warning(tmp_path):
+    # setup.py marks the kernel optional: with no compiler the build warns,
+    # exits 0 and leaves no kernel behind
+    env = dict(os.environ, CC=str(tmp_path / "no-cc"))
+    cmd = [sys.executable, "setup.py", "build_ext",
+           "--build-lib", str(tmp_path / "lib"), "--build-temp", str(tmp_path / "tmp")]
+    proc = subprocess.run(cmd, cwd=SRC.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert 'building extension "hypercircles._tensorcore" failed' in proc.stderr
+    assert not list(tmp_path.rglob("_tensorcore*"))
