@@ -39,7 +39,6 @@ every u.  Every verdict, the properness witness's included, comes from
 `classify_parameter`.
 """
 
-from dataclasses import dataclass, field as dc_field
 from itertools import zip_longest
 from math import prod
 from operator import mul
@@ -131,14 +130,24 @@ def _budgeted_verdicts(psi, psi_sigma):
             return
 
 
-@dataclass
 class ParameterVerdict:
-    kind: str
-    t: object
-    s: object = None  # root in the relative field when kind == GOOD
-    # where s was found when GOOD, (split record, q, evaluation matrix mod q)
-    # (`modp.fold_common_root`); for the 2-jet, not part of the verdict
-    kept: object = dc_field(default=None, compare=False, repr=False)
+    """One sampled parameter's verdict: its `kind`, t, and, when GOOD, the
+    root s in the relative field.  `kept` is where s was found, (split
+    record, q, evaluation matrix mod q) (`modp.fold_common_root`), for the
+    2-jet; it is not part of the verdict, and equality leaves it out."""
+
+    def __init__(self, kind, t, s=None, kept=None):
+        self.kind = kind
+        self.t = t
+        self.s = s
+        self.kept = kept
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.t, self.s) == (other.kind, other.t, other.s)
+
+    __hash__ = None
 
     def __str__(self):
         if self.kind == GOOD:
@@ -146,16 +155,25 @@ class ParameterVerdict:
         return f"t={self.t}: {self.kind}"
 
 
-@dataclass
 class ClassReport:
     """One class's outcome: when it fixes the curve, the Moebius transform
     `u` that carries psi^sigma back onto psi; when it moves the curve, the
     `not_attained` pair, and u is None."""
 
-    cls: ConjugacyClass
-    u: MoebiusTransform | None = None
-    verdicts: list = dc_field(default_factory=list)
-    not_attained: tuple | None = None
+    def __init__(self, cls, u=None, verdicts=None, not_attained=None):
+        self.cls = cls
+        self.u = u
+        self.verdicts = [] if verdicts is None else verdicts
+        self.not_attained = not_attained
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cls, self.u, self.verdicts, self.not_attained) == (
+            other.cls, other.u, other.verdicts, other.not_attained
+        )
+
+    __hash__ = None
 
     @property
     def fixes(self):
@@ -176,17 +194,26 @@ class ClassReport:
         )
 
 
-@dataclass
 class HypercircleResult:
     """A decision: the curve is defined over K when every class fixes it.
     `proper_at` is a t that psi against itself classifies as GOOD, which
     proves psi proper; it is sampled only when some class moves the curve,
     as a not-attained pair proves that for a proper psi alone."""
 
-    phi: Parametrization | None
-    field: NumberField
-    reports: tuple
-    proper_at: object = None
+    def __init__(self, phi, field, reports, proper_at=None):
+        self.phi = phi
+        self.field = field
+        self.reports = reports
+        self.proper_at = proper_at
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.phi, self.field, self.reports, self.proper_at) == (
+            other.phi, other.field, other.reports, other.proper_at
+        )
+
+    __hash__ = None
 
     @property
     def defined(self):
@@ -220,10 +247,11 @@ def classify_parameter(psi, psi_sigma, t):
     gcd candidate of degree 2 or more (`fold_common_root`).  With t = r/q
     in lowest terms, q > 0, a component N/D of psi of degree k gives
     N_t = q^k E N(t) and D_t = q^k E D(t) by homogeneous integer Horner
-    (E the component's dropped denominator), and D_t = 0 exactly when D(t)
-    does.  The component's polynomial D' v - N' in s, v = N(t)/D(t) and
-    N'/D' the matching component of psi^sigma, times the nonzero constant
-    F D_t of K(alpha) (F that component's dropped denominator) has the
+    (E psi's dropped denominator, one for every component), and D_t = 0
+    exactly when D(t) does.  The component's polynomial D' v - N' in s,
+    v = N(t)/D(t) and N'/D' the matching component of psi^sigma, times the
+    nonzero constant F D_t of K(alpha) (F psi^sigma's dropped
+    denominator) has the
     coefficient vectors N_t X'_j - D_t Y'_j, X'_j and Y'_j those of D' and
     N'.  A constant factor leaves the gcd alone, and N_t and D_t lie in
     K(alpha), the base of the class field, so their products act block by
@@ -452,14 +480,20 @@ def verify_identity(psi, psi_sigma, u):
 
     The cost.  The coefficients are compared on integers, and nothing is
     normalized.  u^-1 becomes integral vectors of the class field over one
-    denominator L (`integral_ops`), and both parts of a component of psi
-    and of psi^sigma are the integral vectors of `Parametrization.vectors`,
-    over one dropped denominator E and E' (those of psi^sigma are X_j and
-    Y_j; E' times one is Y's last, as D' is monic).  The Horner scheme of
-    `moebius_compose_pair` (`moebius_composer`, with one table of the
-    powers of -C t + A for every component) gives CN = E L^k cn and
-    CD = E L^k cd, so the checks read CN_j E' == lc(CD) X_j and
-    CD_j E' == lc(CD) Y_j.  The composition runs on packed vectors,
+    denominator L (`integral_ops`), and every part of psi and of psi^sigma
+    is integral over one dropped denominator, E for all of psi and E' for
+    all of psi^sigma (`Parametrization.vectors`; those of a component of
+    psi^sigma are X_j and Y_j, and E' times one is Y's last, as D' is
+    monic).  The Horner scheme of `moebius_compose_pair`
+    (`moebius_composer`, with one table of the powers of -C t + A for every
+    component) gives CN = E L^k cn and CD = E L^k cd, so the checks read
+    CN_j E' == lc(CD) X_j and CD_j E' == lc(CD) Y_j.  Parts that are one
+    polynomial are one list of vectors, so a composition, lc(CD) and its
+    matrix, and each check are made once per distinct polynomial (at its
+    k): r components over one denominator D, a plane curve's, cost r + 1
+    compositions, not 2r, and D's checks against the one D' are made once,
+    while components over distinct denominators compose every part.  The
+    composition runs on packed vectors,
     each coordinate's t-coefficients in one int, so each part costs O(d)
     products by a fixed multiplier, a few per Horner step, and its slots
     are read once at the end; at small degree the Python calls per step
@@ -480,27 +514,34 @@ def verify_identity(psi, psi_sigma, u):
     # psi's coefficients lie in the base of the class field: their products
     # there act block by block, from the matrices psi keeps
     embed = ops.over_base if psi_sigma.field != psi.field else None
+    # keyed by the identity of the lists that `Parametrization.vectors`
+    # shares between parts that are one polynomial, held for the whole proof
+    images, lams, proven = {}, {}, set()
     for comp, comp_s, parts, parts_s in zip(psi, psi_sigma, psi.products, psi_sigma.vectors):
         k = comp.degree
         if comp_s.degree != k:
             return False
-        images = []
         for products, vecs_s in zip(parts, parts_s):
-            if embed is not None:
-                products = [embed(b) for b in products]
-            acc = compose(products, k) if products else []
-            size = len(acc)
-            while size and not nonzero(acc[size - 1]):
-                size -= 1
-            if size != len(vecs_s):
+            if (id(products), k) not in images:
+                bs = [embed(b) for b in products] if embed is not None else products
+                acc = compose(bs, k) if bs else []
+                size = len(acc)
+                while size and not nonzero(acc[size - 1]):
+                    size -= 1
+                images[id(products), k] = acc, size
+            if images[id(products), k][1] != len(vecs_s):
                 return False
-            images.append(acc)
-        lam = ops.fixed(images[1][len(parts_s[1]) - 1])
-        by_e = ops.fixed(parts_s[1][-1])  # D' is monic: E' times one
-        for acc, vecs_s in zip(images, parts_s):
-            for y, x in zip(acc, vecs_s):
-                if by_e(y) != lam(x):
-                    return False
+        den, den_s = (id(parts[1]), k), parts_s[1]
+        if den not in lams:
+            lams[den] = ops.fixed(images[den][0][len(den_s) - 1])
+        lam, by_e = lams[den], ops.fixed(den_s[-1])  # D' is monic: E' times one
+        for products, vecs_s in zip(parts, parts_s):
+            check = id(products), id(vecs_s), den, id(den_s)
+            if check not in proven:
+                for y, x in zip(images[id(products), k][0], vecs_s):
+                    if by_e(y) != lam(x):
+                        return False
+                proven.add(check)
     return True
 
 

@@ -12,22 +12,33 @@ alpha's minimal polynomial over L.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InstanceError, InternalInvariantError
-from .numberfield import NumberField
 from .polynomials import UniPoly, poly_gcd
 from .rationals import RationalField
 
 
-@dataclass
 class FixedField:
-    field: NumberField
-    basis: tuple
-    primitive: object
-    primitive_minpoly: UniPoly
-    # M_L: alpha's minimal polynomial over L, with coefficients in K(alpha)
-    relative_minpoly: UniPoly
+    """The fixed field L inside `field`: a Q-basis, a primitive element and
+    its minimal polynomial, and M_L, alpha's minimal polynomial over L
+    with coefficients in K(alpha) (`relative_minpoly`)."""
+
+    def __init__(self, field, basis, primitive, primitive_minpoly, relative_minpoly):
+        self.field = field
+        self.basis = basis
+        self.primitive = primitive
+        self.primitive_minpoly = primitive_minpoly
+        self.relative_minpoly = relative_minpoly
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = self.field, self.basis, self.primitive, self.primitive_minpoly, self.relative_minpoly
+        return mine == (
+            other.field, other.basis, other.primitive, other.primitive_minpoly, other.relative_minpoly
+        )
+
+    __hash__ = None
 
     @property
     def degree(self):

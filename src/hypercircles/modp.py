@@ -220,8 +220,9 @@ def _apply(m, v, q):
 # A step of `_values`' cost model, in products of two 30-bit digits (the
 # digits of CPython's ints): a term of a dot product of small ints costs
 # 60-100 ns on a 2-core x86-64 VM (CPython 3.11), and each further digit
-# product about 1 ns.
-_STEP_DIGITS = 96
+# product about 1 ns, but the value is set from timings of both paths
+# (`_values`).
+_STEP_DIGITS = 160
 
 
 def _values(rows, vecs, q):
@@ -246,12 +247,17 @@ def _values(rows, vecs, q):
     S (N - 3 - 2N/R - N/k) > N W^2.  So it never runs for one row or one
     coefficient, nor for N <= 5 at R <= N; at q = p (W = 1) and R = N it
     runs for N = 6 from k = 7 on and for N >= 12 from k = 2 on, as when
-    steps alone were counted.  On the calls of 16 tower5 decisions at the
-    class field (N = R = 20, k = 7 or 8), packed took 0.43-0.45,
-    0.49-0.51, 0.55-0.58, 0.68-0.73 and 1.00-1.07 times the plain loop at
-    q = p, p^2, p^4, p^8 and p^16 (W = 1, 2, 3, 6 and 11; two timings):
-    any S from 60 to 190 picks the faster path at each of them, plain at
-    p^16.
+    steps alone were counted.  On the calls of 8 tower5 decisions at the
+    class field (N = R = 20, k = 7 or 8), packed took 0.45-0.56,
+    0.45-0.56, 0.70, 0.86-0.87 and 1.08 times the plain loop at q = p^2,
+    p^4, p^8, p^12 and p^16 (W = 2, 3, 6, 9 and 11; two timings; p^16 is
+    where a lift that doubled its precision went after p^8, `_lifted_rows`):
+    S from 134 to 193 picks the faster path at each of them, packed at
+    p^12 and plain at p^16, where the step's price above, S = 96, picks
+    plain at p^12.  Over every call of 9 decisions each at x^2 + 1,
+    degree 14-18, and x^5 - 2, degree 6-7, and 6 at x^6 - 2, degree 6,
+    S = 160 cost what the faster path at each call did on x^5 - 2 and what
+    S = 96 did on the other two.
     """
     n, r, k = len(vecs[0]), len(rows), len(vecs)
     w = (q.bit_length() + 29) // 30
@@ -435,7 +441,8 @@ def _newton(w, f, s, q, qq):
     """One Newton step for a root s mod q of f, with w the inverse of f'(s)
     to at least half that precision: w is refined to precision q by
     w <- w (2 - f'(s) w), with no inversion mod a prime power, and s
-    becomes the root mod qq = q^2.  The new (s, w).
+    becomes the root mod qq, a power of the prime that divides q^2.  The
+    new (s, w).
 
     f(s) mod qq and f'(s) mod q come from one Horner pass over f's
     coefficients, with no derivative built: v_n = f_n, d_n = 0 and, from
@@ -452,13 +459,18 @@ def _newton(w, f, s, q, qq):
 
 def _lifted_rows(sp):
     """The evaluation matrix of sp lifted p-adically: an endless generator
-    of (q, rows) at q = p^2, p^4, ..., with each level's roots lifted by
-    `_newton` from the simple roots mod p of its polynomial, the level
-    below first, as the polynomial moves with the embedding below."""
+    of (q, rows) at q = p^e for e = 2, 4, 8, 12, 18, 27, ..., with each
+    level's roots lifted by `_newton` from the simple roots mod p of its
+    polynomial, the level below first, as the polynomial moves with the
+    embedding below.  The exponent doubles up to 8 and then grows by half
+    (e + e // 2), so that a root of height h, which reconstructs once
+    p^e > 2 h^2, is not lifted to nearly twice the precision it needs;
+    each step is still one Newton step, as e at most doubles."""
     levels = _level_inverses(sp)
-    q = sp.p
+    p, e, q = sp.p, 1, sp.p
     while True:
-        q, rows = _lift_levels(levels, q)
+        e = 2 * e if e < 8 else e + e // 2
+        q, rows = _lift_levels(levels, q, p**e)
         yield q, rows
 
 
@@ -480,10 +492,10 @@ def _level_inverses(sp):
     return levels
 
 
-def _lift_levels(levels, q):
-    """(q^2, rows): the levels' roots, mod q, lifted in place to q^2 by one
-    Newton step each, and the evaluation matrix mod q^2 they give."""
-    qq = q * q
+def _lift_levels(levels, q, qq):
+    """(qq, rows): the levels' roots, mod q, lifted in place to qq, a power
+    of the prime that divides q^2, by one Newton step each, and the
+    evaluation matrix mod qq they give."""
     prows = [[1]]
     for lf, rs, ws in levels:
         n = lf.degree
@@ -502,9 +514,10 @@ def _lift_root(field, family, values, sp, roots):
     or (1, None) once another input stops vanishing at the first
     embedding's lifted root, which proves the gcd 1 (`nf_gcd`).  The
     candidate is tried at q = p, then each root is lifted by Newton's
-    iteration mod p^(2^k) (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
-    and Gerhard, Modern Computer Algebra, ch. 15) on an input with a simple
-    root there, as the embedding itself is lifted (`_lifted_rows`).
+    iteration (Loos, SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 15) on an input with a simple root there,
+    as the embedding itself is lifted, at the precisions p^e of
+    `_lifted_rows` (e = 2, 4, 8, 12, 18, ...).
     `values` holds every input at each embedding mod p, as `_image` reduced
     them.  At each precision the picked inputs are evaluated at the lifted
     embedding (`_values`) and the coordinates come back by `_solve`, digits
@@ -605,13 +618,14 @@ def nf_gcd(polys, field):
     polynomial.  If G = x - s0, G mod P is the image, so s*_P is the image
     of s0 at P: every input vanishes there, and the lifted roots converge
     to s0's values, whose coordinates are p-integral because p divides no
-    level's discriminant, and reconstruct once p^(2^k) exceeds twice the
-    square of their heights.  So an input g with g(s*_P) != 0 mod p^(2^k)
-    proves G = 1.  And if G = 1, the gcd over Q_p of the inputs' images at
-    P is 1, so at every P some input g has g(s*_P) != 0, and the first
+    level's discriminant, and reconstruct once the precision p^e exceeds
+    twice the square of their heights, as it does: e grows without end
+    (`_lifted_rows`).  So an input g with g(s*_P) != 0 mod p^e proves
+    G = 1.  And if G = 1, the gcd over Q_p of the inputs' images at P is
+    1, so at every P some input g has g(s*_P) != 0, and the first
     embedding's P is watched alone; g(s*_P) has finite valuation (when f
     and g are coprime, at most the p-valuation of their resultant), and g
-    stops vanishing at the lifted root once 2^k exceeds it.  Either way the
+    stops vanishing at the lifted root once e exceeds it.  Either way the
     lift ends at p.
 
     Over the rationals N = 1, every prime splits and the one embedding is

@@ -410,17 +410,28 @@ class Parametrization:
     def vectors(self):
         """Each component's (numerator, denominator) as lists of integral
         coefficient vectors of `integral_ops(field)`, ascending, built on
-        first use.  Both parts of a component share one positive
-        denominator, which is dropped: each pair is the component's parts
-        times one positive integer, so their ratio is the component."""
+        first use.  Every polynomial of every component is lifted over one
+        positive common denominator E, which is dropped: each pair is the
+        component's parts times E, so their ratio is the component.  Parts
+        that are one polynomial, such as the denominator D of a plane curve
+        N_1/D, N_2/D, are one list, so a proof that composes D once can
+        tell that it serves every component over D (`verify_identity`)."""
         if self._vectors is None:
-            ops = integral_ops(self.field)
-            out = []
+            polys, index = [], []  # the distinct parts; each part's place
             for c in self.components:
-                vecs, _ = ops.lift(c.num.coeffs + c.den.coeffs)
-                k = len(c.num.coeffs)
-                out.append((vecs[:k], vecs[k:]))
-            self._vectors = tuple(out)
+                for part in (c.num, c.den):
+                    i = next((i for i, p in enumerate(polys) if p == part), len(polys))
+                    if i == len(polys):
+                        polys.append(part)
+                    index.append(i)
+            vecs, _ = integral_ops(self.field).lift([x for p in polys for x in p.coeffs])
+            lists, start = [], 0
+            for p in polys:
+                lists.append(vecs[start : start + len(p.coeffs)])
+                start += len(p.coeffs)
+            self._vectors = tuple(
+                (lists[index[2 * i]], lists[index[2 * i + 1]]) for i in range(len(self.components))
+            )
         return self._vectors
 
     @property
@@ -430,17 +441,20 @@ class Parametrization:
         built on first use: the regular representation of each distinct
         coefficient and its norm are built once for psi, and every
         composition of it (each class's identity proof and its re-proof in
-        `check_certificate`) shares them."""
+        `check_certificate`) shares them.  Parts that share one list of
+        vectors share one list of products."""
         if self._products is None:
             bounded = integral_ops(self.field).bounded
-            built = {}
+            built, lists = {}, {}
             for pair in self.vectors:
                 for part in pair:
-                    for v in part:
-                        if v not in built:
-                            built[v] = bounded(v)
+                    if id(part) not in lists:
+                        for v in part:
+                            if v not in built:
+                                built[v] = bounded(v)
+                        lists[id(part)] = [built[v] for v in part]
             self._products = tuple(
-                tuple([built[v] for v in part] for part in pair) for pair in self.vectors
+                tuple(lists[id(part)] for part in pair) for pair in self.vectors
             )
         return self._products
 

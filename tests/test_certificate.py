@@ -7,8 +7,8 @@ not-attained pair with no good sample that proves psi proper, a changed phi
 (a bumped coefficient, or a shift that only a conjugate of alpha sees), a
 dropped class, and a result decided over another field object."""
 
+import copy
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -116,6 +116,14 @@ def test_defined_instances_pass(circle, quartic):
         res = standard_parametrization(psi)
         assert res.defined
         check_certificate(psi, res)
+
+
+def replace(record, **changes):
+    """A copy of a result or a report with the given attributes set."""
+    out = copy.copy(record)
+    for name, value in changes.items():
+        setattr(out, name, value)
+    return out
 
 
 def _with_report(res, k, **changes):

@@ -8,7 +8,6 @@ exact outputs too long for Python's integer-string limit, printed in full;
 exit code 3 for a phi that fails its check and for any unexpected exception;
 and a package import that leaves the test oracles out."""
 
-import dataclasses
 import json
 import os
 import re
@@ -25,7 +24,7 @@ from hypercircles.instances import load_instance, serialize_instance
 from hypercircles.ratfunc import MoebiusTransform
 
 from conftest import CIRCLE_DOC, NONPROPER_DOC
-from test_certificate import moved_after_a_failed_fit
+from test_certificate import moved_after_a_failed_fit, replace
 from test_minfield import sextic_subfield_instance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -222,8 +221,8 @@ def test_minfield_of_a_misreported_class_exits_3(
         reports = list(res.reports)
         i = next(i for i, rep in enumerate(reports) if rep.fixes == fixes)
         u = None if fixes else MoebiusTransform.identity(reports[i].cls.relative_field)
-        reports[i] = dataclasses.replace(reports[i], u=u)
-        return dataclasses.replace(res, reports=tuple(reports))
+        reports[i] = replace(reports[i], u=u)
+        return replace(res, reports=tuple(reports))
 
     monkeypatch.setattr(cli, "standard_parametrization", tampered)
     assert cli.main(["minfield", sextic_over_sqrt2]) == cli.EXIT_INTERNAL

@@ -4,7 +4,8 @@ the term-by-term reference, its slot widths against the exact
 accumulators, its regular-representation and block-by-block products
 against `_tmul`, and `verify_identity` (psi o u^-1 against psi^sigma)
 against the forward composition psi^sigma o u, cross-multiplication and
-evaluation on generated instances."""
+evaluation on generated instances, with one composition per distinct
+polynomial of psi."""
 
 import functools
 import itertools
@@ -407,6 +408,92 @@ def test_verify_identity_mutations_on_the_matrix_path():
         changed = RatFunc._normalized(UniPoly(rel, cs), comp.den)
         moved = Parametrization([changed] + list(sigma)[1:])
         assert not verify_identity(psi, moved, u), (i, l)
+
+
+def _count_compositions(monkeypatch):
+    """Record every composition `verify_identity` makes from now on, as the
+    degree it composes to."""
+    calls = []
+    composer = hypercircle.moebius_composer
+
+    def counted(ops, mob, big):
+        compose, lcd = composer(ops, mob, big)
+
+        def composing(products, k, trace=None):
+            calls.append(k)
+            return compose(products, k, trace)
+
+        return composing, lcd
+
+    monkeypatch.setattr(hypercircle, "moebius_composer", counted)
+    return calls
+
+
+def _squared_second(psi):
+    """psi with its second component squared: N_2^2/D^2 over N_1/D, so no
+    two parts are one polynomial, and psi^sigma o u = psi still gives it
+    for the squared conjugate."""
+    return Parametrization([psi[0], psi[1] * psi[1]] + list(psi)[2:])
+
+
+def test_components_over_one_denominator_compose_it_once(monkeypatch):
+    """On the seed-0 grid every defined psi is a plane curve N_1/D, N_2/D,
+    whose parts share D's integral vectors, so each proof of a class
+    composes r + 1 = 3 polynomials, in the search and again in
+    `check_certificate`, which passes; with the second component squared
+    no two parts are one polynomial, and the proof composes 2r = 4."""
+    for n, d in GRID:
+        doc = gen_instance("defined", d, ext_degree=n, seed=0)
+        _, psi = parse_instance(json.dumps(doc))
+        assert len(psi) == 2 and psi.vectors[0][1] is psi.vectors[1][1]
+        calls = _count_compositions(monkeypatch)
+        verify = []
+        inner = hypercircle.verify_identity
+
+        def counted(psi, psi_sigma, u):
+            start = len(calls)
+            ok = inner(psi, psi_sigma, u)
+            verify.append((ok, len(calls) - start))
+            return ok
+
+        monkeypatch.setattr(hypercircle, "verify_identity", counted)
+        res = standard_parametrization(psi)
+        hypercircle.check_certificate(psi, res)
+        monkeypatch.undo()
+        assert res.defined
+        assert verify == [(True, 3)] * (2 * len(res.reports)), (n, d)
+        squared = _squared_second(psi)
+        assert len({id(part) for pair in squared.vectors for part in pair}) == 4
+        for rep in res.reports:
+            calls = _count_compositions(monkeypatch)
+            assert verify_identity(squared, squared.conjugate(rep.cls), rep.u), (n, d)
+            monkeypatch.undo()
+            assert calls == [c.degree for c in squared for _ in "nd"], (n, d)
+
+
+def test_a_shared_denominator_still_proves_every_part():
+    """Over one denominator, each part of psi^sigma is still compared: a
+    change of the second component's numerator alone, and a change of
+    either component's denominator alone, so that psi^sigma's components
+    no longer share one while psi's do, each fail the proof."""
+    for psi, sigma, u in _decided_classes(3, 5, seed=0):
+        assert psi.vectors[0][1] is psi.vectors[1][1]
+        assert sigma.vectors[0][1] is sigma.vectors[1][1]
+        assert verify_identity(psi, sigma, u)
+        rel = sigma.field
+        bump = rel.gen if rel.degree > 1 else rel.coerce(psi.field.gen)
+        for i, part in ((1, "num"), (0, "den"), (1, "den")):
+            comp = sigma[i]
+            cs = list(getattr(comp, part).coeffs)
+            assert len(cs) >= 2
+            cs[len(cs) // 2 - 1] = cs[len(cs) // 2 - 1] + bump  # D' stays monic
+            poly = UniPoly(rel, cs)
+            changed = RatFunc._normalized(
+                poly if part == "num" else comp.num, poly if part == "den" else comp.den
+            )
+            moved = Parametrization([changed if j == i else c for j, c in enumerate(sigma)])
+            assert not verify_identity(psi, moved, u), (i, part)
+            assert not verify_identity_by_cross_multiplication(psi, moved, u), (i, part)
 
 
 def test_verify_identity_builds_few_class_field_matrices(monkeypatch):

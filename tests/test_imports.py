@@ -2,9 +2,13 @@
 is used in that module, every private helper the package defines is used
 somewhere in it, every public name it defines is read by the package, the
 tests or the benchmark, and no module of the package rebinds its own
-globals."""
+globals, and importing the package loads neither `dataclasses` nor
+`inspect`."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -170,3 +174,17 @@ def test_no_module_has_a_global_statement():
         if isinstance(node, ast.Global)
     ]
     assert found == []
+
+
+def test_the_package_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter's `import hypercircles` is the benchmark's setup
+    # time; dataclasses alone brought in inspect, ast and dis
+    code = "import sys, hypercircles; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(hypercircles.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        check=True,
+    )
+    loaded = proc.stdout.split()
+    assert "hypercircles.hypercircle" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded

@@ -1,8 +1,9 @@
 """The modular number-field gcd and its common-root summary, checked
 against the textbook Euclidean gcd over the field; the split test that
 picks its primes, and the evaluation at a split prime, round-tripped mod p
-and mod p^k, packed against one dot product per value, and returned with
-the root found there."""
+and mod p^k, packed against one dot product per value, lifted at
+precisions that each take one Newton step, and returned with the root
+found there."""
 
 import gc
 import itertools
@@ -36,7 +37,9 @@ from hypercircles.modp import (
     _PRIME_START,
     _Split,
     _candidate,
+    _expand,
     _extend,
+    _level_poly,
     _lifted_rows,
     _rat_rec,
     _solve,
@@ -161,16 +164,27 @@ def fold(polys, field):
     return kind, payload
 
 
+def lift_exponents():
+    """The exponents e of the precisions p^e that `_lifted_rows` reaches:
+    doubling from p up to 8, then growing by half: 2, 4, 8, 12, 18, 27, ..."""
+    e = 1
+    while True:
+        e = 2 * e if e < 8 else e + e // 2
+        yield e
+
+
 def check_kept(field, family, s, kept):
     """kept = (sp, q, rows) is a split record of field, q is its prime p or
-    p^(2^k), rows agree with sp's evaluation matrix mod p, and they send s
-    to a root of every input mod q."""
+    one of the lift's precisions p^e (`lift_exponents`), rows agree with
+    sp's evaluation matrix mod p, and they send s to a root of every input
+    mod q."""
     sp, q, rows = kept
     p = sp.p
     assert (sp.levels[-1][0] if sp.levels else QQ) is field
     m = p
+    exponents = lift_exponents()
     while m < q:
-        m *= m
+        m = p ** next(exponents)
     assert m == q
     assert [[x % p for x in row] for row in rows] == sp.rows
     (vec,), den = integral_ops(field).lift([s])
@@ -757,13 +771,13 @@ def test_packed_evaluation_at_the_slot_bound():
 
 def test_the_packing_rule_counts_digit_work(monkeypatch):
     # tower5's lift shape at the class field, N = R = 20 and k = 7: packed
-    # at q = p^8, where it took about 0.7 times the plain loop, and plain
-    # at q = p^16, where its wider slots cost more digit work than packing
-    # saves in steps
+    # at q = p^8 and p^12, where it took about 0.7 and 0.86 times the
+    # plain loop, and plain at q = p^16, where its wider slots cost more
+    # digit work than packing saves in steps
     p = next(primes(_PRIME_START))
     rng = random.Random(16)
     packed = spy(monkeypatch, "_packed_values")
-    for power, want in ((8, 1), (16, 0)):
+    for power, want in ((8, 1), (12, 1), (16, 0)):
         q = p**power
         rows, vecs = packed_case(20, 7, q, 20, (1 << 200) - 1, rng, False)
         packed.clear()
@@ -805,7 +819,74 @@ def test_a_class_lifts_its_embedding_once(monkeypatch):
     lifted = [(args[3], args[2]) for args, _ in expands if args[3] > sp.p]
     assert len(lifted) == len(set(lifted))
     assert {n for _, n in lifted} == {5, 4}
-    assert [q for q, _ in lifted] == [sp.p ** (2**k) for k in range(1, len(steps) + 1) for _ in "ab"]
+    exponents = list(itertools.islice(lift_exponents(), len(steps)))
+    assert exponents[:4] == [2, 4, 8, 12]
+    assert [q for q, _ in lifted] == [sp.p**e for e in exponents for _ in "ab"]
+
+
+def test_each_lift_step_is_one_newton_step(monkeypatch):
+    # the precisions double from p to p^8 and then grow by half, each at
+    # most the square of the one before, so every step is one valid Newton
+    # step; after each, every level's lifted roots are roots of its
+    # polynomial mod the new precision over the lifted embeddings below,
+    # they agree with sp's roots mod p, and they give the rows returned
+    inner = modp._lift_levels
+    for name, field in parity_fields().items():
+        sp = next(_split_primes(field))
+        p = sp.p
+        seen = []
+
+        def watched(levels, q, qq):
+            out = inner(levels, q, qq)
+            seen.append((q, [(lf, list(rs)) for lf, rs, _ in levels], out))
+            return out
+
+        monkeypatch.setattr(modp, "_lift_levels", watched)
+        qs = [q for q, _ in itertools.islice(_lifted_rows(sp), 7)]
+        monkeypatch.undo()
+        assert qs == [p**e for e in (2, 4, 8, 12, 18, 27, 40)], name
+        before = p
+        for (q, levels, (qq, rows)), want in zip(seen, qs):
+            assert q == before and qq == want and before < qq <= before * before, name
+            before = qq
+            prows = [[1]]
+            for (lf, rs), (lf_p, rs_p) in zip(levels, sp.levels, strict=True):
+                assert lf is lf_p and [r % p for r in rs] == rs_p, name
+                n = lf.degree
+                for j, prow in enumerate(prows):
+                    f = _level_poly(lf, prow, qq)
+                    assert all(gf_eval(f, r, qq) == 0 for r in rs[j * n : j * n + n]), name
+                prows = _expand(prows, rs, n, qq)
+            assert prows == rows, name
+
+
+def _doubling_rows(sp):
+    """`_lifted_rows` at the precisions p^(2^k): the lift's schedule before
+    it grew by half from p^8 on."""
+    levels = modp._level_inverses(sp)
+    q = sp.p
+    while True:
+        q, rows = modp._lift_levels(levels, q, q * q)
+        yield q, rows
+
+
+def test_a_tower5_root_and_u_come_back_at_p12(monkeypatch):
+    # the seed-0 defined x^5 - 2, d = 6 instance: its one class's first good
+    # sample reconstructs its root at p^12, where the doubling lift went on
+    # to p^16, and the root, the 2-jet's u and phi are the same
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+    _, psi = parse_instance(json.dumps(doc))
+    got = standard_parametrization(psi)
+    monkeypatch.setattr(modp, "_lifted_rows", _doubling_rows)
+    want = standard_parametrization(psi)
+    (rep,), (ref,) = got.reports, want.reports
+    (v,), (w,) = rep.verdicts, ref.verdicts
+    p = v.kept[0].p
+    assert v.kept[1] == p**12 and w.kept[1] == p**16
+    # each decision builds its own class field: compared as printed
+    assert v.kind == w.kind == GOOD and str(v.s) == str(w.s)
+    assert str(rep.u) == str(ref.u)
+    assert got.phi == want.phi
 
 
 def test_a_root_found_at_p_carries_its_record():
