@@ -95,7 +95,7 @@ from .intpoly import (
     zz_sub,
     zz_trim,
 )
-from .modp import _apply, _split_primes, _values
+from .modp import _split_primes, _values
 from .numberfield import from_power_sums, integral_ops, newton_sums
 from .polynomials import UniPoly, poly_gcd
 from .rationals import RationalField
@@ -579,7 +579,7 @@ def _split_images(h, field):
         images = [gf_monic(f, p) for f in _values(rows, vecs, p)]
         if all(gf_is_squarefree(f, p) for f in images):
             inv = pow(gen.den, -1, p)
-            values = [v * inv % p for v in _apply(rows, gen.ic, p)]
+            values = [v * inv % p for (v,) in _values(rows, [gen.ic], p)]
             return p, values, images
 
 

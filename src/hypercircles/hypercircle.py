@@ -39,7 +39,7 @@ every u.  Every verdict, the properness witness's included, comes from
 `classify_parameter`.
 """
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import prod
 from operator import mul
 
@@ -63,6 +63,7 @@ NOT_ATTAINED = "not_attained"
 SINGULAR = "singular"
 
 _CLASS_NAMES = "bcdefghjklm"
+
 
 def parameter_budget(d):
     """Parameters that are not poles of psi, per class search or for the
@@ -132,9 +133,9 @@ def _budgeted_verdicts(psi, psi_sigma):
 
 class ParameterVerdict:
     """One sampled parameter's verdict: its `kind`, t, and, when GOOD, the
-    root s in the relative field.  `kept` is where s was found, (split
-    record, q, evaluation matrix mod q) (`modp.fold_common_root`), for the
-    2-jet; it is not part of the verdict, and equality leaves it out."""
+    root s in the relative field.  `kept` is where s was found, for the
+    2-jet (`modp.fold_common_root`); it is not part of the verdict, and
+    equality leaves it out."""
 
     def __init__(self, kind, t, s=None, kept=None):
         self.kind = kind
@@ -385,24 +386,25 @@ def _jet_u(psi, psi_sigma, v):
     Nothing is lifted here; that is the precision rule.  u is then
     normalized pointwise as the three-point fit normalizes its u, with its
     last nonzero coordinate 1: d = 1, or c = 1 when d vanishes at every
-    embedding.  That removes any scalar, so each embedding uses its own first component with G_s a unit there.  The
-    coordinates of a and c are recovered as rationals (`modp.from_values`),
-    and b = s (c t + d) - a t exactly.  The jet gives out when an
-    embedding has no component with G_s a unit, when the coordinate set to
-    1 is not a unit at every embedding, and when a coordinate does not
-    reconstruct at q.
+    embedding, its N inverses taken as one (Montgomery's trick).  That
+    removes any scalar, so each embedding uses its own first component
+    with G_s a unit there.  a and c are interpolated and recovered as
+    rationals (`modp.from_values`), and b = s (c t + d) - a t exactly.
+    The jet gives out when an embedding has no component with G_s a unit,
+    when the coordinate set to 1 is not a unit at every embedding, and
+    when a coordinate does not reconstruct at q.
 
     Nothing here is a proof: the caller proves u by `verify_identity`,
     which proves any u it accepts.
     """
     t, s, kept = v.t, v.s, v.kept
     rel = psi_sigma.field
-    sp, q, rows = kept
+    sp, q, rows, _ = kept
     p = sp.p
-    # p divides neither denominator: t is an integer, and s was rebuilt mod
-    # q (`modp._rat_rec` refuses a p-divisible denominator)
+    # p divides no denominator: t is an integer (`parameter_schedule`), and
+    # s was rebuilt mod q (`modp._rat_rec` refuses a p-divisible one)
     by_den = pow(s.den, -1, q)
-    tq = t.numerator * pow(t.denominator, -1, q) % q
+    tq = t.numerator % q
     # psi's side lies in K(alpha): one value per base embedding, read from
     # the first block of each group of rows above it
     size = rel.degree
@@ -437,12 +439,14 @@ def _jet_u(psi, psi_sigma, v):
     # the last nonzero coordinate is 1: d, or c when d = 0 (a u with
     # c = d = 0 is singular)
     last = 2 if any(c[2] for c in cols) else 1
-    scaled = []
-    for c in cols:
-        if c[last] % p == 0:
-            return None
-        inv = pow(c[last], -1, q)
-        scaled.append((c[0] * inv % q, c[1] * inv % q))
+    prefix = list(accumulate((c[last] for c in cols), lambda x, y: x * y % q))
+    if prefix[-1] % p == 0:  # exactly when one of them is not a unit
+        return None
+    inv, invs = pow(prefix[-1], -1, q), []
+    for c, before in zip(cols[:0:-1], prefix[-2::-1]):
+        invs.append(inv * before % q)
+        inv = inv * c[last] % q
+    scaled = [(c[0] * x % q, c[1] * x % q) for c, x in zip(cols, [inv] + invs[::-1])]
     a_c = from_values(rel, kept, list(zip(*scaled))[:last])
     if a_c is None:
         return None

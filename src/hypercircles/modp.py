@@ -6,32 +6,32 @@ split primes: the modular number-field gcd of Encarnacion (J. Symb. Comp.
 polynomial splits into distinct linear factors mod p over every embedding
 of the level below (`_split_primes`).  There every prime of the tower above
 p has degree 1, and the tower mod p is F_p^N, N the absolute degree: one
-evaluation matrix on the flat `NFElement.ic` tuple maps an element to its
-N values, one per embedding, and its inverse mod p maps values back to
-coordinates.  An image of the family is N monic gcds over F_p
-(`intpoly.gf_gcd`, the toolkit Zassenhaus uses too).  The degree at each
-embedding bounds the true one from above (argument in `nf_gcd`), so a
-gcd of 1 at the first embedding, tried alone first, proves coprimality
-at once.  An image of degree 1, x - s, settles the gcd at
-that prime alone: s is lifted p-adically per embedding by Newton's
-iteration, with the embedding itself (`_lifted_rows`), until the candidate
-x - s0 divides every input exactly, or an input stops vanishing at the
-lifted root, which proves the gcd 1.  A root comes back with the embedding
-it was found at: the split record, the precision and the evaluation matrix
-there, which the 2-jet that gives a class's u at its first good sample
-reads.  Images of degree 2 or more are combined by Chinese remaindering,
-the coordinates recovered as rationals, and the monic candidate returned
-once it divides every input exactly.  Inputs are evaluated at the
-embeddings with each coordinate's coefficients packed into one int where
-that pays, so that an embedding costs one dot product, not one per
-coefficient (`_values`).  Every `UniPoly` gcd runs here.  The
-rationals are the tower's root, whose integral vectors are 1-tuples
-(`integral_ops`): there N = 1, every prime splits, and the argument is that
-of Brown's modular gcd over Z (J. ACM 18, 1971).  `fold_common_root` is
-its summary for the degree-at-most-one question that classifies a sampled
-parameter; it takes the inputs as the integral coefficient vectors it works
-on, and `nf_gcd` is the entry for UniPolys, which it lifts to those
-vectors.
+evaluation matrix on the flat `NFElement.ic` tuple maps an element to its N
+values, one per embedding, and Lagrange interpolation in each level's roots
+maps values back to coordinates (`_interpolate`).  An image of the family
+is N monic gcds over F_p (`intpoly.gf_gcd`, the toolkit Zassenhaus uses
+too).  The degree at each embedding bounds the true one from above
+(argument in `nf_gcd`), so a gcd of 1 at the first embedding, tried alone
+first, proves coprimality at once.  An image of degree 1, x - s, settles
+the gcd at that prime alone: s is lifted p-adically per embedding by
+Newton's iteration, with the embedding itself (`_lifted_rows`), until the
+candidate x - s0 divides every input exactly, or an input stops vanishing
+at the lifted root, which proves the gcd 1.  A root comes back with the
+embedding it was found at: the split record, the precision, and the
+evaluation matrix and interpolation tables there, which the 2-jet that
+gives a class's u at its first good sample reads.  Images of degree 2 or
+more are combined by Chinese remaindering, the coordinates recovered as
+rationals, and the monic candidate returned once it divides every input
+exactly.  Inputs are evaluated at the embeddings with each coordinate's
+coefficients packed into one int where that pays, so that an embedding
+costs one dot product, not one per coefficient (`_values`).  Every
+`UniPoly` gcd runs here.  The rationals are the tower's root, whose
+integral vectors are 1-tuples (`integral_ops`): there N = 1, every prime
+splits, and the argument is that of Brown's modular gcd over Z (J. ACM 18,
+1971).  `fold_common_root` is its summary for the degree-at-most-one
+question that classifies a sampled parameter; it takes the inputs as the
+integral coefficient vectors it works on, and `nf_gcd` is the entry for
+UniPolys, which it lifts to those vectors.
 
 A field's split primes are found among those of its base: each embedding
 of the base extends by the roots mod p of the level's polynomial there, and
@@ -42,7 +42,7 @@ number field.
 """
 
 import random
-from itertools import chain
+from itertools import chain, islice
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
@@ -110,38 +110,23 @@ class _Split:
     j*n .. j*n + n - 1, n the level's degree, so the top level's positions
     number the field's N embeddings.  `rows` is the evaluation matrix:
     row k holds the values mod p at embedding k of the monomials of the
-    flat `ic` layout, and `inv` (built on first use) is its inverse mod p.
+    flat `ic` layout, and `tables` (built on first use) invert it.
     """
 
-    __slots__ = ("p", "levels", "rows", "_inv")
+    __slots__ = ("p", "levels", "rows", "_tables")
 
     def __init__(self, p, levels, rows):
         self.p = p
         self.levels = levels
         self.rows = rows
-        self._inv = None
+        self._tables = None
 
     @property
-    def inv(self):
-        if self._inv is None:
-            self._inv = _inverse(self.rows, self.p)
-        return self._inv
-
-
-def _inverse(rows, p):
-    """The inverse mod p of an invertible square matrix (Gauss-Jordan)."""
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        ic = pow(a[c][c], -1, p)
-        pr = a[c] = [x * ic % p for x in a[c]]
-        for i in range(n):
-            f = a[i][c]
-            if f and i != c:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
-    return [r[n:] for r in a]
+    def tables(self):
+        if self._tables is None:
+            levels = [(lf, rs, [None] * len(rs)) for lf, rs in self.levels]
+            self._tables = _lift_levels(levels, self.p, self.p)[2]
+        return self._tables
 
 
 def _known_roots(field, below):
@@ -210,11 +195,6 @@ def _split_primes(field):
                 found.append(sp)
         yield found[i]
         i += 1
-
-
-def _apply(m, v, q):
-    """The matrix m times the vector v, mod q."""
-    return [sum(map(mul, r, v)) % q for r in m]
 
 
 # A step of `_values`' cost model, in products of two 30-bit digits (the
@@ -422,19 +402,40 @@ def _is_root(field, family, s, e):
     return not any(ops.nonzero(integral_horner(ops, vecs, times, e)) for vecs, _ in family)
 
 
-def _solve(p, inv, rows, vals, c, pk, q):
-    """The coordinates mod q, q a power of the prime p, of the element whose
-    values mod q are vals at the embeddings with monomial values rows, from
-    c, its coordinates mod pk: one p-adic digit at a time from the inverse
-    matrix mod p (Dixon, Numer. Math. 40, 1982), as rows agree with the
-    evaluation matrix mod p."""
-    r = [(v - sum(map(mul, row, c))) // pk for v, row in zip(vals, rows)]
-    while pk < q:
-        d = _apply(inv, [x % p for x in r], p)
-        c = [x + pk * y for x, y in zip(c, d)]
-        r = [(x - sum(map(mul, row, d))) // p for x, row in zip(r, rows)]
-        pk *= p
-    return c
+def _lagrange(f, r, w, q):
+    """(column, w) at a root r mod q of the monic f, whose roots are
+    distinct mod the prime: the coefficients mod q, constant first, of
+    Lagrange's basis polynomial f(x)/(x - r) w, 1 at r and 0 at f's other
+    roots, with w refined to f'(r)'s inverse mod q by w <- w (2 - f'(r) w)
+    from half that precision, or, when None, inverted.  One pass divides f
+    by x - r (c_(n-1) = f_n, c_(i-1) = c_i r + f_i) and runs Horner's
+    scheme on the quotient for f'(r), its value at r."""
+    c = d = f[-1]
+    quot = [c]
+    for i in range(len(f) - 2, 0, -1):
+        c = (c * r + f[i]) % q
+        d = (d * r + c) % q
+        quot.append(c)
+    w = pow(d, -1, q) if w is None else w * (2 - d * w) % q
+    return [x * w % q for x in reversed(quot)], w
+
+
+def _interpolate(tables, vals, q):
+    """The coordinates mod q of the element whose values mod q at the
+    embeddings of `tables` (`_lift_levels`) are vals, top level first.  At
+    a level of degree n the element is sum_a b_a theta^a, b_a in the base,
+    so its values over base embedding j are the polynomial sum_a b_a(j) x^a
+    at j's roots, and the table for j gives the b_a(j) back by one n x n
+    product; b_a's coordinates fill block a of the flat layout."""
+    groups = [vals]
+    for table in reversed(tables):
+        n = len(table[0])
+        if n > 1:  # a degree-1 level's table is [[1]]
+            groups = [b for v in groups for b in zip(*(
+                [sum(map(mul, row, v[j * n : j * n + n])) % q for row in t]
+                for j, t in enumerate(table)
+            ))]
+    return list(chain.from_iterable(groups))
 
 
 def _newton(w, f, s, q, qq):
@@ -459,75 +460,67 @@ def _newton(w, f, s, q, qq):
 
 def _lifted_rows(sp):
     """The evaluation matrix of sp lifted p-adically: an endless generator
-    of (q, rows) at q = p^e for e = 2, 4, 8, 12, 18, 27, ..., with each
-    level's roots lifted by `_newton` from the simple roots mod p of its
-    polynomial, the level below first, as the polynomial moves with the
-    embedding below.  The exponent doubles up to 8 and then grows by half
-    (e + e // 2), so that a root of height h, which reconstructs once
-    p^e > 2 h^2, is not lifted to nearly twice the precision it needs;
-    each step is still one Newton step, as e at most doubles."""
-    levels = _level_inverses(sp)
+    of (q, rows, tables) at q = p^e for e = 1, 2, 4, 8, 12, 18, 27, ...,
+    with each level's roots lifted by `_newton` from the simple roots mod
+    p of its polynomial, the level below first, as the polynomial moves
+    with the embedding below (`_lift_levels`).  The exponent doubles up to
+    8 and then grows by half (e + e // 2), so that a root of height h,
+    which reconstructs once p^e > 2 h^2, is not lifted to nearly twice the
+    precision it needs; each step is still one Newton step, as e at most
+    doubles."""
+    levels = [(lf, list(rs), [None] * len(rs)) for lf, rs in sp.levels]
     p, e, q = sp.p, 1, sp.p
     while True:
+        q, rows, tables = _lift_levels(levels, q, p**e)
+        yield q, rows, tables
         e = 2 * e if e < 8 else e + e // 2
-        q, rows = _lift_levels(levels, q, p**e)
-        yield q, rows
-
-
-def _level_inverses(sp):
-    """sp's levels as (field, roots, inverses): each root's inverse of the
-    level polynomial's derivative there, mod p, where the roots are
-    simple."""
-    p = sp.p
-    levels = []
-    prows = [[1]]
-    for lf, rs in sp.levels:
-        n = lf.degree
-        ws = []
-        for j, prow in enumerate(prows):
-            d = gf_diff(_level_poly(lf, prow, p), p)
-            ws += [pow(gf_eval(d, r, p), -1, p) for r in rs[j * n : j * n + n]]
-        levels.append((lf, list(rs), ws))
-        prows = _expand(prows, rs, n, p)
-    return levels
 
 
 def _lift_levels(levels, q, qq):
-    """(qq, rows): the levels' roots, mod q, lifted in place to qq, a power
-    of the prime that divides q^2, by one Newton step each, and the
-    evaluation matrix mod qq they give."""
+    """(qq, rows, tables): the levels' roots, mod q, lifted in place to qq,
+    a power of the prime that divides q^2, by one Newton step each (none
+    at qq = q = p, where the inverses, None, are computed), the evaluation
+    matrix mod qq they give, and per level and embedding below a table
+    whose row a holds the a-th coefficients of the Lagrange basis
+    polynomials at its roots mod qq (`_lagrange`)."""
     prows = [[1]]
+    tables = []
     for lf, rs, ws in levels:
         n = lf.degree
+        table = []
         for j, prow in enumerate(prows):
             f = _level_poly(lf, prow, qq)
+            cols = []
             for c in range(j * n, j * n + n):
-                rs[c], ws[c] = _newton(ws[c], f, rs[c], q, qq)
+                if qq != q:
+                    rs[c], ws[c] = _newton(ws[c], f, rs[c], q, qq)
+                col, ws[c] = _lagrange(f, rs[c], ws[c], qq)
+                cols.append(col)
+            table.append(list(zip(*cols)))
+        tables.append(table)
         prows = _expand(prows, rs, n, qq)
-    return qq, prows
+    return qq, prows, tables
 
 
 def _lift_root(field, family, values, sp, roots):
     """The gcd of the family from a degree-1 image at sp's prime p, whose
-    roots, one per embedding, are `roots`: (x - s0, (sp, q, rows)) once
-    x - s0 divides every input exactly, rows the evaluation matrix mod q,
-    or (1, None) once another input stops vanishing at the first
-    embedding's lifted root, which proves the gcd 1 (`nf_gcd`).  The
-    candidate is tried at q = p, then each root is lifted by Newton's
-    iteration (Loos, SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard,
-    Modern Computer Algebra, ch. 15) on an input with a simple root there,
-    as the embedding itself is lifted, at the precisions p^e of
-    `_lifted_rows` (e = 2, 4, 8, 12, 18, ...).
-    `values` holds every input at each embedding mod p, as `_image` reduced
-    them.  At each precision the picked inputs are evaluated at the lifted
-    embedding (`_values`) and the coordinates come back by `_solve`, digits
-    on from the last precision's.
+    roots, one per embedding, are `roots`: (x - s0, (sp, q, rows, tables))
+    once x - s0 divides every input exactly, with the evaluation matrix
+    and interpolation tables mod q, or (1, None) once another input stops
+    vanishing at the first embedding's lifted root, which proves the gcd 1
+    (`nf_gcd`).  The candidate is tried at q = p, then each root is lifted
+    by Newton's iteration (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
+    and Gerhard, Modern Computer Algebra, ch. 15) on an input with a simple
+    root there, as the embedding itself is lifted, at the precisions p^e of
+    `_lifted_rows` (e = 2, 4, 8, 12, 18, ...).  `values` holds every input
+    at each embedding mod p, as `_image` reduced them.  At each precision
+    the picked inputs are evaluated at the lifted embedding (`_values`) and
+    the coordinates come back by `_interpolate`.
     """
     p = sp.p
-    coords = _apply(sp.inv, roots, p)
-    h = _candidate(field, family, [-x % p for x in coords], p)
+    h = _candidate(field, family, [-x % p for x in _interpolate(sp.tables, roots, p)], p)
     if h is not None:
-        return h, (sp, p, sp.rows)
+        return h, (sp, p, sp.rows, sp.tables)
     pick, ws = [], []
     for k, s in enumerate(roots):
         for i, f in enumerate(values):
@@ -539,31 +532,27 @@ def _lift_root(field, family, values, sp, roots):
         else:
             raise InternalInvariantError("no input has a simple root at a degree-1 image")
     q = p
-    for qq, rows in _lifted_rows(sp):
+    for qq, rows, tables in islice(_lifted_rows(sp), 1, None):
         fs = {i: _values(rows, family[i][0], qq) for i in set(pick)}
         for k, i in enumerate(pick):
             roots[k], ws[k] = _newton(ws[k], fs[i][k], roots[k], q, qq)
-        coords = _solve(p, sp.inv, rows, roots, coords, q, qq)
-        h = _candidate(field, family, [-x % qq for x in coords], qq)
+        h = _candidate(field, family, [-x % qq for x in _interpolate(tables, roots, qq)], qq)
         if h is not None:
-            return h, (sp, qq, rows)
+            return h, (sp, qq, rows, tables)
         for i, (vecs, _) in enumerate(family):
-            if i != pick[0] and gf_eval(_apply(vecs, rows[0], qq), roots[0], qq):
+            if i != pick[0] and gf_eval(_values(rows[:1], vecs, qq)[0], roots[0], qq):
                 return UniPoly.one(field), None
         q = qq
 
 
 def from_values(field, kept, vals):
     """The elements of field whose values mod q at the embeddings of
-    kept = (sp, q, rows), where a root was found (`_gcd`), are the lists
-    in vals, or None when one does not reconstruct: the coordinates come
-    back digit by digit from sp's inverse matrix (`_solve`) and are
-    recovered as rationals as a gcd candidate's are (`_coordinates`)."""
-    sp, q, rows = kept
-    p, inv = sp.p, sp.inv
-    v = []
-    for x in vals:
-        v += _solve(p, inv, rows, x, _apply(inv, [y % p for y in x], p), p, q)
+    kept = (sp, q, rows, tables), where a root was found (`_gcd`), are the
+    lists in vals, or None when one does not reconstruct: the coordinates
+    come back by interpolation (`_interpolate`) and are recovered as
+    rationals as a gcd candidate's are (`_coordinates`)."""
+    _, q, _, tables = kept
+    v = list(chain.from_iterable(_interpolate(tables, x, q) for x in vals))
     coeffs = _coordinates(field, v, q)
     if coeffs is None:
         return None
@@ -618,7 +607,8 @@ def nf_gcd(polys, field):
     polynomial.  If G = x - s0, G mod P is the image, so s*_P is the image
     of s0 at P: every input vanishes there, and the lifted roots converge
     to s0's values, whose coordinates are p-integral because p divides no
-    level's discriminant, and reconstruct once the precision p^e exceeds
+    level's discriminant, come back mod p^e from the lifted level roots
+    (`_interpolate`), and reconstruct once the precision p^e exceeds
     twice the square of their heights, as it does: e grows without end
     (`_lifted_rows`).  So an input g with g(s*_P) != 0 mod p^e proves
     G = 1.  And if G = 1, the gcd over Q_p of the inputs' images at P is
@@ -639,10 +629,10 @@ def _gcd(family, field):
     """`nf_gcd` of the nonzero polynomials whose coefficient vectors over
     one denominator each, as `integral_ops(field).lift` gives them with the
     leading vector nonzero, are the family: (g, kept), g the monic gcd as a
-    UniPoly and, when g = x - s0, kept = (sp, q, rows) the split record
-    whose degree-1 image gave g, with its evaluation matrix rows mod q
-    (`_lift_root`); kept is None otherwise.  Only images of degree 2 or
-    more take further primes."""
+    UniPoly and, when g = x - s0, kept = (sp, q, rows, tables) the split
+    record whose degree-1 image gave g, with its evaluation matrix and
+    interpolation tables mod q (`_lift_root`); kept is None otherwise.
+    Only images of degree 2 or more take further primes."""
     if any(len(vecs) == 1 for vecs, _ in family):
         return UniPoly.one(field), None
     least = acc = mod = None
@@ -660,7 +650,7 @@ def _gcd(family, field):
         if deg == 1:
             return _lift_root(field, family, values, sp, [-g[0] % p for g in gs])
         # the lower coefficients' coordinates
-        v = tuple(chain.from_iterable(_apply(sp.inv, [g[j] for g in gs], p) for j in range(deg)))
+        v = tuple(chain.from_iterable(_interpolate(sp.tables, c, p) for c in list(zip(*gs))[:deg]))
         if deg == least:
             acc, mod = _crt(acc, mod, v, p)
         else:  # the first image, or one of lower degree
@@ -678,9 +668,9 @@ def fold_common_root(family, field):
 
     Returns ("empty", None, None) when the gcd is 1, ("degree", k, None)
     when it has degree k >= 2, and ("root", s0, kept) when it is x - s0,
-    with kept the split record, precision and evaluation matrix where s0
-    was found (`_gcd`).  Each outcome is proven as in `nf_gcd`, so no
-    caller needs an exact fallback.
+    with kept the split record, precision, evaluation matrix and
+    interpolation tables where s0 was found (`_gcd`).  Each outcome is
+    proven as in `nf_gcd`, so no caller needs an exact fallback.
     """
     g, kept = _gcd(family, field)
     if g.degree == 0:

@@ -45,10 +45,13 @@ class RationalField:
     def from_str(self, text):
         """Parse 'p' or 'p/q' (ints in base 10) into a Rational.
 
-        Parsing goes through ``int`` rather than ``Fraction(str)`` so that
-        decimal and exponent forms ("1.5", "1e3") stay rejected.
+        It goes through ``int``, not ``Fraction(str)``, so that decimal and
+        exponent forms ("1.5", "1e3") stay rejected, and refuses ``int``'s
+        underscores and non-ASCII digits first.
         """
         s = text.strip()
+        if "_" in s or not s.isascii():
+            raise ValueError(f"not a base-10 rational: {text!r}")
         if "/" in s:
             a, _, b = s.partition("/")
             return Rational(int(a), int(b))

@@ -405,6 +405,39 @@ def values_by_dot_products(rows, vecs, q):
     return [[sum(map(mul, row, v)) % q for v in vecs] for row in rows]
 
 
+def inverse_mod_p(rows, p):
+    """The inverse mod the prime p of an invertible square matrix, by
+    Gauss-Jordan elimination."""
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c])
+        a[c], a[piv] = a[piv], a[c]
+        ic = pow(a[c][c], -1, p)
+        pr = a[c] = [x * ic % p for x in a[c]]
+        for i in range(n):
+            f = a[i][c]
+            if f and i != c:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
+    return [r[n:] for r in a]
+
+
+def solve_by_digits(p, rows, vals, q):
+    """`modp._interpolate` by Dixon's p-adic solve (Numer. Math. 40, 1982):
+    the coordinates mod q, a power of the prime p, of the element whose
+    values mod q are vals at the embeddings whose monomial values mod q
+    are rows, one p-adic digit at a time from the inverse mod p of rows
+    (`inverse_mod_p`)."""
+    inv = inverse_mod_p([[x % p for x in row] for row in rows], p)
+    c, r, pk = [0] * len(rows), list(vals), 1
+    while pk < q:
+        d = [sum(map(mul, row, [x % p for x in r])) % p for row in inv]
+        c = [x + pk * y for x, y in zip(c, d)]
+        r = [(x - sum(map(mul, row, d))) // p for x, row in zip(r, rows)]
+        pk *= p
+    return c
+
+
 def poly_resultant(f, g):
     """Resultant of f and g via the Euclidean recursion."""
     field = f.field

@@ -5,6 +5,7 @@ which a moving class reported as fixing fails) and `compute --check` (at
 n = 5, on a twisted instance, and on a class whose candidate u both fail
 before its not-attained pair), and of all three on a non-proper input;
 exact outputs too long for Python's integer-string limit, printed in full;
+numbers outside the ASCII base-10 format refused;
 exit code 3 for a phi that fails its check and for any unexpected exception;
 and a package import that leaves the test oracles out."""
 
@@ -360,6 +361,19 @@ def test_input_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys):
     assert cli.main(["compute", str(path)]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err.startswith("error: parametrization[0].num[0][1]")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+def test_a_number_outside_the_format_is_an_input_error(tmp_path, capsys, text):
+    # int() takes both, but an instance's numbers are ASCII base 10
+    doc = json.loads(json.dumps(CIRCLE_DOC))
+    doc["parametrization"][0]["num"][0][0] = text
+    path = tmp_path / "bad_number.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["definable", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: parametrization[0].num[0][0]: not a base-10")
     assert captured.out == ""
 
 

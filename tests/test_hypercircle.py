@@ -430,6 +430,42 @@ def test_the_jet_normalizes_like_the_three_point_fit(monkeypatch, circle, which)
     assert _goods(fitted) == 3 and _coefficients(fitted.u) == _coefficients(u)
 
 
+@pytest.mark.parametrize("which", ["circle", "x5-2"])
+def test_a_jet_takes_two_modular_inverses(monkeypatch, circle, which):
+    # s's denominator and one for the N normalizing coordinates together
+    # (Montgomery's trick), at N = 2 (the circle) and N = 20 (the class of
+    # size 4 of the seed-0 defined x^5 - 2, d = 6), and u is the
+    # three-point fit's
+    if which == "circle":
+        _, psi = circle
+    else:
+        doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+        _, psi = parse_instance(json.dumps(doc))
+    (cls,) = conjugacy_classes(psi.field)[1]
+    jet = hypercircle._jet_u
+    jets = []
+
+    def watched(*args):
+        inverses = []
+
+        def counted(x, e, *mod):
+            inverses.append(e == -1)
+            return pow(x, e, *mod)
+
+        with monkeypatch.context() as m:
+            m.setattr(hypercircle, "pow", counted, raising=False)
+            u = jet(*args)
+        jets.append((len(args[2].kept[2]), sum(inverses), u))
+        return u
+
+    monkeypatch.setattr(hypercircle, "_jet_u", watched)
+    report = compute_u_for_class(psi, cls)
+    ((n, inverses, u),) = jets
+    assert n == {"circle": 2, "x5-2": 20}[which] and inverses <= 2
+    assert report.fixes and report.u is u and _goods(report) == 1
+    assert _coefficients(u) == _coefficients(_jet_off(monkeypatch, psi, cls).u)
+
+
 def test_a_jet_that_gives_out_leaves_the_loop_as_it_was(monkeypatch, quartic):
     # no reconstruction: the loop goes on to three good samples and the
     # three-point fit, with the same u
@@ -463,7 +499,7 @@ def test_a_jet_gives_out_on_its_own(monkeypatch):
     (rep,) = res.reports
     assert jets == [None] and rebuilt == [None]
     assert [v.kind for v in rep.verdicts] == [GOOD] * 3
-    sp, q, _ = rep.verdicts[0].kept
+    sp, q, _, _ = rep.verdicts[0].kept
     assert q == sp.p**2
     assert rep.fixes and verify_identity(psi, psi.conjugate(rep.cls), rep.u)
 

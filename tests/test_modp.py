@@ -1,9 +1,10 @@
 """The modular number-field gcd and its common-root summary, checked
 against the textbook Euclidean gcd over the field; the split test that
-picks its primes, and the evaluation at a split prime, round-tripped mod p
-and mod p^k, packed against one dot product per value, lifted at
-precisions that each take one Newton step, and returned with the root
-found there."""
+picks its primes, and the evaluation at a split prime, inverted by
+per-level interpolation mod p and mod p^k as Dixon's digit solve inverts
+it, packed against one dot product per value, lifted at precisions that
+each take one Newton step with no modular inverse above p, and returned
+with the root found there."""
 
 import gc
 import itertools
@@ -39,10 +40,10 @@ from hypercircles.modp import (
     _candidate,
     _expand,
     _extend,
+    _interpolate,
     _level_poly,
     _lifted_rows,
     _rat_rec,
-    _solve,
     _split_primes,
     _values,
     fold_common_root,
@@ -50,7 +51,7 @@ from hypercircles.modp import (
 )
 from hypercircles.numberfield import ConjugacyClass, integral_ops
 
-from oracles import euclid_gcd, extend_by_root_finding, values_by_dot_products
+from oracles import euclid_gcd, extend_by_root_finding, solve_by_digits, values_by_dot_products
 
 
 def make_K():
@@ -165,8 +166,8 @@ def fold(polys, field):
 
 
 def lift_exponents():
-    """The exponents e of the precisions p^e that `_lifted_rows` reaches:
-    doubling from p up to 8, then growing by half: 2, 4, 8, 12, 18, 27, ..."""
+    """The exponents e of the precisions p^e that `_lifted_rows` lifts to
+    after p: doubling up to 8, then growing by half: 2, 4, 8, 12, 18, ..."""
     e = 1
     while True:
         e = 2 * e if e < 8 else e + e // 2
@@ -174,11 +175,12 @@ def lift_exponents():
 
 
 def check_kept(field, family, s, kept):
-    """kept = (sp, q, rows) is a split record of field, q is its prime p or
-    one of the lift's precisions p^e (`lift_exponents`), rows agree with
-    sp's evaluation matrix mod p, and they send s to a root of every input
-    mod q."""
-    sp, q, rows = kept
+    """kept = (sp, q, rows, tables) is a split record of field, q is its
+    prime p or one of the lift's precisions p^e (`lift_exponents`), rows
+    agree with sp's evaluation matrix mod p, they send s to a root of every
+    input mod q, and the tables give s's coordinates back from its
+    values."""
+    sp, q, rows, tables = kept
     p = sp.p
     assert (sp.levels[-1][0] if sp.levels else QQ) is field
     m = p
@@ -192,6 +194,7 @@ def check_kept(field, family, s, kept):
     for vecs, _ in family:
         for f, x in zip(_values(rows, vecs, q), at_s):
             assert gf_eval(f, x, q) == 0
+    assert _interpolate(tables, at_s, q) == [x * pow(den, -1, q) % q for x in vec]
 
 
 def lifted_roots(calls):
@@ -665,12 +668,69 @@ def values_at(rows, e, q):
     return [v[0] * dinv % q for v in _values(rows, [e.ic], q)]
 
 
+def lifted_at(sp, power):
+    """(rows, tables) of sp at p^power: its own at p, and otherwise the
+    lift's (`_lifted_rows`)."""
+    if power == 1:
+        return sp.rows, sp.tables
+    q = sp.p**power
+    for qq, rows, tables in _lifted_rows(sp):
+        if qq == q:
+            return rows, tables
+        assert qq < q
+
+
+def interpolation_fields():
+    """The parity fields with Q, Q(i) and Q(2^(1/5)) as (name, field, split
+    record at the first split prime): absolute degrees 1, 2, 3, 5, 6, 8,
+    12, 16 and 20, degree-1 levels included."""
+    fields = {
+        "Q": QQ,
+        "x2+1": NumberField(QQ, UniPoly(QQ, [1, 0, 1]), "i"),
+        "x5-2": NumberField(QQ, UniPoly(QQ, [-2, 0, 0, 0, 0, 1]), "a"),
+        **parity_fields(),
+    }
+    return [(name, field, next(_split_primes(field))) for name, field in fields.items()]
+
+
+INTERPOLATION_CASES = interpolation_fields()
+INTERPOLATION_POWERS = (1, 2, 12, 18)
+_LIFTED = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interpolation_inverts_evaluation(data):
+    # at the first split prime p and at the lift's p^2, p^12 and p^18, on
+    # every absolute degree of the benchmark's fields and more: the tables
+    # give back any coordinates from their values, and any values come
+    # from the coordinates they give, which Dixon's digit solve from the
+    # Gauss-Jordan inverse mod p gives too
+    name, field, sp = data.draw(st.sampled_from(INTERPOLATION_CASES), label="field")
+    power = data.draw(st.sampled_from(INTERPOLATION_POWERS), label="power")
+    if (name, power) not in _LIFTED:
+        _LIFTED[name, power] = lifted_at(sp, power)
+    rows, tables = _LIFTED[name, power]
+    p = sp.p
+    q = p**power
+    n = field.absolute_degree
+    assert len(rows) == n and [[x % p for x in row] for row in rows] == sp.rows
+    vector = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    c = data.draw(vector, label="coordinates")
+    assert _interpolate(tables, [v[0] for v in _values(rows, [c], q)], q) == c
+    vals = data.draw(vector, label="values")
+    got = _interpolate(tables, vals, q)
+    assert got == solve_by_digits(p, rows, vals, q)
+    assert [v[0] for v in _values(rows, [got], q)] == vals
+
+
 @pytest.mark.parametrize("power", [1, 2, 4])
 def test_evaluation_then_interpolation_round_trips(power):
     # at the first split prime p, the evaluation matrix (power 1) and its
-    # lifts mod p^2 and p^4: coordinates come back from their values, and
-    # the values of a product are the products of the values, so each row
-    # is a ring homomorphism of the tower mod p^power
+    # lifts mod p^2 and p^4: coordinates come back from their values by
+    # the interpolation tables there, and the values of a product are the
+    # products of the values, so each row is a ring homomorphism of the
+    # tower mod p^power
     rng = random.Random(power)
     fields = parity_fields()
     assert fields["rescaled"]._scale == 6
@@ -678,14 +738,14 @@ def test_evaluation_then_interpolation_round_trips(power):
         sp = next(_split_primes(field))
         p = sp.p
         q = p**power
-        rows = sp.rows if power == 1 else dict(itertools.islice(_lifted_rows(sp), 2))[q]
+        rows, tables = lifted_at(sp, power)
         n = field.absolute_degree
         assert len(rows) == n and len({tuple(r) for r in rows}) == n, name
         assert values_at(rows, field.one, q) == [1] * n, name
         for _ in range(4):
             c = [rng.randrange(q) for _ in range(n)]
             vals = [v[0] for v in _values(rows, [c], q)]
-            assert _solve(p, sp.inv, rows, vals, [0] * n, 1, q) == c, name
+            assert _interpolate(tables, vals, q) == c, name
             a, b = rand_elem(rng, field), rand_elem(rng, field)
             ab = [x * y % q for x, y in zip(values_at(rows, a, q), values_at(rows, b, q))]
             assert values_at(rows, a * b, q) == ab, name
@@ -789,8 +849,8 @@ def test_a_class_lifts_its_embedding_once(monkeypatch):
     # the seed-0 defined x^5 - 2, d = 6 instance has one class, of size 4,
     # whose first good sample lifts its root at one split prime, one
     # `_expand` per level and precision; the GOOD verdict carries that
-    # lift's record and last (q, rows), and the 2-jet that gives u reads
-    # them with no lifting and no `_expand` of its own
+    # lift's record and last (q, rows, tables), and the 2-jet that gives u
+    # reads them with no lifting and no `_expand` of its own
     doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
     _, psi = parse_instance(json.dumps(doc))
     lifts = spy(monkeypatch, "_lift_root")
@@ -814,7 +874,9 @@ def test_a_class_lifts_its_embedding_once(monkeypatch):
     ((args, (h, kept)),) = lifts
     sp = args[3]
     assert v.kind == GOOD and h == UniPoly(v.s.field, [-v.s, 1])
-    assert v.kept is kept and kept[0] is sp and kept[1:] == steps[-1][1]
+    # the steps of the lift, not the tables at p, built at q = qq = p
+    steps = [out for (_, q, qq), out in steps if qq > q]
+    assert v.kept is kept and kept[0] is sp and kept[1:] == steps[-1]
     assert len(liftings) == 1 and in_jet == [(0, 0)]
     lifted = [(args[3], args[2]) for args, _ in expands if args[3] > sp.p]
     assert len(lifted) == len(set(lifted))
@@ -824,12 +886,36 @@ def test_a_class_lifts_its_embedding_once(monkeypatch):
     assert [q for q, _ in lifted] == [sp.p**e for e in exponents for _ in "ab"]
 
 
+def test_every_modular_inverse_is_mod_p(monkeypatch):
+    # in the seed-0 defined x^5 - 2, d = 6 decision, whose class lifts its
+    # root to p^12, modp inverts only mod a split prime: the lift refines
+    # each level root's inverse of the derivative by Newton's iteration,
+    # and interpolation at every precision inverts nothing
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+    _, psi = parse_instance(json.dumps(doc))
+    moduli = []
+
+    def counted(x, e, *mod):
+        if e == -1:
+            moduli.append(*mod)
+        return pow(x, e, *mod)
+
+    monkeypatch.setattr(modp, "pow", counted, raising=False)
+    res = standard_parametrization(psi)
+    (v,) = res.reports[0].verdicts
+    sp, q = v.kept[:2]
+    assert res.defined and q == sp.p**12
+    assert sp.p in moduli
+    assert all(m >= _PRIME_START and is_prime(m) for m in moduli)
+
+
 def test_each_lift_step_is_one_newton_step(monkeypatch):
-    # the precisions double from p to p^8 and then grow by half, each at
-    # most the square of the one before, so every step is one valid Newton
-    # step; after each, every level's lifted roots are roots of its
+    # the precisions start at p, double to p^8 and then grow by half, each
+    # at most the square of the one before, so every step is one valid
+    # Newton step; after each, every level's lifted roots are roots of its
     # polynomial mod the new precision over the lifted embeddings below,
-    # they agree with sp's roots mod p, and they give the rows returned
+    # they agree with sp's roots mod p, they give the rows returned, and
+    # the tables returned invert those rows
     inner = modp._lift_levels
     for name, field in parity_fields().items():
         sp = next(_split_primes(field))
@@ -838,15 +924,17 @@ def test_each_lift_step_is_one_newton_step(monkeypatch):
 
         def watched(levels, q, qq):
             out = inner(levels, q, qq)
-            seen.append((q, [(lf, list(rs)) for lf, rs, _ in levels], out))
+            if qq != q:  # a step, not the tables at p
+                seen.append((q, [(lf, list(rs)) for lf, rs, _ in levels], out))
             return out
 
         monkeypatch.setattr(modp, "_lift_levels", watched)
-        qs = [q for q, _ in itertools.islice(_lifted_rows(sp), 7)]
+        qs = [q for q, _, _ in itertools.islice(_lifted_rows(sp), 8)]
         monkeypatch.undo()
-        assert qs == [p**e for e in (2, 4, 8, 12, 18, 27, 40)], name
+        assert qs == [p**e for e in (1, 2, 4, 8, 12, 18, 27, 40)], name
+        qs = qs[1:]
         before = p
-        for (q, levels, (qq, rows)), want in zip(seen, qs):
+        for (q, levels, (qq, rows, tables)), want in zip(seen, qs):
             assert q == before and qq == want and before < qq <= before * before, name
             before = qq
             prows = [[1]]
@@ -858,16 +946,19 @@ def test_each_lift_step_is_one_newton_step(monkeypatch):
                     assert all(gf_eval(f, r, qq) == 0 for r in rs[j * n : j * n + n]), name
                 prows = _expand(prows, rs, n, qq)
             assert prows == rows, name
+            c = [(k * k + 1) % qq for k in range(len(rows))]
+            assert _interpolate(tables, [v[0] for v in _values(rows, [c], qq)], qq) == c, name
 
 
 def _doubling_rows(sp):
     """`_lifted_rows` at the precisions p^(2^k): the lift's schedule before
     it grew by half from p^8 on."""
-    levels = modp._level_inverses(sp)
-    q = sp.p
+    levels = [(lf, list(rs), [None] * len(rs)) for lf, rs in sp.levels]
+    q = qq = sp.p
     while True:
-        q, rows = modp._lift_levels(levels, q, q * q)
-        yield q, rows
+        q, rows, tables = modp._lift_levels(levels, q, qq)
+        yield q, rows, tables
+        qq = q * q
 
 
 def test_a_tower5_root_and_u_come_back_at_p12(monkeypatch):
@@ -902,6 +993,7 @@ def test_a_root_found_at_p_carries_its_record():
         kind, root, kept = fold_common_root(family, field)
         assert (kind, root) == ("root", s)
         assert kept[0] is sp and kept[1] == sp.p and kept[2] is sp.rows
+        assert kept[3] is sp.tables
 
 
 def test_a_decision_leaves_no_field_alive():

@@ -99,7 +99,8 @@ def test_str_round_trip(ab):
 def test_from_str_forms():
     assert QQ.from_str("  -3/6 ") == Rational(-1, 2)
     assert QQ.from_str("14") == Rational(14)
-    for text in ("1.5", "1e3", "0.5", "1/2.0"):
+    # int() alone takes underscores and any Unicode digits
+    for text in ("1.5", "1e3", "0.5", "1/2.0", "1_000", "1/1_0", "\u0661\u0662", "3/\uff14"):
         with pytest.raises(ValueError):
             QQ.from_str(text)
     with pytest.raises(ZeroDivisionError):
