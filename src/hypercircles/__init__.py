@@ -37,8 +37,9 @@ from .instances import (
     serialize_instance,
 )
 from .minfield import FixedField, minimum_field
+from .modp import poly_gcd
 from .numberfield import ConjugacyClass, NFElement, NumberField
-from .polynomials import UniPoly, poly_gcd
+from .polynomials import UniPoly
 from .ratfunc import (
     MoebiusTransform,
     Parametrization,

@@ -95,9 +95,9 @@ from .intpoly import (
     zz_sub,
     zz_trim,
 )
-from .modp import _split_primes, _values
+from .modp import _split_primes, _values, poly_gcd
 from .numberfield import from_power_sums, integral_ops, newton_sums
-from .polynomials import UniPoly, poly_gcd
+from .polynomials import UniPoly
 from .rationals import RationalField
 
 # ----------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from .errors import InstanceError, NonProperParametrization
 from .factoring import is_irreducible_rational
 from .hypercircle import _proper_at, conjugacy_classes, standard_parametrization
 from .instances import instance_doc
+from .modp import poly_gcd
 from .numberfield import NumberField
-from .polynomials import UniPoly, poly_gcd
+from .polynomials import UniPoly
 from .rationals import QQ
 from .ratfunc import MoebiusTransform, Parametrization, RatFunc
 

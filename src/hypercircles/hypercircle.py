@@ -47,8 +47,9 @@ from .errors import InstanceError, InternalInvariantError, NonProperParametrizat
 from .factoring import factor_squarefree
 from .intpoly import integer_schedule as parameter_schedule
 from .modp import _values, fold_common_root, from_values
+from .modp import poly_gcd  # noqa: F401 - wrapped by the bench tracer
 from .numberfield import ConjugacyClass, NumberField, _blocks, integral_horner, integral_ops
-from .polynomials import UniPoly, poly_gcd  # noqa: F401 - wrapped by the bench tracer
+from .polynomials import UniPoly
 from .ratfunc import (
     MoebiusTransform,
     Parametrization,
@@ -112,9 +113,8 @@ def curve_degree_bound(psi):
     denominators, deg L + max(0, max deg N_i - deg D_i) for components
     N_i/D_i: it bounds the degree over lcm(D_i), a divisor of L, and so
     the degree of psi's curve.  It is `Parametrization.degree` when the
-    components share one denominator."""
-    dens = [comp.den for comp in psi]
-    deg_l = sum(den.degree for i, den in enumerate(dens) if den not in dens[:i])
+    components share one denominator (one position in `psi.pairs`)."""
+    deg_l = sum(psi.polys[i].degree for i in {den for _, den in psi.pairs})
     return deg_l + max(0, max(comp.num.degree - comp.den.degree for comp in psi))
 
 
@@ -247,9 +247,10 @@ def classify_parameter(psi, psi_sigma, t):
     vectors (`Parametrization.vectors`): field arithmetic is left only to a
     gcd candidate of degree 2 or more (`fold_common_root`).  With t = r/q
     in lowest terms, q > 0, a component N/D of psi of degree k gives
-    N_t = q^k E N(t) and D_t = q^k E D(t) by homogeneous integer Horner
-    (E psi's dropped denominator, one for every component), and D_t = 0
-    exactly when D(t) does.  The component's polynomial D' v - N' in s,
+    N_t = q^k E N(t) and D_t = q^k E D(t) (E psi's dropped denominator, one
+    for every component) from one homogeneous integer Horner pass per
+    distinct polynomial (`Parametrization.polys`), and D_t = 0 exactly when
+    D(t) does.  The component's polynomial D' v - N' in s,
     v = N(t)/D(t) and N'/D' the matching component of psi^sigma, times the
     nonzero constant F D_t of K(alpha) (F psi^sigma's dropped
     denominator) has the
@@ -268,17 +269,20 @@ def classify_parameter(psi, psi_sigma, t):
     q = t.denominator
     by_r = ops.fixed(ops.scale(ops.one, t.numerator))  # a scaling
     pad = (0,) * (psi_sigma.field.absolute_degree - psi.field.absolute_degree)
+    vectors, vectors_s = psi.vectors, psi_sigma.vectors
+    at_t = [integral_horner(ops, vecs, by_r, q) if vecs else ops.zero for vecs in vectors]
     values = []
-    for num, den in psi.vectors:
-        k = max(len(num), len(den)) - 1
-        dv = _homogeneous(ops, den, by_r, q, k)
+    for pair in psi.pairs:
+        k = max(len(vectors[i]) for i in pair) - 1
+        nv, dv = (ops.scale(at_t[i], q ** (k + 1 - len(vectors[i]))) for i in pair)
         if not ops.nonzero(dv):
             return ParameterVerdict(BAD_DENOMINATOR, t)
-        values.append((_homogeneous(ops, num, by_r, q, k) + pad, dv + pad))
+        values.append((nv + pad, dv + pad))
     add, nonzero, zero = rops.add, rops.nonzero, rops.zero
     family = []
     at_infinity = True
-    for (nv, dv), (num_s, den_s) in zip(values, psi_sigma.vectors):
+    for (nv, dv), (n_s, d_s) in zip(values, psi_sigma.pairs):
+        num_s, den_s = vectors_s[n_s], vectors_s[d_s]
         times_n, times_d = rops.fixed(nv), rops.fixed(rops.scale(dv, -1))
         vecs = [add(times_n(y), times_d(x)) for y, x in zip_longest(den_s, num_s, fillvalue=zero)]
         at_infinity = at_infinity and not nonzero(vecs[-1])
@@ -297,15 +301,6 @@ def classify_parameter(psi, psi_sigma, t):
         # psi^sigma's value at infinity: t's fibre is not one point
         return ParameterVerdict(SINGULAR, t)
     return ParameterVerdict(GOOD, t, s0, kept)
-
-
-def _homogeneous(ops, vecs, by_r, q, k):
-    """q^k p(r/q) for the polynomial p of degree at most k with the
-    integral coefficient vectors vecs, `by_r` the scaling by r: homogeneous
-    Horner (`integral_horner`), scalings only."""
-    if not vecs:
-        return ops.zero
-    return ops.scale(integral_horner(ops, vecs, by_r, q), q ** (k + 1 - len(vecs)))
 
 
 def compute_u_for_class(psi, cls):
@@ -413,18 +408,19 @@ def _jet_u(psi, psi_sigma, v):
     def at(rows, part):
         return _values(rows, part, q) if part else [()] * len(rows)
 
-    pairs = list(zip(psi.vectors, psi_sigma.vectors))
-    jets, coeffs = [], []  # per component, as far as some embedding needed
+    pairs = list(zip(psi.pairs, psi_sigma.pairs))
+    jets, coeffs = {}, {}  # by position in the records, as far as some embedding needed
     cols = []
     for e, row in enumerate(rows):
         se = sum(map(mul, row, s.ic)) * by_den % q
-        for i, (pair, pair_s) in enumerate(pairs):
-            if i == len(jets):
-                base = zip(*(at(base_rows, part) for part in pair))
-                jets.append([[_taylor(f, tq, q) for f in fs] for fs in base])
-                coeffs.append(list(zip(*(at(rows, part) for part in pair_s))))
-            (n0, n1, n2), (d0, d1, d2) = jets[i][e // size]
-            (y0, y1, y2), (x0, x1, x2) = (_taylor(f, se, q) for f in coeffs[i][e])
+        for pair, pair_s in pairs:
+            for i, i_s in zip(pair, pair_s):
+                if i not in jets:
+                    jets[i] = [_taylor(f, tq, q) for f in at(base_rows, psi.vectors[i])]
+                if i_s not in coeffs:
+                    coeffs[i_s] = at(rows, psi_sigma.vectors[i_s])
+            (n0, n1, n2), (d0, d1, d2) = (jets[i][e // size] for i in pair)
+            (y0, y1, y2), (x0, x1, x2) = (_taylor(coeffs[i][e], se, q) for i in pair_s)
             gs = (n0 * x1 - d0 * y1) % q
             if gs % p:
                 break
@@ -491,13 +487,14 @@ def verify_identity(psi, psi_sigma, u):
     monic).  The Horner scheme of `moebius_compose_pair`
     (`moebius_composer`, with one table of the powers of -C t + A for every
     component) gives CN = E L^k cn and CD = E L^k cd, so the checks read
-    CN_j E' == lc(CD) X_j and CD_j E' == lc(CD) Y_j.  Parts that are one
-    polynomial are one list of vectors, so a composition, lc(CD) and its
-    matrix, and each check are made once per distinct polynomial (at its
-    k): r components over one denominator D, a plane curve's, cost r + 1
-    compositions, not 2r, and D's checks against the one D' are made once,
-    while components over distinct denominators compose every part.  The
-    composition runs on packed vectors,
+    CN_j E' == lc(CD) X_j and CD_j E' == lc(CD) Y_j.  Work is keyed by
+    positions in the two records (`Parametrization.pairs`): a composition,
+    lc(CD) and its matrix by psi's polynomial at its k, a check by the
+    positions of its part and denominator in both.  r components over one
+    denominator D, a plane curve's, cost r + 1 compositions, not 2r, and
+    D's check against one D' is made once; a psi^sigma whose components
+    do not share D' has each part checked.  The composition runs on
+    packed vectors,
     each coordinate's t-coefficients in one int, so each part costs O(d)
     products by a fixed multiplier, a few per Horner step, and its slots
     are read once at the end; at small degree the Python calls per step
@@ -518,31 +515,31 @@ def verify_identity(psi, psi_sigma, u):
     # psi's coefficients lie in the base of the class field: their products
     # there act block by block, from the matrices psi keeps
     embed = ops.over_base if psi_sigma.field != psi.field else None
-    # keyed by the identity of the lists that `Parametrization.vectors`
-    # shares between parts that are one polynomial, held for the whole proof
+    products, vectors_s = psi.products, psi_sigma.vectors
+    # keyed by positions in psi's and psi^sigma's records, for the whole proof
     images, lams, proven = {}, {}, set()
-    for comp, comp_s, parts, parts_s in zip(psi, psi_sigma, psi.products, psi_sigma.vectors):
+    for comp, comp_s, pair, pair_s in zip(psi, psi_sigma, psi.pairs, psi_sigma.pairs):
         k = comp.degree
         if comp_s.degree != k:
             return False
-        for products, vecs_s in zip(parts, parts_s):
-            if (id(products), k) not in images:
-                bs = [embed(b) for b in products] if embed is not None else products
+        for i, i_s in zip(pair, pair_s):
+            if (i, k) not in images:
+                bs = [embed(b) for b in products[i]] if embed is not None else products[i]
                 acc = compose(bs, k) if bs else []
                 size = len(acc)
                 while size and not nonzero(acc[size - 1]):
                     size -= 1
-                images[id(products), k] = acc, size
-            if images[id(products), k][1] != len(vecs_s):
+                images[i, k] = acc, size
+            if images[i, k][1] != len(vectors_s[i_s]):
                 return False
-        den, den_s = (id(parts[1]), k), parts_s[1]
+        den, den_s = (pair[1], k), vectors_s[pair_s[1]]
         if den not in lams:
             lams[den] = ops.fixed(images[den][0][len(den_s) - 1])
         lam, by_e = lams[den], ops.fixed(den_s[-1])  # D' is monic: E' times one
-        for products, vecs_s in zip(parts, parts_s):
-            check = id(products), id(vecs_s), den, id(den_s)
+        for i, i_s in zip(pair, pair_s):
+            check = i, i_s, den, pair_s[1]
             if check not in proven:
-                for y, x in zip(images[id(products), k][0], vecs_s):
+                for y, x in zip(images[i, k][0], vectors_s[i_s]):
                     if by_e(y) != lam(x):
                         return False
                 proven.add(check)
@@ -767,9 +764,9 @@ def check_certificate(psi, result):
     * psi is proper when a class moves the curve: psi against itself
       re-classifies `proper_at` as GOOD (`_proven_proper`);
     * when defined, phi is there and interpolates every u: over D, the
-      product of the distinct denominators of phi, `_interpolates` holds at
-      alpha with the identity (the sum phi_i alpha^i = t) and at each
-      class's root with its u.
+      product of phi's distinct denominators (`Parametrization.pairs`),
+      `_interpolates` holds at alpha with the identity (the sum
+      phi_i alpha^i = t) and at each class's root with its u.
 
     psi and result must share one field object: a TypeError says so
     before any arithmetic when they do not (two loads of one instance
@@ -799,9 +796,9 @@ def check_certificate(psi, result):
         return
     if result.phi is None:
         raise InternalInvariantError("a defined result carries no phi")
-    dens = [comp.den for comp in result.phi]
-    den = prod((d for i, d in enumerate(dens) if d not in dens[:i]), start=UniPoly.one(field))
-    nums = [comp.num * (den // comp.den) for comp in result.phi]
+    phi = result.phi
+    den = prod((phi.polys[i] for i in {d for _, d in phi.pairs}), start=UniPoly.one(field))
+    nums = [comp.num * (den // comp.den) for comp in phi]
     pairs = [(field.gen, MoebiusTransform.identity(field))]
     pairs += [(rep.cls.root, rep.u) for rep in result.reports]
     for root, u in pairs:

@@ -15,8 +15,9 @@ Q; each numerator/denominator is an ascending list of coefficient vectors of
 length n over the power basis 1, alpha, ..., alpha^(n-1). All rationals are
 strings ("p/q", or "p" for integers) so that no precision is lost in
 transit. Parsing validates the shape, checks the minimal polynomial is
-irreducible, and rejects zero denominators; serializing a parsed instance
-and parsing it again is the identity.
+irreducible, and rejects zero denominators and a generator named `t` or
+`x`, the names the outputs give to the parameter and the indeterminate;
+serializing a parsed instance and parsing it again is the identity.
 """
 
 import json
@@ -76,6 +77,9 @@ def parse_instance(text):
     name = fdoc["generator"]
     if not isinstance(name, str) or not name.isidentifier():
         raise InstanceError(f"field.generator must be an identifier, got {name!r}")
+    if name in ("t", "x"):  # the outputs' names of u's parameter and M_L's indeterminate
+        what = "the parameter t" if name == "t" else "the indeterminate x"
+        raise InstanceError(f"field.generator {name!r} clashes with {what} of the printed output")
     mp = fdoc["minpoly"]
     if not isinstance(mp, list) or len(mp) < 2:
         raise InstanceError("field.minpoly must be a coefficient list of degree >= 1")

@@ -14,7 +14,8 @@ alpha's minimal polynomial over L.
 import itertools
 
 from .errors import InstanceError, InternalInvariantError
-from .polynomials import UniPoly, poly_gcd
+from .modp import poly_gcd
+from .polynomials import UniPoly
 from .rationals import RationalField
 
 

@@ -31,7 +31,7 @@ splits, and the argument is that of Brown's modular gcd over Z (J. ACM 18,
 1971).  `fold_common_root` is its summary for the degree-at-most-one
 question that classifies a sampled parameter; it takes the inputs as the
 integral coefficient vectors it works on, and `nf_gcd` is the entry for
-UniPolys, which it lifts to those vectors.
+UniPolys, which it lifts to those vectors; `poly_gcd` is `nf_gcd` of two.
 
 A field's split primes are found among those of its base: each embedding
 of the base extends by the roots mod p of the level's polynomial there, and
@@ -623,6 +623,15 @@ def nf_gcd(polys, field):
     """
     ops = integral_ops(field)
     return _gcd([ops.lift(q.coeffs) for q in polys], field)[0]
+
+
+def poly_gcd(f, g):
+    """Monic gcd of two polynomials over the same field (`nf_gcd`)."""
+    if f.field != g.field:
+        raise TypeError("gcd of polynomials over different fields")
+    if f.is_zero or g.is_zero:
+        return (g if f.is_zero else f).monic()
+    return nf_gcd((f, g), f.field)
 
 
 def _gcd(family, field):

@@ -6,10 +6,8 @@ Coefficients are stored ascending — index i holds the x^i coefficient — in a
 trimmed tuple, so the zero polynomial has an empty coefficient tuple and
 ``degree == -1``.
 
-There is one gcd engine for every field: `poly_gcd` is the modular gcd of
-`modp.nf_gcd`, which works at totally split primes and proves its answer by
-exact division; over the rationals it runs at the root of the tower
-layout, whose integral vectors are 1-tuples and where every prime splits.
+The gcd lives with its engine: `modp.poly_gcd` is the modular gcd of
+`modp.nf_gcd`, for every field.
 """
 
 
@@ -260,15 +258,3 @@ def format_poly(coeffs, var="x"):
             out += " + " + t
     return out
 
-
-def poly_gcd(f, g):
-    """Monic gcd of two polynomials over the same field."""
-    if f.field != g.field:
-        raise TypeError("gcd of polynomials over different fields")
-    if f.is_zero:
-        return g.monic()
-    if g.is_zero:
-        return f.monic()
-    from .modp import nf_gcd  # modp builds on this module
-
-    return nf_gcd((f, g), f.field)

@@ -8,8 +8,9 @@ integral coefficient vectors (`moebius_composer`).
 
 from .errors import InternalInvariantError
 from .intpoly import filled_slots
+from .modp import poly_gcd
 from .numberfield import integral_ops
-from .polynomials import UniPoly, format_poly, poly_gcd
+from .polynomials import UniPoly, format_poly
 
 
 class RatFunc:
@@ -386,9 +387,14 @@ def moebius_from_three_points(field, pairs):
 
 
 class Parametrization:
-    """A tuple of rational functions of one parameter over a common field."""
+    """A tuple of rational functions of one parameter over a common field.
 
-    __slots__ = ("components", "_vectors", "_products")
+    Its record of distinct polynomials is built on first use: `polys` and
+    `pairs`, then `vectors` and `products` in the order of `polys`.  A
+    plane curve N_1/D, N_2/D has three polynomials, so whatever reads
+    positions evaluates, composes or conjugates D once for both."""
+
+    __slots__ = ("components", "_polys", "_pairs", "_vectors", "_products")
 
     def __init__(self, components):
         comps = tuple(components)
@@ -399,63 +405,57 @@ class Parametrization:
             if c.field != field:
                 raise TypeError("components over different fields")
         self.components = comps
-        self._vectors = None
-        self._products = None
+        self._polys = self._pairs = self._vectors = self._products = None
 
     @property
     def field(self):
         return self.components[0].field
 
     @property
-    def vectors(self):
-        """Each component's (numerator, denominator) as lists of integral
-        coefficient vectors of `integral_ops(field)`, ascending, built on
-        first use.  Every polynomial of every component is lifted over one
-        positive common denominator E, which is dropped: each pair is the
-        component's parts times E, so their ratio is the component.  Parts
-        that are one polynomial, such as the denominator D of a plane curve
-        N_1/D, N_2/D, are one list, so a proof that composes D once can
-        tell that it serves every component over D (`verify_identity`)."""
-        if self._vectors is None:
-            polys, index = [], []  # the distinct parts; each part's place
+    def polys(self):
+        """The distinct numerators and denominators of the components, by
+        equality, in order of first appearance."""
+        if self._polys is None:
+            polys = []
             for c in self.components:
                 for part in (c.num, c.den):
-                    i = next((i for i, p in enumerate(polys) if p == part), len(polys))
-                    if i == len(polys):
+                    if part not in polys:
                         polys.append(part)
-                    index.append(i)
-            vecs, _ = integral_ops(self.field).lift([x for p in polys for x in p.coeffs])
-            lists, start = [], 0
-            for p in polys:
-                lists.append(vecs[start : start + len(p.coeffs)])
-                start += len(p.coeffs)
-            self._vectors = tuple(
-                (lists[index[2 * i]], lists[index[2 * i + 1]]) for i in range(len(self.components))
-            )
+            self._polys = tuple(polys)
+        return self._polys
+
+    @property
+    def pairs(self):
+        """Each component's (numerator, denominator) as positions in `polys`."""
+        if self._pairs is None:
+            index = self.polys.index
+            self._pairs = tuple((index(c.num), index(c.den)) for c in self.components)
+        return self._pairs
+
+    @property
+    def vectors(self):
+        """Each of `polys` as its list of integral coefficient vectors of
+        `integral_ops(field)`, ascending.  All are lifted over one positive
+        common denominator E, which is dropped, so a component's two lists
+        are its parts times E, and their ratio is the component."""
+        if self._vectors is None:
+            vecs = iter(integral_ops(self.field).lift([x for p in self.polys for x in p.coeffs])[0])
+            self._vectors = tuple([next(vecs) for _ in p.coeffs] for p in self.polys)
         return self._vectors
 
     @property
     def products(self):
         """`vectors` as the products by each coefficient, in the form
-        `moebius_composer`'s compose takes (`integral_ops(field).bounded`),
-        built on first use: the regular representation of each distinct
-        coefficient and its norm are built once for psi, and every
-        composition of it (each class's identity proof and its re-proof in
-        `check_certificate`) shares them.  Parts that share one list of
-        vectors share one list of products."""
+        `moebius_composer`'s compose takes (`integral_ops(field).bounded`):
+        the regular representation of each distinct coefficient and its
+        norm are built once for psi, and every composition of it (each
+        class's identity proof and its re-proof in `check_certificate`)
+        shares them."""
         if self._products is None:
             bounded = integral_ops(self.field).bounded
-            built, lists = {}, {}
-            for pair in self.vectors:
-                for part in pair:
-                    if id(part) not in lists:
-                        for v in part:
-                            if v not in built:
-                                built[v] = bounded(v)
-                        lists[id(part)] = [built[v] for v in part]
-            self._products = tuple(
-                tuple(lists[id(part)] for part in pair) for pair in self.vectors
-            )
+            distinct = dict.fromkeys(v for vecs in self.vectors for v in vecs)
+            built = {v: bounded(v) for v in distinct}
+            self._products = tuple([built[v] for v in vecs] for vecs in self.vectors)
         return self._products
 
     @property
@@ -485,16 +485,16 @@ class Parametrization:
         """Apply alpha -> the class's root coefficient-wise; lands over the
         relative field.
 
-        Conjugation is a field homomorphism, so it preserves coprimality and
-        monic denominators; the components are rebuilt without renormalizing.
+        Conjugation is a field embedding, so it preserves coprimality and
+        monic denominators, and it keeps distinct polynomials distinct: each
+        of `polys` is conjugated once, the components are rebuilt without
+        renormalizing, and `pairs` carries over.
         """
         rel = cls.relative_field
-        out = []
-        for c in self.components:
-            num = c.num.map_coeffs(cls.conjugate, rel)
-            den = c.den.map_coeffs(cls.conjugate, rel)
-            out.append(RatFunc._normalized(num, den))
-        return Parametrization(out)
+        polys = tuple(p.map_coeffs(cls.conjugate, rel) for p in self.polys)
+        out = Parametrization([RatFunc._normalized(polys[n], polys[d]) for n, d in self.pairs])
+        out._polys, out._pairs = polys, self.pairs
+        return out
 
     def render(self, var="t"):
         return "(" + ", ".join(c.render(var) for c in self.components) + ")"

@@ -23,9 +23,9 @@ from hypercircles.hypercircle import (
     parameter_schedule,
 )
 from hypercircles.intpoly import gf_edf, gf_pow_mod
-from hypercircles.modp import nf_gcd
+from hypercircles.modp import nf_gcd, poly_gcd
 from hypercircles.numberfield import NumberField, integral_ops, newton_sums
-from hypercircles.polynomials import UniPoly, poly_gcd
+from hypercircles.polynomials import UniPoly
 from hypercircles.rationals import RationalField
 from hypercircles.ratfunc import MoebiusTransform, Parametrization, RatFunc, moebius_composer
 

@@ -377,6 +377,19 @@ def test_a_number_outside_the_format_is_an_input_error(tmp_path, capsys, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name", ["t", "x"])
+def test_a_generator_named_like_the_output_variables_exits_2(tmp_path, capsys, name):
+    # `class x + x: ...` and `values at t=0` would read two ways
+    doc = json.loads(json.dumps(CIRCLE_DOC))
+    doc["field"]["generator"] = name
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["definable", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: field.generator {name!r} clashes with")
+    assert captured.out == ""
+
+
 def test_unexpected_exception_exits_3_with_its_traceback(
     instance_files, capsys, monkeypatch
 ):

@@ -51,6 +51,7 @@ from oracles import (
     values_at_infinity,
     verify_identity_by_evaluation,
 )
+from test_grid import GRID
 from test_minfield import _model, sextic_subfield_instance
 
 
@@ -236,6 +237,37 @@ def test_good_parameters_take_no_field_inverse(circle, monkeypatch):
                 assert inverses == [], (p, cls.factor, t0)
             inverses.clear()
     assert good >= 4
+
+
+def test_a_sample_evaluates_each_distinct_polynomial_once(monkeypatch):
+    """Every sample runs one Horner pass per distinct polynomial of psi
+    (`Parametrization.polys`), whatever its verdict: a plane curve
+    N_1/D, N_2/D of the seed-0 grid takes 3, its D serving both
+    components, and with the second component squared it takes 4."""
+    grid = [
+        parse_instance(json.dumps(gen_instance(kind, d, ext_degree=n, seed=0)))[1]
+        for kind, (n, d) in itertools.product(("defined", "twisted"), GRID)
+    ]
+    passes = []
+    inner = hypercircle.integral_horner
+
+    def counted(*args):
+        passes[-1] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(hypercircle, "integral_horner", counted)
+    kinds = set()
+    for psi in grid:
+        squared = Parametrization([psi[0], psi[1] * psi[1]])
+        for p, want in ((psi, 3), (squared, 4)):
+            assert len(p.polys) == want
+            for cls in conjugacy_classes(p.field)[1]:
+                psi_sigma = p.conjugate(cls)
+                for t0 in itertools.islice(parameter_schedule(), 4):
+                    passes.append(0)
+                    kinds.add(classify_parameter(p, psi_sigma, t0).kind)
+                    assert passes[-1] == want, (p, t0)
+    assert kinds >= {GOOD, NOT_ATTAINED}
 
 
 def test_compute_u_circle(circle):

@@ -223,8 +223,8 @@ def test_packed_widths_hold_every_accumulator():
             inverse = MoebiusTransform._raw(u.d, -u.b, -u.c, u.a)
             compose, _ = moebius_composer(ops, inverse, psi.degree)
             pad = (0,) * (rel.absolute_degree - psi.field.absolute_degree)
-            for comp, parts in zip(psi, psi.vectors):
-                for vecs in parts:
+            for comp, pair in zip(psi, psi.pairs):
+                for vecs in (psi.vectors[i] for i in pair):
                     if not vecs:
                         continue
                     cs = [v + pad for v in vecs]
@@ -438,14 +438,14 @@ def _squared_second(psi):
 
 def test_components_over_one_denominator_compose_it_once(monkeypatch):
     """On the seed-0 grid every defined psi is a plane curve N_1/D, N_2/D,
-    whose parts share D's integral vectors, so each proof of a class
-    composes r + 1 = 3 polynomials, in the search and again in
+    whose record holds D once, so each proof of a class composes
+    r + 1 = 3 polynomials, in the search and again in
     `check_certificate`, which passes; with the second component squared
     no two parts are one polynomial, and the proof composes 2r = 4."""
     for n, d in GRID:
         doc = gen_instance("defined", d, ext_degree=n, seed=0)
         _, psi = parse_instance(json.dumps(doc))
-        assert len(psi) == 2 and psi.vectors[0][1] is psi.vectors[1][1]
+        assert psi.pairs == ((0, 1), (2, 1))
         calls = _count_compositions(monkeypatch)
         verify = []
         inner = hypercircle.verify_identity
@@ -463,12 +463,45 @@ def test_components_over_one_denominator_compose_it_once(monkeypatch):
         assert res.defined
         assert verify == [(True, 3)] * (2 * len(res.reports)), (n, d)
         squared = _squared_second(psi)
-        assert len({id(part) for pair in squared.vectors for part in pair}) == 4
+        assert squared.pairs == ((0, 1), (2, 3))
         for rep in res.reports:
             calls = _count_compositions(monkeypatch)
             assert verify_identity(squared, squared.conjugate(rep.cls), rep.u), (n, d)
             monkeypatch.undo()
             assert calls == [c.degree for c in squared for _ in "nd"], (n, d)
+
+
+def test_a_conjugate_carries_the_record_over():
+    """An embedding keeps distinct polynomials distinct: on the seed-0
+    grid every class's psi^sigma has psi's pairs, and a scan of its
+    components finds the same record."""
+    for kind, (n, d) in itertools.product(("defined", "twisted"), GRID):
+        _, psi = parse_instance(json.dumps(gen_instance(kind, d, ext_degree=n, seed=0)))
+        for cls in conjugacy_classes(psi.field)[1]:
+            sigma = psi.conjugate(cls)
+            scanned = Parametrization(list(sigma))
+            assert sigma.pairs == scanned.pairs == psi.pairs, (kind, n, d)
+            assert sigma.polys == scanned.polys, (kind, n, d)
+
+
+@pytest.mark.parametrize("kind", ["defined", "twisted"])
+def test_equal_denominators_are_one_polynomial_whatever_the_objects(kind):
+    """A parsed plane curve's D is two equal objects, one per component;
+    over one D object psi has the same record, and the decision the same
+    verdicts, u and phi."""
+    _, psi = parse_instance(json.dumps(gen_instance(kind, 5, ext_degree=3, seed=0)))
+    assert psi[0].den is not psi[1].den and psi[0].den == psi[1].den
+    shared = Parametrization([RatFunc._normalized(c.num, psi[0].den) for c in psi])
+    assert (shared.polys, shared.pairs) == (psi.polys, psi.pairs)
+    assert shared.polys[1] is psi.polys[1] is psi[0].den
+
+    # each decision builds its own class fields, so compare renderings
+    def decided(p):
+        result = standard_parametrization(p)
+        verdicts = [[str(v) for v in rep.verdicts] for rep in result.reports]
+        return _outputs(result), verdicts, result.proper_at
+
+    assert decided(shared) == decided(psi)
 
 
 def test_a_shared_denominator_still_proves_every_part():
@@ -477,8 +510,7 @@ def test_a_shared_denominator_still_proves_every_part():
     either component's denominator alone, so that psi^sigma's components
     no longer share one while psi's do, each fail the proof."""
     for psi, sigma, u in _decided_classes(3, 5, seed=0):
-        assert psi.vectors[0][1] is psi.vectors[1][1]
-        assert sigma.vectors[0][1] is sigma.vectors[1][1]
+        assert psi.pairs == sigma.pairs == ((0, 1), (2, 1))
         assert verify_identity(psi, sigma, u)
         rel = sigma.field
         bump = rel.gen if rel.degree > 1 else rel.coerce(psi.field.gen)
@@ -492,6 +524,7 @@ def test_a_shared_denominator_still_proves_every_part():
                 poly if part == "num" else comp.num, poly if part == "den" else comp.den
             )
             moved = Parametrization([changed if j == i else c for j, c in enumerate(sigma)])
+            assert moved.pairs == ((0, 1), (2, 1) if part == "num" else (2, 3))
             assert not verify_identity(psi, moved, u), (i, part)
             assert not verify_identity_by_cross_multiplication(psi, moved, u), (i, part)
 
@@ -516,7 +549,7 @@ def test_psi_builds_each_coefficient_matrix_once_per_decision(monkeypatch):
     (`Parametrization.products`), where each composition built its own."""
     doc = gen_instance("defined", 6, minpoly=canonical_minpoly(6), seed=0)
     field, psi = parse_instance(json.dumps(doc))
-    coefficients = {v for pair in psi.vectors for part in pair for v in part if any(v[1:])}
+    coefficients = {v for vecs in psi.vectors for v in vecs if any(v[1:])}
     builds = _count_columns(monkeypatch, field)
     proving = []
     inner = hypercircle.verify_identity

@@ -1,9 +1,9 @@
 """Every name a module of the package, the tests or the benchmark imports
 is used in that module, every private helper the package defines is used
 somewhere in it, every public name it defines is read by the package, the
-tests or the benchmark, and no module of the package rebinds its own
-globals, and importing the package loads neither `dataclasses` nor
-`inspect`."""
+tests or the benchmark, no module of the package imports inside a
+function or rebinds its own globals, and importing the package loads
+neither `dataclasses` nor `inspect`."""
 
 import ast
 import os
@@ -64,6 +64,34 @@ def test_every_import_of_the_tests_and_the_benchmark_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom math import gcd, lcm\nfrom re import sub  # noqa: F401\nlcm(1)\n"
     assert unused_imports(source) == [(1, "os"), (2, "gcd")]
+
+
+def function_imports(source):
+    """(line, name) of each name imported inside a function: such an import
+    runs only when the function is called, so it hides a dependency, and
+    any cycle it closes, from the module's header."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    out.update((inner.lineno, a.asname or a.name) for a in inner.names)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_inside_a_function(path):
+    assert function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_import_inside_a_function():
+    # a module-level optional import, as of the compiled kernel, is fine
+    source = (
+        "try:\n    from . import _kernel\nexcept ImportError:\n    pass\n"
+        "def f():\n    from .b import g as h\n    def inner():\n        import os\n"
+        "class C:\n    def m(self):\n        import re\n"
+    )
+    assert function_imports(source) == [(6, "h"), (8, "os"), (11, "re")]
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

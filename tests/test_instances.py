@@ -107,6 +107,8 @@ def test_load_instance_file_round_trip(tmp_path, quartic):
         (lambda d: d.pop("parametrization"), "missing key"),
         (lambda d: d["field"].pop("minpoly"), "'generator' and 'minpoly'"),
         (lambda d: d["field"].update(generator="not an ident!"), "identifier"),
+        (lambda d: d["field"].update(generator="t"), "'t' clashes with the parameter t"),
+        (lambda d: d["field"].update(generator="x"), "'x' clashes with the indeterminate x"),
         (lambda d: d["field"].update(minpoly=["1"]), "degree >= 1"),
         (lambda d: d["field"].update(minpoly=["-1", "0", "1"]), "reducible"),
         (lambda d: d["field"].update(minpoly=["-2", "0", "0"]), "zero leading"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercircles import NumberField, QQ, Rational, UniPoly
-from hypercircles.polynomials import poly_gcd
+from hypercircles.modp import poly_gcd
 
 from oracles import euclid_gcd, is_squarefree, poly_resultant
 
