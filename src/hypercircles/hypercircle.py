@@ -133,9 +133,9 @@ def _budgeted_verdicts(psi, psi_sigma):
 
 class ParameterVerdict:
     """One sampled parameter's verdict: its `kind`, t, and, when GOOD, the
-    root s in the relative field.  `kept` is where s was found, for the
-    2-jet (`modp.fold_common_root`); it is not part of the verdict, and
-    equality leaves it out."""
+    root s in the relative field.  `kept` is the split record, at the
+    precision where s was proven, for the 2-jet (`modp.fold_common_root`);
+    it is not part of the verdict, and equality leaves it out."""
 
     def __init__(self, kind, t, s=None, kept=None):
         self.kind = kind
@@ -376,8 +376,8 @@ def _jet_u(psi, psi_sigma, v):
     only one Moebius map has a given 2-jet with m != 0.
 
     Where it runs.  Pointwise, at the class field's embeddings mod q where
-    the fold found s (`v.kept`): the split record whose lift reconstructed
-    s, at that precision, or the record at q = p when s needed no lift.
+    the fold found s (`v.kept`): the split record at the precision q where
+    s was proven, q = p when s needed no lift.
     Nothing is lifted here; that is the precision rule.  u is then
     normalized pointwise as the three-point fit normalizes its u, with its
     last nonzero coordinate 1: d = 1, or c = 1 when d vanishes at every
@@ -392,10 +392,8 @@ def _jet_u(psi, psi_sigma, v):
     Nothing here is a proof: the caller proves u by `verify_identity`,
     which proves any u it accepts.
     """
-    t, s, kept = v.t, v.s, v.kept
-    rel = psi_sigma.field
-    sp, q, rows, _ = kept
-    p = sp.p
+    t, s, kept, rel = v.t, v.s, v.kept, psi_sigma.field
+    p, q, rows = kept.p, kept.q, kept.rows
     # p divides no denominator: t is an integer (`parameter_schedule`), and
     # s was rebuilt mod q (`modp._rat_rec` refuses a p-divisible one)
     by_den = pow(s.den, -1, q)
@@ -770,7 +768,7 @@ def check_certificate(psi, result):
 
     psi and result must share one field object: a TypeError says so
     before any arithmetic when they do not (two loads of one instance
-    build two fields whose elements do not combine).
+    build two equal fields, whose elements mix only through `coerce`).
     """
     field = psi.field
     if result.field is not field:

@@ -14,12 +14,12 @@ too).  The degree at each embedding bounds the true one from above
 (argument in `nf_gcd`), so a gcd of 1 at the first embedding, tried alone
 first, proves coprimality at once.  An image of degree 1, x - s, settles
 the gcd at that prime alone: s is lifted p-adically per embedding by
-Newton's iteration, with the embedding itself (`_lifted_rows`), until the
+Newton's iteration, with the embedding itself (`_Split.lifted`), until the
 candidate x - s0 divides every input exactly, or an input stops vanishing
 at the lifted root, which proves the gcd 1.  A root comes back with the
-embedding it was found at: the split record, the precision, and the
-evaluation matrix and interpolation tables there, which the 2-jet that
-gives a class's u at its first good sample reads.  Images of degree 2 or
+split record it was proven at, which knows its precision q and holds the
+evaluation matrix and interpolation tables mod q that the 2-jet giving a
+class's u at its first good sample reads.  Images of degree 2 or
 more are combined by Chinese remaindering, the coordinates recovered as
 rationals, and the monic candidate returned once it divides every input
 exactly.  Inputs are evaluated at the embeddings with each coordinate's
@@ -42,7 +42,7 @@ number field.
 """
 
 import random
-from itertools import chain, islice
+from itertools import chain
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import mul
 
@@ -103,30 +103,43 @@ def _expand(prows, roots, n, q):
 
 
 class _Split:
-    """A field's tower at a totally split prime p.
+    """A field's tower at a totally split prime p, to the precision q = p^e.
 
-    `levels` lists, bottom-up, each level's field and its roots mod p: the
+    `levels` lists, bottom-up, each level's field and its roots mod q: the
     level's polynomial over base embedding j has the roots at positions
     j*n .. j*n + n - 1, n the level's degree, so the top level's positions
     number the field's N embeddings.  `rows` is the evaluation matrix:
-    row k holds the values mod p at embedding k of the monomials of the
-    flat `ic` layout, and `tables` (built on first use) invert it.
+    row k holds the values mod q at embedding k of the monomials of the
+    flat `ic` layout, and `tables` invert it (`_interpolate`), built with
+    the inverses of f'(r) mod q at each level root r, which `lifted`
+    refines; at q = p both are built on first use.
     """
 
-    __slots__ = ("p", "levels", "rows", "_tables")
+    __slots__ = ("p", "e", "q", "levels", "rows", "_built")
 
-    def __init__(self, p, levels, rows):
-        self.p = p
-        self.levels = levels
-        self.rows = rows
-        self._tables = None
+    def __init__(self, p, levels, rows, e=1, built=None):
+        self.p, self.e, self.q = p, e, p**e
+        self.levels, self.rows, self._built = levels, rows, built
 
     @property
     def tables(self):
-        if self._tables is None:
-            levels = [(lf, rs, [None] * len(rs)) for lf, rs in self.levels]
-            self._tables = _lift_levels(levels, self.p, self.p)[2]
-        return self._tables
+        return self._interpolation()[0]
+
+    def _interpolation(self):
+        """(tables, inverses), the inverses one list per level."""
+        if self._built is None:
+            nones = [[None] * len(rs) for _, rs in self.levels]
+            self._built = _lift_levels(self.levels, nones, self.p, self.p)[2]
+        return self._built
+
+    def lifted(self):
+        """A new record at the next precision p^e', e' = 2e up to e = 8 and
+        e + e // 2 after (a root of height h reconstructs once p^e > 2 h^2,
+        and is not lifted to nearly twice that): one Newton step
+        (`_lift_levels`, e' <= 2e) from this record's roots and inverses."""
+        e = 2 * self.e if self.e < 8 else self.e + self.e // 2
+        levels, rows, built = _lift_levels(self.levels, self._interpolation()[1], self.q, self.p**e)
+        return _Split(self.p, levels, rows, e, built)
 
 
 def _known_roots(field, below):
@@ -231,7 +244,7 @@ def _values(rows, vecs, q):
     class field (N = R = 20, k = 7 or 8), packed took 0.45-0.56,
     0.45-0.56, 0.70, 0.86-0.87 and 1.08 times the plain loop at q = p^2,
     p^4, p^8, p^12 and p^16 (W = 2, 3, 6, 9 and 11; two timings; p^16 is
-    where a lift that doubled its precision went after p^8, `_lifted_rows`):
+    where a lift that doubled its precision went after p^8, `_Split.lifted`):
     S from 134 to 193 picks the faster path at each of them, packed at
     p^12 and plain at p^16, where the step's price above, S = 96, picks
     plain at p^12.  Over every call of 9 decisions each at x^2 + 1,
@@ -458,35 +471,20 @@ def _newton(w, f, s, q, qq):
     return (s - v * w) % qq, w
 
 
-def _lifted_rows(sp):
-    """The evaluation matrix of sp lifted p-adically: an endless generator
-    of (q, rows, tables) at q = p^e for e = 1, 2, 4, 8, 12, 18, 27, ...,
-    with each level's roots lifted by `_newton` from the simple roots mod
-    p of its polynomial, the level below first, as the polynomial moves
-    with the embedding below (`_lift_levels`).  The exponent doubles up to
-    8 and then grows by half (e + e // 2), so that a root of height h,
-    which reconstructs once p^e > 2 h^2, is not lifted to nearly twice the
-    precision it needs; each step is still one Newton step, as e at most
-    doubles."""
-    levels = [(lf, list(rs), [None] * len(rs)) for lf, rs in sp.levels]
-    p, e, q = sp.p, 1, sp.p
-    while True:
-        q, rows, tables = _lift_levels(levels, q, p**e)
-        yield q, rows, tables
-        e = 2 * e if e < 8 else e + e // 2
-
-
-def _lift_levels(levels, q, qq):
-    """(qq, rows, tables): the levels' roots, mod q, lifted in place to qq,
-    a power of the prime that divides q^2, by one Newton step each (none
-    at qq = q = p, where the inverses, None, are computed), the evaluation
-    matrix mod qq they give, and per level and embedding below a table
-    whose row a holds the a-th coefficients of the Lagrange basis
-    polynomials at its roots mod qq (`_lagrange`)."""
+def _lift_levels(levels, inverses, q, qq):
+    """(levels, rows, (tables, inverses)) at qq, a power of the prime that
+    divides q^2, from the levels' roots mod q and, per level, the inverses
+    of f'(r) at its roots to at least half that precision, in new lists:
+    each root lifted by one Newton step (none at qq = q = p, where the
+    inverses, None, are computed) and each inverse refined (`_lagrange`),
+    the evaluation matrix mod qq they give, and per level and embedding
+    below a table whose row a holds the a-th coefficients of the Lagrange
+    basis polynomials at its roots mod qq."""
     prows = [[1]]
-    tables = []
-    for lf, rs, ws in levels:
+    out, tables, refined = [], [], []
+    for (lf, rs), ws in zip(levels, inverses):
         n = lf.degree
+        rs, ws = list(rs), list(ws)
         table = []
         for j, prow in enumerate(prows):
             f = _level_poly(lf, prow, qq)
@@ -497,30 +495,32 @@ def _lift_levels(levels, q, qq):
                 col, ws[c] = _lagrange(f, rs[c], ws[c], qq)
                 cols.append(col)
             table.append(list(zip(*cols)))
+        out.append((lf, rs))
         tables.append(table)
+        refined.append(ws)
         prows = _expand(prows, rs, n, qq)
-    return qq, prows, tables
+    return tuple(out), prows, (tables, refined)
 
 
 def _lift_root(field, family, values, sp, roots):
     """The gcd of the family from a degree-1 image at sp's prime p, whose
-    roots, one per embedding, are `roots`: (x - s0, (sp, q, rows, tables))
-    once x - s0 divides every input exactly, with the evaluation matrix
-    and interpolation tables mod q, or (1, None) once another input stops
-    vanishing at the first embedding's lifted root, which proves the gcd 1
-    (`nf_gcd`).  The candidate is tried at q = p, then each root is lifted
-    by Newton's iteration (Loos, SIAM J. Comput. 12, 1983; von zur Gathen
-    and Gerhard, Modern Computer Algebra, ch. 15) on an input with a simple
-    root there, as the embedding itself is lifted, at the precisions p^e of
-    `_lifted_rows` (e = 2, 4, 8, 12, 18, ...).  `values` holds every input
-    at each embedding mod p, as `_image` reduced them.  At each precision
-    the picked inputs are evaluated at the lifted embedding (`_values`) and
+    roots, one per embedding, are `roots`: (x - s0, kept) once x - s0
+    divides every input exactly at the precision q of kept, sp or a lift
+    of it, or (1, None) once another input stops vanishing at the first
+    embedding's lifted root, which proves the gcd 1 (`nf_gcd`).  The
+    candidate is tried at q = p, then each root is lifted by Newton's
+    iteration (Loos, SIAM J. Comput. 12, 1983; von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 15) on an input with a simple root there,
+    as the embedding itself is lifted: sp.lifted(), its lifted(), ... at
+    p^e, e = 2, 4, 8, 12, 18, ....  `values` holds every input at each
+    embedding mod p, as `_image` reduced them.  At each precision the
+    picked inputs are evaluated at the lifted embedding (`_values`) and
     the coordinates come back by `_interpolate`.
     """
     p = sp.p
     h = _candidate(field, family, [-x % p for x in _interpolate(sp.tables, roots, p)], p)
     if h is not None:
-        return h, (sp, p, sp.rows, sp.tables)
+        return h, sp
     pick, ws = [], []
     for k, s in enumerate(roots):
         for i, f in enumerate(values):
@@ -531,28 +531,29 @@ def _lift_root(field, family, values, sp, roots):
                 break
         else:
             raise InternalInvariantError("no input has a simple root at a degree-1 image")
-    q = p
-    for qq, rows, tables in islice(_lifted_rows(sp), 1, None):
+    kept = sp
+    while True:
+        q, kept = kept.q, kept.lifted()
+        qq, rows = kept.q, kept.rows
         fs = {i: _values(rows, family[i][0], qq) for i in set(pick)}
         for k, i in enumerate(pick):
             roots[k], ws[k] = _newton(ws[k], fs[i][k], roots[k], q, qq)
-        h = _candidate(field, family, [-x % qq for x in _interpolate(tables, roots, qq)], qq)
+        h = _candidate(field, family, [-x % qq for x in _interpolate(kept.tables, roots, qq)], qq)
         if h is not None:
-            return h, (sp, qq, rows, tables)
+            return h, kept
         for i, (vecs, _) in enumerate(family):
             if i != pick[0] and gf_eval(_values(rows[:1], vecs, qq)[0], roots[0], qq):
                 return UniPoly.one(field), None
-        q = qq
 
 
 def from_values(field, kept, vals):
-    """The elements of field whose values mod q at the embeddings of
-    kept = (sp, q, rows, tables), where a root was found (`_gcd`), are the
-    lists in vals, or None when one does not reconstruct: the coordinates
-    come back by interpolation (`_interpolate`) and are recovered as
-    rationals as a gcd candidate's are (`_coordinates`)."""
-    _, q, _, tables = kept
-    v = list(chain.from_iterable(_interpolate(tables, x, q) for x in vals))
+    """The elements of field whose values mod q at the embeddings of the
+    record kept, where a root was found (`_gcd`), at its precision q, are
+    the lists in vals, or None when one does not reconstruct: the
+    coordinates come back by interpolation (`_interpolate`) and are
+    recovered as rationals as a gcd candidate's are (`_coordinates`)."""
+    q = kept.q
+    v = list(chain.from_iterable(_interpolate(kept.tables, x, q) for x in vals))
     coeffs = _coordinates(field, v, q)
     if coeffs is None:
         return None
@@ -610,7 +611,7 @@ def nf_gcd(polys, field):
     level's discriminant, come back mod p^e from the lifted level roots
     (`_interpolate`), and reconstruct once the precision p^e exceeds
     twice the square of their heights, as it does: e grows without end
-    (`_lifted_rows`).  So an input g with g(s*_P) != 0 mod p^e proves
+    (`_Split.lifted`).  So an input g with g(s*_P) != 0 mod p^e proves
     G = 1.  And if G = 1, the gcd over Q_p of the inputs' images at P is
     1, so at every P some input g has g(s*_P) != 0, and the first
     embedding's P is watched alone; g(s*_P) has finite valuation (when f
@@ -638,10 +639,10 @@ def _gcd(family, field):
     """`nf_gcd` of the nonzero polynomials whose coefficient vectors over
     one denominator each, as `integral_ops(field).lift` gives them with the
     leading vector nonzero, are the family: (g, kept), g the monic gcd as a
-    UniPoly and, when g = x - s0, kept = (sp, q, rows, tables) the split
-    record whose degree-1 image gave g, with its evaluation matrix and
-    interpolation tables mod q (`_lift_root`); kept is None otherwise.
-    Only images of degree 2 or more take further primes."""
+    UniPoly and, when g = x - s0, kept the split record, at the precision
+    q where g was proven, of the prime whose degree-1 image gave it
+    (`_lift_root`); kept is None otherwise.  Only images of degree 2 or
+    more take further primes."""
     if any(len(vecs) == 1 for vecs, _ in family):
         return UniPoly.one(field), None
     least = acc = mod = None
@@ -677,9 +678,9 @@ def fold_common_root(family, field):
 
     Returns ("empty", None, None) when the gcd is 1, ("degree", k, None)
     when it has degree k >= 2, and ("root", s0, kept) when it is x - s0,
-    with kept the split record, precision, evaluation matrix and
-    interpolation tables where s0 was found (`_gcd`).  Each outcome is
-    proven as in `nf_gcd`, so no caller needs an exact fallback.
+    with kept the split record where s0 was found, at the precision q
+    where it was proven (`_gcd`).  Each outcome is proven as in `nf_gcd`,
+    so no caller needs an exact fallback.
     """
     g, kept = _gcd(family, field)
     if g.degree == 0:

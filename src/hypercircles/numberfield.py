@@ -153,7 +153,7 @@ def _linear_map(images, target):
 
 class NumberField:
     def __init__(self, base, minpoly, name):
-        if minpoly.field != base and minpoly.field is not base:
+        if minpoly.field != base:
             raise TypeError("defining polynomial must live over the base field")
         if minpoly.degree < 1:
             raise ValueError("defining polynomial must have degree >= 1")
@@ -232,21 +232,32 @@ class NumberField:
 
     def coerce(self, x):
         """x as an element of this field: an element of a field in the base
-        chain, or anything the rationals coerce.  Its vector is block 0 of
-        this field's, the rest zero, over its own denominator."""
+        chain, or of one structurally equal to such a field (`__eq__`), or
+        anything the rationals coerce.  Its vector is block 0 of this
+        field's, the rest zero, over its own denominator."""
         if isinstance(x, NFElement):
             if x.field is self:
                 return x
             f = self.base
             while f is not x.field:
                 if not isinstance(f, NumberField):
-                    raise TypeError(f"cannot coerce element of {x.field!r} into {self!r}")
+                    return self._carry(x)
                 f = f.base
             vec, den = x.ic, x.den
         else:
             c = QQ.coerce(x)
             vec, den = (c.numerator,), c.denominator
         return NFElement._raw(self, vec + (0,) * (self.absolute_degree - len(vec)), den)
+
+    def _carry(self, x):
+        """x, whose field is none of the base chain, over the first field of
+        the chain equal to it, as equal fields have one flat layout."""
+        f = self
+        while isinstance(f, NumberField):
+            if f == x.field:
+                return self.coerce(NFElement._raw(f, x.ic, x.den))
+            f = f.base
+        raise TypeError(f"cannot coerce element of {x.field!r} into {self!r}")
 
     def _tmul(self, a, b):
         """Product of two integral coordinate vectors, reduced."""
@@ -764,6 +775,13 @@ class ConjugacyClass:
                 power = power * theta
             self._sigma = _linear_map(images, rel)
         return self._sigma(x)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConjugacyClass):
+            return NotImplemented
+        return self.relative_field == other.relative_field
+
+    __hash__ = None
 
     def __repr__(self):
         return f"ConjugacyClass({self.factor.render()}, size={self.size})"

@@ -345,7 +345,10 @@ class MoebiusTransform:
     def __eq__(self, other):
         if not isinstance(other, MoebiusTransform):
             return NotImplemented
-        return self.proportional(other)
+        try:
+            return self.proportional(other)
+        except TypeError:  # over fields whose elements do not combine
+            return False
 
     __hash__ = None
 

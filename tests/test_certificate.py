@@ -252,8 +252,9 @@ def test_a_dropped_class_fails(quartic):
 
 
 def test_a_result_over_another_field_object_raises_type_error(tmp_path):
-    # two loads of one file build two fields whose elements do not combine:
-    # the check names the mismatch before any arithmetic
+    # two loads of one file build two equal fields, whose elements combine
+    # only by a carry in every mixed operation: the check names the
+    # mismatch before any arithmetic
     path = tmp_path / "twisted.json"
     path.write_text(json.dumps(gen_instance("twisted", 3, ext_degree=3, seed=0)))
     _, psi = load_instance(str(path))

@@ -336,6 +336,31 @@ def test_standard_parametrization_negative():
     assert len(fixing) == 1 and fixing[0].cls.size == 1
 
 
+@pytest.mark.parametrize("kind", ["defined", "twisted"])
+def test_two_decisions_of_one_psi_compare_equal(kind):
+    # each decision builds its own class fields, equal but not one: the
+    # results, their classes and their u compare equal
+    doc = gen_instance(kind, 4, minpoly=canonical_minpoly(3), seed=0)
+    _, psi = parse_instance(json.dumps(doc))
+    res, again = standard_parametrization(psi), standard_parametrization(psi)
+    assert res == again
+    for rep, other in zip(res.reports, again.reports, strict=True):
+        assert rep.cls.relative_field is not other.cls.relative_field
+        assert rep.cls == other.cls and rep.u == other.u
+    assert res.defined == (kind == "defined")
+
+
+def test_a_u_over_an_unrelated_field_compares_unequal():
+    # Q(a), a^2 = 2, and Q(a), a^2 = 3, share a name and no element: the
+    # same coordinates compare unequal, where an equal field's compare equal
+    fields = [NumberField(QQ, UniPoly(QQ, [c, 0, 1]), "a") for c in (-2, -3, -2)]
+    u, v, w = (MoebiusTransform(f, f.gen, 1, 0, 1) for f in fields)
+    assert u != v and not v == u
+    assert u == w and u != MoebiusTransform(fields[2], 1, fields[2].gen, 0, 1)
+    assert _identity_class(fields[0]) != _identity_class(fields[1])
+    assert _identity_class(fields[0]) == _identity_class(fields[2])
+
+
 def test_non_proper_raises():
     x = UniPoly.gen(QQ)
     field = NumberField(QQ, x**2 + 1, "i")
@@ -487,7 +512,7 @@ def test_a_jet_takes_two_modular_inverses(monkeypatch, circle, which):
         with monkeypatch.context() as m:
             m.setattr(hypercircle, "pow", counted, raising=False)
             u = jet(*args)
-        jets.append((len(args[2].kept[2]), sum(inverses), u))
+        jets.append((len(args[2].kept.rows), sum(inverses), u))
         return u
 
     monkeypatch.setattr(hypercircle, "_jet_u", watched)
@@ -531,8 +556,8 @@ def test_a_jet_gives_out_on_its_own(monkeypatch):
     (rep,) = res.reports
     assert jets == [None] and rebuilt == [None]
     assert [v.kind for v in rep.verdicts] == [GOOD] * 3
-    sp, q, _, _ = rep.verdicts[0].kept
-    assert q == sp.p**2
+    kept = rep.verdicts[0].kept
+    assert kept.q == kept.p**2
     assert rep.fixes and verify_identity(psi, psi.conjugate(rep.cls), rep.u)
 
 

@@ -42,7 +42,6 @@ from hypercircles.modp import (
     _extend,
     _interpolate,
     _level_poly,
-    _lifted_rows,
     _rat_rec,
     _split_primes,
     _values,
@@ -166,7 +165,7 @@ def fold(polys, field):
 
 
 def lift_exponents():
-    """The exponents e of the precisions p^e that `_lifted_rows` lifts to
+    """The exponents e of the precisions p^e that `_Split.lifted` lifts to
     after p: doubling up to 8, then growing by half: 2, 4, 8, 12, 18, ..."""
     e = 1
     while True:
@@ -175,20 +174,19 @@ def lift_exponents():
 
 
 def check_kept(field, family, s, kept):
-    """kept = (sp, q, rows, tables) is a split record of field, q is its
-    prime p or one of the lift's precisions p^e (`lift_exponents`), rows
-    agree with sp's evaluation matrix mod p, they send s to a root of every
-    input mod q, and the tables give s's coordinates back from its
-    values."""
-    sp, q, rows, tables = kept
-    p = sp.p
-    assert (sp.levels[-1][0] if sp.levels else QQ) is field
+    """kept is a split record of field at its prime p or at one of the
+    lift's precisions q = p^e (`lift_exponents`), its rows agree mod p with
+    field's record at p, they send s to a root of every input mod q, and
+    its tables give s's coordinates back from its values."""
+    p, q, rows, tables = kept.p, kept.q, kept.rows, kept.tables
+    assert (kept.levels[-1][0] if kept.levels else QQ) is field
     m = p
     exponents = lift_exponents()
     while m < q:
         m = p ** next(exponents)
-    assert m == q
-    assert [[x % p for x in row] for row in rows] == sp.rows
+    assert m == q == p**kept.e
+    sp = next(sp for sp in _split_primes(field) if sp.p >= p)
+    assert sp.p == p and [[x % p for x in row] for row in rows] == sp.rows
     (vec,), den = integral_ops(field).lift([s])
     at_s = [v[0] * pow(den, -1, q) % q for v in _values(rows, [vec], q)]
     for vecs, _ in family:
@@ -197,14 +195,22 @@ def check_kept(field, family, s, kept):
     assert _interpolate(tables, at_s, q) == [x * pow(den, -1, q) % q for x in vec]
 
 
+def lifts_to(sp, kept):
+    """Whether the record kept is sp or one of its lifts (`_Split.lifted`)."""
+    at = sp
+    while at.q < kept.q:
+        at = at.lifted()
+    return at.q == kept.q and at.levels == kept.levels and at.rows == kept.rows
+
+
 def lifted_roots(calls):
     """(prime, gcd) of each recorded `_lift_root` call: x - s0, returned
-    with the call's own record, or 1, returned with none."""
+    with the call's own record or a lift of it, or 1, returned with none."""
     out = []
     for args, (h, kept) in calls:
         sp = args[3]
         if h.degree == 1:
-            assert kept[0] is sp
+            assert kept is sp or lifts_to(sp, kept)
         else:
             assert h.degree == 0 and kept is None
         out.append((sp.p, h))
@@ -669,15 +675,13 @@ def values_at(rows, e, q):
 
 
 def lifted_at(sp, power):
-    """(rows, tables) of sp at p^power: its own at p, and otherwise the
-    lift's (`_lifted_rows`)."""
-    if power == 1:
-        return sp.rows, sp.tables
-    q = sp.p**power
-    for qq, rows, tables in _lifted_rows(sp):
-        if qq == q:
-            return rows, tables
-        assert qq < q
+    """(rows, tables) of sp at p^power: its own at p, and otherwise those
+    of its lift there (`_Split.lifted`)."""
+    q, at = sp.p**power, sp
+    while at.q < q:
+        at = at.lifted()
+    assert at.q == q
+    return at.rows, at.tables
 
 
 def interpolation_fields():
@@ -845,16 +849,31 @@ def test_the_packing_rule_counts_digit_work(monkeypatch):
         assert len(packed) == want, power
 
 
+def spy_lifted(monkeypatch):
+    """Record each `_Split.lifted` call as (record, its lift)."""
+    calls = []
+    inner = modp._Split.lifted
+
+    def recorded(self):
+        out = inner(self)
+        calls.append((self, out))
+        return out
+
+    monkeypatch.setattr(modp._Split, "lifted", recorded)
+    return calls
+
+
 def test_a_class_lifts_its_embedding_once(monkeypatch):
     # the seed-0 defined x^5 - 2, d = 6 instance has one class, of size 4,
     # whose first good sample lifts its root at one split prime, one
-    # `_expand` per level and precision; the GOOD verdict carries that
-    # lift's record and last (q, rows, tables), and the 2-jet that gives u
-    # reads them with no lifting and no `_expand` of its own
+    # `_expand` per level and precision, each record lifted from the one
+    # before; the GOOD verdict carries the last lift, the record of the
+    # last step's levels, rows and tables, and the 2-jet that gives u reads
+    # it with no lifting and no `_expand` of its own
     doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
     _, psi = parse_instance(json.dumps(doc))
     lifts = spy(monkeypatch, "_lift_root")
-    liftings = spy(monkeypatch, "_lifted_rows")
+    liftings = spy_lifted(monkeypatch)
     steps = spy(monkeypatch, "_lift_levels")
     expands = spy(monkeypatch, "_expand")
     jet = hypercircle._jet_u
@@ -875,15 +894,56 @@ def test_a_class_lifts_its_embedding_once(monkeypatch):
     sp = args[3]
     assert v.kind == GOOD and h == UniPoly(v.s.field, [-v.s, 1])
     # the steps of the lift, not the tables at p, built at q = qq = p
-    steps = [out for (_, q, qq), out in steps if qq > q]
-    assert v.kept is kept and kept[0] is sp and kept[1:] == steps[-1]
-    assert len(liftings) == 1 and in_jet == [(0, 0)]
+    steps = [out for (_, _, q, qq), out in steps if qq > q]
+    levels, rows, (tables, _) = steps[-1]
+    assert v.kept is kept and kept is liftings[-1][1]
+    assert (kept.levels, kept.rows, kept.tables) == (levels, rows, tables)
+    assert [r for r, _ in liftings] == [sp] + [r for _, r in liftings[:-1]]
+    assert in_jet == [(0, 0)]
     lifted = [(args[3], args[2]) for args, _ in expands if args[3] > sp.p]
     assert len(lifted) == len(set(lifted))
     assert {n for _, n in lifted} == {5, 4}
     exponents = list(itertools.islice(lift_exponents(), len(steps)))
     assert exponents[:4] == [2, 4, 8, 12]
     assert [q for q, _ in lifted] == [sp.p**e for e in exponents for _ in "ab"]
+    assert [r.q for _, r in liftings] == [sp.p**e for e in exponents]
+
+
+def test_the_tables_at_p_are_built_once_per_record(monkeypatch):
+    # over a tower5-shaped decision, the seed-0 defined x^5 - 2, d = 6
+    # instance, whose class lifts its root to p^12: each record of a number
+    # field builds its tables at p once, and its lifts refine the inverses
+    # they were built with instead of building them again (a record of Q
+    # is made anew for each gcd over Q)
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+    _, psi = parse_instance(json.dumps(doc))
+    builds = spy(monkeypatch, "_lift_levels")
+    liftings = spy_lifted(monkeypatch)
+    assert standard_parametrization(psi).defined
+    at_p = [args for args, _ in builds if args[0] and args[-2] == args[-1]]
+    keys = [(tuple(id(level[0]) for level in args[0]), args[-1]) for args in at_p]
+    assert liftings and at_p and len(keys) == len(set(keys))
+
+
+def test_a_kept_record_lifts_on():
+    # the fixing class's GOOD verdict on the seed-0 defined x^5 - 2, d = 6
+    # instance reconstructed its root at p^12: its record lifts on to
+    # p^18 and leaves its own roots as they were, and the 2-jet at the
+    # lifted record gives the same u
+    doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
+    _, psi = parse_instance(json.dumps(doc))
+    (rep,) = standard_parametrization(psi).reports
+    (v,) = rep.verdicts
+    kept = v.kept
+    p, roots = kept.p, [list(rs) for _, rs in kept.levels]
+    assert v.kind == GOOD and kept.q == p**12
+    lifted = kept.lifted()
+    assert lifted.q == p**18 and lifted.p == p and lifted.e == 18
+    assert [list(rs) for _, rs in kept.levels] == roots
+    assert [[r % kept.q for r in rs] for _, rs in lifted.levels] == roots
+    on = hypercircle.ParameterVerdict(GOOD, v.t, v.s, lifted)
+    u = hypercircle._jet_u(psi, psi.conjugate(rep.cls), on)
+    assert u is not None and str(u) == str(rep.u)
 
 
 def test_every_modular_inverse_is_mod_p(monkeypatch):
@@ -903,9 +963,9 @@ def test_every_modular_inverse_is_mod_p(monkeypatch):
     monkeypatch.setattr(modp, "pow", counted, raising=False)
     res = standard_parametrization(psi)
     (v,) = res.reports[0].verdicts
-    sp, q = v.kept[:2]
-    assert res.defined and q == sp.p**12
-    assert sp.p in moduli
+    p = v.kept.p
+    assert res.defined and v.kept.q == p**12
+    assert p in moduli
     assert all(m >= _PRIME_START and is_prime(m) for m in moduli)
 
 
@@ -914,51 +974,56 @@ def test_each_lift_step_is_one_newton_step(monkeypatch):
     # at most the square of the one before, so every step is one valid
     # Newton step; after each, every level's lifted roots are roots of its
     # polynomial mod the new precision over the lifted embeddings below,
-    # they agree with sp's roots mod p, they give the rows returned, and
-    # the tables returned invert those rows
+    # they agree with sp's roots mod p, they give the new record's rows,
+    # its tables invert those rows, and its inverses are those of f' at
+    # its roots; no record's roots change as it is lifted
     inner = modp._lift_levels
     for name, field in parity_fields().items():
         sp = next(_split_primes(field))
         p = sp.p
         seen = []
 
-        def watched(levels, q, qq):
-            out = inner(levels, q, qq)
+        def watched(levels, inverses, q, qq):
+            out = inner(levels, inverses, q, qq)
             if qq != q:  # a step, not the tables at p
-                seen.append((q, [(lf, list(rs)) for lf, rs, _ in levels], out))
+                seen.append((q, out))
             return out
 
         monkeypatch.setattr(modp, "_lift_levels", watched)
-        qs = [q for q, _, _ in itertools.islice(_lifted_rows(sp), 8)]
+        records = [sp]
+        for _ in range(7):
+            roots = [list(rs) for _, rs in records[-1].levels]
+            records.append(records[-1].lifted())
+            assert [list(rs) for _, rs in records[-2].levels] == roots, name
         monkeypatch.undo()
+        qs = [r.q for r in records]
         assert qs == [p**e for e in (1, 2, 4, 8, 12, 18, 27, 40)], name
-        qs = qs[1:]
         before = p
-        for (q, levels, (qq, rows, tables)), want in zip(seen, qs):
-            assert q == before and qq == want and before < qq <= before * before, name
+        for (q, (levels, rows, (tables, inverses))), rec in zip(seen, records[1:], strict=True):
+            qq = rec.q
+            assert q == before and before < qq <= before * before, name
+            assert (rec.levels, rec.rows, rec.tables) == (levels, rows, tables), name
             before = qq
             prows = [[1]]
-            for (lf, rs), (lf_p, rs_p) in zip(levels, sp.levels, strict=True):
+            for (lf, rs), (lf_p, rs_p), ws in zip(levels, sp.levels, inverses, strict=True):
                 assert lf is lf_p and [r % p for r in rs] == rs_p, name
                 n = lf.degree
                 for j, prow in enumerate(prows):
                     f = _level_poly(lf, prow, qq)
-                    assert all(gf_eval(f, r, qq) == 0 for r in rs[j * n : j * n + n]), name
+                    for c in range(j * n, j * n + n):
+                        assert gf_eval(f, rs[c], qq) == 0, name
+                        assert gf_eval(gf_diff(f, qq), rs[c], qq) * ws[c] % qq == 1, name
                 prows = _expand(prows, rs, n, qq)
             assert prows == rows, name
             c = [(k * k + 1) % qq for k in range(len(rows))]
             assert _interpolate(tables, [v[0] for v in _values(rows, [c], qq)], qq) == c, name
 
 
-def _doubling_rows(sp):
-    """`_lifted_rows` at the precisions p^(2^k): the lift's schedule before
+def _doubling(self):
+    """`_Split.lifted` at the precisions p^(2^k): the lift's schedule before
     it grew by half from p^8 on."""
-    levels = [(lf, list(rs), [None] * len(rs)) for lf, rs in sp.levels]
-    q = qq = sp.p
-    while True:
-        q, rows, tables = modp._lift_levels(levels, q, qq)
-        yield q, rows, tables
-        qq = q * q
+    levels, rows, built = modp._lift_levels(self.levels, self._interpolation()[1], self.q, self.q**2)
+    return _Split(self.p, levels, rows, 2 * self.e, built)
 
 
 def test_a_tower5_root_and_u_come_back_at_p12(monkeypatch):
@@ -968,12 +1033,12 @@ def test_a_tower5_root_and_u_come_back_at_p12(monkeypatch):
     doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
     _, psi = parse_instance(json.dumps(doc))
     got = standard_parametrization(psi)
-    monkeypatch.setattr(modp, "_lifted_rows", _doubling_rows)
+    monkeypatch.setattr(_Split, "lifted", _doubling)
     want = standard_parametrization(psi)
     (rep,), (ref,) = got.reports, want.reports
     (v,), (w,) = rep.verdicts, ref.verdicts
-    p = v.kept[0].p
-    assert v.kept[1] == p**12 and w.kept[1] == p**16
+    p = v.kept.p
+    assert v.kept.q == p**12 and w.kept.q == p**16
     # each decision builds its own class field: compared as printed
     assert v.kind == w.kind == GOOD and str(v.s) == str(w.s)
     assert str(rep.u) == str(ref.u)
@@ -992,8 +1057,7 @@ def test_a_root_found_at_p_carries_its_record():
         family = lifted([(x - s) * (x + c), (x - s) * (x - 2)], field)
         kind, root, kept = fold_common_root(family, field)
         assert (kind, root) == ("root", s)
-        assert kept[0] is sp and kept[1] == sp.p and kept[2] is sp.rows
-        assert kept[3] is sp.tables
+        assert kept is sp and kept.q == sp.p and kept.e == 1
 
 
 def test_a_decision_leaves_no_field_alive():

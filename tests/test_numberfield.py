@@ -236,6 +236,25 @@ def _three_levels():
     return NumberField(L, UniPoly(L, [L.gen / 3, L.zero, L.zero, L.one]), "c")
 
 
+def test_coerce_carries_an_element_of_an_equal_field():
+    """An element of a field structurally equal to one of the base chain,
+    as a second load of one instance builds, coerces as that field's own
+    element does, at every level, and mixes in arithmetic and equality;
+    the carried element keeps its vector."""
+    M, twin = _three_levels(), _three_levels()
+    assert twin == M and twin is not M
+    rng = random.Random(7)
+    below, mine = twin, M
+    while isinstance(below, NumberField):
+        x = below.element([rng.randint(-9, 9) for _ in range(below.degree)])
+        same = mine.element(x.coords)
+        carried = M.coerce(x)
+        assert carried == M.coerce(same) and carried.field is M
+        assert mine.coerce(x).ic == x.ic and mine.coerce(x).field is mine
+        assert x == same and same * x == same * same and (same + x).field is mine
+        below, mine = below.base, mine.base
+
+
 def test_coerce_pads_block_zero_from_every_level():
     """Q is the root of the flat layout: an int, a Rational and an element
     of each lower level of a three-level tower coerce to the element whose
@@ -288,6 +307,8 @@ def test_coerce_pads_block_zero_from_every_level():
     other = NumberField(QQ, UniPoly(QQ, [-3, 0, 1]), "r")
     with pytest.raises(TypeError):
         M.coerce(other.gen)
+    with pytest.raises(TypeError):
+        K.coerce(M.gen)
     assert integral_ops(QQ).lift([Rational(1, 2), 3]) == ([(1,), (6,)], 2)
     x = UniPoly.gen(QQ)
     for _ in range(6):
