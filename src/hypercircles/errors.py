@@ -10,10 +10,11 @@ class InstanceError(HypercirclesError):
 
 
 class NonProperParametrization(HypercirclesError):
-    """The parameter-sampling budget ran out without a usable sample.
-
-    This is the runtime symptom of a non-proper (or degenerate) input
-    parametrization: every candidate parameter keeps classifying as singular.
+    """A class's parameter budget ran out before a proven u or two values
+    of t not attained at distinct points: as the budget suffices for every
+    proper parametrization (`hypercircle.parameter_budget`), this proves the
+    input non-proper.  None of its samples is GOOD: apart from poles, they
+    read singular, or not attained at one point.
     """
 
 

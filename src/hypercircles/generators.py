@@ -6,7 +6,7 @@ Three kinds:
   transform over Q(alpha) — definable over Q by construction.
 - "twisted": a defined instance with one numerator coefficient nudged by
   +alpha; generation reruns the decision pipeline and redraws until the
-  result is genuinely not definable over Q.
+  result is genuinely not definable over Q and the twist is proper.
 - "adversarial": the bound-sharpness construction — common denominator
   (t+1)...(t+d) and components alpha*t^d + (lower terms) solving the
   interpolation conditions f(i) = alpha^(i+2) mod M at i = 1..n-1, which
@@ -159,7 +159,7 @@ def _gen_twisted(rng, field, degree):
             result = standard_parametrization(twisted)
         except NonProperParametrization:
             continue
-        if not result.defined:
+        if not result.defined and _proper_at(twisted) is not None:
             return twisted
     raise InstanceError(
         f"twist retry budget exceeded while generating a degree-{degree} instance"

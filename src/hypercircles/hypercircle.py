@@ -1,7 +1,7 @@
 """K-definability of parametrized curves and standard hypercircle
 parametrizations.
 
-Given a proper parametrization psi of a curve, with coefficients in a number
+Given a parametrization psi of a curve, with coefficients in a number
 field K(alpha) of degree n over K, the driver `standard_parametrization`
 decides whether the curve is definable over K and, when it is, produces the
 standard parametrization phi of the associated hypercircle — the rational
@@ -19,10 +19,12 @@ through the third good sample with a new s is the second candidate.  Each
 u is only a candidate: `verify_identity` is the one proof that u carries
 psi^sigma back onto psi, and it proves any u it accepts, so neither needs
 an argument of its own.  A class that moves the curve has one
-certificate, whatever candidates failed on the way: two values of t that
-are not attained, which the budget reaches (`parameter_budget`).  phi is
-then the sum of m(alpha_i, x)/m(alpha_i, alpha_i) * u_i(t) over every
-class, traced down to K(alpha), plus the identity's term
+certificate, whatever candidates failed on the way: two values of t not
+attained at distinct points, which the budget reaches for a proper psi
+(`parameter_budget`) and which proves the move for any psi
+(`_moves_the_curve`); a non-proper psi gets that or exhausts the budget.
+phi is then the sum of m(alpha_i, x)/m(alpha_i, alpha_i) * u_i(t) over
+every class, traced down to K(alpha), plus the identity's term
 m(alpha, x)/m(alpha, alpha) * t, which lies in K(alpha) already;
 1/m(alpha, alpha) is inverted once for all, and a class's trace is read
 off coordinates by Euler's lemma (`trace_term`).  Each term contributes
@@ -33,9 +35,8 @@ phi_i.
 
 `check_certificate` re-proves a result from the result alone, with no
 parameter search: the classes cover every conjugate, each class's u passes
-the identity (or its not-attained pair re-classifies, with a good sample of
-psi against itself proving psi proper behind it), and phi interpolates
-every u.  Every verdict, the properness witness's included, comes from
+the identity (or its not-attained pair re-classifies, at two distinct
+points), and phi interpolates every u.  Every verdict comes from
 `classify_parameter`.
 """
 
@@ -67,10 +68,10 @@ _CLASS_NAMES = "bcdefghjklm"
 
 
 def parameter_budget(d):
-    """Parameters that are not poles of psi, per class search or for the
-    properness witness, before psi is declared non-proper, for
-    d = `curve_degree_bound(psi)`: max(d^2 + 2, d^2 - 3d + 7), which is
-    d^2 + 2 from d = 2 on.  Poles of psi (BAD_DENOMINATOR) spend none, and
+    """Parameters that are not poles of psi, per class search or for psi
+    against itself, before psi is proven non-proper, for
+    d = `curve_degree_bound(psi)`: max(d^2 + d, d^2 - 3d + 7), which is
+    d^2 + d from d = 2 on.  Poles of psi (BAD_DENOMINATOR) spend none, and
     a search still ends: a nonzero denominator D has at most deg D
     rational roots.
 
@@ -100,12 +101,20 @@ def parameter_budget(d):
     the two irreducible curves apart and their degrees at most d, so the
     implicit equation F of pi(C^sigma) has degree e <= d and does not vanish
     on pi(C).  D(t)^e F(pi(psi(t))) is then a nonzero polynomial of degree
-    at most d^2, and it vanishes at every such t.  So at most d^2 of them
-    come before the second not-attained t, which ends the search within
-    d^2 + 2 parameters, whatever candidate u failed the identity on the
-    way.
+    at most d^2, and it vanishes at every such t: at most d^2 of them.
+    The search ends at the first not-attained t whose point differs from
+    the first one's, psi(t1) (`_same_point`).  As psi is proper, the t with
+    psi(t) = psi(t1) are one per branch of C there, at most its
+    multiplicity, and a point of an irreducible plane curve of degree
+    e >= 2 has multiplicity at most e - 1 (a line through it and one more
+    point of the curve would meet it more than e times), a line's 1.  A
+    generic projection to the plane is birational onto its image and keeps
+    the degree, so a point's branches are among those of its image: at most
+    max(1, d - 1) parameters are at psi(t1).  That ends the search within
+    d^2 + max(1, d - 1) + 1 parameters, whatever candidate u failed the
+    identity on the way: d^2 + d from d = 2 on.
     """
-    return max(d * d + 2, d * d - 3 * d + 7)
+    return max(d * d + d, d * d - 3 * d + 7)
 
 
 def curve_degree_bound(psi):
@@ -159,7 +168,8 @@ class ParameterVerdict:
 class ClassReport:
     """One class's outcome: when it fixes the curve, the Moebius transform
     `u` that carries psi^sigma back onto psi; when it moves the curve, the
-    `not_attained` pair, and u is None."""
+    `not_attained` pair, two values of t at distinct points that psi^sigma
+    does not attain, which proves the move for any psi, and u is None."""
 
     def __init__(self, cls, u=None, verdicts=None, not_attained=None):
         self.cls = cls
@@ -197,22 +207,18 @@ class ClassReport:
 
 class HypercircleResult:
     """A decision: the curve is defined over K when every class fixes it.
-    `proper_at` is a t that psi against itself classifies as GOOD, which
-    proves psi proper; it is sampled only when some class moves the curve,
-    as a not-attained pair proves that for a proper psi alone."""
+    A NotDefinedOverK verdict rests on no properness premise: a moving
+    class's not-attained pair proves it for any psi (`_moves_the_curve`)."""
 
-    def __init__(self, phi, field, reports, proper_at=None):
+    def __init__(self, phi, field, reports):
         self.phi = phi
         self.field = field
         self.reports = reports
-        self.proper_at = proper_at
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.phi, self.field, self.reports, self.proper_at) == (
-            other.phi, other.field, other.reports, other.proper_at
-        )
+        return (self.phi, self.field, self.reports) == (other.phi, other.field, other.reports)
 
     __hash__ = None
 
@@ -305,30 +311,33 @@ def classify_parameter(psi, psi_sigma, t):
 
 def compute_u_for_class(psi, cls):
     """Find the Moebius transform carrying psi^sigma back onto psi, or two
-    values of t that are not attained, the certificate that the class moves
-    the curve.  Returns a ClassReport.
+    values of t that are not attained, at distinct points, the certificate
+    that the class moves the curve.  Returns a ClassReport.
 
     Parameters are classified in schedule order.  Two candidates for u are
     tried, and the class fixes the curve when `verify_identity` proves one:
     the 2-jet at the first good sample (`_jet_u`), and, when the jet gives
     out or its u fails, the three-point fit through the first three good
     samples with distinct s.  A candidate that fails ends nothing: the
-    search goes on until two parameters are not attained.  A proper psi has
-    at most one u, so a u that passes is the fit's, coordinate for
-    coordinate, as both set the last nonzero coordinate to 1.  The verdicts
-    come from `_budgeted_verdicts`, so poles of psi are recorded but spend
-    no budget, and `parameter_budget` proves that the budget reaches either
-    end for a proper psi."""
+    search goes on until a parameter is not attained at a point other than
+    the first not-attained one's (`_same_point`); one at that point is
+    recorded and passed over.  A proper psi has at most one u, so a u that
+    passes is the fit's, coordinate for coordinate, as both set the last
+    nonzero coordinate to 1.  The verdicts come from `_budgeted_verdicts`,
+    so poles of psi are recorded but spend no budget.  `parameter_budget`
+    proves that the budget reaches either end for a proper psi, so running
+    out of it proves psi non-proper."""
     psi_sigma = psi.conjugate(cls)
     report = ClassReport(cls=cls)
     good = []
-    not_attained = []
+    first = None
     for v in _budgeted_verdicts(psi, psi_sigma):
         report.verdicts.append(v)
         if v.kind == NOT_ATTAINED:
-            not_attained.append(v.t)
-            if len(not_attained) == 2:
-                report.not_attained = tuple(not_attained)
+            if first is None:
+                first = v.t
+            elif not _same_point(psi, first, v.t):
+                report.not_attained = (first, v.t)
                 return report
         elif v.kind == GOOD and len(good) < 3 and all(v.s != s for _, s in good):
             good.append((v.t, v.s))
@@ -342,10 +351,20 @@ def compute_u_for_class(psi, cls):
                 report.u = u
                 return report
     raise NonProperParametrization(
-        "parametrization appears non-proper: the candidate-parameter budget "
-        f"({parameter_budget(curve_degree_bound(psi))}) ran out before a proven u or two "
-        "values of t that are not attained"
+        "parametrization is non-proper: the candidate-parameter budget "
+        f"({parameter_budget(curve_degree_bound(psi))}), which suffices for every proper "
+        "one, ran out before a proven u or two values of t not attained at distinct points"
     )
+
+
+def _same_point(psi, t1, t2):
+    """Whether psi(t1) == psi(t2), for integers t1 and t2 that are not
+    poles: N(t1) D(t2) == N(t2) D(t1) in every component N/D, from each of
+    psi's integral vectors (`Parametrization.vectors`) at each t once."""
+    ops = integral_ops(psi.field)
+    v1, v2 = ([ops.make(integral_horner(ops, vecs, lambda v: ops.scale(v, t), 1) if vecs
+                         else ops.zero, 1) for vecs in psi.vectors] for t in (t1, t2))
+    return all(v1[n] * v2[d] == v2[n] * v1[d] for n, d in psi.pairs)
 
 
 def _taylor(f, x, q):
@@ -669,14 +688,12 @@ def standard_parametrization(psi):
     sum(phi_i * alpha^i) == t is checked on it: a failure raises
     InternalInvariantError.
 
-    A not-attained pair proves that its class moves the curve only for a
-    proper psi (`_moves_the_curve`).  So when a class moves the curve, psi
-    against itself is classified as any sample is (`classify_parameter`
-    on the budgeted schedule, `_proper_at`) until a GOOD verdict, which
-    proves psi proper: the fibre of psi over psi(t) is then one finite
-    point of multiplicity 1, while a map of degree k >= 2 has k preimages
-    with multiplicity over every point of its image.
-    NonProperParametrization is raised when the budget yields none.
+    A NotDefinedOverK verdict rests on no properness premise
+    (`_moves_the_curve`).  A non-proper psi has no GOOD sample, as a map of
+    degree k >= 2 has k preimages with multiplicity over every point of its
+    image, so no class of it fixes the curve: it gets a proven
+    NotDefinedOverK, or a class exhausts its budget and
+    NonProperParametrization is raised (`compute_u_for_class`).
     """
     field = psi.field
     if psi.degree < 1:
@@ -684,13 +701,7 @@ def standard_parametrization(psi):
     m_alpha, classes = conjugacy_classes(field)
     reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
     if not all(rep.fixes for rep in reports):
-        proper_at = _proper_at(psi)
-        if proper_at is None:
-            raise NonProperParametrization(
-                "parametrization is non-proper: no candidate parameter within "
-                "the budget has a one-point fibre"
-            )
-        return HypercircleResult(None, field, reports, proper_at)
+        return HypercircleResult(None, field, reports)
     inv = field.one / m_alpha(field.gen)
     terms = [_identity_term(m_alpha, inv)]
     terms += [trace_term(inv, rep.cls, rep.u) for rep in reports]
@@ -728,23 +739,23 @@ def _interpolates(nums, den, root, u):
 
 def _moves_the_curve(psi, psi_sigma, rep):
     """The certificate of a class that moves the curve, re-proved: a
-    not-attained pair, for a proper psi.
+    not-attained pair at distinct points, for any psi.
 
-    If sigma fixed the curve, the proper psi^sigma = psi o v for a unit
-    Moebius v, and for every t other than v(infinity) the finite
-    s = v^-1(t) gives psi^sigma(s) = psi(t).  So at most one t,
-    v(infinity), is not attained, and two distinct not-attained t prove
-    that sigma moves the curve.  Both must re-classify as NOT_ATTAINED
-    (`fold_common_root` proves the empty common root set).  The premise is
-    proven apart (`_proven_proper`): a psi of degree k >= 2 onto its curve
-    can leave k values of t unattained.
+    If sigma fixed the curve C, psi^sigma would map P^1 onto C, its image
+    being closed and not a point, so every point of C other than
+    psi^sigma(infinity) would be psi^sigma(s) for a finite s.  So at most
+    one point psi(t) is not attained, and two not-attained t with
+    psi(t1) != psi(t2) (`_same_point`) prove that sigma moves the curve,
+    whether psi is proper or not.  Both must re-classify as NOT_ATTAINED
+    (`fold_common_root` proves the empty common root set), which also
+    makes them no poles of psi.
     """
     if rep.not_attained is None:
         return False
     t1, t2 = rep.not_attained
-    return t1 != t2 and all(
+    return all(
         classify_parameter(psi, psi_sigma, t).kind == NOT_ATTAINED for t in (t1, t2)
-    )
+    ) and not _same_point(psi, t1, t2)
 
 
 def check_certificate(psi, result):
@@ -757,10 +768,9 @@ def check_certificate(psi, result):
       cover every conjugate of alpha;
     * each class that fixes the curve, one with a u, passes
       `verify_identity` with it, and each class that moves it has a
-      not-attained pair that re-classifies (`_moves_the_curve`); the
+      not-attained pair at distinct points that re-classifies
+      (`_moves_the_curve`), which rests on no properness premise; the
       verdict is DefinedOverK when every class fixes the curve;
-    * psi is proper when a class moves the curve: psi against itself
-      re-classifies `proper_at` as GOOD (`_proven_proper`);
     * when defined, phi is there and interpolates every u: over D, the
       product of phi's distinct denominators (`Parametrization.pairs`),
       `_interpolates` holds at alpha with the identity (the sum
@@ -768,7 +778,8 @@ def check_certificate(psi, result):
 
     psi and result must share one field object: a TypeError says so
     before any arithmetic when they do not (two loads of one instance
-    build two equal fields, whose elements mix only through `coerce`).
+    build two equal fields, whose elements mix through a `coerce` in every
+    mixed operation).
     """
     field = psi.field
     if result.field is not field:
@@ -789,8 +800,6 @@ def check_certificate(psi, result):
                 f"class {rep.cls.factor.render()}: its certificate does not hold"
             )
     if not result.defined:
-        if not _proven_proper(psi, result):
-            raise InternalInvariantError("no good sample proves the parametrization proper")
         return
     if result.phi is None:
         raise InternalInvariantError("a defined result carries no phi")
@@ -804,16 +813,9 @@ def check_certificate(psi, result):
             raise InternalInvariantError(f"phi does not interpolate u = {u}")
 
 
-def _proven_proper(psi, result):
-    """Whether `result.proper_at` proves psi proper
-    (`standard_parametrization`): psi against itself classifies it as
-    GOOD."""
-    t = result.proper_at
-    return t is not None and classify_parameter(psi, psi, t).kind == GOOD
-
-
 def _proper_at(psi):
     """The first t that psi against itself classifies as GOOD within the
-    budget (`_budgeted_verdicts`), which proves psi proper
-    (`standard_parametrization`), or None."""
+    budget (`_budgeted_verdicts`), or None, the generators' properness
+    filter: a GOOD verdict proves psi proper (`standard_parametrization`),
+    and the budget reaches one for a proper psi (`parameter_budget`)."""
     return next((v.t for v in _budgeted_verdicts(psi, psi) if v.kind == GOOD), None)

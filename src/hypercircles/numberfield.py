@@ -46,9 +46,12 @@ product, so its matrix is the base's.  Being linear over Z, it acts as well
 on packed vectors, each int a polynomial's t-coefficients: the Moebius
 composition makes one per Horner step, not one per t-coefficient.
 
-Field identity is object identity: two elements interoperate only when their
-fields are literally the same object or one field appears in the base chain
-of the other (in which case the lower element is lifted).
+Field identity is structural (`NumberField.__eq__`): two elements
+interoperate when their fields are equal or one field equals a field in the
+base chain of the other, and the lower element is lifted (`coerce`); equal
+fields have one flat layout, so an element of one reads as it stands in the
+other.  The arithmetic's fast paths test object identity, so elements of two
+equal field objects mix through a `coerce` in every operation.
 """
 
 from functools import partial
@@ -234,30 +237,21 @@ class NumberField:
         """x as an element of this field: an element of a field in the base
         chain, or of one structurally equal to such a field (`__eq__`), or
         anything the rationals coerce.  Its vector is block 0 of this
-        field's, the rest zero, over its own denominator."""
+        field's, the rest zero, over its own denominator, as equal fields
+        have one flat layout."""
         if isinstance(x, NFElement):
             if x.field is self:
                 return x
-            f = self.base
-            while f is not x.field:
+            f = self
+            while f is not x.field and f != x.field:
                 if not isinstance(f, NumberField):
-                    return self._carry(x)
+                    raise TypeError(f"cannot coerce element of {x.field!r} into {self!r}")
                 f = f.base
             vec, den = x.ic, x.den
         else:
             c = QQ.coerce(x)
             vec, den = (c.numerator,), c.denominator
         return NFElement._raw(self, vec + (0,) * (self.absolute_degree - len(vec)), den)
-
-    def _carry(self, x):
-        """x, whose field is none of the base chain, over the first field of
-        the chain equal to it, as equal fields have one flat layout."""
-        f = self
-        while isinstance(f, NumberField):
-            if f == x.field:
-                return self.coerce(NFElement._raw(f, x.ic, x.den))
-            f = f.base
-        raise TypeError(f"cannot coerce element of {x.field!r} into {self!r}")
 
     def _tmul(self, a, b):
         """Product of two integral coordinate vectors, reduced."""

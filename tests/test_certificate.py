@@ -1,10 +1,11 @@
 """`check_certificate` re-proves a decision from the result alone: it passes
 on defined instances and on the one certificate that a class moves the
-curve, two values of t that are not attained, also where both candidate u
-failed the identity first.  It fails on a changed u, a singular u, a moving
-report with no not-attained pair, a pair with one attained t, a
-not-attained pair with no good sample that proves psi proper, a changed phi
-(a bumped coefficient, or a shift that only a conjugate of alpha sees), a
+curve, two values of t that are not attained at distinct points, also
+where both candidate u failed the identity first, and also for a psi that
+is not proper.  It fails on a changed u, a singular u, a moving report with
+no not-attained pair, a pair with one attained t, a not-attained pair at
+one point (a node's, a repeated t, a non-proper psi's), a changed phi (a
+bumped coefficient, or a shift that only a conjugate of alpha sees), a
 dropped class, and a result decided over another field object."""
 
 import copy
@@ -22,6 +23,7 @@ from hypercircles import (
     check_certificate,
     gen_instance,
     load_instance,
+    minimum_field,
     parse_instance,
     standard_parametrization,
 )
@@ -30,8 +32,8 @@ from hypercircles.errors import InternalInvariantError, NonProperParametrization
 from hypercircles.hypercircle import (
     GOOD,
     NOT_ATTAINED,
+    ClassReport,
     HypercircleResult,
-    ParameterVerdict,
     classify_parameter,
     compute_u_for_class,
     conjugacy_classes,
@@ -68,6 +70,27 @@ def _moved_by_a_not_attained_pair():
     )
 
 
+def non_proper_moved():
+    """(a t^2, t^4 + t^2) over Q(a), a^3 = 2: psi(t) = psi(-t), so psi is
+    not proper, and it traces y = x^2/a^2 + x/a, which its one class, of
+    size 2, moves."""
+    field = NumberField(QQ, x**3 - 2, "a")
+    t = UniPoly.gen(field)
+    return Parametrization([RatFunc(t * t * field.gen), RatFunc(t**4 + t * t)])
+
+
+def nodal_curve(k):
+    """(i t^2, t^3 prod (t^2 - j^2)) over Q(i), j = 1 .. k: proper (t is
+    rational in x and y), with a cusp at t = 0 and nodes at t = +-1 ..
+    +-k, psi(j) = psi(-j)."""
+    field = NumberField(QQ, x**2 + 1, "i")
+    t = UniPoly.gen(field)
+    y = t**3
+    for j in range(1, k + 1):
+        y = y * (t * t - UniPoly(field, [field.coerce(j * j)]))
+    return Parametrization([RatFunc(t * t * field.gen), RatFunc(y)])
+
+
 def _bumped(u):
     return MoebiusTransform._raw(u.a, u.b + 1, u.c, u.d)
 
@@ -78,13 +101,24 @@ def test_moving_certificates_pass():
     cert = res.certificate
     assert [v.kind for v in cert.verdicts] == [GOOD] * 3 + [NOT_ATTAINED] * 2
     assert cert.not_attained == (2, -2) and cert.u is None
-    assert res.proper_at == 0
     check_certificate(psi, res)
 
     psi = _moved_by_a_not_attained_pair()
     res = standard_parametrization(psi)
     assert res.certificate.not_attained is not None
     check_certificate(psi, res)
+
+
+def test_a_non_proper_psi_whose_class_moves_is_certified():
+    # no sample of the class is good, and psi(1) != psi(2) are not attained
+    psi = non_proper_moved()
+    assert hypercircle._proper_at(psi) is None
+    res = standard_parametrization(psi)
+    (rep,) = res.reports
+    assert res.verdict == "NotDefinedOverK" and rep.not_attained == (1, 2)
+    assert all(v.kind != GOOD for v in rep.verdicts)
+    check_certificate(psi, res)
+    assert minimum_field(psi.field, []).degree == 3
 
 
 def test_a_moving_class_with_a_good_first_sample_keeps_its_certificate(monkeypatch):
@@ -188,38 +222,42 @@ def test_a_pair_with_one_attained_t_fails():
         check_certificate(psi, bad)
 
 
-def test_a_not_attained_pair_needs_a_proof_of_properness():
-    # the class's own GOOD verdict at t = 0 is no witness: only proper_at is
-    psi = _moved_by_a_not_attained_pair()
+def _forged(psi, res, k, pair):
+    """res with class k's certificate replaced by a not-attained pair whose
+    two values of t re-classify as NOT_ATTAINED."""
+    rep = res.reports[k]
+    sigma = psi.conjugate(rep.cls)
+    assert all(classify_parameter(psi, sigma, t).kind == NOT_ATTAINED for t in pair)
+    return _with_report(res, k, not_attained=pair)
+
+
+@pytest.mark.parametrize("which", ["node", "repeated-t"])
+def test_a_not_attained_pair_at_one_point_fails(which):
+    # the node psi(1) = psi(-1) is not attained twice, and so is a t
+    # repeated: each is one point, which a class that fixes the curve may
+    # leave unattained
+    psi = nodal_curve(2) if which == "node" else _moved_by_a_not_attained_pair()
     res = standard_parametrization(psi)
-    assert any(v.kind == GOOD for v in res.certificate.verdicts)
-    assert res.certificate.not_attained is not None
-    assert res.proper_at is not None
+    k = next(j for j, rep in enumerate(res.reports) if not rep.fixes)
+    pair = (1, -1) if which == "node" else (res.reports[k].not_attained[1],) * 2
     check_certificate(psi, res)
-    with pytest.raises(InternalInvariantError, match="proves the parametrization proper"):
-        check_certificate(psi, replace(res, proper_at=None))
+    with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+        check_certificate(psi, _forged(psi, res, k, pair))
 
 
 def test_a_non_proper_psi_is_not_certified():
-    """The reports of a psi that is not proper: the class x + a rests on a
-    not-attained pair, and psi against itself has no good sample to offer.
-    A forged witness does not re-classify, and a GOOD verdict in a report
-    is no witness."""
+    """A psi that is not proper, whose class x + a fixes its curve, leaves
+    psi(1) = psi(-1) unattained: that pair, at one point, proves nothing,
+    and the decision exhausts the budget."""
     field, psi = parse_instance(json.dumps(NONPROPER_DOC))
-    _, classes = conjugacy_classes(field)
-    reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
-    assert [rep.not_attained for rep in reports] == [(1, -1)]
-    result = HypercircleResult(None, field, reports)
-    forged = [ParameterVerdict(GOOD, 2, field.zero), *reports[0].verdicts]
-    for bad in (
-        result,
-        replace(result, proper_at=2),
-        replace(result, reports=(replace(reports[0], verdicts=forged),)),
-    ):
-        with pytest.raises(InternalInvariantError, match="proves the parametrization proper"):
-            check_certificate(psi, bad)
-    with pytest.raises(NonProperParametrization):
-        standard_parametrization(psi)
+    (cls,) = conjugacy_classes(field)[1]
+    sigma = psi.conjugate(cls)
+    assert [classify_parameter(psi, sigma, t).kind for t in (1, -1)] == [NOT_ATTAINED] * 2
+    result = HypercircleResult(None, field, (ClassReport(cls, not_attained=(1, -1)),))
+    with pytest.raises(InternalInvariantError, match="certificate does not hold"):
+        check_certificate(psi, result)
+    with pytest.raises(NonProperParametrization, match="non-proper"):
+        compute_u_for_class(psi, cls)
 
 
 @pytest.mark.parametrize("alpha_blind", [False, True], ids=["bumped", "alpha-blind"])

@@ -3,7 +3,9 @@ malformed or unusable input files, output that cannot be written, and the
 exit codes of `gen`, `definable`, `minfield` (with its certificate check,
 which a moving class reported as fixing fails) and `compute --check` (at
 n = 5, on a twisted instance, and on a class whose candidate u both fail
-before its not-attained pair), and of all three on a non-proper input;
+before its not-attained pair), and of all three on a non-proper input,
+whose verdict is NotDefinedOverK when its class moves the curve and exit 2
+when it fixes it;
 exact outputs too long for Python's integer-string limit, printed in full;
 numbers outside the ASCII base-10 format refused;
 exit code 3 for a phi that fails its check and for any unexpected exception;
@@ -25,7 +27,7 @@ from hypercircles.instances import load_instance, serialize_instance
 from hypercircles.ratfunc import MoebiusTransform
 
 from conftest import CIRCLE_DOC, NONPROPER_DOC
-from test_certificate import moved_after_a_failed_fit, replace
+from test_certificate import moved_after_a_failed_fit, non_proper_moved, replace
 from test_minfield import sextic_subfield_instance
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -299,14 +301,34 @@ def test_compute_check_of_a_class_whose_candidates_fail(failed_fit_file, capsys)
 )
 def test_a_non_proper_input_exits_2(tmp_path, capsys, argv):
     # the class x + a leaves psi(1) and psi(-1) unattained, but only because
-    # psi(t) = psi(-t): no sample of any class is good, so psi is not proven
-    # proper, and the curve is in fact defined over Q
+    # psi(t) = psi(-t), one point: no sample of any class is good, and the
+    # budget, which suffices for every proper psi, runs out; the curve is in
+    # fact defined over Q
     path = tmp_path / "nonproper.json"
     path.write_text(json.dumps(NONPROPER_DOC), encoding="utf-8")
     assert cli.main(argv + [str(path)]) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "non-proper" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["compute", "--check"], cli.EXIT_NOT_DEFINED), (["definable"], cli.EXIT_NOT_DEFINED),
+     (["minfield"], cli.EXIT_OK)],
+    ids=["compute", "definable", "minfield"],
+)
+def test_a_non_proper_input_whose_class_moves_is_decided(tmp_path, capsys, argv, status):
+    # psi(t) = psi(-t), and its one class leaves psi(1) != psi(2) unattained
+    path = tmp_path / "nonproper_moved.json"
+    psi = non_proper_moved()
+    path.write_text(serialize_instance(psi.field, psi), encoding="utf-8")
+    assert cli.main(argv + [str(path)]) == status
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "values at t=1 and t=2 are not attained by the conjugate" in captured.out
+    if argv[0] == "minfield":
+        assert "minimum field degree: 3\n" in captured.out
 
 
 def _big_coefficient_doc(digits):

@@ -499,7 +499,7 @@ def test_equal_denominators_are_one_polynomial_whatever_the_objects(kind):
     def decided(p):
         result = standard_parametrization(p)
         verdicts = [[str(v) for v in rep.verdicts] for rep in result.reports]
-        return _outputs(result), verdicts, result.proper_at
+        return _outputs(result), verdicts
 
     assert decided(shared) == decided(psi)
 
