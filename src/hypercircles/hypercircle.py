@@ -24,14 +24,14 @@ attained at distinct points, which the budget reaches for a proper psi
 (`parameter_budget`) and which proves the move for any psi
 (`_moves_the_curve`); a non-proper psi gets that or exhausts the budget.
 phi is then the sum of m(alpha_i, x)/m(alpha_i, alpha_i) * u_i(t) over
-every class, traced down to K(alpha), plus the identity's term
-m(alpha, x)/m(alpha, alpha) * t, which lies in K(alpha) already;
-1/m(alpha, alpha) is inverted once for all, and a class's trace is read
-off coordinates by Euler's lemma (`trace_term`).  Each term contributes
-numerators over its own g (the characteristic polynomial of u's pole, or
-1), they are summed over D = prod g, the identity sum A_i alpha^i = t D is
-checked exactly, and each x-coefficient A_i / D is normalized once to give
-phi_i.
+every conjugate, alpha itself included with u = t: one term per factor f
+of M, the identity's being x - alpha, each traced down to K(alpha) and
+read off coordinates by Euler's lemma from its cofactor M/f and
+e = f'(gamma)/M'(gamma) by one routine (`trace_term`); 1/M'(alpha) is
+inverted once for all.  Each term contributes numerators over its own g
+(the characteristic polynomial of u's pole, or 1), they are summed over
+D = prod g, the identity sum A_i alpha^i = t D is checked exactly, and each
+x-coefficient A_i / D is normalized once to give phi_i.
 
 `check_certificate` re-proves a result from the result alone, with no
 parameter search: the classes cover every conjugate, each class's u passes
@@ -563,39 +563,37 @@ def verify_identity(psi, psi_sigma, u):
     return True
 
 
-def trace_term(inv_m, cls, u):
-    """The class's term of phi's sum, traced down to K(alpha).
+def trace_term(cofactor, e, u):
+    """One term of phi's sum, traced down to K(alpha).
 
-    Over K(alpha)(gamma), gamma a root of the class factor f of degree s,
-    the term is M(x)/((x - gamma) M'(gamma)) * u(t), M alpha's minimal
-    polynomial and u = (a t + b)/(c t + d); inv_m = 1/M'(alpha).  Returns
-    (numerators, g), the trace as sum_k N_k(t) x^k / g(t) with N_k over
-    K(alpha) and g monic: the characteristic polynomial of the pole -d/c,
-    or 1 when c = 0.
+    For a factor f of M, alpha's minimal polynomial, over K(alpha), gamma a
+    root of f and s its degree, the term is
+    u(t) M(x)/((x - gamma) M'(gamma)).  cofactor = M/f is over K(alpha), e = f'(gamma)/M'(gamma) lies
+    in the field of gamma, which gives s by the absolute degrees, and
+    u = (a t + b)/(c t + d) over that field has its last nonzero
+    coordinate 1 (d = 1, or c = 1 and d = 0), as the jet and the fit give
+    it.  A class's f is its factor of m(alpha, x); the identity's is
+    x - alpha: cofactor m(alpha, x), e = 1/M'(alpha) in K(alpha) itself,
+    so s = 1, and u the identity (c = 0).  Returns (numerators, g), the
+    trace as sum_k N_k(t) x^k / g(t) with N_k over K(alpha) and g monic:
+    the characteristic polynomial of the pole -d/c, or 1 when c = 0.
 
     By Euler's lemma (Serre, Local Fields, III.6) the trace of
     y f(x)/((x - gamma) f'(gamma)) is sum_(j<s) y_j x^j, y_j the
     gamma-coordinates of y.  So the trace times g is (M/f)(x) sum_j W_j x^j,
-    W_j the j-th gamma-coordinate of v = e u(t) g(t), e = f'(gamma)/M'(gamma),
-    read off the blocks of v's vectors.  u's last nonzero coordinate is 1,
-    as the jet and the fit give it (any other u is scaled so first).
-    c = 0: g = 1 and v = e (a t + b).  d = 0: g = t^s and
-    v = e (a t + b) t^(s-1).  d = 1: g = n/n_s for n(t) = prod (c_i t + 1)
-    over the conjugates c_i of c, n_j = (-1)^j chi_(s-j) from the
-    characteristic polynomial chi of c (the only traces; 1/n_s, in K(alpha),
-    is the only inverse), and (c t + 1) v = e (a t + b) g gives v from the
-    bottom by s products by c, on integral vectors with one matrix of c.
+    W_j the j-th gamma-coordinate of v = e u(t) g(t), read off the blocks
+    of v's vectors, one when s = 1.  c = 0: g = 1 and v = e (a t + b).
+    d = 0: g = t^s and v = e (a t + b) t^(s-1).  d = 1: g = n/n_s for
+    n(t) = prod (c_i t + 1) over the conjugates c_i of c, n_j =
+    (-1)^j chi_(s-j) from the characteristic polynomial chi of c over
+    K(alpha) (the only traces; 1/n_s, in K(alpha), is the only inverse),
+    and (c t + 1) v = e (a t + b) g gives v from the bottom by s products
+    by c, on integral vectors with one matrix of c.
     """
-    rel = cls.relative_field
-    field = rel.base
-    s = rel.degree
+    field, rel = cofactor.field, e.field
+    s = rel.absolute_degree // field.absolute_degree
     ops = integral_ops(rel)
     a, b, c, d = u.a, u.b, u.c, u.d
-    lead = d or c
-    if lead != rel.one:
-        inv = lead.inverse()
-        a, b, c, d = a * inv, b * inv, c * inv, d * inv
-    e = rel.element(cls.factor.derivative().coeffs) * cls.conjugate(inv_m)
     (ea, eb), den = ops.lift([e * a, e * b])
     if not c:
         g, vs = [field.one], [eb, ea]
@@ -620,7 +618,7 @@ def trace_term(inv_m, cls, u):
         den *= q * k**s
     # block j is W_j / scale^j, as the rescaled generator is scale * gamma
     fops = integral_ops(field)
-    vecs, q = fops.lift((field.minpoly.map_into(field) // cls.factor).coeffs)
+    vecs, q = fops.lift(cofactor.coeffs)
     by_cof = [fops.fixed(v) for v in vecs]
     zero, m, scale_j = fops.zero, field.absolute_degree, rel._scale
     cols = [[zero] * len(vs) for _ in range(field.degree)]
@@ -633,15 +631,6 @@ def trace_term(inv_m, cls, u):
     make = fops.make
     numerators = [UniPoly._raw(field, [make(v, q * den) for v in col]) for col in cols]
     return numerators, UniPoly._raw(field, g)
-
-
-def _identity_term(m_alpha, inv):
-    """The identity's term of phi's sum, m(alpha, x)/m(alpha, alpha) * t
-    with g = 1, inv = 1/m(alpha, alpha): it lies in K(alpha) already, so it
-    needs no relative field and no trace."""
-    field = m_alpha.field
-    numerators = [UniPoly(field, [field.zero, c * inv]) for c in m_alpha.coeffs]
-    return numerators, UniPoly.one(field)
 
 
 def _class_names(field):
@@ -702,9 +691,12 @@ def standard_parametrization(psi):
     reports = tuple(compute_u_for_class(psi, cls) for cls in classes)
     if not all(rep.fixes for rep in reports):
         return HypercircleResult(None, field, reports)
-    inv = field.one / m_alpha(field.gen)
-    terms = [_identity_term(m_alpha, inv)]
-    terms += [trace_term(inv, rep.cls, rep.u) for rep in reports]
+    minpoly, inv = field.minpoly.map_into(field), field.one / m_alpha(field.gen)
+    terms = [trace_term(m_alpha, inv, MoebiusTransform.identity(field))]
+    for rep in reports:
+        cls = rep.cls
+        e = cls.relative_field.element(cls.factor.derivative().coeffs) * cls.conjugate(inv)
+        terms.append(trace_term(minpoly // cls.factor, e, rep.u))
     den = UniPoly.one(field)
     for _, g in terms:
         den = den * g

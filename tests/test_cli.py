@@ -238,8 +238,8 @@ def test_corrupted_trace_term_is_an_internal_error(
     instance_files, capsys, monkeypatch
 ):
     # one bumped numerator coefficient breaks sum phi_i alpha^i = t
-    def corrupted(m_alpha, cls, u):
-        numerators, g = trace_term(m_alpha, cls, u)
+    def corrupted(cofactor, e, u):
+        numerators, g = trace_term(cofactor, e, u)
         return [numerators[0] + 1] + numerators[1:], g
 
     monkeypatch.setattr(hypercircle, "trace_term", corrupted)

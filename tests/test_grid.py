@@ -14,7 +14,8 @@ on a smaller grid it must leave the verdict, the classes that fix the curve
 and (for defined instances) the defining property of phi unchanged.
 
 Every fixing class on that grid gets u from the 2-jet at its first good
-sample, and that u is the three-point fit's, coordinate for coordinate.
+sample, and that u is the three-point fit's, coordinate for coordinate,
+with its last nonzero coordinate 1, as `trace_term` takes it.
 
 Every class search on the grid ends within `parameter_budget` of
 d = `curve_degree_bound`, which is psi's degree there; a class that moves
@@ -229,6 +230,12 @@ def test_the_jet_gives_the_three_point_u_on_fixing_classes_of_negatives(
     _check_jet(monkeypatch, psi, res)
 
 
+def last_nonzero_is_one(u):
+    """u's last nonzero coordinate is 1: d = 1, or c = 1 and d = 0."""
+    one = u.d.field.one
+    return u.d == one or (not u.d and u.c == one)
+
+
 def _check_jet(monkeypatch, psi, res):
     """Each fixing class stopped at its first good sample, and the jet off,
     the loop's three good samples fit the same u, coordinate for
@@ -242,5 +249,6 @@ def _check_jet(monkeypatch, psi, res):
         fitted = compute_u_for_class(psi, rep.cls)
         assert fitted.fixes and [v.kind for v in fitted.verdicts].count(GOOD) >= 3
         u, w = rep.u, fitted.u
+        assert last_nonzero_is_one(u)
         assert (u.a, u.b, u.c, u.d) == (w.a, w.b, w.c, w.d)
         assert str(u) == str(w)

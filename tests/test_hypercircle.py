@@ -52,7 +52,7 @@ from oracles import (
     verify_identity_by_evaluation,
 )
 from test_certificate import nodal_curve
-from test_grid import GRID
+from test_grid import GRID, last_nonzero_is_one
 from test_minfield import _model, sextic_subfield_instance
 
 
@@ -583,6 +583,7 @@ def test_the_fit_decides_where_the_jet_gives_out(monkeypatch, name, minpoly, deg
     )
     res = standard_parametrization(psi)
     assert len(fits) == 1 and any(rep.u is fits[0] for rep in res.reports)
+    assert last_nonzero_is_one(fits[0])
     check_certificate(psi, res)
     monkeypatch.setattr(hypercircle, "moebius_from_three_points", moebius_by_kernel)
     ref = standard_parametrization(psi)
@@ -683,24 +684,35 @@ def _random_element(rng, field):
 def test_trace_term_matches_the_traces(name):
     # Euler's lemma gives each class term exactly as tracing every
     # coefficient does: u affine (c = 0), with d = 0, with d = 1, and with
-    # random coordinates, which are scaled to one of those first
+    # random coordinates, scaled to one of those, each class given its
+    # cofactor M/f and e = f'(gamma)/M'(gamma); the identity is the term of
+    # x - alpha, m_i t / M'(alpha) with g = 1
     field = _trace_field(name)
     m_alpha, classes = conjugacy_classes(field)
-    inv = field.one / m_alpha(field.gen)
+    minpoly = field.minpoly.map_into(field)
+    inv = field.one / minpoly.derivative()(field.gen)
+    want = [UniPoly(field, [0, c * inv]) for c in m_alpha.coeffs], UniPoly.one(field)
+    assert trace_term(m_alpha, inv, MoebiusTransform.identity(field)) == want
     rng = random.Random(35)
     for cls in classes:
         rel = cls.relative_field
         zero, one = rel.zero, rel.one
+        at_gamma = lambda p: p.map_into(rel)(rel.gen)  # noqa: E731
+        e = at_gamma(cls.factor.derivative()) / at_gamma(minpoly.derivative())
+        cofactor = minpoly // cls.factor
         for c, d in [(zero, one), (one, zero), (None, zero), (None, one), (None, None), (zero, None)]:
             r = lambda: _random_element(rng, rel)  # noqa: E731
             u = MoebiusTransform._raw(r(), r(), r() if c is None else c, r() if d is None else d)
-            assert trace_term(inv, cls, u) == trace_term_by_traces(m_alpha, cls, u), (cls, u)
+            inv_lead = (u.d or u.c).inverse()
+            u = MoebiusTransform._raw(*(x * inv_lead for x in (u.a, u.b, u.c, u.d)))
+            assert trace_term(cofactor, e, u) == trace_term_by_traces(m_alpha, cls, u), (cls, u)
 
 
 def test_trace_term_traces_only_the_powers_of_c(monkeypatch):
     # on the seed-0 defined x^5 - 2, d = 6 decision (one class, of size 4)
     # a class term inverts no element of the class field and traces one
-    # only inside one characteristic polynomial, that of c
+    # only inside one characteristic polynomial, that of c; the identity's
+    # term, which comes first, inverts and traces nothing
     doc = gen_instance("defined", 6, minpoly=canonical_minpoly(5), seed=0)
     _, psi = parse_instance(json.dumps(doc))
     events = []
@@ -725,7 +737,11 @@ def test_trace_term_traces_only_the_powers_of_c(monkeypatch):
     assert res.defined
     (rep,) = res.reports
     rel = rep.cls.relative_field
-    start = events.index(("term", rep.u))
+    identity, start = [i for i, ev in enumerate(events) if ev[0] == "term"]
+    assert events[identity][1] == MoebiusTransform.identity(psi.field)
+    assert events[start][1] is rep.u
+    labels = {ev[0] for ev in events[identity:start]}
+    assert labels.isdisjoint({"inverse", "trace", "charpoly"})
     inside = events[start : events.index(("end term", None), start)]
     assert ("charpoly", rel) in inside
     assert ("inverse", rel) not in inside
